@@ -36,7 +36,7 @@ def _cache_path(cache_dir, label):
 
 
 def _get_catalog(rs, cache_dir):
-    from .parabolic import ShapeCatalog, Shape, _catalogs, shape_catalog
+    from .parabolic import ShapeCatalog, _catalogs, shape_catalog
     if rs.label in _catalogs:
         return _catalogs[rs.label]
     if cache_dir:
@@ -46,12 +46,7 @@ def _get_catalog(rs, cache_dir):
                 with open(path, "rb") as fh:
                     payload = pickle.load(fh)
                 if payload.get("version") == CACHE_VERSION:
-                    cat = ShapeCatalog.__new__(ShapeCatalog)
-                    cat.rs = rs
-                    cat.shapes = payload["shapes"]
-                    cat._by_rootset = {tuple(sorted(s.roots)): s.index
-                                       for s in cat.shapes}
-                    cat._class_cache = dict(cat._by_rootset)
+                    cat = ShapeCatalog(rs, payload["shapes"])
                     _catalogs[rs.label] = cat
                     return cat
             except Exception:
@@ -64,15 +59,21 @@ def _get_catalog(rs, cache_dir):
     return cat
 
 
-def _build(args):
+def _root_system(args):
     try:
         label = parse_label(args.group)
     except ValueError as exc:
         raise UserError(str(exc))
-    rs = build_root_system(label)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    catalog = _get_catalog(rs, cache_dir)
-    return rs, catalog
+    return build_root_system(label)
+
+
+def _catalog(rs, args):
+    return _get_catalog(rs, args.cache_dir or os.environ.get(CACHE_ENV))
+
+
+def _build(args):
+    rs = _root_system(args)
+    return rs, _catalog(rs, args)
 
 
 def _require_short(rs, args, what):
@@ -170,8 +171,9 @@ TABLE_HEADER = ["index", "asterisk", "label", "q_index", "d_order", "closure",
 
 
 def cmd_table(args):
-    rs, catalog = _build(args)
+    rs = _root_system(args)
     _require_short(rs, args, "the full table")
+    _catalog(rs, args)
     from .normalizer import compute_table
     rows = compute_table(rs, jobs=args.jobs)
     out = []
@@ -215,16 +217,17 @@ def cmd_involutions(args):
 
 
 def cmd_verify(args):
-    rs, catalog = _build(args)
+    rs = _root_system(args)
     from .verify import SUITES
     if args.suite not in SUITES:
         return _fail(f"unknown suite {args.suite!r}; choose from "
                      + ", ".join(sorted(SUITES)), 2)
+    options = {}
     if args.suite == "fixtures":
         _require_short(rs, args, "the fixture diff")
-        report = SUITES[args.suite](rs, jobs=args.jobs)
-    else:
-        report = SUITES[args.suite](rs)
+        options["jobs"] = args.jobs
+    _catalog(rs, args)
+    report = SUITES[args.suite](rs, **options)
     print(json.dumps(report, indent=2, ensure_ascii=False, default=str))
     return 0 if report["ok"] else 1
 

@@ -108,12 +108,6 @@ class GroupSet:
             self._sorted = sorted(self._by_key.values(), key=lambda e: e.key)
         return iter(self._sorted)
 
-    def lex_least_nontrivial(self):
-        for e in self:
-            if not e.is_identity():
-                return e
-        return None
-
 
 def generate(gens, limit=ENUMERATION_LIMIT, rs=None) -> GroupSet:
     """Breadth-first closure of the generators (plus identity)."""
@@ -152,6 +146,24 @@ def relative_length(w: GroupElement, sub_positive) -> int:
     if idx.size == 0:
         return 0
     return int((w.img[idx] >= w.rs.npos).sum())
+
+
+def parabolic_longest_element(rs, simples) -> GroupElement:
+    """Longest element of the subgroup generated by the reflections in ``simples``.
+
+    ``simples`` must be a simple system (of a standard parabolic, or of any
+    reflection subgroup with its inherited positive system).  Each step
+    multiplies by the reflection in a simple root still sent positive, which
+    raises the length, until every simple root is sent negative.
+    """
+    idx = np.asarray(simples, dtype=np.int64)
+    img = np.arange(rs.nroots, dtype=np.int16)
+    while idx.size:
+        up = np.flatnonzero(img[idx] < rs.npos)
+        if not up.size:
+            break
+        img = img[rs.reflection_perm(int(idx[up[0]]))]
+    return GroupElement(rs, img)
 
 
 def longest_element(W: GroupSet) -> GroupElement:

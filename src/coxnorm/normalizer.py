@@ -11,9 +11,12 @@ Y_perp pointwise (equivalently the complement of P in its orthogonal
 closure), B is the part fixing X n Y (the complement of PQ in its parabolic
 closure), and C is a complement of A x B in D, of order at most 2.
 
-N itself is handled through orbit-stabilizer on the root set of P; D is
-extracted by reducing Schreier generators of N to their relative-length-zero
-coset representatives, so large groups never need to be enumerated.
+D comes from the subset groupoid (see ``parabolic.SubsetGroupoid``): for a
+standard P = W_J the groupoid's loops at J generate N_J, with N = P : N_J.
+Since PQ is normal in N, reducing each loop to its relative-length-zero
+representative modulo PQ is a homomorphism onto D, so those reductions
+generate D, and D is closed by enumeration.  D is small, so neither N nor W
+is ever enumerated, and |N| = |P||Q||D|.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .actions import (ActionCell, SpaceRestriction, canonical_line,
                       diagram_of_lines, invariant_split)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement
-from .groups import (GroupElement, GroupSet, OrbitStabilizer, generate,
-                     identity, relative_length)
+from .groups import (GroupElement, GroupSet, generate, identity,
+                     parabolic_longest_element, relative_length)
 from .linalg import mat_identity
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
-                        shape_catalog, standard_parabolic)
+                        shape_catalog, standard_parabolic, standard_subset,
+                        subset_groupoid)
 from .qsqrt5 import Q5, ZERO
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
@@ -43,14 +47,7 @@ MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade"
 
 def subsystem_longest_element(rs, sub: ReflectionSubgroup) -> GroupElement:
     """Longest element of a reflection subgroup (sends its positives negative)."""
-    w = identity(rs)
-    simples = sub.simples
-    npos = rs.npos
-    while True:
-        beta = next((b for b in simples if int(w.img[b]) < npos), None)
-        if beta is None:
-            return w
-        w = rs.reflection(beta) * w
+    return parabolic_longest_element(rs, sub.simples)
 
 
 def descend_to_complement(w: GroupElement, sub: ReflectionSubgroup) -> GroupElement:
@@ -214,43 +211,26 @@ def normalizer(P: ParabolicSubgroup, limit=10 ** 6) -> GroupSet:
 
 
 def normalizer_order(P: ParabolicSubgroup) -> int:
+    """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
     rs = P.rs
-    ob = OrbitStabilizer(rs, rs.simple_reflections(), sorted(P.roots))
-    order = rs.group_order
-    if order % ob.orbit_size:
-        raise RuntimeError("orbit size does not divide group order")
-    return order // ob.orbit_size
+    subset = standard_subset(P)
+    if subset is None:
+        subset = shape_catalog(rs).shape_of(P).rep_subset
+        P = standard_parabolic(rs, subset)
+    Q = orthogonal_complement(P.sub)
+    D = _complement_D(rs, subset, ReflectionSubgroup(rs, P.roots | Q.roots))
+    return P.order * Q.order * len(D)
 
 
-def _find_complement_D(rs, ob, pq_sub, target):
-    """Generators of N reduced to the complement of PQ, closed to size target."""
-    e = identity(rs)
-    D = {e.key: e}
-    if target == 1:
-        return [e]
-    for s in ob.schreier_generators():
-        d = descend_to_complement(s, pq_sub)
-        if d.key in D:
-            continue
-        frontier = list(D.values())
-        D[d.key] = d
-        frontier.append(d)
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in list(D.values()):
-                    x = w * g
-                    if x.key not in D:
-                        D[x.key] = x
-                        new.append(x)
-            frontier = new
-        if len(D) == target:
-            break
-        if len(D) > target:
-            raise RuntimeError("complement closure exceeded its expected order")
-    if len(D) != target:
-        raise RuntimeError("complement generators did not reach the expected order")
-    return sorted(D.values(), key=lambda w: w.canonical())
+def _complement_D(rs, subset, pq_sub):
+    """The complement D of PQ in N_W(W_J), from the groupoid loops at J."""
+    gens = {}
+    for g in subset_groupoid(rs).loops(subset):
+        d = descend_to_complement(g, pq_sub)
+        if not d.is_identity():
+            gens.setdefault(d.key, d)
+    D = generate(gens.values(), rs=rs)
+    return sorted(D, key=lambda w: w.canonical())
 
 
 def _enumerate_subsystem_group(rs, sub: ReflectionSubgroup):
@@ -259,9 +239,6 @@ def _enumerate_subsystem_group(rs, sub: ReflectionSubgroup):
         e = identity(rs)
         return [e]
     return list(generate(gens))
-
-
-_REFLECTION_SCAN_LIMIT = 200000
 
 
 _SCAN_CHUNK = 50000
@@ -302,11 +279,11 @@ def _coset_reflection_lines(rs, space, base_pos, base_arr, d):
 
 
 def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, space):
-    """Action cell on the span of a subsystem (X_perp or Y_perp)."""
+    """Action cell on the span of P (X_perp) or of Q (Y_perp), acted on by base.D."""
     dim = space.dim
     if dim == 0:
         return ActionCell(role, _ROLE_SUBGROUP[role], 0, (), 1, False, 1)
-    if len(D) == 1:
+    if image_order == base.order:  # D acts on the span through the base group
         return ActionCell(role, _ROLE_SUBGROUP[role], dim, base.components, 1,
                           False, image_order)
     coords = space.root_coords()
@@ -444,38 +421,29 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     catalog = shape_catalog(rs)
     if isinstance(shape_or_parabolic, Shape):
         shape = shape_or_parabolic
-        P = standard_parabolic(rs, shape.rep_subset)
+        subset = shape.rep_subset
+        P = standard_parabolic(rs, subset)
     else:
         P = shape_or_parabolic
-        shape = catalog.shape_of(P)
-
-    gens = rs.simple_reflections()
-    ob = OrbitStabilizer(rs, gens, sorted(P.roots))
-    worder = rs.group_order
-    if worder % ob.orbit_size:
-        raise RuntimeError("orbit size does not divide the group order")
-    n_order = worder // ob.orbit_size
+        subset = standard_subset(P)
+        if subset is None:
+            raise ValueError("decompose takes a Shape or a standard parabolic "
+                             "(one generated by simple reflections)")
+        shape = catalog[catalog.class_of_subset(subset)]
 
     Q = orthogonal_complement(P.sub)
     q_index = catalog.class_of_roots(Q.roots)
     p_order, q_order = P.order, Q.order
-    if n_order % (p_order * q_order):
-        raise RuntimeError("|P||Q| does not divide |N|")
-    d_target = n_order // (p_order * q_order)
-
     pq_sub = ReflectionSubgroup(rs, P.roots | Q.roots)
-    D = _find_complement_D(rs, ob, pq_sub, d_target)
+    D = _complement_D(rs, subset, pq_sub)
+    n_order = p_order * q_order * len(D)
 
     # A fixes Y_perp pointwise (equivalently every root of Q)
     A = [d for d in D if all(int(d.img[q]) == q for q in Q.simples)]
 
     xperp, mid, yperp = invariant_split(P, Q)
-    if rs.is_vector:
-        mid_space = SpaceRestriction(rs, mid.rows) if mid.dim else None
-        B = [d for d in D if fixes_pointwise(d, mid)]
-    else:
-        mid_space = None
-        B = [d for d in D if _i2_fixes_mid(d, mid)]
+    mid_space = SpaceRestriction(rs, mid.rows) if rs.is_vector and mid.dim else None
+    B = [d for d in D if fixes_pointwise(d, mid)]
     ab_keys = {(a * b).key for a in A for b in B}
     if len(ab_keys) != len(A) * len(B):
         raise RuntimeError("A and B do not intersect trivially")
@@ -508,8 +476,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
         ysp = SpaceRestriction(rs, [rs.root_vec(i) for i in Q.sub.simples],
                                basis_roots=Q.sub.simples)
         cell_x = _span_cell(rs, "x_perp", P.sub, D, p_order * len(D), xsp)
-        y_image = q_order * len(D) // len(A)
-        cell_y = _span_cell_y(rs, Q.sub, D, A, y_image, ysp)
+        cell_y = _span_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A), ysp)
         cell_m = _mid_cell(rs, mid_space, D, len(B))
         spaces = {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}
         AB = [a * b for a in A for b in B]
@@ -520,10 +487,10 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
         c_name = _format_subgroup(*_name_and_marker(
             "C", C, {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}))
     else:
-        cell_x = ActionCell("x_perp", "PD", 2 - mid.dim - _i2dim(yperp),
+        cell_x = ActionCell("x_perp", "PD", 2 - mid.dim - yperp.dim,
                             P.sub.components, 1, False, p_order)
         cell_m = ActionCell("x_cap_y", "D", mid.dim, (), 1, False, 1)
-        cell_y = ActionCell("y_perp", "QD", _i2dim(yperp), Q.sub.components, 1,
+        cell_y = ActionCell("y_perp", "QD", yperp.dim, Q.sub.components, 1,
                             False, q_order)
         a_name = b_name = c_name = ""
 
@@ -538,40 +505,6 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     )
     _validate(dec)
     return dec
-
-
-def _span_cell_y(rs, qsub, D, A, image_order, ysp):
-    dim = ysp.dim
-    if dim == 0:
-        return ActionCell("y_perp", "QD", 0, (), 1, False, 1)
-    if len(D) == len(A):
-        # D acts trivially on Y_perp beyond Q (D = A)
-        return ActionCell("y_perp", "QD", dim, qsub.components, 1, False, image_order)
-    if len(D) == 1:
-        return ActionCell("y_perp", "QD", dim, qsub.components, 1, False, image_order)
-    coords = ysp.root_coords()
-    lines = {canonical_line(coords[i]) for i in qsub.pos}
-    base_elems = _enumerate_subsystem_group(rs, qsub)
-    base_arr = np.stack([w.img for w in base_elems])
-    for d in D:
-        if d.is_identity():
-            continue
-        for line in _coset_reflection_lines(rs, ysp, qsub.pos, base_arr, d):
-            lines.add(line)
-    diagram = diagram_of_lines(lines, ysp.gram_r)
-    r_order = components_order(diagram)
-    if image_order % r_order:
-        raise RuntimeError("Y_perp reflection part order mismatch")
-    return ActionCell("y_perp", "QD", dim, diagram, image_order // r_order,
-                      False, image_order)
-
-
-def _i2dim(s):
-    return s.dim
-
-
-def _i2_fixes_mid(d, mid):
-    return fixes_pointwise(d, mid)
 
 
 def _validate(dec: Decomposition):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from .diagrams import (close_roots, components_order, components_rank,
                        components_string, positive_part, recognize_subsystem,
                        standard_subsystem, subsystem_simples)
-from .groups import GroupElement
-from .linalg import Subspace, mat_identity
+from .groups import GroupElement, identity, parabolic_longest_element
 from .qsqrt5 import ZERO
 
 
@@ -48,11 +47,7 @@ class ReflectionSubgroup:
     def standard(cls, rs, subset):
         if rs.is_vector:
             return cls(rs, standard_subsystem(rs, subset), generators=subset)
-        subset = tuple(sorted(subset))
-        m = rs.m
-        simple_roots = {0: 0, 1: m - 1}
-        gens = [simple_roots[i] for i in subset]
-        return cls.generated_by(rs, gens)
+        return cls.generated_by(rs, [rs.simple_roots[i] for i in sorted(subset)])
 
     @property
     def simples(self):
@@ -271,10 +266,6 @@ def apply_to_vector(w: GroupElement, v):
     return tuple(out)
 
 
-def element_in_parabolic(w: GroupElement, P: ParabolicSubgroup) -> bool:
-    return fixes_pointwise(w, P.witness)
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 
@@ -381,15 +372,109 @@ def _classical_label(fam, l, lam, decoration, n):
     return type_dec, label, full
 
 
-class ShapeCatalog:
-    """All shapes of one group, with class lookup for arbitrary subsystems."""
+class SubsetGroupoid:
+    """Conjugacy of standard parabolics, by elementary moves on subsets of S.
+
+    The vertices are the subsets J of the simple indices, held as bitmasks.
+    For s not in J there is one edge, carrying nu = w0(J) w0(J u {s}) (w0(J)
+    applied first), which maps the simple roots of J onto those of a subset
+    J'.  W_J and W_J' are conjugate iff J and J' lie in one connected
+    component, and the loops at J generate N_J = {w : w(Delta_J) = Delta_J},
+    with N_W(W_J) = W_J : N_J (Deodhar 1982; Howlett 1980; Brink-Howlett 1999).
+    """
 
     def __init__(self, rs):
         self.rs = rs
-        self.shapes = []
-        self._by_rootset = {}
-        self._class_cache = {}
-        self._build()
+        n = rs.n
+        simple = rs.simple_roots
+        position = {r: i for i, r in enumerate(simple)}
+        w0 = [parabolic_longest_element(rs, [simple[i] for i in _members(mask, n)])
+              for mask in range(1 << n)]
+        self.edges = []   # per mask: [(nu, target mask)]
+        for mask in range(1 << n):
+            out = []
+            for s in range(n):
+                if mask >> s & 1:
+                    continue
+                nu = w0[mask] * w0[mask | 1 << s]
+                target = 0
+                for j in _members(mask, n):
+                    target |= 1 << position[int(nu.img[simple[j]])]
+                out.append((nu, target))
+            self.edges.append(out)
+        self._component = [None] * (1 << n)
+        self.components = []   # member subsets of each component, sorted
+        for mask in range(1 << n):
+            if self._component[mask] is None:
+                members = self._spanning_tree(mask)
+                for m in members:
+                    self._component[m] = len(self.components)
+                self.components.append(sorted(_members(m, n) for m in members))
+
+    def component_of(self, subset) -> int:
+        return self._component[_mask(subset)]
+
+    def _spanning_tree(self, start):
+        """BFS tree of the component of J = start: mask K -> t_K mapping Delta_J onto Delta_K."""
+        tree = {start: identity(self.rs)}
+        order = [start]
+        for K in order:
+            for nu, K2 in self.edges[K]:
+                if K2 not in tree:
+                    tree[K2] = tree[K] * nu
+                    order.append(K2)
+        return tree
+
+    def loops(self, subset):
+        """Nontrivial generators t_K nu t_K'^-1 of N_J, one per edge of J's component."""
+        tree = self._spanning_tree(_mask(subset))
+        for K, t in tree.items():
+            for nu, K2 in self.edges[K]:
+                g = t * nu * tree[K2].inverse()
+                if not g.is_identity():
+                    yield g
+
+
+def _mask(subset):
+    return sum(1 << i for i in subset)
+
+
+def _members(mask, n):
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+_groupoids = {}
+
+
+def subset_groupoid(rs) -> SubsetGroupoid:
+    if rs.label not in _groupoids:
+        _groupoids[rs.label] = SubsetGroupoid(rs)
+    return _groupoids[rs.label]
+
+
+def standard_subset(P: ParabolicSubgroup):
+    """The simple indices J with P = W_J, or None when P is not standard."""
+    position = {r: i for i, r in enumerate(P.rs.simple_roots)}
+    if all(b in position for b in P.simples):
+        return tuple(sorted(position[b] for b in P.simples))
+    return None
+
+
+class ShapeCatalog:
+    """All shapes of one group, with class lookup for arbitrary subsystems.
+
+    The classes are the components of the subset groupoid; ``shapes`` given
+    to the constructor (e.g. from a cache) are taken as the catalog instead.
+    """
+
+    def __init__(self, rs, shapes=None):
+        self.rs = rs
+        self.shapes = self._build() if shapes is None else list(shapes)
+        self._class_cache = {tuple(sorted(s.roots)): s.index for s in self.shapes}
+        self._invariants = [(s.components, self._norms(s.roots)) for s in self.shapes]
+        groupoid = subset_groupoid(rs)
+        self._by_component = {groupoid.component_of(s.rep_subset): s.index
+                              for s in self.shapes}
 
     def __len__(self):
         return len(self.shapes)
@@ -400,43 +485,19 @@ class ShapeCatalog:
     def __getitem__(self, index):
         return self.shapes[index - 1]
 
+    def _norms(self, roots):
+        if not self.rs.is_vector:
+            return ()
+        return tuple(sorted(repr(self.rs.norm(i)) for i in positive_part(self.rs, roots)))
+
     def _invariant(self, roots):
-        comps = recognize_subsystem(self.rs, roots)
-        if self.rs.is_vector:
-            norms = tuple(sorted(repr(self.rs.norm(i)) for i in positive_part(self.rs, roots)))
-        else:
-            norms = ()
-        return (comps, norms)
+        return (recognize_subsystem(self.rs, roots), self._norms(roots))
 
     def _build(self):
         rs = self.rs
-        n = rs.n
-        subsets = []
-        for mask in range(1 << n):
-            subset = tuple(i for i in range(n) if mask >> i & 1)
-            subsets.append(subset)
-        rootsets = {s: ReflectionSubgroup.standard(rs, s).roots for s in subsets}
-        buckets = {}
-        for s in subsets:
-            buckets.setdefault(self._invariant(rootsets[s]), []).append(s)
-        gens = rs.simple_reflections()
-        classes = []  # list of (members, rep_roots)
-        for inv in sorted(buckets, key=repr):
-            members = buckets[inv]
-            remaining = {tuple(sorted(rootsets[s])): s for s in members}
-            while remaining:
-                seed_key = sorted(remaining)[0]
-                seed = remaining.pop(seed_key)
-                group = [seed]
-                if remaining:
-                    hits = self._orbit_collect(gens, seed_key, set(remaining))
-                    for h in hits:
-                        group.append(remaining.pop(h))
-                classes.append(group)
-        entries = []
-        for group in classes:
-            rep = sorted(group)[0]
-            entries.append((rep, group))
+        # each class is represented by its lexicographically least subset
+        entries = [(group[0], group) for group in subset_groupoid(rs).components]
+        rootsets = {rep: ReflectionSubgroup.standard(rs, rep).roots for rep, _ in entries}
         # labels
         labeled = []
         if rs.label.family in ("A", "B", "D"):
@@ -484,34 +545,10 @@ class ShapeCatalog:
                                          components_order(comps), components_rank(comps),
                                          None, None, dec))
         labeled.sort(key=lambda s: (s.rank, s.order, s.label))
-        self.shapes = [Shape(i + 1, s.rep_subset, s.roots, s.components, s.label,
-                             s.type_label, s.order, s.rank, s.block, s.partition,
-                             s.decoration)
-                       for i, s in enumerate(labeled)]
-        for s in self.shapes:
-            self._by_rootset[tuple(sorted(s.roots))] = s.index
-            self._class_cache[tuple(sorted(s.roots))] = s.index
-
-    def _orbit_collect(self, gens, seed_key, targets):
-        """BFS the orbit of a root set, returning the targets encountered."""
-        import numpy as np
-        seen = {seed_key}
-        frontier = [seed_key]
-        found = set()
-        targets = set(targets)
-        while frontier and targets - found:
-            new = []
-            for key in frontier:
-                arr = np.array(key, dtype=np.int16)
-                for g in gens:
-                    nxt = tuple(int(x) for x in np.sort(g.img[arr]))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append(nxt)
-                        if nxt in targets:
-                            found.add(nxt)
-            frontier = new
-        return found
+        return [Shape(i + 1, s.rep_subset, s.roots, s.components, s.label,
+                      s.type_label, s.order, s.rank, s.block, s.partition,
+                      s.decoration)
+                for i, s in enumerate(labeled)]
 
     # -- class lookup -------------------------------------------------------
 
@@ -522,7 +559,7 @@ class ShapeCatalog:
         if hit is not None:
             return hit
         inv = self._invariant(roots)
-        candidates = [s for s in self.shapes if self._invariant(s.roots) == inv]
+        candidates = [s for s, si in zip(self.shapes, self._invariants) if si == inv]
         if not candidates:
             raise ValueError("subsystem matches no catalog class")
         if len(candidates) == 1:
@@ -549,6 +586,10 @@ class ShapeCatalog:
                         new.append(nxt)
             frontier = new
         raise RuntimeError("subsystem not conjugate to any catalog representative")
+
+    def class_of_subset(self, subset) -> int:
+        """Catalog index of the class of the standard parabolic W_J."""
+        return self._by_component[subset_groupoid(self.rs).component_of(subset)]
 
     def shape_of(self, P: ParabolicSubgroup) -> Shape:
         return self[self.class_of_roots(P.roots)]

@@ -118,6 +118,7 @@ class RootSystem:
             raise ValueError("use I2RootSystem for family I")
         self.label = label
         self.n = label.rank
+        self.simple_roots = tuple(range(self.n))
         self.gram = _gram_matrix(label)
         self._build_roots()
         self._refl_cache = {}
@@ -224,7 +225,7 @@ class RootSystem:
         return GroupElement(self, self.reflection_perm(i).copy())
 
     def simple_reflections(self):
-        return [self.reflection(i) for i in range(self.n)]
+        return [self.reflection(i) for i in self.simple_roots]
 
     @property
     def group_order(self):
@@ -295,6 +296,8 @@ class I2RootSystem:
         self.m = label.m
         self.npos = self.m
         self.nroots = 2 * self.m
+        # simple roots at angles 0 and pi - pi/m
+        self.simple_roots = (0, self.m - 1)
         self._refl_cache = {}
 
     def neg(self, i):
@@ -322,8 +325,7 @@ class I2RootSystem:
         return GroupElement(self, self.reflection_perm(i).copy())
 
     def simple_reflections(self):
-        # simple roots: indices 0 and m-1 (angles 0 and pi - pi/m)
-        return [self.reflection(0), self.reflection(self.m - 1)]
+        return [self.reflection(i) for i in self.simple_roots]
 
     @property
     def group_order(self):

@@ -51,6 +51,8 @@ def test_unknown_group_exits_2():
 def test_e8_full_table_refused_without_flag():
     code, _, err = run("table", "E8")
     assert code == 3 and "--allow-long" in err
+    code, _, err = run("verify", "E8", "--suite", "fixtures")
+    assert code == 3 and "--allow-long" in err
 
 
 def test_table_f4_csv():
@@ -95,4 +97,13 @@ def test_cache_dir(tmp_path):
     assert code1 == 0
     assert any(p.name.startswith("catalog-") for p in tmp_path.iterdir())
     code2, out2, _ = run("shapes", "B3", "--cache-dir", str(tmp_path))
+    assert code2 == 0 and out1 == out2
+
+
+def test_decompose_from_cached_catalog(tmp_path):
+    # the second run loads the pickled catalog instead of building it
+    code1, out1, _ = run("decompose", "B5", "5", "--cache-dir", str(tmp_path))
+    assert code1 == 0
+    assert any(p.name.startswith("catalog-") for p in tmp_path.iterdir())
+    code2, out2, _ = run("decompose", "B5", "5", "--cache-dir", str(tmp_path))
     assert code2 == 0 and out1 == out2
