@@ -279,7 +279,7 @@ def _coset_reflection_lines(rs, space, base_pos, base_arr, d):
 
 
 def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, space):
-    """Action cell on the span of P (X_perp) or of Q (Y_perp), acted on by base.D."""
+    """Action cell of (base)D on the span of base: P on X_perp, or Q on Y_perp."""
     dim = space.dim
     if dim == 0:
         return ActionCell(role, _ROLE_SUBGROUP[role], 0, (), 1, False, 1)

@@ -415,7 +415,7 @@ class SubsetGroupoid:
         return self._component[_mask(subset)]
 
     def _spanning_tree(self, start):
-        """BFS tree of the component of J = start: mask K -> t_K mapping Delta_J onto Delta_K."""
+        """BFS tree of J's component: mask K -> t_K, which maps Delta_J onto Delta_K."""
         tree = {start: identity(self.rs)}
         order = [start]
         for K in order:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import set_stabilizer
 from coxnorm.normalizer import decompose, normalizer_order
+from coxnorm.oracle import load_fixture
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic,
                                subset_groupoid)
@@ -54,3 +56,14 @@ def test_decompose_rejects_non_standard_parabolic():
     with pytest.raises(ValueError, match="standard parabolic"):
         decompose(rs, P)
     assert normalizer_order(P) == normalizer_order(standard_parabolic(rs, (0,)))
+
+
+def test_e8_d_column_matches_fixture():
+    rs = build_root_system("E8")
+    rows = load_fixture("E8").rows
+    catalog = shape_catalog(rs)
+    assert len(catalog) == len(rows) == 41
+    for shape, row in zip(catalog, rows):
+        P = standard_parabolic(rs, shape.rep_subset)
+        d_order = normalizer_order(P) // (P.order * orthogonal_complement(P.sub).order)
+        assert (shape.index, d_order) == (row.index, row.d_order), shape.label
