@@ -43,8 +43,6 @@ class SpaceRestriction:
         only valid on the span (callers guarantee invariance).
         """
         if self._proj is None:
-            from .linalg import kernel, mat_mul, mat_transpose, rref
-            from .qsqrt5 import ONE
             B = self.basis
             G = self.rs.gram
             BG = tuple(tuple(dot(b,
@@ -93,19 +91,6 @@ class SpaceRestriction:
             coords = self.root_coords()
             return tuple(coords[int(w.img[b])] for b in self.basis_roots)
         return tuple(self.coords(apply_to_vector(w, b)) for b in self.basis)
-
-    def trace_of(self, w):
-        if self.basis_roots is not None:
-            coords = self.root_coords()
-            t = ZERO
-            for k, b in enumerate(self.basis_roots):
-                t = t + coords[int(w.img[b])][k]
-            return t
-        M = self.matrix(w)
-        t = ZERO
-        for i in range(self.dim):
-            t = t + M[i][i]
-        return t
 
     def is_identity_matrix(self, M):
         return M == mat_identity(self.dim)
@@ -311,10 +296,6 @@ def _i2_span(rs, P):
         from .parabolic import I2Line
         return I2Subspace("line", rs.m, I2Line(2 * k, rs.m))
     return I2Subspace("full", rs.m)
-
-
-def _i2_dim(s):
-    return s.dim
 
 
 def restrict(subgroup, subspace: Subspace):

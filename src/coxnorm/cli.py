@@ -1,62 +1,26 @@
 """Command line interface.
 
 Commands: decompose, table, concepts, shapes, graph, involutions, verify.
-Global flags: --format (text|json|csv|dot), --allow-long, --cache-dir, --jobs.
+Global flags: --format (text|json|csv|dot), --allow-long, --jobs.
 Exit codes: 0 ok, 1 verification failure, 2 user error, 3 refused
 long-running job.
-
-Shape catalogs are cached (pickle) under the directory named by --cache-dir
-or the COXNORM_CACHE_DIR environment variable; the cache is versioned and
-silently rebuilt on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
 import sys
 
 from .labels import parse_label
+from .parabolic import shape_catalog
 from .rootsys import build_root_system
 
-CACHE_VERSION = 1
-CACHE_ENV = "COXNORM_CACHE_DIR"
 E8_ORDER = 696729600
 
 
 class UserError(Exception):
     pass
-
-
-def _cache_path(cache_dir, label):
-    name = str(label).lower().replace("(", "_").replace(")", "")
-    return os.path.join(cache_dir, f"catalog-v{CACHE_VERSION}-{name}.pickle")
-
-
-def _get_catalog(rs, cache_dir):
-    from .parabolic import ShapeCatalog, _catalogs, shape_catalog
-    if rs.label in _catalogs:
-        return _catalogs[rs.label]
-    if cache_dir:
-        path = _cache_path(cache_dir, rs.label)
-        if os.path.exists(path):
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-                if payload.get("version") == CACHE_VERSION:
-                    cat = ShapeCatalog(rs, payload["shapes"])
-                    _catalogs[rs.label] = cat
-                    return cat
-            except Exception:
-                pass  # stale or unreadable cache: rebuild
-    cat = shape_catalog(rs)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(_cache_path(cache_dir, rs.label), "wb") as fh:
-            pickle.dump({"version": CACHE_VERSION, "shapes": cat.shapes}, fh)
-    return cat
 
 
 def _root_system(args):
@@ -67,13 +31,9 @@ def _root_system(args):
     return build_root_system(label)
 
 
-def _catalog(rs, args):
-    return _get_catalog(rs, args.cache_dir or os.environ.get(CACHE_ENV))
-
-
 def _build(args):
     rs = _root_system(args)
-    return rs, _catalog(rs, args)
+    return rs, shape_catalog(rs)
 
 
 def _require_short(rs, args, what):
@@ -126,9 +86,7 @@ def _select_shape(catalog, rs, selector):
             raise KeyError(selector)
         if any(i < 0 or i >= rs.n for i in subset):
             raise KeyError(selector)
-        from .parabolic import ReflectionSubgroup
-        return catalog[catalog.class_of_roots(
-            ReflectionSubgroup.standard(rs, subset).roots)]
+        return catalog[catalog.class_of_subset(subset)]
     return catalog.by_selector(selector)
 
 
@@ -173,7 +131,6 @@ TABLE_HEADER = ["index", "asterisk", "label", "q_index", "d_order", "closure",
 def cmd_table(args):
     rs = _root_system(args)
     _require_short(rs, args, "the full table")
-    _catalog(rs, args)
     from .normalizer import compute_table
     rows = compute_table(rs, jobs=args.jobs)
     out = []
@@ -226,7 +183,6 @@ def cmd_verify(args):
     if args.suite == "fixtures":
         _require_short(rs, args, "the fixture diff")
         options["jobs"] = args.jobs
-    _catalog(rs, args)
     report = SUITES[args.suite](rs, **options)
     print(json.dumps(report, indent=2, ensure_ascii=False, default=str))
     return 0 if report["ok"] else 1
@@ -237,8 +193,6 @@ def _add_global_flags(p):
                    default=argparse.SUPPRESS)
     p.add_argument("--allow-long", action="store_true", default=argparse.SUPPRESS,
                    help="permit long-running jobs (full tables at order ~7e8)")
-    p.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                   help=f"catalog cache directory (default: ${CACHE_ENV})")
     p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                    help="worker processes for table commands")
 
@@ -249,7 +203,7 @@ def main(argv=None):
         description="Exact normalizer decompositions of parabolic subgroups"
                     " of finite Coxeter groups")
     _add_global_flags(parser)
-    parser.set_defaults(format="text", allow_long=False, cache_dir=None, jobs=1)
+    parser.set_defaults(format="text", allow_long=False, jobs=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):

@@ -34,10 +34,6 @@ def orthogonal_closure(P: ParabolicSubgroup | ReflectionSubgroup) -> ParabolicSu
     return orthogonal_complement(orthogonal_complement(P))
 
 
-def is_orthogonally_closed(P: ParabolicSubgroup) -> bool:
-    return orthogonal_closure(P).roots == P.roots
-
-
 def perp_index(catalog, shape: Shape) -> int:
     """Catalog index of the orthogonal complement of a shape."""
     rep = ParabolicSubgroup(ReflectionSubgroup(catalog.rs, shape.roots), None)
@@ -80,8 +76,7 @@ def shape_closure_graph(rs):
         seen = set()
         for mask in range(1 << len(rep)):
             subset = tuple(rep[k] for k in range(len(rep)) if mask >> k & 1)
-            sub = ReflectionSubgroup.standard(rs, subset)
-            idx = catalog.class_of_roots(sub.roots)
+            idx = catalog.class_of_subset(subset)
             if idx != s.index:
                 seen.add(idx)
         below[s.index] = seen

@@ -255,35 +255,3 @@ def set_stabilizer(rs, gens, target, group_order=None):
             raise RuntimeError("orbit size does not divide the group order")
         st_order = group_order // ob.orbit_size
     return ob, st_order
-
-
-def stabilizer_group(rs, gens, target, group_order, limit=ENUMERATION_LIMIT):
-    """The stabilizer as a complete GroupSet (enumerated from Schreier gens)."""
-    ob, st_order = set_stabilizer(rs, gens, target, group_order)
-    if st_order is not None and st_order > limit:
-        raise RuntimeError(f"stabilizer too large to enumerate ({st_order})")
-    found = {identity(rs).key: identity(rs)}
-    sgens = []
-    for s in ob.schreier_generators():
-        if s.key in found:
-            continue
-        sgens.append(s)
-        # re-close the whole set under the enlarged generator list
-        frontier = list(found.values())
-        found[s.key] = s
-        frontier.append(s)
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in sgens:
-                    x = w * g
-                    if x.key not in found:
-                        found[x.key] = x
-                        new.append(x)
-            frontier = new
-        if st_order is not None and len(found) == st_order:
-            break
-    gs = GroupSet(found.values(), sgens, complete=True, order=len(found))
-    if st_order is not None and len(found) != st_order:
-        raise RuntimeError("stabilizer enumeration incomplete")
-    return gs

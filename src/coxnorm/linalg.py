@@ -18,18 +18,6 @@ def vec(entries) -> Vec:
     return tuple(q5(x) for x in entries)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def vec_neg(v):
     return tuple(-x for x in v)
 
@@ -62,11 +50,6 @@ def mat_identity(n) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def mat_mul(A, B) -> Mat:
-    cols = list(zip(*B))
-    return tuple(tuple(dot(row, col) for col in cols) for row in A)
-
-
 def vec_mat(x, M):
     """Row vector times matrix."""
     out = [ZERO] * len(M[0])
@@ -77,25 +60,6 @@ def vec_mat(x, M):
         for j in range(len(out)):
             out[j] = out[j] + c * row[j]
     return tuple(out)
-
-
-def mat_trace(M):
-    s = ZERO
-    for i in range(len(M)):
-        s = s + M[i][i]
-    return s
-
-
-def mat_transpose(M) -> Mat:
-    return tuple(zip(*M))
-
-
-def mat_sub(A, B) -> Mat:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_add(A, B) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def rref(rows):

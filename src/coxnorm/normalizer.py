@@ -34,8 +34,8 @@ from .groups import (GroupElement, GroupSet, generate, identity,
 from .linalg import mat_identity
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
-                        shape_catalog, standard_parabolic, standard_subset,
-                        subset_groupoid)
+                        shape_catalog, standard_conjugate, standard_parabolic,
+                        standard_subset, subset_groupoid)
 from .qsqrt5 import Q5, ZERO
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
@@ -203,20 +203,42 @@ class Decomposition:
 
 
 def normalizer(P: ParabolicSubgroup, limit=10 ** 6) -> GroupSet:
-    """The normalizer of a parabolic as an explicit group (guarded by size)."""
+    """The normalizer of a parabolic as an explicit group.
+
+    N_W(W_J) is generated by the simple reflections of J and the groupoid
+    loops at J; for a parabolic P that is not standard, these generators
+    are conjugated by the element carrying W_J onto P.  Refused with
+    RuntimeError, before anything is enumerated, when |N| exceeds limit.
+    """
     rs = P.rs
-    from .groups import stabilizer_group
-    return stabilizer_group(rs, rs.simple_reflections(), sorted(P.roots),
-                            rs.group_order, limit=limit)
+    subset, w = _standard_form(P)
+    order = _normalizer_order_at(rs, subset)
+    if order > limit:
+        raise RuntimeError(f"normalizer too large to enumerate ({order} > {limit})")
+    gens = [rs.reflection(rs.simple_roots[i]) for i in subset]
+    gens += subset_groupoid(rs).loops(subset)
+    w_inv = w.inverse()
+    N = generate({g.key: w_inv * g * w for g in gens}.values(), rs=rs)
+    if len(N) != order:
+        raise RuntimeError("normalizer enumeration incomplete")
+    return N
 
 
 def normalizer_order(P: ParabolicSubgroup) -> int:
     """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
-    rs = P.rs
+    return _normalizer_order_at(P.rs, _standard_form(P)[0])
+
+
+def _standard_form(P):
+    """(J, w) with w carrying the roots of W_J onto those of P."""
     subset = standard_subset(P)
-    if subset is None:
-        subset = shape_catalog(rs).shape_of(P).rep_subset
-        P = standard_parabolic(rs, subset)
+    if subset is not None:
+        return subset, identity(P.rs)
+    return standard_conjugate(P.rs, P.roots)
+
+
+def _normalizer_order_at(rs, subset):
+    P = standard_parabolic(rs, subset)
     Q = orthogonal_complement(P.sub)
     D = _complement_D(rs, subset, ReflectionSubgroup(rs, P.roots | Q.roots))
     return P.order * Q.order * len(D)

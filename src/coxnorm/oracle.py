@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .diagrams import close_roots
-from .groups import generate, relative_length
+from .groups import generate
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
                         parabolic_from_roots)
 
@@ -66,11 +66,6 @@ def brute_orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup):
     if not gens:
         return parabolic_from_roots(rs, frozenset())
     return parabolic_from_roots(rs, close_roots(rs, gens))
-
-
-def brute_howlett_complement(sub: ReflectionSubgroup, ambient_elements):
-    """Length-zero filter over explicit ambient elements."""
-    return [w for w in ambient_elements if relative_length(w, sub.pos) == 0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagrams import (close_roots, components_order, components_rank,
                        components_string, positive_part, recognize_subsystem,
                        standard_subsystem, subsystem_simples)
@@ -452,6 +454,32 @@ def subset_groupoid(rs) -> SubsetGroupoid:
     return _groupoids[rs.label]
 
 
+def standard_conjugate(rs, roots):
+    """(J, w): the standard W_J conjugate to a parabolic, and w with w(Phi_J) = roots.
+
+    The signs of all roots at a lexicographically generic point of the fixed
+    space are carried into the dominant chamber by simple reflections.  The
+    stabilizer of a dominant point is the standard W_J of the simple roots
+    vanishing there (Bourbaki, Lie Groups Ch. V section 3), and w is the
+    product of the reflections used.  Raises ValueError when the roots are
+    not those of a parabolic subgroup.
+    """
+    signs = rs.signs_at(fixed_space(ReflectionSubgroup(rs, roots)))
+    simple = np.asarray(rs.simple_roots)
+    img = np.arange(rs.nroots, dtype=np.int16)
+    while True:
+        down = np.flatnonzero(signs[simple] < 0)
+        if not down.size:
+            break
+        s = rs.reflection_perm(int(simple[down[0]]))
+        signs = signs[s]
+        img = img[s]
+    if set(img[signs == 0].tolist()) != set(roots):
+        raise ValueError("root set is not that of a parabolic subgroup")
+    subset = tuple(i for i, r in enumerate(rs.simple_roots) if signs[r] == 0)
+    return subset, GroupElement(rs, img)
+
+
 def standard_subset(P: ParabolicSubgroup):
     """The simple indices J with P = W_J, or None when P is not standard."""
     position = {r: i for i, r in enumerate(P.rs.simple_roots)}
@@ -461,17 +489,17 @@ def standard_subset(P: ParabolicSubgroup):
 
 
 class ShapeCatalog:
-    """All shapes of one group, with class lookup for arbitrary subsystems.
+    """All shapes of one group, with class lookup for arbitrary parabolics.
 
-    The classes are the components of the subset groupoid; ``shapes`` given
-    to the constructor (e.g. from a cache) are taken as the catalog instead.
+    The classes are the components of the subset groupoid.  A parabolic
+    given by its root set is looked up through ``standard_conjugate``, which
+    names a standard parabolic W_J conjugate to it, and J's component.
     """
 
-    def __init__(self, rs, shapes=None):
+    def __init__(self, rs):
         self.rs = rs
-        self.shapes = self._build() if shapes is None else list(shapes)
+        self.shapes = self._build()
         self._class_cache = {tuple(sorted(s.roots)): s.index for s in self.shapes}
-        self._invariants = [(s.components, self._norms(s.roots)) for s in self.shapes]
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
                               for s in self.shapes}
@@ -484,14 +512,6 @@ class ShapeCatalog:
 
     def __getitem__(self, index):
         return self.shapes[index - 1]
-
-    def _norms(self, roots):
-        if not self.rs.is_vector:
-            return ()
-        return tuple(sorted(repr(self.rs.norm(i)) for i in positive_part(self.rs, roots)))
-
-    def _invariant(self, roots):
-        return (recognize_subsystem(self.rs, roots), self._norms(roots))
 
     def _build(self):
         rs = self.rs
@@ -553,39 +573,16 @@ class ShapeCatalog:
     # -- class lookup -------------------------------------------------------
 
     def class_of_roots(self, roots) -> int:
-        """Catalog index of the class of a closed subsystem."""
+        """Catalog index of the class of a parabolic subgroup, by its root set.
+
+        Raises ValueError when the roots are not those of a parabolic.
+        """
         key = tuple(sorted(roots))
         hit = self._class_cache.get(key)
-        if hit is not None:
-            return hit
-        inv = self._invariant(roots)
-        candidates = [s for s, si in zip(self.shapes, self._invariants) if si == inv]
-        if not candidates:
-            raise ValueError("subsystem matches no catalog class")
-        if len(candidates) == 1:
-            self._class_cache[key] = candidates[0].index
-            return candidates[0].index
-        # conjugacy walk from the query to one of the candidate representatives
-        import numpy as np
-        gens = self.rs.simple_reflections()
-        target_keys = {tuple(sorted(s.roots)): s.index for s in candidates}
-        seen = {key}
-        frontier = [key]
-        while frontier:
-            for k in frontier:
-                if k in target_keys:
-                    self._class_cache[key] = target_keys[k]
-                    return target_keys[k]
-            new = []
-            for k in frontier:
-                arr = np.array(k, dtype=np.int16)
-                for g in gens:
-                    nxt = tuple(int(x) for x in np.sort(g.img[arr]))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append(nxt)
-            frontier = new
-        raise RuntimeError("subsystem not conjugate to any catalog representative")
+        if hit is None:
+            subset, _ = standard_conjugate(self.rs, roots)
+            hit = self._class_cache[key] = self.class_of_subset(subset)
+        return hit
 
     def class_of_subset(self, subset) -> int:
         """Catalog index of the class of the standard parabolic W_J."""

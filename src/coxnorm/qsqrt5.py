@@ -135,9 +135,6 @@ class Q5:
 
     # -- misc --------------------------------------------------------------
 
-    def is_rational(self):
-        return self.b == 0
-
     def __float__(self):
         return (self.a + self.b * 5 ** 0.5) / self.den
 

@@ -10,6 +10,11 @@ are >= 0, and the simple roots are the unit coordinate vectors.
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
 and the negative of root i is i + npos (mod 2*npos), so sign flips are O(1).
 
+Reflections are permutations of the root indices.  Exact arithmetic is used
+only while the roots are built: that pass records the n simple reflections
+as permutations, and every other reflection is a conjugate of a simple one
+(r_{s(beta)} = s r_beta s), composed as index arrays.
+
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m); reflections and rotations act by index
 arithmetic, and two reflections are orthogonal iff m is even and their
@@ -24,7 +29,7 @@ import numpy as np
 
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import Subspace, dot, vec
+from .linalg import Subspace, dot, vec, vec_mat
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -145,15 +150,19 @@ class RootSystem:
         n = self.n
         simples = [self._unit(i) for i in range(n)]
         seen = set(simples)
+        images = {}     # vector -> its images under s_0 .. s_{n-1}
+        parent = {}     # root w -> (v, i) with w = s_i(v) first reached from v
         frontier = list(simples)
         while frontier:
             new = []
             for v in frontier:
-                for i in range(n):
-                    w = self._simple_reflect_vec(v, i)
+                images[v] = [self._simple_reflect_vec(v, i) for i in range(n)]
+                for i, w in enumerate(images[v]):
                     if w not in seen:
                         seen.add(w)
                         new.append(w)
+                        # positive roots are only ever reached from positive roots
+                        parent[w] = (v, i)
             frontier = new
         positives = [v for v in seen if all(c >= ZERO for c in v)]
         rest = sorted((v for v in positives if v not in set(simples)),
@@ -166,6 +175,11 @@ class RootSystem:
         want = self.label.n_positive_roots
         if self.npos != want:
             raise RuntimeError(f"{self.label}: built {self.npos} positive roots, expected {want}")
+        self._simple_perms = [
+            np.array([self.index[images[v][i]] for v in self.vectors], dtype=np.int16)
+            for i in range(n)]
+        self._parent = {self.index[w]: (self.index[v], i) for w, (v, i) in parent.items()
+                        if self.index[w] < self.npos}
 
     # -- basic queries -------------------------------------------------------
 
@@ -200,24 +214,41 @@ class RootSystem:
     def span(self, indices) -> Subspace:
         return Subspace([self.vectors[i] for i in indices], self.n)
 
+    def signs_at(self, X: Subspace):
+        """Signs of all roots at a lexicographically generic point of X.
+
+        The point is x_1 + e x_2 + e^2 x_3 + ... for the echelon rows x_k of
+        X and a small e > 0, so a root takes the sign of its value on the
+        first row it does not vanish on, and 0 when it vanishes on X.
+        """
+        conditions = [vec_mat(row, self.gram) for row in X.rows]
+        signs = np.zeros(self.nroots, dtype=np.int8)
+        for i, v in enumerate(self.vectors[: self.npos]):
+            for cond in conditions:
+                value = dot(cond, v)
+                if value:
+                    signs[i] = value.sign()
+                    signs[self.neg(i)] = -signs[i]
+                    break
+        return signs
+
     # -- reflections and generators ------------------------------------------
 
     def reflection_perm(self, i):
-        """Image array of the reflection in root i (cached)."""
+        """Image array of the reflection in root i (cached).
+
+        A non-simple positive root is s_j(beta) for a positive root beta one
+        step nearer the simple roots, and r_{s_j(beta)} = s_j r_beta s_j.
+        """
         i = i % self.npos
         perm = self._refl_cache.get(i)
         if perm is None:
-            alpha = self.vectors[i]
-            nn = self.gram and dot(alpha, alpha, self.gram)
-            perm = np.empty(self.nroots, dtype=np.int16)
-            for j in range(self.npos):
-                v = self.vectors[j]
-                num = dot(v, alpha, self.gram)
-                c = (num + num) / nn
-                w = tuple(x - c * a for x, a in zip(v, alpha))
-                k = self.index[w]
-                perm[j] = k
-                perm[self.neg(j)] = self.neg(k)
+            if i < self.n:
+                perm = self._simple_perms[i]
+            else:
+                beta, j = self._parent[i]
+                s = self._simple_perms[j]
+                perm = s[self.reflection_perm(beta)[s]]
             self._refl_cache[i] = perm
         return perm
 
@@ -311,6 +342,23 @@ class I2RootSystem:
     def span_rank(self, indices):
         classes = {i % self.m for i in indices}
         return min(len(classes), 2)
+
+    def signs_at(self, X):
+        """Signs of all roots at a generic point of a zero, line or full subspace.
+
+        The plane's generic point is taken in the dominant chamber.  A line of
+        double-angle residue t is the direction t*pi/2m, where root k (angle
+        k*pi/m) has the sign of cos((2k - t)*pi/2m).
+        """
+        k = np.arange(self.nroots)
+        if X.kind == "zero":
+            return np.zeros(self.nroots, dtype=np.int8)
+        if X.kind == "full":
+            return np.where(k < self.npos, 1, -1).astype(np.int8)
+        d = (2 * k - X.line.t) % (4 * self.m)
+        signs = np.where((d < self.m) | (d > 3 * self.m), 1, -1).astype(np.int8)
+        signs[(d == self.m) | (d == 3 * self.m)] = 0
+        return signs
 
     def reflection_perm(self, i):
         i = i % self.npos

@@ -90,20 +90,3 @@ def test_involutions_command():
     assert code == 0
     data = json.loads(out)
     assert all(rec["centralizer_order"] * 1 for rec in data)
-
-
-def test_cache_dir(tmp_path):
-    code1, out1, _ = run("shapes", "B3", "--cache-dir", str(tmp_path))
-    assert code1 == 0
-    assert any(p.name.startswith("catalog-") for p in tmp_path.iterdir())
-    code2, out2, _ = run("shapes", "B3", "--cache-dir", str(tmp_path))
-    assert code2 == 0 and out1 == out2
-
-
-def test_decompose_from_cached_catalog(tmp_path):
-    # the second run loads the pickled catalog instead of building it
-    code1, out1, _ = run("decompose", "B5", "5", "--cache-dir", str(tmp_path))
-    assert code1 == 0
-    assert any(p.name.startswith("catalog-") for p in tmp_path.iterdir())
-    code2, out2, _ = run("decompose", "B5", "5", "--cache-dir", str(tmp_path))
-    assert code2 == 0 and out1 == out2

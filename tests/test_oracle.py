@@ -44,6 +44,25 @@ def test_brute_normalizer_agreement():
             assert brute == fast, shape.label
 
 
+def test_brute_normalizer_agreement_on_non_standard_conjugates():
+    from coxnorm.groups import generate
+    from coxnorm.parabolic import parabolic_from_roots, standard_subset
+    for name in ["B4", "D4"]:
+        rs = build_root_system(name)
+        W = list(generate(rs.simple_reflections()))
+        tested = 0
+        for shape in shape_catalog(rs):
+            conjugates = (parabolic_from_roots(rs, frozenset(int(w.img[i]) for i in shape.roots))
+                          for w in W)
+            P = next((P for P in conjugates if standard_subset(P) is None), None)
+            if P is None:
+                continue   # the trivial parabolic and W itself are normal
+            brute = {x.key for x in brute_normalizer(P, W)}
+            assert {x.key for x in normalizer(P)} == brute, shape.label
+            tested += 1
+        assert tested >= len(shape_catalog(rs)) - 2
+
+
 def test_brute_orthogonal_complement_agreement():
     rs = build_root_system("B4")
     for mask in range(1 << rs.n):

@@ -118,3 +118,22 @@ def test_signed_permutation_embedding():
         d4.signed_permutation([-1, 2, 3, 4])  # odd number of sign flips
     a3 = build_root_system("A3")
     assert a3.signed_permutation([2, 1, 3, 4]) == a3.reflection(0)
+
+
+@pytest.mark.parametrize("name", ["B6", "E8", "F4", "H4"])
+def test_reflection_perms_match_gram_form(name):
+    # r_a(v) = v - 2<v,a>/<a,a> a, evaluated exactly in the Gram form
+    from coxnorm.linalg import dot, vec_mat
+    rs = build_root_system(name)
+    where = {v: i for i, v in enumerate(rs.vectors)}
+    for i in range(rs.npos):
+        a = rs.root_vec(i)
+        ga = vec_mat(a, rs.gram)
+        nn = dot(a, ga)
+        expected = []
+        for v in rs.vectors[: rs.npos]:
+            c = (dot(v, ga) * 2) / nn
+            expected.append(where[tuple(x - c * y for x, y in zip(v, a))])
+        expected += [rs.neg(j) for j in expected]
+        assert rs.reflection_perm(i).tolist() == expected, i
+        assert rs.reflection_perm(rs.neg(i)).tolist() == expected, i
