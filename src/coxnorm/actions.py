@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import _classify_component, component_nodes, components_string
+from .diagrams import (_classify_component, _component_sort_key, component_nodes,
+                       components_string)
 from .linalg import Subspace, dot, kernel, mat_identity, solve_coords
-from .parabolic import I2Subspace, apply_to_vector
 from .qsqrt5 import ONE, Q5, ZERO
+from .rootsys import apply_to_vector
 
 
 class SpaceRestriction:
@@ -202,13 +203,7 @@ def diagram_of_lines(lines, gram):
             adj[i][j] = m
             adj[j][i] = m
     names = [_classify_component(c, adj) for c in component_nodes(adj)]
-    return tuple(sorted(names, key=_sort_key))
-
-
-def _sort_key(name):
-    if name.startswith("I2("):
-        return (-2, "I", int(name[3:-1]))
-    return (-int(name[1:]), name[0], 0)
+    return tuple(sorted(names, key=_component_sort_key))
 
 
 @dataclass(frozen=True)
@@ -259,43 +254,12 @@ class ActionCell:
 def invariant_split(P, Q):
     """The three pairwise orthogonal invariant subspaces (X_perp, X n Y, Y_perp)."""
     rs = P.rs
-    if not rs.is_vector:
-        from .parabolic import fixed_space
-        xperp = _i2_span(rs, P)
-        yperp = _i2_span(rs, Q)
-        mid = _i2_intersect(fixed_space(P.sub), fixed_space(Q.sub))
-        if xperp.dim + mid.dim + yperp.dim != 2:
-            raise RuntimeError("invariant split does not fill the plane")
-        return xperp, mid, yperp
     xperp = rs.span(P.pos)
     yperp = rs.span(Q.pos)
-    X = P.witness
-    Y = Q.witness
-    mid = X.intersect(Y)
+    mid = P.witness.intersect(Q.witness)
     if xperp.dim + mid.dim + yperp.dim != rs.n:
         raise RuntimeError("invariant split does not fill the space")
     return xperp, mid, yperp
-
-
-def _i2_intersect(X, Y):
-    if X.kind == "full":
-        return Y
-    if Y.kind == "full":
-        return X
-    if X.kind == "line" and Y.kind == "line" and X.line == Y.line:
-        return X
-    return I2Subspace("zero", X.m)
-
-
-def _i2_span(rs, P):
-    r = rs.span_rank(P.pos)
-    if r == 0:
-        return I2Subspace("zero", rs.m)
-    if r == 1:
-        k = P.pos[0] % rs.m
-        from .parabolic import I2Line
-        return I2Subspace("line", rs.m, I2Line(2 * k, rs.m))
-    return I2Subspace("full", rs.m)
 
 
 def restrict(subgroup, subspace: Subspace):

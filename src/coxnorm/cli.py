@@ -3,7 +3,8 @@
 Commands: decompose, table, concepts, shapes, graph, involutions, verify.
 Global flags: --format (text|json|csv|dot), --allow-long, --jobs.
 Exit codes: 0 ok, 1 verification failure, 2 user error, 3 refused
-long-running job.
+long-running job, 4 internal error (a RuntimeError or ValueError raised by the
+library, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def main(argv=None):
         return _fail(str(exc), 2)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except (RuntimeError, ValueError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 A subsystem of a root system is given by a closed set of root indices.  Its
 simple system is extracted by the standard criterion (a positive root is
 simple iff its reflection permutes the other positives of the subsystem),
-bond orders are read off from exact inner products, and the graph is matched
-against the classification.  B and C diagrams are not distinguished; the
-rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
+bond orders are the orders of products of two reflection permutations, and
+the graph is matched against the classification.  B and C diagrams are not
+distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
 """
 
 from __future__ import annotations
@@ -15,35 +15,24 @@ from .qsqrt5 import Q5
 
 
 def close_roots(rs, indices):
-    """Smallest set of roots closed under reflecting in each other."""
-    S = set()
-    for i in indices:
-        S.add(i)
-        S.add(rs.neg(i))
+    """Roots of the reflection subgroup generated by the given roots.
+
+    Every reflection of the subgroup is conjugate in it to a generator, so
+    its roots are the orbit of the given roots under the given reflections.
+    """
+    perms = [rs.reflection_perm(i) for i in indices]
+    S = set(indices) | {rs.neg(i) for i in indices}
     frontier = list(S)
     while frontier:
         new = []
-        for a in list(S):
-            pa = rs.reflection_perm(a)
+        for p in perms:
             for b in frontier:
-                c = int(pa[b])
+                c = int(p[b])
                 if c not in S:
                     S.add(c)
                     new.append(c)
         frontier = new
     return frozenset(S)
-
-
-def standard_subsystem(rs, subset):
-    """All roots supported on the given simple indices (vector systems)."""
-    subset = set(subset)
-    out = set()
-    for i in range(rs.npos):
-        v = rs.root_vec(i)
-        if all((j in subset) or not c for j, c in enumerate(v)):
-            out.add(i)
-            out.add(rs.neg(i))
-    return frozenset(out)
 
 
 def positive_part(rs, roots):
@@ -71,22 +60,7 @@ _BOND_FROM_RATIO = {}
 
 def bond_order(rs, i, j):
     """Order m(i,j) of the product of the reflections in roots i and j."""
-    if not rs.is_vector:
-        d = (i - j) % rs.m
-        if d == 0:
-            return 1
-        # angle between reflections i and j is d*pi/m
-        from math import gcd
-        g = gcd(d, rs.m)
-        return rs.m // g
-    c = rs.inner(i, j)
-    if not c:
-        return 2
-    ratio = (c * c * Q5(4)) / (rs.norm(i) * rs.norm(j))  # 4 cos^2(angle)
-    m = bond_from_ratio(ratio)
-    if m is None:
-        raise ValueError(f"unrecognized bond ratio {ratio}")
-    return m
+    return (rs.reflection(i) * rs.reflection(j)).order()
 
 
 def bond_from_ratio(ratio):

@@ -7,8 +7,9 @@ it is always parabolic, and U -> perp(U) is a Galois connection whose closure
 operator is perp(perp(.)).  A pair of mutually complementary orthogonally
 closed parabolics is a parabolic concept.
 
-Orthogonality is tested by exact inner products of roots; the commutation
-characterization lives in the oracle module as an independent cross-check.
+Orthogonality is read off the reflection permutations (r_a fixes b), the
+same way for every family; the commutation characterization lives in the
+oracle module as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ def orthogonal_closure(P: ParabolicSubgroup | ReflectionSubgroup) -> ParabolicSu
 
 def perp_index(catalog, shape: Shape) -> int:
     """Catalog index of the orthogonal complement of a shape."""
-    rep = ParabolicSubgroup(ReflectionSubgroup(catalog.rs, shape.roots), None)
+    rep = ReflectionSubgroup(catalog.rs, shape.roots)
     return catalog.class_of_roots(orthogonal_complement(rep).roots)
 
 
 def closure_index(catalog, shape: Shape) -> int:
-    rep = ParabolicSubgroup(ReflectionSubgroup(catalog.rs, shape.roots), None)
+    rep = ReflectionSubgroup(catalog.rs, shape.roots)
     return catalog.class_of_roots(orthogonal_closure(rep).roots)
 
 

@@ -34,11 +34,7 @@ def fixed_parabolic(u: GroupElement) -> ParabolicSubgroup:
 
 def degree(u: GroupElement) -> int:
     """Dimension of the (-1)-eigenspace of an involution."""
-    rs = u.rs
-    neg = negated_roots(u)
-    if rs.is_vector:
-        return rs.span_rank(neg) if neg else 0
-    return rs.span_rank(neg)
+    return u.rs.span(negated_roots(u)).dim
 
 
 @dataclass

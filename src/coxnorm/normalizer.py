@@ -37,6 +37,7 @@ from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
 from .qsqrt5 import Q5, ZERO
+from .rootsys import apply_to_vector
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -103,7 +104,6 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
     complement (e.g. the Howlett complement D) is supplied, its restriction
     pair realizes the section isomorphism on complements.
     """
-    from .parabolic import apply_to_vector
     elements = list(L)
     rs = elements[0].rs
     s1 = SpaceRestriction(rs, V1.rows)
@@ -263,6 +263,10 @@ def _enumerate_subsystem_group(rs, sub: ReflectionSubgroup):
     return list(generate(gens))
 
 
+def _root_span(rs, simples):
+    return SpaceRestriction(rs, [rs.root_vec(i) for i in simples], basis_roots=simples)
+
+
 _SCAN_CHUNK = 50000
 
 
@@ -300,9 +304,8 @@ def _coset_reflection_lines(rs, space, base_pos, base_arr, d):
     return lines
 
 
-def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, space):
+def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space):
     """Action cell of (base)D on the span of base: P on X_perp, or Q on Y_perp."""
-    dim = space.dim
     if dim == 0:
         return ActionCell(role, _ROLE_SUBGROUP[role], 0, (), 1, False, 1)
     if image_order == base.order:  # D acts on the span through the base group
@@ -328,50 +331,35 @@ def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, space):
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
 
 
-def _mid_cell(rs, mid_space, D, b_order):
-    dim = mid_space.dim if mid_space is not None else 0
+def _mid_cell(dim, space, D, b_order):
     image_order = len(D) // b_order
     if dim == 0 or image_order == 1:
         return ActionCell("x_cap_y", "D", dim, (), 1, False,
                           1 if dim == 0 else image_order)
-    mats = {}
-    for d in D:
-        M = mid_space.matrix(d)
-        mats[M] = d
+    mats, _, lines = _subgroup_space_info(D, space)
     assert len(mats) == image_order
-    lines = set()
-    minus = False
-    for M in mats:
-        line = mid_space.reflection_line(M)
-        if line is not None:
-            lines.add(line)
-        elif mid_space.is_minus_identity(M):
-            minus = True
     if lines:
-        diagram = diagram_of_lines(lines, mid_space.gram_r)
+        diagram = diagram_of_lines(lines, space.gram_r)
         r_order = components_order(diagram)
         if image_order % r_order:
             raise RuntimeError("mid-space reflection part order mismatch")
         return ActionCell("x_cap_y", "D", dim, diagram, image_order // r_order,
                           False, image_order)
-    if minus and image_order == 2:
-        return ActionCell("x_cap_y", "D", dim, (), 2, True, image_order)
-    return ActionCell("x_cap_y", "D", dim, (), image_order, False, image_order)
+    minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
+    return ActionCell("x_cap_y", "D", dim, (), image_order, minus, image_order)
 
 
 def _subgroup_space_info(K, space):
-    """(image size, reflecting element keys, line set) of K's action on a space."""
+    """(matrix -> line or None, reflecting key -> line, line set) of K on a space."""
     mats = {}
     refl = {}
-    lines = set()
     for k in K:
         M = space.matrix(k)
-        mats.setdefault(M, k)
-        line = space.reflection_line(M)
-        if line is not None:
-            refl[k.key] = line
-            lines.add(line)
-    return len(mats), refl, lines
+        if M not in mats:
+            mats[M] = space.reflection_line(M)
+        if mats[M] is not None:
+            refl[k.key] = mats[M]
+    return mats, refl, set(refl.values())
 
 
 def _name_and_marker(tag, K, spaces, B=None, AB=None):
@@ -389,7 +377,8 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
     for role, space in spaces.items():
         if space is None or space.dim == 0:
             continue
-        size, refl, lines = _subgroup_space_info(K, space)
+        mats, refl, lines = _subgroup_space_info(K, space)
+        size = len(mats)
         if size == 1:
             continue
         nontrivial[role] = True
@@ -422,10 +411,10 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
     if (tag == "A" and "x_perp" in nontrivial and "x_perp" not in fully
             and "x_perp" not in partial):
         if B is not None and len(B) > 1 and AB is not None:
-            size, refl, lines = _subgroup_space_info(AB, spaces["x_perp"])
+            mats, _, lines = _subgroup_space_info(AB, spaces["x_perp"])
             if lines:
                 diagram = diagram_of_lines(lines, spaces["x_perp"].gram_r)
-                if components_order(diagram) == size:
+                if components_order(diagram) == len(mats):
                     return name, "diamond"
         if order == 8:
             return name, "heart"
@@ -464,7 +453,6 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     A = [d for d in D if all(int(d.img[q]) == q for q in Q.simples)]
 
     xperp, mid, yperp = invariant_split(P, Q)
-    mid_space = SpaceRestriction(rs, mid.rows) if rs.is_vector and mid.dim else None
     B = [d for d in D if fixes_pointwise(d, mid)]
     ab_keys = {(a * b).key for a in A for b in B}
     if len(ab_keys) != len(A) * len(B):
@@ -491,30 +479,25 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     w0 = subsystem_longest_element(rs, P.sub)
     asterisk = all(int(w0.img[i]) == rs.neg(i) for i in P.pos)
 
-    # the three action cells
-    if rs.is_vector:
-        xsp = SpaceRestriction(rs, [rs.root_vec(i) for i in P.sub.simples],
-                               basis_roots=P.sub.simples)
-        ysp = SpaceRestriction(rs, [rs.root_vec(i) for i in Q.sub.simples],
-                               basis_roots=Q.sub.simples)
-        cell_x = _span_cell(rs, "x_perp", P.sub, D, p_order * len(D), xsp)
-        cell_y = _span_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A), ysp)
-        cell_m = _mid_cell(rs, mid_space, D, len(B))
-        spaces = {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}
-        AB = [a * b for a in A for b in B]
-        a_name = _format_subgroup(*_name_and_marker(
-            "A", A, {"x_perp": xsp, "x_cap_y": mid_space}, B=B, AB=AB))
-        b_name = _format_subgroup(*_name_and_marker(
-            "B", B, {"x_perp": xsp, "y_perp": ysp}))
-        c_name = _format_subgroup(*_name_and_marker(
-            "C", C, {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}))
-    else:
-        cell_x = ActionCell("x_perp", "PD", 2 - mid.dim - yperp.dim,
-                            P.sub.components, 1, False, p_order)
-        cell_m = ActionCell("x_cap_y", "D", mid.dim, (), 1, False, 1)
-        cell_y = ActionCell("y_perp", "QD", yperp.dim, Q.sub.components, 1,
-                            False, q_order)
-        a_name = b_name = c_name = ""
+    # the three action cells and the names of A, B and C; the restrictions
+    # to the subspaces need coordinates, and are only read when D is
+    # nontrivial, which it is for no dihedral shape
+    xsp = ysp = mid_space = None
+    if len(D) > 1:
+        xsp = _root_span(rs, P.sub.simples)
+        ysp = _root_span(rs, Q.sub.simples)
+        mid_space = SpaceRestriction(rs, mid.rows) if mid.dim else None
+    cell_x = _span_cell(rs, "x_perp", P.sub, D, p_order * len(D), xperp.dim, xsp)
+    cell_y = _span_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A),
+                        yperp.dim, ysp)
+    cell_m = _mid_cell(mid.dim, mid_space, D, len(B))
+    AB = [a * b for a in A for b in B]
+    a_name = _format_subgroup(*_name_and_marker(
+        "A", A, {"x_perp": xsp, "x_cap_y": mid_space}, B=B, AB=AB))
+    b_name = _format_subgroup(*_name_and_marker(
+        "B", B, {"x_perp": xsp, "y_perp": ysp}))
+    c_name = _format_subgroup(*_name_and_marker(
+        "C", C, {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}))
 
     dec = Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=n_order,

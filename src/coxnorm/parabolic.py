@@ -1,9 +1,12 @@
 """Parabolic subgroups, fixed spaces, parabolic closure, and shapes.
 
-A reflection subgroup is stored by its closed set of roots; a parabolic
-subgroup additionally carries the subspace it pointwise stabilizes (its
-witness).  The shape catalog lists one entry per conjugacy class of parabolic
-subgroups, ordered by (rank, group order, label); indices are 1-based.
+A reflection subgroup is stored by its closed set of roots.  A parabolic
+subgroup wraps one; its witness, the subspace it fixes pointwise, is the
+common fixed space of its reflections, computed on first use.  Spans, fixed
+spaces and signs at a generic point come from the root system, so nothing
+here branches on the family.  The shape catalog lists one entry per
+conjugacy class of parabolic subgroups, ordered by (rank, group order,
+label); indices are 1-based.
 
 Classical labels follow the partition transversal: type A uses partitions of
 the point count; types B and D use a sign-change block B_l / D_l plus a
@@ -18,38 +21,33 @@ order of their representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .diagrams import (close_roots, components_order, components_rank,
                        components_string, positive_part, recognize_subsystem,
-                       standard_subsystem, subsystem_simples)
+                       subsystem_simples)
 from .groups import GroupElement, identity, parabolic_longest_element
-from .qsqrt5 import ZERO
 
 
 class ReflectionSubgroup:
     """A subgroup generated by reflections, stored by its closed root set."""
 
-    def __init__(self, rs, roots, generators=None):
+    def __init__(self, rs, roots):
         self.rs = rs
         self.roots = frozenset(roots)
-        self.gen_roots = tuple(sorted(generators)) if generators is not None else None
         self.pos = positive_part(rs, self.roots)
         self._simples = None
         self._components = None
 
     @classmethod
     def generated_by(cls, rs, root_indices):
-        if not root_indices:
-            return cls(rs, frozenset())
-        return cls(rs, close_roots(rs, root_indices), generators=root_indices)
+        return cls(rs, close_roots(rs, root_indices))
 
     @classmethod
     def standard(cls, rs, subset):
-        if rs.is_vector:
-            return cls(rs, standard_subsystem(rs, subset), generators=subset)
-        return cls.generated_by(rs, [rs.simple_roots[i] for i in sorted(subset)])
+        return cls.generated_by(rs, [rs.simple_roots[i] for i in subset])
 
     @property
     def simples(self):
@@ -93,57 +91,16 @@ class ReflectionSubgroup:
         return f"ReflectionSubgroup({self.rs.label}, {self.type_string()})"
 
 
-class I2Line:
-    """A line in the I2 plane, by its double-angle residue mod 2m.
-
-    The line spanned by root k has residue 2k; the reflecting axis of the
-    reflection in root k has residue 2k + m.
-    """
-
-    __slots__ = ("t", "m")
-
-    def __init__(self, t, m):
-        self.t = t % (2 * m)
-        self.m = m
-
-    def __eq__(self, other):
-        return isinstance(other, I2Line) and (self.t, self.m) == (other.t, other.m)
-
-    def __hash__(self):
-        return hash((self.t, self.m))
-
-
-class I2Subspace:
-    """Token subspace of the I2 plane: zero, a line, or everything."""
-
-    __slots__ = ("kind", "line", "m")
-
-    def __init__(self, kind, m, line=None):
-        self.kind = kind      # "zero" | "line" | "full"
-        self.m = m
-        self.line = line
-
-    @property
-    def dim(self):
-        return {"zero": 0, "line": 1, "full": 2}[self.kind]
-
-    def __eq__(self, other):
-        return (isinstance(other, I2Subspace)
-                and (self.kind, self.m, self.line) == (other.kind, other.m, other.line))
-
-    def __hash__(self):
-        return hash((self.kind, self.m, self.line))
-
-    def __repr__(self):
-        return f"I2Subspace({self.kind})"
-
-
 @dataclass(frozen=True)
 class ParabolicSubgroup:
-    """A reflection subgroup together with the subspace it pointwise fixes."""
+    """A parabolic subgroup, by its reflection subgroup."""
 
     sub: ReflectionSubgroup
-    witness: object  # Subspace, or I2Subspace for family I
+
+    @cached_property
+    def witness(self):
+        """The subspace P fixes pointwise: the common fixed space of its reflections."""
+        return fixed_space(self.sub)
 
     @property
     def rs(self):
@@ -175,46 +132,12 @@ class ParabolicSubgroup:
 
 def fixed_space(U: ReflectionSubgroup):
     """Common fixed space of a reflection subgroup (intersection of its walls)."""
-    rs = U.rs
-    if rs.is_vector:
-        return rs.span(U.pos).perp(rs.gram)
-    r = rs.span_rank(U.pos)
-    if r == 0:
-        return I2Subspace("full", rs.m)
-    if r == 1:
-        k = U.pos[0] % rs.m
-        return I2Subspace("line", rs.m, I2Line(2 * k + rs.m, rs.m))
-    return I2Subspace("zero", rs.m)
+    return U.rs.fixed_space(U.pos)
 
 
 def pointwise_stabilizer(rs, X) -> ParabolicSubgroup:
-    """Parabolic subgroup fixing the subspace X pointwise."""
-    if rs.is_vector:
-        if X.n != rs.n:
-            raise ValueError("subspace of wrong ambient dimension")
-        from .linalg import dot, vec_mat
-        conditions = [vec_mat(row, rs.gram) for row in X.rows]
-        roots = set()
-        for i in range(rs.npos):
-            v = rs.root_vec(i)
-            if all(not dot(cond, v) for cond in conditions):
-                roots.add(i)
-                roots.add(rs.neg(i))
-        sub = ReflectionSubgroup(rs, frozenset(roots))
-        return ParabolicSubgroup(sub, X)
-    m = rs.m
-    if X.kind == "full":
-        return ParabolicSubgroup(ReflectionSubgroup(rs, frozenset()), X)
-    if X.kind == "zero":
-        roots = frozenset(range(rs.nroots))
-        return ParabolicSubgroup(ReflectionSubgroup(rs, roots), X)
-    # a line is pointwise fixed only by the reflection whose axis it is
-    t = X.line.t
-    roots = set()
-    if (t - m) % 2 == 0:
-        k = ((t - m) // 2) % m
-        roots = {k, rs.neg(k)}
-    return ParabolicSubgroup(ReflectionSubgroup(rs, frozenset(roots)), X)
+    """Parabolic subgroup fixing the subspace X pointwise: the roots vanishing on X."""
+    return parabolic_from_roots(rs, np.flatnonzero(rs.signs_at(X) == 0).tolist())
 
 
 def parabolic_closure(U: ReflectionSubgroup) -> ParabolicSubgroup:
@@ -223,49 +146,16 @@ def parabolic_closure(U: ReflectionSubgroup) -> ParabolicSubgroup:
 
 
 def parabolic_from_roots(rs, roots) -> ParabolicSubgroup:
-    sub = ReflectionSubgroup(rs, roots)
-    return ParabolicSubgroup(sub, fixed_space(sub))
+    return ParabolicSubgroup(ReflectionSubgroup(rs, roots))
 
 
 def standard_parabolic(rs, subset) -> ParabolicSubgroup:
-    sub = ReflectionSubgroup.standard(rs, subset)
-    return ParabolicSubgroup(sub, fixed_space(sub))
+    return ParabolicSubgroup(ReflectionSubgroup.standard(rs, subset))
 
 
 def fixes_pointwise(w: GroupElement, X) -> bool:
     """Does the element fix the subspace pointwise?"""
-    rs = w.rs
-    if isinstance(X, I2Subspace):
-        if X.kind == "zero":
-            return True
-        if X.kind == "full":
-            return w.is_identity()
-        t, m = X.line.t, X.line.m
-        if w.is_identity():
-            return True
-        if (t - m) % 2 == 0:
-            k = ((t - m) // 2) % m
-            return w == rs.reflection(k)
-        return False
-    for row in X.rows:
-        img = apply_to_vector(w, row)
-        if img != tuple(row):
-            return False
-    return True
-
-
-def apply_to_vector(w: GroupElement, v):
-    """Image of a coordinate vector under w (right action)."""
-    rs = w.rs
-    out = [ZERO] * rs.n
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        tgt = rs.root_vec(int(w.img[i]))
-        for j, x in enumerate(tgt):
-            if x:
-                out[j] = out[j] + c * x
-    return tuple(out)
+    return w.rs.fixes_pointwise(w, X)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,22 @@ only while the roots are built: that pass records the n simple reflections
 as permutations, and every other reflection is a conjugate of a simple one
 (r_{s(beta)} = s r_beta s), composed as index arrays.
 
+Orthogonality and bond orders are read off the reflection permutations, the
+same way for every family: roots a and b are orthogonal iff r_a fixes b, and
+the bond order of a and b is the order of r_a r_b.
+
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
-mod 2m (root k at angle k*pi/m); reflections and rotations act by index
-arithmetic, and two reflections are orthogonal iff m is even and their
-indices differ by m/2 mod m.
+mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
+subspaces are ``I2Subspace`` values: zero, a line, or the plane.  Both classes
+provide the geometry the layers above use (span and fixed space of roots,
+signs of the roots at a generic point of a subspace, and whether an element
+fixes a subspace pointwise), so nothing above this module branches on the
+family.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -113,10 +121,32 @@ def _e_basis(label: CoxeterLabel):
     raise ValueError("e-basis only for classical families")
 
 
-class RootSystem:
+class _Roots:
+    """Index arithmetic shared by both root-system classes."""
+
+    def neg(self, i):
+        return (i + self.npos) % self.nroots
+
+    def orthogonal(self, i, j):
+        """Roots i and j are orthogonal iff the reflection in i fixes j."""
+        return int(self.reflection_perm(i)[j]) == j
+
+    def reflection(self, i) -> GroupElement:
+        return GroupElement(self, self.reflection_perm(i).copy())
+
+    def simple_reflections(self):
+        return [self.reflection(i) for i in self.simple_roots]
+
+    @property
+    def group_order(self):
+        return self.label.order
+
+
+class RootSystem(_Roots):
     """A root system with exact coordinates (all families except I)."""
 
     is_vector = True
+    orthogonal = _Roots.orthogonal  # bound per class: perfbench/tracer.py counts each
 
     def __init__(self, label: CoxeterLabel):
         if label.family == "I":
@@ -127,9 +157,7 @@ class RootSystem:
         self.gram = _gram_matrix(label)
         self._build_roots()
         self._refl_cache = {}
-        self._orth = None
         self._e_coords = None
-        self._norms = [dot(v, v, self.gram) for v in self.vectors[: self.npos]]
 
     # -- construction ------------------------------------------------------
 
@@ -181,38 +209,20 @@ class RootSystem:
         self._parent = {self.index[w]: (self.index[v], i) for w, (v, i) in parent.items()
                         if self.index[w] < self.npos}
 
-    # -- basic queries -------------------------------------------------------
-
-    def neg(self, i):
-        return (i + self.npos) % self.nroots
+    # -- geometry --------------------------------------------------------------
 
     def root_vec(self, i):
         return self.vectors[i]
 
-    def inner(self, i, j):
-        return dot(self.vectors[i], self.vectors[j], self.gram)
-
-    def norm(self, i):
-        return self._norms[i % self.npos]
-
-    def orthogonal(self, i, j):
-        if self._orth is None:
-            npos = self.npos
-            tbl = np.zeros((npos, npos), dtype=bool)
-            for a in range(npos):
-                for b in range(a + 1, npos):
-                    if not self.inner(a, b):
-                        tbl[a, b] = tbl[b, a] = True
-            self._orth = tbl
-        return bool(self._orth[i % self.npos, j % self.npos])
-
-    def span_rank(self, indices):
-        from .linalg import mat_rank
-        rows = [self.vectors[i] for i in indices]
-        return mat_rank(rows) if rows else 0
-
     def span(self, indices) -> Subspace:
         return Subspace([self.vectors[i] for i in indices], self.n)
+
+    def fixed_space(self, indices) -> Subspace:
+        """Common fixed space of the reflections in the given roots."""
+        return self.span(indices).perp(self.gram)
+
+    def fixes_pointwise(self, w: GroupElement, X: Subspace) -> bool:
+        return all(apply_to_vector(w, row) == row for row in X.rows)
 
     def signs_at(self, X: Subspace):
         """Signs of all roots at a lexicographically generic point of X.
@@ -221,6 +231,8 @@ class RootSystem:
         X and a small e > 0, so a root takes the sign of its value on the
         first row it does not vanish on, and 0 when it vanishes on X.
         """
+        if X.n != self.n:
+            raise ValueError("subspace of wrong ambient dimension")
         conditions = [vec_mat(row, self.gram) for row in X.rows]
         signs = np.zeros(self.nroots, dtype=np.int8)
         for i, v in enumerate(self.vectors[: self.npos]):
@@ -251,16 +263,6 @@ class RootSystem:
                 perm = s[self.reflection_perm(beta)[s]]
             self._refl_cache[i] = perm
         return perm
-
-    def reflection(self, i) -> GroupElement:
-        return GroupElement(self, self.reflection_perm(i).copy())
-
-    def simple_reflections(self):
-        return [self.reflection(i) for i in self.simple_roots]
-
-    @property
-    def group_order(self):
-        return self.label.order
 
     # -- classical coordinates -------------------------------------------------
 
@@ -314,10 +316,31 @@ class RootSystem:
         return f"RootSystem({self.label})"
 
 
-class I2RootSystem:
+@dataclass(frozen=True)
+class I2Subspace:
+    """A subspace of the I2(m) plane: zero (dim 0), a line (dim 1), or the plane.
+
+    A line is held by its double-angle residue t mod 2m: the line of root k
+    has t = 2k, and the reflecting axis of root k has t = 2k + m.
+    """
+
+    m: int
+    dim: int
+    t: int | None = None
+
+    def intersect(self, other):
+        if self.dim == 2 or self == other:
+            return other
+        if other.dim == 2:
+            return self
+        return I2Subspace(self.m, 0)
+
+
+class I2RootSystem(_Roots):
     """Dihedral rank-2 system realized combinatorially mod 2m."""
 
     is_vector = False
+    orthogonal = _Roots.orthogonal  # bound per class: perfbench/tracer.py counts each
 
     def __init__(self, label: CoxeterLabel):
         if label.family != "I":
@@ -331,31 +354,38 @@ class I2RootSystem:
         self.simple_roots = (0, self.m - 1)
         self._refl_cache = {}
 
-    def neg(self, i):
-        return (i + self.npos) % self.nroots
+    def span(self, indices) -> I2Subspace:
+        lines = {i % self.m for i in indices}
+        if len(lines) == 1:
+            return I2Subspace(self.m, 1, 2 * lines.pop())
+        return I2Subspace(self.m, min(len(lines), 2))
 
-    def orthogonal(self, i, j):
-        if self.m % 2:
-            return False
-        return (i - j) % self.m == self.m // 2
+    def fixed_space(self, indices) -> I2Subspace:
+        """The perpendicular of the span: a root's line turns into its axis."""
+        X = self.span(indices)
+        if X.dim == 1:
+            return I2Subspace(self.m, 1, (X.t + self.m) % (2 * self.m))
+        return I2Subspace(self.m, 2 - X.dim)
 
-    def span_rank(self, indices):
-        classes = {i % self.m for i in indices}
-        return min(len(classes), 2)
+    def fixes_pointwise(self, w: GroupElement, X: I2Subspace) -> bool:
+        # w fixes X pointwise iff it maps the facet of a generic point of X
+        # to itself, that is, iff it keeps the signs of all roots there
+        signs = self.signs_at(X)
+        return bool((signs[w.img] == signs).all())
 
-    def signs_at(self, X):
-        """Signs of all roots at a generic point of a zero, line or full subspace.
+    def signs_at(self, X: I2Subspace):
+        """Signs of all roots at a generic point of X.
 
         The plane's generic point is taken in the dominant chamber.  A line of
         double-angle residue t is the direction t*pi/2m, where root k (angle
         k*pi/m) has the sign of cos((2k - t)*pi/2m).
         """
         k = np.arange(self.nroots)
-        if X.kind == "zero":
+        if X.dim == 0:
             return np.zeros(self.nroots, dtype=np.int8)
-        if X.kind == "full":
+        if X.dim == 2:
             return np.where(k < self.npos, 1, -1).astype(np.int8)
-        d = (2 * k - X.line.t) % (4 * self.m)
+        d = (2 * k - X.t) % (4 * self.m)
         signs = np.where((d < self.m) | (d > 3 * self.m), 1, -1).astype(np.int8)
         signs[(d == self.m) | (d == 3 * self.m)] = 0
         return signs
@@ -368,16 +398,6 @@ class I2RootSystem:
             perm = ((2 * i + self.m - k) % self.nroots).astype(np.int16)
             self._refl_cache[i] = perm
         return perm
-
-    def reflection(self, i) -> GroupElement:
-        return GroupElement(self, self.reflection_perm(i).copy())
-
-    def simple_reflections(self):
-        return [self.reflection(i) for i in self.simple_roots]
-
-    @property
-    def group_order(self):
-        return self.label.order
 
     def __repr__(self):
         return f"I2RootSystem({self.m})"
@@ -402,6 +422,20 @@ def inner_product(rs: RootSystem, v, w):
     if len(v) != len(w) or len(v) != rs.n:
         raise ValueError("dimension mismatch")
     return dot(vec(v), vec(w), rs.gram)
+
+
+def apply_to_vector(w: GroupElement, v):
+    """Image of a coordinate vector under w (right action)."""
+    rs = w.rs
+    out = [ZERO] * rs.n
+    for i, c in enumerate(v):
+        if not c:
+            continue
+        tgt = rs.root_vec(int(w.img[i]))
+        for j, x in enumerate(tgt):
+            if x:
+                out[j] = out[j] + c * x
+    return tuple(out)
 
 
 def reflection_in_root(rs, root_index) -> GroupElement:

@@ -66,7 +66,7 @@ def verify_galois(rs) -> dict:
             break
     report["checks"]["closure_idempotent"] = {"ok": bad is None, "witness": bad}
 
-    if rs.group_order <= 10 ** 6 and rs.is_vector:
+    if rs.group_order <= 10 ** 6:
         bad = None
         for s, u in subs.items():
             if brute_orthogonal_complement(u).roots != perp[s].roots:
@@ -139,7 +139,7 @@ def verify_goursat(rs) -> dict:
         if not rep["ok"]:
             bad_normal = (shape.label, rep["witness"])
             break
-        if not rs.is_vector:
+        if not rs.is_vector:  # the sections compare coordinate restriction matrices
             continue
         N = normalizer(dec.P)
         xperp, mid, yperp = dec.spaces
@@ -224,12 +224,11 @@ def verify_oracle(rs) -> dict:
             break
     report["checks"]["normalizer"] = {"ok": bad is None, "witness": bad}
     bad = None
-    if rs.is_vector:
-        for subset in _standard_subsets(rs):
-            U = ReflectionSubgroup.standard(rs, subset)
-            if brute_orthogonal_complement(U).roots != orthogonal_complement(U).roots:
-                bad = subset
-                break
+    for subset in _standard_subsets(rs):
+        U = ReflectionSubgroup.standard(rs, subset)
+        if brute_orthogonal_complement(U).roots != orthogonal_complement(U).roots:
+            bad = subset
+            break
     report["checks"]["orthogonal_complement"] = {"ok": bad is None, "witness": bad}
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report

@@ -1,6 +1,11 @@
+import importlib
 import json
 import subprocess
 import sys
+
+import pytest
+
+from coxnorm import cli
 
 
 def run(*args):
@@ -90,3 +95,17 @@ def test_involutions_command():
     assert code == 0
     data = json.loads(out)
     assert all(rec["centralizer_order"] * 1 for rec in data)
+
+
+@pytest.mark.parametrize("command, module, function, error", [
+    (["decompose", "B3", "1"], "coxnorm.normalizer", "decompose", RuntimeError),
+    (["concepts", "B3"], "coxnorm.galois", "parabolic_concepts", ValueError),
+])
+def test_internal_error_exits_4_with_one_line(monkeypatch, capsys, command, module,
+                                              function, error):
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+    monkeypatch.setattr(importlib.import_module(module), function, broken)
+    assert cli.main(command) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: broken invariant\n"

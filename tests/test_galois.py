@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 from coxnorm.galois import (closure_index, orthogonal_closure,
@@ -6,6 +7,9 @@ from coxnorm.galois import (closure_index, orthogonal_closure,
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic)
 from coxnorm.rootsys import build_root_system
+from coxnorm.verify import verify_galois, verify_oracle
+
+parabolic = importlib.import_module("coxnorm.parabolic")
 
 
 def concept_labels(name):
@@ -144,3 +148,25 @@ def test_concept_meet_is_concept():
         for (i1, j1), (i2, j2) in itertools.combinations(concepts, 2):
             left = parabolic_from_roots(rs, reps[i1].roots & reps[i2].roots)
             assert orthogonal_closure(left.sub).roots == left.roots
+
+
+def test_orthogonal_complement_computes_no_fixed_space(monkeypatch):
+    # the witness of a parabolic is derived on first use, so the complements
+    # of all 128 standard parabolics of E7 need no exact linear algebra
+    rs = build_root_system("E7")
+    calls = []
+    original = parabolic.fixed_space
+    monkeypatch.setattr(parabolic, "fixed_space",
+                        lambda U: calls.append(U) or original(U))
+    for mask in range(1 << rs.n):
+        subset = tuple(i for i in range(rs.n) if mask >> i & 1)
+        Q = orthogonal_complement(ReflectionSubgroup.standard(rs, subset))
+    assert calls == []
+    assert Q.witness is Q.witness and len(calls) == 1
+
+
+def test_commutation_oracle_covers_i2():
+    for m in range(5, 13):
+        rs = build_root_system(f"I2({m})")
+        assert verify_galois(rs)["checks"]["commutation_route_agrees"]["ok"]
+        assert verify_oracle(rs)["checks"]["orthogonal_complement"]["ok"]

@@ -9,7 +9,7 @@ import pytest
 from coxnorm.groups import OrbitStabilizer
 from coxnorm.normalizer import normalizer
 from coxnorm.parabolic import ShapeCatalog, parabolic_from_roots
-from coxnorm.rootsys import build_root_system
+from coxnorm.rootsys import build_root_system, inner_product
 
 
 def _orbit_members(rs, roots):
@@ -47,7 +47,8 @@ def test_i2_rank_one_parabolics(m):
 
 def test_non_parabolic_root_sets_rejected():
     b2 = build_root_system("B2")
-    long_roots = [i for i in range(b2.npos) if b2.norm(i) == 2]
+    long_roots = [i for i in range(b2.npos)
+                  if inner_product(b2, b2.root_vec(i), b2.root_vec(i)) == 2]
     a, b = long_roots
     assert b2.orthogonal(a, b)
     with pytest.raises(ValueError):

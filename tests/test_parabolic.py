@@ -8,7 +8,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                pointwise_stabilizer, shape_catalog,
                                standard_parabolic)
 from coxnorm.galois import orthogonal_complement
-from coxnorm.rootsys import build_root_system
+from coxnorm.rootsys import build_root_system, inner_product
 
 
 def test_fixed_space_dimensions():
@@ -44,9 +44,9 @@ def test_parabolic_closure():
         assert cl.roots == P.roots  # parabolics are closed
     # a non-parabolic reflection subgroup: <s_{e1+e2}, s_{e1-e2}> inside B2
     b2 = build_root_system("B2")
-    pair = [i for i in range(b2.npos) if b2.norm(i) == b2.norm(0)]
-    U = ReflectionSubgroup.generated_by(b2, [i for i in range(b2.npos)
-                                             if repr(b2.norm(i)) == "2"])
+    long_roots = [i for i in range(b2.npos)
+                  if inner_product(b2, b2.root_vec(i), b2.root_vec(i)) == 2]
+    U = ReflectionSubgroup.generated_by(b2, long_roots)
     cl = parabolic_closure(U)
     assert cl.roots == frozenset(range(b2.nroots))  # closure jumps to W
     cl2 = parabolic_closure(cl.sub)

@@ -1,8 +1,14 @@
+from math import gcd
+
 import pytest
 
+from coxnorm.diagrams import bond_from_ratio, bond_order
+from coxnorm.groups import generate, identity
 from coxnorm.labels import parse_label
+from coxnorm.parabolic import fixes_pointwise, pointwise_stabilizer
 from coxnorm.qsqrt5 import Q5
-from coxnorm.rootsys import build_root_system, inner_product, reflection_in_root
+from coxnorm.rootsys import (I2Subspace, build_root_system, inner_product,
+                             reflection_in_root)
 
 
 def test_label_round_trips():
@@ -54,12 +60,16 @@ def test_root_counts():
         assert full == set(rs.vectors)
 
 
+def _norm(rs, i):
+    return inner_product(rs, rs.root_vec(i), rs.root_vec(i))
+
+
 def test_b2_has_two_lengths():
     rs = build_root_system("B2")
-    norms = {repr(rs.norm(i)) for i in range(rs.npos)}
+    norms = {repr(_norm(rs, i)) for i in range(rs.npos)}
     assert norms == {"1", "2"}
     # a long root has norm 2 under the normalization
-    long_roots = [i for i in range(rs.npos) if rs.norm(i) == Q5(2)]
+    long_roots = [i for i in range(rs.npos) if _norm(rs, i) == Q5(2)]
     assert long_roots
 
 
@@ -71,7 +81,7 @@ def test_inner_product_contract():
         inner_product(rs, a, a[:-1])
     # commuting simple pair inside D4's fork is orthogonal
     d4 = build_root_system("D4")
-    assert d4.inner(2, 3) == Q5(0)
+    assert inner_product(d4, d4.root_vec(2), d4.root_vec(3)) == Q5(0)
 
 
 def test_reflections_are_involutions_and_permute_roots():
@@ -137,3 +147,75 @@ def test_reflection_perms_match_gram_form(name):
         expected += [rs.neg(j) for j in expected]
         assert rs.reflection_perm(i).tolist() == expected, i
         assert rs.reflection_perm(rs.neg(i)).tolist() == expected, i
+
+
+def _inner_table(rs):
+    """Exact <a, b> over the positive roots: the public inner product of a
+    with each simple root, extended linearly in b."""
+    vecs = rs.vectors[: rs.npos]
+    units = [[int(k == c) for c in range(rs.n)] for k in range(rs.n)]
+    with_simple = [[inner_product(rs, u, e) for e in units] for u in vecs]
+    return {(a, b): sum((x * y for x, y in zip(with_simple[a], v) if y), Q5(0))
+            for a in range(rs.npos) for b, v in enumerate(vecs)}
+
+
+@pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
+def test_orthogonal_and_bond_order_match_the_gram_form(name):
+    # r_a fixes b iff <a, b> = 0, and r_a r_b has the order that 4 cos^2 of
+    # the angle between a and b names; both are invariant under a -> -a
+    rs = build_root_system(name)
+    inner = _inner_table(rs)
+    for i in range(rs.nroots):
+        for j in range(rs.nroots):
+            a, b = i % rs.npos, j % rs.npos
+            c = inner[a, b]
+            assert rs.orthogonal(i, j) == (a != b and not c), (i, j)
+            if a != b:
+                expected = bond_from_ratio(c * c * 4 / (inner[a, a] * inner[b, b])) if c else 2
+                assert bond_order(rs, i, j) == expected, (i, j)
+
+
+def test_e8_orthogonal_matches_the_gram_form():
+    rs = build_root_system("E8")
+    inner = _inner_table(rs)
+    for i in range(rs.nroots):
+        for j in range(rs.nroots):
+            a, b = i % rs.npos, j % rs.npos
+            assert rs.orthogonal(i, j) == (a != b and not inner[a, b]), (i, j)
+
+
+@pytest.mark.parametrize("m", [7, 8, 12])
+def test_i2_orthogonal_and_bond_order_index_formulas(m):
+    # root k lies at angle k*pi/m: two roots are orthogonal iff their angles
+    # differ by pi/2, and r_i r_j is the rotation by 2(i - j)pi/m
+    rs = build_root_system(f"I2({m})")
+    for i in range(rs.nroots):
+        for j in range(rs.nroots):
+            d = (i - j) % m
+            assert rs.orthogonal(i, j) == (2 * d == m), (i, j)
+            assert bond_order(rs, i, j) == m // gcd(d, m), (i, j)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_i2_geometry(m):
+    # the axis of root k has residue 2k + m; zero is fixed by every element,
+    # the axis of root k by 1 and r_k, and any other line or the plane by 1
+    rs = build_root_system(f"I2({m})")
+    for k in range(rs.nroots):
+        assert rs.span([k]) == I2Subspace(m, 1, 2 * k % (2 * m))
+        assert rs.fixed_space([k]) == I2Subspace(m, 1, (2 * k + m) % (2 * m))
+        assert rs.fixed_space([k]).intersect(rs.span([k])) == I2Subspace(m, 0)
+    assert rs.span([0, 1]) == rs.fixed_space([]) == I2Subspace(m, 2)
+    W = list(generate(rs.simple_reflections()))
+    spaces = [I2Subspace(m, 0), I2Subspace(m, 2)]
+    spaces += [I2Subspace(m, 1, t) for t in range(2 * m)]
+    for X in spaces:
+        if X.dim == 0:
+            axis_of = list(range(m))
+            expected = {w.key for w in W}
+        else:
+            axis_of = [k for k in range(m) if X.dim == 1 and (2 * k + m) % (2 * m) == X.t]
+            expected = {identity(rs).key} | {rs.reflection(k).key for k in axis_of}
+        assert {w.key for w in W if fixes_pointwise(w, X)} == expected, X
+        roots = {r for k in axis_of for r in (k, rs.neg(k))}
+        assert pointwise_stabilizer(rs, X).roots == roots, X
