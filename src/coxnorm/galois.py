@@ -8,11 +8,14 @@ operator is perp(perp(.)).  A pair of mutually complementary orthogonally
 closed parabolics is a parabolic concept.
 
 Orthogonality is read off the reflection permutations (r_a fixes b), the
-same way for every family; the commutation characterization lives in the
+same way for every family, so the complement of U is the set of roots fixed
+by every reflection of U; the commutation characterization lives in the
 oracle module as an independent cross-check.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         parabolic_from_roots, shape_catalog)
@@ -22,12 +25,11 @@ def orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup) -> Paraboli
     """Parabolic generated by all reflections orthogonal to every reflection of U."""
     sub = U.sub if isinstance(U, ParabolicSubgroup) else U
     rs = sub.rs
-    roots = set()
-    for i in range(rs.npos):
-        if all(rs.orthogonal(i, j) for j in sub.pos):
-            roots.add(i)
-            roots.add(rs.neg(i))
-    return parabolic_from_roots(rs, frozenset(roots))
+    every = np.arange(rs.nroots)
+    fixed = np.ones(rs.nroots, dtype=bool)
+    for j in sub.pos:
+        fixed &= rs.reflection_perm(j) == every
+    return parabolic_from_roots(rs, frozenset(np.flatnonzero(fixed).tolist()))
 
 
 def orthogonal_closure(P: ParabolicSubgroup | ReflectionSubgroup) -> ParabolicSubgroup:

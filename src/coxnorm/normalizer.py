@@ -31,13 +31,11 @@ from .diagrams import components_order, components_string
 from .galois import orthogonal_complement
 from .groups import (GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
-from .linalg import mat_identity
+from .linalg import dot, vec_mat
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
-from .qsqrt5 import Q5, ZERO
-from .rootsys import apply_to_vector
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -71,7 +69,6 @@ def howlett_complement(sub: ReflectionSubgroup, ambient: GroupSet) -> GroupSet:
     """
     rs = sub.rs
     refl = {rs.reflection(i).key for i in sub.pos}
-    pos_set = set(sub.pos)
     for g in ambient.gens or list(ambient):
         for i in sub.pos:
             conj = (g.inverse() * rs.reflection(i)) * g
@@ -98,38 +95,35 @@ class GoursatSections:
 
 
 def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
-    """Goursat data for a group of elements preserving two complementary spaces.
+    """Goursat data for a group of elements preserving V1 and V2 = V1^perp.
 
-    ``L`` is an iterable of elements; V1, V2 the invariant subspaces.  When a
-    complement (e.g. the Howlett complement D) is supplied, its restriction
-    pair realizes the section isomorphism on complements.
+    ``L`` is an iterable of elements; each is restricted to V1 and V2 as the
+    images of their basis rows.  When a complement (e.g. the Howlett
+    complement D) is supplied, its restriction pair realizes the section
+    isomorphism on complements.  Raises ValueError when V2 is not V1^perp or
+    when an element does not preserve the split.
     """
     elements = list(L)
     rs = elements[0].rs
+    if V2 != V1.perp(rs.gram):
+        raise ValueError("V2 is not the orthogonal complement of V1")
     s1 = SpaceRestriction(rs, V1.rows)
     s2 = SpaceRestriction(rs, V2.rows)
+    # w is orthogonal, so w(V1) perp V2 gives w(V1) = V1 and w(V2) = V2
+    v2_forms = [vec_mat(r, rs.gram) for r in V2.rows]
 
-    def checked_matrix(space, w):
-        rows = []
-        for b in space.basis:
-            img = apply_to_vector(w, b)
-            c = space.coords(img)
-            back = [Q5(0)] * rs.n
-            for x, row in zip(c, space.basis):
-                if x:
-                    back = [y + x * z for y, z in zip(back, row)]
-            if tuple(back) != img:
-                raise ValueError(f"split not invariant under {w.canonical()}")
-            rows.append(c)
-        return tuple(rows)
+    def restriction_pair(w):
+        m1 = s1.matrix(w)
+        if any(dot(x, f) for x in m1 for f in v2_forms):
+            raise ValueError(f"split not invariant under {w.canonical()}")
+        return m1, s2.matrix(w)
 
-    I1 = mat_identity(s1.dim)
-    I2 = mat_identity(s2.dim)
-    pairs = [(checked_matrix(s1, w), checked_matrix(s2, w)) for w in elements]
+    pairs = [restriction_pair(w) for w in elements]
     G1 = sorted({p[0] for p in pairs}, key=repr)
     H1 = sorted({p[1] for p in pairs}, key=repr)
-    G2 = [w for w, p in zip(elements, pairs) if p[1] == I2]
-    H2 = [w for w, p in zip(elements, pairs) if p[0] == I1]
+    # the identity restriction is the basis itself
+    G2 = [w for w, p in zip(elements, pairs) if p[1] == s2.basis]
+    H2 = [w for w, p in zip(elements, pairs) if p[0] == s1.basis]
     comp = None
     if complement is not None:
         comp = ([s1.matrix(d) for d in complement], [s2.matrix(d) for d in complement])
@@ -273,32 +267,13 @@ _SCAN_CHUNK = 50000
 def _coset_reflection_lines(rs, space, base_pos, base_arr, d):
     """Reflection lines contributed by the coset (base elements) * d."""
     lines = []
-    if base_arr.shape[0] == 0:
-        return lines
-    dim = space.dim
-    want = Q5(dim - 2)
-    coords = space.root_coords()
     idx = np.asarray(base_pos, dtype=np.int64)
     for start in range(0, base_arr.shape[0], _SCAN_CHUNK):
         comp = d.img[base_arr[start:start + _SCAN_CHUNK]]
         sq = np.take_along_axis(comp, comp, axis=1)
-        if idx.size:
-            mask = (sq[:, idx] == idx).all(axis=1)
-        else:
-            mask = np.ones(comp.shape[0], dtype=bool)
-        for row in comp[mask]:
-            t = ZERO
-            ok = True
-            for k, b in enumerate(space.basis_roots):
-                c = coords.get(int(row[b]))
-                if c is None:
-                    ok = False
-                    break
-                t = t + c[k]
-            if not ok or t != want:
-                continue
-            w = GroupElement(rs, row.copy())
-            line = space.reflection_line(space.matrix(w))
+        # a reflection of the span is an involution there
+        for row in comp[(sq[:, idx] == idx).all(axis=1)]:
+            line = space.reflection_line(space.matrix(GroupElement(rs, row)))
             if line is not None:
                 lines.append(line)
     return lines
@@ -311,16 +286,14 @@ def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space):
     if image_order == base.order:  # D acts on the span through the base group
         return ActionCell(role, _ROLE_SUBGROUP[role], dim, base.components, 1,
                           False, image_order)
-    coords = space.root_coords()
-    lines = {canonical_line(coords[i]) for i in base.pos}
+    lines = {canonical_line(rs.root_vec(i)) for i in base.pos}
     base_elems = _enumerate_subsystem_group(rs, base)
     base_arr = np.stack([w.img for w in base_elems])
     for d in D:
         if d.is_identity():
             continue
-        for line in _coset_reflection_lines(rs, space, base.pos, base_arr, d):
-            lines.add(line)
-    diagram = diagram_of_lines(lines, space.gram_r)
+        lines.update(_coset_reflection_lines(rs, space, base.pos, base_arr, d))
+    diagram = diagram_of_lines(lines, rs.gram)
     r_order = components_order(diagram)
     if image_order % r_order:
         raise RuntimeError("reflection part order does not divide the image order")
@@ -339,7 +312,7 @@ def _mid_cell(dim, space, D, b_order):
     mats, _, lines = _subgroup_space_info(D, space)
     assert len(mats) == image_order
     if lines:
-        diagram = diagram_of_lines(lines, space.gram_r)
+        diagram = diagram_of_lines(lines, space.rs.gram)
         r_order = components_order(diagram)
         if image_order % r_order:
             raise RuntimeError("mid-space reflection part order mismatch")
@@ -383,7 +356,7 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
             continue
         nontrivial[role] = True
         if lines:
-            diagram = diagram_of_lines(lines, space.gram_r)
+            diagram = diagram_of_lines(lines, space.rs.gram)
             if components_order(diagram) == size:
                 fully[role] = (diagram, frozenset(refl))
             else:
@@ -413,7 +386,7 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
         if B is not None and len(B) > 1 and AB is not None:
             mats, _, lines = _subgroup_space_info(AB, spaces["x_perp"])
             if lines:
-                diagram = diagram_of_lines(lines, spaces["x_perp"].gram_r)
+                diagram = diagram_of_lines(lines, spaces["x_perp"].rs.gram)
                 if components_order(diagram) == len(mats):
                     return name, "diamond"
         if order == 8:

@@ -4,7 +4,9 @@ import pytest
 
 from coxnorm.actions import (SpaceRestriction, canonical_line,
                              diagram_of_lines, invariant_split, restrict)
+from coxnorm.diagrams import recognize_subsystem
 from coxnorm.galois import orthogonal_complement
+from coxnorm.groups import generate
 from coxnorm.linalg import mat_identity
 from coxnorm.normalizer import decompose
 from coxnorm.parabolic import (parabolic_from_roots, shape_catalog,
@@ -46,13 +48,17 @@ def test_restrict_is_homomorphism():
     P = standard_parabolic(rs, (4, 6, 8))
     dec = decompose(rs, P)
     xperp = dec.spaces[0]
-    sp = SpaceRestriction(rs, xperp.rows)
     rng = random.Random(3)
     ds = list(dec.D)
+
+    def mat_mul(A, B):
+        return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
+                           for j in range(len(B[0]))) for i in range(len(A)))
+
     for _ in range(10):
         a, b = rng.choice(ds), rng.choice(ds)
-        from coxnorm.actions import _mat_mul_small
-        assert _mat_mul_small(sp.matrix(a), sp.matrix(b)) == sp.matrix(a * b)
+        ma, mb, mab = restrict([a, b, a * b], xperp)
+        assert mat_mul(ma, mb) == mab
 
 
 def test_restrict_rejects_non_invariant():
@@ -76,6 +82,28 @@ def test_diagram_of_lines_rank2():
              canonical_line((one, one))}
     assert diagram_of_lines(lines, gram) == ("A2",)
     assert diagram_of_lines({canonical_line((one, ZERO))}, gram) == ("A1",)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4"])
+def test_reflection_line_is_exactly_the_reflections(name):
+    rs = build_root_system(name)
+    simples = list(rs.simple_roots)
+    by_roots = SpaceRestriction(rs, [rs.root_vec(i) for i in simples], basis_roots=simples)
+    by_vectors = SpaceRestriction(rs, mat_identity(rs.n))
+    reflections = {rs.reflection(i).key: i for i in range(rs.npos)}
+    for w in generate(rs.simple_reflections()):
+        beta = reflections.get(w.key)
+        want = None if beta is None else canonical_line(rs.root_vec(beta))
+        assert by_roots.reflection_line(by_roots.matrix(w)) == want
+        assert by_vectors.reflection_line(by_vectors.matrix(w)) == want
+
+
+@pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
+def test_diagram_of_root_lines_is_the_root_system(name):
+    rs = build_root_system(name)
+    lines = {canonical_line(rs.root_vec(i)) for i in range(rs.npos)}
+    assert diagram_of_lines(lines, rs.gram) == \
+        recognize_subsystem(rs, frozenset(range(rs.nroots)))
 
 
 def test_dimension_sum_is_rank():

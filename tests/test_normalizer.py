@@ -112,6 +112,13 @@ def test_goursat_rejects_non_invariant_split():
         goursat_sections(W, line, line.perp(rs.gram))
 
 
+def test_goursat_rejects_non_complementary_spaces():
+    rs = build_root_system("B2")
+    W = list(generate(rs.simple_reflections()))
+    with pytest.raises(ValueError, match="orthogonal complement"):
+        goursat_sections(W, rs.span([0]), rs.span([1]))
+
+
 def test_decompose_pins_a7():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
