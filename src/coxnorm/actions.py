@@ -82,10 +82,11 @@ def canonical_line(v):
 def diagram_of_lines(lines, gram):
     """Coxeter diagram of the reflection group with the given reflection lines.
 
-    The lines must be the complete set of reflection lines of the group (the
-    callers collect them by exhaustive scan, so the set is closed under all
-    the reflections); ``gram`` is the form in their coordinates.  Returns the
-    component name tuple.
+    The lines must be the complete set of reflection lines of the group, so
+    that the set is closed under all the reflections; the normalizer's action
+    cells get completeness from a conjugation argument (see
+    ``normalizer._reflection_lines``).  ``gram`` is the form in their
+    coordinates.  Returns the component name tuple.
     """
     lines = sorted(set(lines), key=lambda v: tuple((x.a, x.b, x.den) for x in v))
     if not lines:

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from .groups import BRUTE_LIMIT
 from .labels import parse_label
 from .parabolic import shape_catalog
 from .rootsys import build_root_system
@@ -184,6 +185,10 @@ def cmd_verify(args):
     if args.suite == "fixtures":
         _require_short(rs, args, "the fixture diff")
         options["jobs"] = args.jobs
+    elif args.suite in ("goursat", "oracle") and rs.group_order > BRUTE_LIMIT:
+        # oracle enumerates W, and goursat the normalizer of the trivial parabolic
+        return _fail(f"the {args.suite} suite enumerates all of W, and {rs.label} "
+                     f"has order {rs.group_order} > {BRUTE_LIMIT}", 3)
     report = SUITES[args.suite](rs, **options)
     print(json.dumps(report, indent=2, ensure_ascii=False, default=str))
     return 0 if report["ok"] else 1

@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 ENUMERATION_LIMIT = 10 ** 7
+# largest group the brute-force oracles and explicit normalizers enumerate
+BRUTE_LIMIT = 10 ** 6
 
 
 class GroupElement:
@@ -80,25 +82,18 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 class GroupSet:
-    """A set of group elements with the generators that produced it.
+    """A group, as its elements and the generators that produced it.
 
-    ``complete`` means closed under composition and inverse.  Iteration is in
-    canonical (lexicographically least encoding first) order.
+    Iteration is in canonical (lexicographically least encoding first) order.
     """
 
-    def __init__(self, elements, gens, complete=False, order=None):
+    def __init__(self, elements, gens):
         self._by_key = {e.key: e for e in elements}
         self.gens = list(gens)
-        self.complete = complete
-        self._order = order
         self._sorted = None
 
     def __len__(self):
         return len(self._by_key)
-
-    @property
-    def order(self):
-        return self._order if self._order is not None else len(self._by_key)
 
     def __contains__(self, w):
         return w.key in self._by_key
@@ -117,7 +112,7 @@ def generate(gens, limit=ENUMERATION_LIMIT, rs=None) -> GroupSet:
     if not gens:
         if rs is None:
             raise ValueError("generate([]) needs the root system to supply identity")
-        return GroupSet([identity(rs)], [], complete=True)
+        return GroupSet([identity(rs)], [])
     rs = gens[0].rs
     e = identity(rs)
     seen = {e.key: e}
@@ -133,7 +128,7 @@ def generate(gens, limit=ENUMERATION_LIMIT, rs=None) -> GroupSet:
         frontier = new
         if len(seen) > limit:
             raise RuntimeError(f"group enumeration exceeded limit {limit}")
-    return GroupSet(seen.values(), gens, complete=True)
+    return GroupSet(seen.values(), gens)
 
 
 def relative_length(w: GroupElement, sub_positive) -> int:
@@ -167,9 +162,7 @@ def parabolic_longest_element(rs, simples) -> GroupElement:
 
 
 def longest_element(W: GroupSet) -> GroupElement:
-    """The unique element of a complete group mapping all positives negative."""
-    if not W.complete:
-        raise ValueError("longest_element needs a complete GroupSet")
+    """The unique element of a group mapping all positives negative."""
     best = None
     for w in W:
         npos = w.rs.npos

@@ -15,27 +15,28 @@ D comes from the subset groupoid (see ``parabolic.SubsetGroupoid``): for a
 standard P = W_J the groupoid's loops at J generate N_J, with N = P : N_J.
 Since PQ is normal in N, reducing each loop to its relative-length-zero
 representative modulo PQ is a homomorphism onto D, so those reductions
-generate D, and D is closed by enumeration.  D is small, so neither N nor W
-is ever enumerated, and |N| = |P||Q||D|.
+generate D, and D is closed by enumeration.  D is small, and it is the only
+group ``decompose`` enumerates: |N| = |P||Q||D|, and the action cells on
+X_perp, X n Y and Y_perp are read off the restrictions of D (see
+``_reflection_lines``), so neither N, W, P nor Q is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .actions import (ActionCell, SpaceRestriction, canonical_line,
                       diagram_of_lines, invariant_split)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement
-from .groups import (GroupElement, GroupSet, generate, identity,
+from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import dot, vec_mat
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
+from .rootsys import apply_to_vector
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -77,7 +78,7 @@ def howlett_complement(sub: ReflectionSubgroup, ambient: GroupSet) -> GroupSet:
                     f"subgroup not normal: conjugate of reflection {i} by "
                     f"{g.canonical()} leaves the subgroup")
     members = [w for w in ambient if relative_length(w, sub.pos) == 0]
-    return GroupSet(members, [], complete=True)
+    return GroupSet(members, [])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ class Decomposition:
         }
 
 
-def normalizer(P: ParabolicSubgroup, limit=10 ** 6) -> GroupSet:
+def normalizer(P: ParabolicSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
     """The normalizer of a parabolic as an explicit group.
 
     N_W(W_J) is generated by the simple reflections of J and the groupoid
@@ -249,77 +250,66 @@ def _complement_D(rs, subset, pq_sub):
     return sorted(D, key=lambda w: w.canonical())
 
 
-def _enumerate_subsystem_group(rs, sub: ReflectionSubgroup):
-    gens = [rs.reflection(i) for i in sub.simples]
-    if not gens:
-        e = identity(rs)
-        return [e]
-    return list(generate(gens))
-
-
 def _root_span(rs, simples):
     return SpaceRestriction(rs, [rs.root_vec(i) for i in simples], basis_roots=simples)
-
-
-_SCAN_CHUNK = 50000
-
-
-def _coset_reflection_lines(rs, space, base_pos, base_arr, d):
-    """Reflection lines contributed by the coset (base elements) * d."""
-    lines = []
-    idx = np.asarray(base_pos, dtype=np.int64)
-    for start in range(0, base_arr.shape[0], _SCAN_CHUNK):
-        comp = d.img[base_arr[start:start + _SCAN_CHUNK]]
-        sq = np.take_along_axis(comp, comp, axis=1)
-        # a reflection of the span is an involution there
-        for row in comp[(sq[:, idx] == idx).all(axis=1)]:
-            line = space.reflection_line(space.matrix(GroupElement(rs, row)))
-            if line is not None:
-                lines.append(line)
-    return lines
-
-
-def _span_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space):
-    """Action cell of (base)D on the span of base: P on X_perp, or Q on Y_perp."""
-    if dim == 0:
-        return ActionCell(role, _ROLE_SUBGROUP[role], 0, (), 1, False, 1)
-    if image_order == base.order:  # D acts on the span through the base group
-        return ActionCell(role, _ROLE_SUBGROUP[role], dim, base.components, 1,
-                          False, image_order)
-    lines = {canonical_line(rs.root_vec(i)) for i in base.pos}
-    base_elems = _enumerate_subsystem_group(rs, base)
-    base_arr = np.stack([w.img for w in base_elems])
-    for d in D:
-        if d.is_identity():
-            continue
-        lines.update(_coset_reflection_lines(rs, space, base.pos, base_arr, d))
-    diagram = diagram_of_lines(lines, rs.gram)
-    r_order = components_order(diagram)
-    if image_order % r_order:
-        raise RuntimeError("reflection part order does not divide the image order")
-    return ActionCell(role, _ROLE_SUBGROUP[role], dim, diagram,
-                      image_order // r_order, False, image_order)
 
 
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
 
 
-def _mid_cell(dim, space, D, b_order):
-    image_order = len(D) // b_order
-    if dim == 0 or image_order == 1:
-        return ActionCell("x_cap_y", "D", dim, (), 1, False,
-                          1 if dim == 0 else image_order)
-    mats, _, lines = _subgroup_space_info(D, space)
-    assert len(mats) == image_order
-    if lines:
-        diagram = diagram_of_lines(lines, space.rs.gram)
-        r_order = components_order(diagram)
-        if image_order % r_order:
-            raise RuntimeError("mid-space reflection part order mismatch")
-        return ActionCell("x_cap_y", "D", dim, diagram, image_order // r_order,
-                          False, image_order)
-    minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
-    return ActionCell("x_cap_y", "D", dim, (), image_order, minus, image_order)
+def _reflection_lines(rs, base: ReflectionSubgroup, D, space):
+    """Reflection lines of (base)D acting on a space that D preserves.
+
+    D fixes the positive chamber of the base on its span (D sends the
+    positive roots of P and of Q to positive roots).  A reflection t of
+    (base)D outside the base has a wall that is not a wall of the base, so
+    the wall meets the interior of some base chamber c; conjugating t by the
+    base element mapping c to the positive chamber gives a reflection fixing
+    the positive chamber, and the elements of (base)D fixing it are exactly
+    the restrictions of D.  So every line is a base root line or lies in the
+    base orbit of the line of a d in D that restricts to a reflection.
+    """
+    lines = {canonical_line(rs.root_vec(i)) for i in base.pos}
+    simple = [rs.reflection(i) for i in base.simples]
+    frontier = []
+    for d in D:
+        line = space.reflection_line(space.matrix(d))
+        if line is not None and line not in lines:
+            lines.add(line)
+            frontier.append(line)
+    while frontier:
+        new = []
+        for v in frontier:
+            for s in simple:
+                u = canonical_line(apply_to_vector(s, v))
+                if u not in lines:
+                    lines.add(u)
+                    new.append(u)
+        frontier = new
+    return lines
+
+
+def _action_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space):
+    """Action cell of (base)D on a space: P on X_perp, D on X n Y, Q on Y_perp."""
+    subgroup = _ROLE_SUBGROUP[role]
+    if dim == 0:
+        return ActionCell(role, subgroup, 0, (), 1, False, 1)
+    if image_order == base.order:  # D acts on the space through the base group
+        return ActionCell(role, subgroup, dim, base.components, 1, False, image_order)
+    mats = {space.matrix(d) for d in D}
+    if len(mats) * base.order != image_order:
+        raise RuntimeError(f"{role}: restrictions of D times the base order "
+                           "differ from the image order")
+    lines = _reflection_lines(rs, base, D, space)
+    if not lines:
+        minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
+        return ActionCell(role, subgroup, dim, (), image_order, minus, image_order)
+    diagram = diagram_of_lines(lines, rs.gram)
+    r_order = components_order(diagram)
+    if image_order % r_order:
+        raise RuntimeError("reflection part order does not divide the image order")
+    return ActionCell(role, subgroup, dim, diagram, image_order // r_order,
+                      False, image_order)
 
 
 def _subgroup_space_info(K, space):
@@ -460,10 +450,11 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
         xsp = _root_span(rs, P.sub.simples)
         ysp = _root_span(rs, Q.sub.simples)
         mid_space = SpaceRestriction(rs, mid.rows) if mid.dim else None
-    cell_x = _span_cell(rs, "x_perp", P.sub, D, p_order * len(D), xperp.dim, xsp)
-    cell_y = _span_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A),
-                        yperp.dim, ysp)
-    cell_m = _mid_cell(mid.dim, mid_space, D, len(B))
+    cell_x = _action_cell(rs, "x_perp", P.sub, D, p_order * len(D), xperp.dim, xsp)
+    cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), D,
+                          len(D) // len(B), mid.dim, mid_space)
+    cell_y = _action_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A),
+                          yperp.dim, ysp)
     AB = [a * b for a in A for b in B]
     a_name = _format_subgroup(*_name_and_marker(
         "A", A, {"x_perp": xsp, "x_cap_y": mid_space}, B=B, AB=AB))

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .diagrams import close_roots
-from .groups import generate
+from .groups import BRUTE_LIMIT, generate
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
                         parabolic_from_roots)
-
-BRUTE_LIMIT = 10 ** 6
 
 
 def brute_normalizer(P: ParabolicSubgroup, W=None):

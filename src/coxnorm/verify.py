@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .galois import orthogonal_closure, orthogonal_complement
-from .groups import generate, relative_length
+from .groups import BRUTE_LIMIT, generate, relative_length
 from .involutions import section8_checks
 from .normalizer import (decompose, goursat_sections, normalizer,
                          verify_theorem13)
@@ -66,7 +66,7 @@ def verify_galois(rs) -> dict:
             break
     report["checks"]["closure_idempotent"] = {"ok": bad is None, "witness": bad}
 
-    if rs.group_order <= 10 ** 6:
+    if rs.group_order <= BRUTE_LIMIT:
         bad = None
         for s, u in subs.items():
             if brute_orthogonal_complement(u).roots != perp[s].roots:

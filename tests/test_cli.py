@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +59,17 @@ def test_e8_full_table_refused_without_flag():
     assert code == 3 and "--allow-long" in err
     code, _, err = run("verify", "E8", "--suite", "fixtures")
     assert code == 3 and "--allow-long" in err
+
+
+@pytest.mark.parametrize("suite", ["goursat", "oracle"])
+def test_enumerating_suites_refused_above_the_brute_limit(suite):
+    # E7 has order 2,903,040 > 10**6: refused before anything is enumerated
+    start = time.perf_counter()
+    code, out, err = run("verify", "E7", "--suite", suite, "--allow-long")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000000" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_table_f4_csv():

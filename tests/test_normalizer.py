@@ -2,10 +2,10 @@ import pytest
 
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
-from coxnorm.normalizer import (decompose, descend_to_complement,
-                                goursat_sections, howlett_complement,
-                                normalizer, normalizer_order,
-                                verify_theorem13)
+from coxnorm.normalizer import (_reflection_lines, _root_span, decompose,
+                                descend_to_complement, goursat_sections,
+                                howlett_complement, normalizer,
+                                normalizer_order, verify_theorem13)
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic)
 from coxnorm.rootsys import build_root_system
@@ -188,3 +188,21 @@ def test_validation_invariants_hold():
                 for j in dec.Q.sub.simples:
                     a, b = rs.reflection(i), rs.reflection(j)
                     assert (a * b) == (b * a)
+
+
+@pytest.mark.parametrize("name", ["B5", "D6", "F4", "H4", "E6", "A6"])
+def test_reflection_lines_match_a_scan_of_every_coset(name):
+    # oracle: enumerate the base and collect the reflection line of p * d for
+    # every p in it and every d in D, the scan the action cells avoid
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        dec = decompose(rs, shape)
+        if len(dec.D) == 1:
+            continue
+        for base in (dec.P.sub, dec.Q.sub):
+            space = _root_span(rs, base.simples)
+            elements = generate(base.simple_reflections(), rs=rs)
+            scanned = {space.reflection_line(space.matrix(p * d))
+                       for p in elements for d in dec.D} - {None}
+            assert _reflection_lines(rs, base, dec.D, space) == scanned, \
+                (name, shape.label)
