@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import (_classify_component, _component_sort_key, bond_from_ratio,
-                       component_nodes, components_string)
-from .linalg import Subspace, dot, solve_coords, vec_mat
-from .qsqrt5 import Q5, ZERO
+import numpy as np
+
+from .diagrams import (_classify_component, _component_sort_key, component_nodes,
+                       components_string)
+from .linalg import (Subspace, form_pairs, pair_matmul, pair_mul, pair_sign, solve_coords,
+                     to_pairs)
 from .rootsys import apply_to_vector
 
 
@@ -79,6 +81,12 @@ def canonical_line(v):
     raise ValueError("zero vector has no direction")
 
 
+# 2r for the ratios r = 4cos^2(pi/m) of the bonds that occur, as integer
+# pairs p + q*sqrt5: both 5-bond values and both 10-bond values
+_BOND_TWICE_RATIO = ((3, (2, 0)), (4, (4, 0)), (6, (6, 0)), (5, (3, 1)), (5, (3, -1)),
+                     (10, (5, 1)), (10, (5, -1)))
+
+
 def diagram_of_lines(lines, gram):
     """Coxeter diagram of the reflection group with the given reflection lines.
 
@@ -87,45 +95,56 @@ def diagram_of_lines(lines, gram):
     cells get completeness from a conjugation argument (see
     ``normalizer._reflection_lines``).  ``gram`` is the form in their
     coordinates.  Returns the component name tuple.
+
+    The lines and the form become integer pairs, each line scaled by a
+    positive integer; the tests below are homogeneous in each line, so the
+    scaling changes none of them.
     """
-    lines = sorted(set(lines), key=lambda v: tuple((x.a, x.b, x.den) for x in v))
+    lines = list(set(lines))
     if not lines:
         return ()
-    dim = len(lines[0])
+    L = to_pairs(lines)
+    dim = L[0].shape[1]
 
     # generic functional nonzero on every line: f(v) = sum v_i * t^i
-    t = 1
-    while True:
-        weights = tuple(Q5(t ** i) for i in range(dim))
-        values = [dot(v, weights) for v in lines]
-        if all(values):
+    for t in range(1, 51):
+        weights = np.array([[t ** i] for i in range(dim)], dtype=np.int64)
+        f = pair_matmul(L, (weights, 0 * weights))
+        signs = pair_sign(f)[:, 0]
+        if signs.all():
             break
-        t += 1
-        if t > 50:
-            raise RuntimeError("no generic functional found for the line set")
+    else:
+        raise RuntimeError("no generic functional found for the line set")
 
-    pos = [v if f > ZERO else tuple(-x for x in v) for v, f in zip(lines, values)]
-    fpos = [f if f > ZERO else -f for f in values]
-    G = [[dot(r, v) for v in pos] for r in (vec_mat(u, gram) for u in pos)]
-    # a positive line is simple iff its reflection keeps every other one positive
-    simples = []
-    for j in range(len(pos)):
-        k = (fpos[j] + fpos[j]) / G[j][j]
-        if all(i == j or fpos[i] - G[i][j] * k > ZERO for i in range(len(pos))):
-            simples.append(j)
-    adj = {a: {} for a in range(len(simples))}
-    for a in range(len(simples)):
-        for b in range(a + 1, len(simples)):
-            i, j = simples[a], simples[b]
-            c = G[i][j]
-            if not c:
-                continue
-            ratio = (c * c * Q5(4)) / (G[i][i] * G[j][j])
-            m = bond_from_ratio(ratio)
-            if m is None:
-                raise ValueError(f"unrecognized bond ratio {ratio}")
-            adj[a][b] = m
-            adj[b][a] = m
+    # the positive lines, their values f_i and their Gram matrix (of 2 gram)
+    pos = (L[0] * signs[:, None], L[1] * signs[:, None])
+    f = (f[0] * signs[:, None], f[1] * signs[:, None])
+    G = pair_matmul(pair_matmul(pos, form_pairs(gram)), (pos[0].T, pos[1].T))
+    diag = (np.diagonal(G[0]), np.diagonal(G[1]))
+
+    # line j is simple iff its reflection keeps every other line positive:
+    # f_i G_jj - 2 G_ij f_j > 0 for all i != j
+    lhs = pair_mul(f, diag)
+    rhs = pair_mul(pair_mul((2, 0), G), (f[0].T, f[1].T))
+    keep = pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1])) > 0
+    np.fill_diagonal(keep, True)
+    simples = np.flatnonzero(keep.all(axis=0))
+
+    # the bond of simple lines i, j is the m with 8 G_ij^2 = 2r(m) G_ii G_jj
+    sub = np.ix_(simples, simples)
+    Gs = (G[0][sub], G[1][sub])
+    square = pair_mul(pair_mul((8, 0), Gs), Gs)
+    d = (diag[0][simples], diag[1][simples])
+    norms = pair_mul((d[0][:, None], d[1][:, None]), d)
+    bonds = np.where((Gs[0] == 0) & (Gs[1] == 0), 2, 0)
+    for m, twice_ratio in _BOND_TWICE_RATIO:
+        rhs = pair_mul(twice_ratio, norms)
+        bonds[(square[0] == rhs[0]) & (square[1] == rhs[1])] = m
+    np.fill_diagonal(bonds, 1)
+    if not bonds.all():
+        raise ValueError("unrecognized bond ratio among the simple lines")
+    adj = {a: {b: int(bonds[a, b]) for b in range(len(simples)) if bonds[a, b] > 2}
+           for a in range(len(simples))}
     names = [_classify_component(c, adj) for c in component_nodes(adj)]
     return tuple(sorted(names, key=_component_sort_key))
 
@@ -178,8 +197,8 @@ class ActionCell:
 def invariant_split(P, Q):
     """The three pairwise orthogonal invariant subspaces (X_perp, X n Y, Y_perp)."""
     rs = P.rs
-    xperp = rs.span(P.pos)
-    yperp = rs.span(Q.pos)
+    xperp = rs.span(P.simples)
+    yperp = rs.span(Q.simples)
     mid = P.witness.intersect(Q.witness)
     if xperp.dim + mid.dim + yperp.dim != rs.n:
         raise RuntimeError("invariant split does not fill the space")

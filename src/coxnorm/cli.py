@@ -185,8 +185,8 @@ def cmd_verify(args):
     if args.suite == "fixtures":
         _require_short(rs, args, "the fixture diff")
         options["jobs"] = args.jobs
-    elif args.suite in ("goursat", "oracle") and rs.group_order > BRUTE_LIMIT:
-        # oracle enumerates W, and goursat the normalizer of the trivial parabolic
+    elif args.suite in ("goursat", "howlett", "oracle") and rs.group_order > BRUTE_LIMIT:
+        # howlett and oracle enumerate W, goursat the normalizer of the trivial parabolic
         return _fail(f"the {args.suite} suite enumerates all of W, and {rs.label} "
                      f"has order {rs.group_order} > {BRUTE_LIMIT}", 3)
     report = SUITES[args.suite](rs, **options)

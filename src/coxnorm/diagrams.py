@@ -11,7 +11,6 @@ distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
 from __future__ import annotations
 
 from .labels import component_order, rank2_name
-from .qsqrt5 import Q5
 
 
 def close_roots(rs, indices):
@@ -55,27 +54,9 @@ def subsystem_simples(rs, pos):
     return tuple(simples)
 
 
-_BOND_FROM_RATIO = {}
-
-
 def bond_order(rs, i, j):
     """Order m(i,j) of the product of the reflections in roots i and j."""
     return (rs.reflection(i) * rs.reflection(j)).order()
-
-
-def bond_from_ratio(ratio):
-    """Bond order from 4cos^2 of the angle; all values realizable in Q(sqrt5)."""
-    if not _BOND_FROM_RATIO:
-        _BOND_FROM_RATIO.update({
-            Q5(1): 3,
-            Q5(2): 4,
-            Q5(3): 6,
-            Q5(3, 1, 2): 5,    # 4 cos^2(pi/5)
-            Q5(3, -1, 2): 5,   # 4 cos^2(2pi/5), same product order
-            Q5(5, 1, 2): 10,   # 4 cos^2(pi/10)
-            Q5(5, -1, 2): 10,  # 4 cos^2(3pi/10)
-        })
-    return _BOND_FROM_RATIO.get(ratio)
 
 
 def coxeter_graph(rs, simples):

@@ -33,8 +33,12 @@ def fixed_parabolic(u: GroupElement) -> ParabolicSubgroup:
 
 
 def degree(u: GroupElement) -> int:
-    """Dimension of the (-1)-eigenspace of an involution."""
-    return u.rs.span(negated_roots(u)).dim
+    """Dimension of the (-1)-eigenspace of an involution.
+
+    The negated roots form a closed subsystem spanning that eigenspace, so
+    its dimension is the rank of the subsystem, its number of simple roots.
+    """
+    return len(fixed_parabolic(u).simples)
 
 
 @dataclass

@@ -4,9 +4,21 @@ Vectors are tuples of Q5, matrices are tuples of row tuples.  Everything is
 small (dimension <= 8), so plain Gaussian elimination is used throughout.
 Subspaces are stored by their reduced row echelon basis, which is canonical:
 two equal subspaces have identical representations.
+
+Work over many roots at once (signs of every root on a subspace, Gram
+matrices of line sets) uses integer pairs instead: a row of Q(sqrt5) values
+becomes two int64 arrays (p, q) standing for p + q*sqrt5, after scaling the
+row by a positive integer that clears its denominators.  Zero tests, signs
+and ratios of such rows are unchanged by the scaling.  Every pair operation
+bounds its result first and raises RuntimeError where int64 could overflow,
+so a sign is never silently wrong.
 """
 
 from __future__ import annotations
+
+from math import lcm
+
+import numpy as np
 
 from .qsqrt5 import ONE, ZERO, q5
 
@@ -208,3 +220,66 @@ class Subspace:
 
 def span(vectors, n):
     return Subspace(list(vectors), n)
+
+
+# ---------------------------------------------------------------------------
+# Integer pairs p + q*sqrt5
+
+_PAIR_LIMIT = 1 << 62   # bound on any product entry, so two of them still add safely
+
+
+def _overflow(bound):
+    if bound >= _PAIR_LIMIT:
+        raise RuntimeError("integer pair arithmetic would overflow int64")
+
+
+def _max_abs(a):
+    a = np.asarray(a)
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def to_pairs(rows):
+    """Integer pairs (p, q) of Q5 rows, each row scaled by a positive integer."""
+    p, q = [], []
+    for row in rows:
+        scale = lcm(*(x.den for x in row))
+        p.append([x.a * (scale // x.den) for x in row])
+        q.append([x.b * (scale // x.den) for x in row])
+    _overflow(max((abs(x) for r in p + q for x in r), default=0))
+    return np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
+
+
+def form_pairs(gram):
+    """Integer pairs of 2*gram, unscaled: a right factor must keep its rows."""
+    twice = [[x + x for x in row] for row in gram]
+    if any(x.den != 1 for row in twice for x in row):
+        raise ValueError("twice the form has entries outside Z[sqrt5]")
+    return to_pairs(twice)
+
+
+def pair_mul(x, y):
+    """Entrywise (broadcast) product of pairs: (a + b r5)(c + d r5)."""
+    (a, b), (c, d) = x, y
+    A, B, C, D = (_max_abs(t) for t in (a, b, c, d))
+    _overflow(max(A * C + 5 * B * D, A * D + B * C))
+    return a * c + 5 * b * d, a * d + b * c
+
+
+def pair_matmul(x, y):
+    """Matrix product of pairs: (A + B r5)(C + D r5) = AC + 5BD + (AD + BC) r5."""
+    (a, b), (c, d) = x, y
+    A, B, C, D = (_max_abs(t) for t in (a, b, c, d))
+    k = a.shape[-1]
+    _overflow(k * max(A * C + 5 * B * D, A * D + B * C))
+    return a @ c + 5 * (b @ d), a @ d + b @ c
+
+
+def pair_sign(x):
+    """Signs of p + q*sqrt5: the common sign of p and q, else that of the
+    larger of p^2 and 5q^2."""
+    p, q = x
+    if _max_abs(p) >= 1 << 31 or _max_abs(q) >= 1 << 30:
+        raise RuntimeError("integer pair too large to square in int64")
+    sp, sq = np.sign(p), np.sign(q)
+    return np.where(sp == sq, sp,
+                    np.where(p * p > 5 * q * q, sp, sq)).astype(np.int8)

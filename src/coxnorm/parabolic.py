@@ -131,8 +131,11 @@ class ParabolicSubgroup:
 
 
 def fixed_space(U: ReflectionSubgroup):
-    """Common fixed space of a reflection subgroup (intersection of its walls)."""
-    return U.rs.fixed_space(U.pos)
+    """Common fixed space of a reflection subgroup (intersection of its walls).
+
+    The simple roots span the same space as all the roots, with fewer rows.
+    """
+    return U.rs.fixed_space(U.simples)
 
 
 def pointwise_stabilizer(rs, X) -> ParabolicSubgroup:

@@ -21,19 +21,20 @@ class Q5:
     __slots__ = ("a", "b", "den")
 
     def __init__(self, a=0, b=0, den=1):
-        if isinstance(a, Q5):
-            b, den, a = a.b, a.den, a.a
-        elif isinstance(a, Fraction):
-            den = den * a.denominator
-            a = a.numerator
-        if isinstance(b, Fraction):
-            a, den = a * b.denominator, den * b.denominator
-            b = b.numerator
+        if type(a) is not int or type(b) is not int:
+            if isinstance(a, Q5):
+                b, den, a = a.b, a.den, a.a
+            elif isinstance(a, Fraction):
+                den = den * a.denominator
+                a = a.numerator
+            if isinstance(b, Fraction):
+                a, den = a * b.denominator, den * b.denominator
+                b = b.numerator
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             a, b, den = -a, -b, -den
-        g = gcd(gcd(abs(a), abs(b)), den)
+        g = gcd(a, b, den)
         if g > 1:
             a //= g
             b //= g
@@ -114,7 +115,10 @@ class Q5:
         return NotImplemented
 
     def __hash__(self):
+        # equal to the hash of the equal int or Fraction
         if self.b == 0:
+            if self.den == 1:
+                return hash(self.a)
             return hash(Fraction(self.a, self.den))
         return hash((self.a, self.b, self.den))
 

@@ -17,7 +17,9 @@ as permutations, and every other reflection is a conjugate of a simple one
 
 Orthogonality and bond orders are read off the reflection permutations, the
 same way for every family: roots a and b are orthogonal iff r_a fixes b, and
-the bond order of a and b is the order of r_a r_b.
+the bond order of a and b is the order of r_a r_b.  The signs of all roots
+on a subspace are one product of integer pairs (see ``linalg.to_pairs``):
+the root forms 2<beta, .>, kept from the build, times the subspace's rows.
 
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
@@ -37,7 +39,7 @@ import numpy as np
 
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import Subspace, dot, vec, vec_mat
+from .linalg import Subspace, dot, form_pairs, pair_matmul, pair_sign, to_pairs, vec
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -156,6 +158,9 @@ class RootSystem(_Roots):
         self.simple_roots = tuple(range(self.n))
         self.gram = _gram_matrix(label)
         self._build_roots()
+        # the root forms 2<beta, .> of the positive roots, as integer pairs
+        self._root_forms = pair_matmul(to_pairs(self.vectors[: self.npos]),
+                                       form_pairs(self.gram))
         self._refl_cache = {}
         self._e_coords = None
 
@@ -229,19 +234,19 @@ class RootSystem(_Roots):
 
         The point is x_1 + e x_2 + e^2 x_3 + ... for the echelon rows x_k of
         X and a small e > 0, so a root takes the sign of its value on the
-        first row it does not vanish on, and 0 when it vanishes on X.
+        first row it does not vanish on, and 0 when it vanishes on X.  The
+        values are one integer-pair product of the root forms with X.
         """
         if X.n != self.n:
             raise ValueError("subspace of wrong ambient dimension")
-        conditions = [vec_mat(row, self.gram) for row in X.rows]
         signs = np.zeros(self.nroots, dtype=np.int8)
-        for i, v in enumerate(self.vectors[: self.npos]):
-            for cond in conditions:
-                value = dot(cond, v)
-                if value:
-                    signs[i] = value.sign()
-                    signs[self.neg(i)] = -signs[i]
-                    break
+        if not X.rows:
+            return signs
+        rows = tuple(m.T for m in to_pairs(X.rows))
+        values = pair_sign(pair_matmul(self._root_forms, rows))
+        first = values[np.arange(self.npos), (values != 0).argmax(axis=1)]
+        signs[: self.npos] = first
+        signs[self.npos:] = -first
         return signs
 
     # -- reflections and generators ------------------------------------------

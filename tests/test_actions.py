@@ -4,14 +4,14 @@ import pytest
 
 from coxnorm.actions import (SpaceRestriction, canonical_line,
                              diagram_of_lines, invariant_split, restrict)
-from coxnorm.diagrams import recognize_subsystem
+from coxnorm.diagrams import close_roots, positive_part, recognize_subsystem
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
 from coxnorm.linalg import mat_identity
 from coxnorm.normalizer import decompose
 from coxnorm.parabolic import (parabolic_from_roots, shape_catalog,
                                standard_parabolic)
-from coxnorm.qsqrt5 import ONE, Q5, ZERO
+from coxnorm.qsqrt5 import ONE, PHI, Q5, ZERO
 from coxnorm.rootsys import build_root_system
 
 
@@ -96,6 +96,32 @@ def test_reflection_line_is_exactly_the_reflections(name):
         want = None if beta is None else canonical_line(rs.root_vec(beta))
         assert by_roots.reflection_line(by_roots.matrix(w)) == want
         assert by_vectors.reflection_line(by_vectors.matrix(w)) == want
+
+
+@pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H3", "H4"])
+def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
+    # lines are unsigned and unscaled: rescaling each root line by a positive
+    # rational or by phi must leave the diagram of every subsystem unchanged
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    factors = [ONE, Q5(3, 0, 7), Q5(5, 0, 2), PHI, PHI * Q5(2, 0, 3), PHI * PHI]
+    subsystems = [frozenset(range(rs.nroots))]
+    for _ in range(15):
+        roots = rng.sample(range(rs.npos), rng.randint(1, rs.n + 1))
+        subsystems.append(close_roots(rs, roots))
+    for roots in subsystems:
+        lines = []
+        for i in positive_part(rs, roots):
+            c = rng.choice(factors)
+            lines.append(tuple(c * x for x in rs.root_vec(i)))
+        assert diagram_of_lines(lines, rs.gram) == recognize_subsystem(rs, roots), roots
+
+
+def test_diagram_of_lines_refuses_overflow():
+    gram = ((Q5(2), Q5(-1)), (Q5(-1), Q5(2)))
+    lines = [(ONE, ZERO), (ONE, Q5(1 << 40))]
+    with pytest.raises(RuntimeError):
+        diagram_of_lines(lines, gram)
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])

@@ -61,7 +61,7 @@ def test_e8_full_table_refused_without_flag():
     assert code == 3 and "--allow-long" in err
 
 
-@pytest.mark.parametrize("suite", ["goursat", "oracle"])
+@pytest.mark.parametrize("suite", ["goursat", "howlett", "oracle"])
 def test_enumerating_suites_refused_above_the_brute_limit(suite):
     # E7 has order 2,903,040 > 10**6: refused before anything is enumerated
     start = time.perf_counter()

@@ -2,7 +2,8 @@ from coxnorm.groups import generate, identity
 from coxnorm.involutions import (centralizer_equals_normalizer, degree,
                                  fixed_parabolic,
                                  involution_class_representatives,
-                                 mark_involution_shapes, section8_checks)
+                                 mark_involution_shapes, negated_roots,
+                                 section8_checks)
 from coxnorm.normalizer import subsystem_longest_element
 from coxnorm.parabolic import ReflectionSubgroup
 from coxnorm.rootsys import build_root_system
@@ -78,3 +79,14 @@ def test_b6_closed_iff_centralizer():
     rep = section8_checks(build_root_system("B6"))
     assert rep["checks"]["closed_iff_centralizer"]["ok"]
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
+def test_degree_is_the_dimension_of_the_span_of_the_negated_roots(name):
+    rs = build_root_system(name)
+    records = involution_class_representatives(rs)
+    assert records
+    for rec in records:
+        u = rec.element
+        assert degree(u) == rec.degree == rs.span(negated_roots(u)).dim
+

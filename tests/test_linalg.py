@@ -1,6 +1,10 @@
-from coxnorm.linalg import (dot, kernel, mat_identity, mat_rank, rref,
-                            solve_coords, span, vec)
-from coxnorm.qsqrt5 import ONE, ZERO
+from hypothesis import given, strategies as st
+import numpy as np
+
+from coxnorm.linalg import (dot, form_pairs, kernel, mat_identity, mat_rank,
+                            pair_matmul, pair_mul, pair_sign, rref, solve_coords,
+                            span, to_pairs, vec)
+from coxnorm.qsqrt5 import ONE, Q5, ZERO
 
 import pytest
 
@@ -43,3 +47,42 @@ def test_intersection_and_perp():
     p = a.perp(g)
     assert p.dim == 1 and p.contains(v(0, 0, 3))
     assert mat_rank(list(a.rows) + list(p.rows)) == 3
+
+
+# small enough that every product below squares within int64
+scalars = st.builds(Q5, st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 6))
+rows = st.lists(st.lists(scalars, min_size=3, max_size=3).map(tuple),
+                min_size=1, max_size=4)
+
+
+@given(rows, rows)
+def test_pairs_give_the_exact_signs_of_products(xs, ys):
+    # row i is scaled by a positive integer, so every sign of row i is kept
+    P, Q = to_pairs(xs), to_pairs(ys)
+    signs = pair_sign(pair_matmul(P, (Q[0].T, Q[1].T)))
+    assert signs.tolist() == [[dot(x, y).sign() for y in ys] for x in xs]
+    entry = pair_sign(pair_mul(P, (P[0][:, :1], P[1][:, :1])))
+    assert entry.tolist() == [[(a * x[0]).sign() for a in x] for x in xs]
+
+
+def test_pair_overflow_is_refused():
+    with pytest.raises(RuntimeError):
+        to_pairs([(Q5(1 << 62), ONE)])
+    big = (np.full((2, 2), 1 << 31, dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(RuntimeError):
+        pair_matmul(big, big)
+    with pytest.raises(RuntimeError):
+        pair_mul(big, big)
+    with pytest.raises(RuntimeError):
+        pair_sign(big)
+    with pytest.raises(RuntimeError):
+        pair_sign((np.zeros(1, dtype=np.int64), np.full(1, 1 << 30, dtype=np.int64)))
+
+
+def test_form_pairs_refuses_a_form_it_would_rescale():
+    # a right factor's rows must not be rescaled, so 2*gram must be integral
+    assert form_pairs(((ONE, Q5(-1, -1, 2)), (Q5(-1, -1, 2), ONE)))[1].tolist() == \
+        [[0, -1], [-1, 0]]
+    with pytest.raises(ValueError):
+        form_pairs(((ONE, Q5(1, 0, 3)), (Q5(1, 0, 3), ONE)))
+

@@ -44,3 +44,21 @@ def test_fraction_interop():
     assert Q5(Fraction(1, 2)) + Q5(Fraction(1, 2)) == ONE
     assert Q5(1, 0, 2) == Fraction(1, 2)
     assert hash(Q5(3, 0, 1)) == hash(Fraction(3))
+
+
+@given(st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+def test_hash_of_an_integer_value_is_the_int_hash(k):
+    assert hash(Q5(k)) == hash(k)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_equal_values_hash_equal_whatever_they_were_built_from(p, q):
+    f = Fraction(p, q)
+    assert hash(Q5(f)) == hash(f)
+    built = [Q5(f), Q5(p, 0, q), Q5(Q5(p, 0, q)), Q5(0, 0, 1) + f]
+    if f.denominator == 1:
+        built.append(Q5(f.numerator))
+    assert all(x == f for x in built)
+    assert len({hash(x) for x in built}) == 1
+

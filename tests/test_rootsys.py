@@ -1,11 +1,16 @@
 from math import gcd
+import random
 
 import pytest
 
-from coxnorm.diagrams import bond_from_ratio, bond_order
+from coxnorm.actions import invariant_split
+from coxnorm.diagrams import bond_order
+from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate, identity
 from coxnorm.labels import parse_label
-from coxnorm.parabolic import fixes_pointwise, pointwise_stabilizer
+from coxnorm.linalg import dot, vec_mat
+from coxnorm.parabolic import (fixes_pointwise, pointwise_stabilizer, shape_catalog,
+                               standard_parabolic)
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import (I2Subspace, build_root_system, inner_product,
                              reflection_in_root)
@@ -149,6 +154,19 @@ def test_reflection_perms_match_gram_form(name):
         assert rs.reflection_perm(rs.neg(i)).tolist() == expected, i
 
 
+# bond order from the ratio 4cos^2 of the angle between two roots; every
+# value is realizable in Q(sqrt5)
+BOND_FROM_RATIO = {
+    Q5(1): 3,
+    Q5(2): 4,
+    Q5(3): 6,
+    Q5(3, 1, 2): 5,    # 4 cos^2(pi/5)
+    Q5(3, -1, 2): 5,   # 4 cos^2(2pi/5), same product order
+    Q5(5, 1, 2): 10,   # 4 cos^2(pi/10)
+    Q5(5, -1, 2): 10,  # 4 cos^2(3pi/10)
+}
+
+
 def _inner_table(rs):
     """Exact <a, b> over the positive roots: the public inner product of a
     with each simple root, extended linearly in b."""
@@ -171,7 +189,7 @@ def test_orthogonal_and_bond_order_match_the_gram_form(name):
             c = inner[a, b]
             assert rs.orthogonal(i, j) == (a != b and not c), (i, j)
             if a != b:
-                expected = bond_from_ratio(c * c * 4 / (inner[a, a] * inner[b, b])) if c else 2
+                expected = BOND_FROM_RATIO.get(c * c * 4 / (inner[a, a] * inner[b, b])) if c else 2
                 assert bond_order(rs, i, j) == expected, (i, j)
 
 
@@ -219,3 +237,33 @@ def test_i2_geometry(m):
         assert {w.key for w in W if fixes_pointwise(w, X)} == expected, X
         roots = {r for k in axis_of for r in (k, rs.neg(k))}
         assert pointwise_stabilizer(rs, X).roots == roots, X
+
+
+def _signs_by_dot(rs, X):
+    """Reference signs at a generic point of X: each positive root's value on
+    the first echelon row of X it does not vanish on, in Q(sqrt5)."""
+    forms = [vec_mat(row, rs.gram) for row in X.rows]
+    signs = []
+    for v in rs.vectors[: rs.npos]:
+        values = [dot(f, v) for f in forms]
+        signs.append(next((x.sign() for x in values if x), 0))
+    return signs + [-s for s in signs]
+
+
+@pytest.mark.parametrize("name", ["B6", "D6", "E7", "E8", "F4", "H3", "H4"])
+def test_signs_at_match_the_exact_inner_products(name):
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    spaces = [rs.fixed_space(rng.sample(range(rs.nroots), rng.randint(0, rs.n)))
+              for _ in range(12)]
+    for shape in shape_catalog(rs):
+        P = standard_parabolic(rs, shape.rep_subset)
+        spaces.extend(invariant_split(P, orthogonal_complement(P.sub)))
+    # the echelon rows have denominators (except in B6, where all are
+    # integral) and, in H3 and H4, sqrt5 entries
+    entries = [x for X in spaces for row in X.rows for x in row]
+    assert (name == "B6") != any(x.den > 1 for x in entries)
+    assert (name[0] == "H") == any(x.b for x in entries)
+    for X in spaces:
+        assert rs.signs_at(X).tolist() == _signs_by_dot(rs, X), X
+
