@@ -9,9 +9,11 @@ in the full image.  Index 1 is a plain reflection action; larger index means
 part of the image acts as diagram automorphisms; an image {1, -1} with
 dim > 1 is the scalar action -1.
 
-Restrictions stay in the ambient simple-root coordinates: an element is
-represented on a subspace by the images of the subspace's basis rows, and
-reflecting lines are ambient lines measured with the ambient Gram form.
+Restrictions stay in the ambient simple-root coordinates, on integer pairs
+(see ``linalg``): an element is represented on a subspace by the images of
+the subspace's basis rows, and a reflecting line by a canonical integer pair
+on it, measured with the root system's doubled Gram form.  Both are keys:
+tuples of ints holding each row's p entries, then its q entries.
 """
 
 from __future__ import annotations
@@ -22,36 +24,48 @@ import numpy as np
 
 from .diagrams import (_classify_component, _component_sort_key, component_nodes,
                        components_string)
-from .linalg import (Subspace, form_pairs, pair_matmul, pair_mul, pair_sign, solve_coords,
-                     to_pairs)
-from .rootsys import apply_to_vector
+from .linalg import pair_matmul, pair_mul, pair_sign
+from .rootsys import apply_to_pairs
+
+
+def _key(x):
+    """The key of pair rows x: each row's p entries, then its q entries."""
+    return tuple(np.hstack(x).ravel().tolist())
+
+
+def split_keys(keys, n):
+    """Pair rows (p, q) of keys of n-entry rows, given as a sequence or array."""
+    rows = np.asarray(keys, dtype=np.int64)
+    return rows[:, :n], rows[:, n:]
 
 
 class SpaceRestriction:
     """Restriction of group elements to a subspace spanned by given basis rows.
 
-    Every caller restricts orthogonal elements to a subspace they preserve,
-    so the images of the basis rows determine the restriction.
+    The basis is given as integer pair rows.  Every caller restricts
+    orthogonal elements to a subspace they preserve, so the images of the
+    basis rows determine the restriction.  ``apply_to_pairs`` doubles the
+    rows, so the identity's key is that of twice the basis.
     """
 
-    def __init__(self, rs, basis_rows, basis_roots=None):
+    def __init__(self, rs, basis):
         self.rs = rs
-        self.basis = tuple(tuple(r) for r in basis_rows)
-        self.dim = len(self.basis)
-        self.basis_roots = basis_roots  # root indices when the basis consists of roots
+        self.basis = basis
+        self.dim, self._n = basis[0].shape
+        self._twice = 2 * np.hstack(basis)
+        self.identity = tuple(self._twice.ravel().tolist())
+        self._minus = tuple((-self._twice).ravel().tolist())
 
     def matrix(self, w):
-        """Images of the basis rows under w, in ambient coordinates.
+        """Key of the images of the basis rows under w, in ambient coordinates.
 
         Equal images mean equal restrictions, since the rows are a basis.
         The name is kept because perfbench/tracer.py patches it.
         """
-        if self.basis_roots is not None:
-            return tuple(self.rs.root_vec(int(w.img[b])) for b in self.basis_roots)
-        return tuple(apply_to_vector(w, b) for b in self.basis)
+        return _key(apply_to_pairs(w, self.basis))
 
     def is_minus_identity(self, M):
-        return all(m == tuple(-x for x in b) for b, m in zip(self.basis, M))
+        return M == self._minus
 
     def reflection_line(self, M):
         """The reflecting line if M restricts a reflection, else None.
@@ -60,25 +74,30 @@ class SpaceRestriction:
         there, so the nonzero differences b - w(b) must all lie on one line;
         that line is the one reflected.
         """
-        line = None
-        for b, m in zip(self.basis, M):
-            if m == b:
-                continue
-            d = canonical_line(tuple(x - y for x, y in zip(b, m)))
-            if line is None:
-                line = d
-            elif d != line:
-                return None
-        return line
+        moved = self._twice - np.array(M, dtype=np.int64).reshape(self._twice.shape)
+        moved = moved[moved.any(axis=1)]
+        if not len(moved):
+            return None
+        lines = set(canonical_lines(split_keys(moved, self._n)))
+        return lines.pop() if len(lines) == 1 else None
 
 
-def canonical_line(v):
-    """Scale so the first nonzero coordinate is 1 (lines are unsigned)."""
-    for x in v:
-        if x:
-            inv = x.inverse()
-            return tuple(inv * y for y in v)
-    raise ValueError("zero vector has no direction")
+def canonical_lines(x):
+    """Keys of the lines of the nonzero pair rows x (lines are unsigned).
+
+    Each row is multiplied by the conjugate a - b*sqrt5 of its first nonzero
+    entry a + b*sqrt5, which makes that entry the rational a^2 - 5b^2, then
+    by the sign of that entry, and divided by the gcd of its 2n integers.
+    Two rows on one line then differ by a positive rational, so they give
+    the same primitive key.
+    """
+    p, q = x
+    k = np.arange(len(p))
+    first = ((p != 0) | (q != 0)).argmax(axis=1)
+    p, q = pair_mul(x, (p[k, first][:, None], -q[k, first][:, None]))
+    rows = np.hstack((p, q)) * np.sign(p[k, first])[:, None]
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    return [tuple(r) for r in rows.tolist()]
 
 
 # 2r for the ratios r = 4cos^2(pi/m) of the bonds that occur, as integer
@@ -87,24 +106,24 @@ _BOND_TWICE_RATIO = ((3, (2, 0)), (4, (4, 0)), (6, (6, 0)), (5, (3, 1)), (5, (3,
                      (10, (5, 1)), (10, (5, -1)))
 
 
-def diagram_of_lines(lines, gram):
+def diagram_of_lines(lines, form):
     """Coxeter diagram of the reflection group with the given reflection lines.
 
     The lines must be the complete set of reflection lines of the group, so
     that the set is closed under all the reflections; the normalizer's action
     cells get completeness from a conjugation argument (see
-    ``normalizer._reflection_lines``).  ``gram`` is the form in their
-    coordinates.  Returns the component name tuple.
+    ``normalizer._reflection_lines``).  Each line is a key of a nonzero pair
+    row on it, and ``form`` is the doubled Gram form as integer pairs (the
+    root system's ``form``).  Returns the component name tuple.
 
-    The lines and the form become integer pairs, each line scaled by a
-    positive integer; the tests below are homogeneous in each line, so the
-    scaling changes none of them.
+    The tests below are homogeneous in each line, so the scale of the row
+    chosen on a line changes none of them.
     """
     lines = list(set(lines))
     if not lines:
         return ()
-    L = to_pairs(lines)
-    dim = L[0].shape[1]
+    dim = len(form[0])
+    L = split_keys(lines, dim)
 
     # generic functional nonzero on every line: f(v) = sum v_i * t^i
     for t in range(1, 51):
@@ -119,7 +138,7 @@ def diagram_of_lines(lines, gram):
     # the positive lines, their values f_i and their Gram matrix (of 2 gram)
     pos = (L[0] * signs[:, None], L[1] * signs[:, None])
     f = (f[0] * signs[:, None], f[1] * signs[:, None])
-    G = pair_matmul(pair_matmul(pos, form_pairs(gram)), (pos[0].T, pos[1].T))
+    G = pair_matmul(pair_matmul(pos, form), (pos[0].T, pos[1].T))
     diag = (np.diagonal(G[0]), np.diagonal(G[1]))
 
     # line j is simple iff its reflection keeps every other line positive:
@@ -199,26 +218,7 @@ def invariant_split(P, Q):
     rs = P.rs
     xperp = rs.span(P.simples)
     yperp = rs.span(Q.simples)
-    mid = P.witness.intersect(Q.witness)
+    mid = rs.fixed_space(P.simples + Q.simples)   # Fix(P) n Fix(Q)
     if xperp.dim + mid.dim + yperp.dim != rs.n:
         raise RuntimeError("invariant split does not fill the space")
     return xperp, mid, yperp
-
-
-def restrict(subgroup, subspace: Subspace):
-    """Exact restriction matrices of a set of elements to an invariant subspace.
-
-    Row k of a matrix holds the coordinates, in the subspace's basis, of the
-    image of basis row k.  Raises ValueError with a witness element if the
-    subspace is not invariant.
-    """
-    out = []
-    for w in subgroup:
-        rows = []
-        for b in subspace.rows:
-            try:
-                rows.append(solve_coords(subspace.rows, apply_to_vector(w, b)))
-            except ValueError:
-                raise ValueError(f"subspace not invariant under {w.canonical()}")
-        out.append(tuple(rows))
-    return out

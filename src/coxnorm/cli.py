@@ -1,7 +1,7 @@
 """Command line interface.
 
 Commands: decompose, table, concepts, shapes, graph, involutions, verify.
-Global flags: --format (text|json|csv|dot), --allow-long, --jobs.
+Global flags: --format (text|json|csv|dot), --allow-long.
 Exit codes: 0 ok, 1 verification failure, 2 user error, 3 refused
 long-running job, 4 internal error (a RuntimeError or ValueError raised by the
 library, reported in one line on stderr).
@@ -134,7 +134,7 @@ def cmd_table(args):
     rs = _root_system(args)
     _require_short(rs, args, "the full table")
     from .normalizer import compute_table
-    rows = compute_table(rs, jobs=args.jobs)
+    rows = compute_table(rs)
     out = []
     for r in rows:
         r = dict(r)
@@ -181,15 +181,13 @@ def cmd_verify(args):
     if args.suite not in SUITES:
         return _fail(f"unknown suite {args.suite!r}; choose from "
                      + ", ".join(sorted(SUITES)), 2)
-    options = {}
     if args.suite == "fixtures":
         _require_short(rs, args, "the fixture diff")
-        options["jobs"] = args.jobs
     elif args.suite in ("goursat", "howlett", "oracle") and rs.group_order > BRUTE_LIMIT:
         # howlett and oracle enumerate W, goursat the normalizer of the trivial parabolic
         return _fail(f"the {args.suite} suite enumerates all of W, and {rs.label} "
                      f"has order {rs.group_order} > {BRUTE_LIMIT}", 3)
-    report = SUITES[args.suite](rs, **options)
+    report = SUITES[args.suite](rs)
     print(json.dumps(report, indent=2, ensure_ascii=False, default=str))
     return 0 if report["ok"] else 1
 
@@ -199,8 +197,6 @@ def _add_global_flags(p):
                    default=argparse.SUPPRESS)
     p.add_argument("--allow-long", action="store_true", default=argparse.SUPPRESS,
                    help="permit long-running jobs (full tables at order ~7e8)")
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                   help="worker processes for table commands")
 
 
 def main(argv=None):
@@ -209,7 +205,7 @@ def main(argv=None):
         description="Exact normalizer decompositions of parabolic subgroups"
                     " of finite Coxeter groups")
     _add_global_flags(parser)
-    parser.set_defaults(format="text", allow_long=False, jobs=1)
+    parser.set_defaults(format="text", allow_long=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help):

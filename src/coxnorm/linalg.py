@@ -5,11 +5,13 @@ small (dimension <= 8), so plain Gaussian elimination is used throughout.
 Subspaces are stored by their reduced row echelon basis, which is canonical:
 two equal subspaces have identical representations.
 
-Work over many roots at once (signs of every root on a subspace, Gram
-matrices of line sets) uses integer pairs instead: a row of Q(sqrt5) values
-becomes two int64 arrays (p, q) standing for p + q*sqrt5, after scaling the
-row by a positive integer that clears its denominators.  Zero tests, signs
-and ratios of such rows are unchanged by the scaling.  Every pair operation
+Work over many roots or group elements at once (the root table, signs of
+every root on a subspace, element actions, Gram matrices of line sets) uses
+integer pairs instead: rows of values p + q*sqrt5 held as two int64 arrays
+(p, q).  A Q(sqrt5) row becomes a pair row after scaling by a positive
+integer that clears its denominators (``to_pairs``); zero tests, signs and
+ratios of such rows are unchanged by the scaling.  ``from_pairs`` turns pair
+rows back into Q(sqrt5) rows for the eliminations.  Every pair operation
 bounds its result first and raises RuntimeError where int64 could overflow,
 so a sign is never silently wrong.
 """
@@ -20,7 +22,7 @@ from math import lcm
 
 import numpy as np
 
-from .qsqrt5 import ONE, ZERO, q5
+from .qsqrt5 import ONE, Q5, ZERO, q5
 
 Vec = tuple
 Mat = tuple
@@ -28,14 +30,6 @@ Mat = tuple
 
 def vec(entries) -> Vec:
     return tuple(q5(x) for x in entries)
-
-
-def vec_neg(v):
-    return tuple(-x for x in v)
-
-
-def vec_is_zero(v):
-    return all(not x for x in v)
 
 
 def dot(u, v, gram=None):
@@ -90,23 +84,22 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        # zero entries and a unit pivot are left as they are; the pivot row
+        # is zero left of c, so only the columns right of c change
+        if m[r][c] != ONE:
+            inv = m[r][c].inverse()
+            m[r] = [x * inv if x else x for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i][c + 1:] = [x - f * y if y else x
+                                for x, y in zip(m[i][c + 1:], m[r][c + 1:])]
+                m[i][c] = ZERO
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return [tuple(row) for row in m[:r]], pivots
-
-
-def mat_rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
 
 
 def kernel(rows, ncols=None):
@@ -129,77 +122,27 @@ def kernel(rows, ncols=None):
     return basis
 
 
-def solve_coords(basis_rows, v):
-    """Write v as a combination of the basis rows; returns coefficient tuple.
-
-    Raises ValueError if v is not in the span.
-    """
-    if not basis_rows:
-        if vec_is_zero(v):
-            return ()
-        raise ValueError("vector not in span")
-    n = len(v)
-    k = len(basis_rows)
-    # solve x * B = v  <=>  B^T x^T = v^T ; eliminate on the augmented system
-    aug = [[basis_rows[r][c] for r in range(k)] + [v[c]] for c in range(n)]
-    red, pivots = rref(aug)
-    coeffs = [ZERO] * k
-    for row, pc in zip(red, pivots):
-        if pc == k:
-            raise ValueError("vector not in span")
-        coeffs[pc] = row[k]
-    # verify (guards against inconsistent rows below the pivots)
-    chk = [ZERO] * n
-    for c, b in zip(coeffs, basis_rows):
-        if c:
-            chk = [x + c * y for x, y in zip(chk, b)]
-    if tuple(chk) != tuple(v):
-        raise ValueError("vector not in span")
-    return tuple(coeffs)
-
-
 class Subspace:
     """A subspace of Q(sqrt5)^n in canonical reduced row echelon form."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("rows", "n", "_pairs")
 
     def __init__(self, rows, n):
         red, _ = rref(rows) if rows else ([], [])
         self.rows = tuple(red)
         self.n = n
+        self._pairs = None
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def contains(self, v):
-        if not self.rows:
-            return vec_is_zero(v)
-        try:
-            solve_coords(self.rows, v)
-            return True
-        except ValueError:
-            return False
-
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
-
-    def intersect(self, other):
-        """Intersection of two subspaces of the same ambient space."""
-        if not self.rows or not other.rows:
-            return Subspace([], self.n)
-        stacked = list(self.rows) + [vec_neg(r) for r in other.rows]
-        # coefficient vectors (a, b) with a*self + b*(-other) = 0
-        coeff = kernel(list(zip(*stacked)), ncols=len(stacked))
-        vecs = []
-        for cf in coeff:
-            v = [ZERO] * self.n
-            for c, row in zip(cf[:self.dim], self.rows):
-                if c:
-                    v = [x + c * y for x, y in zip(v, row)]
-            if not vec_is_zero(v):
-                vecs.append(tuple(v))
-        return Subspace(vecs, self.n)
+    @property
+    def pairs(self):
+        """The echelon rows as integer pairs, each scaled by a positive integer."""
+        if self._pairs is None:
+            self._pairs = tuple(a.reshape(self.dim, self.n) for a in to_pairs(self.rows))
+        return self._pairs
 
     def perp(self, gram):
         """Orthogonal complement with respect to the bilinear form gram."""
@@ -249,12 +192,20 @@ def to_pairs(rows):
     return np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
 
 
+def from_pairs(x, den=1):
+    """Q(sqrt5) rows of the pair rows x, entry (p, q) read as (p + q*sqrt5)/den."""
+    p, q = x
+    return tuple(tuple(Q5(a, b, den) if a or b else ZERO for a, b in zip(rp, rq))
+                 for rp, rq in zip(p.tolist(), q.tolist()))
+
+
 def form_pairs(gram):
     """Integer pairs of 2*gram, unscaled: a right factor must keep its rows."""
-    twice = [[x + x for x in row] for row in gram]
-    if any(x.den != 1 for row in twice for x in row):
+    if any(2 * x.a % x.den or 2 * x.b % x.den for row in gram for x in row):
         raise ValueError("twice the form has entries outside Z[sqrt5]")
-    return to_pairs(twice)
+    p = np.array([[2 * x.a // x.den for x in row] for row in gram], dtype=np.int64)
+    q = np.array([[2 * x.b // x.den for x in row] for row in gram], dtype=np.int64)
+    return p, q
 
 
 def pair_mul(x, y):

@@ -25,18 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import (ActionCell, SpaceRestriction, canonical_line,
-                      diagram_of_lines, invariant_split)
+from .actions import (ActionCell, SpaceRestriction, canonical_lines,
+                      diagram_of_lines, invariant_split, split_keys)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement
 from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
-from .linalg import dot, vec_mat
+from .linalg import pair_matmul
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
-from .rootsys import apply_to_vector
+from .rootsys import apply_to_pairs
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -99,32 +99,30 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
     """Goursat data for a group of elements preserving V1 and V2 = V1^perp.
 
     ``L`` is an iterable of elements; each is restricted to V1 and V2 as the
-    images of their basis rows.  When a complement (e.g. the Howlett
-    complement D) is supplied, its restriction pair realizes the section
-    isomorphism on complements.  Raises ValueError when V2 is not V1^perp or
-    when an element does not preserve the split.
+    keys of the images of their basis rows (see ``SpaceRestriction``).  When
+    a complement (e.g. the Howlett complement D) is supplied, its restriction
+    pair realizes the section isomorphism on complements.  Raises ValueError
+    when V2 is not V1^perp or when an element does not preserve the split.
     """
     elements = list(L)
     rs = elements[0].rs
     if V2 != V1.perp(rs.gram):
         raise ValueError("V2 is not the orthogonal complement of V1")
-    s1 = SpaceRestriction(rs, V1.rows)
-    s2 = SpaceRestriction(rs, V2.rows)
+    s1 = SpaceRestriction(rs, V1.pairs)
+    s2 = SpaceRestriction(rs, V2.pairs)
     # w is orthogonal, so w(V1) perp V2 gives w(V1) = V1 and w(V2) = V2
-    v2_forms = [vec_mat(r, rs.gram) for r in V2.rows]
+    v2_forms = tuple(m.T for m in pair_matmul(V2.pairs, rs.form))
 
     def restriction_pair(w):
-        m1 = s1.matrix(w)
-        if any(dot(x, f) for x in m1 for f in v2_forms):
+        if any(m.any() for m in pair_matmul(apply_to_pairs(w, V1.pairs), v2_forms)):
             raise ValueError(f"split not invariant under {w.canonical()}")
-        return m1, s2.matrix(w)
+        return s1.matrix(w), s2.matrix(w)
 
     pairs = [restriction_pair(w) for w in elements]
-    G1 = sorted({p[0] for p in pairs}, key=repr)
-    H1 = sorted({p[1] for p in pairs}, key=repr)
-    # the identity restriction is the basis itself
-    G2 = [w for w, p in zip(elements, pairs) if p[1] == s2.basis]
-    H2 = [w for w, p in zip(elements, pairs) if p[0] == s1.basis]
+    G1 = sorted({p[0] for p in pairs})
+    H1 = sorted({p[1] for p in pairs})
+    G2 = [w for w, p in zip(elements, pairs) if p[1] == s2.identity]
+    H2 = [w for w, p in zip(elements, pairs) if p[0] == s1.identity]
     comp = None
     if complement is not None:
         comp = ([s1.matrix(d) for d in complement], [s2.matrix(d) for d in complement])
@@ -251,7 +249,7 @@ def _complement_D(rs, subset, pq_sub):
 
 
 def _root_span(rs, simples):
-    return SpaceRestriction(rs, [rs.root_vec(i) for i in simples], basis_roots=simples)
+    return SpaceRestriction(rs, rs.rows(simples))
 
 
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
@@ -269,7 +267,7 @@ def _reflection_lines(rs, base: ReflectionSubgroup, D, space):
     the restrictions of D.  So every line is a base root line or lies in the
     base orbit of the line of a d in D that restricts to a reflection.
     """
-    lines = {canonical_line(rs.root_vec(i)) for i in base.pos}
+    lines = set(canonical_lines(rs.rows(base.pos)))
     simple = [rs.reflection(i) for i in base.simples]
     frontier = []
     for d in D:
@@ -278,14 +276,13 @@ def _reflection_lines(rs, base: ReflectionSubgroup, D, space):
             lines.add(line)
             frontier.append(line)
     while frontier:
-        new = []
-        for v in frontier:
-            for s in simple:
-                u = canonical_line(apply_to_vector(s, v))
+        x = split_keys(frontier, rs.n)
+        frontier = []
+        for s in simple:
+            for u in canonical_lines(apply_to_pairs(s, x)):
                 if u not in lines:
                     lines.add(u)
-                    new.append(u)
-        frontier = new
+                    frontier.append(u)
     return lines
 
 
@@ -304,7 +301,7 @@ def _action_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space)
     if not lines:
         minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
         return ActionCell(role, subgroup, dim, (), image_order, minus, image_order)
-    diagram = diagram_of_lines(lines, rs.gram)
+    diagram = diagram_of_lines(lines, rs.form)
     r_order = components_order(diagram)
     if image_order % r_order:
         raise RuntimeError("reflection part order does not divide the image order")
@@ -346,7 +343,7 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
             continue
         nontrivial[role] = True
         if lines:
-            diagram = diagram_of_lines(lines, space.rs.gram)
+            diagram = diagram_of_lines(lines, space.rs.form)
             if components_order(diagram) == size:
                 fully[role] = (diagram, frozenset(refl))
             else:
@@ -376,7 +373,7 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
         if B is not None and len(B) > 1 and AB is not None:
             mats, _, lines = _subgroup_space_info(AB, spaces["x_perp"])
             if lines:
-                diagram = diagram_of_lines(lines, spaces["x_perp"].rs.gram)
+                diagram = diagram_of_lines(lines, spaces["x_perp"].rs.form)
                 if components_order(diagram) == len(mats):
                     return name, "diamond"
         if order == 8:
@@ -449,7 +446,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     if len(D) > 1:
         xsp = _root_span(rs, P.sub.simples)
         ysp = _root_span(rs, Q.sub.simples)
-        mid_space = SpaceRestriction(rs, mid.rows) if mid.dim else None
+        mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
     cell_x = _action_cell(rs, "x_perp", P.sub, D, p_order * len(D), xperp.dim, xsp)
     cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), D,
                           len(D) // len(B), mid.dim, mid_space)
@@ -515,24 +512,9 @@ def decomposition_row(dec: Decomposition) -> dict:
     }
 
 
-def compute_table(rs, jobs=1):
+def compute_table(rs):
     """Decomposition rows for every shape of the group, in catalog order."""
-    catalog = shape_catalog(rs)
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_row_for_index,
-                               [(str(rs.label), s.index) for s in catalog]))
-        return rows
-    return [decomposition_row(decompose(rs, s)) for s in catalog]
-
-
-def _row_for_index(args):
-    label, index = args
-    from .rootsys import build_root_system
-    rs = build_root_system(label)
-    catalog = shape_catalog(rs)
-    return decomposition_row(decompose(rs, catalog[index]))
+    return [decomposition_row(decompose(rs, s)) for s in shape_catalog(rs)]
 
 
 # ---------------------------------------------------------------------------

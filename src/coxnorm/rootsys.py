@@ -7,19 +7,29 @@ short roots norm 1), and the H types are normalized to norm 2 with -phi on
 the 5-bond.  In this basis a vector is a positive root iff all coordinates
 are >= 0, and the simple roots are the unit coordinate vectors.
 
+The roots are stored once, as a table of integer pairs (see ``linalg``):
+coordinate k of root i is (p + q*sqrt5)/2 with (p, q) = root_pairs[.][i, k].
+The factor 1/2 covers F4's -1/2 bond and the golden ratio phi = (1 +
+sqrt5)/2.  The table is built by closing the simple roots under the simple
+reflections, which need only the Cartan entries 2<a_j, a_i>/<a_i, a_i>, so
+no Q(sqrt5) arithmetic runs per root.  Q(sqrt5) values appear only in the
+n x n Gram matrix, in the rank-sized eliminations of ``linalg`` and in the
+public ``root_vec`` and ``inner_product``.
+
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
 and the negative of root i is i + npos (mod 2*npos), so sign flips are O(1).
 
-Reflections are permutations of the root indices.  Exact arithmetic is used
-only while the roots are built: that pass records the n simple reflections
-as permutations, and every other reflection is a conjugate of a simple one
-(r_{s(beta)} = s r_beta s), composed as index arrays.
+Reflections are permutations of the root indices.  The root build records
+the n simple reflections as permutations, and every other reflection is a
+conjugate of a simple one (r_{s(beta)} = s r_beta s), composed as index
+arrays.
 
 Orthogonality and bond orders are read off the reflection permutations, the
 same way for every family: roots a and b are orthogonal iff r_a fixes b, and
 the bond order of a and b is the order of r_a r_b.  The signs of all roots
-on a subspace are one product of integer pairs (see ``linalg.to_pairs``):
-the root forms 2<beta, .>, kept from the build, times the subspace's rows.
+on a subspace are one product of integer pairs: the root forms, kept from
+the build, times the subspace's rows.  An element acts on pair rows through
+the root table (``apply_to_pairs``).
 
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
@@ -33,13 +43,14 @@ family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import Subspace, dot, form_pairs, pair_matmul, pair_sign, to_pairs, vec
+from .linalg import (Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul, pair_sign,
+                     vec)
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -157,77 +168,106 @@ class RootSystem(_Roots):
         self.n = label.rank
         self.simple_roots = tuple(range(self.n))
         self.gram = _gram_matrix(label)
+        self.form = form_pairs(self.gram)   # 2 * gram as integer pairs
         self._build_roots()
-        # the root forms 2<beta, .> of the positive roots, as integer pairs
-        self._root_forms = pair_matmul(to_pairs(self.vectors[: self.npos]),
-                                       form_pairs(self.gram))
+        # the root forms <beta, .> of the positive roots, scaled by 4
+        self._root_forms = pair_matmul(self.rows(range(self.npos)), self.form)
         self._refl_cache = {}
         self._e_coords = None
 
     # -- construction ------------------------------------------------------
 
-    def _simple_reflect_vec(self, v, i):
-        # s_i in simple-root coordinates changes only coordinate i
-        num = dot(v, self._unit(i), self.gram)
-        c = (num + num) / self.gram[i][i]
-        w = list(v)
-        w[i] = w[i] - c
-        return tuple(w)
-
-    def _unit(self, i):
-        v = [ZERO] * self.n
-        v[i] = ONE
-        return tuple(v)
-
     def _build_roots(self):
+        """Close the simple roots under the simple reflections, on integer pairs.
+
+        s_i changes only coordinate i of v, by the sum over j of v_j times
+        the Cartan entry 2<a_j, a_i>/<a_i, a_i>.  A root is a tuple of 2n
+        ints, its p entries then its q entries, each coordinate (p + q*sqrt5)/2.
+        """
         n = self.n
-        simples = [self._unit(i) for i in range(n)]
+        fp, fq = self.form
+        diag = np.diagonal(fp)              # 2<a_i, a_i>, a rational integer
+        cartan = (4 * fp // diag, 4 * fq // diag)   # column i: 2<a_j, a_i>/<a_i, a_i>, doubled
+        simples = [tuple(2 * (j == i) for j in range(n)) + (0,) * n for i in range(n)]
         seen = set(simples)
-        images = {}     # vector -> its images under s_0 .. s_{n-1}
+        images = {}     # root -> its images under s_0 .. s_{n-1}
         parent = {}     # root w -> (v, i) with w = s_i(v) first reached from v
-        frontier = list(simples)
+        frontier = simples
         while frontier:
+            # v in halves times the doubled Cartan entries is 4 times the shift
+            # of coordinate i under s_i; halved, it is in halves like v
+            F = np.array(frontier, dtype=np.int64)
+            shift = pair_matmul((F[:, :n], F[:, n:]), cartan)
             new = []
-            for v in frontier:
-                images[v] = [self._simple_reflect_vec(v, i) for i in range(n)]
-                for i, w in enumerate(images[v]):
+            for v, sp, sq in zip(frontier, (shift[0] // 2).tolist(), (shift[1] // 2).tolist()):
+                images[v] = []
+                for i in range(n):
+                    w = list(v)
+                    w[i] -= sp[i]
+                    w[n + i] -= sq[i]
+                    w = tuple(w)
+                    images[v].append(w)
                     if w not in seen:
                         seen.add(w)
                         new.append(w)
                         # positive roots are only ever reached from positive roots
                         parent[w] = (v, i)
             frontier = new
-        positives = [v for v in seen if all(c >= ZERO for c in v)]
-        rest = sorted((v for v in positives if v not in set(simples)),
-                      key=lambda v: tuple((c.a, c.b, c.den) for c in v))
+        roots = list(seen)
+        R = np.array(roots, dtype=np.int64)
+        positive = pair_sign((R[:, :n].sum(axis=1), R[:, n:].sum(axis=1))) > 0
+
+        def q5_key(v):
+            # the positive roots are ordered by their coordinates written as
+            # reduced fractions (a + b*sqrt5)/den, compared as (a, b, den)
+            key = []
+            for p, q in zip(v[:n], v[n:]):
+                g = gcd(p, q, 2)
+                key.append((p // g, q // g, 2 // g))
+            return tuple(key)
+
+        rest = sorted((v for v, up in zip(roots, positive) if up and v not in simples),
+                      key=q5_key)
         pos = simples + rest
         self.npos = len(pos)
         self.nroots = 2 * self.npos
-        self.vectors = pos + [tuple(-c for c in v) for v in pos]
-        self.index = {v: i for i, v in enumerate(self.vectors)}
         want = self.label.n_positive_roots
         if self.npos != want:
             raise RuntimeError(f"{self.label}: built {self.npos} positive roots, expected {want}")
+        table = pos + [tuple(-x for x in v) for v in pos]
+        index = {v: i for i, v in enumerate(table)}
+        T = np.array(table, dtype=np.int64)
+        self.root_pairs = (np.ascontiguousarray(T[:, :n]), np.ascontiguousarray(T[:, n:]))
         self._simple_perms = [
-            np.array([self.index[images[v][i]] for v in self.vectors], dtype=np.int16)
-            for i in range(n)]
-        self._parent = {self.index[w]: (self.index[v], i) for w, (v, i) in parent.items()
-                        if self.index[w] < self.npos}
+            np.array([index[images[v][i]] for v in table], dtype=np.int16) for i in range(n)]
+        self._parent = {index[w]: (index[v], i) for w, (v, i) in parent.items()
+                        if index[w] < self.npos}
 
     # -- geometry --------------------------------------------------------------
 
+    def rows(self, indices):
+        """The integer pair rows of the given roots, each coordinate (p + q*sqrt5)/2."""
+        idx = np.fromiter(indices, dtype=np.intp)
+        return self.root_pairs[0][idx], self.root_pairs[1][idx]
+
     def root_vec(self, i):
-        return self.vectors[i]
+        return from_pairs(self.rows([i]), 2)[0]
 
     def span(self, indices) -> Subspace:
-        return Subspace([self.vectors[i] for i in indices], self.n)
+        return Subspace(from_pairs(self.rows(indices), 2), self.n)
 
     def fixed_space(self, indices) -> Subspace:
-        """Common fixed space of the reflections in the given roots."""
-        return self.span(indices).perp(self.gram)
+        """Common fixed space of the reflections in the given roots: the kernel
+        of their root forms."""
+        forms = np.fromiter((i % self.npos for i in indices), dtype=np.intp)
+        rows = from_pairs((self._root_forms[0][forms], self._root_forms[1][forms]))
+        return Subspace(kernel(rows, ncols=self.n), self.n)
 
     def fixes_pointwise(self, w: GroupElement, X: Subspace) -> bool:
-        return all(apply_to_vector(w, row) == row for row in X.rows)
+        # apply_to_pairs doubles the rows it fixes
+        p, q = X.pairs
+        image = apply_to_pairs(w, X.pairs)
+        return bool((image[0] == 2 * p).all() and (image[1] == 2 * q).all())
 
     def signs_at(self, X: Subspace):
         """Signs of all roots at a lexicographically generic point of X.
@@ -242,7 +282,7 @@ class RootSystem(_Roots):
         signs = np.zeros(self.nroots, dtype=np.int8)
         if not X.rows:
             return signs
-        rows = tuple(m.T for m in to_pairs(X.rows))
+        rows = tuple(m.T for m in X.pairs)
         values = pair_sign(pair_matmul(self._root_forms, rows))
         first = values[np.arange(self.npos), (values != 0).argmax(axis=1)]
         signs[: self.npos] = first
@@ -275,17 +315,8 @@ class RootSystem(_Roots):
         """Map root index -> integer e-coordinate tuple (classical families)."""
         if self._e_coords is None:
             pts, simple_rows = _e_basis(self.label)
-            coords = []
-            for v in self.vectors:
-                acc = [Fraction(0)] * pts
-                for c, row in zip(v, simple_rows):
-                    if c:
-                        f = Fraction(c.a, c.den)
-                        for k, x in enumerate(row):
-                            if x:
-                                acc[k] += f * x
-                coords.append(tuple(int(x) for x in acc))
-            self._e_coords = coords
+            coords = self.root_pairs[0] // 2 @ np.array(simple_rows, dtype=np.int64)
+            self._e_coords = [tuple(c) for c in coords.tolist()]
         return self._e_coords
 
     def signed_permutation(self, images) -> GroupElement:
@@ -332,13 +363,6 @@ class I2Subspace:
     m: int
     dim: int
     t: int | None = None
-
-    def intersect(self, other):
-        if self.dim == 2 or self == other:
-            return other
-        if other.dim == 2:
-            return self
-        return I2Subspace(self.m, 0)
 
 
 class I2RootSystem(_Roots):
@@ -429,18 +453,13 @@ def inner_product(rs: RootSystem, v, w):
     return dot(vec(v), vec(w), rs.gram)
 
 
-def apply_to_vector(w: GroupElement, v):
-    """Image of a coordinate vector under w (right action)."""
-    rs = w.rs
-    out = [ZERO] * rs.n
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        tgt = rs.root_vec(int(w.img[i]))
-        for j, x in enumerate(tgt):
-            if x:
-                out[j] = out[j] + c * x
-    return tuple(out)
+def apply_to_pairs(w: GroupElement, x):
+    """Images of the pair rows x under w (right action), scaled by 2.
+
+    Row v maps to the sum of v_i w(a_i), and w(a_i) is the root w.img[i] of
+    the table, whose entries are halves; so the identity doubles every row.
+    """
+    return pair_matmul(x, w.rs.rows(w.img[: w.rs.n]))
 
 
 def reflection_in_root(rs, root_index) -> GroupElement:

@@ -194,11 +194,11 @@ def verify_section8(rs) -> dict:
     return report
 
 
-def verify_fixtures(rs, jobs=1) -> dict:
+def verify_fixtures(rs) -> dict:
     """Golden table diff: zero mismatched cells required."""
     from .normalizer import compute_table
     fixture = load_fixture(str(rs.label))
-    rows = compute_table(rs, jobs=jobs)
+    rows = compute_table(rs)
     catalog = shape_catalog(rs)
     result = diff_fixture(fixture, rows, catalog)
     return {"group": str(rs.label), "ok": result["ok"],

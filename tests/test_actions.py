@@ -1,18 +1,30 @@
 import random
 
+import numpy as np
 import pytest
 
-from coxnorm.actions import (SpaceRestriction, canonical_line,
-                             diagram_of_lines, invariant_split, restrict)
+from coxnorm.actions import (SpaceRestriction, canonical_lines,
+                             diagram_of_lines, invariant_split)
 from coxnorm.diagrams import close_roots, positive_part, recognize_subsystem
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
-from coxnorm.linalg import mat_identity
+from coxnorm.linalg import form_pairs, pair_mul
 from coxnorm.normalizer import decompose
 from coxnorm.parabolic import (parabolic_from_roots, shape_catalog,
                                standard_parabolic)
-from coxnorm.qsqrt5 import ONE, PHI, Q5, ZERO
-from coxnorm.rootsys import build_root_system
+from coxnorm.qsqrt5 import Q5
+from coxnorm.rootsys import apply_to_pairs, build_root_system
+
+
+def pairs(*rows):
+    """Pair rows of integer rows holding the p entries, then the q entries."""
+    a = np.array(rows, dtype=np.int64)
+    n = a.shape[1] // 2
+    return a[:, :n], a[:, n:]
+
+
+# two roots at 120 degrees
+A2_FORM = form_pairs(((Q5(2), Q5(-1)), (Q5(-1), Q5(2))))
 
 
 def test_invariant_split_extremes():
@@ -32,7 +44,7 @@ def test_invariant_split_worked_example():
     xperp, mid, yperp = dec.spaces
     assert xperp.dim == 3 and yperp.dim == 3 and mid.dim == 3
     # D acts faithfully on X_perp as the symmetric group on three letters
-    xsp = SpaceRestriction(rs, xperp.rows)
+    xsp = SpaceRestriction(rs, xperp.pairs)
     images = {xsp.matrix(d) for d in dec.D}
     assert len(images) == 6
     # P fixes X = mid + yperp pointwise
@@ -44,67 +56,66 @@ def test_invariant_split_worked_example():
 
 
 def test_restrict_is_homomorphism():
+    # the restriction of a*b (a first) is b applied to the images under a;
+    # apply_to_pairs doubles each time, so those images are twice the key's
     rs = build_root_system("A9")
     P = standard_parabolic(rs, (4, 6, 8))
     dec = decompose(rs, P)
-    xperp = dec.spaces[0]
+    xsp = SpaceRestriction(rs, dec.spaces[0].pairs)
     rng = random.Random(3)
     ds = list(dec.D)
-
-    def mat_mul(A, B):
-        return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
-                           for j in range(len(B[0]))) for i in range(len(A)))
-
     for _ in range(10):
         a, b = rng.choice(ds), rng.choice(ds)
-        ma, mb, mab = restrict([a, b, a * b], xperp)
-        assert mat_mul(ma, mb) == mab
-
-
-def test_restrict_rejects_non_invariant():
-    rs = build_root_system("A2")
-    line = rs.span([0])
-    with pytest.raises(ValueError, match="not invariant"):
-        restrict([rs.reflection(1)], line)
+        ma = np.array(xsp.matrix(a)).reshape(xsp.dim, 2 * rs.n)
+        twice = apply_to_pairs(b, (ma[:, :rs.n], ma[:, rs.n:]))
+        assert tuple(np.hstack(twice).ravel() // 2) == xsp.matrix(a * b)
+    assert len({xsp.matrix(d) for d in ds}) == len(ds)
 
 
 def test_restrict_trivial_cases():
     rs = build_root_system("A3")
     from coxnorm.groups import identity
-    mats = restrict([identity(rs)], rs.span([0]))
-    assert mats == [mat_identity(1)]
+    line = SpaceRestriction(rs, rs.span([0]).pairs)
+    assert line.matrix(identity(rs)) == line.identity
+    assert line.is_minus_identity(line.matrix(rs.reflection(0)))
+    assert line.reflection_line(line.identity) is None
 
 
 def test_diagram_of_lines_rank2():
-    one = ONE
-    gram = ((Q5(2), Q5(-1)), (Q5(-1), Q5(2)))  # two roots at 120 degrees
-    lines = {canonical_line((one, ZERO)), canonical_line((ZERO, one)),
-             canonical_line((one, one))}
-    assert diagram_of_lines(lines, gram) == ("A2",)
-    assert diagram_of_lines({canonical_line((one, ZERO))}, gram) == ("A1",)
+    lines = set(canonical_lines(pairs((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))))
+    assert diagram_of_lines(lines, A2_FORM) == ("A2",)
+    assert diagram_of_lines({(1, 0, 0, 0)}, A2_FORM) == ("A1",)
+
+
+def test_canonical_lines_are_the_primitive_rational_first_keys():
+    # (2 + 2r5, 2) times 2 - 2r5 is (-16, 4 - 4r5), whose key is (4, -1 + r5);
+    # (-1 - r5, -1) is on the same line, and (0, 3 - 3r5) on that of (0, 1)
+    assert canonical_lines(pairs((2, 2, 2, 0), (-1, -1, -1, 0), (0, 3, 0, -3))) == \
+        [(4, -1, 0, 1), (4, -1, 0, 1), (0, 1, 0, 0)]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4"])
 def test_reflection_line_is_exactly_the_reflections(name):
     rs = build_root_system(name)
-    simples = list(rs.simple_roots)
-    by_roots = SpaceRestriction(rs, [rs.root_vec(i) for i in simples], basis_roots=simples)
-    by_vectors = SpaceRestriction(rs, mat_identity(rs.n))
+    by_roots = SpaceRestriction(rs, rs.rows(rs.simple_roots))
+    eye = np.eye(rs.n, dtype=np.int64)
+    by_vectors = SpaceRestriction(rs, (eye, 0 * eye))
     reflections = {rs.reflection(i).key: i for i in range(rs.npos)}
     for w in generate(rs.simple_reflections()):
         beta = reflections.get(w.key)
-        want = None if beta is None else canonical_line(rs.root_vec(beta))
+        want = None if beta is None else canonical_lines(rs.rows([beta]))[0]
         assert by_roots.reflection_line(by_roots.matrix(w)) == want
         assert by_vectors.reflection_line(by_vectors.matrix(w)) == want
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H3", "H4"])
 def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
-    # lines are unsigned and unscaled: rescaling each root line by a positive
-    # rational or by phi must leave the diagram of every subsystem unchanged
+    # lines are unsigned and unscaled: rescaling each root row by a nonzero
+    # integer or by a multiple of phi or of 1/phi must leave the diagram of
+    # every subsystem unchanged
     rs = build_root_system(name)
     rng = random.Random(name)
-    factors = [ONE, Q5(3, 0, 7), Q5(5, 0, 2), PHI, PHI * Q5(2, 0, 3), PHI * PHI]
+    factors = [(1, 0), (3, 0), (-5, 0), (1, 1), (-2, 2), (3, 1), (-3, -1)]
     subsystems = [frozenset(range(rs.nroots))]
     for _ in range(15):
         roots = rng.sample(range(rs.npos), rng.randint(1, rs.n + 1))
@@ -112,23 +123,22 @@ def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
     for roots in subsystems:
         lines = []
         for i in positive_part(rs, roots):
-            c = rng.choice(factors)
-            lines.append(tuple(c * x for x in rs.root_vec(i)))
-        assert diagram_of_lines(lines, rs.gram) == recognize_subsystem(rs, roots), roots
+            p, q = pair_mul(rs.rows([i]), rng.choice(factors))
+            lines.append(tuple(np.hstack((p, q)).ravel().tolist()))
+        assert diagram_of_lines(lines, rs.form) == recognize_subsystem(rs, roots), roots
 
 
 def test_diagram_of_lines_refuses_overflow():
-    gram = ((Q5(2), Q5(-1)), (Q5(-1), Q5(2)))
-    lines = [(ONE, ZERO), (ONE, Q5(1 << 40))]
+    lines = [(1, 0, 0, 0), (1, 1 << 40, 0, 0)]
     with pytest.raises(RuntimeError):
-        diagram_of_lines(lines, gram)
+        diagram_of_lines(lines, A2_FORM)
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
 def test_diagram_of_root_lines_is_the_root_system(name):
     rs = build_root_system(name)
-    lines = {canonical_line(rs.root_vec(i)) for i in range(rs.npos)}
-    assert diagram_of_lines(lines, rs.gram) == \
+    lines = set(canonical_lines(rs.rows(range(rs.npos))))
+    assert diagram_of_lines(lines, rs.form) == \
         recognize_subsystem(rs, frozenset(range(rs.nroots)))
 
 
@@ -192,8 +202,6 @@ def test_faithfulness_of_a_on_x_perp():
             for a in dec.A:
                 assert all(int(a.img[q]) == q for q in dec.Q.sub.simples)
                 assert all(int(a.img[i]) in dec.P.roots for i in dec.P.pos)
-            xsp = SpaceRestriction(rs, [rs.root_vec(i) for i in dec.P.sub.simples],
-                                   basis_roots=dec.P.sub.simples) \
-                if dec.P.pos else None
+            xsp = SpaceRestriction(rs, rs.rows(dec.P.sub.simples)) if dec.P.pos else None
             if xsp and len(dec.A) > 1:
                 assert len({xsp.matrix(a) for a in dec.A}) == len(dec.A)

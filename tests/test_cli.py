@@ -9,9 +9,10 @@ import pytest
 from coxnorm import cli
 
 
-def run(*args):
+def run(*args, timeout=120):
+    # a command that overruns raises subprocess.TimeoutExpired, failing the test
     proc = subprocess.run([sys.executable, "-m", "coxnorm.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -65,7 +66,7 @@ def test_e8_full_table_refused_without_flag():
 def test_enumerating_suites_refused_above_the_brute_limit(suite):
     # E7 has order 2,903,040 > 10**6: refused before anything is enumerated
     start = time.perf_counter()
-    code, out, err = run("verify", "E7", "--suite", suite, "--allow-long")
+    code, out, err = run("verify", "E7", "--suite", suite, "--allow-long", timeout=10)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1000000" in err

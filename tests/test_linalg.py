@@ -1,9 +1,9 @@
 from hypothesis import given, strategies as st
 import numpy as np
 
-from coxnorm.linalg import (dot, form_pairs, kernel, mat_identity, mat_rank,
-                            pair_matmul, pair_mul, pair_sign, rref, solve_coords,
-                            span, to_pairs, vec)
+from coxnorm.linalg import (dot, form_pairs, from_pairs, kernel, mat_identity,
+                            pair_matmul, pair_mul, pair_sign, rref, span, to_pairs,
+                            vec)
 from coxnorm.qsqrt5 import ONE, Q5, ZERO
 
 import pytest
@@ -32,21 +32,23 @@ def test_kernel_and_solve():
     assert len(null) == 2
     for x in null:
         assert dot(rows[0], x) == ZERO
-    coeffs = solve_coords([v(1, 1, 0), v(0, 1, 1)], v(1, 2, 1))
-    assert coeffs == (ONE, ONE)
-    with pytest.raises(ValueError):
-        solve_coords([v(1, 0, 0)], v(0, 1, 0))
+    # (1, 2, 1) is (1, 1, 0) + (0, 1, 1), so adding it leaves their span as it
+    # is; (0, 1, 0) is not on the line (1, 0, 0)
+    plane = span([v(1, 1, 0), v(0, 1, 1)], 3)
+    assert span(list(plane.rows) + [v(1, 2, 1)], 3) == plane
+    assert span([v(1, 0, 0), v(0, 1, 0)], 3).dim == 2
 
 
 def test_intersection_and_perp():
     g = mat_identity(3)
     a = span([v(1, 0, 0), v(0, 1, 0)], 3)
     b = span([v(0, 1, 0), v(0, 0, 1)], 3)
-    inter = a.intersect(b)
-    assert inter.dim == 1 and inter.contains(v(0, 5, 0))
+    # the intersection is the perp of the sum of the perps
+    inter = span(list(a.perp(g).rows) + list(b.perp(g).rows), 3).perp(g)
+    assert inter == span([v(0, 5, 0)], 3)
     p = a.perp(g)
-    assert p.dim == 1 and p.contains(v(0, 0, 3))
-    assert mat_rank(list(a.rows) + list(p.rows)) == 3
+    assert p == span([v(0, 0, 3)], 3)
+    assert span(list(a.rows) + list(p.rows), 3).dim == 3
 
 
 # small enough that every product below squares within int64
@@ -86,3 +88,12 @@ def test_form_pairs_refuses_a_form_it_would_rescale():
     with pytest.raises(ValueError):
         form_pairs(((ONE, Q5(1, 0, 3)), (Q5(1, 0, 3), ONE)))
 
+
+
+@given(rows)
+def test_pair_rows_round_trip(xs):
+    # from_pairs reads the pairs back, up to the positive scale of each row
+    S = span(xs, 3)
+    assert span(list(from_pairs(S.pairs)), 3) == S
+    assert S.pairs[0].shape == (S.dim, 3)
+    assert span([], 3).pairs[0].shape == (0, 3)
