@@ -13,7 +13,8 @@ Restrictions stay in the ambient simple-root coordinates, on integer pairs
 (see ``linalg``): an element is represented on a subspace by the images of
 the subspace's basis rows, and a reflecting line by a canonical integer pair
 on it, measured with the root system's doubled Gram form.  Both are keys:
-tuples of ints holding each row's p entries, then its q entries.
+tuples of ints holding each row's p entries, then its q entries.  A set of
+elements is restricted as a batch, one pair product for all of them.
 """
 
 from __future__ import annotations
@@ -25,18 +26,17 @@ import numpy as np
 from .diagrams import (_classify_component, _component_sort_key, component_nodes,
                        components_string)
 from .linalg import pair_matmul, pair_mul, pair_sign
-from .rootsys import apply_to_pairs
-
-
-def _key(x):
-    """The key of pair rows x: each row's p entries, then its q entries."""
-    return tuple(np.hstack(x).ravel().tolist())
 
 
 def split_keys(keys, n):
     """Pair rows (p, q) of keys of n-entry rows, given as a sequence or array."""
     rows = np.asarray(keys, dtype=np.int64)
-    return rows[:, :n], rows[:, n:]
+    return rows[..., :n], rows[..., n:]
+
+
+def image_keys(images):
+    """The restriction keys of a stack of ``SpaceRestriction.images``."""
+    return [tuple(r) for r in images.reshape(len(images), -1).tolist()]
 
 
 class SpaceRestriction:
@@ -44,8 +44,11 @@ class SpaceRestriction:
 
     The basis is given as integer pair rows.  Every caller restricts
     orthogonal elements to a subspace they preserve, so the images of the
-    basis rows determine the restriction.  ``apply_to_pairs`` doubles the
-    rows, so the identity's key is that of twice the basis.
+    basis rows determine the restriction.  Elements are restricted in a
+    batch: one pair product of the basis rows with the stacked root rows
+    w(a_1), ..., w(a_n) of every element, and one rank-one test over all the
+    rows the elements move.  The root rows hold halves, so the images are
+    doubled, and the identity's key is that of twice the basis.
     """
 
     def __init__(self, rs, basis):
@@ -56,34 +59,68 @@ class SpaceRestriction:
         self.identity = tuple(self._twice.ravel().tolist())
         self._minus = tuple((-self._twice).ravel().tolist())
 
+    def images(self, elements):
+        """The images of the basis rows under each element, shape (k, dim, 2n).
+
+        Row i of entry w holds the p entries, then the q entries, of the image
+        of basis row i under w: flattened, it is the key of w's restriction.
+        """
+        return np.concatenate(pair_matmul(self.basis, self.rs.image_rows(elements)), axis=2)
+
+    def restrictions(self, elements):
+        """{w.key: (key of w's restriction, reflecting line or None)}.
+
+        Equal keys mean equal restrictions, since the rows are a basis.
+        """
+        elements = list(elements)
+        images = self.images(elements)
+        return {w.key: cell for w, cell in
+                zip(elements, zip(image_keys(images), self._lines(images)))}
+
     def matrix(self, w):
         """Key of the images of the basis rows under w, in ambient coordinates.
 
-        Equal images mean equal restrictions, since the rows are a basis.
         The name is kept because perfbench/tracer.py patches it.
         """
-        return _key(apply_to_pairs(w, self.basis))
+        return image_keys(self.images([w]))[0]
 
     def is_minus_identity(self, M):
         return M == self._minus
 
     def reflection_line(self, M):
-        """The reflecting line if M restricts a reflection, else None.
+        """The reflecting line of the restriction with key M, or None."""
+        return self._lines(np.array(M, dtype=np.int64).reshape(1, *self._twice.shape))[0]
+
+    def _lines(self, images):
+        """The reflecting line of each restriction in the stack of images, or None.
 
         An orthogonal map of the span is a reflection iff w - 1 has rank one
         there, so the nonzero differences b - w(b) must all lie on one line;
         that line is the one reflected.
         """
-        moved = self._twice - np.array(M, dtype=np.int64).reshape(self._twice.shape)
-        moved = moved[moved.any(axis=1)]
-        if not len(moved):
-            return None
-        lines = set(canonical_lines(split_keys(moved, self._n)))
-        return lines.pop() if len(lines) == 1 else None
+        k = len(images)
+        if not self.dim:
+            return [None] * k
+        moved = (self._twice - images).reshape(k * self.dim, -1)
+        nonzero = moved.any(axis=1)
+        lines = np.zeros_like(moved)
+        lines[nonzero] = _canonical_rows(split_keys(moved[nonzero], self._n))
+        lines = lines.reshape(images.shape)
+        nonzero = nonzero.reshape(k, self.dim)
+        lead = lines[np.arange(k), nonzero.argmax(axis=1)]
+        rank_one = nonzero.any(axis=1) & (
+            (lines == lead[:, None]).all(axis=2) | ~nonzero).all(axis=1)
+        return [tuple(line) if ok else None
+                for line, ok in zip(lead.tolist(), rank_one.tolist())]
 
 
 def canonical_lines(x):
-    """Keys of the lines of the nonzero pair rows x (lines are unsigned).
+    """Keys of the lines of the nonzero pair rows x (lines are unsigned)."""
+    return [tuple(r) for r in _canonical_rows(x).tolist()]
+
+
+def _canonical_rows(x):
+    """The primitive rows of the keys of ``canonical_lines``, as an array.
 
     Each row is multiplied by the conjugate a - b*sqrt5 of its first nonzero
     entry a + b*sqrt5, which makes that entry the rational a^2 - 5b^2, then
@@ -97,13 +134,14 @@ def canonical_lines(x):
     p, q = pair_mul(x, (p[k, first][:, None], -q[k, first][:, None]))
     rows = np.hstack((p, q)) * np.sign(p[k, first])[:, None]
     rows //= np.gcd.reduce(rows, axis=1)[:, None]
-    return [tuple(r) for r in rows.tolist()]
+    return rows
 
 
-# 2r for the ratios r = 4cos^2(pi/m) of the bonds that occur, as integer
+# 2r for the ratios r = 4cos^2(pi/m) of the bonds m that occur, as integer
 # pairs p + q*sqrt5: both 5-bond values and both 10-bond values
-_BOND_TWICE_RATIO = ((3, (2, 0)), (4, (4, 0)), (6, (6, 0)), (5, (3, 1)), (5, (3, -1)),
-                     (10, (5, 1)), (10, (5, -1)))
+_BONDS = np.array([3, 4, 6, 5, 5, 10, 10])
+_BOND_TWICE_RATIO = (np.array([2, 4, 6, 3, 3, 5, 5])[:, None, None],
+                     np.array([0, 0, 0, 1, -1, 1, -1])[:, None, None])
 
 
 def diagram_of_lines(lines, form):
@@ -120,8 +158,8 @@ def diagram_of_lines(lines, form):
     chosen on a line changes none of them.
     """
     lines = list(set(lines))
-    if not lines:
-        return ()
+    if len(lines) <= 1:
+        return ("A1",) * len(lines)
     dim = len(form[0])
     L = split_keys(lines, dim)
 
@@ -155,10 +193,10 @@ def diagram_of_lines(lines, form):
     square = pair_mul(pair_mul((8, 0), Gs), Gs)
     d = (diag[0][simples], diag[1][simples])
     norms = pair_mul((d[0][:, None], d[1][:, None]), d)
-    bonds = np.where((Gs[0] == 0) & (Gs[1] == 0), 2, 0)
-    for m, twice_ratio in _BOND_TWICE_RATIO:
-        rhs = pair_mul(twice_ratio, norms)
-        bonds[(square[0] == rhs[0]) & (square[1] == rhs[1])] = m
+    rhs = pair_mul(_BOND_TWICE_RATIO, norms)
+    hits = (square[0] == rhs[0]) & (square[1] == rhs[1])   # distinct ratios: one hit at most
+    bonds = np.where(hits.any(axis=0), _BONDS[hits.argmax(axis=0)],
+                     np.where((Gs[0] == 0) & (Gs[1] == 0), 2, 0))
     np.fill_diagonal(bonds, 1)
     if not bonds.all():
         raise ValueError("unrecognized bond ratio among the simple lines")

@@ -177,7 +177,9 @@ def _overflow(bound):
 
 
 def _max_abs(a):
-    a = np.asarray(a)
+    """Largest absolute entry of an int64 array, or the absolute value of an int."""
+    if isinstance(a, int):
+        return abs(a)
     return int(np.abs(a).max()) if a.size else 0
 
 

@@ -18,7 +18,11 @@ representative modulo PQ is a homomorphism onto D, so those reductions
 generate D, and D is closed by enumeration.  D is small, and it is the only
 group ``decompose`` enumerates: |N| = |P||Q||D|, and the action cells on
 X_perp, X n Y and Y_perp are read off the restrictions of D (see
-``_reflection_lines``), so neither N, W, P nor Q is enumerated.
+``_reflection_lines``), so neither N, W, P nor Q is enumerated.  D is
+restricted to each of the three spaces once, in one batched product (see
+``actions.SpaceRestriction.restrictions``); the cells and the names of A, B
+and C, all subsets of D, are looked up in those three tables.  The Goursat
+sections of an explicit N restrict it in batches the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import (ActionCell, SpaceRestriction, canonical_lines,
-                      diagram_of_lines, invariant_split, split_keys)
+                      diagram_of_lines, image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement
 from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
@@ -36,7 +40,6 @@ from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
                         fixes_pointwise, pointwise_stabilizer,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
-from .rootsys import apply_to_pairs
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -84,6 +87,8 @@ def howlett_complement(sub: ReflectionSubgroup, ambient: GroupSet) -> GroupSet:
 # ---------------------------------------------------------------------------
 # Goursat sections
 
+_BATCH = 4096   # elements restricted per pair product, to bound its memory
+
 
 @dataclass
 class GoursatSections:
@@ -99,10 +104,11 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
     """Goursat data for a group of elements preserving V1 and V2 = V1^perp.
 
     ``L`` is an iterable of elements; each is restricted to V1 and V2 as the
-    keys of the images of their basis rows (see ``SpaceRestriction``).  When
-    a complement (e.g. the Howlett complement D) is supplied, its restriction
-    pair realizes the section isomorphism on complements.  Raises ValueError
-    when V2 is not V1^perp or when an element does not preserve the split.
+    keys of the images of their basis rows (see ``SpaceRestriction``), in
+    batches.  When a complement (e.g. the Howlett complement D) is supplied,
+    its restriction pair realizes the section isomorphism on complements.
+    Raises ValueError when V2 is not V1^perp or when an element does not
+    preserve the split.
     """
     elements = list(L)
     rs = elements[0].rs
@@ -112,20 +118,22 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
     s2 = SpaceRestriction(rs, V2.pairs)
     # w is orthogonal, so w(V1) perp V2 gives w(V1) = V1 and w(V2) = V2
     v2_forms = tuple(m.T for m in pair_matmul(V2.pairs, rs.form))
-
-    def restriction_pair(w):
-        if any(m.any() for m in pair_matmul(apply_to_pairs(w, V1.pairs), v2_forms)):
-            raise ValueError(f"split not invariant under {w.canonical()}")
-        return s1.matrix(w), s2.matrix(w)
-
-    pairs = [restriction_pair(w) for w in elements]
+    pairs = []
+    for start in range(0, len(elements), _BATCH):
+        batch = elements[start:start + _BATCH]
+        on_v1 = s1.images(batch)
+        products = pair_matmul(split_keys(on_v1, rs.n), v2_forms)
+        broken = products[0].any(axis=(1, 2)) | products[1].any(axis=(1, 2))
+        if broken.any():
+            raise ValueError(f"split not invariant under {batch[broken.argmax()].canonical()}")
+        pairs += zip(image_keys(on_v1), image_keys(s2.images(batch)))
     G1 = sorted({p[0] for p in pairs})
     H1 = sorted({p[1] for p in pairs})
     G2 = [w for w, p in zip(elements, pairs) if p[1] == s2.identity]
     H2 = [w for w, p in zip(elements, pairs) if p[0] == s1.identity]
     comp = None
     if complement is not None:
-        comp = ([s1.matrix(d) for d in complement], [s2.matrix(d) for d in complement])
+        comp = (image_keys(s1.images(complement)), image_keys(s2.images(complement)))
     return GoursatSections((G1, H1), (G2, H2), comp, pairs)
 
 
@@ -255,7 +263,7 @@ def _root_span(rs, simples):
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
 
 
-def _reflection_lines(rs, base: ReflectionSubgroup, D, space):
+def _reflection_lines(rs, base: ReflectionSubgroup, restricted):
     """Reflection lines of (base)D acting on a space that D preserves.
 
     D fixes the positive chamber of the base on its span (D sends the
@@ -266,38 +274,36 @@ def _reflection_lines(rs, base: ReflectionSubgroup, D, space):
     the positive chamber, and the elements of (base)D fixing it are exactly
     the restrictions of D.  So every line is a base root line or lies in the
     base orbit of the line of a d in D that restricts to a reflection.
+
+    ``restricted`` is the restriction table of D on the space (see
+    ``SpaceRestriction.restrictions``).  Each round of the orbit closure is
+    one product of the new lines with every simple reflection of the base.
     """
     lines = set(canonical_lines(rs.rows(base.pos)))
-    simple = [rs.reflection(i) for i in base.simples]
-    frontier = []
-    for d in D:
-        line = space.reflection_line(space.matrix(d))
-        if line is not None and line not in lines:
-            lines.add(line)
-            frontier.append(line)
+    simple = rs.image_rows(rs.reflection(i) for i in base.simples)
+    frontier = {line for _, line in restricted.values()} - {None} - lines
     while frontier:
-        x = split_keys(frontier, rs.n)
-        frontier = []
-        for s in simple:
-            for u in canonical_lines(apply_to_pairs(s, x)):
-                if u not in lines:
-                    lines.add(u)
-                    frontier.append(u)
+        lines |= frontier
+        images = pair_matmul(split_keys(list(frontier), rs.n), simple)
+        frontier = set(canonical_lines(tuple(t.reshape(-1, rs.n) for t in images))) - lines
     return lines
 
 
-def _action_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space):
-    """Action cell of (base)D on a space: P on X_perp, D on X n Y, Q on Y_perp."""
+def _action_cell(rs, role, base: ReflectionSubgroup, image_order, dim, space, restricted):
+    """Action cell of (base)D on a space: P on X_perp, D on X n Y, Q on Y_perp.
+
+    ``restricted`` is the restriction table of D on the space.
+    """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:
         return ActionCell(role, subgroup, 0, (), 1, False, 1)
     if image_order == base.order:  # D acts on the space through the base group
         return ActionCell(role, subgroup, dim, base.components, 1, False, image_order)
-    mats = {space.matrix(d) for d in D}
+    mats = {M for M, _ in restricted.values()}
     if len(mats) * base.order != image_order:
         raise RuntimeError(f"{role}: restrictions of D times the base order "
                            "differ from the image order")
-    lines = _reflection_lines(rs, base, D, space)
+    lines = _reflection_lines(rs, base, restricted)
     if not lines:
         minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
         return ActionCell(role, subgroup, dim, (), image_order, minus, image_order)
@@ -309,41 +315,46 @@ def _action_cell(rs, role, base: ReflectionSubgroup, D, image_order, dim, space)
                       False, image_order)
 
 
-def _subgroup_space_info(K, space):
-    """(matrix -> line or None, reflecting key -> line, line set) of K on a space."""
-    mats = {}
+def _subgroup_space_info(K, restricted):
+    """(restriction keys, reflecting key -> line, line set) of K on a space.
+
+    ``restricted`` is a restriction table on the space covering K.
+    """
+    mats = set()
     refl = {}
     for k in K:
-        M = space.matrix(k)
-        if M not in mats:
-            mats[M] = space.reflection_line(M)
-        if mats[M] is not None:
-            refl[k.key] = mats[M]
+        M, line = restricted[k.key]
+        mats.add(M)
+        if line is not None:
+            refl[k.key] = line
     return mats, refl, set(refl.values())
 
 
-def _name_and_marker(tag, K, spaces, B=None, AB=None):
+def _name_and_marker(tag, K, tables, B=None, AB=None):
     """Coxeter type name and idiosyncrasy marker for A, B or C.
 
-    ``spaces`` maps role -> SpaceRestriction (only roles the subgroup can act
-    on).  The name is the reflection type of the action, preferring X n Y; a
-    marker is attached when the actions conflict with the plain reading.
+    ``tables`` maps role -> the restriction table of D on that space, or
+    None for a zero space (only roles the subgroup can act on); K, B and AB
+    are subsets of D.  The name is the reflection type of the action,
+    preferring X n Y; a marker is attached when the actions conflict with
+    the plain reading.
     """
     if len(K) <= 1:
         return "", ""
+    form = K[0].rs.form
     fully = {}       # role -> (type components, reflecting key set)
     nontrivial = {}  # role -> has nontrivial image
     partial = {}     # role -> has some reflections but not fully reflective
-    for role, space in spaces.items():
-        if space is None or space.dim == 0:
+    for role, restricted in tables.items():
+        if restricted is None:
             continue
-        mats, refl, lines = _subgroup_space_info(K, space)
+        mats, refl, lines = _subgroup_space_info(K, restricted)
         size = len(mats)
         if size == 1:
             continue
         nontrivial[role] = True
         if lines:
-            diagram = diagram_of_lines(lines, space.rs.form)
+            diagram = diagram_of_lines(lines, form)
             if components_order(diagram) == size:
                 fully[role] = (diagram, frozenset(refl))
             else:
@@ -371,9 +382,9 @@ def _name_and_marker(tag, K, spaces, B=None, AB=None):
     if (tag == "A" and "x_perp" in nontrivial and "x_perp" not in fully
             and "x_perp" not in partial):
         if B is not None and len(B) > 1 and AB is not None:
-            mats, _, lines = _subgroup_space_info(AB, spaces["x_perp"])
+            mats, _, lines = _subgroup_space_info(AB, tables["x_perp"])
             if lines:
-                diagram = diagram_of_lines(lines, spaces["x_perp"].rs.form)
+                diagram = diagram_of_lines(lines, form)
                 if components_order(diagram) == len(mats):
                     return name, "diamond"
         if order == 8:
@@ -439,26 +450,31 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     w0 = subsystem_longest_element(rs, P.sub)
     asterisk = all(int(w0.img[i]) == rs.neg(i) for i in P.pos)
 
-    # the three action cells and the names of A, B and C; the restrictions
-    # to the subspaces need coordinates, and are only read when D is
-    # nontrivial, which it is for no dihedral shape
+    # the three action cells and the names of A, B and C, read off the
+    # restriction table of D on each nonzero space; A, B, C and AB are
+    # subsets of D.  The tables are only read when D is nontrivial, which it
+    # is for no dihedral shape.
     xsp = ysp = mid_space = None
+    tables = dict.fromkeys(("x_perp", "x_cap_y", "y_perp"))
     if len(D) > 1:
         xsp = _root_span(rs, P.sub.simples)
         ysp = _root_span(rs, Q.sub.simples)
         mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
-    cell_x = _action_cell(rs, "x_perp", P.sub, D, p_order * len(D), xperp.dim, xsp)
-    cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), D,
-                          len(D) // len(B), mid.dim, mid_space)
-    cell_y = _action_cell(rs, "y_perp", Q.sub, D, q_order * len(D) // len(A),
-                          yperp.dim, ysp)
+        for role, space in (("x_perp", xsp), ("x_cap_y", mid_space), ("y_perp", ysp)):
+            if space is not None and space.dim:
+                tables[role] = space.restrictions(D)
+    cell_x = _action_cell(rs, "x_perp", P.sub, p_order * len(D), xperp.dim,
+                          xsp, tables["x_perp"])
+    cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B),
+                          mid.dim, mid_space, tables["x_cap_y"])
+    cell_y = _action_cell(rs, "y_perp", Q.sub, q_order * len(D) // len(A), yperp.dim,
+                          ysp, tables["y_perp"])
     AB = [a * b for a in A for b in B]
     a_name = _format_subgroup(*_name_and_marker(
-        "A", A, {"x_perp": xsp, "x_cap_y": mid_space}, B=B, AB=AB))
+        "A", A, {r: tables[r] for r in ("x_perp", "x_cap_y")}, B=B, AB=AB))
     b_name = _format_subgroup(*_name_and_marker(
-        "B", B, {"x_perp": xsp, "y_perp": ysp}))
-    c_name = _format_subgroup(*_name_and_marker(
-        "C", C, {"x_perp": xsp, "x_cap_y": mid_space, "y_perp": ysp}))
+        "B", B, {r: tables[r] for r in ("x_perp", "y_perp")}))
+    c_name = _format_subgroup(*_name_and_marker("C", C, tables))
 
     dec = Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=n_order,

@@ -250,6 +250,11 @@ class RootSystem(_Roots):
         idx = np.fromiter(indices, dtype=np.intp)
         return self.root_pairs[0][idx], self.root_pairs[1][idx]
 
+    def image_rows(self, elements):
+        """The rows of the roots w(a_1), ..., w(a_n) of each element w, shape (k, n, n)."""
+        idx = np.array([w.img[: self.n] for w in elements], dtype=np.intp).reshape(-1, self.n)
+        return self.root_pairs[0][idx], self.root_pairs[1][idx]
+
     def root_vec(self, i):
         return from_pairs(self.rows([i]), 2)[0]
 

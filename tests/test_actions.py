@@ -94,18 +94,28 @@ def test_canonical_lines_are_the_primitive_rational_first_keys():
         [(4, -1, 0, 1), (4, -1, 0, 1), (0, 1, 0, 0)]
 
 
+def _key(x):
+    """The key of pair rows x: each row's p entries, then its q entries."""
+    return tuple(np.hstack(x).ravel().tolist())
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4"])
 def test_reflection_line_is_exactly_the_reflections(name):
+    # the batched restriction of all of W, in one call, against each element
+    # restricted on its own by apply_to_pairs
     rs = build_root_system(name)
-    by_roots = SpaceRestriction(rs, rs.rows(rs.simple_roots))
     eye = np.eye(rs.n, dtype=np.int64)
-    by_vectors = SpaceRestriction(rs, (eye, 0 * eye))
+    W = list(generate(rs.simple_reflections()))
     reflections = {rs.reflection(i).key: i for i in range(rs.npos)}
-    for w in generate(rs.simple_reflections()):
-        beta = reflections.get(w.key)
-        want = None if beta is None else canonical_lines(rs.rows([beta]))[0]
-        assert by_roots.reflection_line(by_roots.matrix(w)) == want
-        assert by_vectors.reflection_line(by_vectors.matrix(w)) == want
+    for basis in (rs.rows(rs.simple_roots), (eye, 0 * eye)):
+        space = SpaceRestriction(rs, basis)
+        table = space.restrictions(W)
+        assert len(table) == len(W)
+        for w in W:
+            beta = reflections.get(w.key)
+            want = None if beta is None else canonical_lines(rs.rows([beta]))[0]
+            assert table[w.key] == (_key(apply_to_pairs(w, basis)), want)
+            assert space.reflection_line(space.matrix(w)) == want
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H3", "H4"])

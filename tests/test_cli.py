@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,10 +10,16 @@ import pytest
 from coxnorm import cli
 
 
+# the subprocess imports the coxnorm package this test imported
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run(*args, timeout=120):
     # a command that overruns raises subprocess.TimeoutExpired, failing the test
     proc = subprocess.run([sys.executable, "-m", "coxnorm.cli", *args],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
