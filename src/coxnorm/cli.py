@@ -182,6 +182,9 @@ def cmd_verify(args):
         return _fail(f"unknown suite {args.suite!r}; choose from "
                      + ", ".join(sorted(SUITES)), 2)
     if args.suite == "fixtures":
+        from .oracle import fixture_file
+        if not fixture_file(str(rs.label)).is_file():
+            return _fail(f"no golden fixture for {rs.label}", 2)
         _require_short(rs, args, "the fixture diff")
     elif args.suite in ("goursat", "howlett", "oracle") and rs.group_order > BRUTE_LIMIT:
         # howlett and oracle enumerate W, goursat the normalizer of the trivial parabolic

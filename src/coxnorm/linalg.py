@@ -1,168 +1,156 @@
-"""Exact linear algebra over Q(sqrt(5)).
+"""Exact linear algebra over Z[sqrt5], on integer pairs.
 
-Vectors are tuples of Q5, matrices are tuples of row tuples.  Everything is
-small (dimension <= 8), so plain Gaussian elimination is used throughout.
-Subspaces are stored by their reduced row echelon basis, which is canonical:
-two equal subspaces have identical representations.
-
-Work over many roots or group elements at once (the root table, signs of
-every root on a subspace, element actions, Gram matrices of line sets) uses
-integer pairs instead: rows of values p + q*sqrt5 held as two int64 arrays
-(p, q).  A Q(sqrt5) row becomes a pair row after scaling by a positive
-integer that clears its denominators (``to_pairs``); zero tests, signs and
-ratios of such rows are unchanged by the scaling.  ``from_pairs`` turns pair
-rows back into Q(sqrt5) rows for the eliminations.  Every pair operation
-bounds its result first and raises RuntimeError where int64 could overflow,
-so a sign is never silently wrong.
+A row of values p + q*sqrt5 is held as a pair of int arrays (p, q).  A row
+stands for its line in Q(sqrt5)^n, so zero tests, signs, ratios and spans
+are unchanged by scaling it by a positive integer (the root rows hold
+doubled halves).  The one elimination, ``rref``, is fraction-free
+Gauss-Jordan elimination in plain Python ints (every rank is at most 8).
+Its rows are canonical, the primitive positive integer multiples of the
+reduced row echelon rows over Q(sqrt5): a ``Subspace`` holds them, and
+``kernel`` reads the kernel's canonical rows off them.  Work over many roots or elements runs
+as numpy products of int64 pairs; every pair operation bounds its result
+first and raises RuntimeError where int64 could overflow, so a sign is
+never silently wrong.  Q(sqrt5) values (``Q5``) appear only at the public
+boundary: ``to_pairs``/``from_pairs`` convert Q5 rows, ``form_pairs`` reads
+a Gram matrix, and ``dot`` is the inner product of Q5 vectors.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
-from .qsqrt5 import ONE, Q5, ZERO, q5
-
-Vec = tuple
-Mat = tuple
-
-
-def vec(entries) -> Vec:
-    return tuple(q5(x) for x in entries)
+from .qsqrt5 import Q5, ZERO
 
 
 def dot(u, v, gram=None):
-    """Inner product of u and v; plain dot product unless a Gram matrix is given."""
+    """Inner product of the vectors u and v (of Q5, Fraction or int values), under
+    the Gram matrix if one is given."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    if gram is None:
-        s = ZERO
-        for a, b in zip(u, v):
-            s = s + a * b
-        return s
-    s = ZERO
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = gram[i]
-        for j, b in enumerate(v):
-            if b:
-                s = s + a * row[j] * b
-    return s
+    if gram is not None:
+        u = [sum((a * row[j] for a, row in zip(u, gram) if a), ZERO) for j in range(len(v))]
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
-def mat_identity(n) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+def _primitive(v):
+    """The row v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
-def vec_mat(x, M):
-    """Row vector times matrix."""
-    out = [ZERO] * len(M[0])
-    for i, c in enumerate(x):
-        if not c:
-            continue
-        row = M[i]
-        for j in range(len(out)):
-            out[j] = out[j] + c * row[j]
-    return tuple(out)
+def _twist(v, n):
+    """sqrt5 times the row v of n p entries, then n q entries: 5q + p*sqrt5."""
+    return [5 * y for y in v[n:]] + v[:n]
+
+
+def _pack(rows, n):
+    """int64 pair arrays, shape (len(rows), n), of rows of n p entries, then n q entries."""
+    _overflow(max(map(abs, chain.from_iterable(rows)), default=0))
+    packed = np.array(rows, dtype=np.int64).reshape(-1, 2 * n)
+    return packed[:, :n], packed[:, n:]
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    """Canonical echelon rows of the pair rows (p, q), shape (k, n), and their pivots.
+
+    The pivot row is multiplied by +-(a - b*sqrt5) for its pivot a + b*sqrt5,
+    making the pivot the positive integer d = |a^2 - 5b^2|, and every other
+    row i is cleared by d*row_i - f*row_r, f its pivot column entry.  A row
+    is divided by the gcd of its entries whenever it changes, so each final
+    row is the primitive positive integer multiple of its reduced row echelon
+    row over Q(sqrt5).
+    """
+    n = rows[0].shape[1]
+    m = [p + q for p, q in zip(rows[0].tolist(), rows[1].tolist())]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot = i
+    for c in range(n):
+        r = len(pivots)
+        for i in range(r, len(m)):
+            if m[i][c] or m[i][n + c]:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        # zero entries and a unit pivot are left as they are; the pivot row
-        # is zero left of c, so only the columns right of c change
-        if m[r][c] != ONE:
-            inv = m[r][c].inverse()
-            m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i][c + 1:] = [x - f * y if y else x
-                                for x, y in zip(m[i][c + 1:], m[r][c + 1:])]
-                m[i][c] = ZERO
+        m[r], m[i] = m[i], m[r]
+        v = m[r]
+        a, b = v[c], v[n + c]
+        if b:
+            s = 1 if a * a > 5 * b * b else -1
+            v = [s * (a * x - b * y) for x, y in zip(v, _twist(v, n))]
+        elif a < 0:
+            v = [-x for x in v]
+        v = m[r] = _primitive(v)
+        d, tw = v[c], _twist(v, n)
+        for k, u in enumerate(m):
+            fa, fb = u[c], u[n + c]
+            if k == r or not (fa or fb):
+                continue
+            if fb:
+                m[k] = _primitive([d * x - fa * y - fb * z for x, y, z in zip(u, v, tw)])
+            else:
+                m[k] = _primitive([d * x - fa * y for x, y in zip(u, v)])
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(m):
             break
-    return [tuple(row) for row in m[:r]], pivots
+    return _pack(m[:len(pivots)], n), pivots
 
 
-def kernel(rows, ncols=None):
-    """Basis (as rows) of {x : M x^T = 0} for the matrix with the given rows."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for empty matrix")
-        return [tuple(ONE if j == i else ZERO for j in range(ncols))
-                for i in range(ncols)]
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+def kernel(rows):
+    """Canonical rows (as ``rref``'s) of {x : M x^T = 0} for the pair rows M, shape (k, n).
+
+    In the echelon form of M's columns in reverse order every pivot is as far
+    right as it can be.  So the vector of free column j, with L at j and
+    -(L/d) row[j] at the pivot column of each row with pivot d (L the lcm of
+    the pivots), is zero left of j and at the other free columns: made
+    primitive, these vectors are the kernel's canonical rows.
+    """
+    n = rows[0].shape[1]
+    (P, Q), pivots = rref(tuple(x[:, ::-1] for x in rows))
+    red = [p[::-1] + q[::-1] for p, q in zip(P.tolist(), Q.tolist())]
+    pivots = [n - 1 - c for c in pivots]
+    scale = lcm(*(v[c] for v, c in zip(red, pivots)))
     basis = []
-    for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    for j in (j for j in range(n) if j not in pivots):
+        x = [0] * (2 * n)
+        x[j] = scale
+        for v, c in zip(red, pivots):
+            f = scale // v[c]
+            x[c], x[n + c] = -f * v[j], -f * v[n + j]
+        basis.append(_primitive(x))
+    return _pack(basis, n)
 
 
 class Subspace:
-    """A subspace of Q(sqrt5)^n in canonical reduced row echelon form."""
+    """A subspace of Q(sqrt5)^n, held by the canonical pair rows of ``rref``."""
 
-    __slots__ = ("rows", "n", "_pairs")
+    __slots__ = ("pairs", "n")
 
     def __init__(self, rows, n):
-        red, _ = rref(rows) if rows else ([], [])
-        self.rows = tuple(red)
+        self.pairs = rref(tuple(np.asarray(x, dtype=np.int64).reshape(-1, n)
+                                for x in rows))[0]
         self.n = n
-        self._pairs = None
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pairs[0])
 
-    @property
-    def pairs(self):
-        """The echelon rows as integer pairs, each scaled by a positive integer."""
-        if self._pairs is None:
-            self._pairs = tuple(a.reshape(self.dim, self.n) for a in to_pairs(self.rows))
-        return self._pairs
+    def perp(self, form):
+        """Orthogonal complement under the bilinear form given as pairs (e.g. ``rs.form``)."""
+        return Subspace(kernel(pair_matmul(self.pairs, form)), self.n)
 
-    def perp(self, gram):
-        """Orthogonal complement with respect to the bilinear form gram."""
-        if not self.rows:
-            return Subspace(list(mat_identity(self.n)), self.n)
-        conditions = [vec_mat(r, gram) for r in self.rows]
-        return Subspace(kernel(conditions, ncols=self.n), self.n)
+    def _key(self):
+        return self.n, self.pairs[0].tobytes(), self.pairs[1].tobytes()
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, Subspace) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"
-
-
-def span(vectors, n):
-    return Subspace(list(vectors), n)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import pair_matmul
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
-                        fixes_pointwise, pointwise_stabilizer,
-                        shape_catalog, standard_conjugate, standard_parabolic,
-                        standard_subset, subset_groupoid)
+                        pointwise_stabilizer, shape_catalog, standard_conjugate,
+                        standard_parabolic, standard_subset, subset_groupoid)
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -112,7 +111,7 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
     """
     elements = list(L)
     rs = elements[0].rs
-    if V2 != V1.perp(rs.gram):
+    if V2 != V1.perp(rs.form):
         raise ValueError("V2 is not the orthogonal complement of V1")
     s1 = SpaceRestriction(rs, V1.pairs)
     s2 = SpaceRestriction(rs, V2.pairs)
@@ -423,8 +422,23 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     # A fixes Y_perp pointwise (equivalently every root of Q)
     A = [d for d in D if all(int(d.img[q]) == q for q in Q.simples)]
 
+    # D's restriction table on each nonzero space of the invariant split (D is
+    # trivial for every dihedral shape); B, the action cells and the names of
+    # A, B, C and AB, all subsets of D, are read off them
     xperp, mid, yperp = invariant_split(P, Q)
-    B = [d for d in D if fixes_pointwise(d, mid)]
+    xsp = ysp = mid_space = None
+    tables = dict.fromkeys(("x_perp", "x_cap_y", "y_perp"))
+    if len(D) > 1:
+        xsp = _root_span(rs, P.sub.simples)
+        ysp = _root_span(rs, Q.sub.simples)
+        mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
+        for role, space in (("x_perp", xsp), ("x_cap_y", mid_space), ("y_perp", ysp)):
+            if space is not None and space.dim:
+                tables[role] = space.restrictions(D)
+
+    # B fixes X n Y pointwise: all of D when X n Y = 0 or D = 1
+    B = D if tables["x_cap_y"] is None else [
+        d for d in D if tables["x_cap_y"][d.key][0] == mid_space.identity]
     ab_keys = {(a * b).key for a in A for b in B}
     if len(ab_keys) != len(A) * len(B):
         raise RuntimeError("A and B do not intersect trivially")
@@ -450,19 +464,6 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     w0 = subsystem_longest_element(rs, P.sub)
     asterisk = all(int(w0.img[i]) == rs.neg(i) for i in P.pos)
 
-    # the three action cells and the names of A, B and C, read off the
-    # restriction table of D on each nonzero space; A, B, C and AB are
-    # subsets of D.  The tables are only read when D is nontrivial, which it
-    # is for no dihedral shape.
-    xsp = ysp = mid_space = None
-    tables = dict.fromkeys(("x_perp", "x_cap_y", "y_perp"))
-    if len(D) > 1:
-        xsp = _root_span(rs, P.sub.simples)
-        ysp = _root_span(rs, Q.sub.simples)
-        mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
-        for role, space in (("x_perp", xsp), ("x_cap_y", mid_space), ("y_perp", ysp)):
-            if space is not None and space.dim:
-                tables[role] = space.restrictions(D)
     cell_x = _action_cell(rs, "x_perp", P.sub, p_order * len(D), xperp.dim,
                           xsp, tables["x_perp"])
     cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B),

@@ -132,10 +132,13 @@ def parse_fixture(text: str, group: str) -> TableFixture:
     return TableFixture(group, rows)
 
 
-def load_fixture(group: str) -> TableFixture:
+def fixture_file(group: str):
     name = group.lower().replace("(", "_").replace(")", "")
-    text = resources.files("coxnorm.fixtures").joinpath(f"{name}.txt").read_text()
-    return parse_fixture(text, group)
+    return resources.files("coxnorm.fixtures").joinpath(f"{name}.txt")
+
+
+def load_fixture(group: str) -> TableFixture:
+    return parse_fixture(fixture_file(group).read_text(), group)
 
 
 def _strip_decoration(label: str) -> str:

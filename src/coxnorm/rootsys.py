@@ -12,9 +12,10 @@ coordinate k of root i is (p + q*sqrt5)/2 with (p, q) = root_pairs[.][i, k].
 The factor 1/2 covers F4's -1/2 bond and the golden ratio phi = (1 +
 sqrt5)/2.  The table is built by closing the simple roots under the simple
 reflections, which need only the Cartan entries 2<a_j, a_i>/<a_i, a_i>, so
-no Q(sqrt5) arithmetic runs per root.  Q(sqrt5) values appear only in the
-n x n Gram matrix, in the rank-sized eliminations of ``linalg`` and in the
-public ``root_vec`` and ``inner_product``.
+no Q(sqrt5) arithmetic runs per root.  Spans and fixed spaces are
+``linalg.Subspace`` values, eliminated from the pair rows of the roots and
+of their forms.  Q(sqrt5) values (``Q5``) appear only in the n x n Gram
+matrix and in the public ``root_vec`` and ``inner_product``.
 
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
 and the negative of root i is i + npos (mod 2*npos), so sign flips are O(1).
@@ -49,8 +50,7 @@ import numpy as np
 
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import (Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul, pair_sign,
-                     vec)
+from .linalg import Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul, pair_sign
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -259,14 +259,13 @@ class RootSystem(_Roots):
         return from_pairs(self.rows([i]), 2)[0]
 
     def span(self, indices) -> Subspace:
-        return Subspace(from_pairs(self.rows(indices), 2), self.n)
+        return Subspace(self.rows(indices), self.n)
 
     def fixed_space(self, indices) -> Subspace:
         """Common fixed space of the reflections in the given roots: the kernel
         of their root forms."""
         forms = np.fromiter((i % self.npos for i in indices), dtype=np.intp)
-        rows = from_pairs((self._root_forms[0][forms], self._root_forms[1][forms]))
-        return Subspace(kernel(rows, ncols=self.n), self.n)
+        return Subspace(kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
 
     def fixes_pointwise(self, w: GroupElement, X: Subspace) -> bool:
         # apply_to_pairs doubles the rows it fixes
@@ -280,12 +279,14 @@ class RootSystem(_Roots):
         The point is x_1 + e x_2 + e^2 x_3 + ... for the echelon rows x_k of
         X and a small e > 0, so a root takes the sign of its value on the
         first row it does not vanish on, and 0 when it vanishes on X.  The
-        values are one integer-pair product of the root forms with X.
+        values are one integer-pair product of the root forms with X's pair
+        rows; each is a positive multiple of its echelon row over Q(sqrt5),
+        which keeps every sign.
         """
         if X.n != self.n:
             raise ValueError("subspace of wrong ambient dimension")
         signs = np.zeros(self.nroots, dtype=np.int8)
-        if not X.rows:
+        if not X.dim:
             return signs
         rows = tuple(m.T for m in X.pairs)
         values = pair_sign(pair_matmul(self._root_forms, rows))
@@ -455,7 +456,7 @@ def inner_product(rs: RootSystem, v, w):
         raise ValueError("I2 systems carry no coordinate vectors")
     if len(v) != len(w) or len(v) != rs.n:
         raise ValueError("dimension mismatch")
-    return dot(vec(v), vec(w), rs.gram)
+    return dot(v, w, rs.gram)
 
 
 def apply_to_pairs(w: GroupElement, x):

@@ -252,21 +252,34 @@ def test_criterion_6_goursat_suite():
                   "well-defined), every shape at rank <= 5", ok)
 
 
-def test_criterion_6_order_product_and_normality():
+def _order_product_and_normality(name):
+    """|N| = |P||Q||A||B||C| and Theorem 13 on every shape of the group,
+    reporting each failure."""
     ok = True
-    for name in RANK_LE_6_PLUS:
-        rs = build_root_system(name)
-        for shape in shape_catalog(rs):
-            dec = decompose(rs, shape)
-            if dec.n_order != (dec.p_order * dec.q_order * len(dec.A)
-                               * len(dec.B) * len(dec.C)):
-                ok = report(f"criterion 6 (orders): {name}/{shape.label}", False)
-            rep = verify_theorem13(dec)
-            if not rep["ok"]:
-                ok = report(f"criterion 6 (normality): {name}/{shape.label}",
-                            False, str(rep["witness"]))
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        dec = decompose(rs, shape)
+        if dec.n_order != (dec.p_order * dec.q_order * len(dec.A)
+                           * len(dec.B) * len(dec.C)):
+            ok = report(f"criterion 6 (orders): {name}/{shape.label}", False)
+        rep = verify_theorem13(dec)
+        if not rep["ok"]:
+            ok = report(f"criterion 6 (normality): {name}/{shape.label}",
+                        False, str(rep["witness"]))
+    return ok
+
+
+def test_criterion_6_order_product_and_normality():
+    ok = all([_order_product_and_normality(name) for name in RANK_LE_6_PLUS])
     assert report("criterion 6: |N| = |P||Q||A||B||C| and PQAB normal of "
                   "index <= 2, every shape at rank <= 6 plus E6/E7/F4/H3/H4", ok)
+
+
+def test_criterion_6_e8_order_product_and_normality():
+    ok = len(shape_catalog(build_root_system("E8"))) == 41
+    ok &= _order_product_and_normality("E8")
+    assert report("criterion 6: |N| = |P||Q||A||B||C| and PQAB normal of "
+                  "index <= 2, all 41 E8 shapes", ok)
 
 
 def test_criterion_6_section8_suites():

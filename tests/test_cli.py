@@ -110,6 +110,14 @@ def test_verify_fixtures_exit_codes():
     assert code == 2
 
 
+def test_missing_fixture_exits_2_with_one_line():
+    # I2(31) has no golden table: a user error found before any work, not a
+    # verification failure (exit 1) or a traceback
+    code, out, err = run("verify", "I2(31)", "--suite", "fixtures")
+    assert code == 2 and out == ""
+    assert err == "error: no golden fixture for I2(31)\n"
+
+
 def test_involutions_command():
     code, out, _ = run("involutions", "B3", "--format", "json")
     assert code == 0

@@ -101,7 +101,7 @@ def test_goursat_trivial_cases():
     W = generate(rs.simple_reflections())
     w0 = longest_element(W)
     sec = goursat_sections([identity(rs), w0], rs.span([0]),
-                           rs.span([0]).perp(rs.gram))
+                           rs.span([0]).perp(rs.form))
     assert len(sec.kernels[0]) == 1 and len(sec.kernels[1]) == 1
     assert len({p1 for p1, p2 in sec.matched_pairs}) == 2
 
@@ -111,7 +111,7 @@ def test_goursat_rejects_non_invariant_split():
     W = list(generate(rs.simple_reflections()))
     line = rs.span([0])
     with pytest.raises(ValueError, match="not invariant"):
-        goursat_sections(W, line, line.perp(rs.gram))
+        goursat_sections(W, line, line.perp(rs.form))
 
 
 def test_goursat_rejects_non_complementary_spaces():

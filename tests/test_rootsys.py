@@ -9,20 +9,26 @@ import pytest
 from coxnorm import parabolic
 from coxnorm.actions import invariant_split
 from coxnorm.diagrams import bond_order
-from coxnorm.galois import orthogonal_complement
+from coxnorm.galois import orthogonal_complement, parabolic_concepts, shape_closure_graph
 from coxnorm.groups import generate, identity
 from coxnorm.labels import parse_label
-from coxnorm.linalg import dot, vec_mat
+from coxnorm.linalg import dot, from_pairs
 from coxnorm.normalizer import compute_table
 from coxnorm.parabolic import (fixes_pointwise, pointwise_stabilizer, shape_catalog,
                                standard_parabolic)
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import (I2Subspace, RootSystem, build_root_system, inner_product,
                              reflection_in_root)
+from coxnorm.verify import verify_galois, verify_section8
 
 
 def _vectors(rs):
     return [rs.root_vec(i) for i in range(rs.nroots)]
+
+
+def vec_mat(x, M):
+    """Row vector times matrix, over Q(sqrt5)."""
+    return tuple(dot(x, tuple(row[j] for row in M)) for j in range(len(M[0])))
 
 
 def test_label_round_trips():
@@ -147,7 +153,6 @@ def test_signed_permutation_embedding():
 @pytest.mark.parametrize("name", ["B6", "E8", "F4", "H4"])
 def test_reflection_perms_match_gram_form(name):
     # r_a(v) = v - 2<v,a>/<a,a> a, evaluated exactly in the Gram form
-    from coxnorm.linalg import dot, vec_mat
     rs = build_root_system(name)
     where = {v: i for i, v in enumerate(_vectors(rs))}
     for i in range(rs.npos):
@@ -250,8 +255,10 @@ def test_i2_geometry(m):
 
 def _signs_by_dot(rs, X):
     """Reference signs at a generic point of X: each positive root's value on
-    the first echelon row of X it does not vanish on, in Q(sqrt5)."""
-    forms = [vec_mat(row, rs.gram) for row in X.rows]
+    the first echelon row of X it does not vanish on, in Q(sqrt5).  The rows
+    are read back from their pairs, each a positive multiple of the echelon
+    row, which keeps every sign."""
+    forms = [vec_mat(row, rs.gram) for row in from_pairs(X.pairs)]
     signs = []
     for v in _vectors(rs)[: rs.npos]:
         values = [dot(f, v) for f in forms]
@@ -269,10 +276,12 @@ def test_signs_at_match_the_exact_inner_products(name):
         P = standard_parabolic(rs, shape.rep_subset)
         spaces.extend(invariant_split(P, orthogonal_complement(P.sub)))
     # the echelon rows have denominators (except in B6, where all are
-    # integral) and, in H3 and H4, sqrt5 entries
-    entries = [x for X in spaces for row in X.rows for x in row]
-    assert (name == "B6") != any(x.den > 1 for x in entries)
-    assert (name[0] == "H") == any(x.b for x in entries)
+    # integral) and, in H3 and H4, sqrt5 entries: a pair row is its echelon
+    # row times the least common denominator, which is its pivot, the first
+    # nonzero entry; sqrt5 parts stay nonzero under the scaling
+    pivots = [int(row[row.nonzero()[0][0]]) for X in spaces for row in X.pairs[0]]
+    assert (name == "B6") != any(d > 1 for d in pivots)
+    assert (name[0] == "H") == any(X.pairs[1].any() for X in spaces)
     for X in spaces:
         assert rs.signs_at(X).tolist() == _signs_by_dot(rs, X), X
 
@@ -297,12 +306,9 @@ def test_root_order_is_pinned(name):
     assert digest == ROOT_ORDER_SHA256[name]
 
 
-# the only places a Q5 may be built while a root system and its table are
-# computed: the eliminations of linalg, the inputs they are given, and the
-# Gram matrix
-Q5_SITES = {("linalg", "rref"), ("linalg", "kernel"), ("linalg", "Subspace.perp"),
-            ("rootsys", "_gram_matrix"),
-            ("rootsys", "RootSystem.span"), ("rootsys", "RootSystem.fixed_space")}
+# the only place a Q5 may be built while a root system, its table and its
+# lattice suites are computed: the Gram matrix
+Q5_SITES = {("rootsys", "_gram_matrix")}
 
 
 def test_no_q5_per_root_or_per_element(monkeypatch):
@@ -331,5 +337,9 @@ def test_no_q5_per_root_or_per_element(monkeypatch):
 
     monkeypatch.setattr(Q5, "__init__", counted)
     for name in ["H4", "E7"]:
-        compute_table(RootSystem(parse_label(name)))
+        rs = RootSystem(parse_label(name))
+        compute_table(rs)
+        parabolic_concepts(rs)
+        shape_closure_graph(rs)
+        assert verify_galois(rs)["ok"] and verify_section8(rs)["ok"]
     assert built and not outside, outside.most_common(5)
