@@ -7,10 +7,11 @@ it is always parabolic, and U -> perp(U) is a Galois connection whose closure
 operator is perp(perp(.)).  A pair of mutually complementary orthogonally
 closed parabolics is a parabolic concept.
 
-Orthogonality is read off the reflection permutations (r_a fixes b), the
-same way for every family, so the complement of U is the set of roots fixed
-by every reflection of U; the commutation characterization lives in the
-oracle module as an independent cross-check.
+Orthogonality is the root system's boolean table (row j marks the roots
+the reflection in root j fixes), the same for every family, so the
+complement of U is one row reduction: the roots marked in every row of U's
+positive roots.  The commutation characterization lives in the oracle
+module as an independent cross-check that never reads the table.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ def orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup) -> Paraboli
     """Parabolic generated by all reflections orthogonal to every reflection of U."""
     sub = U.sub if isinstance(U, ParabolicSubgroup) else U
     rs = sub.rs
-    every = np.arange(rs.nroots)
-    fixed = np.ones(rs.nroots, dtype=bool)
-    for j in sub.pos:
-        fixed &= rs.reflection_perm(j) == every
+    fixed = rs.orthogonality[list(sub.pos)].all(axis=0)
     return parabolic_from_roots(rs, frozenset(np.flatnonzero(fixed).tolist()))
 
 

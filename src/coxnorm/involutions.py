@@ -72,11 +72,12 @@ def involution_class_representatives(rs):
 
 def mark_involution_shapes(rs):
     """Indices of shapes whose normalizer is an involution centralizer."""
-    catalog = shape_catalog(rs)
-    marked = {1}  # the trivial parabolic comes from the identity involution
-    for rec in involution_class_representatives(rs):
-        marked.add(rec.shape_index)
-    return sorted(marked)
+    return _marked(involution_class_representatives(rs))
+
+
+def _marked(records):
+    # the trivial parabolic comes from the identity involution
+    return sorted({1, *(rec.shape_index for rec in records)})
 
 
 def centralizer(W, u: GroupElement):
@@ -121,9 +122,10 @@ def has_central_minus_one(rs) -> bool:
 def section8_checks(rs) -> dict:
     """The observation suite: per-bullet pass/fail with witnesses."""
     catalog = shape_catalog(rs)
-    marked = set(mark_involution_shapes(rs))
-    closed = {s.index for s in catalog if closure_index(catalog, s) == s.index}
+    records = involution_class_representatives(rs)
+    marked = set(_marked(records))
     closure_of = {s.index: closure_index(catalog, s) for s in catalog}
+    closed = {i for i, c in closure_of.items() if c == i}
     minus_one = has_central_minus_one(rs)
     report = {"group": str(rs.label), "minus_one_central": minus_one, "checks": {}}
 
@@ -173,7 +175,7 @@ def section8_checks(rs) -> dict:
         negation = GroupElement(
             rs, np.array([rs.neg(i) for i in range(rs.nroots)], dtype=np.int16))
         bad = None
-        for rec in involution_class_representatives(rs):
+        for rec in records:
             u = rec.element
             minus_u = u * negation
             P_u = fixed_parabolic(u)

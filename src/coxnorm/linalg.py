@@ -132,13 +132,20 @@ class Subspace:
                                 for x in rows))[0]
         self.n = n
 
+    @classmethod
+    def canonical(cls, pairs, n):
+        """The subspace of rows that are already canonical, as ``kernel`` returns them."""
+        X = cls.__new__(cls)
+        X.pairs, X.n = pairs, n
+        return X
+
     @property
     def dim(self):
         return len(self.pairs[0])
 
     def perp(self, form):
         """Orthogonal complement under the bilinear form given as pairs (e.g. ``rs.form``)."""
-        return Subspace(kernel(pair_matmul(self.pairs, form)), self.n)
+        return Subspace.canonical(kernel(pair_matmul(self.pairs, form)), self.n)
 
     def _key(self):
         return self.n, self.pairs[0].tobytes(), self.pairs[1].tobytes()

@@ -251,8 +251,7 @@ def _complement_D(rs, subset, pq_sub):
         d = descend_to_complement(g, pq_sub)
         if not d.is_identity():
             gens.setdefault(d.key, d)
-    D = generate(gens.values(), rs=rs)
-    return sorted(D, key=lambda w: w.canonical())
+    return generate(gens.values(), rs=rs)
 
 
 def _root_span(rs, simples):
@@ -416,7 +415,8 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     q_index = catalog.class_of_roots(Q.roots)
     p_order, q_order = P.order, Q.order
     pq_sub = ReflectionSubgroup(rs, P.roots | Q.roots)
-    D = _complement_D(rs, subset, pq_sub)
+    # in canonical order: the choice of C below takes its first candidate
+    D = sorted(_complement_D(rs, subset, pq_sub), key=lambda w: w.canonical())
     n_order = p_order * q_order * len(D)
 
     # A fixes Y_perp pointwise (equivalently every root of Q)

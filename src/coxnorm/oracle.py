@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .diagrams import close_roots
 from .groups import BRUTE_LIMIT, generate
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
@@ -42,25 +44,24 @@ def brute_normalizer(P: ParabolicSubgroup, W=None):
 
 
 def brute_orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup):
-    """Literal commutation definition: reflections commuting with all of U."""
+    """Literal commutation definition: reflections commuting with all of U.
+
+    The permutations of all positive-root reflections are stacked as R, and
+    r_t commutes with r_s iff r_s composed with r_t equals r_t composed with
+    r_s on every root: perm_s[R[t]] == R[t][perm_s].  The root system's
+    orthogonality table is not read.
+    """
     sub = U.sub if isinstance(U, ParabolicSubgroup) else U
     rs = sub.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    gens = []
-    refl_of_U = [rs.reflection(i) for i in sub.pos]
-    for t in range(rs.npos):
-        rt = rs.reflection(t)
-        ok = True
-        for s_idx, s in zip(sub.pos, refl_of_U):
-            if t == s_idx:
-                ok = False
-                break
-            if (rt * s).key != (s * rt).key:
-                ok = False
-                break
-        if ok:
-            gens.append(t)
+    R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
+    keep = np.ones(rs.npos, dtype=bool)
+    for s in sub.pos:
+        perm_s = rs.reflection_perm(s)
+        keep &= (perm_s[R] == R[:, perm_s]).all(axis=1)
+        keep[s] = False
+    gens = np.flatnonzero(keep).tolist()
     if not gens:
         return parabolic_from_roots(rs, frozenset())
     return parabolic_from_roots(rs, close_roots(rs, gens))

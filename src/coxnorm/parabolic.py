@@ -156,11 +156,6 @@ def standard_parabolic(rs, subset) -> ParabolicSubgroup:
     return ParabolicSubgroup(ReflectionSubgroup.standard(rs, subset))
 
 
-def fixes_pointwise(w: GroupElement, X) -> bool:
-    """Does the element fix the subspace pointwise?"""
-    return w.rs.fixes_pointwise(w, X)
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 

@@ -27,23 +27,24 @@ arrays.
 
 Orthogonality and bond orders are read off the reflection permutations, the
 same way for every family: roots a and b are orthogonal iff r_a fixes b, and
-the bond order of a and b is the order of r_a r_b.  The signs of all roots
-on a subspace are one product of integer pairs: the root forms, kept from
-the build, times the subspace's rows.  An element acts on pair rows through
-the root table (``apply_to_pairs``).
+the bond order of a and b is the order of r_a r_b.  Orthogonality is one
+boolean table per root system, built on first use from the permutations of
+the positive-root reflections: row j marks the roots r_j fixes.  The signs
+of all roots on a subspace are one product of integer pairs: the root forms,
+kept from the build, times the subspace's rows.
 
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
 subspaces are ``I2Subspace`` values: zero, a line, or the plane.  Both classes
 provide the geometry the layers above use (span and fixed space of roots,
-signs of the roots at a generic point of a subspace, and whether an element
-fixes a subspace pointwise), so nothing above this module branches on the
-family.
+and signs of the roots at a generic point of a subspace), so nothing above
+this module branches on the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -140,9 +141,16 @@ class _Roots:
     def neg(self, i):
         return (i + self.npos) % self.nroots
 
+    @cached_property
+    def orthogonality(self):
+        """Boolean table, shape (npos, nroots): row j marks the roots that the
+        reflection in root j fixes, the roots orthogonal to root j."""
+        perms = np.array([self.reflection_perm(j) for j in range(self.npos)])
+        return perms == np.arange(self.nroots)
+
     def orthogonal(self, i, j):
         """Roots i and j are orthogonal iff the reflection in i fixes j."""
-        return int(self.reflection_perm(i)[j]) == j
+        return bool(self.orthogonality[i % self.npos, j])
 
     def reflection(self, i) -> GroupElement:
         return GroupElement(self, self.reflection_perm(i).copy())
@@ -265,13 +273,8 @@ class RootSystem(_Roots):
         """Common fixed space of the reflections in the given roots: the kernel
         of their root forms."""
         forms = np.fromiter((i % self.npos for i in indices), dtype=np.intp)
-        return Subspace(kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
-
-    def fixes_pointwise(self, w: GroupElement, X: Subspace) -> bool:
-        # apply_to_pairs doubles the rows it fixes
-        p, q = X.pairs
-        image = apply_to_pairs(w, X.pairs)
-        return bool((image[0] == 2 * p).all() and (image[1] == 2 * q).all())
+        return Subspace.canonical(
+            kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
 
     def signs_at(self, X: Subspace):
         """Signs of all roots at a lexicographically generic point of X.
@@ -402,12 +405,6 @@ class I2RootSystem(_Roots):
             return I2Subspace(self.m, 1, (X.t + self.m) % (2 * self.m))
         return I2Subspace(self.m, 2 - X.dim)
 
-    def fixes_pointwise(self, w: GroupElement, X: I2Subspace) -> bool:
-        # w fixes X pointwise iff it maps the facet of a generic point of X
-        # to itself, that is, iff it keeps the signs of all roots there
-        signs = self.signs_at(X)
-        return bool((signs[w.img] == signs).all())
-
     def signs_at(self, X: I2Subspace):
         """Signs of all roots at a generic point of X.
 
@@ -457,15 +454,6 @@ def inner_product(rs: RootSystem, v, w):
     if len(v) != len(w) or len(v) != rs.n:
         raise ValueError("dimension mismatch")
     return dot(v, w, rs.gram)
-
-
-def apply_to_pairs(w: GroupElement, x):
-    """Images of the pair rows x under w (right action), scaled by 2.
-
-    Row v maps to the sum of v_i w(a_i), and w(a_i) is the root w.img[i] of
-    the table, whose entries are halves; so the identity doubles every row.
-    """
-    return pair_matmul(x, w.rs.rows(w.img[: w.rs.n]))
 
 
 def reflection_in_root(rs, root_index) -> GroupElement:

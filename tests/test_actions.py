@@ -8,12 +8,27 @@ from coxnorm.actions import (SpaceRestriction, canonical_lines,
 from coxnorm.diagrams import close_roots, positive_part, recognize_subsystem
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
-from coxnorm.linalg import form_pairs, pair_mul
+from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
 from coxnorm.normalizer import decompose
 from coxnorm.parabolic import (parabolic_from_roots, shape_catalog,
                                standard_parabolic)
 from coxnorm.qsqrt5 import Q5
-from coxnorm.rootsys import apply_to_pairs, build_root_system
+from coxnorm.rootsys import build_root_system
+
+
+def apply_to_pairs(w, x):
+    """Images of the pair rows x under w (right action), scaled by 2.
+
+    Row v maps to the sum of v_i w(a_i), and w(a_i) is the root w.img[i] of
+    the table, whose entries are halves; so the identity doubles every row.
+    """
+    return pair_matmul(x, w.rs.rows(w.img[: w.rs.n]))
+
+
+def fixes_pointwise(w, X):
+    """Does w fix the subspace X pointwise?  apply_to_pairs doubles the rows it fixes."""
+    image = apply_to_pairs(w, X.pairs)
+    return all((im == 2 * x).all() for im, x in zip(image, X.pairs))
 
 
 def pairs(*rows):
@@ -48,7 +63,6 @@ def test_invariant_split_worked_example():
     images = {xsp.matrix(d) for d in dec.D}
     assert len(images) == 6
     # P fixes X = mid + yperp pointwise
-    from coxnorm.parabolic import fixes_pointwise
     for i in P.sub.simples:
         assert fixes_pointwise(rs.reflection(i), P.witness)
     # the restriction of D to the mid space is the A2 reflection action

@@ -1,9 +1,15 @@
 import importlib
 import itertools
+import random
 
+import numpy as np
+import pytest
+
+from coxnorm import galois, verify
 from coxnorm.galois import (closure_index, orthogonal_closure,
                             orthogonal_complement, parabolic_concepts,
                             perp_index, shape_closure_graph)
+from coxnorm.oracle import brute_orthogonal_complement
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic)
 from coxnorm.rootsys import build_root_system
@@ -170,3 +176,85 @@ def test_commutation_oracle_covers_i2():
         rs = build_root_system(f"I2({m})")
         assert verify_galois(rs)["checks"]["commutation_route_agrees"]["ok"]
         assert verify_oracle(rs)["checks"]["orthogonal_complement"]["ok"]
+
+
+def _perp_by_reflections(U):
+    """Reference complement: the roots fixed by every reflection of U, one
+    reflection permutation at a time."""
+    rs = U.rs
+    every = np.arange(rs.nroots)
+    fixed = np.ones(rs.nroots, dtype=bool)
+    for j in U.pos:
+        fixed &= rs.reflection_perm(j) == every
+    return frozenset(np.flatnonzero(fixed).tolist())
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "B5", "D5", "E6", "E7"]
+                         + [f"I2({m})" for m in range(5, 13)])
+def test_complement_from_the_table_matches_the_reflection_loop(name):
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    subgroups = [ReflectionSubgroup.standard(rs, tuple(i for i in range(rs.n) if mask >> i & 1))
+                 for mask in range(1 << rs.n)]
+    subgroups += [ReflectionSubgroup.generated_by(
+        rs, rng.sample(range(rs.nroots), rng.randint(1, rs.n))) for _ in range(200)]
+    for U in subgroups:
+        assert orthogonal_complement(U).roots == _perp_by_reflections(U), U
+
+
+def _galois_reports_by_loops(rs):
+    """Reference: the Galois checks as separate loops, each recomputing its
+    complements through galois.orthogonal_closure; (ok, witness) per check."""
+    checks = {}
+    subs = {s: ReflectionSubgroup.standard(rs, s) for s in verify._standard_subsets(rs)}
+    perp = {s: galois.orthogonal_complement(u) for s, u in subs.items()}
+    checks["extensive"] = next(
+        (s for s, u in subs.items() if not u.roots <= galois.orthogonal_closure(u).roots), None)
+    checks["antitone"] = None
+    for s1, s2 in itertools.combinations(subs, 2):
+        small, big = (s1, s2) if set(s1) <= set(s2) else (s2, s1)
+        if set(small) <= set(big) and not perp[big].roots <= perp[small].roots:
+            checks["antitone"] = (small, big)
+            break
+    checks["triple_perp"] = next(
+        (s for s, u in subs.items()
+         if galois.orthogonal_complement(galois.orthogonal_closure(u)).roots != perp[s].roots),
+        None)
+    checks["closure_idempotent"] = next(
+        (s for s, u in subs.items()
+         if galois.orthogonal_closure(u).roots
+         != galois.orthogonal_closure(galois.orthogonal_closure(u)).roots), None)
+    checks["commutation_route_agrees"] = next(
+        (s for s, u in subs.items() if brute_orthogonal_complement(u).roots != perp[s].roots),
+        None)
+    return {name: (bad is None, bad) for name, bad in checks.items()}
+
+
+# (group, chosen subset, level): the faulty complement fires on the root set
+# of the chosen standard subgroup (level 0) or of its complement (level 1)
+FAULTS = [("B4", (3,), 1), ("B4", (1, 2), 0), ("B4", (0, 1, 3), 1), ("F4", (0, 2), 1),
+          ("F4", (0, 2, 3), 1), ("F4", (1, 3), 0), ("H3", (1, 2), 1), ("H3", (2,), 0)]
+
+
+@pytest.mark.parametrize("name, chosen, level", FAULTS)
+def test_galois_witnesses_survive_the_closure_chain(monkeypatch, name, chosen, level):
+    # a complement that drops its least root on one argument: each law must
+    # report the same first failing subset as the separate loops do
+    rs = build_root_system(name)
+    original = galois.orthogonal_complement
+    target = ReflectionSubgroup.standard(rs, chosen)
+    target = target.roots if level == 0 else original(target).roots
+
+    def faulty(U):
+        Q = original(U)
+        if U.roots == target:
+            return parabolic_from_roots(rs, Q.roots - {min(Q.roots)})
+        return Q
+
+    monkeypatch.setattr(galois, "orthogonal_complement", faulty)
+    monkeypatch.setattr(verify, "orthogonal_complement", faulty)
+    report = verify_galois(rs)
+    want = _galois_reports_by_loops(rs)
+    assert list(report["checks"]) == list(want)
+    assert {k: (c["ok"], c["witness"]) for k, c in report["checks"].items()} == want
+    assert not report["ok"]

@@ -1,3 +1,4 @@
+from coxnorm import involutions
 from coxnorm.groups import generate, identity
 from coxnorm.involutions import (centralizer_equals_normalizer, degree,
                                  fixed_parabolic,
@@ -90,3 +91,14 @@ def test_degree_is_the_dimension_of_the_span_of_the_negated_roots(name):
         u = rec.element
         assert degree(u) == rec.degree == rs.span(negated_roots(u)).dim
 
+
+
+def test_section8_finds_the_involution_classes_once(monkeypatch):
+    calls = []
+    original = involutions.involution_class_representatives
+    monkeypatch.setattr(involutions, "involution_class_representatives",
+                        lambda rs: calls.append(rs) or original(rs))
+    report = section8_checks(build_root_system("F4"))
+    # F4 has -1 central, so the records are also read for minus_u_complement
+    assert report["ok"] and "minus_u_complement" in report["checks"]
+    assert len(calls) == 1

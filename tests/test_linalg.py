@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, strategies as st
 import numpy as np
 
@@ -254,3 +256,17 @@ def test_root_spaces_match_the_q5_reference(name):
         assert_pairs_equal(rs.fixed_space(Q.simples).pairs, fixed_pairs(Q.simples))
         assert_pairs_equal(xperp.perp(rs.form).pairs,
                            ref_pairs(ref_perp(from_pairs(xperp.pairs), rs.gram, n), n))
+
+
+@pytest.mark.parametrize("name", ["F4", "H4", "E6", "E7", "E8"])
+def test_kernel_rows_are_kept_as_they_are(name):
+    # fixed spaces and perps take kernel's rows without a second elimination:
+    # on random root sets they must be byte-identical to the rows that
+    # Subspace's elimination makes of them (I2 holds no pair rows)
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    for _ in range(300):
+        indices = rng.sample(range(rs.nroots), rng.randint(0, rs.n + 1))
+        for X in (rs.fixed_space(indices), rs.span(indices).perp(rs.form)):
+            assert_pairs_equal(X.pairs, Subspace(X.pairs, rs.n).pairs)
+            assert X == Subspace(X.pairs, rs.n)

@@ -4,13 +4,14 @@ import pytest
 from coxnorm.actions import canonical_lines
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
+from coxnorm.linalg import pair_matmul
 from coxnorm.normalizer import (_reflection_lines, _root_span, decompose,
                                 descend_to_complement, goursat_sections,
                                 howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic)
-from coxnorm.rootsys import apply_to_pairs, build_root_system
+from coxnorm.rootsys import build_root_system
 
 
 def test_normalizer_extremes():
@@ -193,11 +194,13 @@ def test_validation_invariants_hold():
 
 
 def _reflecting_line(w, basis):
-    """The line w reflects on the span of the basis rows, or None, from
-    apply_to_pairs of w alone: w is a reflection there iff the nonzero rows
-    2b - w(b) all lie on one line."""
+    """The line w reflects on the span of the basis rows, or None, from the
+    images of the rows under w alone: w is a reflection there iff the nonzero
+    rows 2b - w(b) all lie on one line.  Row b maps to the sum of b_i w(a_i),
+    and the root table holds halves, so the images are doubled."""
     n = basis[0].shape[1]
-    moved = 2 * np.hstack(basis) - np.hstack(apply_to_pairs(w, basis))
+    images = pair_matmul(basis, w.rs.rows(w.img[:n]))
+    moved = 2 * np.hstack(basis) - np.hstack(images)
     moved = moved[moved.any(axis=1)]
     lines = set(canonical_lines((moved[:, :n], moved[:, n:]))) if len(moved) else set()
     return lines.pop() if len(lines) == 1 else None

@@ -1,5 +1,7 @@
 import pytest
 
+from coxnorm import parabolic, rootsys
+from coxnorm.diagrams import close_roots
 from coxnorm.galois import orthogonal_complement
 from coxnorm.normalizer import compute_table, normalizer
 from coxnorm.oracle import (brute_normalizer, brute_orthogonal_complement,
@@ -7,6 +9,7 @@ from coxnorm.oracle import (brute_normalizer, brute_orthogonal_complement,
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
                                standard_parabolic)
 from coxnorm.rootsys import build_root_system
+from coxnorm.verify import verify_galois, verify_oracle
 
 
 def test_parse_errors_carry_line_numbers():
@@ -63,13 +66,42 @@ def test_brute_normalizer_agreement_on_non_standard_conjugates():
         assert tested >= len(shape_catalog(rs)) - 2
 
 
+def _commuting_reflections(U):
+    """Reference: the positive roots t outside U whose reflection commutes
+    with every reflection of U, one product of group elements at a time."""
+    rs = U.rs
+    refl = [rs.reflection(s) for s in U.pos]
+    return [t for t in range(rs.npos) if t not in U.pos
+            and all((rs.reflection(t) * r).key == (r * rs.reflection(t)).key for r in refl)]
+
+
 def test_brute_orthogonal_complement_agreement():
+    for name in ("B4", "H3", "I2(7)"):
+        rs = build_root_system(name)
+        for mask in range(1 << rs.n):
+            subset = tuple(i for i in range(rs.n) if mask >> i & 1)
+            U = ReflectionSubgroup.standard(rs, subset)
+            brute = brute_orthogonal_complement(U).roots
+            assert brute == orthogonal_complement(U).roots
+            assert brute == close_roots(rs, _commuting_reflections(U))
+
+
+def test_commutation_oracle_ignores_the_orthogonality_table(monkeypatch):
+    # on a fresh B4, mark root 1 orthogonal to simple root 0 in the table:
+    # the fast complement of <s_0> goes wrong, the commutation oracle must not
+    for module, cache in ((rootsys, "_CACHE"), (parabolic, "_catalogs"),
+                          (parabolic, "_groupoids")):
+        monkeypatch.setattr(module, cache, {})
     rs = build_root_system("B4")
-    for mask in range(1 << rs.n):
-        subset = tuple(i for i in range(rs.n) if mask >> i & 1)
-        U = ReflectionSubgroup.standard(rs, subset)
-        assert brute_orthogonal_complement(U).roots == \
-            orthogonal_complement(U).roots
+    U = ReflectionSubgroup.standard(rs, (0,))
+    want = brute_orthogonal_complement(U).roots
+    assert not rs.orthogonal(0, 1)
+    rs.orthogonality[0, 1] = True
+    assert orthogonal_complement(U).roots != want
+    assert brute_orthogonal_complement(U).roots == want
+    route = verify_galois(rs)["checks"]["commutation_route_agrees"]
+    check = verify_oracle(rs)["checks"]["orthogonal_complement"]
+    assert route == check == {"ok": False, "witness": (0,)}
 
 
 def test_brute_guard():
