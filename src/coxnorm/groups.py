@@ -48,6 +48,11 @@ class GroupElement:
     def is_identity(self):
         return bool((self.img[: self.rs.npos] == np.arange(self.rs.npos)).all())
 
+    def negates(self, roots):
+        """Does the element send each of the given roots to its negative?"""
+        idx = list(roots)
+        return bool((self.img[idx] == self.rs.negation[idx]).all())
+
     def is_involution(self):
         return bool((self.img[self.img] == np.arange(len(self.img))).all())
 
@@ -143,16 +148,19 @@ def relative_length(w: GroupElement, sub_positive) -> int:
     return int((w.img[idx] >= w.rs.npos).sum())
 
 
-def parabolic_longest_element(rs, simples) -> GroupElement:
+def parabolic_longest_element(rs, simples, start=None) -> GroupElement:
     """Longest element of the subgroup generated by the reflections in ``simples``.
 
     ``simples`` must be a simple system (of a standard parabolic, or of any
     reflection subgroup with its inherited positive system).  Each step
     multiplies by the reflection in a simple root still sent positive, which
-    raises the length, until every simple root is sent negative.
+    raises the length, until every simple root is sent negative.  The climb
+    starts at ``start`` (the identity by default), which must lie in the
+    subgroup: it then ends at the one element sending every simple root
+    negative.
     """
     idx = np.asarray(simples, dtype=np.int64)
-    img = np.arange(rs.nroots, dtype=np.int16)
+    img = np.arange(rs.nroots, dtype=np.int16) if start is None else start.img
     while idx.size:
         up = np.flatnonzero(img[idx] < rs.npos)
         if not up.size:

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .galois import orthogonal_complement, perp_index, closure_index
 from .groups import GroupElement, generate
 from .normalizer import normalizer_order, subsystem_longest_element
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
-                        parabolic_from_roots, shape_catalog, standard_parabolic)
+                        parabolic_closure, parabolic_from_roots, shape_catalog,
+                        standard_parabolic, subset_groupoid)
 
 
 def negated_roots(u: GroupElement):
-    rs = u.rs
-    return frozenset(i for i in range(rs.nroots) if int(u.img[i]) == rs.neg(i))
+    return frozenset(np.flatnonzero(u.img == u.rs.negation).tolist())
 
 
 def fixed_parabolic(u: GroupElement) -> ParabolicSubgroup:
@@ -64,7 +66,7 @@ def involution_class_representatives(rs):
             continue
         P = standard_parabolic(rs, shape.rep_subset)
         w0 = subsystem_longest_element(rs, P.sub)
-        if all(int(w0.img[i]) == rs.neg(i) for i in P.pos):
+        if w0.negates(P.pos):
             out.append(InvolutionRecord(w0, degree(w0), shape.index,
                                         normalizer_order(P)))
     return out
@@ -115,13 +117,26 @@ def centralizer_equals_normalizer(u: GroupElement, W=None) -> dict:
 def has_central_minus_one(rs) -> bool:
     """Does -1 lie in W (equivalently, does w0 negate every root)?"""
     full = ReflectionSubgroup(rs, frozenset(range(rs.nroots)))
-    w0 = subsystem_longest_element(rs, full)
-    return all(int(w0.img[i]) == rs.neg(i) for i in range(rs.npos))
+    return subsystem_longest_element(rs, full).negates(range(rs.npos))
 
 
-def section8_checks(rs) -> dict:
-    """The observation suite: per-bullet pass/fail with witnesses."""
+def pq_closures(rs) -> dict:
+    """Shape index -> the parabolic closure of P perp(P), P the shape's representative."""
+    out = {}
+    for shape in shape_catalog(rs):
+        P = ReflectionSubgroup(rs, shape.roots)
+        Q = orthogonal_complement(P)
+        out[shape.index] = parabolic_closure(ReflectionSubgroup(rs, P.roots | Q.roots))
+    return out
+
+
+def section8_checks(rs, pq_closure=None) -> dict:
+    """The observation suite: per-bullet pass/fail with witnesses.
+
+    ``pq_closure`` is ``pq_closures(rs)``, for a caller that has it already.
+    """
     catalog = shape_catalog(rs)
+    groupoid = subset_groupoid(rs)
     records = involution_class_representatives(rs)
     marked = set(_marked(records))
     closure_of = {s.index: closure_index(catalog, s) for s in catalog}
@@ -156,24 +171,14 @@ def section8_checks(rs) -> dict:
             extra = sorted(closed - marked)
             record("closed_iff_centralizer", extra == [], extra or None)
         # w0 central and P closed implies the closure of PQ is the whole group
-        bad = None
-        for s in catalog:
-            if s.index not in closed:
-                continue
-            P = standard_parabolic(rs, s.rep_subset)
-            Q = orthogonal_complement(P.sub)
-            from .parabolic import pointwise_stabilizer, fixed_space
-            pq = ReflectionSubgroup(rs, P.roots | Q.roots)
-            cl = pointwise_stabilizer(rs, fixed_space(pq))
-            if len(cl.roots) != rs.nroots:
-                bad = s.index
-                break
+        if pq_closure is None:
+            pq_closure = pq_closures(rs)
+        bad = next((i for i in sorted(closed) if len(pq_closure[i].roots) != rs.nroots),
+                   None)
         record("closed_implies_pq_closure_full", bad is None, bad)
 
         # fixed parabolic of -u is the orthogonal complement of that of u
-        import numpy as np
-        negation = GroupElement(
-            rs, np.array([rs.neg(i) for i in range(rs.nroots)], dtype=np.int16))
+        negation = GroupElement(rs, rs.negation.astype(np.int16))
         bad = None
         for rec in records:
             u = rec.element
@@ -195,10 +200,8 @@ def section8_checks(rs) -> dict:
                 bad = idx
                 break
             continue
-        P = standard_parabolic(rs, shape.rep_subset)
-        Pc = standard_parabolic(rs, cl.rep_subset)
-        u = subsystem_longest_element(rs, P.sub)
-        v = subsystem_longest_element(rs, Pc.sub)
+        u = groupoid.longest_element(shape.rep_subset)
+        v = groupoid.longest_element(cl.rep_subset)
         # involutions are conjugate iff their fixed parabolics are
         iu = catalog.class_of_roots(negated_roots(u))
         iv = catalog.class_of_roots(negated_roots(v))

@@ -48,8 +48,15 @@ MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade"
 
 
 def subsystem_longest_element(rs, sub: ReflectionSubgroup) -> GroupElement:
-    """Longest element of a reflection subgroup (sends its positives negative)."""
-    return parabolic_longest_element(rs, sub.simples)
+    """Longest element of a reflection subgroup (sends its positives negative).
+
+    A standard parabolic's is the one the subset groupoid kept; callers must
+    not mutate it.
+    """
+    subset = standard_subset(sub)
+    if subset is None:
+        return parabolic_longest_element(rs, sub.simples)
+    return subset_groupoid(rs).longest_element(subset)
 
 
 def descend_to_complement(w: GroupElement, sub: ReflectionSubgroup) -> GroupElement:
@@ -461,8 +468,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     pq_is_w = len(pq_closure.roots) == rs.nroots
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
-    w0 = subsystem_longest_element(rs, P.sub)
-    asterisk = all(int(w0.img[i]) == rs.neg(i) for i in P.pos)
+    asterisk = subsystem_longest_element(rs, P.sub).negates(P.pos)
 
     cell_x = _action_cell(rs, "x_perp", P.sub, p_order * len(D), xperp.dim,
                           xsp, tables["x_perp"])

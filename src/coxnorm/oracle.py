@@ -31,37 +31,57 @@ from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
                         parabolic_from_roots)
 
 
+def positive_images(elements) -> np.ndarray:
+    """The positive-root images of a list of elements, stacked: (len, npos) int16."""
+    return np.array([w.img[: w.rs.npos] for w in elements], dtype=np.int16)
+
+
+def normalizing(P: ParabolicSubgroup, images) -> np.ndarray:
+    """Mask of the rows of ``positive_images`` whose element maps P's roots into P's."""
+    in_p = np.zeros(P.rs.nroots, dtype=bool)
+    in_p[list(P.roots)] = True
+    return in_p[images[:, list(P.pos)]].all(axis=1)
+
+
 def brute_normalizer(P: ParabolicSubgroup, W=None):
-    """Normalizer by filtering a full enumeration (guarded)."""
+    """Normalizer by filtering a full enumeration (guarded), in W's order."""
     rs = P.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    if W is None:
-        W = generate(rs.simple_reflections())
-    roots = P.roots
-    pos = P.pos
-    return [w for w in W if all(int(w.img[i]) in roots for i in pos)]
+    W = list(generate(rs.simple_reflections()) if W is None else W)
+    return [W[i] for i in np.flatnonzero(normalizing(P, positive_images(W)))]
 
 
-def brute_orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup):
+def commutation_table(rs, rows=None) -> np.ndarray:
+    """C[k, t]: the reflections in the positive roots rows[k] and t != rows[k] commute.
+
+    ``rows`` defaults to every positive root.  With R the stacked reflection
+    permutations, r_s r_t = r_t r_s iff perm_s[R[t]] == R[t][perm_s] on every
+    root; one row is compared at a time, so memory stays (npos, nroots).
+    The root system's orthogonality table is not read.
+    """
+    R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
+    rows = range(rs.npos) if rows is None else rows
+    table = np.empty((len(rows), rs.npos), dtype=bool)
+    for k, s in enumerate(rows):
+        table[k] = (R[s][R] == R[:, R[s]]).all(axis=1)
+        table[k, s] = False
+    return table
+
+
+def brute_orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup, commute=None):
     """Literal commutation definition: reflections commuting with all of U.
 
-    The permutations of all positive-root reflections are stacked as R, and
-    r_t commutes with r_s iff r_s composed with r_t equals r_t composed with
-    r_s on every root: perm_s[R[t]] == R[t][perm_s].  The root system's
-    orthogonality table is not read.
+    ``commute`` is ``commutation_table(rs)``, for a caller that checks many
+    subgroups; without it, only the rows of U's positive roots are computed.
     """
     sub = U.sub if isinstance(U, ParabolicSubgroup) else U
     rs = sub.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
-    keep = np.ones(rs.npos, dtype=bool)
-    for s in sub.pos:
-        perm_s = rs.reflection_perm(s)
-        keep &= (perm_s[R] == R[:, perm_s]).all(axis=1)
-        keep[s] = False
-    gens = np.flatnonzero(keep).tolist()
+    pos = list(sub.pos)
+    rows = commutation_table(rs, pos) if commute is None else commute[pos]
+    gens = np.flatnonzero(rows.all(axis=0)).tolist()
     if not gens:
         return parabolic_from_roots(rs, frozenset())
     return parabolic_from_roots(rs, close_roots(rs, gens))

@@ -271,6 +271,7 @@ class SubsetGroupoid:
     J'.  W_J and W_J' are conjugate iff J and J' lie in one connected
     component, and the loops at J generate N_J = {w : w(Delta_J) = Delta_J},
     with N_W(W_J) = W_J : N_J (Deodhar 1982; Howlett 1980; Brink-Howlett 1999).
+    The longest element w0(J) of every W_J is kept; callers must not mutate it.
     """
 
     def __init__(self, rs):
@@ -278,8 +279,13 @@ class SubsetGroupoid:
         n = rs.n
         simple = rs.simple_roots
         position = {r: i for i, r in enumerate(simple)}
-        w0 = [parabolic_longest_element(rs, [simple[i] for i in _members(mask, n)])
-              for mask in range(1 << n)]
+        # w0(J) climbs from w0(J minus its largest member), which lies in W_J
+        w0 = [identity(rs)]
+        for mask in range(1, 1 << n):
+            w0.append(parabolic_longest_element(
+                rs, [simple[i] for i in _members(mask, n)],
+                start=w0[mask ^ (1 << (mask.bit_length() - 1))]))
+        self._longest = w0
         self.edges = []   # per mask: [(nu, target mask)]
         for mask in range(1 << n):
             out = []
@@ -303,6 +309,10 @@ class SubsetGroupoid:
 
     def component_of(self, subset) -> int:
         return self._component[_mask(subset)]
+
+    def longest_element(self, subset) -> GroupElement:
+        """The longest element w0(J) of the standard parabolic W_J."""
+        return self._longest[_mask(subset)]
 
     def _spanning_tree(self, start):
         """BFS tree of J's component: mask K -> t_K, which maps Delta_J onto Delta_K."""
@@ -368,7 +378,7 @@ def standard_conjugate(rs, roots):
     return subset, GroupElement(rs, img)
 
 
-def standard_subset(P: ParabolicSubgroup):
+def standard_subset(P: ParabolicSubgroup | ReflectionSubgroup):
     """The simple indices J with P = W_J, or None when P is not standard."""
     position = {r: i for i, r in enumerate(P.rs.simple_roots)}
     if all(b in position for b in P.simples):

@@ -142,6 +142,11 @@ class _Roots:
         return (i + self.npos) % self.nroots
 
     @cached_property
+    def negation(self):
+        """Root negation as an index array: negation[i] == neg(i)."""
+        return (np.arange(self.nroots) + self.npos) % self.nroots
+
+    @cached_property
     def orthogonality(self):
         """Boolean table, shape (npos, nroots): row j marks the roots that the
         reflection in root j fixes, the roots orthogonal to root j."""

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .galois import orthogonal_closure, orthogonal_complement
-from .groups import BRUTE_LIMIT, generate, relative_length
-from .involutions import section8_checks
-from .normalizer import (decompose, goursat_sections, normalizer,
-                         verify_theorem13)
-from .oracle import (brute_normalizer, brute_orthogonal_complement,
-                     diff_fixture, load_fixture)
+from .groups import BRUTE_LIMIT, generate, identity, relative_length
+from .involutions import pq_closures, section8_checks
+from .normalizer import (compute_table, decompose, goursat_sections,
+                         normalizer, normalizer_order, verify_theorem13)
+from .oracle import (brute_orthogonal_complement, commutation_table,
+                     diff_fixture, load_fixture, normalizing, positive_images)
 from .parabolic import (ReflectionSubgroup, shape_catalog,
                         standard_parabolic)
 
@@ -30,7 +32,11 @@ def verify_galois(rs) -> dict:
 
     Each subset's chain u, perp u, perp^2 u, perp^3 u, perp^4 u is computed
     once, and the laws on it are checked as it is made; a law's witness is
-    its first failing subset in ``_standard_subsets`` order.
+    its first failing subset in ``_standard_subsets`` order.  Antitony holds
+    on all pairs iff it holds on the covering pairs J < J + {i}, so only
+    those are checked; when one fails, the pairs are walked in
+    ``itertools.combinations`` order for the first failing pair.  The
+    commutation oracle reads one commutation table, built per call.
     """
     report = {"group": str(rs.label), "checks": {}}
     subs = {s: ReflectionSubgroup.standard(rs, s) for s in _standard_subsets(rs)}
@@ -53,25 +59,24 @@ def verify_galois(rs) -> dict:
         report["checks"][law] = {"ok": bad is None, "witness": bad}
 
     record("extensive", first["extensive"])
+    subsets = list(subs)   # subsets[mask] has the members of mask
     bad = None
-    for s1, s2 in itertools.combinations(subs, 2):
-        small, big = (s1, s2) if set(s1) <= set(s2) else (s2, s1)
-        if not set(small) <= set(big):
-            continue
-        if not perp[big] <= perp[small]:
-            bad = (small, big)
-            break
+    if not all(perp[subsets[mask | 1 << i]] <= perp[s]
+               for mask, s in enumerate(subsets) for i in range(rs.n) if not mask >> i & 1):
+        for s1, s2 in itertools.combinations(subsets, 2):
+            small, big = (s1, s2) if set(s1) <= set(s2) else (s2, s1)
+            if set(small) <= set(big) and not perp[big] <= perp[small]:
+                bad = (small, big)
+                break
     record("antitone", bad)
     record("triple_perp", first["triple_perp"])
     record("closure_idempotent", first["closure_idempotent"])
 
     if rs.group_order <= BRUTE_LIMIT:
-        bad = None
-        for s, u in subs.items():
-            if brute_orthogonal_complement(u).roots != perp[s]:
-                bad = s
-                break
-        record("commutation_route_agrees", bad)
+        commute = commutation_table(rs)
+        record("commutation_route_agrees", next(
+            (s for s, u in subs.items()
+             if brute_orthogonal_complement(u, commute).roots != perp[s]), None))
 
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report
@@ -80,16 +85,16 @@ def verify_galois(rs) -> dict:
 def verify_howlett(rs) -> dict:
     """Howlett complements for every standard parabolic: N = P x| H exactly."""
     report = {"group": str(rs.label), "checks": {}}
-    W = generate(rs.simple_reflections())
+    W = list(generate(rs.simple_reflections()))
+    images = positive_images(W)
     bad = None
     for subset in _standard_subsets(rs):
         P = standard_parabolic(rs, subset)
-        N = [w for w in W if all(int(w.img[i]) in P.roots for i in P.pos)]
+        N = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         H = [w for w in N if relative_length(w, P.pos) == 0]
         if P.pos:
             P_group = list(generate([rs.reflection(i) for i in P.sub.simples]))
         else:
-            from .groups import identity
             P_group = [identity(rs)]
         P_keys = {w.key for w in P_group}
         H_keys = {w.key for w in H}
@@ -173,20 +178,15 @@ def verify_goursat(rs) -> dict:
 
 
 def verify_section8(rs) -> dict:
-    """Observation suite plus the closure-of-PQ-closure law."""
-    report = section8_checks(rs)
-    catalog = shape_catalog(rs)
-    bad = None
-    for shape in catalog:
-        P = standard_parabolic(rs, shape.rep_subset)
-        Q = orthogonal_complement(P.sub)
-        pq = ReflectionSubgroup(rs, P.roots | Q.roots)
-        from .parabolic import parabolic_closure
-        closure = parabolic_closure(pq)
-        final = orthogonal_closure(closure.sub)
-        if len(final.roots) != rs.nroots:
-            bad = shape.label
-            break
+    """Observation suite plus the closure-of-PQ-closure law.
+
+    The parabolic closure of PQ is computed once per shape and read by both.
+    """
+    pq_closure = pq_closures(rs)
+    report = section8_checks(rs, pq_closure)
+    bad = next((shape.label for shape in shape_catalog(rs)
+                if len(orthogonal_closure(pq_closure[shape.index].sub).roots) != rs.nroots),
+               None)
     report["checks"]["pq_closure_orthogonal_closure_is_w"] = {
         "ok": bad is None, "witness": bad}
     report["ok"] = all(c["ok"] for c in report["checks"].values())
@@ -195,7 +195,6 @@ def verify_section8(rs) -> dict:
 
 def verify_fixtures(rs) -> dict:
     """Golden table diff: zero mismatched cells required."""
-    from .normalizer import compute_table
     fixture = load_fixture(str(rs.label))
     rows = compute_table(rs)
     catalog = shape_catalog(rs)
@@ -207,13 +206,13 @@ def verify_fixtures(rs) -> dict:
 def verify_oracle(rs) -> dict:
     """Fast paths against brute force: normalizer and orthogonal complement."""
     report = {"group": str(rs.label), "checks": {}}
-    W = generate(rs.simple_reflections())
+    W = list(generate(rs.simple_reflections()))
+    images = positive_images(W)
     catalog = shape_catalog(rs)
     bad = None
     for shape in catalog:
         P = standard_parabolic(rs, shape.rep_subset)
-        brute = brute_normalizer(P, W)
-        from .normalizer import normalizer_order
+        brute = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         if len(brute) != normalizer_order(P):
             bad = shape.label
             break
@@ -222,10 +221,11 @@ def verify_oracle(rs) -> dict:
             bad = shape.label
             break
     report["checks"]["normalizer"] = {"ok": bad is None, "witness": bad}
+    commute = commutation_table(rs)
     bad = None
     for subset in _standard_subsets(rs):
         U = ReflectionSubgroup.standard(rs, subset)
-        if brute_orthogonal_complement(U).roots != orthogonal_complement(U).roots:
+        if brute_orthogonal_complement(U, commute).roots != orthogonal_complement(U).roots:
             bad = subset
             break
     report["checks"]["orthogonal_complement"] = {"ok": bad is None, "witness": bad}

@@ -27,7 +27,9 @@ def run(*args, timeout=120):
 # sha256 of stdout, and the exit code, of commands on the Galois, section-8
 # and oracle paths, which no golden table covers; recorded before the
 # orthogonality table and the closure chains replaced the per-reflection
-# complements, whose output these commands must keep byte for byte
+# complements, whose output these commands must keep byte for byte; the
+# A7 and E7 suite pins were recorded before the antitone law moved to
+# covering pairs and the commutation oracle to one table per suite call
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -38,6 +40,9 @@ PINNED_STDOUT = [
     ("concepts E7", 0, "b86066069e284e0a262fd27075d6f1bcbf30724abdadfcd7b746f4b153c81d2c"),
     ("graph E7", 0, "381b21ca22ae32c3e94f9b1f045c808c421f66a2c4ff02d43f590c8754d8063b"),
     ("involutions E7", 0, "b7ee9036434125614c8ca31e7a55c7af9ae7d717db1064e3649df30b46cc396a"),
+    ("verify A7 --suite galois", 0, "fda05dbc9ca5b92e8e1402aa4e631f02b368b3b82e2b831cc9c3060cb9adb9e7"),
+    ("verify E7 --suite galois", 0, "721909c4945ff723870d4a939023cb9e2a93f7b16c1265ff139d1cdcadc24a6d"),
+    ("verify E7 --suite section8", 0, "6065862be93d4aeb033dc1ecf1a0793783a98835c4003292e9c54938f37cc90d"),
 ]
 
 

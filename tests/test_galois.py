@@ -258,3 +258,34 @@ def test_galois_witnesses_survive_the_closure_chain(monkeypatch, name, chosen, l
     assert list(report["checks"]) == list(want)
     assert {k: (c["ok"], c["witness"]) for k, c in report["checks"].items()} == want
     assert not report["ok"]
+
+
+# (group, chosen 3-element subset): the faulty complement of the chosen
+# standard subgroup gains its least missing positive root
+ADDED_ROOT_FAULTS = [("B4", (0, 1, 2)), ("F4", (0, 1, 2)), ("H4", (1, 2, 3)), ("D5", (0, 2, 3))]
+
+
+@pytest.mark.parametrize("name, chosen", ADDED_ROOT_FAULTS)
+def test_antitone_witness_is_the_first_failing_pair_not_a_covering_one(monkeypatch, name,
+                                                                        chosen):
+    # verify_galois tests antitony on covering pairs only; when one fails it
+    # must still report the first failing pair of the full walk, which here
+    # skips a level
+    rs = build_root_system(name)
+    original = galois.orthogonal_complement
+    target = ReflectionSubgroup.standard(rs, chosen).roots
+
+    def faulty(U):
+        Q = original(U)
+        if U.roots == target:
+            extra = min(set(range(rs.npos)) - Q.roots)
+            return parabolic_from_roots(rs, Q.roots | {extra, rs.neg(extra)})
+        return Q
+
+    monkeypatch.setattr(galois, "orthogonal_complement", faulty)
+    monkeypatch.setattr(verify, "orthogonal_complement", faulty)
+    want = _galois_reports_by_loops(rs)
+    ok, (small, big) = want["antitone"]
+    assert not ok and big == chosen and len(big) - len(small) > 1
+    report = verify_galois(rs)
+    assert {k: (c["ok"], c["witness"]) for k, c in report["checks"].items()} == want

@@ -1,14 +1,16 @@
 """The subset groupoid against the root-set orbit computations it replaced."""
 
+import numpy as np
 import pytest
 
 from coxnorm.galois import orthogonal_complement
-from coxnorm.groups import set_stabilizer
-from coxnorm.normalizer import decompose, normalizer_order
+from coxnorm.groups import parabolic_longest_element, set_stabilizer
+from coxnorm.normalizer import (decompose, normalizer_order,
+                                subsystem_longest_element)
 from coxnorm.oracle import load_fixture
 from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                shape_catalog, standard_parabolic,
-                               subset_groupoid)
+                               standard_subset, subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
 GROUPS = ["A7", "B6", "D6", "E6", "E7", "F4", "H4"]
@@ -67,3 +69,31 @@ def test_e8_d_column_matches_fixture():
         P = standard_parabolic(rs, shape.rep_subset)
         d_order = normalizer_order(P) // (P.order * orthogonal_complement(P.sub).order)
         assert (shape.index, d_order) == (row.index, row.d_order), shape.label
+
+
+# the groups with a golden fixture, E8 among them
+FIXTURE_GROUPS = (["A7", "B5", "B6", "D5", "D6", "E6", "E7", "E8", "F4", "H3", "H4"]
+                  + [f"I2({m})" for m in range(5, 13)])
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_kept_longest_elements_match_a_climb_from_the_identity(name):
+    # the groupoid climbs w0(J) from w0(J minus its largest member) and keeps it
+    rs = build_root_system(name)
+    groupoid = subset_groupoid(rs)
+    for mask in range(1 << rs.n):
+        subset = tuple(i for i in range(rs.n) if mask >> i & 1)
+        kept = groupoid.longest_element(subset)
+        fresh = parabolic_longest_element(rs, [rs.simple_roots[i] for i in subset])
+        assert kept.img.dtype == fresh.img.dtype and np.array_equal(kept.img, fresh.img), subset
+        assert subsystem_longest_element(rs, ReflectionSubgroup.standard(rs, subset)) is kept
+
+
+def test_longest_element_of_a_non_standard_subsystem_climbs():
+    rs = build_root_system("D5")
+    highest = max(range(rs.npos), key=lambda i: sum(c.a for c in rs.root_vec(i)))
+    sub = ReflectionSubgroup.generated_by(rs, [highest, rs.simple_roots[1], rs.simple_roots[3]])
+    assert standard_subset(sub) is None
+    w0 = subsystem_longest_element(rs, sub)
+    assert (w0.img[list(sub.pos)] >= rs.npos).all()
+    assert np.array_equal(w0.img, parabolic_longest_element(rs, sub.simples).img)
