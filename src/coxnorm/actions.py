@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import (_classify_component, _component_sort_key, component_nodes,
-                       components_string)
+                       components_string, gram_bonds)
 from .linalg import pair_matmul, pair_mul, pair_sign
 
 
@@ -137,13 +137,6 @@ def _canonical_rows(x):
     return rows
 
 
-# 2r for the ratios r = 4cos^2(pi/m) of the bonds m that occur, as integer
-# pairs p + q*sqrt5: both 5-bond values and both 10-bond values
-_BONDS = np.array([3, 4, 6, 5, 5, 10, 10])
-_BOND_TWICE_RATIO = (np.array([2, 4, 6, 3, 3, 5, 5])[:, None, None],
-                     np.array([0, 0, 0, 1, -1, 1, -1])[:, None, None])
-
-
 def diagram_of_lines(lines, form):
     """Coxeter diagram of the reflection group with the given reflection lines.
 
@@ -187,17 +180,9 @@ def diagram_of_lines(lines, form):
     np.fill_diagonal(keep, True)
     simples = np.flatnonzero(keep.all(axis=0))
 
-    # the bond of simple lines i, j is the m with 8 G_ij^2 = 2r(m) G_ii G_jj
+    # the bonds of the simple lines, by the one bond rule on their Gram matrix
     sub = np.ix_(simples, simples)
-    Gs = (G[0][sub], G[1][sub])
-    square = pair_mul(pair_mul((8, 0), Gs), Gs)
-    d = (diag[0][simples], diag[1][simples])
-    norms = pair_mul((d[0][:, None], d[1][:, None]), d)
-    rhs = pair_mul(_BOND_TWICE_RATIO, norms)
-    hits = (square[0] == rhs[0]) & (square[1] == rhs[1])   # distinct ratios: one hit at most
-    bonds = np.where(hits.any(axis=0), _BONDS[hits.argmax(axis=0)],
-                     np.where((Gs[0] == 0) & (Gs[1] == 0), 2, 0))
-    np.fill_diagonal(bonds, 1)
+    bonds = gram_bonds((G[0][sub], G[1][sub]))
     if not bonds.all():
         raise ValueError("unrecognized bond ratio among the simple lines")
     adj = {a: {b: int(bonds[a, b]) for b in range(len(simples)) if bonds[a, b] > 2}

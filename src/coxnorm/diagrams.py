@@ -3,14 +3,24 @@
 A subsystem of a root system is given by a closed set of root indices.  Its
 simple system is extracted by the standard criterion (a positive root is
 simple iff its reflection permutes the other positives of the subsystem),
-bond orders are the orders of products of two reflection permutations, and
-the graph is matched against the classification.  B and C diagrams are not
+bond orders are read off the Gram form of the simple roots, and the graph
+is matched against the classification.  B and C diagrams are not
 distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
+
+The bonds come from the Gram form (``gram_bonds``, the one bond rule,
+which the normalizer's action cells apply to reflection lines too); the
+order of a product of two reflection permutations, ``bond_order``, is its
+oracle.  A standard parabolic's roots are read off the root supports
+(``ReflectionSubgroup.standard``); ``close_roots`` closes any other
+generating set.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .labels import component_order, rank2_name
+from .linalg import pair_mul
 
 
 def close_roots(rs, indices):
@@ -55,17 +65,45 @@ def subsystem_simples(rs, pos):
 
 
 def bond_order(rs, i, j):
-    """Order m(i,j) of the product of the reflections in roots i and j."""
+    """Order m(i,j) of the product of the reflections in roots i and j: the
+    oracle of the bond rule."""
     return (rs.reflection(i) * rs.reflection(j)).order()
 
 
+# 2r for the ratios r = 4cos^2(k*pi/m), gcd(k, m) = 1, of the bonds m that
+# occur, as integer pairs p + q*sqrt5: r = 4 for parallel rows (r_a r_a = 1),
+# both 5-bond values and both 10-bond values
+_BONDS = np.array([1, 3, 4, 6, 5, 5, 10, 10], dtype=np.int8)
+_BOND_TWICE_RATIO = (np.array([8, 2, 4, 6, 3, 3, 5, 5])[:, None, None],
+                     np.array([0, 0, 0, 0, 1, -1, 1, -1])[:, None, None])
+
+
+def gram_bonds(G):
+    """Orders of the products r_a r_b of reflections, from the Gram matrix G of
+    their rows, as integer pairs under any positive multiple of the form.
+
+    r_a r_b has order m where 4cos^2 of the angle between a and b is r(m),
+    that is, where 8 G_ab^2 = 2r(m) G_aa G_bb; orthogonal rows give 2 and
+    parallel rows, the diagonal among them, 1.  An entry that no bond
+    matches is 0.
+    """
+    d = (np.diagonal(G[0]), np.diagonal(G[1]))
+    square = pair_mul(pair_mul((8, 0), G), G)
+    norms = pair_mul((d[0][:, None], d[1][:, None]), d)
+    rhs = pair_mul(_BOND_TWICE_RATIO, norms)
+    hits = (square[0] == rhs[0]) & (square[1] == rhs[1])   # distinct ratios: one hit at most
+    return np.where(hits.any(axis=0), _BONDS[hits.argmax(axis=0)],
+                    np.where((G[0] == 0) & (G[1] == 0), 2, 0)).astype(np.int8)
+
+
 def coxeter_graph(rs, simples):
-    """Adjacency {i: {j: m}} over the given simple roots, bonds m >= 3 only."""
+    """Adjacency {i: {j: m}} over the given simple roots, bonds m >= 3 only,
+    read off the root system's bond rule (``rs.bond``)."""
     adj = {i: {} for i in simples}
     for a in range(len(simples)):
         for b in range(a + 1, len(simples)):
             i, j = simples[a], simples[b]
-            m = bond_order(rs, i, j)
+            m = rs.bond(i, j)
             if m >= 3:
                 adj[i][j] = m
                 adj[j][i] = m

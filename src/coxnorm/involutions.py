@@ -11,6 +11,7 @@ element acts as -1 on the span of its roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .groups import GroupElement, generate
 from .normalizer import normalizer_order, subsystem_longest_element
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
                         parabolic_closure, parabolic_from_roots, shape_catalog,
-                        standard_parabolic, subset_groupoid)
+                        shape_parabolic, subset_groupoid)
 
 
 def negated_roots(u: GroupElement):
@@ -48,7 +49,12 @@ class InvolutionRecord:
     element: GroupElement
     degree: int
     shape_index: int
-    centralizer_order: int
+    parabolic: ParabolicSubgroup   # the shape's representative, fixed by element
+
+    @cached_property
+    def centralizer_order(self) -> int:
+        """|C_W(u)| = |N_W(P)|, computed on first read."""
+        return normalizer_order(self.parabolic)
 
 
 def involution_class_representatives(rs):
@@ -64,11 +70,10 @@ def involution_class_representatives(rs):
     for shape in catalog:
         if shape.index == 1 and not shape.roots:
             continue
-        P = standard_parabolic(rs, shape.rep_subset)
+        P = shape_parabolic(rs, shape)
         w0 = subsystem_longest_element(rs, P.sub)
         if w0.negates(P.pos):
-            out.append(InvolutionRecord(w0, degree(w0), shape.index,
-                                        normalizer_order(P)))
+            out.append(InvolutionRecord(w0, degree(w0), shape.index, P))
     return out
 
 

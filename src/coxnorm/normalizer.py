@@ -37,8 +37,9 @@ from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import pair_matmul
 from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
-                        pointwise_stabilizer, shape_catalog, standard_conjugate,
-                        standard_parabolic, standard_subset, subset_groupoid)
+                        parabolic_from_roots, pointwise_stabilizer, shape_catalog,
+                        shape_parabolic, standard_conjugate, standard_parabolic,
+                        standard_subset, subset_groupoid)
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -245,10 +246,11 @@ def _standard_form(P):
 
 
 def _normalizer_order_at(rs, subset):
+    catalog = shape_catalog(rs)
     P = standard_parabolic(rs, subset)
     Q = orthogonal_complement(P.sub)
     D = _complement_D(rs, subset, ReflectionSubgroup(rs, P.roots | Q.roots))
-    return P.order * Q.order * len(D)
+    return catalog[catalog.class_of_subset(subset)].order * Q.order * len(D)
 
 
 def _complement_D(rs, subset, pq_sub):
@@ -409,7 +411,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     if isinstance(shape_or_parabolic, Shape):
         shape = shape_or_parabolic
         subset = shape.rep_subset
-        P = standard_parabolic(rs, subset)
+        P = shape_parabolic(rs, shape)
     else:
         P = shape_or_parabolic
         subset = standard_subset(P)
@@ -420,6 +422,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
 
     Q = orthogonal_complement(P.sub)
     q_index = catalog.class_of_roots(Q.roots)
+    Q = parabolic_from_roots(rs, Q.roots, catalog[q_index].components)
     p_order, q_order = P.order, Q.order
     pq_sub = ReflectionSubgroup(rs, P.roots | Q.roots)
     # in canonical order: the choice of C below takes its first candidate

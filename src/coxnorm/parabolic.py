@@ -32,14 +32,18 @@ from .groups import GroupElement, identity, parabolic_longest_element
 
 
 class ReflectionSubgroup:
-    """A subgroup generated by reflections, stored by its closed root set."""
+    """A subgroup generated by reflections, stored by its closed root set.
 
-    def __init__(self, rs, roots):
+    ``components``, when given, is its known Coxeter type (a shape's), so it
+    is not recognized again.
+    """
+
+    def __init__(self, rs, roots, components=None):
         self.rs = rs
         self.roots = frozenset(roots)
         self.pos = positive_part(rs, self.roots)
         self._simples = None
-        self._components = None
+        self._components = components
 
     @classmethod
     def generated_by(cls, rs, root_indices):
@@ -47,7 +51,9 @@ class ReflectionSubgroup:
 
     @classmethod
     def standard(cls, rs, subset):
-        return cls.generated_by(rs, [rs.simple_roots[i] for i in subset])
+        """W_J: its roots are the roots whose support lies in J."""
+        outside = ~sum(1 << i for i in subset)
+        return cls(rs, np.flatnonzero((rs.supports & outside) == 0).tolist())
 
     @property
     def simples(self):
@@ -148,12 +154,17 @@ def parabolic_closure(U: ReflectionSubgroup) -> ParabolicSubgroup:
     return pointwise_stabilizer(U.rs, fixed_space(U))
 
 
-def parabolic_from_roots(rs, roots) -> ParabolicSubgroup:
-    return ParabolicSubgroup(ReflectionSubgroup(rs, roots))
+def parabolic_from_roots(rs, roots, components=None) -> ParabolicSubgroup:
+    return ParabolicSubgroup(ReflectionSubgroup(rs, roots, components))
 
 
 def standard_parabolic(rs, subset) -> ParabolicSubgroup:
     return ParabolicSubgroup(ReflectionSubgroup.standard(rs, subset))
+
+
+def shape_parabolic(rs, shape) -> ParabolicSubgroup:
+    """The standard representative of a shape, with the shape's type."""
+    return parabolic_from_roots(rs, shape.roots, shape.components)
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,27 @@ the n simple reflections as permutations, and every other reflection is a
 conjugate of a simple one (r_{s(beta)} = s r_beta s), composed as index
 arrays.
 
-Orthogonality and bond orders are read off the reflection permutations, the
-same way for every family: roots a and b are orthogonal iff r_a fixes b, and
-the bond order of a and b is the order of r_a r_b.  Orthogonality is one
+Orthogonality is read off the reflection permutations, the same way for
+every family: roots a and b are orthogonal iff r_a fixes b.  It is one
 boolean table per root system, built on first use from the permutations of
-the positive-root reflections: row j marks the roots r_j fixes.  The signs
-of all roots on a subspace are one product of integer pairs: the root forms,
-kept from the build, times the subspace's rows.
+the positive-root reflections: row j marks the roots r_j fixes.  Bond
+orders, the orders of the products r_a r_b, are one int8 table per root
+system too, built on first use from the Gram form of the positive roots, one
+integer-pair product, by the bond rule of ``diagrams.gram_bonds``; the order
+of a product of two reflection permutations is its oracle.  The support of
+a root, its simple roots with a nonzero coefficient, is a bitmask, and the
+roots of a standard parabolic W_J are those supported in J (Humphreys,
+Reflection Groups and Coxeter Groups, 1.10).  The signs of all roots on a
+subspace are one product of integer pairs: the root forms, kept from the
+build, times the subspace's rows.
 
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
-subspaces are ``I2Subspace`` values: zero, a line, or the plane.  Both classes
-provide the geometry the layers above use (span and fixed space of roots,
-and signs of the roots at a generic point of a subspace), so nothing above
-this module branches on the family.
+subspaces are ``I2Subspace`` values: zero, a line, or the plane; its bonds
+(with no table, as m is unbounded) and supports are index formulas.  Both
+classes provide the geometry the layers above use (span and fixed space of
+roots, bonds, and signs of the roots at a generic point of a subspace), so
+nothing above this module branches on the family.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from math import gcd
 
 import numpy as np
 
+from .diagrams import gram_bonds
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
 from .linalg import Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul, pair_sign
@@ -271,6 +279,26 @@ class RootSystem(_Roots):
     def root_vec(self, i):
         return from_pairs(self.rows([i]), 2)[0]
 
+    @cached_property
+    def bonds(self):
+        """int8 table, shape (npos, npos): entry (a, b) is the order of r_a r_b,
+        by the bond rule on the Gram form of the positive roots."""
+        P, Q = (x[: self.npos] for x in self.root_pairs)
+        bonds = gram_bonds(pair_matmul(self._root_forms, (P.T, Q.T)))
+        if not bonds.all():
+            raise RuntimeError(f"{self.label}: unrecognized bond ratio between roots")
+        return bonds
+
+    def bond(self, i, j):
+        """Order of r_i r_j, read off the bond table."""
+        return int(self.bonds[i % self.npos, j % self.npos])
+
+    @cached_property
+    def supports(self):
+        """Bitmask per root of the simple roots in its support, shape (nroots,)."""
+        nonzero = (self.root_pairs[0] != 0) | (self.root_pairs[1] != 0)
+        return nonzero @ (1 << np.arange(self.n))
+
     def span(self, indices) -> Subspace:
         return Subspace(self.rows(indices), self.n)
 
@@ -396,6 +424,17 @@ class I2RootSystem(_Roots):
         # simple roots at angles 0 and pi - pi/m
         self.simple_roots = (0, self.m - 1)
         self._refl_cache = {}
+
+    def bond(self, i, j):
+        """Order of r_i r_j, the rotation by 2(i - j)pi/m: m / gcd(i - j, m)."""
+        return self.m // gcd(i - j, self.m)
+
+    @cached_property
+    def supports(self):
+        """Bitmask per root of the simple roots in its support: the simple
+        roots 0 and m - 1 (and their negatives) have one, all others both."""
+        k = np.arange(self.nroots) % self.m
+        return np.where(k == 0, 1, np.where(k == self.m - 1, 2, 3))
 
     def span(self, indices) -> I2Subspace:
         lines = {i % self.m for i in indices}

@@ -17,7 +17,7 @@ from .normalizer import (compute_table, decompose, goursat_sections,
                          normalizer, normalizer_order, verify_theorem13)
 from .oracle import (brute_orthogonal_complement, commutation_table,
                      diff_fixture, load_fixture, normalizing, positive_images)
-from .parabolic import (ReflectionSubgroup, shape_catalog,
+from .parabolic import (ReflectionSubgroup, shape_catalog, shape_parabolic,
                         standard_parabolic)
 
 
@@ -211,7 +211,7 @@ def verify_oracle(rs) -> dict:
     catalog = shape_catalog(rs)
     bad = None
     for shape in catalog:
-        P = standard_parabolic(rs, shape.rep_subset)
+        P = shape_parabolic(rs, shape)
         brute = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         if len(brute) != normalizer_order(P):
             bad = shape.label

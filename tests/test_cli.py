@@ -54,6 +54,28 @@ def test_lattice_commands_keep_their_stdout_bytes(command, code, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+# sha256 of the stdout of `shapes G`, recorded while the standard root sets
+# were still closed under reflections and the bonds read off permutation
+# products; every catalog label now comes from the support rule and the
+# bond table, and must keep these bytes
+PINNED_SHAPES = [
+    ("E8", "8a6ae1c3c78ab6d711faf16b14e74ccbbd6c0e42bf3ab283e826d14f74b52083"),
+    ("A10", "9a373a53d305f141045bafd5e05160b4628c5949f3cf2f4027ec57073922d2ac"),
+    ("B10", "357e951baf1b9cb6ac1a2695eac956eb86a342e6f6c31bf9b4b27967554d9e20"),
+    ("D10", "0ce546ccc6deb73a1427b30b5b09078fa786be432a08efce94e8f856f284a5cf"),
+    ("H4", "183d947b2a47fd3b1a5dbca1db0d4da63e7ceb54350c63ecc1caed0607f2cbd0"),
+    ("I2(11)", "c3fed6341ce649e443d20188e94c7a8299528acb9a3db6366aeea31ccdf9daff"),
+]
+
+
+@pytest.mark.parametrize("group, digest", PINNED_SHAPES)
+def test_shape_catalogs_keep_their_stdout_bytes(group, digest):
+    proc = subprocess.run([sys.executable, "-m", "coxnorm.cli", "shapes", group],
+                          capture_output=True, timeout=120, env=ENV)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_shapes_and_determinism():
     code1, out1, _ = run("shapes", "H4")
     code2, out2, _ = run("shapes", "H4")

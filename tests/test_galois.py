@@ -15,6 +15,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
+from fixture_groups import I2_FIXTURE_GROUPS
+
 parabolic = importlib.import_module("coxnorm.parabolic")
 
 
@@ -189,8 +191,7 @@ def _perp_by_reflections(U):
     return frozenset(np.flatnonzero(fixed).tolist())
 
 
-@pytest.mark.parametrize("name", ["H3", "F4", "B5", "D5", "E6", "E7"]
-                         + [f"I2({m})" for m in range(5, 13)])
+@pytest.mark.parametrize("name", ["H3", "F4", "B5", "D5", "E6", "E7"] + I2_FIXTURE_GROUPS)
 def test_complement_from_the_table_matches_the_reflection_loop(name):
     rs = build_root_system(name)
     rng = random.Random(name)

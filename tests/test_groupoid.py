@@ -13,6 +13,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
                                standard_subset, subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
+from fixture_groups import FIXTURE_GROUPS
+
 GROUPS = ["A7", "B6", "D6", "E6", "E7", "F4", "H4"]
 
 
@@ -69,11 +71,6 @@ def test_e8_d_column_matches_fixture():
         P = standard_parabolic(rs, shape.rep_subset)
         d_order = normalizer_order(P) // (P.order * orthogonal_complement(P.sub).order)
         assert (shape.index, d_order) == (row.index, row.d_order), shape.label
-
-
-# the groups with a golden fixture, E8 among them
-FIXTURE_GROUPS = (["A7", "B5", "B6", "D5", "D6", "E6", "E7", "E8", "F4", "H3", "H4"]
-                  + [f"I2({m})" for m in range(5, 13)])
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)

@@ -102,3 +102,26 @@ def test_section8_finds_the_involution_classes_once(monkeypatch):
     # F4 has -1 central, so the records are also read for minus_u_complement
     assert report["ok"] and "minus_u_complement" in report["checks"]
     assert len(calls) == 1
+
+
+# (shape index, centralizer order) of every involution class, as computed
+# through normalizer_order before the orders were read on demand
+CENTRALIZER_ORDERS = {
+    "F4": [(2, 96), (3, 96), (4, 16), (7, 64), (10, 96), (11, 96), (12, 1152)],
+    "E7": [(2, 46080), (3, 3072), (5, 768), (6, 9216), (9, 768), (15, 9216), (21, 3072),
+           (30, 46080), (32, 2903040)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZER_ORDERS))
+def test_section8_reads_no_centralizer_order(monkeypatch, name):
+    calls = []
+    original = involutions.normalizer_order
+    monkeypatch.setattr(involutions, "normalizer_order",
+                        lambda P: calls.append(P) or original(P))
+    rs = build_root_system(name)
+    assert section8_checks(rs)["ok"]
+    assert calls == []
+    records = involution_class_representatives(rs)
+    assert [(r.shape_index, r.centralizer_order) for r in records] == CENTRALIZER_ORDERS[name]
+    assert len(calls) == len(records)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coxnorm.diagrams import close_roots
 from coxnorm.linalg import Subspace
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                parabolic_closure, parabolic_from_roots,
@@ -10,6 +11,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                standard_parabolic)
 from coxnorm.galois import orthogonal_complement
 from coxnorm.rootsys import build_root_system, inner_product
+
+from fixture_groups import FIXTURE_GROUPS
 
 
 def test_fixed_space_dimensions():
@@ -52,6 +55,17 @@ def test_parabolic_closure():
     assert cl.roots == frozenset(range(b2.nroots))  # closure jumps to W
     cl2 = parabolic_closure(cl.sub)
     assert cl2.roots == cl.roots  # idempotent
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_standard_roots_by_support_are_the_closure_of_the_simple_roots(name):
+    # Phi_J is the set of roots supported in J; the oracle closes the simple
+    # roots of J under their reflections
+    rs = build_root_system(name)
+    for mask in range(1 << rs.n):
+        subset = tuple(i for i in range(rs.n) if mask >> i & 1)
+        closed = close_roots(rs, [rs.simple_roots[i] for i in subset])
+        assert ReflectionSubgroup.standard(rs, subset).roots == closed, subset
 
 
 def test_galois_pair_laws_small_rank():

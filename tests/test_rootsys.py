@@ -193,7 +193,9 @@ def _inner_table(rs):
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
 def test_orthogonal_and_bond_order_match_the_gram_form(name):
     # r_a fixes b iff <a, b> = 0, and r_a r_b has the order that 4 cos^2 of
-    # the angle between a and b names; both are invariant under a -> -a
+    # the angle between a and b names; both are invariant under a -> -a; the
+    # bonds from the Gram form agree with the order of the permutation
+    # product everywhere
     rs = build_root_system(name)
     inner = _inner_table(rs)
     for i in range(rs.nroots):
@@ -201,9 +203,11 @@ def test_orthogonal_and_bond_order_match_the_gram_form(name):
             a, b = i % rs.npos, j % rs.npos
             c = inner[a, b]
             assert rs.orthogonal(i, j) == (a != b and not c), (i, j)
+            order = bond_order(rs, i, j)
+            assert rs.bond(i, j) == order, (i, j)
             if a != b:
                 expected = BOND_FROM_RATIO.get(c * c * 4 / (inner[a, a] * inner[b, b])) if c else 2
-                assert bond_order(rs, i, j) == expected, (i, j)
+                assert order == expected, (i, j)
 
 
 def test_e8_orthogonal_matches_the_gram_form():
@@ -213,6 +217,7 @@ def test_e8_orthogonal_matches_the_gram_form():
         for j in range(rs.nroots):
             a, b = i % rs.npos, j % rs.npos
             assert rs.orthogonal(i, j) == (a != b and not inner[a, b]), (i, j)
+            assert rs.bond(i, j) == bond_order(rs, i, j), (i, j)
 
 
 @pytest.mark.parametrize("m", [7, 8, 12])
@@ -225,6 +230,21 @@ def test_i2_orthogonal_and_bond_order_index_formulas(m):
             d = (i - j) % m
             assert rs.orthogonal(i, j) == (2 * d == m), (i, j)
             assert bond_order(rs, i, j) == m // gcd(d, m), (i, j)
+            assert rs.bond(i, j) == bond_order(rs, i, j), (i, j)
+
+
+@pytest.mark.parametrize("m", [127, 128, 129, 256])
+def test_i2_bonds_hold_orders_past_the_int8_range(m):
+    # bonds up to m must not wrap in a narrow dtype: the simple roots of
+    # I2(m) carry the bond m, so the whole group is I2(m) of order 2m
+    rs = build_root_system(f"I2({m})")
+    simples = list(rs.simple_roots)
+    for i in simples:
+        for j in range(rs.nroots):
+            assert rs.bond(i, j) == bond_order(rs, i, j), (i, j)
+    whole = parabolic.ReflectionSubgroup.standard(rs, (0, 1))
+    assert whole.components == (f"I2({m})",)
+    assert whole.order == 2 * m
 
 
 def _i2_fixes_pointwise(w, X):
