@@ -9,9 +9,9 @@ from .labels import CoxeterLabel, parse_label
 from .rootsys import build_root_system, inner_product, reflection_in_root
 from .groups import (GroupElement, GroupSet, compose, generate, identity,
                      longest_element, relative_length, set_stabilizer)
-from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
-                        fixed_space, parabolic_closure, pointwise_stabilizer,
-                        shape_catalog, shape_of, shapes, standard_parabolic)
+from .parabolic import (ReflectionSubgroup, Shape, fixed_space,
+                        parabolic_closure, pointwise_stabilizer, shape_catalog,
+                        shape_of, shapes, standard_parabolic)
 from .galois import (orthogonal_closure, orthogonal_complement,
                      parabolic_concepts, shape_closure_graph)
 from .normalizer import (Decomposition, decompose, goursat_sections,
@@ -23,7 +23,7 @@ __all__ = [
     "CoxeterLabel", "parse_label", "build_root_system", "inner_product",
     "reflection_in_root", "GroupElement", "GroupSet", "compose", "generate",
     "identity", "longest_element", "relative_length", "set_stabilizer",
-    "ParabolicSubgroup", "ReflectionSubgroup", "Shape", "fixed_space",
+    "ReflectionSubgroup", "Shape", "fixed_space",
     "parabolic_closure", "pointwise_stabilizer", "shape_catalog", "shape_of",
     "shapes", "standard_parabolic", "orthogonal_closure",
     "orthogonal_complement", "parabolic_concepts", "shape_closure_graph",

@@ -14,7 +14,10 @@ Restrictions stay in the ambient simple-root coordinates, on integer pairs
 the subspace's basis rows, and a reflecting line by a canonical integer pair
 on it, measured with the root system's doubled Gram form.  Both are keys:
 tuples of ints holding each row's p entries, then its q entries.  A set of
-elements is restricted as a batch, one pair product for all of them.
+elements is restricted as a batch, one pair product for all of them.  The
+reflection part of an action is named from its reflecting lines: their
+simple lines, the bonds among those by ``diagrams.gram_bonds``, and the type
+by ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import (_classify_component, _component_sort_key, component_nodes,
-                       components_string, gram_bonds)
+from .diagrams import components_string, diagram_of_bonds, gram_bonds
 from .linalg import pair_matmul, pair_mul, pair_sign
 
 
@@ -185,10 +187,7 @@ def diagram_of_lines(lines, form):
     bonds = gram_bonds((G[0][sub], G[1][sub]))
     if not bonds.all():
         raise ValueError("unrecognized bond ratio among the simple lines")
-    adj = {a: {b: int(bonds[a, b]) for b in range(len(simples)) if bonds[a, b] > 2}
-           for a in range(len(simples))}
-    names = [_classify_component(c, adj) for c in component_nodes(adj)]
-    return tuple(sorted(names, key=_component_sort_key))
+    return diagram_of_bonds(bonds.tolist())
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,19 @@
 
 A subsystem of a root system is given by a closed set of root indices.  Its
 simple system is extracted by the standard criterion (a positive root is
-simple iff its reflection permutes the other positives of the subsystem),
-bond orders are read off the Gram form of the simple roots, and the graph
-is matched against the classification.  B and C diagrams are not
-distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
+simple iff its reflection keeps the other positives of the subsystem
+positive), bond orders are read off the Gram form of the simple roots, and
+``diagram_of_bonds`` matches the bond matrix against the classification.
+It is the one classifier: a reflection subgroup's type and the normalizer's
+action cells (``actions.diagram_of_lines``) both go through it.  B and C
+diagrams are not distinguished; the rank-2 types with bonds 4, 5, 6 print
+as B2, H2, G2.
 
 The bonds come from the Gram form (``gram_bonds``, the one bond rule,
 which the normalizer's action cells apply to reflection lines too); the
 order of a product of two reflection permutations, ``bond_order``, is its
 oracle.  A standard parabolic's roots are read off the root supports
-(``ReflectionSubgroup.standard``); ``close_roots`` closes any other
+(``parabolic.standard_parabolic``); ``close_roots`` closes any other
 generating set.
 """
 
@@ -49,19 +52,18 @@ def positive_part(rs, roots):
 
 
 def subsystem_simples(rs, pos):
-    """Simple system of a closed subsystem, given its positive roots."""
-    pos_set = set(pos)
-    simples = []
-    for b in pos:
-        perm = rs.reflection_perm(b)
-        ok = True
-        for a in pos:
-            if a != b and int(perm[a]) not in pos_set:
-                ok = False
-                break
-        if ok:
-            simples.append(b)
-    return tuple(simples)
+    """Simple system of a closed subsystem, given its positive roots.
+
+    Root b is simple iff its reflection keeps every other root of ``pos``
+    positive; the subsystem is closed, so no image leaves it.  One gather of
+    the stacked reflections of ``pos`` at the columns of ``pos`` tests all b.
+    """
+    if not pos:
+        return ()
+    cols = np.asarray(pos)
+    stays_positive = np.array([rs.reflection_perm(b) for b in pos])[:, cols] < rs.npos
+    stays_positive.flat[::len(pos) + 1] = True   # the diagonal: r_b(b) = -b
+    return tuple(cols[stays_positive.all(axis=1)].tolist())
 
 
 def bond_order(rs, i, j):
@@ -94,20 +96,6 @@ def gram_bonds(G):
     hits = (square[0] == rhs[0]) & (square[1] == rhs[1])   # distinct ratios: one hit at most
     return np.where(hits.any(axis=0), _BONDS[hits.argmax(axis=0)],
                     np.where((G[0] == 0) & (G[1] == 0), 2, 0)).astype(np.int8)
-
-
-def coxeter_graph(rs, simples):
-    """Adjacency {i: {j: m}} over the given simple roots, bonds m >= 3 only,
-    read off the root system's bond rule (``rs.bond``)."""
-    adj = {i: {} for i in simples}
-    for a in range(len(simples)):
-        for b in range(a + 1, len(simples)):
-            i, j = simples[a], simples[b]
-            m = rs.bond(i, j)
-            if m >= 3:
-                adj[i][j] = m
-                adj[j][i] = m
-    return adj
 
 
 def _classify_component(nodes, adj):
@@ -194,13 +182,11 @@ def component_nodes(adj):
     return comps
 
 
-def recognize_subsystem(rs, roots):
-    """Component type names (sorted) of a closed subsystem of rs."""
-    pos = positive_part(rs, roots)
-    if not pos:
-        return ()
-    simples = subsystem_simples(rs, pos)
-    adj = coxeter_graph(rs, simples)
+def diagram_of_bonds(bonds):
+    """Component type names (sorted) of the Coxeter diagram with the given
+    k x k matrix of bond orders, as nested lists of ints; an entry below 3
+    is no edge."""
+    adj = {a: {b: m for b, m in enumerate(row) if m >= 3} for a, row in enumerate(bonds)}
     names = [_classify_component(c, adj) for c in component_nodes(adj)]
     return tuple(sorted(names, key=_component_sort_key))
 

@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
-                        parabolic_from_roots, shape_catalog)
+from .parabolic import ReflectionSubgroup, Shape, shape_catalog
 
 
-def orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup) -> ParabolicSubgroup:
+def orthogonal_complement(U: ReflectionSubgroup) -> ReflectionSubgroup:
     """Parabolic generated by all reflections orthogonal to every reflection of U."""
-    sub = U.sub if isinstance(U, ParabolicSubgroup) else U
-    rs = sub.rs
-    fixed = rs.orthogonality[list(sub.pos)].all(axis=0)
-    return parabolic_from_roots(rs, frozenset(np.flatnonzero(fixed).tolist()))
+    fixed = U.rs.orthogonality[list(U.pos)].all(axis=0)
+    return ReflectionSubgroup(U.rs, np.flatnonzero(fixed).tolist())
 
 
-def orthogonal_closure(P: ParabolicSubgroup | ReflectionSubgroup) -> ParabolicSubgroup:
+def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
     """perp(perp(P)); contains P, idempotent."""
     return orthogonal_complement(orthogonal_complement(P))
 

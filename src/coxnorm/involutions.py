@@ -18,21 +18,19 @@ import numpy as np
 from .galois import orthogonal_complement, perp_index, closure_index
 from .groups import GroupElement, generate
 from .normalizer import normalizer_order, subsystem_longest_element
-from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
-                        parabolic_closure, parabolic_from_roots, shape_catalog,
-                        shape_parabolic, subset_groupoid)
+from .parabolic import (ReflectionSubgroup, parabolic_closure, shape_catalog,
+                        subset_groupoid)
 
 
 def negated_roots(u: GroupElement):
     return frozenset(np.flatnonzero(u.img == u.rs.negation).tolist())
 
 
-def fixed_parabolic(u: GroupElement) -> ParabolicSubgroup:
+def fixed_parabolic(u: GroupElement) -> ReflectionSubgroup:
     """The parabolic whose root system is the set of roots negated by u."""
     if not u.is_involution():
         raise ValueError("element is not an involution")
-    rs = u.rs
-    return parabolic_from_roots(rs, negated_roots(u))
+    return ReflectionSubgroup(u.rs, negated_roots(u))
 
 
 def degree(u: GroupElement) -> int:
@@ -49,7 +47,7 @@ class InvolutionRecord:
     element: GroupElement
     degree: int
     shape_index: int
-    parabolic: ParabolicSubgroup   # the shape's representative, fixed by element
+    parabolic: ReflectionSubgroup   # the shape's representative, fixed by element
 
     @cached_property
     def centralizer_order(self) -> int:
@@ -70,8 +68,8 @@ def involution_class_representatives(rs):
     for shape in catalog:
         if shape.index == 1 and not shape.roots:
             continue
-        P = shape_parabolic(rs, shape)
-        w0 = subsystem_longest_element(rs, P.sub)
+        P = ReflectionSubgroup(rs, shape.roots, shape.components)
+        w0 = subsystem_longest_element(rs, P)
         if w0.negates(P.pos):
             out.append(InvolutionRecord(w0, degree(w0), shape.index, P))
     return out
@@ -190,7 +188,7 @@ def section8_checks(rs, pq_closure=None) -> dict:
             minus_u = u * negation
             P_u = fixed_parabolic(u)
             P_mu = fixed_parabolic(minus_u)
-            if P_mu.roots != orthogonal_complement(P_u.sub).roots:
+            if P_mu.roots != orthogonal_complement(P_u).roots:
                 bad = rec.shape_index
                 break
         record("minus_u_complement", bad is None, bad)

@@ -36,9 +36,8 @@ from .galois import orthogonal_complement
 from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import pair_matmul
-from .parabolic import (ParabolicSubgroup, ReflectionSubgroup, Shape,
-                        parabolic_from_roots, pointwise_stabilizer, shape_catalog,
-                        shape_parabolic, standard_conjugate, standard_parabolic,
+from .parabolic import (ReflectionSubgroup, Shape, pointwise_stabilizer,
+                        shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
@@ -154,8 +153,8 @@ class Decomposition:
 
     rs: object
     shape: Shape
-    P: ParabolicSubgroup
-    Q: ParabolicSubgroup
+    P: ReflectionSubgroup
+    Q: ReflectionSubgroup
     q_index: int
     n_order: int
     D: list
@@ -210,7 +209,7 @@ class Decomposition:
         }
 
 
-def normalizer(P: ParabolicSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
+def normalizer(P: ReflectionSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
     """The normalizer of a parabolic as an explicit group.
 
     N_W(W_J) is generated by the simple reflections of J and the groupoid
@@ -232,7 +231,7 @@ def normalizer(P: ParabolicSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
     return N
 
 
-def normalizer_order(P: ParabolicSubgroup) -> int:
+def normalizer_order(P: ReflectionSubgroup) -> int:
     """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
     return _normalizer_order_at(P.rs, _standard_form(P)[0])
 
@@ -248,7 +247,7 @@ def _standard_form(P):
 def _normalizer_order_at(rs, subset):
     catalog = shape_catalog(rs)
     P = standard_parabolic(rs, subset)
-    Q = orthogonal_complement(P.sub)
+    Q = orthogonal_complement(P)
     D = _complement_D(rs, subset, ReflectionSubgroup(rs, P.roots | Q.roots))
     return catalog[catalog.class_of_subset(subset)].order * Q.order * len(D)
 
@@ -411,7 +410,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     if isinstance(shape_or_parabolic, Shape):
         shape = shape_or_parabolic
         subset = shape.rep_subset
-        P = shape_parabolic(rs, shape)
+        P = ReflectionSubgroup(rs, shape.roots, shape.components)
     else:
         P = shape_or_parabolic
         subset = standard_subset(P)
@@ -420,9 +419,9 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
                              "(one generated by simple reflections)")
         shape = catalog[catalog.class_of_subset(subset)]
 
-    Q = orthogonal_complement(P.sub)
+    Q = orthogonal_complement(P)
     q_index = catalog.class_of_roots(Q.roots)
-    Q = parabolic_from_roots(rs, Q.roots, catalog[q_index].components)
+    Q.components = catalog[q_index].components   # its shape's, not recognized again
     p_order, q_order = P.order, Q.order
     pq_sub = ReflectionSubgroup(rs, P.roots | Q.roots)
     # in canonical order: the choice of C below takes its first candidate
@@ -439,8 +438,8 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     xsp = ysp = mid_space = None
     tables = dict.fromkeys(("x_perp", "x_cap_y", "y_perp"))
     if len(D) > 1:
-        xsp = _root_span(rs, P.sub.simples)
-        ysp = _root_span(rs, Q.sub.simples)
+        xsp = _root_span(rs, P.simples)
+        ysp = _root_span(rs, Q.simples)
         mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
         for role, space in (("x_perp", xsp), ("x_cap_y", mid_space), ("y_perp", ysp)):
             if space is not None and space.dim:
@@ -463,7 +462,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
         C = [identity(rs), cands[0]]
 
     # closure data
-    perpQ = orthogonal_complement(Q.sub)
+    perpQ = orthogonal_complement(Q)
     closure_index = catalog.class_of_roots(perpQ.roots)
     pq_closure = pointwise_stabilizer(rs, mid)  # Fix(PQ) = X n Y
     pq_idx = catalog.class_of_roots(pq_closure.roots)
@@ -471,13 +470,13 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     pq_is_w = len(pq_closure.roots) == rs.nroots
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
-    asterisk = subsystem_longest_element(rs, P.sub).negates(P.pos)
+    asterisk = subsystem_longest_element(rs, P).negates(P.pos)
 
-    cell_x = _action_cell(rs, "x_perp", P.sub, p_order * len(D), xperp.dim,
+    cell_x = _action_cell(rs, "x_perp", P, p_order * len(D), xperp.dim,
                           xsp, tables["x_perp"])
     cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B),
                           mid.dim, mid_space, tables["x_cap_y"])
-    cell_y = _action_cell(rs, "y_perp", Q.sub, q_order * len(D) // len(A), yperp.dim,
+    cell_y = _action_cell(rs, "y_perp", Q, q_order * len(D) // len(A), yperp.dim,
                           ysp, tables["y_perp"])
     AB = [a * b for a in A for b in B]
     a_name = _format_subgroup(*_name_and_marker(
@@ -561,12 +560,10 @@ def verify_theorem13(dec: Decomposition) -> dict:
     # stay inside.  N is generated by P, Q and D; P, Q, AB normalize PQAB
     # trivially, so only D-conjugates of the AB part need checking.
     ab = {(a * b).key: a * b for a in dec.A for b in dec.B}
-    pq_pos = sorted(set(dec.P.pos) | set(dec.Q.pos))
+    pq = ReflectionSubgroup(rs, dec.P.roots | dec.Q.roots)
     for d in dec.D:
         for x in list(ab.values()):
-            conj = (d.inverse() * x) * d
-            dd = descend_to_complement(
-                conj, ReflectionSubgroup(rs, dec.P.roots | dec.Q.roots))
+            dd = descend_to_complement((d.inverse() * x) * d, pq)
             if dd.key not in ab:
                 report["ok"] = False
                 report["witness"] = (d.canonical(), x.canonical())

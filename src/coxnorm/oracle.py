@@ -25,10 +25,8 @@ from importlib import resources
 
 import numpy as np
 
-from .diagrams import close_roots
 from .groups import BRUTE_LIMIT, generate
-from .parabolic import (ParabolicSubgroup, ReflectionSubgroup,
-                        parabolic_from_roots)
+from .parabolic import ReflectionSubgroup
 
 
 def positive_images(elements) -> np.ndarray:
@@ -36,14 +34,14 @@ def positive_images(elements) -> np.ndarray:
     return np.array([w.img[: w.rs.npos] for w in elements], dtype=np.int16)
 
 
-def normalizing(P: ParabolicSubgroup, images) -> np.ndarray:
+def normalizing(P: ReflectionSubgroup, images) -> np.ndarray:
     """Mask of the rows of ``positive_images`` whose element maps P's roots into P's."""
     in_p = np.zeros(P.rs.nroots, dtype=bool)
     in_p[list(P.roots)] = True
     return in_p[images[:, list(P.pos)]].all(axis=1)
 
 
-def brute_normalizer(P: ParabolicSubgroup, W=None):
+def brute_normalizer(P: ReflectionSubgroup, W=None):
     """Normalizer by filtering a full enumeration (guarded), in W's order."""
     rs = P.rs
     if rs.group_order > BRUTE_LIMIT:
@@ -69,22 +67,18 @@ def commutation_table(rs, rows=None) -> np.ndarray:
     return table
 
 
-def brute_orthogonal_complement(U: ReflectionSubgroup | ParabolicSubgroup, commute=None):
+def brute_orthogonal_complement(U: ReflectionSubgroup, commute=None):
     """Literal commutation definition: reflections commuting with all of U.
 
     ``commute`` is ``commutation_table(rs)``, for a caller that checks many
     subgroups; without it, only the rows of U's positive roots are computed.
     """
-    sub = U.sub if isinstance(U, ParabolicSubgroup) else U
-    rs = sub.rs
+    rs = U.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    pos = list(sub.pos)
+    pos = list(U.pos)
     rows = commutation_table(rs, pos) if commute is None else commute[pos]
-    gens = np.flatnonzero(rows.all(axis=0)).tolist()
-    if not gens:
-        return parabolic_from_roots(rs, frozenset())
-    return parabolic_from_roots(rs, close_roots(rs, gens))
+    return ReflectionSubgroup.generated_by(rs, np.flatnonzero(rows.all(axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------

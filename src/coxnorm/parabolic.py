@@ -1,12 +1,13 @@
-"""Parabolic subgroups, fixed spaces, parabolic closure, and shapes.
+"""Reflection subgroups, fixed spaces, parabolic closure, and shapes.
 
-A reflection subgroup is stored by its closed set of roots.  A parabolic
-subgroup wraps one; its witness, the subspace it fixes pointwise, is the
-common fixed space of its reflections, computed on first use.  Spans, fixed
-spaces and signs at a generic point come from the root system, so nothing
-here branches on the family.  The shape catalog lists one entry per
-conjugacy class of parabolic subgroups, ordered by (rank, group order,
-label); indices are 1-based.
+A reflection subgroup is stored by its closed set of roots.  Being
+parabolic is a property such a subgroup may have, not a second type: a
+parabolic subgroup is a ``ReflectionSubgroup`` whose witness, the subspace
+it fixes pointwise, is the common fixed space of its reflections, computed
+on first use.  Spans, fixed spaces and signs at a generic point come from
+the root system, so nothing here branches on the family.  The shape
+catalog lists one entry per conjugacy class of parabolic subgroups, ordered
+by (rank, group order, label); indices are 1-based.
 
 Classical labels follow the partition transversal: type A uses partitions of
 the point count; types B and D use a sign-change block B_l / D_l plus a
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagrams import (close_roots, components_order, components_rank,
-                       components_string, positive_part, recognize_subsystem,
+                       components_string, diagram_of_bonds, positive_part,
                        subsystem_simples)
 from .groups import GroupElement, identity, parabolic_longest_element
 
@@ -42,47 +43,34 @@ class ReflectionSubgroup:
         self.rs = rs
         self.roots = frozenset(roots)
         self.pos = positive_part(rs, self.roots)
-        self._simples = None
-        self._components = components
+        if components is not None:
+            self.components = components
 
     @classmethod
     def generated_by(cls, rs, root_indices):
         return cls(rs, close_roots(rs, root_indices))
 
-    @classmethod
-    def standard(cls, rs, subset):
-        """W_J: its roots are the roots whose support lies in J."""
-        outside = ~sum(1 << i for i in subset)
-        return cls(rs, np.flatnonzero((rs.supports & outside) == 0).tolist())
-
-    @property
+    @cached_property
     def simples(self):
-        if self._simples is None:
-            self._simples = subsystem_simples(self.rs, self.pos)
-        return self._simples
+        return subsystem_simples(self.rs, self.pos)
 
-    @property
+    @cached_property
     def components(self):
-        if self._components is None:
-            self._components = recognize_subsystem(self.rs, self.roots)
-        return self._components
+        """Coxeter type: the diagram of the bonds among the simple roots."""
+        simples = self.simples
+        return diagram_of_bonds([[self.rs.bond(i, j) for j in simples] for i in simples])
+
+    @cached_property
+    def witness(self):
+        """The subspace fixed pointwise: the common fixed space of the reflections."""
+        return fixed_space(self)
 
     @property
     def order(self):
         return components_order(self.components)
 
-    @property
-    def rank(self):
-        return components_rank(self.components)
-
-    def reflections(self):
-        return [self.rs.reflection(i) for i in self.pos]
-
     def simple_reflections(self):
         return [self.rs.reflection(i) for i in self.simples]
-
-    def type_string(self):
-        return components_string(self.components)
 
     def key(self):
         return (self.rs.label, self.roots)
@@ -94,46 +82,7 @@ class ReflectionSubgroup:
         return hash(self.key())
 
     def __repr__(self):
-        return f"ReflectionSubgroup({self.rs.label}, {self.type_string()})"
-
-
-@dataclass(frozen=True)
-class ParabolicSubgroup:
-    """A parabolic subgroup, by its reflection subgroup."""
-
-    sub: ReflectionSubgroup
-
-    @cached_property
-    def witness(self):
-        """The subspace P fixes pointwise: the common fixed space of its reflections."""
-        return fixed_space(self.sub)
-
-    @property
-    def rs(self):
-        return self.sub.rs
-
-    @property
-    def roots(self):
-        return self.sub.roots
-
-    @property
-    def pos(self):
-        return self.sub.pos
-
-    @property
-    def simples(self):
-        return self.sub.simples
-
-    @property
-    def components(self):
-        return self.sub.components
-
-    @property
-    def order(self):
-        return self.sub.order
-
-    def __repr__(self):
-        return f"ParabolicSubgroup({self.rs.label}, {self.sub.type_string()})"
+        return f"ReflectionSubgroup({self.rs.label}, {components_string(self.components)})"
 
 
 def fixed_space(U: ReflectionSubgroup):
@@ -144,27 +93,22 @@ def fixed_space(U: ReflectionSubgroup):
     return U.rs.fixed_space(U.simples)
 
 
-def pointwise_stabilizer(rs, X) -> ParabolicSubgroup:
+def pointwise_stabilizer(rs, X) -> ReflectionSubgroup:
     """Parabolic subgroup fixing the subspace X pointwise: the roots vanishing on X."""
-    return parabolic_from_roots(rs, np.flatnonzero(rs.signs_at(X) == 0).tolist())
+    return ReflectionSubgroup(rs, np.flatnonzero(rs.signs_at(X) == 0).tolist())
 
 
-def parabolic_closure(U: ReflectionSubgroup) -> ParabolicSubgroup:
+def parabolic_closure(U: ReflectionSubgroup) -> ReflectionSubgroup:
     """Smallest parabolic subgroup containing U."""
     return pointwise_stabilizer(U.rs, fixed_space(U))
 
 
-def parabolic_from_roots(rs, roots, components=None) -> ParabolicSubgroup:
-    return ParabolicSubgroup(ReflectionSubgroup(rs, roots, components))
-
-
-def standard_parabolic(rs, subset) -> ParabolicSubgroup:
-    return ParabolicSubgroup(ReflectionSubgroup.standard(rs, subset))
-
-
-def shape_parabolic(rs, shape) -> ParabolicSubgroup:
-    """The standard representative of a shape, with the shape's type."""
-    return parabolic_from_roots(rs, shape.roots, shape.components)
+def standard_parabolic(rs, subset) -> ReflectionSubgroup:
+    """W_J: its roots are the roots whose support lies in J, its simple roots
+    those of J."""
+    P = ReflectionSubgroup(rs, np.flatnonzero((rs.supports & ~_mask(subset)) == 0).tolist())
+    P.simples = tuple(rs.simple_roots[i] for i in sorted(set(subset)))
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +291,11 @@ class SubsetGroupoid:
 
 
 def _mask(subset):
-    return sum(1 << i for i in subset)
+    """The bitmask of a subset; a repeated index sets its bit once."""
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
 
 
 def _members(mask, n):
@@ -389,7 +337,7 @@ def standard_conjugate(rs, roots):
     return subset, GroupElement(rs, img)
 
 
-def standard_subset(P: ParabolicSubgroup | ReflectionSubgroup):
+def standard_subset(P: ReflectionSubgroup):
     """The simple indices J with P = W_J, or None when P is not standard."""
     position = {r: i for i, r in enumerate(P.rs.simple_roots)}
     if all(b in position for b in P.simples):
@@ -426,7 +374,7 @@ class ShapeCatalog:
         rs = self.rs
         # each class is represented by its lexicographically least subset
         entries = [(group[0], group) for group in subset_groupoid(rs).components]
-        rootsets = {rep: ReflectionSubgroup.standard(rs, rep).roots for rep, _ in entries}
+        subgroups = {rep: standard_parabolic(rs, rep) for rep, _ in entries}
         # labels
         labeled = []
         if rs.label.family in ("A", "B", "D"):
@@ -451,8 +399,7 @@ class ShapeCatalog:
                     raise RuntimeError(f"duplicate transversal label {data} in {rs.label}")
                 claimed[data] = True
                 fam, l, lam, dec = data
-                roots = rootsets[rep]
-                comps = recognize_subsystem(rs, roots)
+                roots, comps = subgroups[rep].roots, subgroups[rep].components
                 type_str, label, full = _classical_label(fam, l, lam, dec, rs.label.rank)
                 labeled.append(Shape(0, rep, roots, comps, label, type_str,
                                      components_order(comps), components_rank(comps),
@@ -460,8 +407,7 @@ class ShapeCatalog:
         else:
             by_type = {}
             for rep, group in entries:
-                roots = rootsets[rep]
-                comps = recognize_subsystem(rs, roots)
+                roots, comps = subgroups[rep].roots, subgroups[rep].components
                 by_type.setdefault(comps, []).append((rep, roots))
             for comps, reps in sorted(by_type.items(), key=repr):
                 reps.sort()
@@ -497,7 +443,7 @@ class ShapeCatalog:
         """Catalog index of the class of the standard parabolic W_J."""
         return self._by_component[subset_groupoid(self.rs).component_of(subset)]
 
-    def shape_of(self, P: ParabolicSubgroup) -> Shape:
+    def shape_of(self, P: ReflectionSubgroup) -> Shape:
         return self[self.class_of_roots(P.roots)]
 
     def by_selector(self, text: str) -> Shape:
@@ -542,5 +488,5 @@ def shapes(rs):
     return list(shape_catalog(rs))
 
 
-def shape_of(P: ParabolicSubgroup) -> Shape:
+def shape_of(P: ReflectionSubgroup) -> Shape:
     return shape_catalog(P.rs).shape_of(P)

@@ -11,14 +11,13 @@ import itertools
 import numpy as np
 
 from .galois import orthogonal_closure, orthogonal_complement
-from .groups import BRUTE_LIMIT, generate, identity, relative_length
+from .groups import BRUTE_LIMIT, generate, relative_length
 from .involutions import pq_closures, section8_checks
 from .normalizer import (compute_table, decompose, goursat_sections,
                          normalizer, normalizer_order, verify_theorem13)
 from .oracle import (brute_orthogonal_complement, commutation_table,
                      diff_fixture, load_fixture, normalizing, positive_images)
-from .parabolic import (ReflectionSubgroup, shape_catalog, shape_parabolic,
-                        standard_parabolic)
+from .parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
 
 
 def _standard_subsets(rs):
@@ -39,7 +38,7 @@ def verify_galois(rs) -> dict:
     commutation oracle reads one commutation table, built per call.
     """
     report = {"group": str(rs.label), "checks": {}}
-    subs = {s: ReflectionSubgroup.standard(rs, s) for s in _standard_subsets(rs)}
+    subs = {s: standard_parabolic(rs, s) for s in _standard_subsets(rs)}
     perp = {}
     first = dict.fromkeys(("extensive", "triple_perp", "closure_idempotent"))
     for s, u in subs.items():
@@ -92,10 +91,7 @@ def verify_howlett(rs) -> dict:
         P = standard_parabolic(rs, subset)
         N = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         H = [w for w in N if relative_length(w, P.pos) == 0]
-        if P.pos:
-            P_group = list(generate([rs.reflection(i) for i in P.sub.simples]))
-        else:
-            P_group = [identity(rs)]
+        P_group = list(generate(P.simple_reflections(), rs=rs))
         P_keys = {w.key for w in P_group}
         H_keys = {w.key for w in H}
         inter = P_keys & H_keys
@@ -151,10 +147,8 @@ def verify_goursat(rs) -> dict:
         sec = goursat_sections(N, xperp, X, complement=dec.D)
         g2 = {w.key for w in sec.kernels[0]}
         h2 = {w.key for w in sec.kernels[1]}
-        p_keys = {w.key for w in generate([rs.reflection(i) for i in dec.P.sub.simples])} \
-            if dec.P.pos else {w.key for w in N if w.is_identity()}
-        q_keys = {w.key for w in generate([rs.reflection(i) for i in dec.Q.sub.simples])} \
-            if dec.Q.pos else {w.key for w in N if w.is_identity()}
+        p_keys = {w.key for w in generate(dec.P.simple_reflections(), rs=rs)}
+        q_keys = {w.key for w in generate(dec.Q.simple_reflections(), rs=rs)}
         theta = {}
         ok = g2 == p_keys and h2 == q_keys
         if ok and sec.complements:
@@ -185,7 +179,7 @@ def verify_section8(rs) -> dict:
     pq_closure = pq_closures(rs)
     report = section8_checks(rs, pq_closure)
     bad = next((shape.label for shape in shape_catalog(rs)
-                if len(orthogonal_closure(pq_closure[shape.index].sub).roots) != rs.nroots),
+                if len(orthogonal_closure(pq_closure[shape.index]).roots) != rs.nroots),
                None)
     report["checks"]["pq_closure_orthogonal_closure_is_w"] = {
         "ok": bad is None, "witness": bad}
@@ -211,7 +205,7 @@ def verify_oracle(rs) -> dict:
     catalog = shape_catalog(rs)
     bad = None
     for shape in catalog:
-        P = shape_parabolic(rs, shape)
+        P = ReflectionSubgroup(rs, shape.roots, shape.components)
         brute = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         if len(brute) != normalizer_order(P):
             bad = shape.label
@@ -224,7 +218,7 @@ def verify_oracle(rs) -> dict:
     commute = commutation_table(rs)
     bad = None
     for subset in _standard_subsets(rs):
-        U = ReflectionSubgroup.standard(rs, subset)
+        U = standard_parabolic(rs, subset)
         if brute_orthogonal_complement(U, commute).roots != orthogonal_complement(U).roots:
             bad = subset
             break

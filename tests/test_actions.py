@@ -5,12 +5,12 @@ import pytest
 
 from coxnorm.actions import (SpaceRestriction, canonical_lines,
                              diagram_of_lines, invariant_split)
-from coxnorm.diagrams import close_roots, positive_part, recognize_subsystem
+from coxnorm.diagrams import close_roots, positive_part
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
 from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
 from coxnorm.normalizer import decompose
-from coxnorm.parabolic import (parabolic_from_roots, shape_catalog,
+from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
                                standard_parabolic)
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
@@ -44,11 +44,11 @@ A2_FORM = form_pairs(((Q5(2), Q5(-1)), (Q5(-1), Q5(2))))
 
 def test_invariant_split_extremes():
     rs = build_root_system("B3")
-    whole = parabolic_from_roots(rs, frozenset(range(rs.nroots)))
-    trivial = parabolic_from_roots(rs, frozenset())
-    x, m, y = invariant_split(whole, orthogonal_complement(whole.sub))
+    whole = ReflectionSubgroup(rs, frozenset(range(rs.nroots)))
+    trivial = ReflectionSubgroup(rs, frozenset())
+    x, m, y = invariant_split(whole, orthogonal_complement(whole))
     assert (x.dim, m.dim, y.dim) == (3, 0, 0)
-    x, m, y = invariant_split(trivial, orthogonal_complement(trivial.sub))
+    x, m, y = invariant_split(trivial, orthogonal_complement(trivial))
     assert (x.dim, m.dim, y.dim) == (0, 0, 3)
 
 
@@ -63,7 +63,7 @@ def test_invariant_split_worked_example():
     images = {xsp.matrix(d) for d in dec.D}
     assert len(images) == 6
     # P fixes X = mid + yperp pointwise
-    for i in P.sub.simples:
+    for i in P.simples:
         assert fixes_pointwise(rs.reflection(i), P.witness)
     # the restriction of D to the mid space is the A2 reflection action
     assert dec.actions["x_cap_y"].descriptor() == "A2"
@@ -149,7 +149,7 @@ def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
         for i in positive_part(rs, roots):
             p, q = pair_mul(rs.rows([i]), rng.choice(factors))
             lines.append(tuple(np.hstack((p, q)).ravel().tolist()))
-        assert diagram_of_lines(lines, rs.form) == recognize_subsystem(rs, roots), roots
+        assert diagram_of_lines(lines, rs.form) == ReflectionSubgroup(rs, roots).components, roots
 
 
 def test_diagram_of_lines_refuses_overflow():
@@ -163,7 +163,7 @@ def test_diagram_of_root_lines_is_the_root_system(name):
     rs = build_root_system(name)
     lines = set(canonical_lines(rs.rows(range(rs.npos))))
     assert diagram_of_lines(lines, rs.form) == \
-        recognize_subsystem(rs, frozenset(range(rs.nroots)))
+        ReflectionSubgroup(rs, frozenset(range(rs.nroots))).components
 
 
 def test_dimension_sum_is_rank():
@@ -224,8 +224,8 @@ def test_faithfulness_of_a_on_x_perp():
         for shape in shape_catalog(rs):
             dec = decompose(rs, shape)
             for a in dec.A:
-                assert all(int(a.img[q]) == q for q in dec.Q.sub.simples)
+                assert all(int(a.img[q]) == q for q in dec.Q.simples)
                 assert all(int(a.img[i]) in dec.P.roots for i in dec.P.pos)
-            xsp = SpaceRestriction(rs, rs.rows(dec.P.sub.simples)) if dec.P.pos else None
+            xsp = SpaceRestriction(rs, rs.rows(dec.P.simples)) if dec.P.pos else None
             if xsp and len(dec.A) > 1:
                 assert len({xsp.matrix(a) for a in dec.A}) == len(dec.A)

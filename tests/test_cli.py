@@ -104,6 +104,13 @@ def test_decompose_partition_selector():
     assert data["D_order"] == 24 and data["A_type"] == "A3"
 
 
+def test_decompose_repeated_simple_index_selects_it_once():
+    single = run("decompose", "B3", "s2")
+    assert single[0] == 0
+    assert run("decompose", "B3", "s2,s2") == single
+    assert run("decompose", "B3", "s1,s1,s1") == run("decompose", "B3", "s1")
+
+
 def test_unknown_selector_exits_2_and_lists_catalog():
     code, out, err = run("decompose", "H3", "B9")
     assert code == 2

@@ -10,8 +10,7 @@ from coxnorm.galois import (closure_index, orthogonal_closure,
                             orthogonal_complement, parabolic_concepts,
                             perp_index, shape_closure_graph)
 from coxnorm.oracle import brute_orthogonal_complement
-from coxnorm.parabolic import (ReflectionSubgroup, parabolic_from_roots,
-                               shape_catalog, standard_parabolic)
+from coxnorm.parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
@@ -61,7 +60,7 @@ def test_triple_perp_law():
     rs = build_root_system("B3")
     for mask in range(1 << rs.n):
         subset = tuple(i for i in range(rs.n) if mask >> i & 1)
-        U = ReflectionSubgroup.standard(rs, subset)
+        U = standard_parabolic(rs, subset)
         p1 = orthogonal_complement(U)
         p3 = orthogonal_complement(orthogonal_closure(U))
         assert p1.roots == p3.roots
@@ -154,8 +153,8 @@ def test_concept_meet_is_concept():
         reps = {i: standard_parabolic(rs, cat[i].rep_subset) for i in
                 {k for pair in concepts for k in pair}}
         for (i1, j1), (i2, j2) in itertools.combinations(concepts, 2):
-            left = parabolic_from_roots(rs, reps[i1].roots & reps[i2].roots)
-            assert orthogonal_closure(left.sub).roots == left.roots
+            left = ReflectionSubgroup(rs, reps[i1].roots & reps[i2].roots)
+            assert orthogonal_closure(left).roots == left.roots
 
 
 def test_orthogonal_complement_computes_no_fixed_space(monkeypatch):
@@ -168,7 +167,7 @@ def test_orthogonal_complement_computes_no_fixed_space(monkeypatch):
                         lambda U: calls.append(U) or original(U))
     for mask in range(1 << rs.n):
         subset = tuple(i for i in range(rs.n) if mask >> i & 1)
-        Q = orthogonal_complement(ReflectionSubgroup.standard(rs, subset))
+        Q = orthogonal_complement(standard_parabolic(rs, subset))
     assert calls == []
     assert Q.witness is Q.witness and len(calls) == 1
 
@@ -195,7 +194,7 @@ def _perp_by_reflections(U):
 def test_complement_from_the_table_matches_the_reflection_loop(name):
     rs = build_root_system(name)
     rng = random.Random(name)
-    subgroups = [ReflectionSubgroup.standard(rs, tuple(i for i in range(rs.n) if mask >> i & 1))
+    subgroups = [standard_parabolic(rs, tuple(i for i in range(rs.n) if mask >> i & 1))
                  for mask in range(1 << rs.n)]
     subgroups += [ReflectionSubgroup.generated_by(
         rs, rng.sample(range(rs.nroots), rng.randint(1, rs.n))) for _ in range(200)]
@@ -207,7 +206,7 @@ def _galois_reports_by_loops(rs):
     """Reference: the Galois checks as separate loops, each recomputing its
     complements through galois.orthogonal_closure; (ok, witness) per check."""
     checks = {}
-    subs = {s: ReflectionSubgroup.standard(rs, s) for s in verify._standard_subsets(rs)}
+    subs = {s: standard_parabolic(rs, s) for s in verify._standard_subsets(rs)}
     perp = {s: galois.orthogonal_complement(u) for s, u in subs.items()}
     checks["extensive"] = next(
         (s for s, u in subs.items() if not u.roots <= galois.orthogonal_closure(u).roots), None)
@@ -243,13 +242,13 @@ def test_galois_witnesses_survive_the_closure_chain(monkeypatch, name, chosen, l
     # report the same first failing subset as the separate loops do
     rs = build_root_system(name)
     original = galois.orthogonal_complement
-    target = ReflectionSubgroup.standard(rs, chosen)
+    target = standard_parabolic(rs, chosen)
     target = target.roots if level == 0 else original(target).roots
 
     def faulty(U):
         Q = original(U)
         if U.roots == target:
-            return parabolic_from_roots(rs, Q.roots - {min(Q.roots)})
+            return ReflectionSubgroup(rs, Q.roots - {min(Q.roots)})
         return Q
 
     monkeypatch.setattr(galois, "orthogonal_complement", faulty)
@@ -274,13 +273,13 @@ def test_antitone_witness_is_the_first_failing_pair_not_a_covering_one(monkeypat
     # skips a level
     rs = build_root_system(name)
     original = galois.orthogonal_complement
-    target = ReflectionSubgroup.standard(rs, chosen).roots
+    target = standard_parabolic(rs, chosen).roots
 
     def faulty(U):
         Q = original(U)
         if U.roots == target:
             extra = min(set(range(rs.npos)) - Q.roots)
-            return parabolic_from_roots(rs, Q.roots | {extra, rs.neg(extra)})
+            return ReflectionSubgroup(rs, Q.roots | {extra, rs.neg(extra)})
         return Q
 
     monkeypatch.setattr(galois, "orthogonal_complement", faulty)

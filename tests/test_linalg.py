@@ -247,7 +247,7 @@ def test_root_spaces_match_the_q5_reference(name):
 
     for shape in shape_catalog(rs):
         P = standard_parabolic(rs, shape.rep_subset)
-        Q = orthogonal_complement(P.sub)
+        Q = orthogonal_complement(P)
         xperp, mid, yperp = invariant_split(P, Q)
         assert_pairs_equal(xperp.pairs, span_pairs(P.simples))
         assert_pairs_equal(yperp.pairs, span_pairs(Q.simples))

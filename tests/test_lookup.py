@@ -8,7 +8,7 @@ import pytest
 
 from coxnorm.groups import OrbitStabilizer
 from coxnorm.normalizer import normalizer
-from coxnorm.parabolic import ShapeCatalog, parabolic_from_roots
+from coxnorm.parabolic import ReflectionSubgroup, ShapeCatalog
 from coxnorm.rootsys import build_root_system, inner_product
 
 
@@ -63,5 +63,5 @@ def test_e8_trivial_normalizer_refused_before_enumeration():
     rs = build_root_system("E8")
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="too large"):
-        normalizer(parabolic_from_roots(rs, frozenset()))
+        normalizer(ReflectionSubgroup(rs, frozenset()))
     assert time.perf_counter() - start < 10

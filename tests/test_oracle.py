@@ -50,13 +50,13 @@ def test_brute_normalizer_agreement():
 
 def test_brute_normalizer_agreement_on_non_standard_conjugates():
     from coxnorm.groups import generate
-    from coxnorm.parabolic import parabolic_from_roots, standard_subset
+    from coxnorm.parabolic import standard_subset
     for name in ["B4", "D4"]:
         rs = build_root_system(name)
         W = list(generate(rs.simple_reflections()))
         tested = 0
         for shape in shape_catalog(rs):
-            conjugates = (parabolic_from_roots(rs, frozenset(int(w.img[i]) for i in shape.roots))
+            conjugates = (ReflectionSubgroup(rs, frozenset(int(w.img[i]) for i in shape.roots))
                           for w in W)
             P = next((P for P in conjugates if standard_subset(P) is None), None)
             if P is None:
@@ -82,7 +82,7 @@ def test_brute_orthogonal_complement_agreement():
         table = commutation_table(rs)
         for mask in range(1 << rs.n):
             subset = tuple(i for i in range(rs.n) if mask >> i & 1)
-            U = ReflectionSubgroup.standard(rs, subset)
+            U = standard_parabolic(rs, subset)
             brute = brute_orthogonal_complement(U).roots
             assert brute == brute_orthogonal_complement(U, commute=table).roots
             assert brute == orthogonal_complement(U).roots
@@ -96,7 +96,7 @@ def test_commutation_oracle_ignores_the_orthogonality_table(monkeypatch):
                           (parabolic, "_groupoids")):
         monkeypatch.setattr(module, cache, {})
     rs = build_root_system("B4")
-    U = ReflectionSubgroup.standard(rs, (0,))
+    U = standard_parabolic(rs, (0,))
     want = brute_orthogonal_complement(U).roots
     assert not rs.orthogonal(0, 1)
     rs.orthogonality[0, 1] = True

@@ -1,14 +1,14 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from coxnorm.diagrams import close_roots
+from coxnorm.diagrams import close_roots, positive_part, subsystem_simples
 from coxnorm.linalg import Subspace
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
-                               parabolic_closure, parabolic_from_roots,
-                               pointwise_stabilizer, shape_catalog,
-                               standard_parabolic)
+                               parabolic_closure, pointwise_stabilizer,
+                               shape_catalog, standard_parabolic)
 from coxnorm.galois import orthogonal_complement
 from coxnorm.rootsys import build_root_system, inner_product
 
@@ -44,7 +44,7 @@ def test_parabolic_closure():
     rs = build_root_system("B3")
     for subset in [(0,), (0, 2), (1, 2)]:
         P = standard_parabolic(rs, subset)
-        cl = parabolic_closure(P.sub)
+        cl = parabolic_closure(P)
         assert cl.roots == P.roots  # parabolics are closed
     # a non-parabolic reflection subgroup: <s_{e1+e2}, s_{e1-e2}> inside B2
     b2 = build_root_system("B2")
@@ -53,7 +53,7 @@ def test_parabolic_closure():
     U = ReflectionSubgroup.generated_by(b2, long_roots)
     cl = parabolic_closure(U)
     assert cl.roots == frozenset(range(b2.nroots))  # closure jumps to W
-    cl2 = parabolic_closure(cl.sub)
+    cl2 = parabolic_closure(cl)
     assert cl2.roots == cl.roots  # idempotent
 
 
@@ -65,7 +65,51 @@ def test_standard_roots_by_support_are_the_closure_of_the_simple_roots(name):
     for mask in range(1 << rs.n):
         subset = tuple(i for i in range(rs.n) if mask >> i & 1)
         closed = close_roots(rs, [rs.simple_roots[i] for i in subset])
-        assert ReflectionSubgroup.standard(rs, subset).roots == closed, subset
+        assert standard_parabolic(rs, subset).roots == closed, subset
+
+
+def test_repeated_simple_index_selects_the_subset_once():
+    rs = build_root_system("B3")
+    assert standard_parabolic(rs, (1, 1)).roots == standard_parabolic(rs, (1,)).roots
+    catalog = shape_catalog(rs)
+    assert catalog.class_of_subset((1, 1)) == catalog.class_of_subset((1,))
+    assert catalog.class_of_subset((0, 0, 0)) == catalog.class_of_subset((0,))
+
+
+def reference_simples(rs, pos):
+    """The simple system by the criterion, one root pair at a time: b is simple
+    iff its reflection maps every other root of ``pos`` into ``pos``."""
+    pos_set = set(pos)
+    simples = []
+    for b in pos:
+        perm = rs.reflection_perm(b)
+        ok = True
+        for a in pos:
+            if a != b and int(perm[a]) not in pos_set:
+                ok = False
+                break
+        if ok:
+            simples.append(b)
+    return tuple(simples)
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_gathered_simple_systems_match_the_pairwise_reference(name):
+    # every shape's representative, its orthogonal complement, and the
+    # closures of random root pairs, parabolic or not
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    subsystems = []
+    for shape in shape_catalog(rs):
+        P = ReflectionSubgroup(rs, shape.roots)
+        subsystems += [P.roots, orthogonal_complement(P).roots]
+        # standard_parabolic names the simple roots of J without the gather
+        standard = standard_parabolic(rs, shape.rep_subset)
+        assert standard.simples == reference_simples(rs, standard.pos), shape.label
+    subsystems += [close_roots(rs, rng.sample(range(rs.nroots), 2)) for _ in range(20)]
+    for roots in subsystems:
+        pos = positive_part(rs, roots)
+        assert subsystem_simples(rs, pos) == reference_simples(rs, pos), sorted(roots)
 
 
 def test_galois_pair_laws_small_rank():
@@ -74,15 +118,15 @@ def test_galois_pair_laws_small_rank():
         subsets = [tuple(i for i in range(rs.n) if mask >> i & 1)
                    for mask in range(1 << rs.n)]
         for I in subsets:
-            U = ReflectionSubgroup.standard(rs, I)
+            U = standard_parabolic(rs, I)
             X = fixed_space(U)
             GU = pointwise_stabilizer(rs, X)
             assert U.roots <= GU.roots
-            assert fixed_space(GU.sub) == X  # F G F = F
+            assert fixed_space(GU) == X  # F G F = F
         for I, J in itertools.combinations(subsets, 2):
             if set(I) <= set(J):
-                UI = ReflectionSubgroup.standard(rs, I)
-                UJ = ReflectionSubgroup.standard(rs, J)
+                UI = standard_parabolic(rs, I)
+                UJ = standard_parabolic(rs, J)
                 # one fixed space contains the other: adding it changes nothing
                 XI, XJ = fixed_space(UI), fixed_space(UJ)
                 both = Subspace(tuple(np.vstack(rows) for rows in zip(XI.pairs, XJ.pairs)),
@@ -129,7 +173,7 @@ def test_every_parabolic_is_conjugate_to_standard():
                 X = fixed_space(ReflectionSubgroup.generated_by(rs, comb)) \
                     if comb else None
                 P = (pointwise_stabilizer(rs, X) if X is not None
-                     else parabolic_from_roots(rs, frozenset()))
+                     else ReflectionSubgroup(rs, frozenset()))
                 cat.class_of_roots(P.roots)  # must resolve without error
 
 
@@ -151,6 +195,6 @@ def test_b5_shape_index_8_closure_example():
     shape = cat[8]
     assert shape.type_label == "B1A1^2"
     P = standard_parabolic(rs, shape.rep_subset)
-    Q = orthogonal_complement(P.sub)
+    Q = orthogonal_complement(P)
     pq = ReflectionSubgroup(rs, P.roots | Q.roots)
     assert len(parabolic_closure(pq).roots) == rs.nroots

@@ -242,7 +242,7 @@ def test_i2_bonds_hold_orders_past_the_int8_range(m):
     for i in simples:
         for j in range(rs.nroots):
             assert rs.bond(i, j) == bond_order(rs, i, j), (i, j)
-    whole = parabolic.ReflectionSubgroup.standard(rs, (0, 1))
+    whole = parabolic.standard_parabolic(rs, (0, 1))
     assert whole.components == (f"I2({m})",)
     assert whole.order == 2 * m
 
@@ -300,7 +300,7 @@ def test_signs_at_match_the_exact_inner_products(name):
               for _ in range(12)]
     for shape in shape_catalog(rs):
         P = standard_parabolic(rs, shape.rep_subset)
-        spaces.extend(invariant_split(P, orthogonal_complement(P.sub)))
+        spaces.extend(invariant_split(P, orthogonal_complement(P)))
     # the echelon rows have denominators (except in B6, where all are
     # integral) and, in H3 and H4, sqrt5 entries: a pair row is its echelon
     # row times the least common denominator, which is its pivot, the first
