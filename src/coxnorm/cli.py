@@ -4,13 +4,15 @@ Commands: decompose, table, concepts, shapes, graph, involutions, verify.
 Global flags: --format (text|json|csv|dot), --allow-long.
 Exit codes: 0 ok, 1 verification failure, 2 user error, 3 refused
 long-running job, 4 internal error (a RuntimeError or ValueError raised by the
-library, reported in one line on stderr).
+library, reported in one line on stderr), 141 stdout closed by its reader, as
+by ``| head -1`` (128 + SIGPIPE, as a shell reports it), with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .groups import BRUTE_LIMIT
@@ -231,7 +233,13 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; the interpreter's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UserError as exc:
         return _fail(str(exc), 2)
     except SystemExit as exc:

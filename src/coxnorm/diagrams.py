@@ -218,10 +218,3 @@ def components_order(names):
     for name in names:
         n *= component_order(name)
     return n
-
-
-def components_rank(names):
-    r = 0
-    for name in names:
-        r += 2 if name.startswith("I2(") or name in ("G2", "H2") else int(name[1:])
-    return r

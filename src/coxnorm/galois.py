@@ -12,13 +12,19 @@ the reflection in root j fixes), the same for every family, so the
 complement of U is one row reduction: the roots marked in every row of U's
 positive roots.  The commutation characterization lives in the oracle
 module as an independent cross-check that never reads the table.
+
+perp commutes with conjugation (Howlett 1980), so on classes it is a map on
+shape indices, computed once per shape on first use and kept with the
+catalog; the closure class of shape i is perp(perp(i)).  The class of the
+parabolic closure of P perp(P) is kept the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .parabolic import ReflectionSubgroup, Shape, shape_catalog
+from .parabolic import (ReflectionSubgroup, orthogonal_join, parabolic_closure,
+                        shape_catalog)
 
 
 def orthogonal_complement(U: ReflectionSubgroup) -> ReflectionSubgroup:
@@ -32,15 +38,30 @@ def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
     return orthogonal_complement(orthogonal_complement(P))
 
 
-def perp_index(catalog, shape: Shape) -> int:
-    """Catalog index of the orthogonal complement of a shape."""
-    rep = ReflectionSubgroup(catalog.rs, shape.roots)
-    return catalog.class_of_roots(orthogonal_complement(rep).roots)
+def perp_of_shape(catalog, i: int):
+    """(perp(P), its class) for P shape i's representative; computed once per
+    shape, on first use.  Callers must not mutate perp(P)."""
+    hit = catalog.perp.get(i)
+    if hit is None:
+        Q = orthogonal_complement(catalog[i].parabolic)
+        j = catalog.class_of_roots(Q.roots)
+        Q.components = catalog[j].components   # its shape's, not recognized again
+        hit = catalog.perp[i] = (Q, j)
+    return hit
 
 
-def closure_index(catalog, shape: Shape) -> int:
-    rep = ReflectionSubgroup(catalog.rs, shape.roots)
-    return catalog.class_of_roots(orthogonal_closure(rep).roots)
+def perp_index(catalog, i: int) -> int:
+    """Catalog index of the orthogonal complement of shape i."""
+    return perp_of_shape(catalog, i)[1]
+
+
+def pq_closure_index(catalog, i: int) -> int:
+    """Catalog index of the parabolic closure of P perp(P), P shape i's
+    representative; computed once per shape, on first use."""
+    if i not in catalog.pq_closure:
+        PQ = orthogonal_join(catalog[i].parabolic, perp_of_shape(catalog, i)[0])
+        catalog.pq_closure[i] = catalog.class_of_roots(parabolic_closure(PQ).roots)
+    return catalog.pq_closure[i]
 
 
 def parabolic_concepts(rs):
@@ -51,11 +72,10 @@ def parabolic_concepts(rs):
     once, with the smaller catalog index on the left.
     """
     catalog = shape_catalog(rs)
-    perp = {s.index: perp_index(catalog, s) for s in catalog}
     out = []
     for s in catalog:
-        i, j = s.index, perp[s.index]
-        if perp[j] == i and i <= j:
+        i, j = s.index, perp_index(catalog, s.index)
+        if perp_index(catalog, j) == i and i <= j:
             out.append((i, j))
     return sorted(out)
 
@@ -87,7 +107,7 @@ def shape_closure_graph(rs):
             hasse.append((s.index, j))
     closure = {}
     for s in catalog:
-        c = closure_index(catalog, s)
+        c = perp_index(catalog, perp_index(catalog, s.index))
         if c != s.index:
             closure[s.index] = c
     nodes = [{"index": s.index, "label": s.label,

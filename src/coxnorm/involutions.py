@@ -15,11 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import orthogonal_complement, perp_index, closure_index
+from .galois import orthogonal_complement, perp_index, pq_closure_index
 from .groups import GroupElement, generate
 from .normalizer import normalizer_order, subsystem_longest_element
-from .parabolic import (ReflectionSubgroup, parabolic_closure, shape_catalog,
-                        subset_groupoid)
+from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
 
 
 def negated_roots(u: GroupElement):
@@ -68,7 +67,7 @@ def involution_class_representatives(rs):
     for shape in catalog:
         if shape.index == 1 and not shape.roots:
             continue
-        P = ReflectionSubgroup(rs, shape.roots, shape.components)
+        P = shape.parabolic
         w0 = subsystem_longest_element(rs, P)
         if w0.negates(P.pos):
             out.append(InvolutionRecord(w0, degree(w0), shape.index, P))
@@ -119,30 +118,19 @@ def centralizer_equals_normalizer(u: GroupElement, W=None) -> dict:
 
 def has_central_minus_one(rs) -> bool:
     """Does -1 lie in W (equivalently, does w0 negate every root)?"""
-    full = ReflectionSubgroup(rs, frozenset(range(rs.nroots)))
-    return subsystem_longest_element(rs, full).negates(range(rs.npos))
+    return subset_groupoid(rs).longest_element(range(rs.n)).negates(range(rs.npos))
 
 
-def pq_closures(rs) -> dict:
-    """Shape index -> the parabolic closure of P perp(P), P the shape's representative."""
-    out = {}
-    for shape in shape_catalog(rs):
-        P = ReflectionSubgroup(rs, shape.roots)
-        Q = orthogonal_complement(P)
-        out[shape.index] = parabolic_closure(ReflectionSubgroup(rs, P.roots | Q.roots))
-    return out
-
-
-def section8_checks(rs, pq_closure=None) -> dict:
+def section8_checks(rs) -> dict:
     """The observation suite: per-bullet pass/fail with witnesses.
 
-    ``pq_closure`` is ``pq_closures(rs)``, for a caller that has it already.
+    Closures and complements are read off the catalog's shape maps.
     """
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
     records = involution_class_representatives(rs)
     marked = set(_marked(records))
-    closure_of = {s.index: closure_index(catalog, s) for s in catalog}
+    closure_of = {s.index: perp_index(catalog, perp_index(catalog, s.index)) for s in catalog}
     closed = {i for i, c in closure_of.items() if c == i}
     minus_one = has_central_minus_one(rs)
     report = {"group": str(rs.label), "minus_one_central": minus_one, "checks": {}}
@@ -167,17 +155,14 @@ def section8_checks(rs, pq_closure=None) -> dict:
         # complement of a marked shape is marked
         not_closed = sorted(marked - closed)
         record("centralizers_closed", not_closed == [], not_closed or None)
-        perp_of = {s.index: perp_index(catalog, s) for s in catalog}
-        bad = [i for i in marked if perp_of[i] not in marked]
+        bad = [i for i in marked if perp_index(catalog, i) not in marked]
         record("complement_marked", bad == [], bad or None)
         if rs.label.family == "B":
             extra = sorted(closed - marked)
             record("closed_iff_centralizer", extra == [], extra or None)
         # w0 central and P closed implies the closure of PQ is the whole group
-        if pq_closure is None:
-            pq_closure = pq_closures(rs)
-        bad = next((i for i in sorted(closed) if len(pq_closure[i].roots) != rs.nroots),
-                   None)
+        bad = next((i for i in sorted(closed)
+                    if len(catalog[pq_closure_index(catalog, i)].roots) != rs.nroots), None)
         record("closed_implies_pq_closure_full", bad is None, bad)
 
         # fixed parabolic of -u is the orthogonal complement of that of u

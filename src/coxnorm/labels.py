@@ -96,31 +96,16 @@ def parse_label(text: str) -> CoxeterLabel:
     return CoxeterLabel(m.group(1).upper(), int(m.group(2)))
 
 
+_RANK2_ALIASES = {"G2": "I2(6)", "H2": "I2(5)"}
+
+
 def component_order(name: str) -> int:
     """Order of the irreducible component named by a diagram label.
 
-    Accepts diagram-style names A5, B3, D4, E7, F4, G2, H2, H3, H4, I2(m).
-    H2 and G2 are the rank-2 groups with bonds 5 and 6.
+    Diagram names are labels (A5, B3, D4, E7, F4, H3, H4, I2(m)), except the
+    rank-2 names G2 and H2 for bonds 6 and 5.
     """
-    if name == "G2":
-        return 12
-    if name == "H2":
-        return 10
-    m = re.match(r"^I2\((\d+)\)$", name)
-    if m:
-        return 2 * int(m.group(1))
-    fam, rank = name[0], int(name[1:])
-    if fam == "A":
-        return math.factorial(rank + 1)
-    if fam == "B":
-        return (2 ** rank) * math.factorial(rank)
-    if fam == "D":
-        if rank == 2:
-            return 4
-        if rank == 3:
-            return 24
-        return (2 ** (rank - 1)) * math.factorial(rank)
-    return _EXCEPTIONAL_ORDERS[(fam, rank)]
+    return parse_label(_RANK2_ALIASES.get(name, name)).order
 
 
 def rank2_name(m: int) -> str:

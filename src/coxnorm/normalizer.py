@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from .actions import (ActionCell, SpaceRestriction, canonical_lines,
                       diagram_of_lines, image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
-from .galois import orthogonal_complement
+from .galois import orthogonal_complement, perp_index, perp_of_shape
 from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import pair_matmul
-from .parabolic import (ReflectionSubgroup, Shape, pointwise_stabilizer,
+from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, pointwise_stabilizer,
                         shape_catalog, standard_conjugate, standard_parabolic,
                         standard_subset, subset_groupoid)
 
@@ -164,7 +164,6 @@ class Decomposition:
     a_name: str
     b_name: str
     c_name: str
-    closure_index: int          # class of the orthogonal closure of P
     pq_closure_index: int       # class of the parabolic closure of PQ
     pq_closure_is_pq: bool
     pq_closure_is_w: bool
@@ -183,6 +182,11 @@ class Decomposition:
     @property
     def q_order(self):
         return self.Q.order
+
+    @property
+    def closure_index(self) -> int:
+        """Class of the orthogonal closure of P: perp(perp(P)) on the shape maps."""
+        return perp_index(shape_catalog(self.rs), self.q_index)
 
     def pq_closure_cell(self) -> str:
         if self.pq_closure_is_w:
@@ -248,7 +252,7 @@ def _normalizer_order_at(rs, subset):
     catalog = shape_catalog(rs)
     P = standard_parabolic(rs, subset)
     Q = orthogonal_complement(P)
-    D = _complement_D(rs, subset, ReflectionSubgroup(rs, P.roots | Q.roots))
+    D = _complement_D(rs, subset, orthogonal_join(P, Q))
     return catalog[catalog.class_of_subset(subset)].order * Q.order * len(D)
 
 
@@ -404,29 +408,25 @@ def _format_subgroup(name, marker):
     return f"{name}:{MARKER_TOKENS[marker]}" if marker else name
 
 
-def decompose(rs, shape_or_parabolic) -> Decomposition:
-    """Compute the full normalizer decomposition for one parabolic subgroup."""
-    catalog = shape_catalog(rs)
-    if isinstance(shape_or_parabolic, Shape):
-        shape = shape_or_parabolic
-        subset = shape.rep_subset
-        P = ReflectionSubgroup(rs, shape.roots, shape.components)
-    else:
-        P = shape_or_parabolic
-        subset = standard_subset(P)
-        if subset is None:
-            raise ValueError("decompose takes a Shape or a standard parabolic "
-                             "(one generated by simple reflections)")
-        shape = catalog[catalog.class_of_subset(subset)]
+def decompose(rs, parabolic) -> Decomposition:
+    """The full normalizer decomposition of a standard parabolic subgroup.
 
-    Q = orthogonal_complement(P)
-    q_index = catalog.class_of_roots(Q.roots)
-    Q.components = catalog[q_index].components   # its shape's, not recognized again
+    A Shape is read as its representative.
+    """
+    catalog = shape_catalog(rs)
+    P = getattr(parabolic, "parabolic", parabolic)
+    subset = standard_subset(P)
+    if subset is None:
+        raise ValueError("decompose takes a Shape or a standard parabolic "
+                         "(one generated by simple reflections)")
+    shape = catalog[catalog.class_of_subset(subset)]
+    Q, q_index = perp_of_shape(catalog, shape.index)
+    if subset != shape.rep_subset:   # P is another standard parabolic of the class
+        Q = orthogonal_complement(P)
+        Q.components = catalog[q_index].components   # its shape's, not recognized again
     p_order, q_order = P.order, Q.order
-    pq_sub = ReflectionSubgroup(rs, P.roots | Q.roots)
     # in canonical order: the choice of C below takes its first candidate
-    D = sorted(_complement_D(rs, subset, pq_sub), key=lambda w: w.canonical())
-    n_order = p_order * q_order * len(D)
+    D = sorted(_complement_D(rs, subset, orthogonal_join(P, Q)), key=lambda w: w.canonical())
 
     # A fixes Y_perp pointwise (equivalently every root of Q)
     A = [d for d in D if all(int(d.img[q]) == q for q in Q.simples)]
@@ -448,8 +448,9 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     # B fixes X n Y pointwise: all of D when X n Y = 0 or D = 1
     B = D if tables["x_cap_y"] is None else [
         d for d in D if tables["x_cap_y"][d.key][0] == mid_space.identity]
-    ab_keys = {(a * b).key for a in A for b in B}
-    if len(ab_keys) != len(A) * len(B):
+    AB = [a * b for a in A for b in B]
+    ab_keys = {ab.key for ab in AB}
+    if len(ab_keys) != len(AB):
         raise RuntimeError("A and B do not intersect trivially")
     if len(ab_keys) == len(D):
         C = [identity(rs)]
@@ -461,13 +462,7 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), cands[0]]
 
-    # closure data
-    perpQ = orthogonal_complement(Q)
-    closure_index = catalog.class_of_roots(perpQ.roots)
-    pq_closure = pointwise_stabilizer(rs, mid)  # Fix(PQ) = X n Y
-    pq_idx = catalog.class_of_roots(pq_closure.roots)
-    pq_is_pq = len(pq_closure.roots) == len(P.roots) + len(Q.roots)
-    pq_is_w = len(pq_closure.roots) == rs.nroots
+    pq_closure = pointwise_stabilizer(rs, mid)  # the parabolic closure of PQ: Fix(PQ) = X n Y
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subsystem_longest_element(rs, P).negates(P.pos)
@@ -478,7 +473,6 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
                           mid.dim, mid_space, tables["x_cap_y"])
     cell_y = _action_cell(rs, "y_perp", Q, q_order * len(D) // len(A), yperp.dim,
                           ysp, tables["y_perp"])
-    AB = [a * b for a in A for b in B]
     a_name = _format_subgroup(*_name_and_marker(
         "A", A, {r: tables[r] for r in ("x_perp", "x_cap_y")}, B=B, AB=AB))
     b_name = _format_subgroup(*_name_and_marker(
@@ -486,10 +480,11 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
     c_name = _format_subgroup(*_name_and_marker("C", C, tables))
 
     dec = Decomposition(
-        rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=n_order,
+        rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),
         D=D, A=A, B=B, C=C, a_name=a_name, b_name=b_name, c_name=c_name,
-        closure_index=closure_index, pq_closure_index=pq_idx,
-        pq_closure_is_pq=pq_is_pq, pq_closure_is_w=pq_is_w,
+        pq_closure_index=catalog.class_of_roots(pq_closure.roots),
+        pq_closure_is_pq=len(pq_closure.roots) == len(P.roots) + len(Q.roots),
+        pq_closure_is_w=len(pq_closure.roots) == rs.nroots,
         actions={"x_perp": cell_x, "x_cap_y": cell_m, "y_perp": cell_y},
         involution_centralizer=asterisk,
         spaces=(xperp, mid, yperp),
@@ -499,9 +494,6 @@ def decompose(rs, shape_or_parabolic) -> Decomposition:
 
 
 def _validate(dec: Decomposition):
-    rs = dec.rs
-    if dec.n_order != dec.p_order * dec.q_order * len(dec.D):
-        raise RuntimeError("|N| != |P||Q||D|")
     if len(dec.D) != len(dec.A) * len(dec.B) * len(dec.C):
         raise RuntimeError("|D| != |A||B||C|")
     # D normalizes P and Q and preserves the positive system of PQ
@@ -559,8 +551,8 @@ def verify_theorem13(dec: Decomposition) -> dict:
     # PQAB is generated by P, Q and AB; conjugation by N-generators must
     # stay inside.  N is generated by P, Q and D; P, Q, AB normalize PQAB
     # trivially, so only D-conjugates of the AB part need checking.
-    ab = {(a * b).key: a * b for a in dec.A for b in dec.B}
-    pq = ReflectionSubgroup(rs, dec.P.roots | dec.Q.roots)
+    ab = {x.key: x for x in (a * b for a in dec.A for b in dec.B)}
+    pq = orthogonal_join(dec.P, dec.Q)
     for d in dec.D:
         for x in list(ab.values()):
             dd = descend_to_complement((d.inverse() * x) * d, pq)

@@ -21,30 +21,27 @@ order of their representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .diagrams import (close_roots, components_order, components_rank,
-                       components_string, diagram_of_bonds, positive_part,
-                       subsystem_simples)
+from .diagrams import (close_roots, components_order, components_string,
+                       diagram_of_bonds, positive_part, subsystem_simples)
 from .groups import GroupElement, identity, parabolic_longest_element
 
 
 class ReflectionSubgroup:
     """A subgroup generated by reflections, stored by its closed root set.
 
-    ``components``, when given, is its known Coxeter type (a shape's), so it
-    is not recognized again.
+    A caller that knows its simple roots or its type (a shape's) sets
+    ``simples`` or ``components``, so they are not derived again.
     """
 
-    def __init__(self, rs, roots, components=None):
+    def __init__(self, rs, roots):
         self.rs = rs
         self.roots = frozenset(roots)
         self.pos = positive_part(rs, self.roots)
-        if components is not None:
-            self.components = components
 
     @classmethod
     def generated_by(cls, rs, root_indices):
@@ -111,25 +108,55 @@ def standard_parabolic(rs, subset) -> ReflectionSubgroup:
     return P
 
 
+def orthogonal_join(P: ReflectionSubgroup, Q: ReflectionSubgroup) -> ReflectionSubgroup:
+    """PQ for orthogonal reflection subgroups P and Q.
+
+    Each reflection of one fixes every root of the other, so the roots of PQ
+    are P's together with Q's, and so are its simple roots.
+    """
+    PQ = ReflectionSubgroup(P.rs, P.roots | Q.roots)
+    PQ.simples = tuple(sorted(P.simples + Q.simples))
+    return PQ
+
+
 # ---------------------------------------------------------------------------
 # Shapes
 
 
 @dataclass(frozen=True)
 class Shape:
-    """One conjugacy class of parabolic subgroups."""
+    """One conjugacy class of parabolic subgroups, held by its representative.
+
+    The representative is the standard W_J of ``rep_subset``.  Its roots,
+    type and simple roots are read through ``parabolic``, which callers
+    share and must not mutate.
+    """
 
     index: int                    # 1-based position in the catalog
-    rep_subset: tuple             # simple indices of the standard representative
-    roots: frozenset              # root set of the representative
-    components: tuple             # diagram component names
+    rep_subset: tuple             # simple indices J of the standard representative
+    parabolic: ReflectionSubgroup  # the representative W_J
     label: str                    # full label incl. primes/sign and partition
     type_label: str               # label without the partition suffix
-    order: int
-    rank: int
     block: tuple | None = None    # ("B"|"D", l) for classical types
     partition: tuple | None = None
     decoration: str = ""          # "", "'", "''", "+", "-"
+
+    @property
+    def roots(self) -> frozenset:
+        return self.parabolic.roots
+
+    @property
+    def components(self) -> tuple:
+        """Diagram component names."""
+        return self.parabolic.components
+
+    @property
+    def order(self) -> int:
+        return self.parabolic.order
+
+    @property
+    def rank(self) -> int:
+        return len(self.rep_subset)
 
     def __str__(self):
         return self.label
@@ -351,11 +378,17 @@ class ShapeCatalog:
     The classes are the components of the subset groupoid.  A parabolic
     given by its root set is looked up through ``standard_conjugate``, which
     names a standard parabolic W_J conjugate to it, and J's component.
+
+    The catalog also keeps the orthogonality Galois connection as maps on
+    shape indices (perp commutes with conjugation).  ``galois.perp_of_shape``
+    and ``galois.pq_closure_index`` fill them, once per shape, on first use.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.shapes = self._build()
+        self.perp = {}          # i -> (perp of shape i's representative, its class)
+        self.pq_closure = {}    # i -> class of the parabolic closure of P perp(P)
         self._class_cache = {tuple(sorted(s.roots)): s.index for s in self.shapes}
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
@@ -399,31 +432,23 @@ class ShapeCatalog:
                     raise RuntimeError(f"duplicate transversal label {data} in {rs.label}")
                 claimed[data] = True
                 fam, l, lam, dec = data
-                roots, comps = subgroups[rep].roots, subgroups[rep].components
                 type_str, label, full = _classical_label(fam, l, lam, dec, rs.label.rank)
-                labeled.append(Shape(0, rep, roots, comps, label, type_str,
-                                     components_order(comps), components_rank(comps),
+                labeled.append(Shape(0, rep, subgroups[rep], label, type_str,
                                      (fam, l), tuple(lam), dec))
         else:
             by_type = {}
             for rep, group in entries:
-                roots, comps = subgroups[rep].roots, subgroups[rep].components
-                by_type.setdefault(comps, []).append((rep, roots))
+                by_type.setdefault(subgroups[rep].components, []).append(rep)
             for comps, reps in sorted(by_type.items(), key=repr):
                 reps.sort()
                 primes = ["'", "''", "'''"]
-                for k, (rep, roots) in enumerate(reps):
+                for k, rep in enumerate(reps):
                     dec = primes[k] if len(reps) > 1 else ""
-                    type_str = components_string(comps)
-                    labeled.append(Shape(0, rep, roots, comps, _decorated(type_str, dec),
-                                         _decorated(type_str, dec),
-                                         components_order(comps), components_rank(comps),
+                    type_str = _decorated(components_string(comps), dec)
+                    labeled.append(Shape(0, rep, subgroups[rep], type_str, type_str,
                                          None, None, dec))
         labeled.sort(key=lambda s: (s.rank, s.order, s.label))
-        return [Shape(i + 1, s.rep_subset, s.roots, s.components, s.label,
-                      s.type_label, s.order, s.rank, s.block, s.partition,
-                      s.decoration)
-                for i, s in enumerate(labeled)]
+        return [replace(s, index=i + 1) for i, s in enumerate(labeled)]
 
     # -- class lookup -------------------------------------------------------
 

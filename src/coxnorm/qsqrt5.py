@@ -155,11 +155,5 @@ class Q5:
 
 ZERO = Q5(0)
 ONE = Q5(1)
-TWO = Q5(2)
 SQRT5 = Q5(0, 1)
 PHI = Q5(1, 1, 2)          # golden ratio (1 + sqrt5)/2 = 2 cos(pi/5)
-
-
-def q5(x) -> Q5:
-    """Coerce an int, Fraction or Q5 to Q5."""
-    return x if isinstance(x, Q5) else Q5(x)

@@ -197,3 +197,23 @@ def test_internal_error_exits_4_with_one_line(monkeypatch, capsys, command, modu
     assert cli.main(command) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: broken invariant\n"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader closes the pipe after one line; a one-page pipe leaves most of
+    # the 7 KB catalog unwritten, so the command must meet the closed pipe
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "coxnorm.cli", "shapes", "A11"],
+                            stdout=w, stderr=subprocess.PIPE, env=ENV)
+    os.close(w)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(r, 1)
+    os.close(r)
+    err = proc.communicate(timeout=120)[1]
+    assert line.startswith(b"index")
+    assert proc.returncode == 141 and err == b""

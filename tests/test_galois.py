@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from coxnorm import galois, verify
-from coxnorm.galois import (closure_index, orthogonal_closure,
-                            orthogonal_complement, parabolic_concepts,
-                            perp_index, shape_closure_graph)
+from coxnorm.galois import (orthogonal_closure, orthogonal_complement,
+                            parabolic_concepts, perp_index, pq_closure_index,
+                            shape_closure_graph)
 from coxnorm.oracle import brute_orthogonal_complement
-from coxnorm.parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
+from coxnorm.parabolic import (ReflectionSubgroup, parabolic_closure, shape_catalog,
+                               standard_parabolic)
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
-from fixture_groups import I2_FIXTURE_GROUPS
+from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS
+
+normalizer = importlib.import_module("coxnorm.normalizer")
 
 parabolic = importlib.import_module("coxnorm.parabolic")
 
@@ -35,7 +38,7 @@ def test_a7_perp_of_a1a1_is_a3():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[221111]")
-    assert perp_index(cat, shape) == 7
+    assert perp_index(cat, shape.index) == 7
     assert cat[7].type_label == "A3"
 
 
@@ -44,15 +47,15 @@ def test_e6_a5_a1_concept():
     cat = shape_catalog(rs)
     a5 = next(s for s in cat if s.label == "A5")
     a1 = next(s for s in cat if s.label == "A1")
-    assert perp_index(cat, a5) == a1.index
-    assert perp_index(cat, a1) == a5.index
+    assert perp_index(cat, a5.index) == a1.index
+    assert perp_index(cat, a1.index) == a5.index
 
 
 def test_closure_of_a1cubed_in_a7_is_a5():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[22211]")
-    assert closure_index(cat, shape) == 17
+    assert perp_index(cat, perp_index(cat, shape.index)) == 17
     assert cat[17].type_label == "A5"
 
 
@@ -289,3 +292,24 @@ def test_antitone_witness_is_the_first_failing_pair_not_a_covering_one(monkeypat
     assert not ok and big == chosen and len(big) - len(small) > 1
     report = verify_galois(rs)
     assert {k: (c["ok"], c["witness"]) for k, c in report["checks"].items()} == want
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_shape_maps_agree_with_root_level_recomputation(name):
+    # the catalog's maps on shape indices against complements, closures and
+    # representatives rebuilt from root sets
+    rs = build_root_system(name)
+    cat = shape_catalog(rs)
+    for shape in cat:
+        i = shape.index
+        rep = ReflectionSubgroup(rs, shape.roots)
+        perp = orthogonal_complement(rep)
+        assert perp_index(cat, i) == cat.class_of_roots(perp.roots), shape.label
+        assert (perp_index(cat, perp_index(cat, i))
+                == cat.class_of_roots(orthogonal_closure(rep).roots)), shape.label
+        pq = parabolic_closure(ReflectionSubgroup(rs, rep.roots | perp.roots))
+        assert pq_closure_index(cat, i) == cat.class_of_roots(pq.roots), shape.label
+        assert pq_closure_index(cat, i) == normalizer.decompose(rs, shape).pq_closure_index
+        standard = standard_parabolic(rs, shape.rep_subset)
+        assert shape.parabolic.roots == standard.roots, shape.label
+        assert shape.parabolic.simples == standard.simples == rep.simples, shape.label
