@@ -99,9 +99,11 @@ def cmd_decompose(args):
     from .normalizer import decompose, decomposition_row
     try:
         shape = _select_shape(catalog, rs, args.parabolic)
-    except KeyError:
-        print(f"error: unknown parabolic selector {args.parabolic!r} for {rs.label}",
-              file=sys.stderr)
+    except KeyError as err:
+        reason = err.args[0]
+        if not reason.startswith("ambiguous"):
+            reason = f"unknown parabolic selector {args.parabolic!r} for {rs.label}"
+        print(f"error: {reason}", file=sys.stderr)
         print("known shapes:", file=sys.stderr)
         for s in catalog:
             print(f"  {s.index:3d}  {s.label}", file=sys.stderr)

@@ -82,10 +82,6 @@ def identity(rs) -> GroupElement:
     return GroupElement(rs, np.arange(rs.nroots, dtype=np.int16))
 
 
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
 class GroupSet:
     """A group, as its elements and the generators that produced it.
 

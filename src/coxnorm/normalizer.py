@@ -98,9 +98,8 @@ _BATCH = 4096   # elements restricted per pair product, to bound its memory
 
 @dataclass
 class GoursatSections:
-    """Projections, kernels and section data of L inside O(V1) x O(V2)."""
+    """Kernels and section data of L inside O(V1) x O(V2)."""
 
-    projections: tuple        # (G1 matrices, H1 matrices)
     kernels: tuple            # (G2 elements, H2 elements)  (G2 = L n ker(->V2))
     complements: tuple        # (G0 matrices, H0 matrices) or None
     matched_pairs: list       # [(matrix on V1, matrix on V2)] for all of L
@@ -133,14 +132,12 @@ def goursat_sections(L, V1, V2, complement=None) -> GoursatSections:
         if broken.any():
             raise ValueError(f"split not invariant under {batch[broken.argmax()].canonical()}")
         pairs += zip(image_keys(on_v1), image_keys(s2.images(batch)))
-    G1 = sorted({p[0] for p in pairs})
-    H1 = sorted({p[1] for p in pairs})
     G2 = [w for w, p in zip(elements, pairs) if p[1] == s2.identity]
     H2 = [w for w, p in zip(elements, pairs) if p[0] == s1.identity]
     comp = None
     if complement is not None:
         comp = (image_keys(s1.images(complement)), image_keys(s2.images(complement)))
-    return GoursatSections((G1, H1), (G2, H2), comp, pairs)
+    return GoursatSections((G2, H2), comp, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +219,11 @@ def normalizer(P: ReflectionSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
     RuntimeError, before anything is enumerated, when |N| exceeds limit.
     """
     rs = P.rs
-    subset, w = _standard_form(P)
-    order = _normalizer_order_at(rs, subset)
+    WJ, w = _standard_form(P)
+    order = _normalizer_order_at(WJ)
     if order > limit:
         raise RuntimeError(f"normalizer too large to enumerate ({order} > {limit})")
+    subset = standard_subset(WJ)
     gens = [rs.reflection(rs.simple_roots[i]) for i in subset]
     gens += subset_groupoid(rs).loops(subset)
     w_inv = w.inverse()
@@ -237,23 +235,22 @@ def normalizer(P: ReflectionSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
 
 def normalizer_order(P: ReflectionSubgroup) -> int:
     """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
-    return _normalizer_order_at(P.rs, _standard_form(P)[0])
+    return _normalizer_order_at(_standard_form(P)[0])
 
 
 def _standard_form(P):
-    """(J, w) with w carrying the roots of W_J onto those of P."""
-    subset = standard_subset(P)
-    if subset is not None:
-        return subset, identity(P.rs)
-    return standard_conjugate(P.rs, P.roots)
+    """(W_J, w): P itself when it is standard, else a standard parabolic W_J
+    and w carrying the roots of W_J onto those of P."""
+    if standard_subset(P) is not None:
+        return P, identity(P.rs)
+    subset, w = standard_conjugate(P.rs, P.roots)
+    return standard_parabolic(P.rs, subset), w
 
 
-def _normalizer_order_at(rs, subset):
-    catalog = shape_catalog(rs)
-    P = standard_parabolic(rs, subset)
-    Q = orthogonal_complement(P)
-    D = _complement_D(rs, subset, orthogonal_join(P, Q))
-    return catalog[catalog.class_of_subset(subset)].order * Q.order * len(D)
+def _normalizer_order_at(WJ):
+    Q = orthogonal_complement(WJ)
+    D = _complement_D(WJ.rs, standard_subset(WJ), orthogonal_join(WJ, Q))
+    return WJ.order * Q.order * len(D)
 
 
 def _complement_D(rs, subset, pq_sub):
@@ -325,81 +322,69 @@ def _action_cell(rs, role, base: ReflectionSubgroup, image_order, dim, space, re
                       False, image_order)
 
 
-def _subgroup_space_info(K, restricted):
-    """(restriction keys, reflecting key -> line, line set) of K on a space.
+# Names of the subgroups with no image that is a reflection group, by order
+ABSTRACT_NAMES = {2: "A1", 8: "B2"}
 
-    ``restricted`` is a restriction table on the space covering K.
+
+@dataclass(frozen=True)
+class _Image:
+    """The image of a subgroup K of D on one space, read off D's restriction table.
+
+    ``size`` counts K's distinct restrictions, ``reflecting`` holds the keys
+    of the elements of K that restrict to reflections, and ``diagram`` is
+    the type of the group their lines generate (empty when none does).
     """
-    mats = set()
-    refl = {}
-    for k in K:
-        M, line = restricted[k.key]
-        mats.add(M)
-        if line is not None:
-            refl[k.key] = line
-    return mats, refl, set(refl.values())
+
+    size: int
+    diagram: tuple
+    reflecting: frozenset
+
+    @property
+    def is_reflection_group(self):
+        return bool(self.diagram) and components_order(self.diagram) == self.size
 
 
-def _name_and_marker(tag, K, tables, B=None, AB=None):
-    """Coxeter type name and idiosyncrasy marker for A, B or C.
+def _image(K, restricted, form) -> _Image:
+    cells = [restricted[k.key] for k in K]
+    lines = {line for _, line in cells} - {None}
+    return _Image(len({M for M, _ in cells}), diagram_of_lines(lines, form) if lines else (),
+                  frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None))
 
-    ``tables`` maps role -> the restriction table of D on that space, or
-    None for a zero space (only roles the subgroup can act on); K, B and AB
-    are subsets of D.  The name is the reflection type of the action,
-    preferring X n Y; a marker is attached when the actions conflict with
-    the plain reading.
+
+def _name_and_marker(K, tables, AB):
+    """Coxeter type name and idiosyncrasy marker of A, B or C, a subgroup K of D.
+
+    ``tables`` maps each nonzero space, X n Y first, to D's restriction table
+    on it; K's image on each is read, and a trivial image is no action.  K is
+    named by the type of its first image that is a reflection group, or, when
+    none is, by its order.  Its marker is that of the first rule that holds.
     """
     if len(K) <= 1:
         return "", ""
     form = K[0].rs.form
-    fully = {}       # role -> (type components, reflecting key set)
-    nontrivial = {}  # role -> has nontrivial image
-    partial = {}     # role -> has some reflections but not fully reflective
-    for role, restricted in tables.items():
-        if restricted is None:
-            continue
-        mats, refl, lines = _subgroup_space_info(K, restricted)
-        size = len(mats)
-        if size == 1:
-            continue
-        nontrivial[role] = True
-        if lines:
-            diagram = diagram_of_lines(lines, form)
-            if components_order(diagram) == size:
-                fully[role] = (diagram, frozenset(refl))
-            else:
-                partial[role] = True
-    order = len(K)
-
-    def abstract_name():
-        if order == 2:
-            return "A1"
-        if order == 8:
-            return "B2"
-        raise RuntimeError(f"no abstract type rule for order {order}")
-
-    if not fully:
-        return abstract_name(), ("spade" if partial else "heart")
-    types = {components_string(d) for d, _ in fully.values()}
-    if len(types) > 1:
-        name = components_string(fully["x_cap_y"][0])
-        return name, "spade"
-    name_role = "x_cap_y" if "x_cap_y" in fully else sorted(fully)[0]
-    name = components_string(fully[name_role][0])
-    refl_sets = {r: s for r, (_, s) in fully.items()}
-    if len({s for s in refl_sets.values()}) > 1:
-        return name, "club"
-    if (tag == "A" and "x_perp" in nontrivial and "x_perp" not in fully
-            and "x_perp" not in partial):
-        if B is not None and len(B) > 1 and AB is not None:
-            mats, _, lines = _subgroup_space_info(AB, tables["x_perp"])
-            if lines:
-                diagram = diagram_of_lines(lines, form)
-                if components_order(diagram) == len(mats):
-                    return name, "diamond"
-        if order == 8:
-            return name, "heart"
-    return name, ""
+    images = {role: _image(K, table, form) for role, table in tables.items()}
+    moved = {role: im for role, im in images.items() if im.size > 1}
+    full = [im for im in moved.values() if im.is_reflection_group]
+    if full:
+        name = components_string(full[0].diagram)
+    elif len(K) in ABSTRACT_NAMES:
+        name = ABSTRACT_NAMES[len(K)]
+    else:
+        raise RuntimeError(f"no abstract type rule for order {len(K)}")
+    # K fixes Y_perp, so K is A (B and C meet A trivially, so when nontrivial
+    # they move Y_perp), and moves X_perp by no reflection
+    bare = "y_perp" not in moved and "x_perp" in moved and not moved["x_perp"].reflecting
+    rules = (   # (marker, holds), in the order README lists them
+        ("heart", not full and not any(im.reflecting for im in moved.values())),
+        ("spade", not full),
+        ("spade", len({components_string(im.diagram) for im in full}) > 1),
+        ("club", len({im.reflecting for im in full}) > 1),
+        ("diamond", bare and len(AB) > len(K)
+         and _image(AB, tables["x_perp"], form).is_reflection_group),
+        ("heart", bare and len(K) == 8),
+        ("", True),
+    )
+    return name, next(marker for marker, holds in rules if holds)
 
 
 def _format_subgroup(name, marker):
@@ -428,26 +413,19 @@ def decompose(rs, parabolic) -> Decomposition:
     # in canonical order: the choice of C below takes its first candidate
     D = sorted(_complement_D(rs, subset, orthogonal_join(P, Q)), key=lambda w: w.canonical())
 
-    # A fixes Y_perp pointwise (equivalently every root of Q)
-    A = [d for d in D if all(int(d.img[q]) == q for q in Q.simples)]
-
-    # D's restriction table on each nonzero space of the invariant split (D is
-    # trivial for every dihedral shape); B, the action cells and the names of
-    # A, B, C and AB, all subsets of D, are read off them
+    # D's restriction table on each nonzero space of the invariant split, X n Y
+    # first (D is trivial for every dihedral shape); A, B, the action cells and
+    # the names of A, B and C, all subsets of D, are read off them
     xperp, mid, yperp = invariant_split(P, Q)
-    xsp = ysp = mid_space = None
-    tables = dict.fromkeys(("x_perp", "x_cap_y", "y_perp"))
+    spaces = {}
     if len(D) > 1:
-        xsp = _root_span(rs, P.simples)
-        ysp = _root_span(rs, Q.simples)
-        mid_space = SpaceRestriction(rs, mid.pairs) if mid.dim else None
-        for role, space in (("x_perp", xsp), ("x_cap_y", mid_space), ("y_perp", ysp)):
-            if space is not None and space.dim:
-                tables[role] = space.restrictions(D)
+        spaces = {"x_cap_y": SpaceRestriction(rs, mid.pairs),
+                  "x_perp": _root_span(rs, P.simples), "y_perp": _root_span(rs, Q.simples)}
+    tables = {role: space.restrictions(D) for role, space in spaces.items() if space.dim}
 
-    # B fixes X n Y pointwise: all of D when X n Y = 0 or D = 1
-    B = D if tables["x_cap_y"] is None else [
-        d for d in D if tables["x_cap_y"][d.key][0] == mid_space.identity]
+    # A and B are the kernels of D on Y_perp and on X n Y (all of D on a zero space)
+    A, B = ([d for d in D if role not in tables or tables[role][d.key][0] == spaces[role].identity]
+            for role in ("y_perp", "x_cap_y"))
     AB = [a * b for a in A for b in B]
     ab_keys = {ab.key for ab in AB}
     if len(ab_keys) != len(AB):
@@ -468,16 +446,13 @@ def decompose(rs, parabolic) -> Decomposition:
     asterisk = subsystem_longest_element(rs, P).negates(P.pos)
 
     cell_x = _action_cell(rs, "x_perp", P, p_order * len(D), xperp.dim,
-                          xsp, tables["x_perp"])
+                          spaces.get("x_perp"), tables.get("x_perp"))
     cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B),
-                          mid.dim, mid_space, tables["x_cap_y"])
+                          mid.dim, spaces.get("x_cap_y"), tables.get("x_cap_y"))
     cell_y = _action_cell(rs, "y_perp", Q, q_order * len(D) // len(A), yperp.dim,
-                          ysp, tables["y_perp"])
-    a_name = _format_subgroup(*_name_and_marker(
-        "A", A, {r: tables[r] for r in ("x_perp", "x_cap_y")}, B=B, AB=AB))
-    b_name = _format_subgroup(*_name_and_marker(
-        "B", B, {r: tables[r] for r in ("x_perp", "y_perp")}))
-    c_name = _format_subgroup(*_name_and_marker("C", C, tables))
+                          spaces.get("y_perp"), tables.get("y_perp"))
+    a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, tables, AB))
+                              for K in (A, B, C))
 
     dec = Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),

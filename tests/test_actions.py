@@ -208,13 +208,22 @@ def test_minus_identity_cell():
     assert dec.a_name == "A1:HEART"
 
 
+# a witness of each naming rule, in the order the rules are tried (README)
+RULE_WITNESSES = [
+    ("D6", 18, "a", "A1:HEART"),      # no reflection on any space
+    ("E8", 10, "b", "B2:SPADE"),      # reflections, but no reflection-group image
+    ("E7", 16, "a", "G2:SPADE"),      # reflection-group images of conflicting types
+    ("D6", 13, "a", "A1^2:CLUB"),     # one type, reflected by other elements
+    ("E8", 9, "a", "A1:DIAMOND"),     # A x B, not A, acts on X_perp by reflections
+    ("E8", 22, "a", "B2:HEART"),      # A of order 8, no reflection on X_perp
+]
+
+
 def test_markers():
-    rs = build_root_system("D6")
-    cat = shape_catalog(rs)
-    assert decompose(rs, cat.by_selector("[31]")).a_name == "A1^2:CLUB"
-    e7 = build_root_system("E7")
-    cat7 = shape_catalog(e7)
-    assert decompose(e7, cat7.by_selector("A2A1^3")).a_name == "G2:SPADE"
+    for group, index, factor, name in RULE_WITNESSES:
+        rs = build_root_system(group)
+        dec = decompose(rs, shape_catalog(rs)[index])
+        assert getattr(dec, f"{factor}_name") == name, (group, index)
 
 
 def test_faithfulness_of_a_on_x_perp():

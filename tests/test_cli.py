@@ -117,6 +117,23 @@ def test_unknown_selector_exits_2_and_lists_catalog():
     assert "known shapes" in err and "H2" in err
 
 
+def test_ambiguous_selector_names_its_matches():
+    code, out, err = run("decompose", "D4", "[22]")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == ("error: ambiguous selector '[22]': "
+                        "matches (A1^2)+ [2 2], (A1^2)- [2 2]")
+    assert lines[1] == "known shapes:"
+    assert any(line.endswith("  (A1^2)+ [2 2]") for line in lines[2:])
+
+
+def test_unknown_abstract_name_is_an_internal_error():
+    # the A factor of D9 [5 3 1] acts by no reflection and has order 4,
+    # which no abstract name covers yet
+    assert run("decompose", "D9", "[531]") == (
+        4, "", "internal error: no abstract type rule for order 4\n")
+
+
 def test_unknown_group_exits_2():
     code, _, err = run("shapes", "Q5")
     assert code == 2 and "label" in err
