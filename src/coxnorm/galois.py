@@ -8,29 +8,39 @@ operator is perp(perp(.)).  A pair of mutually complementary orthogonally
 closed parabolics is a parabolic concept.
 
 Orthogonality is the root system's boolean table (row j marks the roots
-the reflection in root j fixes), the same for every family, so the
-complement of U is one row reduction: the roots marked in every row of U's
-positive roots.  The commutation characterization lives in the oracle
-module as an independent cross-check that never reads the table.
+the reflection in root j fixes), the same for every family.  A root is
+outside perp(U) iff some positive root of U is not orthogonal to it, so
+``perp_masks`` takes the complements of a stack of root masks in one boolean
+product with the negated table; one subgroup's complement is its one-row
+case.  The commutation characterization lives in the oracle module as an
+independent cross-check that never reads the table.
 
 perp commutes with conjugation (Howlett 1980), so on classes it is a map on
 shape indices, computed once per shape on first use and kept with the
-catalog; the closure class of shape i is perp(perp(i)).  The class of the
-parabolic closure of P perp(P) is kept the same way.
+catalog; the closure class of shape i is perp(perp(i)).  perp(W_J) fixes
+the span of J's simple roots pointwise, so its class is read at a generic
+point of that span, with no elimination.  The class of the parabolic closure
+of P perp(P) is kept the same way, read at a generic point of Fix(P perp(P)).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .parabolic import (ReflectionSubgroup, orthogonal_join, parabolic_closure,
-                        shape_catalog)
+from .parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join, shape_catalog,
+                        subset_groupoid)
+
+
+def perp_masks(rs, masks):
+    """The complements of a stack of root sets, as boolean masks of shape (k, nroots)."""
+    return ~(masks[:, : rs.npos] @ ~rs.orthogonality)
 
 
 def orthogonal_complement(U: ReflectionSubgroup) -> ReflectionSubgroup:
     """Parabolic generated by all reflections orthogonal to every reflection of U."""
-    fixed = U.rs.orthogonality[list(U.pos)].all(axis=0)
-    return ReflectionSubgroup(U.rs, np.flatnonzero(fixed).tolist())
+    mask = np.zeros((1, U.rs.nroots), dtype=bool)
+    mask[0, list(U.roots)] = True
+    return ReflectionSubgroup(U.rs, np.flatnonzero(perp_masks(U.rs, mask)[0]).tolist())
 
 
 def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
@@ -43,8 +53,9 @@ def perp_of_shape(catalog, i: int):
     shape, on first use.  Callers must not mutate perp(P)."""
     hit = catalog.perp.get(i)
     if hit is None:
-        Q = orthogonal_complement(catalog[i].parabolic)
-        j = catalog.class_of_roots(Q.roots)
+        P = catalog[i].parabolic
+        Q = orthogonal_complement(P)
+        j = catalog.class_of_roots(Q.roots, catalog.rs.span_signs(P.simples))
         Q.components = catalog[j].components   # its shape's, not recognized again
         hit = catalog.perp[i] = (Q, j)
     return hit
@@ -60,7 +71,9 @@ def pq_closure_index(catalog, i: int) -> int:
     representative; computed once per shape, on first use."""
     if i not in catalog.pq_closure:
         PQ = orthogonal_join(catalog[i].parabolic, perp_of_shape(catalog, i)[0])
-        catalog.pq_closure[i] = catalog.class_of_roots(parabolic_closure(PQ).roots)
+        signs = catalog.rs.signs_at(fixed_space(PQ))
+        catalog.pq_closure[i] = catalog.class_of_roots(np.flatnonzero(signs == 0).tolist(),
+                                                       signs)
     return catalog.pq_closure[i]
 
 
@@ -88,16 +101,13 @@ def shape_closure_graph(rs):
     non-closed shapes.
     """
     catalog = shape_catalog(rs)
-    below = {s.index: set() for s in catalog}  # strictly contained classes
-    for s in catalog:
-        rep = s.rep_subset
-        seen = set()
-        for mask in range(1 << len(rep)):
-            subset = tuple(rep[k] for k in range(len(rep)) if mask >> k & 1)
-            idx = catalog.class_of_subset(subset)
-            if idx != s.index:
-                seen.add(idx)
-        below[s.index] = seen
+    groupoid = subset_groupoid(rs)
+    # the class of every subset mask; below a shape, those of the subsets of its J
+    classes = np.array([catalog.class_of_subset(c[0]) for c in groupoid.components])
+    classes = classes[groupoid.component_of_mask]
+    masks = np.arange(len(classes))
+    below = {s.index: set(classes[(masks & ~sum(1 << k for k in s.rep_subset)) == 0].tolist())
+             - {s.index} for s in catalog}   # strictly contained classes
     hasse = []
     for s in catalog:
         covered = set(below[s.index])

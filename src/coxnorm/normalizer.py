@@ -36,9 +36,9 @@ from .galois import orthogonal_complement, perp_index, perp_of_shape
 from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
                      parabolic_longest_element, relative_length)
 from .linalg import pair_matmul
-from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, pointwise_stabilizer,
-                        shape_catalog, standard_conjugate, standard_parabolic,
-                        standard_subset, subset_groupoid)
+from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
+                        standard_conjugate, standard_parabolic, standard_subset,
+                        subset_groupoid)
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -440,7 +440,8 @@ def decompose(rs, parabolic) -> Decomposition:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), cands[0]]
 
-    pq_closure = pointwise_stabilizer(rs, mid)  # the parabolic closure of PQ: Fix(PQ) = X n Y
+    signs = rs.signs_at(mid)   # Fix(PQ) = X n Y, fixed pointwise by the parabolic closure of PQ
+    pq_closure = (signs == 0).nonzero()[0].tolist()
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subsystem_longest_element(rs, P).negates(P.pos)
@@ -457,9 +458,9 @@ def decompose(rs, parabolic) -> Decomposition:
     dec = Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),
         D=D, A=A, B=B, C=C, a_name=a_name, b_name=b_name, c_name=c_name,
-        pq_closure_index=catalog.class_of_roots(pq_closure.roots),
-        pq_closure_is_pq=len(pq_closure.roots) == len(P.roots) + len(Q.roots),
-        pq_closure_is_w=len(pq_closure.roots) == rs.nroots,
+        pq_closure_index=catalog.class_of_roots(pq_closure, signs),
+        pq_closure_is_pq=len(pq_closure) == len(P.roots) + len(Q.roots),
+        pq_closure_is_w=len(pq_closure) == rs.nroots,
         actions={"x_perp": cell_x, "x_cap_y": cell_m, "y_perp": cell_y},
         involution_centralizer=asterisk,
         spaces=(xperp, mid, yperp),

@@ -280,17 +280,16 @@ class SubsetGroupoid:
                     target |= 1 << position[int(nu.img[simple[j]])]
                 out.append((nu, target))
             self.edges.append(out)
-        self._component = [None] * (1 << n)
+        self.component_of_mask = np.full(1 << n, -1)   # component index per subset mask
         self.components = []   # member subsets of each component, sorted
         for mask in range(1 << n):
-            if self._component[mask] is None:
+            if self.component_of_mask[mask] < 0:
                 members = self._spanning_tree(mask)
-                for m in members:
-                    self._component[m] = len(self.components)
+                self.component_of_mask[list(members)] = len(self.components)
                 self.components.append(sorted(_members(m, n) for m in members))
 
     def component_of(self, subset) -> int:
-        return self._component[_mask(subset)]
+        return int(self.component_of_mask[_mask(subset)])
 
     def longest_element(self, subset) -> GroupElement:
         """The longest element w0(J) of the standard parabolic W_J."""
@@ -338,17 +337,19 @@ def subset_groupoid(rs) -> SubsetGroupoid:
     return _groupoids[rs.label]
 
 
-def standard_conjugate(rs, roots):
+def standard_conjugate(rs, roots, signs=None):
     """(J, w): the standard W_J conjugate to a parabolic, and w with w(Phi_J) = roots.
 
-    The signs of all roots at a lexicographically generic point of the fixed
-    space are carried into the dominant chamber by simple reflections.  The
+    The signs of all roots at a generic point of a subspace whose pointwise
+    stabilizer it is (its fixed space, unless ``signs`` are passed) are
+    carried into the dominant chamber by simple reflections.  The
     stabilizer of a dominant point is the standard W_J of the simple roots
     vanishing there (Bourbaki, Lie Groups Ch. V section 3), and w is the
     product of the reflections used.  Raises ValueError when the roots are
-    not those of a parabolic subgroup.
+    not those vanishing at the point (not those of a parabolic subgroup).
     """
-    signs = rs.signs_at(fixed_space(ReflectionSubgroup(rs, roots)))
+    if signs is None:
+        signs = rs.signs_at(fixed_space(ReflectionSubgroup(rs, roots)))
     simple = np.asarray(rs.simple_roots)
     img = np.arange(rs.nroots, dtype=np.int16)
     while True:
@@ -452,15 +453,16 @@ class ShapeCatalog:
 
     # -- class lookup -------------------------------------------------------
 
-    def class_of_roots(self, roots) -> int:
-        """Catalog index of the class of a parabolic subgroup, by its root set.
+    def class_of_roots(self, roots, signs=None) -> int:
+        """Catalog index of the class of a parabolic subgroup, by its root set
+        (and ``standard_conjugate``'s signs, when the caller holds them).
 
         Raises ValueError when the roots are not those of a parabolic.
         """
         key = tuple(sorted(roots))
         hit = self._class_cache.get(key)
         if hit is None:
-            subset, _ = standard_conjugate(self.rs, roots)
+            subset, _ = standard_conjugate(self.rs, roots, signs)
             hit = self._class_cache[key] = self.class_of_subset(subset)
         return hit
 

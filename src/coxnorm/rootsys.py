@@ -37,7 +37,8 @@ a root, its simple roots with a nonzero coefficient, is a bitmask, and the
 roots of a standard parabolic W_J are those supported in J (Humphreys,
 Reflection Groups and Coxeter Groups, 1.10).  The signs of all roots on a
 subspace are one product of integer pairs: the root forms, kept from the
-build, times the subspace's rows.
+build, times the subspace's rows; on the span of simple roots they are the
+root forms' columns, with no product and no elimination.
 
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
@@ -310,25 +311,29 @@ class RootSystem(_Roots):
             kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
 
     def signs_at(self, X: Subspace):
-        """Signs of all roots at a lexicographically generic point of X.
-
-        The point is x_1 + e x_2 + e^2 x_3 + ... for the echelon rows x_k of
-        X and a small e > 0, so a root takes the sign of its value on the
-        first row it does not vanish on, and 0 when it vanishes on X.  The
-        values are one integer-pair product of the root forms with X's pair
-        rows; each is a positive multiple of its echelon row over Q(sqrt5),
-        which keeps every sign.
-        """
+        """Signs of all roots at a generic point of X, taken on its echelon
+        rows; each pair row is a positive multiple of its echelon row over
+        Q(sqrt5), which keeps every sign."""
         if X.n != self.n:
             raise ValueError("subspace of wrong ambient dimension")
+        return self._lex_signs(pair_matmul(self._root_forms, tuple(m.T for m in X.pairs)))
+
+    def span_signs(self, simples):
+        """Signs of all roots at a generic point of the span of the given simple
+        roots, taken on those roots: their columns of the root forms."""
+        return self._lex_signs(tuple(f[:, list(simples)] for f in self._root_forms))
+
+    def _lex_signs(self, values):
+        """Signs at x_1 + e x_2 + e^2 x_3 + ... for rows x_k and a small e > 0, a
+        lexicographically generic point of their span, from the pair values
+        (npos, k) of the root forms on the rows: a root's sign on the first row
+        it does not vanish on, 0 if none."""
         signs = np.zeros(self.nroots, dtype=np.int8)
-        if not X.dim:
-            return signs
-        rows = tuple(m.T for m in X.pairs)
-        values = pair_sign(pair_matmul(self._root_forms, rows))
-        first = values[np.arange(self.npos), (values != 0).argmax(axis=1)]
-        signs[: self.npos] = first
-        signs[self.npos:] = -first
+        if values[0].shape[1]:
+            values = pair_sign(values)
+            first = values[np.arange(self.npos), (values != 0).argmax(axis=1)]
+            signs[: self.npos] = first
+            signs[self.npos:] = -first
         return signs
 
     # -- reflections and generators ------------------------------------------
@@ -465,6 +470,9 @@ class I2RootSystem(_Roots):
         signs = np.where((d < self.m) | (d > 3 * self.m), 1, -1).astype(np.int8)
         signs[(d == self.m) | (d == 3 * self.m)] = 0
         return signs
+
+    def span_signs(self, indices):
+        return self.signs_at(self.span(indices))
 
     def reflection_perm(self, i):
         i = i % self.npos

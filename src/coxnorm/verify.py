@@ -10,7 +10,8 @@ import itertools
 
 import numpy as np
 
-from .galois import orthogonal_complement, perp_index, pq_closure_index
+from .diagrams import close_roots
+from .galois import orthogonal_complement, perp_index, perp_masks, pq_closure_index
 from .groups import BRUTE_LIMIT, generate, relative_length
 from .involutions import section8_checks
 from .normalizer import (compute_table, decompose, goursat_sections,
@@ -29,53 +30,46 @@ def _standard_subsets(rs):
 def verify_galois(rs) -> dict:
     """Galois laws for the orthogonality connection, over standard parabolics.
 
-    Each subset's chain u, perp u, perp^2 u, perp^3 u, perp^4 u is computed
-    once, and the laws on it are checked as it is made; a law's witness is
-    its first failing subset in ``_standard_subsets`` order.  Antitony holds
-    on all pairs iff it holds on the covering pairs J < J + {i}, so only
-    those are checked; when one fails, the pairs are walked in
-    ``itertools.combinations`` order for the first failing pair.  The
-    commutation oracle reads one commutation table, built per call.
+    Row ``mask`` of each root-mask stack is the subset of that bitmask, in
+    ``_standard_subsets`` order.  The chain u, perp u, ..., perp^4 u is four
+    calls of ``perp_masks``; each law is a row-wise test on two of its masks,
+    its witness the first failing row.  Antitony holds on all pairs iff it
+    holds on the covering pairs J < J + {i}, one vectorized test per i; when
+    one fails, the pairs are walked in ``itertools.combinations`` order for
+    the first failing pair.  The commutation oracle reads one commutation
+    table per call and closes each commuting set with ``close_roots``.
     """
     report = {"group": str(rs.label), "checks": {}}
-    subs = {s: standard_parabolic(rs, s) for s in _standard_subsets(rs)}
-    perp = {}
-    first = dict.fromkeys(("extensive", "triple_perp", "closure_idempotent"))
-    for s, u in subs.items():
-        chain = [u.roots]   # chain[k] is the root set of perp^k u
-        Q = u
-        for _ in range(4):
-            Q = orthogonal_complement(Q)
-            chain.append(Q.roots)
-        perp[s] = chain[1]
-        holds = {"extensive": chain[0] <= chain[2], "triple_perp": chain[3] == chain[1],
-                 "closure_idempotent": chain[2] == chain[4]}
-        for law, ok in holds.items():
-            if not ok and first[law] is None:
-                first[law] = s
+    subsets = list(_standard_subsets(rs))
+    masks = np.arange(len(subsets))
+    chain = [(rs.supports & ~masks[:, None]) == 0]   # chain[k][mask]: perp^k W_J
+    for _ in range(4):
+        chain.append(perp_masks(rs, chain[-1]))
+    u, perp = chain[:2]
 
     def record(law, bad):
         report["checks"][law] = {"ok": bad is None, "witness": bad}
 
-    record("extensive", first["extensive"])
-    subsets = list(subs)   # subsets[mask] has the members of mask
-    bad = None
-    if not all(perp[subsets[mask | 1 << i]] <= perp[s]
-               for mask, s in enumerate(subsets) for i in range(rs.n) if not mask >> i & 1):
-        for s1, s2 in itertools.combinations(subsets, 2):
-            small, big = (s1, s2) if set(s1) <= set(s2) else (s2, s1)
-            if set(small) <= set(big) and not perp[big] <= perp[small]:
-                bad = (small, big)
-                break
-    record("antitone", bad)
-    record("triple_perp", first["triple_perp"])
-    record("closure_idempotent", first["closure_idempotent"])
+    def first(failing):
+        rows = np.flatnonzero(failing)
+        return subsets[rows[0]] if rows.size else None
+
+    record("extensive", first((u & ~chain[2]).any(axis=1)))
+    covering = ((perp[low | 1 << i] & ~perp[low]).any()
+                for i in range(rs.n) for low in [masks[(masks >> i & 1) == 0]])
+    pairs = itertools.combinations(range(len(subsets)), 2)   # a < b: only a <= b can hold
+    record("antitone", next(((subsets[a], subsets[b]) for a, b in pairs
+                             if a & ~b == 0 and (perp[b] & ~perp[a]).any()), None)
+           if any(covering) else None)
+    record("triple_perp", first((chain[3] != perp).any(axis=1)))
+    record("closure_idempotent", first((chain[4] != chain[2]).any(axis=1)))
 
     if rs.group_order <= BRUTE_LIMIT:
-        commute = commutation_table(rs)
-        record("commutation_route_agrees", next(
-            (s for s, u in subs.items()
-             if brute_orthogonal_complement(u, commute).roots != perp[s]), None))
+        # the positive roots whose reflection commutes with every reflection of u
+        commuting = ~(u[:, : rs.npos] @ ~commutation_table(rs))
+        record("commutation_route_agrees", first([
+            close_roots(rs, np.flatnonzero(c).tolist()) != frozenset(np.flatnonzero(p).tolist())
+            for c, p in zip(commuting, perp)]))
 
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report

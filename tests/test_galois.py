@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm import galois, verify
+from coxnorm import galois, linalg, verify
+from coxnorm.diagrams import close_roots
 from coxnorm.galois import (orthogonal_closure, orthogonal_complement,
-                            parabolic_concepts, perp_index, pq_closure_index,
+                            parabolic_concepts, perp_index, perp_masks, pq_closure_index,
                             shape_closure_graph)
-from coxnorm.oracle import brute_orthogonal_complement
-from coxnorm.parabolic import (ReflectionSubgroup, parabolic_closure, shape_catalog,
+from coxnorm.oracle import brute_orthogonal_complement, commutation_table
+from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
+                               parabolic_closure, shape_catalog, standard_conjugate,
                                standard_parabolic)
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
@@ -239,23 +241,40 @@ FAULTS = [("B4", (3,), 1), ("B4", (1, 2), 0), ("B4", (0, 1, 3), 1), ("F4", (0, 2
           ("F4", (0, 2, 3), 1), ("F4", (1, 3), 0), ("H3", (1, 2), 1), ("H3", (2,), 0)]
 
 
+def _root_mask(rs, roots):
+    mask = np.zeros(rs.nroots, dtype=bool)
+    mask[list(roots)] = True
+    return mask
+
+
+def _faulty_perp_masks(monkeypatch, rs, target, change):
+    """Patch the batched complement: ``change`` edits the complement mask of
+    every row equal to the target root set.  ``orthogonal_complement`` is its
+    one-row case, so the separate loops see the same fault."""
+    original = galois.perp_masks
+
+    def faulty(rs, masks):
+        out = original(rs, masks)
+        for row in np.flatnonzero((masks == target).all(axis=1)):
+            change(out[row])
+        return out
+
+    monkeypatch.setattr(galois, "perp_masks", faulty)
+    monkeypatch.setattr(verify, "perp_masks", faulty)
+
+
 @pytest.mark.parametrize("name, chosen, level", FAULTS)
 def test_galois_witnesses_survive_the_closure_chain(monkeypatch, name, chosen, level):
     # a complement that drops its least root on one argument: each law must
     # report the same first failing subset as the separate loops do
     rs = build_root_system(name)
-    original = galois.orthogonal_complement
     target = standard_parabolic(rs, chosen)
-    target = target.roots if level == 0 else original(target).roots
+    target = target.roots if level == 0 else orthogonal_complement(target).roots
 
-    def faulty(U):
-        Q = original(U)
-        if U.roots == target:
-            return ReflectionSubgroup(rs, Q.roots - {min(Q.roots)})
-        return Q
+    def drop_least(row):
+        row[np.flatnonzero(row)[0]] = False
 
-    monkeypatch.setattr(galois, "orthogonal_complement", faulty)
-    monkeypatch.setattr(verify, "orthogonal_complement", faulty)
+    _faulty_perp_masks(monkeypatch, rs, _root_mask(rs, target), drop_least)
     report = verify_galois(rs)
     want = _galois_reports_by_loops(rs)
     assert list(report["checks"]) == list(want)
@@ -275,18 +294,13 @@ def test_antitone_witness_is_the_first_failing_pair_not_a_covering_one(monkeypat
     # must still report the first failing pair of the full walk, which here
     # skips a level
     rs = build_root_system(name)
-    original = galois.orthogonal_complement
-    target = standard_parabolic(rs, chosen).roots
+    target = _root_mask(rs, standard_parabolic(rs, chosen).roots)
 
-    def faulty(U):
-        Q = original(U)
-        if U.roots == target:
-            extra = min(set(range(rs.npos)) - Q.roots)
-            return ReflectionSubgroup(rs, Q.roots | {extra, rs.neg(extra)})
-        return Q
+    def add_least_missing(row):
+        extra = np.flatnonzero(~row[: rs.npos])[0]
+        row[[extra, rs.neg(extra)]] = True
 
-    monkeypatch.setattr(galois, "orthogonal_complement", faulty)
-    monkeypatch.setattr(verify, "orthogonal_complement", faulty)
+    _faulty_perp_masks(monkeypatch, rs, target, add_least_missing)
     want = _galois_reports_by_loops(rs)
     ok, (small, big) = want["antitone"]
     assert not ok and big == chosen and len(big) - len(small) > 1
@@ -313,3 +327,75 @@ def test_shape_maps_agree_with_root_level_recomputation(name):
         standard = standard_parabolic(rs, shape.rep_subset)
         assert shape.parabolic.roots == standard.roots, shape.label
         assert shape.parabolic.simples == standard.simples == rep.simples, shape.label
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_batched_complement_matches_one_subgroup_at_a_time(name):
+    # every standard subset at once, against the one-row case, the reflection
+    # loop and the commutation route (a commutation table with no order guard)
+    rs = build_root_system(name)
+    subgroups = [standard_parabolic(rs, s) for s in verify._standard_subsets(rs)]
+    batched = perp_masks(rs, np.array([_root_mask(rs, U.roots) for U in subgroups]))
+    commute = commutation_table(rs)
+    for U, row in zip(subgroups, batched):
+        got = frozenset(np.flatnonzero(row).tolist())
+        assert got == orthogonal_complement(U).roots == _perp_by_reflections(U), U
+        assert got == close_roots(rs, np.flatnonzero(commute[list(U.pos)].all(axis=0)).tolist())
+
+
+@pytest.mark.parametrize("name", ["E7", "H4"])
+def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
+    # on a fresh catalog every complement's class is looked up anew, at a
+    # generic point of the span of the shape's simple roots
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    rs = build_root_system(name)
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or original(rows))
+    parabolic_concepts(rs)
+    assert verify_galois(rs)["ok"]
+    catalog = shape_catalog(rs)
+    assert len(catalog.perp) == len(catalog)
+    assert len(catalog._class_cache) > len(catalog)   # some complements were not standard
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
+    # perp(W_J) vanishes exactly on the span of J's simple roots; the walk
+    # from its signs there and the walk from its fixed space name one class,
+    # and so do the walks from Fix(P perp(P)) and from the closure's roots
+    rs = build_root_system(name)
+    cat = shape_catalog(rs)
+    everywhere = rs.span_signs(rs.simple_roots)   # no root vanishes at it
+    for shape in cat:
+        P = shape.parabolic
+        Q = orthogonal_complement(P)
+        signs = rs.span_signs(P.simples)
+        assert frozenset(np.flatnonzero(signs == 0).tolist()) == Q.roots, shape.label
+        by_span, w = standard_conjugate(rs, Q.roots, signs)
+        by_fix, _ = standard_conjugate(rs, Q.roots)
+        assert (cat.class_of_subset(by_span) == cat.class_of_subset(by_fix)
+                == perp_index(cat, shape.index)), shape.label
+        assert {int(w.img[r]) for r in standard_parabolic(rs, by_span).roots} == Q.roots
+        if Q.roots:
+            with pytest.raises(ValueError):
+                standard_conjugate(rs, Q.roots, everywhere)
+        pq = parabolic_closure(orthogonal_join(P, Q))
+        pq_signs = rs.signs_at(fixed_space(orthogonal_join(P, Q)))
+        assert (cat.class_of_subset(standard_conjugate(rs, pq.roots, pq_signs)[0])
+                == cat.class_of_subset(standard_conjugate(rs, pq.roots)[0])
+                == pq_closure_index(cat, shape.index)), shape.label
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_closure_graph_reads_the_subclasses_of_every_subset(name):
+    # reference: the class of every subset of each representative's J
+    rs = build_root_system(name)
+    cat = shape_catalog(rs)
+    below = {s.index: {cat.class_of_subset(sub) for k in range(s.rank + 1)
+                       for sub in itertools.combinations(s.rep_subset, k)} - {s.index}
+             for s in cat}
+    hasse = sorted((i, j) for i in below for j in below[i]
+                   if not any(j in below[k] for k in below[i]))
+    assert shape_closure_graph(rs)["hasse"] == hasse

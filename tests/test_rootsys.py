@@ -284,7 +284,13 @@ def _signs_by_dot(rs, X):
     the first echelon row of X it does not vanish on, in Q(sqrt5).  The rows
     are read back from their pairs, each a positive multiple of the echelon
     row, which keeps every sign."""
-    forms = [vec_mat(row, rs.gram) for row in from_pairs(X.pairs)]
+    return _lex_signs_by_dot(rs, from_pairs(X.pairs))
+
+
+def _lex_signs_by_dot(rs, rows):
+    """Each positive root's sign on the first of the Q(sqrt5) rows it does
+    not vanish on, 0 if none; the negative roots take the opposite signs."""
+    forms = [vec_mat(row, rs.gram) for row in rows]
     signs = []
     for v in _vectors(rs)[: rs.npos]:
         values = [dot(f, v) for f in forms]
@@ -310,6 +316,19 @@ def test_signs_at_match_the_exact_inner_products(name):
     assert (name[0] == "H") == any(X.pairs[1].any() for X in spaces)
     for X in spaces:
         assert rs.signs_at(X).tolist() == _signs_by_dot(rs, X), X
+
+
+@pytest.mark.parametrize("name", ["B6", "E8", "F4", "H4"])
+def test_span_signs_match_the_exact_inner_products(name):
+    # the point a_1 + e a_2 + ... of the given simple roots in their order; it
+    # vanishes exactly where the span does
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    for _ in range(12):
+        simples = rng.sample(rs.simple_roots, rng.randint(0, rs.n))
+        signs = rs.span_signs(simples)
+        assert signs.tolist() == _lex_signs_by_dot(rs, [rs.root_vec(r) for r in simples])
+        assert ((signs == 0) == (rs.signs_at(rs.span(simples)) == 0)).all(), simples
 
 
 
