@@ -7,8 +7,8 @@ N = (P x Q) : ((A x B) : C) of any parabolic with ``decompose(rs, shape)``.
 
 from .labels import CoxeterLabel, parse_label
 from .rootsys import build_root_system, inner_product, reflection_in_root
-from .groups import (GroupElement, GroupSet, generate, identity, longest_element,
-                     relative_length, set_stabilizer)
+from .groups import (GroupElement, generate, identity, relative_length,
+                     set_stabilizer)
 from .parabolic import (ReflectionSubgroup, Shape, fixed_space,
                         parabolic_closure, pointwise_stabilizer, shape_catalog,
                         shape_of, shapes, standard_parabolic)
@@ -21,8 +21,8 @@ from .involutions import (fixed_parabolic, involution_class_representatives,
 
 __all__ = [
     "CoxeterLabel", "parse_label", "build_root_system", "inner_product",
-    "reflection_in_root", "GroupElement", "GroupSet", "generate",
-    "identity", "longest_element", "relative_length", "set_stabilizer",
+    "reflection_in_root", "GroupElement", "generate", "identity",
+    "relative_length", "set_stabilizer",
     "ReflectionSubgroup", "Shape", "fixed_space",
     "parabolic_closure", "pointwise_stabilizer", "shape_catalog", "shape_of",
     "shapes", "standard_parabolic", "orthogonal_closure",

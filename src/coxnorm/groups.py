@@ -82,38 +82,19 @@ def identity(rs) -> GroupElement:
     return GroupElement(rs, np.arange(rs.nroots, dtype=np.int16))
 
 
-class GroupSet:
-    """A group, as its elements and the generators that produced it.
+def generate(gens, rs=None) -> list:
+    """Breadth-first closure of the generators (plus identity).
 
-    Iteration is in canonical (lexicographically least encoding first) order.
+    The elements are listed in key order.  Refused with RuntimeError once
+    more than ENUMERATION_LIMIT elements are found.
     """
-
-    def __init__(self, elements, gens):
-        self._by_key = {e.key: e for e in elements}
-        self.gens = list(gens)
-        self._sorted = None
-
-    def __len__(self):
-        return len(self._by_key)
-
-    def __contains__(self, w):
-        return w.key in self._by_key
-
-    def __iter__(self):
-        if self._sorted is None:
-            self._sorted = sorted(self._by_key.values(), key=lambda e: e.key)
-        return iter(self._sorted)
-
-
-def generate(gens, limit=ENUMERATION_LIMIT, rs=None) -> GroupSet:
-    """Breadth-first closure of the generators (plus identity)."""
     gens = list(gens)
     if gens and any(g.rs is not gens[0].rs for g in gens):
         raise ValueError("generators must share a parent root system")
     if not gens:
         if rs is None:
             raise ValueError("generate([]) needs the root system to supply identity")
-        return GroupSet([identity(rs)], [])
+        return [identity(rs)]
     rs = gens[0].rs
     e = identity(rs)
     seen = {e.key: e}
@@ -127,9 +108,9 @@ def generate(gens, limit=ENUMERATION_LIMIT, rs=None) -> GroupSet:
                     seen[x.key] = x
                     new.append(x)
         frontier = new
-        if len(seen) > limit:
-            raise RuntimeError(f"group enumeration exceeded limit {limit}")
-    return GroupSet(seen.values(), gens)
+        if len(seen) > ENUMERATION_LIMIT:
+            raise RuntimeError(f"group enumeration exceeded limit {ENUMERATION_LIMIT}")
+    return [seen[k] for k in sorted(seen)]
 
 
 def relative_length(w: GroupElement, sub_positive) -> int:
@@ -163,19 +144,6 @@ def parabolic_longest_element(rs, simples, start=None) -> GroupElement:
             break
         img = img[rs.reflection_perm(int(idx[up[0]]))]
     return GroupElement(rs, img)
-
-
-def longest_element(W: GroupSet) -> GroupElement:
-    """The unique element of a group mapping all positives negative."""
-    best = None
-    for w in W:
-        npos = w.rs.npos
-        if (w.img[:npos] >= npos).all():
-            best = w
-            break
-    if best is None:
-        raise ValueError("no longest element found (incomplete set?)")
-    return best
 
 
 class OrbitStabilizer:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .galois import orthogonal_complement, perp_index, pq_closure_index
 from .groups import GroupElement, generate
-from .normalizer import normalizer_order, subsystem_longest_element
+from .normalizer import normalizer_order
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
 
 
@@ -63,12 +63,13 @@ def involution_class_representatives(rs):
     corresponds to the trivial shape and is skipped).
     """
     catalog = shape_catalog(rs)
+    groupoid = subset_groupoid(rs)
     out = []
     for shape in catalog:
         if shape.index == 1 and not shape.roots:
             continue
         P = shape.parabolic
-        w0 = subsystem_longest_element(rs, P)
+        w0 = groupoid.longest_element(shape.rep_subset)
         if w0.negates(P.pos):
             out.append(InvolutionRecord(w0, degree(w0), shape.index, P))
     return out

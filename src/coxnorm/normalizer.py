@@ -17,12 +17,14 @@ Since PQ is normal in N, reducing each loop to its relative-length-zero
 representative modulo PQ is a homomorphism onto D, so those reductions
 generate D, and D is closed by enumeration.  D is small, and it is the only
 group ``decompose`` enumerates: |N| = |P||Q||D|, and the action cells on
-X_perp, X n Y and Y_perp are read off the restrictions of D (see
-``_reflection_lines``), so neither N, W, P nor Q is enumerated.  D is
-restricted to each of the three spaces once, in one batched product (see
-``actions.SpaceRestriction.restrictions``); the cells and the names of A, B
-and C, all subsets of D, are looked up in those three tables.  The Goursat
-sections of an explicit N restrict it in batches the same way.
+X_perp, X n Y and Y_perp are read off the restrictions of D, whose
+reflection lines P and Q close up without being enumerated (see
+``_reflection_lines``).  D is restricted to each of the three spaces once,
+on the basis ``actions.invariant_split`` gives it, in one batched product
+(see ``actions.SpaceRestriction.restrictions``).  Each action cell, and the
+name and marker of A, B and C (subsets of D), classify image summaries
+(``_image``) read off those tables.  The Goursat sections of an explicit N
+restrict it in batches the same way.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .actions import (ActionCell, SpaceRestriction, canonical_lines,
                       diagram_of_lines, image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement, perp_index, perp_of_shape
-from .groups import (BRUTE_LIMIT, GroupElement, GroupSet, generate, identity,
-                     parabolic_longest_element, relative_length)
+from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
 from .linalg import pair_matmul
 from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
                         standard_conjugate, standard_parabolic, standard_subset,
@@ -45,18 +46,6 @@ MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade"
 
 # ---------------------------------------------------------------------------
 # Howlett complements
-
-
-def subsystem_longest_element(rs, sub: ReflectionSubgroup) -> GroupElement:
-    """Longest element of a reflection subgroup (sends its positives negative).
-
-    A standard parabolic's is the one the subset groupoid kept; callers must
-    not mutate it.
-    """
-    subset = standard_subset(sub)
-    if subset is None:
-        return parabolic_longest_element(rs, sub.simples)
-    return subset_groupoid(rs).longest_element(subset)
 
 
 def descend_to_complement(w: GroupElement, sub: ReflectionSubgroup) -> GroupElement:
@@ -71,23 +60,22 @@ def descend_to_complement(w: GroupElement, sub: ReflectionSubgroup) -> GroupElem
         w = rs.reflection(beta) * w
 
 
-def howlett_complement(sub: ReflectionSubgroup, ambient: GroupSet) -> GroupSet:
+def howlett_complement(sub: ReflectionSubgroup, ambient) -> list:
     """Complement {a : relative length 0} of a normal reflection subgroup.
 
-    The subgroup must be normal in the ambient group; violations are rejected
-    with a witness element.
+    ``ambient`` lists the elements of a group.  The subgroup must be normal
+    in it; violations are rejected with a witness element.
     """
     rs = sub.rs
     refl = {rs.reflection(i).key for i in sub.pos}
-    for g in ambient.gens or list(ambient):
+    for g in ambient:
         for i in sub.pos:
             conj = (g.inverse() * rs.reflection(i)) * g
             if conj.key not in refl:
                 raise ValueError(
                     f"subgroup not normal: conjugate of reflection {i} by "
                     f"{g.canonical()} leaves the subgroup")
-    members = [w for w in ambient if relative_length(w, sub.pos) == 0]
-    return GroupSet(members, [])
+    return [w for w in ambient if relative_length(w, sub.pos) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +198,19 @@ class Decomposition:
         }
 
 
-def normalizer(P: ReflectionSubgroup, limit=BRUTE_LIMIT) -> GroupSet:
-    """The normalizer of a parabolic as an explicit group.
+def normalizer(P: ReflectionSubgroup) -> list:
+    """The elements of the normalizer of a parabolic, in key order.
 
     N_W(W_J) is generated by the simple reflections of J and the groupoid
     loops at J; for a parabolic P that is not standard, these generators
     are conjugated by the element carrying W_J onto P.  Refused with
-    RuntimeError, before anything is enumerated, when |N| exceeds limit.
+    RuntimeError, before anything is enumerated, when |N| exceeds BRUTE_LIMIT.
     """
     rs = P.rs
     WJ, w = _standard_form(P)
     order = _normalizer_order_at(WJ)
-    if order > limit:
-        raise RuntimeError(f"normalizer too large to enumerate ({order} > {limit})")
+    if order > BRUTE_LIMIT:
+        raise RuntimeError(f"normalizer too large to enumerate ({order} > {BRUTE_LIMIT})")
     subset = standard_subset(WJ)
     gens = [rs.reflection(rs.simple_roots[i]) for i in subset]
     gens += subset_groupoid(rs).loops(subset)
@@ -263,14 +251,10 @@ def _complement_D(rs, subset, pq_sub):
     return generate(gens.values(), rs=rs)
 
 
-def _root_span(rs, simples):
-    return SpaceRestriction(rs, rs.rows(simples))
-
-
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
 
 
-def _reflection_lines(rs, base: ReflectionSubgroup, restricted):
+def _reflection_lines(rs, base: ReflectionSubgroup, lines):
     """Reflection lines of (base)D acting on a space that D preserves.
 
     D fixes the positive chamber of the base on its span (D sends the
@@ -282,43 +266,78 @@ def _reflection_lines(rs, base: ReflectionSubgroup, restricted):
     the restrictions of D.  So every line is a base root line or lies in the
     base orbit of the line of a d in D that restricts to a reflection.
 
-    ``restricted`` is the restriction table of D on the space (see
-    ``SpaceRestriction.restrictions``).  Each round of the orbit closure is
-    one product of the new lines with every simple reflection of the base.
+    ``lines`` are the lines of the elements of D that restrict to
+    reflections on the space.  Each round of the orbit closure is one
+    product of the new lines with every simple reflection of the base.
     """
-    lines = set(canonical_lines(rs.rows(base.pos)))
+    closed = set(canonical_lines(rs.rows(base.pos)))
     simple = rs.image_rows(rs.reflection(i) for i in base.simples)
-    frontier = {line for _, line in restricted.values()} - {None} - lines
+    frontier = set(lines) - closed
     while frontier:
-        lines |= frontier
+        closed |= frontier
         images = pair_matmul(split_keys(list(frontier), rs.n), simple)
-        frontier = set(canonical_lines(tuple(t.reshape(-1, rs.n) for t in images))) - lines
-    return lines
+        frontier = set(canonical_lines(tuple(t.reshape(-1, rs.n) for t in images))) - closed
+    return closed
 
 
-def _action_cell(rs, role, base: ReflectionSubgroup, image_order, dim, space, restricted):
+@dataclass(frozen=True)
+class _Image:
+    """The image of a subgroup K of D on one space, read off D's restriction table.
+
+    ``size`` counts K's distinct restrictions and ``reflecting`` holds the
+    keys of the elements of K that restrict to reflections.  ``lines`` are
+    their lines, closed under the simple reflections of a base group (with
+    the base's root lines) when one is given, and ``diagram`` is the type of
+    the group the lines generate (empty when there are none).  ``minus``
+    tells whether -1 is among the restrictions.
+    """
+
+    size: int
+    reflecting: frozenset
+    lines: frozenset
+    diagram: tuple
+    minus: bool
+
+    @property
+    def is_reflection_group(self):
+        return bool(self.diagram) and components_order(self.diagram) == self.size
+
+
+def _image(K, restricted, base=None) -> _Image:
+    """K's image summary; ``restricted`` is a space and D's restriction table on it."""
+    space, table = restricted
+    cells = [table[k.key] for k in K]
+    mats = {M for M, _ in cells}
+    lines = {line for _, line in cells} - {None}
+    if base is not None:
+        lines = _reflection_lines(space.rs, base, lines)
+    return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
+                  frozenset(lines), diagram_of_lines(lines, space.rs.form) if lines else (),
+                  any(space.is_minus_identity(M) for M in mats))
+
+
+def _action_cell(role, base: ReflectionSubgroup, image_order, dim, D, restricted):
     """Action cell of (base)D on a space: P on X_perp, D on X n Y, Q on Y_perp.
 
-    ``restricted`` is the restriction table of D on the space.
+    ``restricted`` is the space and D's restriction table on it; the cell
+    classifies D's image summary there, with its lines closed under the base.
     """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:
         return ActionCell(role, subgroup, 0, (), 1, False, 1)
     if image_order == base.order:  # D acts on the space through the base group
         return ActionCell(role, subgroup, dim, base.components, 1, False, image_order)
-    mats = {M for M, _ in restricted.values()}
-    if len(mats) * base.order != image_order:
+    image = _image(D, restricted, base)
+    if image.size * base.order != image_order:
         raise RuntimeError(f"{role}: restrictions of D times the base order "
                            "differ from the image order")
-    lines = _reflection_lines(rs, base, restricted)
-    if not lines:
-        minus = image_order == 2 and any(space.is_minus_identity(M) for M in mats)
-        return ActionCell(role, subgroup, dim, (), image_order, minus, image_order)
-    diagram = diagram_of_lines(lines, rs.form)
-    r_order = components_order(diagram)
+    if not image.lines:
+        return ActionCell(role, subgroup, dim, (), image_order,
+                          image_order == 2 and image.minus, image_order)
+    r_order = components_order(image.diagram)
     if image_order % r_order:
         raise RuntimeError("reflection part order does not divide the image order")
-    return ActionCell(role, subgroup, dim, diagram, image_order // r_order,
+    return ActionCell(role, subgroup, dim, image.diagram, image_order // r_order,
                       False, image_order)
 
 
@@ -326,43 +345,18 @@ def _action_cell(rs, role, base: ReflectionSubgroup, image_order, dim, space, re
 ABSTRACT_NAMES = {2: "A1", 8: "B2"}
 
 
-@dataclass(frozen=True)
-class _Image:
-    """The image of a subgroup K of D on one space, read off D's restriction table.
-
-    ``size`` counts K's distinct restrictions, ``reflecting`` holds the keys
-    of the elements of K that restrict to reflections, and ``diagram`` is
-    the type of the group their lines generate (empty when none does).
-    """
-
-    size: int
-    diagram: tuple
-    reflecting: frozenset
-
-    @property
-    def is_reflection_group(self):
-        return bool(self.diagram) and components_order(self.diagram) == self.size
-
-
-def _image(K, restricted, form) -> _Image:
-    cells = [restricted[k.key] for k in K]
-    lines = {line for _, line in cells} - {None}
-    return _Image(len({M for M, _ in cells}), diagram_of_lines(lines, form) if lines else (),
-                  frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None))
-
-
-def _name_and_marker(K, tables, AB):
+def _name_and_marker(K, restricted, AB):
     """Coxeter type name and idiosyncrasy marker of A, B or C, a subgroup K of D.
 
-    ``tables`` maps each nonzero space, X n Y first, to D's restriction table
-    on it; K's image on each is read, and a trivial image is no action.  K is
-    named by the type of its first image that is a reflection group, or, when
-    none is, by its order.  Its marker is that of the first rule that holds.
+    ``restricted`` maps each nonzero space, X n Y first, to the space and
+    D's restriction table on it; K's image on each is read, and a trivial
+    image is no action.  K is named by the type of its first image that is a
+    reflection group, or, when none is, by its order.  Its marker is that of
+    the first rule that holds.
     """
     if len(K) <= 1:
         return "", ""
-    form = K[0].rs.form
-    images = {role: _image(K, table, form) for role, table in tables.items()}
+    images = {role: _image(K, pair) for role, pair in restricted.items()}
     moved = {role: im for role, im in images.items() if im.size > 1}
     full = [im for im in moved.values() if im.is_reflection_group]
     if full:
@@ -380,7 +374,7 @@ def _name_and_marker(K, tables, AB):
         ("spade", len({components_string(im.diagram) for im in full}) > 1),
         ("club", len({im.reflecting for im in full}) > 1),
         ("diamond", bare and len(AB) > len(K)
-         and _image(AB, tables["x_perp"], form).is_reflection_group),
+         and _image(AB, restricted["x_perp"]).is_reflection_group),
         ("heart", bare and len(K) == 8),
         ("", True),
     )
@@ -417,14 +411,15 @@ def decompose(rs, parabolic) -> Decomposition:
     # first (D is trivial for every dihedral shape); A, B, the action cells and
     # the names of A, B and C, all subsets of D, are read off them
     xperp, mid, yperp = invariant_split(P, Q)
-    spaces = {}
-    if len(D) > 1:
-        spaces = {"x_cap_y": SpaceRestriction(rs, mid.pairs),
-                  "x_perp": _root_span(rs, P.simples), "y_perp": _root_span(rs, Q.simples)}
-    tables = {role: space.restrictions(D) for role, space in spaces.items() if space.dim}
+    restricted = {}
+    for role, V in (("x_cap_y", mid), ("x_perp", xperp), ("y_perp", yperp)):
+        if len(D) > 1 and V.dim:
+            space = SpaceRestriction(rs, V.pairs)
+            restricted[role] = (space, space.restrictions(D))
 
     # A and B are the kernels of D on Y_perp and on X n Y (all of D on a zero space)
-    A, B = ([d for d in D if role not in tables or tables[role][d.key][0] == spaces[role].identity]
+    A, B = ([d for d in D if role not in restricted
+             or restricted[role][1][d.key][0] == restricted[role][0].identity]
             for role in ("y_perp", "x_cap_y"))
     AB = [a * b for a in A for b in B]
     ab_keys = {ab.key for ab in AB}
@@ -444,15 +439,14 @@ def decompose(rs, parabolic) -> Decomposition:
     pq_closure = (signs == 0).nonzero()[0].tolist()
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
-    asterisk = subsystem_longest_element(rs, P).negates(P.pos)
+    asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
 
-    cell_x = _action_cell(rs, "x_perp", P, p_order * len(D), xperp.dim,
-                          spaces.get("x_perp"), tables.get("x_perp"))
-    cell_m = _action_cell(rs, "x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B),
-                          mid.dim, spaces.get("x_cap_y"), tables.get("x_cap_y"))
-    cell_y = _action_cell(rs, "y_perp", Q, q_order * len(D) // len(A), yperp.dim,
-                          spaces.get("y_perp"), tables.get("y_perp"))
-    a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, tables, AB))
+    cells = {role: _action_cell(role, base, image_order, V.dim, D, restricted.get(role))
+             for role, base, image_order, V in (
+                 ("x_perp", P, p_order * len(D), xperp),
+                 ("x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B), mid),
+                 ("y_perp", Q, q_order * len(D) // len(A), yperp))}
+    a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, restricted, AB))
                               for K in (A, B, C))
 
     dec = Decomposition(
@@ -461,7 +455,7 @@ def decompose(rs, parabolic) -> Decomposition:
         pq_closure_index=catalog.class_of_roots(pq_closure, signs),
         pq_closure_is_pq=len(pq_closure) == len(P.roots) + len(Q.roots),
         pq_closure_is_w=len(pq_closure) == rs.nroots,
-        actions={"x_perp": cell_x, "x_cap_y": cell_m, "y_perp": cell_y},
+        actions=cells,
         involution_centralizer=asterisk,
         spaces=(xperp, mid, yperp),
     )

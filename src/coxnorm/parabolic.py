@@ -406,45 +406,37 @@ class ShapeCatalog:
 
     def _build(self):
         rs = self.rs
+        groupoid = subset_groupoid(rs)
         # each class is represented by its lexicographically least subset
-        entries = [(group[0], group) for group in subset_groupoid(rs).components]
-        subgroups = {rep: standard_parabolic(rs, rep) for rep, _ in entries}
+        reps = [group[0] for group in groupoid.components]
+        subgroups = {rep: standard_parabolic(rs, rep) for rep in reps}
         # labels
         labeled = []
         if rs.label.family in ("A", "B", "D"):
-            trans = _classical_transversal(rs)
-            lookup = {}
-            for (fam, l, lam, dec), subset in trans:
-                key = tuple(sorted(subset))
-                lookup[key] = (fam, l, lam, dec)
-            claimed = {}
-            for rep, group in entries:
-                data = None
-                for member in group:
-                    k = tuple(sorted(member))
-                    if k in lookup:
-                        if data is not None:
-                            raise RuntimeError(
-                                f"two transversal labels in one class of {rs.label}")
-                        data = lookup[k]
-                if data is None:
+            label_of = {}   # component -> its transversal label data
+            for data, subset in _classical_transversal(rs):
+                component = groupoid.component_of(subset)
+                if component in label_of:
+                    raise RuntimeError(f"two transversal labels in one class of {rs.label}")
+                label_of[component] = data
+            if len(set(label_of.values())) != len(label_of):
+                raise RuntimeError(f"duplicate transversal label in {rs.label}")
+            for component, rep in enumerate(reps):
+                if component not in label_of:
                     raise RuntimeError(f"class without transversal label in {rs.label}")
-                if data in claimed:
-                    raise RuntimeError(f"duplicate transversal label {data} in {rs.label}")
-                claimed[data] = True
-                fam, l, lam, dec = data
+                fam, l, lam, dec = label_of[component]
                 type_str, label, full = _classical_label(fam, l, lam, dec, rs.label.rank)
                 labeled.append(Shape(0, rep, subgroups[rep], label, type_str,
                                      (fam, l), tuple(lam), dec))
         else:
             by_type = {}
-            for rep, group in entries:
+            for rep in reps:
                 by_type.setdefault(subgroups[rep].components, []).append(rep)
-            for comps, reps in sorted(by_type.items(), key=repr):
-                reps.sort()
+            for comps, same in sorted(by_type.items(), key=repr):
+                same.sort()
                 primes = ["'", "''", "'''"]
-                for k, rep in enumerate(reps):
-                    dec = primes[k] if len(reps) > 1 else ""
+                for k, rep in enumerate(same):
+                    dec = primes[k] if len(same) > 1 else ""
                     type_str = _decorated(components_string(comps), dec)
                     labeled.append(Shape(0, rep, subgroups[rep], type_str, type_str,
                                          None, None, dec))

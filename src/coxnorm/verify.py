@@ -78,14 +78,14 @@ def verify_galois(rs) -> dict:
 def verify_howlett(rs) -> dict:
     """Howlett complements for every standard parabolic: N = P x| H exactly."""
     report = {"group": str(rs.label), "checks": {}}
-    W = list(generate(rs.simple_reflections()))
+    W = generate(rs.simple_reflections())
     images = positive_images(W)
     bad = None
     for subset in _standard_subsets(rs):
         P = standard_parabolic(rs, subset)
         N = [W[i] for i in np.flatnonzero(normalizing(P, images))]
         H = [w for w in N if relative_length(w, P.pos) == 0]
-        P_group = list(generate(P.simple_reflections(), rs=rs))
+        P_group = generate(P.simple_reflections(), rs=rs)
         P_keys = {w.key for w in P_group}
         H_keys = {w.key for w in H}
         inter = P_keys & H_keys
@@ -189,7 +189,7 @@ def verify_fixtures(rs) -> dict:
 def verify_oracle(rs) -> dict:
     """Fast paths against brute force: normalizer and orthogonal complement."""
     report = {"group": str(rs.label), "checks": {}}
-    W = list(generate(rs.simple_reflections()))
+    W = generate(rs.simple_reflections())
     images = positive_images(W)
     catalog = shape_catalog(rs)
     bad = None

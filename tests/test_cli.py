@@ -29,7 +29,11 @@ def run(*args, timeout=120):
 # orthogonality table and the closure chains replaced the per-reflection
 # complements, whose output these commands must keep byte for byte; the
 # A7 and E7 suite pins were recorded before the antitone law moved to
-# covering pairs and the commutation oracle to one table per suite call
+# covering pairs and the commutation oracle to one table per suite call; the
+# decompose records, whose action cells reach every classification the
+# golden tables produce (diagram automorphism, trivial, -1 and reflection;
+# C of order 2 in E8), were recorded before each cell was read off D's image
+# summary on its space
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -43,6 +47,10 @@ PINNED_STDOUT = [
     ("verify A7 --suite galois", 0, "fda05dbc9ca5b92e8e1402aa4e631f02b368b3b82e2b831cc9c3060cb9adb9e7"),
     ("verify E7 --suite galois", 0, "721909c4945ff723870d4a939023cb9e2a93f7b16c1265ff139d1cdcadc24a6d"),
     ("verify E7 --suite section8", 0, "6065862be93d4aeb033dc1ecf1a0793783a98835c4003292e9c54938f37cc90d"),
+    ("decompose A7 [3311] --format json", 0, "ebb3a10525dc00afa0c029ff87e207549c8a40c769ee24f8871596817b846b2c"),
+    ("decompose A7 [2222] --format json", 0, "97462ce11ef7e90ef991b3e6727af9df020ef64fe2c754d28c6d8ecaeb30622d"),
+    ("decompose D6 [321] --format json", 0, "a86ae563d3409096debce0bd0aab5e50850b03486d024d9b518fa7383a79bea8"),
+    ("decompose E8 A4A1 --format json", 0, "85beeac354320c67f2a7f9061273acadfbb3f176585338e8f03c436c6c8e035a"),
 ]
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import parabolic_longest_element, set_stabilizer
-from coxnorm.normalizer import (decompose, normalizer_order,
-                                subsystem_longest_element)
+from coxnorm.normalizer import decompose, normalizer_order
 from coxnorm.oracle import load_fixture
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
                                standard_parabolic, standard_subset,
@@ -83,7 +82,6 @@ def test_kept_longest_elements_match_a_climb_from_the_identity(name):
         kept = groupoid.longest_element(subset)
         fresh = parabolic_longest_element(rs, [rs.simple_roots[i] for i in subset])
         assert kept.img.dtype == fresh.img.dtype and np.array_equal(kept.img, fresh.img), subset
-        assert subsystem_longest_element(rs, standard_parabolic(rs, subset)) is kept
 
 
 def test_longest_element_of_a_non_standard_subsystem_climbs():
@@ -91,6 +89,9 @@ def test_longest_element_of_a_non_standard_subsystem_climbs():
     highest = max(range(rs.npos), key=lambda i: sum(c.a for c in rs.root_vec(i)))
     sub = ReflectionSubgroup.generated_by(rs, [highest, rs.simple_roots[1], rs.simple_roots[3]])
     assert standard_subset(sub) is None
-    w0 = subsystem_longest_element(rs, sub)
+    w0 = parabolic_longest_element(rs, sub.simples)
     assert (w0.img[list(sub.pos)] >= rs.npos).all()
-    assert np.array_equal(w0.img, parabolic_longest_element(rs, sub.simples).img)
+    # it lies in the subgroup: it is an involution that fixes every root orthogonal to it
+    assert w0.is_involution()
+    outside = [i for i in range(rs.nroots) if all(rs.orthogonal(i, j) for j in sub.simples)]
+    assert (w0.img[outside] == outside).all()

@@ -5,8 +5,7 @@ from coxnorm.involutions import (centralizer_equals_normalizer, degree,
                                  involution_class_representatives,
                                  mark_involution_shapes, negated_roots,
                                  section8_checks)
-from coxnorm.normalizer import subsystem_longest_element
-from coxnorm.parabolic import ReflectionSubgroup
+from coxnorm.parabolic import subset_groupoid
 from coxnorm.rootsys import build_root_system
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 def test_fixed_parabolic_basics():
     rs = build_root_system("B2")
     assert fixed_parabolic(identity(rs)).roots == frozenset()
-    w0 = subsystem_longest_element(rs, ReflectionSubgroup(rs, frozenset(range(rs.nroots))))
+    w0 = subset_groupoid(rs).longest_element(range(rs.n))
     assert fixed_parabolic(w0).roots == frozenset(range(rs.nroots))
     s = rs.reflection(0)
     assert fixed_parabolic(s).roots == frozenset({0, rs.neg(0)})

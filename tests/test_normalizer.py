@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from coxnorm.actions import canonical_lines
+from coxnorm.actions import SpaceRestriction, canonical_lines
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
 from coxnorm.linalg import pair_matmul
-from coxnorm.normalizer import (_reflection_lines, _root_span, decompose,
+from coxnorm.normalizer import (_reflection_lines, decompose,
                                 descend_to_complement, goursat_sections,
                                 howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
-from coxnorm.parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
+from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parabolic,
+                               subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
 
@@ -97,9 +98,7 @@ def test_goursat_trivial_cases():
     assert {w.key for w in sec.kernels[1]} == {identity(rs).key, q.key}
     # diagonal: L = <w0> = <-1> acts isomorphically on both summands
     w0 = p * q  # -1 in B2? no: use the actual longest element
-    from coxnorm.groups import longest_element
-    W = generate(rs.simple_reflections())
-    w0 = longest_element(W)
+    w0 = subset_groupoid(rs).longest_element(range(rs.n))
     sec = goursat_sections([identity(rs), w0], rs.span([0]),
                            rs.span([0]).perp(rs.form))
     assert len(sec.kernels[0]) == 1 and len(sec.kernels[1]) == 1
@@ -215,9 +214,9 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
         if len(dec.D) == 1:
             continue
         for base in (dec.P, dec.Q):
-            space = _root_span(rs, base.simples)
+            space = SpaceRestriction(rs, rs.span(base.simples).pairs)
             elements = generate(base.simple_reflections(), rs=rs)
             scanned = {_reflecting_line(p * d, space.basis)
                        for p in elements for d in dec.D} - {None}
-            assert _reflection_lines(rs, base, space.restrictions(dec.D)) == scanned, \
-                (name, shape.label)
+            lines = {line for _, line in space.restrictions(dec.D).values()} - {None}
+            assert _reflection_lines(rs, base, lines) == scanned, (name, shape.label)
