@@ -140,14 +140,15 @@ def _canonical_rows(x):
 
 
 def diagram_of_lines(lines, form):
-    """Coxeter diagram of the reflection group with the given reflection lines.
+    """Coxeter diagram of the reflection group generated by the given lines.
 
-    The lines must be the complete set of reflection lines of the group, so
-    that the set is closed under all the reflections; the normalizer's action
-    cells get completeness from a conjugation argument (see
-    ``normalizer._reflection_lines``).  Each line is a key of a nonzero pair
-    row on it, and ``form`` is the doubled Gram form as integer pairs (the
-    root system's ``form``).  Returns the component name tuple.
+    The lines must be reflection lines of the group and hold its simple lines
+    at every functional positive on W's positive roots, such as the f used
+    here (root coordinates are nonnegative): a line that is not simple sends
+    some simple line negative.  The normalizer's action cells pass such sets
+    by the lemma in ``normalizer._action_cell``.  Each line is a key of a
+    nonzero pair row on it, and ``form`` is the root system's ``form``.
+    Returns the component name tuple.
 
     The tests below are homogeneous in each line, so the scale of the row
     chosen on a line changes none of them.

@@ -55,7 +55,7 @@ def perp_of_shape(catalog, i: int):
     if hit is None:
         P = catalog[i].parabolic
         Q = orthogonal_complement(P)
-        j = catalog.class_of_roots(Q.roots, catalog.rs.span_signs(P.simples))
+        j = catalog.class_of_roots(Q.roots, lambda: catalog.rs.span_signs(P.simples))
         Q.components = catalog[j].components   # its shape's, not recognized again
         hit = catalog.perp[i] = (Q, j)
     return hit

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -99,6 +100,7 @@ def parse_label(text: str) -> CoxeterLabel:
 _RANK2_ALIASES = {"G2": "I2(6)", "H2": "I2(5)"}
 
 
+@cache
 def component_order(name: str) -> int:
     """Order of the irreducible component named by a diagram label.
 

@@ -17,14 +17,14 @@ Since PQ is normal in N, reducing each loop to its relative-length-zero
 representative modulo PQ is a homomorphism onto D, so those reductions
 generate D, and D is closed by enumeration.  D is small, and it is the only
 group ``decompose`` enumerates: |N| = |P||Q||D|, and the action cells on
-X_perp, X n Y and Y_perp are read off the restrictions of D, whose
-reflection lines P and Q close up without being enumerated (see
-``_reflection_lines``).  D is restricted to each of the three spaces once,
-on the basis ``actions.invariant_split`` gives it, in one batched product
-(see ``actions.SpaceRestriction.restrictions``).  Each action cell, and the
-name and marker of A, B and C (subsets of D), classify image summaries
-(``_image``) read off those tables.  The Goursat sections of an explicit N
-restrict it in batches the same way.
+X_perp, X n Y and Y_perp are read off the restrictions of D, on the simple
+roots of P, on the echelon basis of Fix(PQ) and on the simple roots of Q,
+each in one batched product (see ``actions.SpaceRestriction``).  The
+reflection parts of P:D and Q:D are named from the simple root lines of P
+or Q and the lines of D, with neither enumerated (see ``_action_cell``).
+Each action cell, and the name and marker of A, B and C (subsets of D),
+classify image summaries (``_image``) read off those tables.  The Goursat
+sections of an explicit N restrict it in batches the same way.
 """
 
 from __future__ import annotations
@@ -154,7 +154,11 @@ class Decomposition:
     pq_closure_is_w: bool
     actions: dict               # role -> ActionCell
     involution_centralizer: bool
-    spaces: tuple = None        # (X_perp, X n Y, Y_perp)
+
+    @property
+    def spaces(self):
+        """(X_perp, X n Y, Y_perp) as echelon subspaces (see ``invariant_split``)."""
+        return invariant_split(self.P, self.Q)
 
     @property
     def d_order(self):
@@ -254,47 +258,18 @@ def _complement_D(rs, subset, pq_sub):
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}
 
 
-def _reflection_lines(rs, base: ReflectionSubgroup, lines):
-    """Reflection lines of (base)D acting on a space that D preserves.
-
-    D fixes the positive chamber of the base on its span (D sends the
-    positive roots of P and of Q to positive roots).  A reflection t of
-    (base)D outside the base has a wall that is not a wall of the base, so
-    the wall meets the interior of some base chamber c; conjugating t by the
-    base element mapping c to the positive chamber gives a reflection fixing
-    the positive chamber, and the elements of (base)D fixing it are exactly
-    the restrictions of D.  So every line is a base root line or lies in the
-    base orbit of the line of a d in D that restricts to a reflection.
-
-    ``lines`` are the lines of the elements of D that restrict to
-    reflections on the space.  Each round of the orbit closure is one
-    product of the new lines with every simple reflection of the base.
-    """
-    closed = set(canonical_lines(rs.rows(base.pos)))
-    simple = rs.image_rows(rs.reflection(i) for i in base.simples)
-    frontier = set(lines) - closed
-    while frontier:
-        closed |= frontier
-        images = pair_matmul(split_keys(list(frontier), rs.n), simple)
-        frontier = set(canonical_lines(tuple(t.reshape(-1, rs.n) for t in images))) - closed
-    return closed
-
-
 @dataclass(frozen=True)
 class _Image:
     """The image of a subgroup K of D on one space, read off D's restriction table.
 
     ``size`` counts K's distinct restrictions and ``reflecting`` holds the
-    keys of the elements of K that restrict to reflections.  ``lines`` are
-    their lines, closed under the simple reflections of a base group (with
-    the base's root lines) when one is given, and ``diagram`` is the type of
-    the group the lines generate (empty when there are none).  ``minus``
-    tells whether -1 is among the restrictions.
+    keys of the elements of K that restrict to reflections.  ``diagram`` is
+    the type of the group their lines (and a base group) generate, empty when
+    there are none.  ``minus`` tells whether -1 is among the restrictions.
     """
 
     size: int
     reflecting: frozenset
-    lines: frozenset
     diagram: tuple
     minus: bool
 
@@ -304,23 +279,39 @@ class _Image:
 
 
 def _image(K, restricted, base=None) -> _Image:
-    """K's image summary; ``restricted`` is a space and D's restriction table on it."""
+    """K's image summary; ``restricted`` is a space and D's restriction table on it.
+
+    A base group's simple root lines join the lines of K's reflecting
+    elements (see ``_action_cell``); with none, the diagram is the base's own.
+    """
     space, table = restricted
     cells = [table[k.key] for k in K]
     mats = {M for M, _ in cells}
     lines = {line for _, line in cells} - {None}
-    if base is not None:
-        lines = _reflection_lines(space.rs, base, lines)
+    if lines:
+        if base is not None and base.simples:
+            lines.update(canonical_lines(space.rs.rows(base.simples)))
+        diagram = diagram_of_lines(lines, space.rs.form)
+    else:
+        diagram = base.components if base is not None else ()
     return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
-                  frozenset(lines), diagram_of_lines(lines, space.rs.form) if lines else (),
-                  any(space.is_minus_identity(M) for M in mats))
+                  diagram, any(space.is_minus_identity(M) for M in mats))
 
 
 def _action_cell(role, base: ReflectionSubgroup, image_order, dim, D, restricted):
-    """Action cell of (base)D on a space: P on X_perp, D on X n Y, Q on Y_perp.
+    """Action cell of (base)D on a space V: P on X_perp, D on X n Y, Q on Y_perp.
 
-    ``restricted`` is the space and D's restriction table on it; the cell
-    classifies D's image summary there, with its lines closed under the base.
+    ``restricted`` is V and D's restriction table on it.  Lemma: the group R
+    the reflections of (base)D generate is <base, T> = base : <T>, for T the
+    lines of the elements of D that reflect on V, and R's simple lines at a
+    functional f positive on W's positive roots lie in Delta_base u T.  Proof:
+    D keeps P's and Q's positive roots, so it fixes the base chamber C, and a
+    reflection of R outside the base, its wall meeting a base chamber, is
+    base-conjugate to one fixing C, a restriction of D.  <T> fixes C, so it
+    meets the normal base trivially and T holds all its lines.  f lies in C,
+    whose |R|/|base| = |<T>| R-chambers <T> permutes simply transitively, each
+    with its <T>-chamber; so the <T>-chamber of f meets C in one R-chamber,
+    whose walls, R's simple lines at f, are lines of Delta_base or of T.
     """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:
@@ -331,7 +322,7 @@ def _action_cell(role, base: ReflectionSubgroup, image_order, dim, D, restricted
     if image.size * base.order != image_order:
         raise RuntimeError(f"{role}: restrictions of D times the base order "
                            "differ from the image order")
-    if not image.lines:
+    if not image.diagram:
         return ActionCell(role, subgroup, dim, (), image_order,
                           image_order == 2 and image.minus, image_order)
     r_order = components_order(image.diagram)
@@ -409,13 +400,19 @@ def decompose(rs, parabolic) -> Decomposition:
 
     # D's restriction table on each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
-    # the names of A, B and C, all subsets of D, are read off them
-    xperp, mid, yperp = invariant_split(P, Q)
+    # the names of A, B and C, all subsets of D, are read off them.  The simple
+    # roots of P and of Q are bases of X_perp and Y_perp, and X n Y = Fix(PQ).
+    mid = rs.fixed_space(P.simples + Q.simples)
+    dims = {"x_cap_y": mid.dim, "x_perp": len(P.simples), "y_perp": len(Q.simples)}
+    if sum(dims.values()) != rs.n:
+        raise RuntimeError("invariant split does not fill the space")
     restricted = {}
-    for role, V in (("x_cap_y", mid), ("x_perp", xperp), ("y_perp", yperp)):
-        if len(D) > 1 and V.dim:
-            space = SpaceRestriction(rs, V.pairs)
-            restricted[role] = (space, space.restrictions(D))
+    if len(D) > 1:
+        for role, basis in (("x_cap_y", mid.pairs), ("x_perp", rs.rows(P.simples)),
+                            ("y_perp", rs.rows(Q.simples))):
+            if dims[role]:
+                space = SpaceRestriction(rs, basis)
+                restricted[role] = (space, space.restrictions(D))
 
     # A and B are the kernels of D on Y_perp and on X n Y (all of D on a zero space)
     A, B = ([d for d in D if role not in restricted
@@ -441,11 +438,11 @@ def decompose(rs, parabolic) -> Decomposition:
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
 
-    cells = {role: _action_cell(role, base, image_order, V.dim, D, restricted.get(role))
-             for role, base, image_order, V in (
-                 ("x_perp", P, p_order * len(D), xperp),
-                 ("x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B), mid),
-                 ("y_perp", Q, q_order * len(D) // len(A), yperp))}
+    cells = {role: _action_cell(role, base, image_order, dims[role], D, restricted.get(role))
+             for role, base, image_order in (
+                 ("x_perp", P, p_order * len(D)),
+                 ("x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B)),
+                 ("y_perp", Q, q_order * len(D) // len(A)))}
     a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, restricted, AB))
                               for K in (A, B, C))
 
@@ -457,7 +454,6 @@ def decompose(rs, parabolic) -> Decomposition:
         pq_closure_is_w=len(pq_closure) == rs.nroots,
         actions=cells,
         involution_centralizer=asterisk,
-        spaces=(xperp, mid, yperp),
     )
     _validate(dec)
     return dec

@@ -447,14 +447,15 @@ class ShapeCatalog:
 
     def class_of_roots(self, roots, signs=None) -> int:
         """Catalog index of the class of a parabolic subgroup, by its root set
-        (and ``standard_conjugate``'s signs, when the caller holds them).
+        (and ``standard_conjugate``'s signs, or a function returning them that
+        is called only when the class is not cached, when the caller has them).
 
         Raises ValueError when the roots are not those of a parabolic.
         """
         key = tuple(sorted(roots))
         hit = self._class_cache.get(key)
         if hit is None:
-            subset, _ = standard_conjugate(self.rs, roots, signs)
+            subset, _ = standard_conjugate(self.rs, roots, signs() if callable(signs) else signs)
             hit = self._class_cache[key] = self.class_of_subset(subset)
         return hit
 

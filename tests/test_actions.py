@@ -15,6 +15,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
+from fixture_groups import FIXTURE_GROUPS
+
 
 def apply_to_pairs(w, x):
     """Images of the pair rows x under w (right action), scaled by 2.
@@ -238,3 +240,32 @@ def test_faithfulness_of_a_on_x_perp():
             xsp = SpaceRestriction(rs, rs.rows(dec.P.simples)) if dec.P.pos else None
             if xsp and len(dec.A) > 1:
                 assert len({xsp.matrix(a) for a in dec.A}) == len(dec.A)
+
+
+def _classes_and_lines(table):
+    """The classes of D a restriction table splits it into, and each element's line."""
+    classes = {}
+    for key, (M, _) in table.items():
+        classes.setdefault(M, set()).add(key)
+    return ({frozenset(c) for c in classes.values()},
+            {key: line for key, (_, line) in table.items()})
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_simple_root_rows_restrict_d_as_the_echelon_bases_do(name):
+    # decompose restricts D to X_perp and Y_perp on the simple roots of P and
+    # of Q; invariant_split's echelon bases of the same spaces must split D
+    # into the same classes, with the same reflecting elements and lines
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        dec = decompose(rs, shape)
+        spaces = invariant_split(dec.P, dec.Q)
+        assert dec.spaces == spaces, (name, shape.label)
+        if len(dec.D) == 1:
+            continue
+        for base, V in ((dec.P, spaces[0]), (dec.Q, spaces[2])):
+            if base.simples:
+                assert (_classes_and_lines(SpaceRestriction(rs, rs.rows(base.simples))
+                                           .restrictions(dec.D))
+                        == _classes_and_lines(SpaceRestriction(rs, V.pairs)
+                                              .restrictions(dec.D))), (name, shape.label)

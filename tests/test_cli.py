@@ -33,7 +33,9 @@ def run(*args, timeout=120):
 # decompose records, whose action cells reach every classification the
 # golden tables produce (diagram automorphism, trivial, -1 and reflection;
 # C of order 2 in E8), were recorded before each cell was read off D's image
-# summary on its space
+# summary on its space; the Goursat suite, the one command that reads a
+# decomposition's echelon subspaces, was recorded while decompose still
+# restricted D on them
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -51,6 +53,7 @@ PINNED_STDOUT = [
     ("decompose A7 [2222] --format json", 0, "97462ce11ef7e90ef991b3e6727af9df020ef64fe2c754d28c6d8ecaeb30622d"),
     ("decompose D6 [321] --format json", 0, "a86ae563d3409096debce0bd0aab5e50850b03486d024d9b518fa7383a79bea8"),
     ("decompose E8 A4A1 --format json", 0, "85beeac354320c67f2a7f9061273acadfbb3f176585338e8f03c436c6c8e035a"),
+    ("verify B5 --suite goursat", 0, "50514c3c02445808918e7d6d2855a6a2858e42415483027448287ae112c381ad"),
 ]
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from coxnorm.actions import SpaceRestriction, canonical_lines
+from coxnorm.actions import canonical_lines, diagram_of_lines
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
 from coxnorm.linalg import pair_matmul
-from coxnorm.normalizer import (_reflection_lines, decompose,
-                                descend_to_complement, goursat_sections,
+from coxnorm.normalizer import (decompose, descend_to_complement, goursat_sections,
                                 howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parabolic,
@@ -207,16 +206,20 @@ def _reflecting_line(w, basis):
 @pytest.mark.parametrize("name", ["B5", "D6", "F4", "H4", "E6", "A6"])
 def test_reflection_lines_match_a_scan_of_every_coset(name):
     # oracle: enumerate the base and collect the reflection line of p * d for
-    # every p in it and every d in D, the scan the action cells avoid
+    # every p in it and every d in D, the scan the action cells avoid; the
+    # complete line set names the reflection part each cell names from the
+    # base's simple root lines and D's own lines
     rs = build_root_system(name)
     for shape in shape_catalog(rs):
         dec = decompose(rs, shape)
         if len(dec.D) == 1:
             continue
-        for base in (dec.P, dec.Q):
-            space = SpaceRestriction(rs, rs.span(base.simples).pairs)
+        for role, base in (("x_perp", dec.P), ("y_perp", dec.Q)):
+            if not base.simples:
+                continue
+            basis = rs.span(base.simples).pairs
             elements = generate(base.simple_reflections(), rs=rs)
-            scanned = {_reflecting_line(p * d, space.basis)
+            scanned = {_reflecting_line(p * d, basis)
                        for p in elements for d in dec.D} - {None}
-            lines = {line for _, line in space.restrictions(dec.D).values()} - {None}
-            assert _reflection_lines(rs, base, lines) == scanned, (name, shape.label)
+            assert diagram_of_lines(scanned, rs.form) == dec.actions[role].diagram, (
+                name, shape.label, role)
