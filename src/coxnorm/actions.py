@@ -14,15 +14,19 @@ Restrictions stay in the ambient simple-root coordinates, on integer pairs
 the subspace's basis rows, and a reflecting line by a canonical integer pair
 on it, measured with the root system's doubled Gram form.  Both are keys:
 tuples of ints holding each row's p entries, then its q entries.  A set of
-elements is restricted as a batch, one pair product for all of them.  The
-reflection part of an action is named from its reflecting lines: their
-simple lines, the bonds among those by ``diagrams.gram_bonds``, and the type
-by ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.
+elements is restricted as a batch, one pair product for all of them, and on
+several spaces at once when their bases are stacked.  The reflection part of
+an action is named from its reflecting lines: their simple lines, the bonds
+among those by ``diagrams.gram_bonds``, and the type by
+``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
+``LineTable`` does the arithmetic once for a set of lines and names any
+subset of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,12 +76,10 @@ class SpaceRestriction:
     def restrictions(self, elements):
         """{w.key: (key of w's restriction, reflecting line or None)}.
 
-        Equal keys mean equal restrictions, since the rows are a basis.
+        Equal keys mean equal restrictions, since the rows are a basis.  This
+        is the one-space case of ``stacked_restrictions``.
         """
-        elements = list(elements)
-        images = self.images(elements)
-        return {w.key: cell for w, cell in
-                zip(elements, zip(image_keys(images), self._lines(images)))}
+        return stacked_restrictions([self], elements)[0]
 
     def matrix(self, w):
         """Key of the images of the basis rows under w, in ambient coordinates.
@@ -91,29 +93,63 @@ class SpaceRestriction:
 
     def reflection_line(self, M):
         """The reflecting line of the restriction with key M, or None."""
-        return self._lines(np.array(M, dtype=np.int64).reshape(1, *self._twice.shape))[0]
+        images = np.array(M, dtype=np.int64).reshape(1, *self._twice.shape)
+        return _rank_one(*_moved_lines(self._twice, images))[0]
 
-    def _lines(self, images):
-        """The reflecting line of each restriction in the stack of images, or None.
 
-        An orthogonal map of the span is a reflection iff w - 1 has rank one
-        there, so the nonzero differences b - w(b) must all lie on one line;
-        that line is the one reflected.
-        """
-        k = len(images)
-        if not self.dim:
-            return [None] * k
-        moved = (self._twice - images).reshape(k * self.dim, -1)
-        nonzero = moved.any(axis=1)
-        lines = np.zeros_like(moved)
-        lines[nonzero] = _canonical_rows(split_keys(moved[nonzero], self._n))
-        lines = lines.reshape(images.shape)
-        nonzero = nonzero.reshape(k, self.dim)
-        lead = lines[np.arange(k), nonzero.argmax(axis=1)]
-        rank_one = nonzero.any(axis=1) & (
-            (lines == lead[:, None]).all(axis=2) | ~nonzero).all(axis=1)
-        return [tuple(line) if ok else None
-                for line, ok in zip(lead.tolist(), rank_one.tolist())]
+def stacked_restrictions(spaces, elements):
+    """Each space's ``restrictions`` table of the elements, from one stacked product.
+
+    The elements must preserve every space.  The spaces' bases are stacked,
+    so one pair product restricts the elements to all of them and one
+    ``_canonical_rows`` call takes the lines of every row they move; each
+    space then reads its block of rows and tests it for rank one.
+    """
+    elements = list(elements)
+    if not spaces:
+        return []
+    stacked = SpaceRestriction(
+        spaces[0].rs, tuple(np.vstack(rows) for rows in zip(*(space.basis for space in spaces))))
+    images = stacked.images(elements)
+    nonzero, lines = _moved_lines(stacked._twice, images)
+    tables = []
+    start = 0
+    for space in spaces:
+        block = slice(start, start + space.dim)
+        start = block.stop
+        cells = zip(image_keys(images[:, block]), _rank_one(nonzero[:, block], lines[:, block]))
+        tables.append({w.key: cell for w, cell in zip(elements, cells)})
+    return tables
+
+
+def _moved_lines(twice, images):
+    """Which rows each image moves, shape (k, dim), and the lines of the moves.
+
+    Row b moves to w(b) when the difference b - w(b) (doubled) is nonzero;
+    its line is the key of ``canonical_lines``, zero where b is fixed.
+    """
+    moved = (twice - images).reshape(-1, images.shape[2])
+    nonzero = moved.any(axis=1)
+    lines = np.zeros_like(moved)
+    lines[nonzero] = _canonical_rows(split_keys(moved[nonzero], images.shape[2] // 2))
+    return nonzero.reshape(images.shape[:2]), lines.reshape(images.shape)
+
+
+def _rank_one(nonzero, lines):
+    """The reflecting line of each restriction, from ``_moved_lines``, or None.
+
+    An orthogonal map of the span is a reflection iff w - 1 has rank one
+    there, so the nonzero differences b - w(b) must all lie on one line;
+    that line is the one reflected.
+    """
+    k, dim = nonzero.shape
+    if not dim:
+        return [None] * k
+    lead = lines[np.arange(k), nonzero.argmax(axis=1)]
+    rank_one = nonzero.any(axis=1) & (
+        (lines == lead[:, None]).all(axis=2) | ~nonzero).all(axis=1)
+    return [tuple(line) if ok else None
+            for line, ok in zip(lead.tolist(), rank_one.tolist())]
 
 
 def canonical_lines(x):
@@ -139,6 +175,71 @@ def _canonical_rows(x):
     return rows
 
 
+class LineTable:
+    """Names the reflection groups generated by subsets of one set of lines.
+
+    Each line is a key of a nonzero pair row on it, and ``form`` is the root
+    system's ``form``.  A subset passed to ``diagram`` must meet the contract
+    of ``diagram_of_lines``.  The simple test there is one of pairs of
+    lines, so the functional, the Gram products and the test are computed
+    once, for all the lines, when a subset of two lines or more is first
+    named; each subset then reads its rows of them.  Lines of mutually
+    orthogonal spaces can share a table: a subset of one space reads no
+    row of another, which only makes the functional nonzero there too.
+    """
+
+    def __init__(self, lines, form):
+        self._lines = lines
+        self._form = form
+
+    @cached_property
+    def _tests(self):
+        """({line: row}, Gram matrix of the positive rows, simple test of pairs)."""
+        index = {line: i for i, line in enumerate(set(self._lines))}
+        dim = len(self._form[0])
+        L = split_keys(list(index), dim)
+
+        # generic functional nonzero on every line: f(v) = sum v_i * t^i, a
+        # nonzero polynomial of degree < dim in t on each line, so at most
+        # (dim - 1) * |lines| values of t make it vanish on one of them
+        for t in range(1, (dim - 1) * len(index) + 2):
+            weights = np.array([[t ** i] for i in range(dim)], dtype=np.int64)
+            f = pair_matmul(L, (weights, 0 * weights))
+            signs = pair_sign(f)[:, 0]
+            if signs.all():
+                break
+
+        # the positive lines, their values f_i and their Gram matrix (of 2 gram)
+        pos = (L[0] * signs[:, None], L[1] * signs[:, None])
+        f = (f[0] * signs[:, None], f[1] * signs[:, None])
+        G = pair_matmul(pair_matmul(pos, self._form), (pos[0].T, pos[1].T))
+        diag = (np.diagonal(G[0]), np.diagonal(G[1]))
+
+        # line j keeps line i positive iff f_i G_jj - 2 G_ij f_j > 0
+        lhs = pair_mul(f, diag)
+        rhs = pair_mul(pair_mul((2, 0), G), (f[0].T, f[1].T))
+        keep = pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1])) > 0
+        np.fill_diagonal(keep, True)
+        return index, G, keep
+
+    def diagram(self, lines):
+        """Coxeter diagram of the reflection group generated by the given lines."""
+        lines = set(lines)
+        if len(lines) <= 1:
+            return ("A1",) * len(lines)
+        index, G, keep = self._tests
+        rows = np.array([index[line] for line in lines])
+        # line j is simple iff its reflection keeps every other line positive
+        simples = rows[keep[np.ix_(rows, rows)].all(axis=0)]
+
+        # the bonds of the simple lines, by the one bond rule on their Gram matrix
+        sub = np.ix_(simples, simples)
+        bonds = gram_bonds((G[0][sub], G[1][sub]))
+        if not bonds.all():
+            raise ValueError("unrecognized bond ratio among the simple lines")
+        return diagram_of_bonds(bonds.tolist())
+
+
 def diagram_of_lines(lines, form):
     """Coxeter diagram of the reflection group generated by the given lines.
 
@@ -148,47 +249,14 @@ def diagram_of_lines(lines, form):
     some simple line negative.  The normalizer's action cells pass such sets
     by the lemma in ``normalizer._action_cell``.  Each line is a key of a
     nonzero pair row on it, and ``form`` is the root system's ``form``.
-    Returns the component name tuple.
+    Returns the component name tuple.  This is the one-set case of
+    ``LineTable``.
 
-    The tests below are homogeneous in each line, so the scale of the row
-    chosen on a line changes none of them.
+    The tests are homogeneous in each line, so the scale of the row chosen
+    on a line changes none of them.
     """
-    lines = list(set(lines))
-    if len(lines) <= 1:
-        return ("A1",) * len(lines)
-    dim = len(form[0])
-    L = split_keys(lines, dim)
-
-    # generic functional nonzero on every line: f(v) = sum v_i * t^i
-    for t in range(1, 51):
-        weights = np.array([[t ** i] for i in range(dim)], dtype=np.int64)
-        f = pair_matmul(L, (weights, 0 * weights))
-        signs = pair_sign(f)[:, 0]
-        if signs.all():
-            break
-    else:
-        raise RuntimeError("no generic functional found for the line set")
-
-    # the positive lines, their values f_i and their Gram matrix (of 2 gram)
-    pos = (L[0] * signs[:, None], L[1] * signs[:, None])
-    f = (f[0] * signs[:, None], f[1] * signs[:, None])
-    G = pair_matmul(pair_matmul(pos, form), (pos[0].T, pos[1].T))
-    diag = (np.diagonal(G[0]), np.diagonal(G[1]))
-
-    # line j is simple iff its reflection keeps every other line positive:
-    # f_i G_jj - 2 G_ij f_j > 0 for all i != j
-    lhs = pair_mul(f, diag)
-    rhs = pair_mul(pair_mul((2, 0), G), (f[0].T, f[1].T))
-    keep = pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1])) > 0
-    np.fill_diagonal(keep, True)
-    simples = np.flatnonzero(keep.all(axis=0))
-
-    # the bonds of the simple lines, by the one bond rule on their Gram matrix
-    sub = np.ix_(simples, simples)
-    bonds = gram_bonds((G[0][sub], G[1][sub]))
-    if not bonds.all():
-        raise ValueError("unrecognized bond ratio among the simple lines")
-    return diagram_of_bonds(bonds.tolist())
+    lines = set(lines)
+    return LineTable(lines, form).diagram(lines)
 
 
 @dataclass(frozen=True)

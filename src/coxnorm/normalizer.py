@@ -12,27 +12,30 @@ closure), B is the part fixing X n Y (the complement of PQ in its parabolic
 closure), and C is a complement of A x B in D, of order at most 2.
 
 D comes from the subset groupoid (see ``parabolic.SubsetGroupoid``): for a
-standard P = W_J the groupoid's loops at J generate N_J, with N = P : N_J.
-Since PQ is normal in N, reducing each loop to its relative-length-zero
-representative modulo PQ is a homomorphism onto D, so those reductions
-generate D, and D is closed by enumeration.  D is small, and it is the only
-group ``decompose`` enumerates: |N| = |P||Q||D|, and the action cells on
-X_perp, X n Y and Y_perp are read off the restrictions of D, on the simple
-roots of P, on the echelon basis of Fix(PQ) and on the simple roots of Q,
-each in one batched product (see ``actions.SpaceRestriction``).  The
+standard P = W_J the groupoid's loops at J, with the reflections of Q,
+generate N_J, with N = P : N_J.  Since PQ is normal in N, reducing each
+loop to its relative-length-zero representative modulo PQ is a homomorphism
+onto D, so those reductions generate D, and D is closed by enumeration; the
+loops the groupoid skips are reflections of Q, which reduce to 1.  D is
+small, and it is the only group ``decompose`` enumerates: |N| = |P||Q||D|,
+and the action cells on X_perp, X n Y and Y_perp are read off the
+restrictions of D, on the echelon basis of Fix(PQ) and on the simple roots
+of P and of Q, stacked into one batched product (see ``_Restricted``).  The
 reflection parts of P:D and Q:D are named from the simple root lines of P
 or Q and the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
-classify image summaries (``_image``) read off those tables.  The Goursat
-sections of an explicit N restrict it in batches the same way.
+classify image summaries (``_Restricted.image``) read off those tables, and
+every diagram of a row is read off one line table.  The Goursat sections of
+an explicit N restrict it in batches the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .actions import (ActionCell, SpaceRestriction, canonical_lines,
-                      diagram_of_lines, image_keys, invariant_split, split_keys)
+from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
+                      image_keys, invariant_split, split_keys, stacked_restrictions)
 from .diagrams import components_order, components_string
 from .galois import orthogonal_complement, perp_index, perp_of_shape
 from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
@@ -205,19 +208,20 @@ class Decomposition:
 def normalizer(P: ReflectionSubgroup) -> list:
     """The elements of the normalizer of a parabolic, in key order.
 
-    N_W(W_J) is generated by the simple reflections of J and the groupoid
-    loops at J; for a parabolic P that is not standard, these generators
-    are conjugated by the element carrying W_J onto P.  Refused with
-    RuntimeError, before anything is enumerated, when |N| exceeds BRUTE_LIMIT.
+    N_W(W_J) is generated by the simple reflections of J and of its
+    orthogonal complement and the groupoid loops at J (the loops the
+    groupoid skips are reflections of that complement); for a parabolic P
+    that is not standard, these generators are conjugated by the element
+    carrying W_J onto P.  Refused with RuntimeError, before anything is
+    enumerated, when |N| exceeds BRUTE_LIMIT.
     """
     rs = P.rs
     WJ, w = _standard_form(P)
-    order = _normalizer_order_at(WJ)
+    order, Q = _normalizer_order_at(WJ)
     if order > BRUTE_LIMIT:
         raise RuntimeError(f"normalizer too large to enumerate ({order} > {BRUTE_LIMIT})")
-    subset = standard_subset(WJ)
-    gens = [rs.reflection(rs.simple_roots[i]) for i in subset]
-    gens += subset_groupoid(rs).loops(subset)
+    gens = WJ.simple_reflections() + Q.simple_reflections()
+    gens += subset_groupoid(rs).loops(standard_subset(WJ))
     w_inv = w.inverse()
     N = generate({g.key: w_inv * g * w for g in gens}.values(), rs=rs)
     if len(N) != order:
@@ -227,7 +231,7 @@ def normalizer(P: ReflectionSubgroup) -> list:
 
 def normalizer_order(P: ReflectionSubgroup) -> int:
     """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
-    return _normalizer_order_at(_standard_form(P)[0])
+    return _normalizer_order_at(_standard_form(P)[0])[0]
 
 
 def _standard_form(P):
@@ -240,13 +244,18 @@ def _standard_form(P):
 
 
 def _normalizer_order_at(WJ):
+    """(|N_W(W_J)|, Q) for a standard parabolic W_J and its orthogonal complement Q."""
     Q = orthogonal_complement(WJ)
     D = _complement_D(WJ.rs, standard_subset(WJ), orthogonal_join(WJ, Q))
-    return WJ.order * Q.order * len(D)
+    return WJ.order * Q.order * len(D), Q
 
 
 def _complement_D(rs, subset, pq_sub):
-    """The complement D of PQ in N_W(W_J), from the groupoid loops at J."""
+    """The complement D of PQ in N_W(W_J), from the groupoid loops at J.
+
+    Each loop descends to its representative modulo PQ; the loops the
+    groupoid skips are reflections of Q, which descend to 1.
+    """
     gens = {}
     for g in subset_groupoid(rs).loops(subset):
         d = descend_to_complement(g, pq_sub)
@@ -278,47 +287,89 @@ class _Image:
         return bool(self.diagram) and components_order(self.diagram) == self.size
 
 
-def _image(K, restricted, base=None) -> _Image:
-    """K's image summary; ``restricted`` is a space and D's restriction table on it.
+class _Restricted:
+    """D's restriction to each nonzero space of the invariant split, and one line table.
 
-    A base group's simple root lines join the lines of K's reflecting
-    elements (see ``_action_cell``); with none, the diagram is the base's own.
+    ``spaces`` maps each role, X n Y first, to a ``SpaceRestriction`` on its
+    basis, and ``tables`` to D's restriction table there, all split from one
+    stacked product (``actions.stacked_restrictions``).  Every image of a
+    subgroup of D is read off them.  The line table holds D's lines on all
+    the spaces and the simple root lines of P and Q, the rows of the bases
+    of X_perp and Y_perp; lines of different spaces are orthogonal, so one
+    table names the lines of every image (see ``actions.LineTable``).
     """
-    space, table = restricted
-    cells = [table[k.key] for k in K]
-    mats = {M for M, _ in cells}
-    lines = {line for _, line in cells} - {None}
-    if lines:
-        if base is not None and base.simples:
-            lines.update(canonical_lines(space.rs.rows(base.simples)))
-        diagram = diagram_of_lines(lines, space.rs.form)
-    else:
-        diagram = base.components if base is not None else ()
-    return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
-                  diagram, any(space.is_minus_identity(M) for M in mats))
+
+    def __init__(self, rs, D, spaces):
+        self.rs = rs
+        self.D = D
+        self.spaces = spaces
+        self.tables = dict(zip(spaces, stacked_restrictions(list(spaces.values()), D)))
+
+    def kernel(self, role):
+        """The elements of D that fix the space pointwise (all of D on a zero space)."""
+        if role not in self.tables:
+            return self.D
+        table, identity = self.tables[role], self.spaces[role].identity
+        return [d for d in self.D if table[d.key][0] == identity]
+
+    def image(self, K, role, base=None) -> _Image:
+        """K's image summary on the space of a role.
+
+        A base group's simple root lines join the lines of K's reflecting
+        elements (see ``_action_cell``); with none, the diagram is the base's own.
+        """
+        space, table = self.spaces[role], self.tables[role]
+        cells = [table[k.key] for k in K]
+        mats = {M for M, _ in cells}
+        lines = {line for _, line in cells} - {None}
+        if lines:
+            if base is not None and base.simples:
+                lines.update(self._base_lines[role])
+            diagram = self._line_table.diagram(lines)
+        else:
+            diagram = base.components if base is not None else ()
+        return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
+                      diagram, any(space.is_minus_identity(M) for M in mats))
+
+    @cached_property
+    def _base_lines(self):
+        """The simple root lines of P on X_perp and of Q on Y_perp: their bases' rows."""
+        return {role: canonical_lines(self.spaces[role].basis)
+                for role in ("x_perp", "y_perp") if role in self.spaces}
+
+    @cached_property
+    def _line_table(self):
+        lines = {line for table in self.tables.values() for _, line in table.values()} - {None}
+        for base_lines in self._base_lines.values():
+            lines.update(base_lines)
+        return LineTable(lines, self.rs.form)
 
 
-def _action_cell(role, base: ReflectionSubgroup, image_order, dim, D, restricted):
+def _action_cell(role, base: ReflectionSubgroup, image_order, dim, restricted):
     """Action cell of (base)D on a space V: P on X_perp, D on X n Y, Q on Y_perp.
 
-    ``restricted`` is V and D's restriction table on it.  Lemma: the group R
-    the reflections of (base)D generate is <base, T> = base : <T>, for T the
-    lines of the elements of D that reflect on V, and R's simple lines at a
-    functional f positive on W's positive roots lie in Delta_base u T.  Proof:
+    ``restricted`` holds D's restriction to V (a ``_Restricted``).  Lemma: the
+    group R the reflections of (base)D generate is <base, T> = base : <T>, for
+    T the lines of the elements of D that reflect on V, and R's simple lines
+    at a functional f positive on W's positive roots lie in Delta_base u T.
+    Proof:
     D keeps P's and Q's positive roots, so it fixes the base chamber C, and a
     reflection of R outside the base, its wall meeting a base chamber, is
     base-conjugate to one fixing C, a restriction of D.  <T> fixes C, so it
     meets the normal base trivially and T holds all its lines.  f lies in C,
     whose |R|/|base| = |<T>| R-chambers <T> permutes simply transitively, each
     with its <T>-chamber; so the <T>-chamber of f meets C in one R-chamber,
-    whose walls, R's simple lines at f, are lines of Delta_base or of T.
+    whose walls, R's simple lines at f, are lines of Delta_base or of T.  So
+    R is named from Delta_base u T on the row's line table: its functional is
+    such an f, and the lines of the other spaces that the table also holds
+    only make f nonzero on them too.
     """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:
         return ActionCell(role, subgroup, 0, (), 1, False, 1)
     if image_order == base.order:  # D acts on the space through the base group
         return ActionCell(role, subgroup, dim, base.components, 1, False, image_order)
-    image = _image(D, restricted, base)
+    image = restricted.image(restricted.D, role, base)
     if image.size * base.order != image_order:
         raise RuntimeError(f"{role}: restrictions of D times the base order "
                            "differ from the image order")
@@ -339,15 +390,15 @@ ABSTRACT_NAMES = {2: "A1", 8: "B2"}
 def _name_and_marker(K, restricted, AB):
     """Coxeter type name and idiosyncrasy marker of A, B or C, a subgroup K of D.
 
-    ``restricted`` maps each nonzero space, X n Y first, to the space and
-    D's restriction table on it; K's image on each is read, and a trivial
-    image is no action.  K is named by the type of its first image that is a
+    ``restricted`` holds D's restriction to each nonzero space, X n Y first
+    (a ``_Restricted``); K's image on each is read, and a trivial image is
+    no action.  K is named by the type of its first image that is a
     reflection group, or, when none is, by its order.  Its marker is that of
     the first rule that holds.
     """
     if len(K) <= 1:
         return "", ""
-    images = {role: _image(K, pair) for role, pair in restricted.items()}
+    images = {role: restricted.image(K, role) for role in restricted.tables}
     moved = {role: im for role, im in images.items() if im.size > 1}
     full = [im for im in moved.values() if im.is_reflection_group]
     if full:
@@ -365,7 +416,7 @@ def _name_and_marker(K, restricted, AB):
         ("spade", len({components_string(im.diagram) for im in full}) > 1),
         ("club", len({im.reflecting for im in full}) > 1),
         ("diamond", bare and len(AB) > len(K)
-         and _image(AB, restricted["x_perp"]).is_reflection_group),
+         and restricted.image(AB, "x_perp").is_reflection_group),
         ("heart", bare and len(K) == 8),
         ("", True),
     )
@@ -398,26 +449,23 @@ def decompose(rs, parabolic) -> Decomposition:
     # in canonical order: the choice of C below takes its first candidate
     D = sorted(_complement_D(rs, subset, orthogonal_join(P, Q)), key=lambda w: w.canonical())
 
-    # D's restriction table on each nonzero space of the invariant split, X n Y
+    # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
-    # the names of A, B and C, all subsets of D, are read off them.  The simple
+    # the names of A, B and C, all subsets of D, are read off it.  The simple
     # roots of P and of Q are bases of X_perp and Y_perp, and X n Y = Fix(PQ).
     mid = rs.fixed_space(P.simples + Q.simples)
     dims = {"x_cap_y": mid.dim, "x_perp": len(P.simples), "y_perp": len(Q.simples)}
     if sum(dims.values()) != rs.n:
         raise RuntimeError("invariant split does not fill the space")
-    restricted = {}
+    spaces = {}
     if len(D) > 1:
-        for role, basis in (("x_cap_y", mid.pairs), ("x_perp", rs.rows(P.simples)),
-                            ("y_perp", rs.rows(Q.simples))):
-            if dims[role]:
-                space = SpaceRestriction(rs, basis)
-                restricted[role] = (space, space.restrictions(D))
+        bases = (("x_cap_y", mid.pairs), ("x_perp", rs.rows(P.simples)),
+                 ("y_perp", rs.rows(Q.simples)))
+        spaces = {role: SpaceRestriction(rs, basis) for role, basis in bases if dims[role]}
+    restricted = _Restricted(rs, D, spaces)
 
-    # A and B are the kernels of D on Y_perp and on X n Y (all of D on a zero space)
-    A, B = ([d for d in D if role not in restricted
-             or restricted[role][1][d.key][0] == restricted[role][0].identity]
-            for role in ("y_perp", "x_cap_y"))
+    # A and B are the kernels of D on Y_perp and on X n Y
+    A, B = restricted.kernel("y_perp"), restricted.kernel("x_cap_y")
     AB = [a * b for a in A for b in B]
     ab_keys = {ab.key for ab in AB}
     if len(ab_keys) != len(AB):
@@ -438,7 +486,7 @@ def decompose(rs, parabolic) -> Decomposition:
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
 
-    cells = {role: _action_cell(role, base, image_order, dims[role], D, restricted.get(role))
+    cells = {role: _action_cell(role, base, image_order, dims[role], restricted)
              for role, base, image_order in (
                  ("x_perp", P, p_order * len(D)),
                  ("x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B)),

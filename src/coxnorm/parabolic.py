@@ -268,12 +268,12 @@ class SubsetGroupoid:
                 rs, [simple[i] for i in _members(mask, n)],
                 start=w0[mask ^ (1 << (mask.bit_length() - 1))]))
         self._longest = w0
-        self.edges = []   # per mask: [(nu, target mask)]
+        self._neighbours = [   # per node, the mask of the nodes bonded to it
+            sum(1 << j for j in range(n) if rs.bond(simple[s], simple[j]) > 2) for s in range(n)]
+        self.edges = []   # per mask: [(nu, target mask)], one per added node s
         for mask in range(1 << n):
             out = []
-            for s in range(n):
-                if mask >> s & 1:
-                    continue
+            for s in _added_nodes(mask, n):
                 nu = w0[mask] * w0[mask | 1 << s]
                 target = 0
                 for j in _members(mask, n):
@@ -307,13 +307,23 @@ class SubsetGroupoid:
         return tree
 
     def loops(self, subset):
-        """Nontrivial generators t_K nu t_K'^-1 of N_J, one per edge of J's component."""
+        """Generators t_K nu t_K'^-1 of N_J modulo the reflections orthogonal to J.
+
+        One loop per edge of J's component whose added node s is bonded to K,
+        skipping those that are trivial.  When s is orthogonal to K, nu = s and
+        K' = K, so that edge's loop is the reflection in t_K^-1(a_s), a root
+        orthogonal to Delta_J: it lies in the orthogonal complement of W_J, and
+        a caller needing all of N_J adds that group's reflections.
+        """
         tree = self._spanning_tree(_mask(subset))
+        inverse = {K: t.inverse() for K, t in tree.items()}
+        n = self.rs.n
         for K, t in tree.items():
-            for nu, K2 in self.edges[K]:
-                g = t * nu * tree[K2].inverse()
-                if not g.is_identity():
-                    yield g
+            for s, (nu, K2) in zip(_added_nodes(K, n), self.edges[K]):
+                if self._neighbours[s] & K:
+                    g = t * nu * inverse[K2]
+                    if not g.is_identity():
+                        yield g
 
 
 def _mask(subset):
@@ -326,6 +336,11 @@ def _mask(subset):
 
 def _members(mask, n):
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _added_nodes(mask, n):
+    """The nodes outside a subset, in the order of its edges."""
+    return _members(mask ^ ((1 << n) - 1), n)
 
 
 _groupoids = {}

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm.actions import (SpaceRestriction, canonical_lines,
-                             diagram_of_lines, invariant_split)
+from coxnorm.actions import (LineTable, SpaceRestriction, canonical_lines,
+                             diagram_of_lines, invariant_split,
+                             stacked_restrictions)
 from coxnorm.diagrams import close_roots, positive_part
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
@@ -269,3 +270,50 @@ def test_simple_root_rows_restrict_d_as_the_echelon_bases_do(name):
                                            .restrictions(dec.D))
                         == _classes_and_lines(SpaceRestriction(rs, V.pairs)
                                               .restrictions(dec.D))), (name, shape.label)
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_stacked_restriction_splits_into_the_tables_of_each_space(name):
+    # decompose restricts D once, on the bases of X n Y, X_perp and Y_perp
+    # stacked; each block must give the table of its space restricted alone
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        dec = decompose(rs, shape)
+        if len(dec.D) == 1:
+            continue
+        P, Q = dec.P, dec.Q
+        bases = [rs.fixed_space(P.simples + Q.simples).pairs,
+                 rs.rows(P.simples), rs.rows(Q.simples)]
+        spaces = [SpaceRestriction(rs, basis) for basis in bases if len(basis[0])]
+        stacked = stacked_restrictions(spaces, dec.D)
+        assert len(stacked) == len(spaces)
+        for space, table in zip(spaces, stacked):
+            assert table == space.restrictions(dec.D), (name, shape.label, space.dim)
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypatch):
+    # every image decompose names (the three cells, A, B and C on each space,
+    # A x B on X_perp for the diamond rule) reads one line table per row; the
+    # diagram of its lines must be the one they give alone
+    named = []
+    original = LineTable.diagram
+
+    def recording(self, lines):
+        diagram = original(self, lines)
+        named.append((self, frozenset(lines), diagram))
+        return diagram
+
+    monkeypatch.setattr(LineTable, "diagram", recording)
+    rs = build_root_system(name)
+    rows = []
+    for shape in shape_catalog(rs):
+        decompose(rs, shape)
+        rows.append(named[:])
+        named.clear()
+    monkeypatch.undo()
+    for row in rows:
+        assert len({id(table) for table, _, _ in row}) <= 1, name
+        for _, lines, diagram in row:
+            assert diagram_of_lines(lines, rs.form) == diagram, (name, sorted(lines))
+    assert name.startswith("I2") or any(len(lines) > 1 for row in rows for _, lines, _ in row)

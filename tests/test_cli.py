@@ -35,7 +35,9 @@ def run(*args, timeout=120):
 # C of order 2 in E8), were recorded before each cell was read off D's image
 # summary on its space; the Goursat suite, the one command that reads a
 # decomposition's echelon subspaces, was recorded while decompose still
-# restricted D on them
+# restricted D on them; the A8, B7, D7 and D8 tables, rows outside the golden
+# fixtures, were recorded while each space and each image named its lines on
+# its own
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -54,6 +56,10 @@ PINNED_STDOUT = [
     ("decompose D6 [321] --format json", 0, "a86ae563d3409096debce0bd0aab5e50850b03486d024d9b518fa7383a79bea8"),
     ("decompose E8 A4A1 --format json", 0, "85beeac354320c67f2a7f9061273acadfbb3f176585338e8f03c436c6c8e035a"),
     ("verify B5 --suite goursat", 0, "50514c3c02445808918e7d6d2855a6a2858e42415483027448287ae112c381ad"),
+    ("table A8 --format json --allow-long", 0, "4f1db5da67b7c38efb84c683d9ef776788448402b6f099dcde990c119b753100"),
+    ("table B7 --format json --allow-long", 0, "a7d211ad69800f0930b72bdadbab1267e650a3da62a54682824e667eaf2f4640"),
+    ("table D7 --format json --allow-long", 0, "0746a08f5e21d429cd274a3543b5b90c05cd270eaf6a822fc20c4ae5bec7a77d"),
+    ("table D8 --format json --allow-long", 0, "69e90bd1041e873e5f323d9a276081c251a15d03a566fea2239efae0c8f9c76e"),
 ]
 
 

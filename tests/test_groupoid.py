@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from coxnorm.galois import orthogonal_complement
-from coxnorm.groups import parabolic_longest_element, set_stabilizer
-from coxnorm.normalizer import decompose, normalizer_order
+from coxnorm.groups import generate, parabolic_longest_element, set_stabilizer
+from coxnorm.normalizer import (_complement_D, decompose, descend_to_complement,
+                                normalizer_order)
 from coxnorm.oracle import load_fixture
-from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
+from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
                                standard_parabolic, standard_subset,
                                subset_groupoid)
 from coxnorm.rootsys import build_root_system
@@ -95,3 +96,36 @@ def test_longest_element_of_a_non_standard_subsystem_climbs():
     assert w0.is_involution()
     outside = [i for i in range(rs.nroots) if all(rs.orthogonal(i, j) for j in sub.simples)]
     assert (w0.img[outside] == outside).all()
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_skipped_loops_are_reflections_of_the_orthogonal_complement(name):
+    # the groupoid skips the loop of every edge whose added node s is
+    # orthogonal to K; each such loop must be a reflection in a root of
+    # Q = perp(W_J), and D must be the same from the loops of every edge
+    rs = build_root_system(name)
+    groupoid = subset_groupoid(rs)
+    reflections = {rs.reflection(i).key: i for i in range(rs.npos)}
+    n = rs.n
+    for shape in shape_catalog(rs):
+        subset = shape.rep_subset
+        P = standard_parabolic(rs, subset)
+        Q = orthogonal_complement(P)
+        tree = groupoid._spanning_tree(sum(1 << i for i in subset))
+        kept, skipped = {}, {}
+        for K, t in tree.items():
+            added = [s for s in range(n) if not K >> s & 1]
+            for s, (nu, K2) in zip(added, groupoid.edges[K]):
+                g = t * nu * tree[K2].inverse()
+                bonded = any(rs.bond(rs.simple_roots[s], rs.simple_roots[j]) > 2
+                             for j in range(n) if K >> j & 1)
+                if not g.is_identity():
+                    (kept if bonded else skipped)[g.key] = g
+        for g in skipped.values():
+            assert reflections.get(g.key) in Q.roots, (name, shape.label)
+        assert {g.key for g in groupoid.loops(subset)} == set(kept), (name, shape.label)
+        pq = orthogonal_join(P, Q)
+        every = {d.key: d for d in (descend_to_complement(g, pq)
+                                    for g in [*kept.values(), *skipped.values()])}
+        assert ([d.key for d in _complement_D(rs, subset, pq)]
+                == [d.key for d in generate(every.values(), rs=rs)]), (name, shape.label)
