@@ -16,19 +16,29 @@ case.  The commutation characterization lives in the oracle module as an
 independent cross-check that never reads the table.
 
 perp commutes with conjugation (Howlett 1980), so on classes it is a map on
-shape indices, computed once per shape on first use and kept with the
-catalog; the closure class of shape i is perp(perp(i)).  perp(W_J) fixes
-the span of J's simple roots pointwise, so its class is read at a generic
-point of that span, with no elimination.  The class of the parabolic closure
-of P perp(P) is kept the same way, read at a generic point of Fix(P perp(P)).
+shape indices, kept with the catalog as one table: a ``GaloisRow`` per
+shape, computed for its representative P, holds perp(P) and its class, the
+simple roots projected onto Fix(P perp(P)), and the roots and class of the
+parabolic closure of P perp(P), the roots vanishing on those projections.
+``galois_rows`` computes the rows of a list of parabolics as one stack:
+one boolean product for the complements, one ``classes_of`` for their
+classes, read at generic points of the spans of the Delta_P (perp(P) fixes
+span(Delta_P) pointwise), and one ``fixed_projections`` for Fix(P perp(P)),
+the orbit sums of a Coxeter element of Delta_P u Delta_perp(P), with the
+closures' classes read at their lexicographic signs; no elimination runs.
+The suites over the whole catalog fill every missing row with one call
+(``galois_table``); a single shape's reader fills only its row, so the
+first decomposition of a group does not pay for every shape.  The closure
+class of shape i is perp(perp(i)).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join, shape_catalog,
-                        subset_groupoid)
+from .parabolic import ReflectionSubgroup, root_masks, shape_catalog, subset_groupoid
 
 
 def perp_masks(rs, masks):
@@ -38,9 +48,8 @@ def perp_masks(rs, masks):
 
 def orthogonal_complement(U: ReflectionSubgroup) -> ReflectionSubgroup:
     """Parabolic generated by all reflections orthogonal to every reflection of U."""
-    mask = np.zeros((1, U.rs.nroots), dtype=bool)
-    mask[0, list(U.roots)] = True
-    return ReflectionSubgroup(U.rs, np.flatnonzero(perp_masks(U.rs, mask)[0]).tolist())
+    mask = perp_masks(U.rs, root_masks(U.rs, [U.roots]))[0]
+    return ReflectionSubgroup(U.rs, np.flatnonzero(mask).tolist())
 
 
 def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
@@ -48,33 +57,72 @@ def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
     return orthogonal_complement(orthogonal_complement(P))
 
 
-def perp_of_shape(catalog, i: int):
-    """(perp(P), its class) for P shape i's representative; computed once per
-    shape, on first use.  Callers must not mutate perp(P)."""
-    hit = catalog.perp.get(i)
-    if hit is None:
-        P = catalog[i].parabolic
-        Q = orthogonal_complement(P)
-        j = catalog.class_of_roots(Q.roots, lambda: catalog.rs.span_signs(P.simples))
+@dataclass(frozen=True)
+class GaloisRow:
+    """The Galois data of a standard parabolic P; callers must not mutate ``perp``."""
+
+    perp: ReflectionSubgroup      # perp(P), typed as its shape
+    perp_index: int               # the class of perp(P)
+    projections: object           # the simple roots' nonzero projections onto Fix(P perp(P))
+    closure_roots: np.ndarray     # the root mask of the parabolic closure of P perp(P)
+    closure_index: int            # its class
+
+
+def galois_rows(catalog, parabolics) -> list:
+    """The ``GaloisRow`` of each standard parabolic of the list, as one stack.
+
+    ``projections`` is what ``rs.fixed_projections`` gives for
+    Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
+    pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2.
+    """
+    rs = catalog.rs
+    perps = perp_masks(rs, root_masks(rs, [P.roots for P in parabolics]))
+    perp_classes = catalog.classes_of(
+        perps, lambda miss: np.array([rs.span_signs(parabolics[r].simples) for r in miss]))
+    Qs = []
+    for row, j in zip(perps, perp_classes):
+        Q = ReflectionSubgroup(rs, np.flatnonzero(row).tolist())
         Q.components = catalog[j].components   # its shape's, not recognized again
-        hit = catalog.perp[i] = (Q, j)
-    return hit
+        Qs.append(Q)
+    projections, signs = rs.fixed_projections(
+        [P.simples + Q.simples for P, Q in zip(parabolics, Qs)])
+    closures = signs == 0
+    return [GaloisRow(*row) for row in zip(Qs, perp_classes, projections, closures,
+                                           catalog.classes_of(closures, signs))]
+
+
+def galois_row(catalog, i: int) -> GaloisRow:
+    """Shape i's row of the catalog's table, computed alone on first use."""
+    row = catalog.galois.get(i)
+    if row is None:
+        row = catalog.galois[i] = galois_rows(catalog, [catalog[i].parabolic])[0]
+    return row
+
+
+def galois_table(catalog) -> dict:
+    """The catalog's table, its missing rows computed as one stack."""
+    missing = [s.index for s in catalog if s.index not in catalog.galois]
+    if missing:
+        rows = galois_rows(catalog, [catalog[i].parabolic for i in missing])
+        catalog.galois.update(zip(missing, rows))
+    return catalog.galois
+
+
+def perp_of_shape(catalog, i: int):
+    """(perp(P), its class) for P shape i's representative, from its row."""
+    row = galois_row(catalog, i)
+    return row.perp, row.perp_index
 
 
 def perp_index(catalog, i: int) -> int:
     """Catalog index of the orthogonal complement of shape i."""
-    return perp_of_shape(catalog, i)[1]
+    return galois_row(catalog, i).perp_index
 
 
 def pq_closure_index(catalog, i: int) -> int:
     """Catalog index of the parabolic closure of P perp(P), P shape i's
-    representative; computed once per shape, on first use."""
-    if i not in catalog.pq_closure:
-        PQ = orthogonal_join(catalog[i].parabolic, perp_of_shape(catalog, i)[0])
-        signs = catalog.rs.signs_at(fixed_space(PQ))
-        catalog.pq_closure[i] = catalog.class_of_roots(np.flatnonzero(signs == 0).tolist(),
-                                                       signs)
-    return catalog.pq_closure[i]
+    representative, from its row."""
+    return galois_row(catalog, i).closure_index
 
 
 def parabolic_concepts(rs):
@@ -84,13 +132,9 @@ def parabolic_concepts(rs):
     complements, both orthogonally closed.  Each unordered pair is listed
     once, with the smaller catalog index on the left.
     """
-    catalog = shape_catalog(rs)
-    out = []
-    for s in catalog:
-        i, j = s.index, perp_index(catalog, s.index)
-        if perp_index(catalog, j) == i and i <= j:
-            out.append((i, j))
-    return sorted(out)
+    table = galois_table(shape_catalog(rs))
+    return sorted((i, row.perp_index) for i, row in table.items()
+                  if table[row.perp_index].perp_index == i and i <= row.perp_index)
 
 
 def shape_closure_graph(rs):
@@ -101,6 +145,7 @@ def shape_closure_graph(rs):
     non-closed shapes.
     """
     catalog = shape_catalog(rs)
+    table = galois_table(catalog)
     groupoid = subset_groupoid(rs)
     # the class of every subset mask; below a shape, those of the subsets of its J
     classes = np.array([catalog.class_of_subset(c[0]) for c in groupoid.components])
@@ -117,7 +162,7 @@ def shape_closure_graph(rs):
             hasse.append((s.index, j))
     closure = {}
     for s in catalog:
-        c = perp_index(catalog, perp_index(catalog, s.index))
+        c = table[table[s.index].perp_index].perp_index
         if c != s.index:
             closure[s.index] = c
     nodes = [{"index": s.index, "label": s.label,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import orthogonal_complement, perp_index, pq_closure_index
+from .galois import galois_table, orthogonal_complement
 from .groups import GroupElement, generate
 from .normalizer import normalizer_order
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
@@ -125,13 +125,14 @@ def has_central_minus_one(rs) -> bool:
 def section8_checks(rs) -> dict:
     """The observation suite: per-bullet pass/fail with witnesses.
 
-    Closures and complements are read off the catalog's shape maps.
+    Closures and complements are read off the catalog's Galois table.
     """
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
     records = involution_class_representatives(rs)
     marked = set(_marked(records))
-    closure_of = {s.index: perp_index(catalog, perp_index(catalog, s.index)) for s in catalog}
+    table = galois_table(catalog)   # every shape's row, as one stack
+    closure_of = {i: table[row.perp_index].perp_index for i, row in table.items()}
     closed = {i for i, c in closure_of.items() if c == i}
     minus_one = has_central_minus_one(rs)
     report = {"group": str(rs.label), "minus_one_central": minus_one, "checks": {}}
@@ -156,14 +157,14 @@ def section8_checks(rs) -> dict:
         # complement of a marked shape is marked
         not_closed = sorted(marked - closed)
         record("centralizers_closed", not_closed == [], not_closed or None)
-        bad = [i for i in marked if perp_index(catalog, i) not in marked]
+        bad = [i for i in marked if table[i].perp_index not in marked]
         record("complement_marked", bad == [], bad or None)
         if rs.label.family == "B":
             extra = sorted(closed - marked)
             record("closed_iff_centralizer", extra == [], extra or None)
         # w0 central and P closed implies the closure of PQ is the whole group
         bad = next((i for i in sorted(closed)
-                    if len(catalog[pq_closure_index(catalog, i)].roots) != rs.nroots), None)
+                    if not table[i].closure_roots.all()), None)
         record("closed_implies_pq_closure_full", bad is None, bad)
 
         # fixed parabolic of -u is the orthogonal complement of that of u

@@ -19,8 +19,12 @@ onto D, so those reductions generate D, and D is closed by enumeration; the
 loops the groupoid skips are reflections of Q, which reduce to 1.  D is
 small, and it is the only group ``decompose`` enumerates: |N| = |P||Q||D|,
 and the action cells on X_perp, X n Y and Y_perp are read off the
-restrictions of D, on the echelon basis of Fix(PQ) and on the simple roots
-of P and of Q, stacked into one batched product (see ``_Restricted``).  The
+restrictions of D, on the simple roots projected onto Fix(PQ) and on the
+simple roots of P and of Q, stacked into one batched product (see
+``_Restricted``).  Q, its class, those projections and the class of the
+parabolic closure of PQ are the shape's row of the catalog's Galois table
+(``galois.galois_row``), so no fixed space is eliminated; |N| alone reads Q
+there too, at the representative of P's class.  The
 reflection parts of P:D and Q:D are named from the simple root lines of P
 or Q and the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
@@ -37,7 +41,7 @@ from functools import cached_property
 from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
                       image_keys, invariant_split, split_keys, stacked_restrictions)
 from .diagrams import components_order, components_string
-from .galois import orthogonal_complement, perp_index, perp_of_shape
+from .galois import galois_row, galois_rows, orthogonal_complement, perp_index, perp_of_shape
 from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
 from .linalg import pair_matmul
 from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
@@ -217,10 +221,11 @@ def normalizer(P: ReflectionSubgroup) -> list:
     """
     rs = P.rs
     WJ, w = _standard_form(P)
-    order, Q = _normalizer_order_at(WJ)
+    catalog = shape_catalog(rs)
+    order = _normalizer_order_at(catalog, catalog.class_of_subset(standard_subset(WJ)))
     if order > BRUTE_LIMIT:
         raise RuntimeError(f"normalizer too large to enumerate ({order} > {BRUTE_LIMIT})")
-    gens = WJ.simple_reflections() + Q.simple_reflections()
+    gens = WJ.simple_reflections() + orthogonal_complement(WJ).simple_reflections()
     gens += subset_groupoid(rs).loops(standard_subset(WJ))
     w_inv = w.inverse()
     N = generate({g.key: w_inv * g * w for g in gens}.values(), rs=rs)
@@ -230,8 +235,9 @@ def normalizer(P: ReflectionSubgroup) -> list:
 
 
 def normalizer_order(P: ReflectionSubgroup) -> int:
-    """|N_W(P)| = |P||Q||D|, computed on a standard parabolic conjugate to P."""
-    return _normalizer_order_at(_standard_form(P)[0])[0]
+    """|N_W(P)|, a class invariant, computed at the representative of P's class."""
+    catalog = shape_catalog(P.rs)
+    return _normalizer_order_at(catalog, catalog.shape_of(P).index)
 
 
 def _standard_form(P):
@@ -243,11 +249,13 @@ def _standard_form(P):
     return standard_parabolic(P.rs, subset), w
 
 
-def _normalizer_order_at(WJ):
-    """(|N_W(W_J)|, Q) for a standard parabolic W_J and its orthogonal complement Q."""
-    Q = orthogonal_complement(WJ)
-    D = _complement_D(WJ.rs, standard_subset(WJ), orthogonal_join(WJ, Q))
-    return WJ.order * Q.order * len(D), Q
+def _normalizer_order_at(catalog, i):
+    """|N_W(W_J)| = |W_J||Q||D| for shape i's representative W_J, with its
+    orthogonal complement Q read off the catalog's Galois table."""
+    shape = catalog[i]
+    Q = perp_of_shape(catalog, i)[0]
+    D = _complement_D(catalog.rs, shape.rep_subset, orthogonal_join(shape.parabolic, Q))
+    return shape.order * Q.order * len(D)
 
 
 def _complement_D(rs, subset, pq_sub):
@@ -441,10 +449,10 @@ def decompose(rs, parabolic) -> Decomposition:
         raise ValueError("decompose takes a Shape or a standard parabolic "
                          "(one generated by simple reflections)")
     shape = catalog[catalog.class_of_subset(subset)]
-    Q, q_index = perp_of_shape(catalog, shape.index)
-    if subset != shape.rep_subset:   # P is another standard parabolic of the class
-        Q = orthogonal_complement(P)
-        Q.components = catalog[q_index].components   # its shape's, not recognized again
+    # the shape's Galois row; another standard parabolic of the class has its own
+    row = (galois_row(catalog, shape.index) if subset == shape.rep_subset
+           else galois_rows(catalog, [P])[0])
+    Q, q_index = row.perp, row.perp_index
     p_order, q_order = P.order, Q.order
     # in canonical order: the choice of C below takes its first candidate
     D = sorted(_complement_D(rs, subset, orthogonal_join(P, Q)), key=lambda w: w.canonical())
@@ -452,14 +460,17 @@ def decompose(rs, parabolic) -> Decomposition:
     # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
     # the names of A, B and C, all subsets of D, are read off it.  The simple
-    # roots of P and of Q are bases of X_perp and Y_perp, and X n Y = Fix(PQ).
-    mid = rs.fixed_space(P.simples + Q.simples)
-    dims = {"x_cap_y": mid.dim, "x_perp": len(P.simples), "y_perp": len(Q.simples)}
-    if sum(dims.values()) != rs.n:
+    # roots of P and of Q are bases of X_perp and Y_perp.  Delta_P is
+    # orthogonal to Delta_Q, so together they are independent and X n Y =
+    # Fix(PQ) has the rest of the dimension; the row's nonzero projections,
+    # checked orthogonal to both when computed, span it.
+    if not rs.orthogonality[list(P.simples)][:, list(Q.simples)].all():
         raise RuntimeError("invariant split does not fill the space")
+    dims = {"x_cap_y": rs.n - len(P.simples) - len(Q.simples),
+            "x_perp": len(P.simples), "y_perp": len(Q.simples)}
     spaces = {}
     if len(D) > 1:
-        bases = (("x_cap_y", mid.pairs), ("x_perp", rs.rows(P.simples)),
+        bases = (("x_cap_y", row.projections), ("x_perp", rs.rows(P.simples)),
                  ("y_perp", rs.rows(Q.simples)))
         spaces = {role: SpaceRestriction(rs, basis) for role, basis in bases if dims[role]}
     restricted = _Restricted(rs, D, spaces)
@@ -480,9 +491,6 @@ def decompose(rs, parabolic) -> Decomposition:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), cands[0]]
 
-    signs = rs.signs_at(mid)   # Fix(PQ) = X n Y, fixed pointwise by the parabolic closure of PQ
-    pq_closure = (signs == 0).nonzero()[0].tolist()
-
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
 
@@ -497,9 +505,9 @@ def decompose(rs, parabolic) -> Decomposition:
     dec = Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),
         D=D, A=A, B=B, C=C, a_name=a_name, b_name=b_name, c_name=c_name,
-        pq_closure_index=catalog.class_of_roots(pq_closure, signs),
-        pq_closure_is_pq=len(pq_closure) == len(P.roots) + len(Q.roots),
-        pq_closure_is_w=len(pq_closure) == rs.nroots,
+        pq_closure_index=row.closure_index,
+        pq_closure_is_pq=bool(row.closure_roots.sum() == len(P.roots) + len(Q.roots)),
+        pq_closure_is_w=bool(row.closure_roots.all()),
         actions=cells,
         involution_centralizer=asterisk,
     )

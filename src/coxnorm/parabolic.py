@@ -326,6 +326,14 @@ class SubsetGroupoid:
                         yield g
 
 
+def root_masks(rs, root_sets):
+    """Boolean root masks, shape (k, nroots), of the given root sets."""
+    masks = np.zeros((len(root_sets), rs.nroots), dtype=bool)
+    for row, roots in zip(masks, root_sets):
+        row[list(roots)] = True
+    return masks
+
+
 def _mask(subset):
     """The bitmask of a subset; a repeated index sets its bit once."""
     mask = 0
@@ -352,32 +360,67 @@ def subset_groupoid(rs) -> SubsetGroupoid:
     return _groupoids[rs.label]
 
 
+def dominant_descent(rs, signs):
+    """Carry a stack of sign rows, shape (k, nroots), into the dominant chamber.
+
+    Row r holds the signs of all roots at a point x_r.  Each step applies to
+    every row the reflection in its first simple root that is negative there,
+    as one gather for all rows.  A sentinel column, negative in every row
+    and fixed by every step, follows the simple roots, so a dominant row
+    picks it and steps by the identity.  The stabilizer of a dominant point
+    is the standard W_J of the simple roots vanishing there (Bourbaki, Lie
+    Groups Ch. V section 3).  A step makes one positive root positive and
+    keeps the others' signs, so a row takes as many steps as it has
+    negative positive roots; -x_r vanishes on the same roots as x_r, so a
+    row with more negative than positive ones starts from -x_r.  Returns the
+    masks of J, shape (k, n), and the word (steps, k) of the simple indices
+    applied to each row, n for the identity: the product w of its
+    reflections, in order, has w(Phi_J) = the roots vanishing at x_r.
+    """
+    k, width = len(signs), rs.nroots + 1
+    rows = np.arange(k)
+    # the rows laid end to end, row r's entry j at r * width + j, and each
+    # row's gathers for the simple reflections, then the identity
+    start = (rows * width)[:, None]
+    columns = start + (list(rs.simple_roots) + [rs.nroots])
+    gathers = rs.reflection_perms[list(rs.simple_roots) + [rs.npos]] + start[:, None]
+    flip = np.where(signs[:, : rs.npos].sum(axis=1) < 0, -1, 1)[:, None]
+    at = np.hstack((signs * flip, np.full((k, 1), -1)))
+    word = []
+    while True:
+        step = (at.take(columns) < 0).argmax(axis=1)
+        if (step == rs.n).all():
+            return at.take(columns[:, :-1]) == 0, np.array(word, dtype=np.intp).reshape(len(word), k)
+        word.append(step)
+        at = at.take(gathers[rows, step])
+
+
+def generic_signs(rs, roots):
+    """Signs of all roots at a generic point of the fixed space of the
+    reflection subgroup with the given roots, read off its simple roots'
+    projections (``fixed_projections``), with no elimination."""
+    return rs.fixed_projections([ReflectionSubgroup(rs, roots).simples])[1][0]
+
+
 def standard_conjugate(rs, roots, signs=None):
     """(J, w): the standard W_J conjugate to a parabolic, and w with w(Phi_J) = roots.
 
     The signs of all roots at a generic point of a subspace whose pointwise
-    stabilizer it is (its fixed space, unless ``signs`` are passed) are
-    carried into the dominant chamber by simple reflections.  The
-    stabilizer of a dominant point is the standard W_J of the simple roots
-    vanishing there (Bourbaki, Lie Groups Ch. V section 3), and w is the
-    product of the reflections used.  Raises ValueError when the roots are
-    not those vanishing at the point (not those of a parabolic subgroup).
+    stabilizer it is (its fixed space, at ``generic_signs``, unless
+    ``signs`` are passed) are carried into the dominant chamber: this is
+    the one-row case of ``dominant_descent``.  Raises ValueError when the
+    roots are not those vanishing at the point (not those of a parabolic
+    subgroup).
     """
     if signs is None:
-        signs = rs.signs_at(fixed_space(ReflectionSubgroup(rs, roots)))
-    simple = np.asarray(rs.simple_roots)
-    img = np.arange(rs.nroots, dtype=np.int16)
-    while True:
-        down = np.flatnonzero(signs[simple] < 0)
-        if not down.size:
-            break
-        s = rs.reflection_perm(int(simple[down[0]]))
-        signs = signs[s]
-        img = img[s]
-    if set(img[signs == 0].tolist()) != set(roots):
+        signs = generic_signs(rs, roots)
+    if set(np.flatnonzero(signs == 0).tolist()) != set(roots):
         raise ValueError("root set is not that of a parabolic subgroup")
-    subset = tuple(i for i, r in enumerate(rs.simple_roots) if signs[r] == 0)
-    return subset, GroupElement(rs, img)
+    J, word = dominant_descent(rs, signs[None])
+    img = np.arange(rs.nroots, dtype=np.int16)
+    for s in word[:, 0].tolist():
+        img = img[rs.reflection_perm(rs.simple_roots[s])]
+    return tuple(np.flatnonzero(J[0]).tolist()), GroupElement(rs, img)
 
 
 def standard_subset(P: ReflectionSubgroup):
@@ -391,21 +434,23 @@ def standard_subset(P: ReflectionSubgroup):
 class ShapeCatalog:
     """All shapes of one group, with class lookup for arbitrary parabolics.
 
-    The classes are the components of the subset groupoid.  A parabolic
-    given by its root set is looked up through ``standard_conjugate``, which
-    names a standard parabolic W_J conjugate to it, and J's component.
+    The classes are the components of the subset groupoid.  Parabolics given
+    by their root sets are looked up as a stack (``classes_of``): the cache
+    of root masks seen, then one ``dominant_descent`` of the rest, which
+    names standard parabolics W_J conjugate to them, and J's component.
 
-    The catalog also keeps the orthogonality Galois connection as maps on
-    shape indices (perp commutes with conjugation).  ``galois.perp_of_shape``
-    and ``galois.pq_closure_index`` fill them, once per shape, on first use.
+    The catalog also keeps the orthogonality Galois connection as one table
+    on shape indices (perp commutes with conjugation): ``galois`` maps
+    shape i to the row ``galois.galois_rows`` computes for its
+    representative, filled one shape or the whole catalog at a time.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.shapes = self._build()
-        self.perp = {}          # i -> (perp of shape i's representative, its class)
-        self.pq_closure = {}    # i -> class of the parabolic closure of P perp(P)
-        self._class_cache = {tuple(sorted(s.roots)): s.index for s in self.shapes}
+        self.galois = {}        # i -> the Galois row of shape i's representative
+        self._class_cache = {mask.tobytes(): s.index for s, mask in
+                             zip(self.shapes, root_masks(rs, [s.roots for s in self.shapes]))}
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
                               for s in self.shapes}
@@ -460,19 +505,41 @@ class ShapeCatalog:
 
     # -- class lookup -------------------------------------------------------
 
-    def class_of_roots(self, roots, signs=None) -> int:
-        """Catalog index of the class of a parabolic subgroup, by its root set
-        (and ``standard_conjugate``'s signs, or a function returning them that
-        is called only when the class is not cached, when the caller has them).
+    def classes_of(self, masks, signs) -> list:
+        """Catalog indices of the classes of a stack of parabolics, by root masks (k, nroots).
+
+        Each row is looked up in the class cache; the rows it misses are
+        carried into the dominant chamber together (``dominant_descent``)
+        from their signs at a generic point of a subspace whose pointwise
+        stabilizer the row is.  ``signs`` is the (k, nroots) stack of them,
+        or a function of the missed rows' positions returning their rows,
+        called only when a row misses.  Raises ValueError when a missed
+        row's roots are not those vanishing at its point (not those of a
+        parabolic).
+        """
+        flat, width = masks.tobytes(), masks.shape[1]
+        keys = [flat[r * width: (r + 1) * width] for r in range(len(masks))]
+        out = [self._class_cache.get(key) for key in keys]
+        miss = [r for r, hit in enumerate(out) if hit is None]
+        if miss:
+            at = signs(miss) if callable(signs) else signs[miss]
+            if ((at == 0) != masks[miss]).any():
+                raise ValueError("root set is not that of a parabolic subgroup")
+            J, _ = dominant_descent(self.rs, at)
+            components = subset_groupoid(self.rs).component_of_mask[J @ (1 << np.arange(self.rs.n))]
+            for r, c in zip(miss, components.tolist()):
+                out[r] = self._class_cache[keys[r]] = self._by_component[c]
+        return out
+
+    def class_of_roots(self, roots) -> int:
+        """Catalog index of the class of a parabolic subgroup, by its root set:
+        the one-row case of ``classes_of``, at ``generic_signs``.
 
         Raises ValueError when the roots are not those of a parabolic.
         """
-        key = tuple(sorted(roots))
-        hit = self._class_cache.get(key)
-        if hit is None:
-            subset, _ = standard_conjugate(self.rs, roots, signs() if callable(signs) else signs)
-            hit = self._class_cache[key] = self.class_of_subset(subset)
-        return hit
+        roots = list(roots)
+        return self.classes_of(root_masks(self.rs, [roots]),
+                               lambda _: generic_signs(self.rs, roots)[None])[0]
 
     def class_of_subset(self, subset) -> int:
         """Catalog index of the class of the standard parabolic W_J."""

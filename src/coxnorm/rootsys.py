@@ -14,7 +14,8 @@ sqrt5)/2.  The table is built by closing the simple roots under the simple
 reflections, which need only the Cartan entries 2<a_j, a_i>/<a_i, a_i>, so
 no Q(sqrt5) arithmetic runs per root.  Spans and fixed spaces are
 ``linalg.Subspace`` values, eliminated from the pair rows of the roots and
-of their forms.  Q(sqrt5) values (``Q5``) appear only in the n x n Gram
+of their forms; ``fixed_projections`` spans a fixed space by orbit sums of
+root rows instead, with no elimination.  Q(sqrt5) values (``Q5``) appear only in the n x n Gram
 matrix and in the public ``root_vec`` and ``inner_product``.
 
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
@@ -156,11 +157,18 @@ class _Roots:
         return (np.arange(self.nroots) + self.npos) % self.nroots
 
     @cached_property
+    def reflection_perms(self):
+        """Index table, shape (npos + 1, nroots + 1): row j is the reflection
+        in positive root j and row npos the identity, a row to pad with;
+        column nroots, past the roots, is a sentinel position every row fixes."""
+        perms = [self.reflection_perm(j) for j in range(self.npos)] + [np.arange(self.nroots)]
+        return np.hstack((perms, np.full((self.npos + 1, 1), self.nroots))).astype(np.int16)
+
+    @cached_property
     def orthogonality(self):
         """Boolean table, shape (npos, nroots): row j marks the roots that the
         reflection in root j fixes, the roots orthogonal to root j."""
-        perms = np.array([self.reflection_perm(j) for j in range(self.npos)])
-        return perms == np.arange(self.nroots)
+        return self.reflection_perms[: self.npos, : self.nroots] == np.arange(self.nroots)
 
     def orthogonal(self, i, j):
         """Roots i and j are orthogonal iff the reflection in i fixes j."""
@@ -310,31 +318,79 @@ class RootSystem(_Roots):
         return Subspace.canonical(
             kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
 
+    def fixed_projections(self, index_sets):
+        """(projections, signs) of Fix(S) for a stack of linearly independent root sets S.
+
+        The product c of the reflections in S fixes exactly Fix(S) (Carter
+        1972, Lemma 2), and c is orthogonal, so the sum of c^t(a_i) over
+        t < ord(c) is ord(c) times the orthogonal projection of the simple
+        root a_i onto Fix(S).  That sum repeats the c-orbit of a_i, so the
+        sum of the orbit's root rows is a positive multiple of the
+        projection, with no elimination: each set's c is composed from the
+        reflection permutations and its orbits walked on the root indices,
+        and the orbit sums of all sets are one segmented sum of root rows.
+        Each set's projections are its nonzero ones, pair rows in halves
+        like the root rows, and span Fix(S); ``signs`` (k, nroots) are their
+        lexicographic signs, the signs at a generic point of Fix(S), so the
+        roots vanishing there are those of the parabolic closure of S.  The
+        one pair product behind the signs also checks the rows orthogonal to
+        S: a dependent S, whose c fixes more than Fix(S), raises RuntimeError.
+        """
+        k, n, npos = len(index_sets), self.n, self.npos
+        member, start, in_s = [], [], ([], [])   # the orbits end to end, and where each starts
+        for r, s in enumerate(index_sets):
+            c = np.arange(self.nroots)
+            for i in s:
+                c = c[self.reflection_perm(i)]
+                in_s[0].append(r)
+                in_s[1].append(i % npos)
+            c = c.tolist()
+            for i in range(n):   # the simple roots are roots 0 .. n-1
+                start.append(len(member))
+                j = i
+                while True:
+                    member.append(j)
+                    j = c[j]
+                    if j == i:
+                        break
+        # row r * n + i: the orbit sum of a_i for set r
+        P, Q = (np.add.reduceat(x[member], start, axis=0) for x in self.root_pairs)
+        # the signs of the root forms on the rows; a zero row, as most are, has none
+        moved = (P != 0).any(axis=1) | (Q != 0).any(axis=1)
+        values = np.zeros((k * n, npos), dtype=np.int8)
+        values[moved] = pair_sign(pair_matmul((P[moved], Q[moved]),
+                                              tuple(f.T for f in self._root_forms)))
+        values = values.reshape(k, n, npos).transpose(0, 2, 1)   # (k, npos, n)
+        if values[in_s].any():
+            raise RuntimeError("a projection onto the fixed space is not orthogonal to "
+                               "the roots: they are linearly dependent")
+        ends = np.cumsum(moved.reshape(k, n).sum(axis=1)).tolist()
+        P, Q = P[moved], Q[moved]
+        return [(P[a:b], Q[a:b]) for a, b in zip([0] + ends, ends)], self._lex_signs(values)
+
     def signs_at(self, X: Subspace):
         """Signs of all roots at a generic point of X, taken on its echelon
         rows; each pair row is a positive multiple of its echelon row over
         Q(sqrt5), which keeps every sign."""
         if X.n != self.n:
             raise ValueError("subspace of wrong ambient dimension")
-        return self._lex_signs(pair_matmul(self._root_forms, tuple(m.T for m in X.pairs)))
+        return self._lex_signs(pair_sign(pair_matmul(self._root_forms,
+                                                     tuple(m.T for m in X.pairs))))
 
     def span_signs(self, simples):
         """Signs of all roots at a generic point of the span of the given simple
         roots, taken on those roots: their columns of the root forms."""
-        return self._lex_signs(tuple(f[:, list(simples)] for f in self._root_forms))
+        return self._lex_signs(pair_sign(tuple(f[:, list(simples)] for f in self._root_forms)))
 
     def _lex_signs(self, values):
         """Signs at x_1 + e x_2 + e^2 x_3 + ... for rows x_k and a small e > 0, a
-        lexicographically generic point of their span, from the pair values
-        (npos, k) of the root forms on the rows: a root's sign on the first row
-        it does not vanish on, 0 if none."""
-        signs = np.zeros(self.nroots, dtype=np.int8)
-        if values[0].shape[1]:
-            values = pair_sign(values)
-            first = values[np.arange(self.npos), (values != 0).argmax(axis=1)]
-            signs[: self.npos] = first
-            signs[self.npos:] = -first
-        return signs
+        lexicographically generic point of their span, from the signs
+        (..., npos, k) of the root forms on the rows: a root's sign on the
+        first row it does not vanish on, 0 if none; one sign row per stacked
+        set of rows.  That is the sign of the sum of the k signs weighted
+        2^(k-1), ..., 2, 1, where each weight exceeds all later ones together."""
+        first = np.sign(values @ (1 << np.arange(values.shape[-1] - 1, -1, -1))).astype(np.int8)
+        return np.concatenate((first, -first), axis=-1)
 
     # -- reflections and generators ------------------------------------------
 
@@ -473,6 +529,19 @@ class I2RootSystem(_Roots):
 
     def span_signs(self, indices):
         return self.signs_at(self.span(indices))
+
+    def fixed_projections(self, index_sets):
+        """``RootSystem.fixed_projections`` by the index formula: each set's
+        fixed space (an ``I2Subspace``, in place of projected rows) and the
+        signs at a generic point of it.  A set with more roots than lines, or
+        than two, is dependent and raises RuntimeError."""
+        spaces = []
+        for s in index_sets:
+            if len({i % self.m for i in s}) != len(s) or len(s) > 2:
+                raise RuntimeError("the roots are linearly dependent")
+            spaces.append(self.fixed_space(s))
+        signs = np.array([self.signs_at(X) for X in spaces], dtype=np.int8)
+        return spaces, signs.reshape(len(spaces), self.nroots)
 
     def reflection_perm(self, i):
         i = i % self.npos

@@ -37,7 +37,10 @@ def run(*args, timeout=120):
 # decomposition's echelon subspaces, was recorded while decompose still
 # restricted D on them; the A8, B7, D7 and D8 tables, rows outside the golden
 # fixtures, were recorded while each space and each image named its lines on
-# its own
+# its own; the E8 concept, graph, involution and section-8 records and the H4
+# section-8 record, the largest Galois stacks, were recorded while each shape's
+# complement and closure were looked up one shape at a time, each closure at
+# an eliminated fixed space
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -60,6 +63,11 @@ PINNED_STDOUT = [
     ("table B7 --format json --allow-long", 0, "a7d211ad69800f0930b72bdadbab1267e650a3da62a54682824e667eaf2f4640"),
     ("table D7 --format json --allow-long", 0, "0746a08f5e21d429cd274a3543b5b90c05cd270eaf6a822fc20c4ae5bec7a77d"),
     ("table D8 --format json --allow-long", 0, "69e90bd1041e873e5f323d9a276081c251a15d03a566fea2239efae0c8f9c76e"),
+    ("concepts E8", 0, "715fb164fdde0f495a83b056c7f85bc3893a3cd80125457b820403aafc4cdd3d"),
+    ("graph E8", 0, "056fbe0968505950aca56ee6a1aa305f88445fa17683b94ec8f41fed18f32b8b"),
+    ("involutions E8", 0, "7dd77dc2764a05ce019b10cd5a48aef4a6f438d1ff5c0a5cc70f1d389c5dbeaf"),
+    ("verify E8 --suite section8", 0, "eb73cb6024dc7644cb88b80cbb508588de530e2a592c805ad1d0b3ce82cc90eb"),
+    ("verify H4 --suite section8", 0, "122122cf2f951e31c026b62ee2540bd1cae92e26ac1deba422b5d962df7920b2"),
 ]
 
 

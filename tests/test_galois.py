@@ -7,6 +7,7 @@ import pytest
 
 from coxnorm import galois, linalg, verify
 from coxnorm.diagrams import close_roots
+from coxnorm.involutions import involution_class_representatives
 from coxnorm.galois import (orthogonal_closure, orthogonal_complement,
                             parabolic_concepts, perp_index, perp_masks, pq_closure_index,
                             shape_closure_graph)
@@ -346,7 +347,9 @@ def test_batched_complement_matches_one_subgroup_at_a_time(name):
 @pytest.mark.parametrize("name", ["E7", "H4"])
 def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
     # on a fresh catalog every complement's class is looked up anew, at a
-    # generic point of the span of the shape's simple roots
+    # generic point of the span of the shape's simple roots, and every
+    # closure's at the projections onto Fix(P perp(P)); the section-8 suite,
+    # the centralizer orders and every decomposition read the same table
     monkeypatch.setattr(parabolic, "_catalogs", {})
     rs = build_root_system(name)
     calls = []
@@ -355,8 +358,12 @@ def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
     parabolic_concepts(rs)
     assert verify_galois(rs)["ok"]
     catalog = shape_catalog(rs)
-    assert len(catalog.perp) == len(catalog)
+    assert len(catalog.galois) == len(catalog)   # every shape's row, filled by concepts
     assert len(catalog._class_cache) > len(catalog)   # some complements were not standard
+    assert verify.verify_section8(rs)["ok"]
+    assert all(rec.centralizer_order > 0 for rec in involution_class_representatives(rs))
+    for shape in catalog:
+        normalizer.decompose(rs, shape)
     assert calls == []
 
 
@@ -399,3 +406,66 @@ def test_closure_graph_reads_the_subclasses_of_every_subset(name):
     hasse = sorted((i, j) for i in below for j in below[i]
                    if not any(j in below[k] for k in below[i]))
     assert shape_closure_graph(rs)["hasse"] == hasse
+
+
+def _descend_one_row(rs, signs):
+    """Reference: (J, w) for one sign row, stepping by the reflection in the
+    first negative simple root until none is negative, from the point or its
+    negative, whichever has fewer negative positive roots."""
+    if signs[: rs.npos].sum() < 0:
+        signs = -signs
+    simple = list(rs.simple_roots)
+    img = np.arange(rs.nroots, dtype=np.int16)
+    while True:
+        down = [r for r in simple if signs[r] < 0]
+        if not down:
+            return tuple(i for i, r in enumerate(simple) if signs[r] == 0), img
+        s = rs.reflection_perm(down[0])
+        signs, img = signs[s], img[s]
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_stacked_descent_matches_one_row_at_a_time(name):
+    # the complement signs and the closure signs of every shape, descended as
+    # one stack, against standard_conjugate and the loop, row by row
+    rs = build_root_system(name)
+    cat = shape_catalog(rs)
+    sets = [s.parabolic.simples + orthogonal_complement(s.parabolic).simples for s in cat]
+    signs = np.vstack([[rs.span_signs(s.parabolic.simples) for s in cat],
+                       rs.fixed_projections(sets)[1]])
+    J, word = parabolic.dominant_descent(rs, signs)
+    assert J.shape == (len(signs), rs.n) and word.shape[1] == len(signs)
+    for row, mask, steps in zip(signs, J, word.T):
+        subset, w = standard_conjugate(rs, np.flatnonzero(row == 0).tolist(), row)
+        assert tuple(np.flatnonzero(mask).tolist()) == subset
+        want_subset, want_img = _descend_one_row(rs, row)
+        assert subset == want_subset and (w.img == want_img).all()
+        img = np.arange(rs.nroots, dtype=np.int16)
+        for s in steps[steps < rs.n].tolist():   # a finished row steps by the identity, n
+            img = img[rs.reflection_perm(rs.simple_roots[s])]
+        assert (img == w.img).all()
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
+    # one stack for every shape, as the suites fill it, against a fresh
+    # catalog filled one row at a time by the single-shape readers
+    rs = build_root_system(name)
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    whole = galois.galois_table(shape_catalog(rs))
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    cat = shape_catalog(rs)
+    for shape in cat:
+        galois.perp_of_shape(cat, shape.index)
+        pq_closure_index(cat, shape.index)
+    assert list(cat.galois) == [s.index for s in cat] and sorted(whole) == list(cat.galois)
+    for i, row in whole.items():
+        one = cat.galois[i]
+        assert (one.perp, one.perp_index, one.closure_index) == (
+            row.perp, row.perp_index, row.closure_index), i
+        assert (one.closure_roots == row.closure_roots).all(), i
+        assert (one.perp.simples, one.perp.components) == (row.perp.simples, row.perp.components)
+        if rs.is_vector:
+            assert all((a == b).all() for a, b in zip(one.projections, row.projections)), i
+        else:
+            assert one.projections == row.projections, i

@@ -12,13 +12,15 @@ from coxnorm.diagrams import bond_order
 from coxnorm.galois import orthogonal_complement, parabolic_concepts, shape_closure_graph
 from coxnorm.groups import generate, identity
 from coxnorm.labels import parse_label
-from coxnorm.linalg import dot, from_pairs
+from coxnorm.linalg import Subspace, dot, from_pairs
 from coxnorm.normalizer import compute_table
 from coxnorm.parabolic import pointwise_stabilizer, shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import (I2Subspace, RootSystem, build_root_system, inner_product,
                              reflection_in_root)
 from coxnorm.verify import verify_galois, verify_section8
+
+from fixture_groups import FIXTURE_GROUPS
 
 
 def _vectors(rs):
@@ -330,6 +332,50 @@ def test_span_signs_match_the_exact_inner_products(name):
         assert signs.tolist() == _lex_signs_by_dot(rs, [rs.root_vec(r) for r in simples])
         assert ((signs == 0) == (rs.signs_at(rs.span(simples)) == 0)).all(), simples
 
+
+
+def _random_parabolics(rs, rng, count):
+    """Parabolics w(W_J) for random standard W_J and random words w."""
+    simple = rs.simple_reflections()
+    out = []
+    for _ in range(count):
+        w = identity(rs)
+        for _ in range(rng.randint(0, 3 * rs.npos)):
+            w = w * rng.choice(simple)
+        P = standard_parabolic(rs, rng.sample(range(rs.n), rng.randint(0, rs.n)))
+        out.append(parabolic.ReflectionSubgroup(rs, {int(w.img[r]) for r in P.roots}))
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_fixed_projections_against_the_eliminated_fixed_space(name):
+    # Delta_P u Delta_perp(P) of every shape and the simple roots of random
+    # parabolics: the projections span the kernel that rref computes, and the
+    # roots vanishing at their signs are those vanishing on it
+    rs = build_root_system(name)
+    sets = []
+    for shape in shape_catalog(rs):
+        sets.append(shape.parabolic.simples + orthogonal_complement(shape.parabolic).simples)
+    sets += [U.simples for U in _random_parabolics(rs, random.Random(name), 20)]
+    projections, signs = rs.fixed_projections(sets)
+    assert signs.shape == (len(sets), rs.nroots)
+    for S, pi, row in zip(sets, projections, signs):
+        X = rs.fixed_space(S)
+        assert (pi if isinstance(pi, I2Subspace) else Subspace(pi, rs.n)) == X, S
+        assert ((row == 0) == (rs.signs_at(X) == 0)).all(), S
+        assert (rs.fixed_projections([S])[1][0] == row).all(), S   # one set at a time
+
+
+@pytest.mark.parametrize("name", ["A2", "I2(5)"])
+def test_fixed_projections_refuse_dependent_roots(name):
+    # {a1, a2, a1 + a2}: the product of the three reflections is a reflection,
+    # whose fixed line is not orthogonal to all three roots
+    rs = build_root_system(name)
+    a, b = rs.simple_roots
+    both = next(r for r in range(rs.npos) if r not in (a, b))
+    rs.fixed_projections([[a, b]])
+    with pytest.raises(RuntimeError, match="dependent"):
+        rs.fixed_projections([[a, b], [a, b, both]])
 
 
 # sha256 of the positive roots, as (a, b, den) per coordinate, and of the
