@@ -15,7 +15,10 @@ which the normalizer's action cells apply to reflection lines too); the
 order of a product of two reflection permutations, ``bond_order``, is its
 oracle.  A standard parabolic's roots are read off the root supports
 (``parabolic.standard_parabolic``); ``close_roots`` closes any other
-generating set.
+generating set by a BFS, and ``close_root_masks`` closes a stack of root
+masks at once, as one fixpoint of gathers.  The simple systems of a stack
+of closed subsystems are one boolean product (``simple_masks``), of which
+``subsystem_simples`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -47,23 +50,53 @@ def close_roots(rs, indices):
     return frozenset(S)
 
 
+def close_root_masks(rs, masks):
+    """Root masks (k, nroots) of the reflection subgroups generated by the
+    roots of each row of a stack.
+
+    Each row, with the negatives of its roots, is closed under the
+    reflections in its own roots: every root g held by some row maps the
+    rows holding it onto their images under r_g, one gather of those rows,
+    and the pass repeats until no row grows.  Only ``rs.reflection_perms``
+    is read.
+    """
+    perms = rs.reflection_perms[: rs.npos, : rs.nroots]
+    closed = masks | masks[:, rs.negation]
+    grown = True
+    while grown:
+        grown = False
+        held = closed[:, : rs.npos]   # a row holds a root iff it holds its negative
+        for g in np.flatnonzero(held.any(axis=0)):
+            rows = np.flatnonzero(held[:, g])
+            sub = closed[rows]
+            image = sub | sub[:, perms[g]]
+            if (image != sub).any():
+                closed[rows] = image
+                grown = True
+    return closed
+
+
 def positive_part(rs, roots):
     return tuple(sorted(i for i in roots if i < rs.npos))
 
 
-def subsystem_simples(rs, pos):
-    """Simple system of a closed subsystem, given its positive roots.
+def simple_masks(rs, pos):
+    """Simple systems of a stack of closed subsystems, as masks (k, npos) of
+    their positive roots ``pos`` (k, npos).
 
-    Root b is simple iff its reflection keeps every other root of ``pos``
-    positive; the subsystem is closed, so no image leaves it.  One gather of
-    the stacked reflections of ``pos`` at the columns of ``pos`` tests all b.
+    Root b is simple iff its reflection sends no other root of its row
+    negative; a subsystem is closed, so no image leaves it.  With
+    ``rs.sends_negative`` as K, that is one boolean product: pos & ~(pos K^T).
     """
-    if not pos:
-        return ()
-    cols = np.asarray(pos)
-    stays_positive = np.array([rs.reflection_perm(b) for b in pos])[:, cols] < rs.npos
-    stays_positive.flat[::len(pos) + 1] = True   # the diagonal: r_b(b) = -b
-    return tuple(cols[stays_positive.all(axis=1)].tolist())
+    return pos & ~(pos @ rs.sends_negative.T)
+
+
+def subsystem_simples(rs, pos):
+    """Simple system of a closed subsystem, given its positive roots: the
+    one-row case of ``simple_masks``."""
+    row = np.zeros((1, rs.npos), dtype=bool)
+    row[0, list(pos)] = True
+    return tuple(np.flatnonzero(simple_masks(rs, row)[0]).tolist())
 
 
 def bond_order(rs, i, j):

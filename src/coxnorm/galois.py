@@ -21,9 +21,11 @@ shape, computed for its representative P, holds perp(P) and its class, the
 simple roots projected onto Fix(P perp(P)), and the roots and class of the
 parabolic closure of P perp(P), the roots vanishing on those projections.
 ``galois_rows`` computes the rows of a list of parabolics as one stack:
-one boolean product for the complements, one ``classes_of`` for their
-classes, read at generic points of the spans of the Delta_P (perp(P) fixes
-span(Delta_P) pointwise), and one ``fixed_projections`` for Fix(P perp(P)),
+one boolean product for the complements and one for their simple systems
+(``diagrams.simple_masks``), one ``classes_of`` for their classes, read at
+generic points of the spans of the Delta_P (perp(P) fixes span(Delta_P)
+pointwise; the signs of the rows the class cache misses are one gather,
+``stacked_span_signs``), and one ``fixed_projections`` for Fix(P perp(P)),
 the orbit sums of a Coxeter element of Delta_P u Delta_perp(P), with the
 closures' classes read at their lexicographic signs; no elimination runs.
 The suites over the whole catalog fill every missing row with one call
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagrams import simple_masks
 from .parabolic import ReflectionSubgroup, root_masks, shape_catalog, subset_groupoid
 
 
@@ -78,10 +81,11 @@ def galois_rows(catalog, parabolics) -> list:
     rs = catalog.rs
     perps = perp_masks(rs, root_masks(rs, [P.roots for P in parabolics]))
     perp_classes = catalog.classes_of(
-        perps, lambda miss: np.array([rs.span_signs(parabolics[r].simples) for r in miss]))
+        perps, lambda miss: rs.stacked_span_signs([parabolics[r].simples for r in miss]))
     Qs = []
-    for row, j in zip(perps, perp_classes):
+    for row, simples, j in zip(perps, simple_masks(rs, perps[:, : rs.npos]), perp_classes):
         Q = ReflectionSubgroup(rs, np.flatnonzero(row).tolist())
+        Q.simples = tuple(np.flatnonzero(simples).tolist())
         Q.components = catalog[j].components   # its shape's, not recognized again
         Qs.append(Q)
     projections, signs = rs.fixed_projections(

@@ -454,8 +454,7 @@ def decompose(rs, parabolic) -> Decomposition:
            else galois_rows(catalog, [P])[0])
     Q, q_index = row.perp, row.perp_index
     p_order, q_order = P.order, Q.order
-    # in canonical order: the choice of C below takes its first candidate
-    D = sorted(_complement_D(rs, subset, orthogonal_join(P, Q)), key=lambda w: w.canonical())
+    D = _complement_D(rs, subset, orthogonal_join(P, Q))
 
     # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
@@ -489,7 +488,7 @@ def decompose(rs, parabolic) -> Decomposition:
         cands = [d for d in D if d.key not in ab_keys and d.is_involution()]
         if not cands:
             raise RuntimeError("no involution completes A x B to D")
-        C = [identity(rs), cands[0]]
+        C = [identity(rs), min(cands, key=lambda w: w.canonical())]
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)

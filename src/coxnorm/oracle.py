@@ -56,7 +56,10 @@ def commutation_table(rs, rows=None) -> np.ndarray:
     ``rows`` defaults to every positive root.  With R the stacked reflection
     permutations, r_s r_t = r_t r_s iff perm_s[R[t]] == R[t][perm_s] on every
     root; one row is compared at a time, so memory stays (npos, nroots).
-    The root system's orthogonality table is not read.
+    The root system's orthogonality table is not read.  The ``galois`` and
+    ``oracle`` suites read the commuting sets of all standard parabolics
+    off the whole table in one product and close them together with
+    ``diagrams.close_root_masks``.
     """
     R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
     rows = range(rs.npos) if rows is None else rows
@@ -67,17 +70,13 @@ def commutation_table(rs, rows=None) -> np.ndarray:
     return table
 
 
-def brute_orthogonal_complement(U: ReflectionSubgroup, commute=None):
-    """Literal commutation definition: reflections commuting with all of U.
-
-    ``commute`` is ``commutation_table(rs)``, for a caller that checks many
-    subgroups; without it, only the rows of U's positive roots are computed.
-    """
+def brute_orthogonal_complement(U: ReflectionSubgroup):
+    """Literal commutation definition: reflections commuting with all of U,
+    from the commutation table's rows of U's positive roots."""
     rs = U.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    pos = list(U.pos)
-    rows = commutation_table(rs, pos) if commute is None else commute[pos]
+    rows = commutation_table(rs, list(U.pos))
     return ReflectionSubgroup.generated_by(rs, np.flatnonzero(rows.all(axis=0)).tolist())
 
 

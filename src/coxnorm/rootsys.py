@@ -165,6 +165,14 @@ class _Roots:
         return np.hstack((perms, np.full((self.npos + 1, 1), self.nroots))).astype(np.int16)
 
     @cached_property
+    def sends_negative(self):
+        """Boolean table, shape (npos, npos): entry (b, a) tells whether the
+        reflection in positive root b sends positive root a != b negative."""
+        table = self.reflection_perms[: self.npos, : self.npos] >= self.npos
+        np.fill_diagonal(table, False)
+        return table
+
+    @cached_property
     def orthogonality(self):
         """Boolean table, shape (npos, nroots): row j marks the roots that the
         reflection in root j fixes, the roots orthogonal to root j."""
@@ -173,6 +181,11 @@ class _Roots:
     def orthogonal(self, i, j):
         """Roots i and j are orthogonal iff the reflection in i fixes j."""
         return bool(self.orthogonality[i % self.npos, j])
+
+    def span_signs(self, indices):
+        """Signs of all roots at a generic point of the span of the given
+        roots: the one-row case of ``stacked_span_signs``."""
+        return self.stacked_span_signs([indices])[0]
 
     def reflection(self, i) -> GroupElement:
         return GroupElement(self, self.reflection_perm(i).copy())
@@ -377,10 +390,19 @@ class RootSystem(_Roots):
         return self._lex_signs(pair_sign(pair_matmul(self._root_forms,
                                                      tuple(m.T for m in X.pairs))))
 
-    def span_signs(self, simples):
-        """Signs of all roots at a generic point of the span of the given simple
-        roots, taken on those roots: their columns of the root forms."""
-        return self._lex_signs(pair_sign(tuple(f[:, list(simples)] for f in self._root_forms)))
+    def stacked_span_signs(self, index_sets):
+        """Signs of all roots at a generic point of the span of each set of
+        simple roots, shape (k, nroots), taken on those roots: their columns
+        of the root forms, one gather for the stack.  The sets are padded to
+        one width with the index of an appended zero column, on which every
+        root form vanishes, so no lexicographic sign changes."""
+        index = np.full((len(index_sets), max(map(len, index_sets), default=0)), self.n)
+        for row, simples in zip(index, index_sets):
+            row[: len(simples)] = list(simples)
+        # the root forms' columns, then the zero column, as rows: (n + 1, npos)
+        forms = tuple(np.vstack((f.T, np.zeros((1, self.npos), f.dtype)))[index]
+                      for f in self._root_forms)
+        return self._lex_signs(pair_sign(forms).transpose(0, 2, 1))
 
     def _lex_signs(self, values):
         """Signs at x_1 + e x_2 + e^2 x_3 + ... for rows x_k and a small e > 0, a
@@ -527,8 +549,11 @@ class I2RootSystem(_Roots):
         signs[(d == self.m) | (d == 3 * self.m)] = 0
         return signs
 
-    def span_signs(self, indices):
-        return self.signs_at(self.span(indices))
+    def stacked_span_signs(self, index_sets):
+        """Signs of all roots at a generic point of the span of each set of
+        roots, shape (k, nroots), by the index formula."""
+        signs = [self.signs_at(self.span(indices)) for indices in index_sets]
+        return np.array(signs, dtype=np.int8).reshape(len(signs), self.nroots)
 
     def fixed_projections(self, index_sets):
         """``RootSystem.fixed_projections`` by the index formula: each set's

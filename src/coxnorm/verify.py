@@ -10,21 +10,45 @@ import itertools
 
 import numpy as np
 
-from .diagrams import close_roots
-from .galois import galois_table, orthogonal_complement, perp_masks
+from .diagrams import close_root_masks
+from .galois import galois_table, perp_masks
 from .groups import BRUTE_LIMIT, generate, relative_length
 from .involutions import section8_checks
 from .normalizer import (compute_table, decompose, goursat_sections,
                          normalizer, normalizer_order, verify_theorem13)
-from .oracle import (brute_orthogonal_complement, commutation_table,
-                     diff_fixture, load_fixture, normalizing, positive_images)
+from .oracle import (commutation_table, diff_fixture, load_fixture, normalizing,
+                     positive_images)
 from .parabolic import shape_catalog, standard_parabolic
 
 
+def _subset(rs, mask):
+    return tuple(i for i in range(rs.n) if mask >> i & 1)
+
+
 def _standard_subsets(rs):
-    n = rs.n
-    for mask in range(1 << n):
-        yield tuple(i for i in range(n) if mask >> i & 1)
+    return [_subset(rs, mask) for mask in range(1 << rs.n)]
+
+
+def _standard_masks(rs):
+    """The root masks of every W_J, row ``mask`` the subset of that bitmask."""
+    masks = np.arange(1 << rs.n)
+    return (rs.supports & ~masks[:, None]) == 0
+
+
+def _commutation_witness(rs, u, perp):
+    """The first subset J whose commuting reflections do not generate perp(W_J).
+
+    Row ``mask`` of the stacks u and perp holds W_J and its complement for
+    the subset J of that bitmask.  The positive roots whose reflection
+    commutes with every reflection of W_J are one product with the negated
+    ``commutation_table``, and the groups they generate are closed together
+    by ``close_root_masks``; neither reads the orthogonality table.  None
+    when every row agrees.
+    """
+    commuting = np.zeros_like(u)
+    commuting[:, : rs.npos] = ~(u[:, : rs.npos] @ ~commutation_table(rs))
+    rows = np.flatnonzero((close_root_masks(rs, commuting) != perp).any(axis=1))
+    return _subset(rs, int(rows[0])) if rows.size else None
 
 
 def verify_galois(rs) -> dict:
@@ -37,12 +61,13 @@ def verify_galois(rs) -> dict:
     holds on the covering pairs J < J + {i}, one vectorized test per i; when
     one fails, the pairs are walked in ``itertools.combinations`` order for
     the first failing pair.  The commutation oracle reads one commutation
-    table per call and closes each commuting set with ``close_roots``.
+    table per call and closes every commuting set in one fixpoint
+    (``_commutation_witness``).
     """
     report = {"group": str(rs.label), "checks": {}}
-    subsets = list(_standard_subsets(rs))
+    subsets = _standard_subsets(rs)
     masks = np.arange(len(subsets))
-    chain = [(rs.supports & ~masks[:, None]) == 0]   # chain[k][mask]: perp^k W_J
+    chain = [_standard_masks(rs)]   # chain[k][mask]: perp^k W_J
     for _ in range(4):
         chain.append(perp_masks(rs, chain[-1]))
     u, perp = chain[:2]
@@ -65,11 +90,7 @@ def verify_galois(rs) -> dict:
     record("closure_idempotent", first((chain[4] != chain[2]).any(axis=1)))
 
     if rs.group_order <= BRUTE_LIMIT:
-        # the positive roots whose reflection commutes with every reflection of u
-        commuting = ~(u[:, : rs.npos] @ ~commutation_table(rs))
-        record("commutation_route_agrees", first([
-            close_roots(rs, np.flatnonzero(c).tolist()) != frozenset(np.flatnonzero(p).tolist())
-            for c, p in zip(commuting, perp)]))
+        record("commutation_route_agrees", _commutation_witness(rs, u, perp))
 
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report
@@ -213,13 +234,8 @@ def verify_oracle(rs) -> dict:
             bad = shape.label
             break
     report["checks"]["normalizer"] = {"ok": bad is None, "witness": bad}
-    commute = commutation_table(rs)
-    bad = None
-    for subset in _standard_subsets(rs):
-        U = standard_parabolic(rs, subset)
-        if brute_orthogonal_complement(U, commute).roots != orthogonal_complement(U).roots:
-            bad = subset
-            break
+    u = _standard_masks(rs)
+    bad = _commutation_witness(rs, u, perp_masks(rs, u))
     report["checks"]["orthogonal_complement"] = {"ok": bad is None, "witness": bad}
     report["ok"] = all(c["ok"] for c in report["checks"].values())
     return report

@@ -51,6 +51,9 @@ PINNED_STDOUT = [
     ("concepts E7", 0, "b86066069e284e0a262fd27075d6f1bcbf30724abdadfcd7b746f4b153c81d2c"),
     ("graph E7", 0, "381b21ca22ae32c3e94f9b1f045c808c421f66a2c4ff02d43f590c8754d8063b"),
     ("involutions E7", 0, "b7ee9036434125614c8ca31e7a55c7af9ae7d717db1064e3649df30b46cc396a"),
+    ("verify H4 --suite galois", 0, "dec5fb2ac3b8b61879e3127998b8f4ddaabd51425b7c53a7a0a11091e816f27e"),
+    ("verify E6 --suite galois", 0, "a327420a7542bdaa6bee5649a3d86755dd1678ecf413ae901f026fb9ef91d828"),
+    ("verify D6 --suite galois", 0, "094152741d2380d0e4f50baebd311ba13981c044dc83232a2b9f118f1768db76"),
     ("verify A7 --suite galois", 0, "fda05dbc9ca5b92e8e1402aa4e631f02b368b3b82e2b831cc9c3060cb9adb9e7"),
     ("verify E7 --suite galois", 0, "721909c4945ff723870d4a939023cb9e2a93f7b16c1265ff139d1cdcadc24a6d"),
     ("verify E7 --suite section8", 0, "6065862be93d4aeb033dc1ecf1a0793783a98835c4003292e9c54938f37cc90d"),

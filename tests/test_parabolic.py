@@ -4,11 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm.diagrams import close_roots, positive_part, subsystem_simples
+from coxnorm.diagrams import (close_root_masks, close_roots, positive_part, simple_masks,
+                              subsystem_simples)
+from coxnorm.groups import BRUTE_LIMIT
 from coxnorm.linalg import Subspace
+from coxnorm.oracle import commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                parabolic_closure, pointwise_stabilizer,
-                               shape_catalog, standard_parabolic)
+                               root_masks, shape_catalog, standard_parabolic)
 from coxnorm.galois import orthogonal_complement
 from coxnorm.rootsys import build_root_system, inner_product
 
@@ -107,9 +110,37 @@ def test_gathered_simple_systems_match_the_pairwise_reference(name):
         standard = standard_parabolic(rs, shape.rep_subset)
         assert standard.simples == reference_simples(rs, standard.pos), shape.label
     subsystems += [close_roots(rs, rng.sample(range(rs.nroots), 2)) for _ in range(20)]
+    want = []
     for roots in subsystems:
         pos = positive_part(rs, roots)
-        assert subsystem_simples(rs, pos) == reference_simples(rs, pos), sorted(roots)
+        want.append(reference_simples(rs, pos))
+        assert subsystem_simples(rs, pos) == want[-1], sorted(roots)
+    # the whole list as one stack
+    stacked = simple_masks(rs, root_masks(rs, subsystems)[:, : rs.npos])
+    assert [tuple(np.flatnonzero(row).tolist()) for row in stacked] == want
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_closed_root_masks_match_the_breadth_first_closure(name):
+    # random sets of 1-3 roots and the simple roots of every J, which are not
+    # closed, so the fixpoint takes several passes, and the commuting set of
+    # every W_J (brute-force groups)
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    generators = [rng.sample(range(rs.nroots), rng.randint(1, 3)) for _ in range(200)]
+    commute = commutation_table(rs) if rs.group_order <= BRUTE_LIMIT else None
+    for mask in range(1 << rs.n):
+        W_J = standard_parabolic(rs, [i for i in range(rs.n) if mask >> i & 1])
+        generators.append(list(W_J.simples))
+        if commute is not None:
+            generators.append(np.flatnonzero(commute[list(W_J.pos)].all(axis=0)).tolist())
+    masks = root_masks(rs, generators)
+    closed = close_root_masks(rs, masks)
+    for k, gens in enumerate(generators):
+        want = close_roots(rs, gens)
+        assert set(np.flatnonzero(closed[k]).tolist()) == want, gens
+        # alone, a row gets no help from the generators of the others
+        assert set(np.flatnonzero(close_root_masks(rs, masks[k: k + 1])[0]).tolist()) == want
 
 
 def test_galois_pair_laws_small_rank():

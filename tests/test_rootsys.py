@@ -333,6 +333,19 @@ def test_span_signs_match_the_exact_inner_products(name):
         assert ((signs == 0) == (rs.signs_at(rs.span(simples)) == 0)).all(), simples
 
 
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_stacked_span_signs_match_one_set_at_a_time(name):
+    # every standard subset in one stack, the shorter sets padded, against
+    # each subset alone
+    rs = build_root_system(name)
+    subsets = [[rs.simple_roots[i] for i in range(rs.n) if mask >> i & 1]
+               for mask in range(1 << rs.n)]
+    stacked = rs.stacked_span_signs(subsets)
+    assert stacked.shape == (len(subsets), rs.nroots)
+    for signs, simples in zip(stacked, subsets):
+        assert signs.tolist() == rs.span_signs(simples).tolist(), simples
+
+
 
 def _random_parabolics(rs, rng, count):
     """Parabolics w(W_J) for random standard W_J and random words w."""
