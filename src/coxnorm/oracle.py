@@ -54,18 +54,21 @@ def commutation_table(rs, rows=None) -> np.ndarray:
     """C[k, t]: the reflections in the positive roots rows[k] and t != rows[k] commute.
 
     ``rows`` defaults to every positive root.  With R the stacked reflection
-    permutations, r_s r_t = r_t r_s iff perm_s[R[t]] == R[t][perm_s] on every
-    root; one row is compared at a time, so memory stays (npos, nroots).
-    The root system's orthogonality table is not read.  The ``galois`` and
-    ``oracle`` suites read the commuting sets of all standard parabolics
-    off the whole table in one product and close them together with
+    permutations, r_s r_t = r_t r_s iff perm_s[R[t]] == R[t][perm_s] on the
+    simple roots, since an element is fixed by its images of them; one row
+    is compared at a time, so memory stays (npos, n).  The root system's
+    orthogonality table is not read.  The ``galois`` and ``oracle`` suites
+    read the commuting sets of all standard parabolics off the whole table
+    in one product and close them together with
     ``diagrams.close_root_masks``.
     """
     R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
+    simple = list(rs.simple_roots)
+    at_simple = R[:, simple]
     rows = range(rs.npos) if rows is None else rows
     table = np.empty((len(rows), rs.npos), dtype=bool)
     for k, s in enumerate(rows):
-        table[k] = (R[s][R] == R[:, R[s]]).all(axis=1)
+        table[k] = (R[s][at_simple] == R[:, R[s][simple]]).all(axis=1)
         table[k, s] = False
     return table
 

@@ -7,7 +7,11 @@ it fixes pointwise, is the common fixed space of its reflections, computed
 on first use.  Spans, fixed spaces and signs at a generic point come from
 the root system, so nothing here branches on the family.  The shape
 catalog lists one entry per conjugacy class of parabolic subgroups, ordered
-by (rank, group order, label); indices are 1-based.
+by (rank, group order, label); indices are 1-based.  The classes are the
+components of the subset groupoid on the subsets of the simple reflections,
+whose edges are read off the opposition of connected subdiagrams with bit
+operations: its set-up makes one group element per connected subset, w0 of
+it, and the elements of the edges are made only when loops need them.
 
 Classical labels follow the partition transversal: type A uses partitions of
 the point count; types B and D use a sign-change block B_l / D_l plus a
@@ -248,59 +252,121 @@ class SubsetGroupoid:
     """Conjugacy of standard parabolics, by elementary moves on subsets of S.
 
     The vertices are the subsets J of the simple indices, held as bitmasks.
-    For s not in J there is one edge, carrying nu = w0(J) w0(J u {s}) (w0(J)
-    applied first), which maps the simple roots of J onto those of a subset
-    J'.  W_J and W_J' are conjugate iff J and J' lie in one connected
-    component, and the loops at J generate N_J = {w : w(Delta_J) = Delta_J},
-    with N_W(W_J) = W_J : N_J (Deodhar 1982; Howlett 1980; Brink-Howlett 1999).
-    The longest element w0(J) of every W_J is kept; callers must not mutate it.
+    For s not in K there is one edge (K, s).  Let C be the connected
+    component of s in the diagram of K u {s} and sigma_C = -w0(C) its
+    opposition.  The edge carries nu = w0(C - {s}) w0(C) (w0(C - {s})
+    applied first), which maps the simple roots of K onto those of the
+    target K u {s} - {sigma_C(s)}: the other components of K u {s} commute
+    with C, so w0(K) w0(K u {s}) reduces to nu.  W_J and W_J' are conjugate
+    iff J and J' lie in one connected component, and the loops at J
+    generate N_J = {w : w(Delta_J) = Delta_J}, with N_W(W_J) = W_J : N_J
+    (Deodhar 1982; Howlett 1980; Brink-Howlett 1999).
+
+    Set-up climbs w0(C) of every connected C, each from w0(C minus its
+    largest member), reads sigma_C off its images of C's simple roots, and
+    finds the components from the edge targets alone.  Every other w0(J),
+    the product of the commuting w0 of J's components, and every nu are
+    computed on first use and kept; callers must not mutate them.
     """
 
     def __init__(self, rs):
         self.rs = rs
         n = rs.n
-        simple = rs.simple_roots
-        position = {r: i for i, r in enumerate(simple)}
-        # w0(J) climbs from w0(J minus its largest member), which lies in W_J
-        w0 = [identity(rs)]
-        for mask in range(1, 1 << n):
-            w0.append(parabolic_longest_element(
-                rs, [simple[i] for i in _members(mask, n)],
-                start=w0[mask ^ (1 << (mask.bit_length() - 1))]))
-        self._longest = w0
+        simple = list(rs.simple_roots)
+        node = np.full(rs.nroots, -1)
+        node[simple] = np.arange(n)
         self._neighbours = [   # per node, the mask of the nodes bonded to it
             sum(1 << j for j in range(n) if rs.bond(simple[s], simple[j]) > 2) for s in range(n)]
-        self.edges = []   # per mask: [(nu, target mask)], one per added node s
-        for mask in range(1 << n):
-            out = []
-            for s in _added_nodes(mask, n):
-                nu = w0[mask] * w0[mask | 1 << s]
-                target = 0
-                for j in _members(mask, n):
-                    target |= 1 << position[int(nu.img[simple[j]])]
-                out.append((nu, target))
-            self.edges.append(out)
-        self.component_of_mask = np.full(1 << n, -1)   # component index per subset mask
+        bonded = np.zeros(1 << n, dtype=np.int32)   # per mask, the nodes bonded to one of it
+        for s, nb in enumerate(self._neighbours):
+            bonded[1 << s: 2 << s] = bonded[: 1 << s] | nb
+        masks = np.arange(1 << n, dtype=np.int32)[:, None]
+        grown = masks | (1 << np.arange(n, dtype=np.int32))
+        # entry (K, s): the component of s in K u {s}, grown from s
+        comp = np.broadcast_to(1 << np.arange(n, dtype=np.int32), grown.shape)
+        while True:
+            step = comp | (bonded[comp] & grown)
+            if (step == comp).all():
+                break
+            comp = step
+        self._component = comp
+        # w0(C) of each connected C, climbed from w0(C minus its largest member)
+        self._longest = {0: identity(rs)}
+        opposite = np.zeros((1 << n, n), dtype=np.int32)   # row C: sigma_C on C's nodes
+        for C in np.flatnonzero((comp == masks).any(axis=1)).tolist():
+            members = _members(C, n)
+            w0 = parabolic_longest_element(rs, [simple[i] for i in members],
+                                           start=self._w0(C ^ 1 << members[-1], keep=False))
+            self._longest[C] = w0
+            opposite[C, members] = node[rs.negation[w0.img[[simple[i] for i in members]]]]
+        # entry (K, s): the target of edge (K, s), or K itself when s is in K
+        sigma = opposite[comp, np.arange(n)]
+        self._targets = np.where(grown == masks, masks, grown ^ (1 << sigma))
+        self._nu = {}   # (C, s) -> nu, computed on first use
+        self._edges_at = {}   # mask -> its edges, made on first use
+        label = [-1] * (1 << n)   # component index per subset mask
         self.components = []   # member subsets of each component, sorted
         for mask in range(1 << n):
-            if self.component_of_mask[mask] < 0:
-                members = self._spanning_tree(mask)
-                self.component_of_mask[list(members)] = len(self.components)
-                self.components.append(sorted(_members(m, n) for m in members))
+            if label[mask] < 0:
+                label[mask] = index = len(self.components)
+                order = [mask]
+                for K in order:
+                    for K2 in self._targets[K].tolist():
+                        if label[K2] < 0:
+                            label[K2] = index
+                            order.append(K2)
+                self.components.append(sorted(_members(m, n) for m in order))
+        self.component_of_mask = np.array(label)
 
     def component_of(self, subset) -> int:
         return int(self.component_of_mask[_mask(subset)])
 
     def longest_element(self, subset) -> GroupElement:
         """The longest element w0(J) of the standard parabolic W_J."""
-        return self._longest[_mask(subset)]
+        return self._w0(_mask(subset))
+
+    def _w0(self, mask, keep=True):
+        """w0 of a mask: the product of its components' w0, which commute;
+        kept unless ``keep`` is false."""
+        w0 = self._longest.get(mask)
+        if w0 is None:
+            comps = self._component[mask]
+            rest = mask
+            while rest:
+                C = int(comps[(rest & -rest).bit_length() - 1])
+                w0 = self._longest[C] if w0 is None else w0 * self._longest[C]
+                rest &= ~C
+            if keep:
+                self._longest[mask] = w0
+        return w0
+
+    def target(self, mask, s) -> int:
+        """The mask that edge (K, s) leads to, K u {s} - {sigma_C(s)}."""
+        return int(self._targets[mask, s])
+
+    def nu(self, mask, s) -> GroupElement:
+        """The element of edge (K, s), w0(C - {s}) w0(C); it maps Delta_K onto
+        Delta of the target and depends on (C, s) only."""
+        C = int(self._component[mask, s])
+        if (C, s) not in self._nu:
+            self._nu[C, s] = self._w0(C ^ 1 << s) * self._longest[C]
+        return self._nu[C, s]
+
+    def _edges(self, K):
+        """(s, nu, target) of each edge at mask K, in the order of the added
+        nodes s; made on first use and kept."""
+        if K not in self._edges_at:
+            targets = self._targets[K].tolist()
+            self._edges_at[K] = [(s, self.nu(K, s), targets[s])
+                                 for s in _added_nodes(K, self.rs.n)]
+        return self._edges_at[K]
 
     def _spanning_tree(self, start):
         """BFS tree of J's component: mask K -> t_K, which maps Delta_J onto Delta_K."""
         tree = {start: identity(self.rs)}
         order = [start]
         for K in order:
-            for nu, K2 in self.edges[K]:
+            for _, nu, K2 in self._edges(K):
                 if K2 not in tree:
                     tree[K2] = tree[K] * nu
                     order.append(K2)
@@ -317,9 +383,8 @@ class SubsetGroupoid:
         """
         tree = self._spanning_tree(_mask(subset))
         inverse = {K: t.inverse() for K, t in tree.items()}
-        n = self.rs.n
         for K, t in tree.items():
-            for s, (nu, K2) in zip(_added_nodes(K, n), self.edges[K]):
+            for s, nu, K2 in self._edges(K):
                 if self._neighbours[s] & K:
                     g = t * nu * inverse[K2]
                     if not g.is_identity():

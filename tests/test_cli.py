@@ -85,12 +85,16 @@ def test_lattice_commands_keep_their_stdout_bytes(command, code, digest):
 # sha256 of the stdout of `shapes G`, recorded while the standard root sets
 # were still closed under reflections and the bonds read off permutation
 # products; every catalog label now comes from the support rule and the
-# bond table, and must keep these bytes
+# bond table, and must keep these bytes; A12 and D11 (with B10, the ranks at
+# which the subset groupoid is most of a catalog) were recorded while the
+# groupoid still kept w0 of every subset and a group element on every edge
 PINNED_SHAPES = [
     ("E8", "8a6ae1c3c78ab6d711faf16b14e74ccbbd6c0e42bf3ab283e826d14f74b52083"),
     ("A10", "9a373a53d305f141045bafd5e05160b4628c5949f3cf2f4027ec57073922d2ac"),
+    ("A12", "92428c788a3623bc6f8e4b037a20ff01a3ff45e1dc409809dd13eff6ee95ac38"),
     ("B10", "357e951baf1b9cb6ac1a2695eac956eb86a342e6f6c31bf9b4b27967554d9e20"),
     ("D10", "0ce546ccc6deb73a1427b30b5b09078fa786be432a08efce94e8f856f284a5cf"),
+    ("D11", "84ba825069e65cebb92a06cb05f37fb96ddfc73354886188c32567621323bf1d"),
     ("H4", "183d947b2a47fd3b1a5dbca1db0d4da63e7ceb54350c63ecc1caed0607f2cbd0"),
     ("I2(11)", "c3fed6341ce649e443d20188e94c7a8299528acb9a3db6366aeea31ccdf9daff"),
 ]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from coxnorm.galois import orthogonal_complement
-from coxnorm.groups import generate, parabolic_longest_element, set_stabilizer
+from coxnorm.groups import (GroupElement, generate, identity, parabolic_longest_element,
+                            set_stabilizer)
 from coxnorm.normalizer import (_complement_D, decompose, descend_to_complement,
                                 normalizer_order)
 from coxnorm.oracle import load_fixture
-from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
-                               standard_parabolic, standard_subset,
+from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, orthogonal_join,
+                               shape_catalog, standard_parabolic, standard_subset,
                                subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
@@ -45,11 +46,51 @@ def test_components_match_root_set_conjugacy(name):
 def test_edges_map_simple_roots_onto_simple_roots(name):
     rs = build_root_system(name)
     groupoid = subset_groupoid(rs)
-    for mask, edges in enumerate(groupoid.edges):
+    for mask in range(1 << rs.n):
         J = [r for i, r in enumerate(rs.simple_roots) if mask >> i & 1]
-        for nu, target in edges:
+        for s in (s for s in range(rs.n) if not mask >> s & 1):
+            nu, target = groupoid.nu(mask, s), groupoid.target(mask, s)
             K = {r for i, r in enumerate(rs.simple_roots) if target >> i & 1}
             assert {int(nu.img[r]) for r in J} == K
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "D9", "D11"])
+def test_edge_targets_match_the_longest_elements_of_the_full_masks(name):
+    # the edge (K, s) read off the opposition of one component agrees with
+    # w0(K) w0(K u {s}), both climbed from the identity; odd D_n, E6 and
+    # odd I2(m) are among the groups, where the opposition moves nodes
+    rs = build_root_system(name)
+    groupoid = SubsetGroupoid(rs)
+    w0 = [parabolic_longest_element(rs, [r for i, r in enumerate(rs.simple_roots) if mask >> i & 1])
+          for mask in range(1 << rs.n)]
+    position = {r: i for i, r in enumerate(rs.simple_roots)}
+    for mask in range(1 << rs.n):
+        J = [r for i, r in enumerate(rs.simple_roots) if mask >> i & 1]
+        for s in (s for s in range(rs.n) if not mask >> s & 1):
+            nu = w0[mask] * w0[mask | 1 << s]
+            target = sum(1 << position[int(nu.img[r])] for r in J)
+            assert groupoid.target(mask, s) == target, (mask, s)
+            assert groupoid.nu(mask, s) == nu, (mask, s)
+
+
+def test_set_up_keeps_longest_elements_of_connected_subsets_only():
+    # A12's 4,096 subsets hold 78 connected ones, the intervals of the chain
+    rs = build_root_system("A12")
+    groupoid = SubsetGroupoid(rs)
+    held, stack = {}, list(vars(groupoid).values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, GroupElement):
+            held[id(x)] = x
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+    intervals = [range(i, j) for i in range(rs.n) for j in range(i + 1, rs.n + 1)]
+    expected = {identity(rs).key} | {
+        parabolic_longest_element(rs, [rs.simple_roots[k] for k in J]).key for J in intervals}
+    assert len(intervals) == 78 and len(held) <= 79
+    assert {g.key for g in held.values()} == expected
 
 
 def test_decompose_rejects_non_standard_parabolic():
@@ -75,7 +116,8 @@ def test_e8_d_column_matches_fixture():
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
 def test_kept_longest_elements_match_a_climb_from_the_identity(name):
-    # the groupoid climbs w0(J) from w0(J minus its largest member) and keeps it
+    # the groupoid climbs w0(C) of each connected C from w0(C minus its largest
+    # member) and multiplies the w0 of J's components on first read
     rs = build_root_system(name)
     groupoid = subset_groupoid(rs)
     for mask in range(1 << rs.n):
@@ -115,8 +157,8 @@ def test_skipped_loops_are_reflections_of_the_orthogonal_complement(name):
         kept, skipped = {}, {}
         for K, t in tree.items():
             added = [s for s in range(n) if not K >> s & 1]
-            for s, (nu, K2) in zip(added, groupoid.edges[K]):
-                g = t * nu * tree[K2].inverse()
+            for s in added:
+                g = t * groupoid.nu(K, s) * tree[groupoid.target(K, s)].inverse()
                 bonded = any(rs.bond(rs.simple_roots[s], rs.simple_roots[j]) > 2
                              for j in range(n) if K >> j & 1)
                 if not g.is_identity():

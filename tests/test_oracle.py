@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coxnorm import parabolic, rootsys
@@ -5,7 +6,8 @@ from coxnorm.diagrams import close_roots
 from coxnorm.galois import orthogonal_complement
 from coxnorm.normalizer import compute_table, normalizer
 from coxnorm.oracle import (brute_normalizer, brute_orthogonal_complement,
-                            diff_fixture, load_fixture, parse_fixture)
+                            commutation_table, diff_fixture, load_fixture,
+                            parse_fixture)
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
                                standard_parabolic)
 from coxnorm.rootsys import build_root_system
@@ -84,6 +86,18 @@ def test_brute_orthogonal_complement_agreement():
             brute = brute_orthogonal_complement(U).roots
             assert brute == orthogonal_complement(U).roots
             assert brute == close_roots(rs, _commuting_reflections(U))
+
+
+@pytest.mark.parametrize("name", ["F4", "H4", "E6", "B6", "D6", "A7", "E7", "E8", "I2(7)"])
+def test_commutation_table_matches_the_full_image_comparison(name):
+    # the table compares r_s r_t and r_t r_s on the simple roots only
+    rs = build_root_system(name)
+    R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
+    full = np.array([(R[s][R] == R[:, R[s]]).all(axis=1) for s in range(rs.npos)])
+    np.fill_diagonal(full, False)
+    assert np.array_equal(commutation_table(rs), full)
+    rows = list(range(0, rs.npos, 3))
+    assert np.array_equal(commutation_table(rs, rows), full[rows])
 
 
 def test_commutation_oracle_ignores_the_orthogonality_table(monkeypatch):
