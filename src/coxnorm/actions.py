@@ -19,8 +19,8 @@ several spaces at once when their bases are stacked.  The reflection part of
 an action is named from its reflecting lines: their simple lines, the bonds
 among those by ``diagrams.gram_bonds``, and the type by
 ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
-``LineTable`` does the arithmetic once for a set of lines and names any
-subset of them.
+``LineTable`` does the arithmetic once for a set of lines, bonds included,
+and names any subset of them by indexing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagrams import components_string, diagram_of_bonds, gram_bonds
-from .linalg import pair_matmul, pair_mul, pair_sign
+from .linalg import canonical_rows, pair_matmul, pair_mul, pair_sign
 
 
 def split_keys(keys, n):
@@ -102,13 +102,13 @@ def stacked_restrictions(spaces, elements):
 
     The elements must preserve every space.  The spaces' bases are stacked,
     so one pair product restricts the elements to all of them and one
-    ``_canonical_rows`` call takes the lines of every row they move; each
+    ``linalg.canonical_rows`` call takes the lines of every row they move; each
     space then reads its block of rows and tests it for rank one.
     """
     elements = list(elements)
     if not spaces:
         return []
-    stacked = SpaceRestriction(
+    stacked = spaces[0] if len(spaces) == 1 else SpaceRestriction(
         spaces[0].rs, tuple(np.vstack(rows) for rows in zip(*(space.basis for space in spaces))))
     images = stacked.images(elements)
     nonzero, lines = _moved_lines(stacked._twice, images)
@@ -131,7 +131,7 @@ def _moved_lines(twice, images):
     moved = (twice - images).reshape(-1, images.shape[2])
     nonzero = moved.any(axis=1)
     lines = np.zeros_like(moved)
-    lines[nonzero] = _canonical_rows(split_keys(moved[nonzero], images.shape[2] // 2))
+    lines[nonzero] = canonical_rows(split_keys(moved[nonzero], images.shape[2] // 2))
     return nonzero.reshape(images.shape[:2]), lines.reshape(images.shape)
 
 
@@ -153,26 +153,9 @@ def _rank_one(nonzero, lines):
 
 
 def canonical_lines(x):
-    """Keys of the lines of the nonzero pair rows x (lines are unsigned)."""
-    return [tuple(r) for r in _canonical_rows(x).tolist()]
-
-
-def _canonical_rows(x):
-    """The primitive rows of the keys of ``canonical_lines``, as an array.
-
-    Each row is multiplied by the conjugate a - b*sqrt5 of its first nonzero
-    entry a + b*sqrt5, which makes that entry the rational a^2 - 5b^2, then
-    by the sign of that entry, and divided by the gcd of its 2n integers.
-    Two rows on one line then differ by a positive rational, so they give
-    the same primitive key.
-    """
-    p, q = x
-    k = np.arange(len(p))
-    first = ((p != 0) | (q != 0)).argmax(axis=1)
-    p, q = pair_mul(x, (p[k, first][:, None], -q[k, first][:, None]))
-    rows = np.hstack((p, q)) * np.sign(p[k, first])[:, None]
-    rows //= np.gcd.reduce(rows, axis=1)[:, None]
-    return rows
+    """Keys of the lines of the nonzero pair rows x (lines are unsigned): the
+    rows of ``linalg.canonical_rows``."""
+    return [tuple(r) for r in canonical_rows(x).tolist()]
 
 
 class LineTable:
@@ -180,12 +163,16 @@ class LineTable:
 
     Each line is a key of a nonzero pair row on it, and ``form`` is the root
     system's ``form``.  A subset passed to ``diagram`` must meet the contract
-    of ``diagram_of_lines``.  The simple test there is one of pairs of
-    lines, so the functional, the Gram products and the test are computed
-    once, for all the lines, when a subset of two lines or more is first
-    named; each subset then reads its rows of them.  Lines of mutually
-    orthogonal spaces can share a table: a subset of one space reads no
-    row of another, which only makes the functional nonzero there too.
+    of ``diagram_of_lines``.  The simple test there and the bond rule are
+    both tests of pairs of lines, so one exact pass, when a subset of two
+    lines or more is first named, computes the functional, the Gram matrix,
+    the simple test and the bonds of every pair of the table's lines (one
+    ``gram_bonds`` call); naming a subset then only indexes them: the
+    simple test picks its simple lines, and the bond table their diagram.
+    Lines of mutually orthogonal spaces can share a table: a subset of one
+    space reads no row of another, which only makes the functional nonzero
+    there too.  Since the bonds run over all pairs, the overflow guard of
+    ``gram_bonds`` bounds 8 G^2 over the whole table.
     """
 
     def __init__(self, lines, form):
@@ -194,25 +181,38 @@ class LineTable:
 
     @cached_property
     def _tests(self):
-        """({line: row}, Gram matrix of the positive rows, simple test of pairs)."""
+        """({line: row}, Gram matrix of the positive rows, simple test of pairs,
+        bonds of pairs)."""
         index = {line: i for i, line in enumerate(set(self._lines))}
-        dim = len(self._form[0])
+        fp, fq = self._form
+        dim = len(fp)
         L = split_keys(list(index), dim)
 
         # generic functional nonzero on every line: f(v) = sum v_i * t^i, a
         # nonzero polynomial of degree < dim in t on each line, so at most
-        # (dim - 1) * |lines| values of t make it vanish on one of them
-        for t in range(1, (dim - 1) * len(index) + 2):
-            weights = np.array([[t ** i] for i in range(dim)], dtype=np.int64)
-            f = pair_matmul(L, (weights, 0 * weights))
-            signs = pair_sign(f)[:, 0]
-            if signs.all():
+        # (dim - 1) * |lines| values of t make it vanish on one of them.  The
+        # least such t is taken; the candidates are tried four at a time,
+        # the first four in one product with the form.
+        exponents = np.arange(dim)[:, None]
+        Lform = None
+        for t in range(1, (dim - 1) * len(index) + 2, 4):
+            powers = np.arange(t, t + 4) ** exponents   # column c: (t + c)^i
+            if Lform is None:
+                p, q = pair_matmul(L, (np.hstack((fp, powers)), np.hstack((fq, 0 * powers))))
+                Lform, values = (p[:, :dim], q[:, :dim]), (p[:, dim:], q[:, dim:])
+            else:
+                values = pair_matmul(L, (powers, 0 * powers))
+            found = pair_sign(values).all(axis=0)
+            if found.any():
                 break
+        c = int(found.argmax())
+        value = (values[0][:, c:c + 1], values[1][:, c:c + 1])
+        signs = pair_sign(value)
 
         # the positive lines, their values f_i and their Gram matrix (of 2 gram)
-        pos = (L[0] * signs[:, None], L[1] * signs[:, None])
-        f = (f[0] * signs[:, None], f[1] * signs[:, None])
-        G = pair_matmul(pair_matmul(pos, self._form), (pos[0].T, pos[1].T))
+        f = (value[0] * signs, value[1] * signs)
+        pos_form = (Lform[0] * signs, Lform[1] * signs)
+        G = pair_matmul(pos_form, (L[0].T * signs.T, L[1].T * signs.T))
         diag = (np.diagonal(G[0]), np.diagonal(G[1]))
 
         # line j keeps line i positive iff f_i G_jj - 2 G_ij f_j > 0
@@ -220,21 +220,18 @@ class LineTable:
         rhs = pair_mul(pair_mul((2, 0), G), (f[0].T, f[1].T))
         keep = pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1])) > 0
         np.fill_diagonal(keep, True)
-        return index, G, keep
+        return index, G, keep, gram_bonds(G)
 
     def diagram(self, lines):
         """Coxeter diagram of the reflection group generated by the given lines."""
         lines = set(lines)
         if len(lines) <= 1:
             return ("A1",) * len(lines)
-        index, G, keep = self._tests
+        index, _, keep, bonds = self._tests
         rows = np.array([index[line] for line in lines])
         # line j is simple iff its reflection keeps every other line positive
         simples = rows[keep[np.ix_(rows, rows)].all(axis=0)]
-
-        # the bonds of the simple lines, by the one bond rule on their Gram matrix
-        sub = np.ix_(simples, simples)
-        bonds = gram_bonds((G[0][sub], G[1][sub]))
+        bonds = bonds[np.ix_(simples, simples)]
         if not bonds.all():
             raise ValueError("unrecognized bond ratio among the simple lines")
         return diagram_of_bonds(bonds.tolist())

@@ -28,6 +28,7 @@ pointwise; the signs of the rows the class cache misses are one gather,
 ``stacked_span_signs``), and one ``fixed_projections`` for Fix(P perp(P)),
 the orbit sums of a Coxeter element of Delta_P u Delta_perp(P), with the
 closures' classes read at their lexicographic signs; no elimination runs.
+A set of n roots sums no orbit: its Fix(P perp(P)) is 0.
 The suites over the whole catalog fill every missing row with one call
 (``galois_table``); a single shape's reader fills only its row, so the
 first decomposition of a group does not pay for every shape.  The closure
@@ -77,6 +78,12 @@ def galois_rows(catalog, parabolics) -> list:
     ``projections`` is what ``rs.fixed_projections`` gives for
     Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
     pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2.
+    Only the sets of fewer than n roots go to ``fixed_projections``.  A full
+    set is independent, since Delta_P and Delta_perp(P) are each independent
+    and orthogonal to each other, which one gather of ``rs.orthogonality``
+    checks in place of the dependency check; so Fix(P perp(P)) = 0, its
+    projections are empty, its sign row is zero and its closure is W.  Type
+    I2 keeps its index formula for every set.
     """
     rs = catalog.rs
     perps = perp_masks(rs, root_masks(rs, [P.roots for P in parabolics]))
@@ -88,8 +95,19 @@ def galois_rows(catalog, parabolics) -> list:
         Q.simples = tuple(np.flatnonzero(simples).tolist())
         Q.components = catalog[j].components   # its shape's, not recognized again
         Qs.append(Q)
-    projections, signs = rs.fixed_projections(
-        [P.simples + Q.simples for P, Q in zip(parabolics, Qs)])
+    sets = [P.simples + Q.simples for P, Q in zip(parabolics, Qs)]
+    full = [rs.is_vector and len(s) == rs.n for s in sets]
+    pairs = [(a, b) for P, Q, f in zip(parabolics, Qs, full) if f
+             for a in P.simples for b in Q.simples]
+    if pairs and not rs.orthogonality[tuple(np.array(pairs).T)].all():
+        raise RuntimeError("a simple root of P is not orthogonal to one of perp(P)")
+    projections = [(np.zeros((0, rs.n), dtype=np.int64),) * 2] * len(sets)
+    signs = np.zeros((len(sets), rs.nroots), dtype=np.int8)
+    rest = [r for r, f in enumerate(full) if not f]
+    if rest:
+        found, signs[rest] = rs.fixed_projections([sets[r] for r in rest])
+        for r, x in zip(rest, found):
+            projections[r] = x
     closures = signs == 0
     return [GaloisRow(*row) for row in zip(Qs, perp_classes, projections, closures,
                                            catalog.classes_of(closures, signs))]
@@ -152,7 +170,7 @@ def shape_closure_graph(rs):
     table = galois_table(catalog)
     groupoid = subset_groupoid(rs)
     # the class of every subset mask; below a shape, those of the subsets of its J
-    classes = np.array([catalog.class_of_subset(c[0]) for c in groupoid.components])
+    classes = np.array([catalog.class_of_subset(rep) for rep in groupoid.representatives])
     classes = classes[groupoid.component_of_mask]
     masks = np.arange(len(classes))
     below = {s.index: set(classes[(masks & ~sum(1 << k for k in s.rep_subset)) == 0].tolist())

@@ -231,3 +231,21 @@ def pair_sign(x):
     sp, sq = np.sign(p), np.sign(q)
     return np.where(sp == sq, sp,
                     np.where(p * p > 5 * q * q, sp, sq)).astype(np.int8)
+
+
+def canonical_rows(x):
+    """The primitive key rows of the lines of the nonzero pair rows x, as an array.
+
+    Each row is multiplied by the conjugate a - b*sqrt5 of its first nonzero
+    entry a + b*sqrt5, which makes that entry the rational a^2 - 5b^2, then
+    by the sign of that entry, and divided by the gcd of its 2n integers.
+    Two rows on one line then differ by a positive rational, so they give
+    the same primitive row: its p entries, then its q entries.
+    """
+    p, q = x
+    k = np.arange(len(p))
+    first = ((p != 0) | (q != 0)).argmax(axis=1)
+    p, q = pair_mul(x, (p[k, first][:, None], -q[k, first][:, None]))
+    rows = np.hstack((p, q)) * np.sign(p[k, first])[:, None]
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    return rows

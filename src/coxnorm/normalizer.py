@@ -19,14 +19,15 @@ onto D, so those reductions generate D, and D is closed by enumeration; the
 loops the groupoid skips are reflections of Q, which reduce to 1.  D is
 small, and it is the only group ``decompose`` enumerates: |N| = |P||Q||D|,
 and the action cells on X_perp, X n Y and Y_perp are read off the
-restrictions of D, on the simple roots projected onto Fix(PQ) and on the
-simple roots of P and of Q, stacked into one batched product (see
-``_Restricted``).  Q, its class, those projections and the class of the
-parabolic closure of PQ are the shape's row of the catalog's Galois table
-(``galois.galois_row``), so no fixed space is eliminated; |N| alone reads Q
-there too, at the representative of P's class.  The
-reflection parts of P:D and Q:D are named from the simple root lines of P
-or Q and the lines of D, with neither enumerated (see ``_action_cell``).
+restrictions of D: to X n Y by one batched product on the simple roots
+projected onto Fix(PQ), and to X_perp and Y_perp off D's images of the
+simple roots of P and of Q, which it permutes (see ``_Restricted``).  Q,
+its class, those projections and the class of the parabolic closure of PQ
+are the shape's row of the catalog's Galois table (``galois.galois_row``),
+so no fixed space is eliminated; |N| alone reads Q there too, at the
+representative of P's class.  The reflection parts of P:D and Q:D are
+named from the simple root lines of P or Q and the lines of D, with neither
+enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
 classify image summaries (``_Restricted.image``) read off those tables, and
 every diagram of a row is read off one line table.  The Goursat sections of
@@ -38,8 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
-                      image_keys, invariant_split, split_keys, stacked_restrictions)
+                      image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
 from .galois import galois_row, galois_rows, orthogonal_complement, perp_index, perp_of_shape
 from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
@@ -298,12 +301,25 @@ class _Image:
 class _Restricted:
     """D's restriction to each nonzero space of the invariant split, and one line table.
 
-    ``spaces`` maps each role, X n Y first, to a ``SpaceRestriction`` on its
-    basis, and ``tables`` to D's restriction table there, all split from one
-    stacked product (``actions.stacked_restrictions``).  Every image of a
-    subgroup of D is read off them.  The line table holds D's lines on all
-    the spaces and the simple root lines of P and Q, the rows of the bases
-    of X_perp and Y_perp; lines of different spaces are orthogonal, so one
+    ``spaces`` maps each role, X n Y first, to a basis of its space: the
+    projections of the simple roots onto X n Y, as pair rows, and Delta_P
+    and Delta_Q, as root indices, on X_perp and Y_perp.  ``tables`` maps it
+    to D's restriction table there, {d.key: (key of d's restriction,
+    reflecting line or None)}, and ``identities`` to the identity's key;
+    every image of a subgroup of D is read off them.
+
+    Only X n Y is restricted by a pair product (``SpaceRestriction``).
+    Lemma: on X_perp and Y_perp, D acts by permuting Delta_P and Delta_Q.
+    Proof: D normalizes P and Q and keeps their positive roots positive,
+    so d maps P's positive system onto itself, and so its simple roots.
+    So d's key there is its row of images of Delta, one gather of D's
+    images for both spaces, and the identity's key is Delta.  A permutation
+    of a basis fixes a subspace whose dimension is its number of cycles, so
+    d reflects there iff it moves exactly two simple roots, a transposition
+    (a_i a_j), and the line reflected is that of a_i - a_j.  No simple root
+    goes negative, so -1 is not a restriction there.  The line table holds
+    D's lines on all the spaces and the simple root lines of P and Q, read
+    off ``rs.root_lines``; lines of different spaces are orthogonal, so one
     table names the lines of every image (see ``actions.LineTable``).
     """
 
@@ -311,13 +327,40 @@ class _Restricted:
         self.rs = rs
         self.D = D
         self.spaces = spaces
-        self.tables = dict(zip(spaces, stacked_restrictions(list(spaces.values()), D)))
+        self.tables, self.identities = {}, {}
+        if "x_cap_y" in spaces:
+            self._mid = SpaceRestriction(rs, spaces["x_cap_y"])
+            self.tables["x_cap_y"] = self._mid.restrictions(D)
+            self.identities["x_cap_y"] = self._mid.identity
+        roles = [role for role in ("x_perp", "y_perp") if role in spaces]
+        if not roles:
+            return
+        images = np.array([d.img for d in D])
+        rows, swapped, moved_from, moved_to = {}, {}, [], []
+        for role in roles:
+            delta = np.array(spaces[role])
+            rows[role] = images[:, delta]
+            if (np.sort(rows[role], axis=1) != np.sort(delta)).any():
+                raise RuntimeError(f"{role}: D does not permute the simple roots")
+            moved = rows[role] != delta
+            swapped[role] = moved.sum(axis=1) == 2
+            first = moved[swapped[role]].argmax(axis=1)   # a_i, moved to a_j
+            moved_from.append(delta[first])
+            moved_to.append(rows[role][swapped[role]][np.arange(len(first)), first])
+        i, j = np.concatenate(moved_from), np.concatenate(moved_to)
+        p, q = rs.root_pairs
+        lines = iter(canonical_lines((p[i] - p[j], q[i] - q[j])) if len(i) else [])
+        for role in roles:
+            self.tables[role] = {d.key: (tuple(row), next(lines) if swap else None)
+                                 for d, row, swap in zip(D, rows[role].tolist(),
+                                                         swapped[role].tolist())}
+            self.identities[role] = tuple(spaces[role])
 
     def kernel(self, role):
         """The elements of D that fix the space pointwise (all of D on a zero space)."""
         if role not in self.tables:
             return self.D
-        table, identity = self.tables[role], self.spaces[role].identity
+        table, identity = self.tables[role], self.identities[role]
         return [d for d in self.D if table[d.key][0] == identity]
 
     def image(self, K, role, base=None) -> _Image:
@@ -326,7 +369,7 @@ class _Restricted:
         A base group's simple root lines join the lines of K's reflecting
         elements (see ``_action_cell``); with none, the diagram is the base's own.
         """
-        space, table = self.spaces[role], self.tables[role]
+        table = self.tables[role]
         cells = [table[k.key] for k in K]
         mats = {M for M, _ in cells}
         lines = {line for _, line in cells} - {None}
@@ -336,13 +379,15 @@ class _Restricted:
             diagram = self._line_table.diagram(lines)
         else:
             diagram = base.components if base is not None else ()
+        minus = role == "x_cap_y" and any(self._mid.is_minus_identity(M) for M in mats)
         return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
-                      diagram, any(space.is_minus_identity(M) for M in mats))
+                      diagram, minus)
 
     @cached_property
     def _base_lines(self):
-        """The simple root lines of P on X_perp and of Q on Y_perp: their bases' rows."""
-        return {role: canonical_lines(self.spaces[role].basis)
+        """The simple root lines of P on X_perp and of Q on Y_perp."""
+        root_lines = self.rs.root_lines
+        return {role: [root_lines[i] for i in self.spaces[role]]
                 for role in ("x_perp", "y_perp") if role in self.spaces}
 
     @cached_property
@@ -459,19 +504,18 @@ def decompose(rs, parabolic) -> Decomposition:
     # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
     # the names of A, B and C, all subsets of D, are read off it.  The simple
-    # roots of P and of Q are bases of X_perp and Y_perp.  Delta_P is
-    # orthogonal to Delta_Q, so together they are independent and X n Y =
-    # Fix(PQ) has the rest of the dimension; the row's nonzero projections,
-    # checked orthogonal to both when computed, span it.
+    # roots of P and of Q, as root indices, are bases of X_perp and Y_perp.
+    # Delta_P is orthogonal to Delta_Q, so together they are independent and
+    # X n Y = Fix(PQ) has the rest of the dimension; the row's nonzero
+    # projections, checked orthogonal to both when computed, span it.
     if not rs.orthogonality[list(P.simples)][:, list(Q.simples)].all():
         raise RuntimeError("invariant split does not fill the space")
     dims = {"x_cap_y": rs.n - len(P.simples) - len(Q.simples),
             "x_perp": len(P.simples), "y_perp": len(Q.simples)}
     spaces = {}
     if len(D) > 1:
-        bases = (("x_cap_y", row.projections), ("x_perp", rs.rows(P.simples)),
-                 ("y_perp", rs.rows(Q.simples)))
-        spaces = {role: SpaceRestriction(rs, basis) for role, basis in bases if dims[role]}
+        bases = (("x_cap_y", row.projections), ("x_perp", P.simples), ("y_perp", Q.simples))
+        spaces = {role: basis for role, basis in bases if dims[role]}
     restricted = _Restricted(rs, D, spaces)
 
     # A and B are the kernels of D on Y_perp and on X n Y

@@ -264,7 +264,10 @@ class SubsetGroupoid:
 
     Set-up climbs w0(C) of every connected C, each from w0(C minus its
     largest member), reads sigma_C off its images of C's simple roots, and
-    finds the components from the edge targets alone.  Every other w0(J),
+    finds the components from the edge targets alone: ``component_of_mask``
+    gives each mask's component and ``representatives`` each component's
+    least member, in the order of sorted index tuples (a prefix first), with
+    no member listed per mask.  Every other w0(J),
     the product of the commuting w0 of J's components, and every nu are
     computed on first use and kept; callers must not mutate them.
     """
@@ -305,18 +308,22 @@ class SubsetGroupoid:
         self._nu = {}   # (C, s) -> nu, computed on first use
         self._edges_at = {}   # mask -> its edges, made on first use
         label = [-1] * (1 << n)   # component index per subset mask
-        self.components = []   # member subsets of each component, sorted
+        count = 0
         for mask in range(1 << n):
             if label[mask] < 0:
-                label[mask] = index = len(self.components)
+                label[mask] = count
                 order = [mask]
                 for K in order:
                     for K2 in self._targets[K].tolist():
                         if label[K2] < 0:
-                            label[K2] = index
+                            label[K2] = count
                             order.append(K2)
-                self.components.append(sorted(_members(m, n) for m in order))
+                count += 1
         self.component_of_mask = np.array(label)
+        # the least member of each component, in the order of sorted index tuples
+        by_rank = np.lexsort((_tuple_ranks(n), self.component_of_mask))
+        firsts = np.searchsorted(self.component_of_mask[by_rank], np.arange(count))
+        self.representatives = [_members(m, n) for m in by_rank[firsts].tolist()]
 
     def component_of(self, subset) -> int:
         return int(self.component_of_mask[_mask(subset)])
@@ -409,6 +416,26 @@ def _mask(subset):
 
 def _members(mask, n):
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _tuple_ranks(n):
+    """The rank of every subset mask of n nodes in the order of sorted index
+    tuples, a prefix first.
+
+    A tuple ending at t prefixes 2^(n-1-t) tuples, itself among them, so the
+    tuples before T = (t_1 < ... < t_k) number k + 2^n - r - 2^(n-1-t_k),
+    where r is the mask with its n bits reversed; 2^(n-1-t_k) is r's lowest
+    bit.  The empty tuple is first.
+    """
+    masks = np.arange(1 << n)
+    r, popcount = np.zeros_like(masks), np.zeros_like(masks)
+    for i in range(n):
+        bit = masks >> i & 1
+        r |= bit << (n - 1 - i)
+        popcount += bit
+    ranks = popcount + (1 << n) - r - (r & -r)
+    ranks[0] = 0
+    return ranks
 
 
 def _added_nodes(mask, n):
@@ -533,7 +560,7 @@ class ShapeCatalog:
         rs = self.rs
         groupoid = subset_groupoid(rs)
         # each class is represented by its lexicographically least subset
-        reps = [group[0] for group in groupoid.components]
+        reps = groupoid.representatives
         subgroups = {rep: standard_parabolic(rs, rep) for rep in reps}
         # labels
         labeled = []

@@ -61,7 +61,8 @@ import numpy as np
 from .diagrams import gram_bonds
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul, pair_sign
+from .linalg import (Subspace, canonical_rows, dot, form_pairs, from_pairs, kernel, pair_matmul,
+                     pair_sign)
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -314,6 +315,11 @@ class RootSystem(_Roots):
     def bond(self, i, j):
         """Order of r_i r_j, read off the bond table."""
         return int(self.bonds[i % self.npos, j % self.npos])
+
+    @cached_property
+    def root_lines(self):
+        """The line key (a row of ``linalg.canonical_rows``) of each positive root."""
+        return [tuple(r) for r in canonical_rows(self.rows(range(self.npos))).tolist()]
 
     @cached_property
     def supports(self):

@@ -6,7 +6,7 @@ import pytest
 from coxnorm.actions import (LineTable, SpaceRestriction, canonical_lines,
                              diagram_of_lines, invariant_split,
                              stacked_restrictions)
-from coxnorm.diagrams import close_roots, positive_part
+from coxnorm.diagrams import close_roots, gram_bonds, positive_part
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
 from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
@@ -16,7 +16,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
-from fixture_groups import FIXTURE_GROUPS
+from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
 
 
 def apply_to_pairs(w, x):
@@ -317,3 +317,33 @@ def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypa
         for _, lines, diagram in row:
             assert diagram_of_lines(lines, rs.form) == diagram, (name, sorted(lines))
     assert name.startswith("I2") or any(len(lines) > 1 for row in rows for _, lines, _ in row)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_one_pass_bonds_match_the_bonds_of_each_subset(name, monkeypatch):
+    # a line table takes the bonds of all its pairs of lines in one pass;
+    # for every subset decompose names, the bonds it reads must be those of
+    # the bond rule on the Gram matrix of its simple lines alone
+    named = []
+    original = LineTable.diagram
+
+    def recording(self, lines):
+        named.append((self, frozenset(lines)))
+        return original(self, lines)
+
+    monkeypatch.setattr(LineTable, "diagram", recording)
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        decompose(rs, shape)
+    monkeypatch.undo()
+    checked = 0
+    for table, lines in named:
+        if len(lines) <= 1:
+            continue
+        index, G, keep, bonds = table._tests
+        rows = np.array([index[line] for line in lines])
+        simples = rows[keep[np.ix_(rows, rows)].all(axis=0)]
+        sub = np.ix_(simples, simples)
+        assert np.array_equal(bonds[sub], gram_bonds((G[0][sub], G[1][sub]))), (name, lines)
+        checked += 1
+    assert name.startswith("I2") or checked

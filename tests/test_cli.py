@@ -40,7 +40,10 @@ def run(*args, timeout=120):
 # its own; the E8 concept, graph, involution and section-8 records and the H4
 # section-8 record, the largest Galois stacks, were recorded while each shape's
 # complement and closure were looked up one shape at a time, each closure at
-# an eliminated fixed space
+# an eliminated fixed space; the A9, A10, B8 and B9 tables, rows outside the
+# golden fixtures where D reflects on X_perp by transpositions of simple
+# roots, were recorded while D was still restricted to X_perp and Y_perp by
+# pair products and every Galois row still summed orbits
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -71,6 +74,10 @@ PINNED_STDOUT = [
     ("involutions E8", 0, "7dd77dc2764a05ce019b10cd5a48aef4a6f438d1ff5c0a5cc70f1d389c5dbeaf"),
     ("verify E8 --suite section8", 0, "eb73cb6024dc7644cb88b80cbb508588de530e2a592c805ad1d0b3ce82cc90eb"),
     ("verify H4 --suite section8", 0, "122122cf2f951e31c026b62ee2540bd1cae92e26ac1deba422b5d962df7920b2"),
+    ("table A9 --format json --allow-long", 0, "5d440126146477b476b56ac5721dddbe2ada831cf693830f0a715254bb2250d1"),
+    ("table A10 --format json --allow-long", 0, "2e701df498cbcd25f934cc262df2c65013d5f0f9052cd68ef24c2ee3edc6f1a8"),
+    ("table B8 --format json --allow-long", 0, "6a982cf49b2d571223d6a7df0539c48f46a3c5192565e3fa0cc6f73f6a59ae90"),
+    ("table B9 --format json --allow-long", 0, "a028bd94e4db4e2ca63095a65cc790ba33569f32ab44411abd927761b9af2341"),
 ]
 
 

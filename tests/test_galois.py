@@ -8,7 +8,7 @@ import pytest
 from coxnorm import galois, linalg, verify
 from coxnorm.diagrams import close_roots
 from coxnorm.involutions import involution_class_representatives
-from coxnorm.galois import (orthogonal_closure, orthogonal_complement,
+from coxnorm.galois import (galois_rows, orthogonal_closure, orthogonal_complement,
                             parabolic_concepts, perp_index, perp_masks, pq_closure_index,
                             shape_closure_graph)
 from coxnorm.oracle import brute_orthogonal_complement, commutation_table
@@ -18,7 +18,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
-from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS
+from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS, ORACLE_GROUPS
 
 normalizer = importlib.import_module("coxnorm.normalizer")
 
@@ -469,3 +469,24 @@ def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
             assert all((a == b).all() for a, b in zip(one.projections, row.projections)), i
         else:
             assert one.projections == row.projections, i
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_full_sets_match_the_fixed_projections(name):
+    # galois_rows sends a set Delta_P u Delta_perp(P) of n roots to no orbit
+    # sum: every row must be the one fixed_projections gives for the set
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    shapes = list(catalog)
+    full = 0
+    for shape, row in zip(shapes, galois_rows(catalog, [s.parabolic for s in shapes])):
+        (projections,), signs = rs.fixed_projections([shape.parabolic.simples + row.perp.simples])
+        if rs.is_vector:
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                       for x, y in zip(row.projections, projections)), shape.label
+            full += len(projections[0]) == 0
+        else:
+            assert row.projections == projections, shape.label
+        assert np.array_equal(row.closure_roots, signs[0] == 0), shape.label
+        assert row.closure_index == catalog.classes_of(signs == 0, signs)[0], shape.label
+    assert not rs.is_vector or full

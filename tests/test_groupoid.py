@@ -9,9 +9,9 @@ from coxnorm.groups import (GroupElement, generate, identity, parabolic_longest_
 from coxnorm.normalizer import (_complement_D, decompose, descend_to_complement,
                                 normalizer_order)
 from coxnorm.oracle import load_fixture
-from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, orthogonal_join,
-                               shape_catalog, standard_parabolic, standard_subset,
-                               subset_groupoid)
+from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
+                               orthogonal_join, shape_catalog, standard_parabolic,
+                               standard_subset, subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS
@@ -35,11 +35,11 @@ def test_components_match_root_set_conjugacy(name):
     rs = build_root_system(name)
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
-    assert len(groupoid.components) == len(catalog)
-    for members in groupoid.components:
-        for subset in members:
-            roots = standard_parabolic(rs, subset).roots
-            assert catalog.class_of_roots(roots) == catalog.class_of_subset(subset)
+    assert len(groupoid.representatives) == len(catalog)
+    for mask in range(len(groupoid.component_of_mask)):
+        subset = [i for i in range(rs.n) if mask >> i & 1]
+        roots = standard_parabolic(rs, subset).roots
+        assert catalog.class_of_roots(roots) == catalog.class_of_subset(subset)
 
 
 @pytest.mark.parametrize("name", ["B4", "E6", "H3", "I2(5)", "I2(8)"])
@@ -171,3 +171,22 @@ def test_skipped_loops_are_reflections_of_the_orthogonal_complement(name):
                                     for g in [*kept.values(), *skipped.values()])}
         assert ([d.key for d in _complement_D(rs, subset, pq)]
                 == [d.key for d in generate(every.values(), rs=rs)]), (name, shape.label)
+
+
+def test_tuple_ranks_are_the_positions_in_the_order_of_sorted_tuples():
+    for n in range(1, 11):
+        ordered = sorted(range(1 << n), key=lambda m: tuple(i for i in range(n) if m >> i & 1))
+        assert [ordered[r] for r in _tuple_ranks(n).tolist()] == list(range(1 << n)), n
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "D9", "D11"])
+def test_representatives_are_the_least_members_of_their_components(name):
+    # the groupoid keeps each component's least member, in the order of
+    # sorted index tuples, not the sorted members of every component
+    rs = build_root_system(name)
+    groupoid = subset_groupoid(rs)
+    least = {}
+    for mask, c in enumerate(groupoid.component_of_mask.tolist()):
+        members = tuple(i for i in range(rs.n) if mask >> i & 1)
+        least[c] = min(least.get(c, members), members)
+    assert groupoid.representatives == [least[c] for c in range(len(least))]

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from coxnorm.actions import canonical_lines, diagram_of_lines
-from coxnorm.galois import orthogonal_complement
+from coxnorm.actions import SpaceRestriction, canonical_lines, diagram_of_lines
+from coxnorm.galois import galois_row, orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
 from coxnorm.linalg import pair_matmul
-from coxnorm.normalizer import (decompose, descend_to_complement, goursat_sections,
-                                howlett_complement, normalizer,
+from coxnorm.normalizer import (_complement_D, _Restricted, decompose, descend_to_complement,
+                                goursat_sections, howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
-from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parabolic,
-                               subset_groupoid)
+from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
+                               standard_parabolic, subset_groupoid)
 from coxnorm.rootsys import build_root_system
+
+from fixture_groups import ORACLE_GROUPS
 
 
 def test_normalizer_extremes():
@@ -223,3 +225,46 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
                        for p in elements for d in dec.D} - {None}
             assert diagram_of_lines(scanned, rs.form) == dec.actions[role].diagram, (
                 name, shape.label, role)
+
+
+def _split(table, identity):
+    """The classes of D a restriction table splits it into, its kernel, and
+    the line of each element that reflects."""
+    classes = {}
+    for key, (M, _) in table.items():
+        classes.setdefault(M, set()).add(key)
+    return ({frozenset(c) for c in classes.values()},
+            {key for key, (M, _) in table.items() if M == identity},
+            {key: line for key, (_, line) in table.items() if line is not None})
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_root_index_tables_match_the_pair_restriction(name):
+    # decompose reads D on X_perp and Y_perp as permutations of Delta_P and
+    # Delta_Q; the pair product on the rows of those simple roots must split
+    # D into the same classes, with the same kernel, the same reflecting
+    # elements and the same line for each
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    checked = 0
+    for shape in catalog:
+        P, Q = shape.parabolic, galois_row(catalog, shape.index).perp
+        D = _complement_D(rs, shape.rep_subset, orthogonal_join(P, Q))
+        if len(D) == 1:
+            continue
+        spaces = {role: simples for role, simples in (("x_perp", P.simples),
+                                                      ("y_perp", Q.simples)) if simples}
+        restricted = _Restricted(rs, D, spaces)
+        for role, simples in spaces.items():
+            pairs = SpaceRestriction(rs, rs.rows(simples))
+            assert (_split(restricted.tables[role], restricted.identities[role])
+                    == _split(pairs.restrictions(D), pairs.identity)), (name, shape.label, role)
+            checked += 1
+    assert name.startswith("I2") or checked
+
+
+def test_an_element_that_does_not_permute_the_simple_roots_is_refused():
+    rs = build_root_system("A3")
+    # s_1 sends a_2 to a_1 + a_2, a root outside Delta = {a_2}
+    with pytest.raises(RuntimeError, match="permute"):
+        _Restricted(rs, [identity(rs), rs.reflection(0)], {"x_perp": (1,)})
