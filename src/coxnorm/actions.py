@@ -14,13 +14,12 @@ Restrictions stay in the ambient simple-root coordinates, on integer pairs
 the subspace's basis rows, and a reflecting line by a canonical integer pair
 on it, measured with the root system's doubled Gram form.  Both are keys:
 tuples of ints holding each row's p entries, then its q entries.  A set of
-elements is restricted as a batch, one pair product for all of them, and on
-several spaces at once when their bases are stacked.  The reflection part of
-an action is named from its reflecting lines: their simple lines, the bonds
-among those by ``diagrams.gram_bonds``, and the type by
-``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
-``LineTable`` does the arithmetic once for a set of lines, bonds included,
-and names any subset of them by indexing.
+elements is restricted as a batch, one pair product for all of them.  The
+reflection part of an action is named from its reflecting lines: their
+simple lines, the bonds among those by ``diagrams.gram_bonds``, and the type
+by ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
+``LineTable``, the one path that names lines, does the arithmetic once for a
+set of lines, bonds included, and names any subset of them by indexing.
 """
 
 from __future__ import annotations
@@ -76,10 +75,12 @@ class SpaceRestriction:
     def restrictions(self, elements):
         """{w.key: (key of w's restriction, reflecting line or None)}.
 
-        Equal keys mean equal restrictions, since the rows are a basis.  This
-        is the one-space case of ``stacked_restrictions``.
+        Equal keys mean equal restrictions, since the rows are a basis.
         """
-        return stacked_restrictions([self], elements)[0]
+        elements = list(elements)
+        images = self.images(elements)
+        cells = zip(image_keys(images), _reflecting_lines(self._twice, images))
+        return {w.key: cell for w, cell in zip(elements, cells)}
 
     def matrix(self, w):
         """Key of the images of the basis rows under w, in ambient coordinates.
@@ -94,57 +95,26 @@ class SpaceRestriction:
     def reflection_line(self, M):
         """The reflecting line of the restriction with key M, or None."""
         images = np.array(M, dtype=np.int64).reshape(1, *self._twice.shape)
-        return _rank_one(*_moved_lines(self._twice, images))[0]
+        return _reflecting_lines(self._twice, images)[0]
 
 
-def stacked_restrictions(spaces, elements):
-    """Each space's ``restrictions`` table of the elements, from one stacked product.
-
-    The elements must preserve every space.  The spaces' bases are stacked,
-    so one pair product restricts the elements to all of them and one
-    ``linalg.canonical_rows`` call takes the lines of every row they move; each
-    space then reads its block of rows and tests it for rank one.
-    """
-    elements = list(elements)
-    if not spaces:
-        return []
-    stacked = spaces[0] if len(spaces) == 1 else SpaceRestriction(
-        spaces[0].rs, tuple(np.vstack(rows) for rows in zip(*(space.basis for space in spaces))))
-    images = stacked.images(elements)
-    nonzero, lines = _moved_lines(stacked._twice, images)
-    tables = []
-    start = 0
-    for space in spaces:
-        block = slice(start, start + space.dim)
-        start = block.stop
-        cells = zip(image_keys(images[:, block]), _rank_one(nonzero[:, block], lines[:, block]))
-        tables.append({w.key: cell for w, cell in zip(elements, cells)})
-    return tables
-
-
-def _moved_lines(twice, images):
-    """Which rows each image moves, shape (k, dim), and the lines of the moves.
-
-    Row b moves to w(b) when the difference b - w(b) (doubled) is nonzero;
-    its line is the key of ``canonical_lines``, zero where b is fixed.
-    """
-    moved = (twice - images).reshape(-1, images.shape[2])
-    nonzero = moved.any(axis=1)
-    lines = np.zeros_like(moved)
-    lines[nonzero] = canonical_rows(split_keys(moved[nonzero], images.shape[2] // 2))
-    return nonzero.reshape(images.shape[:2]), lines.reshape(images.shape)
-
-
-def _rank_one(nonzero, lines):
-    """The reflecting line of each restriction, from ``_moved_lines``, or None.
+def _reflecting_lines(twice, images):
+    """The reflecting line of the restriction each image gives, or None.
 
     An orthogonal map of the span is a reflection iff w - 1 has rank one
-    there, so the nonzero differences b - w(b) must all lie on one line;
-    that line is the one reflected.
+    there, so the nonzero differences b - w(b) (doubled) of the basis rows
+    must all lie on one line; that line, as a key of ``canonical_lines``, is
+    the one reflected.  One ``linalg.canonical_rows`` call takes the lines of
+    every row the images move.
     """
-    k, dim = nonzero.shape
+    k, dim, width = images.shape
     if not dim:
         return [None] * k
+    moved = (twice - images).reshape(-1, width)
+    nonzero = moved.any(axis=1)
+    lines = np.zeros_like(moved)
+    lines[nonzero] = canonical_rows(split_keys(moved[nonzero], width // 2))
+    nonzero, lines = nonzero.reshape(k, dim), lines.reshape(images.shape)
     lead = lines[np.arange(k), nonzero.argmax(axis=1)]
     rank_one = nonzero.any(axis=1) & (
         (lines == lead[:, None]).all(axis=2) | ~nonzero).all(axis=1)
@@ -162,17 +132,24 @@ class LineTable:
     """Names the reflection groups generated by subsets of one set of lines.
 
     Each line is a key of a nonzero pair row on it, and ``form`` is the root
-    system's ``form``.  A subset passed to ``diagram`` must meet the contract
-    of ``diagram_of_lines``.  The simple test there and the bond rule are
-    both tests of pairs of lines, so one exact pass, when a subset of two
-    lines or more is first named, computes the functional, the Gram matrix,
-    the simple test and the bonds of every pair of the table's lines (one
-    ``gram_bonds`` call); naming a subset then only indexes them: the
-    simple test picks its simple lines, and the bond table their diagram.
-    Lines of mutually orthogonal spaces can share a table: a subset of one
-    space reads no row of another, which only makes the functional nonzero
-    there too.  Since the bonds run over all pairs, the overflow guard of
-    ``gram_bonds`` bounds 8 G^2 over the whole table.
+    system's ``form``.  A subset passed to ``diagram`` must be reflection
+    lines of the group they generate and hold its simple lines at every
+    functional positive on W's positive roots, such as the f used here (root
+    coordinates are nonnegative): a line that is not simple sends some simple
+    line negative.  The normalizer's action cells pass such sets by the
+    lemma in ``normalizer._action_cell``.  The tests are homogeneous in each
+    line, so the scale of the row chosen on a line changes none of them.
+
+    The simple test and the bond rule are both tests of pairs of lines, so
+    one exact pass, when a subset of two lines or more is first named,
+    computes the functional, the Gram matrix, the simple test and the bonds
+    of every pair of the table's lines (one ``gram_bonds`` call); naming a
+    subset then only indexes them: the simple test picks its simple lines,
+    and the bond table their diagram.  A single set's diagram is that of a
+    table of its own lines.  Lines of mutually orthogonal spaces can share a
+    table: a subset of one space reads no row of another, which only makes
+    the functional nonzero there too.  Since the bonds run over all pairs,
+    the overflow guard of ``gram_bonds`` bounds 8 G^2 over the whole table.
     """
 
     def __init__(self, lines, form):
@@ -237,25 +214,6 @@ class LineTable:
         return diagram_of_bonds(bonds.tolist())
 
 
-def diagram_of_lines(lines, form):
-    """Coxeter diagram of the reflection group generated by the given lines.
-
-    The lines must be reflection lines of the group and hold its simple lines
-    at every functional positive on W's positive roots, such as the f used
-    here (root coordinates are nonnegative): a line that is not simple sends
-    some simple line negative.  The normalizer's action cells pass such sets
-    by the lemma in ``normalizer._action_cell``.  Each line is a key of a
-    nonzero pair row on it, and ``form`` is the root system's ``form``.
-    Returns the component name tuple.  This is the one-set case of
-    ``LineTable``.
-
-    The tests are homogeneous in each line, so the scale of the row chosen
-    on a line changes none of them.
-    """
-    lines = set(lines)
-    return LineTable(lines, form).diagram(lines)
-
-
 @dataclass(frozen=True)
 class ActionCell:
     """Action of the normalizer on one invariant subspace."""
@@ -282,14 +240,13 @@ class ActionCell:
 
     def descriptor(self) -> str:
         """Compact cell string: '', '-1', 'B3', or 'q(B3)'."""
-        if self.dim == 0 or self.image_order == 1:
+        kind = self.classification
+        if kind == "trivial":
             return ""
-        if self.minus_identity:
+        if kind == "minus-identity":
             return "-1"
         base = components_string(self.diagram) if self.diagram else "?"
-        if self.quotient == 1:
-            return base
-        return f"{self.quotient}({base})"
+        return base if kind == "reflection" else f"{self.quotient}({base})"
 
     def to_json(self):
         out = {"role": self.role, "subgroup": self.subgroup,

@@ -79,26 +79,11 @@ def cmd_shapes(args):
     return 0
 
 
-def _select_shape(catalog, rs, selector):
-    selector = selector.strip()
-    if selector.startswith("s") and "," in selector or (
-            selector.startswith("s") and selector[1:].isdigit()):
-        try:
-            subset = tuple(sorted(int(tok.strip()[1:]) - 1
-                                  for tok in selector.split(",")))
-        except ValueError:
-            raise KeyError(selector)
-        if any(i < 0 or i >= rs.n for i in subset):
-            raise KeyError(selector)
-        return catalog[catalog.class_of_subset(subset)]
-    return catalog.by_selector(selector)
-
-
 def cmd_decompose(args):
     rs, catalog = _build(args)
     from .normalizer import decompose, decomposition_row
     try:
-        shape = _select_shape(catalog, rs, args.parabolic)
+        shape = catalog.by_selector(args.parabolic)
     except KeyError as err:
         reason = err.args[0]
         if not reason.startswith("ambiguous"):

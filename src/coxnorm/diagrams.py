@@ -6,7 +6,7 @@ simple iff its reflection keeps the other positives of the subsystem
 positive), bond orders are read off the Gram form of the simple roots, and
 ``diagram_of_bonds`` matches the bond matrix against the classification.
 It is the one classifier: a reflection subgroup's type and the normalizer's
-action cells (``actions.diagram_of_lines``) both go through it.  B and C
+action cells (``actions.LineTable``) both go through it.  B and C
 diagrams are not distinguished; the rank-2 types with bonds 4, 5, 6 print
 as B2, H2, G2.
 

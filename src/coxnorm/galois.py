@@ -130,23 +130,6 @@ def galois_table(catalog) -> dict:
     return catalog.galois
 
 
-def perp_of_shape(catalog, i: int):
-    """(perp(P), its class) for P shape i's representative, from its row."""
-    row = galois_row(catalog, i)
-    return row.perp, row.perp_index
-
-
-def perp_index(catalog, i: int) -> int:
-    """Catalog index of the orthogonal complement of shape i."""
-    return galois_row(catalog, i).perp_index
-
-
-def pq_closure_index(catalog, i: int) -> int:
-    """Catalog index of the parabolic closure of P perp(P), P shape i's
-    representative, from its row."""
-    return galois_row(catalog, i).closure_index
-
-
 def parabolic_concepts(rs):
     """All parabolic concepts up to conjugacy, as shape index pairs (i <= j).
 

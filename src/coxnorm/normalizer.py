@@ -21,7 +21,8 @@ small, and it is the only group ``decompose`` enumerates: |N| = |P||Q||D|,
 and the action cells on X_perp, X n Y and Y_perp are read off the
 restrictions of D: to X n Y by one batched product on the simple roots
 projected onto Fix(PQ), and to X_perp and Y_perp off D's images of the
-simple roots of P and of Q, which it permutes (see ``_Restricted``).  Q,
+simple roots of P and of Q, which it permutes (see ``_Restricted``; that
+gather is also the one check that D is relative-length-zero).  Q,
 its class, those projections and the class of the parabolic closure of PQ
 are the shape's row of the catalog's Galois table (``galois.galois_row``),
 so no fixed space is eliminated; |N| alone reads Q there too, at the
@@ -44,7 +45,7 @@ import numpy as np
 from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
                       image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
-from .galois import galois_row, galois_rows, orthogonal_complement, perp_index, perp_of_shape
+from .galois import galois_row, galois_rows, orthogonal_complement
 from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
 from .linalg import pair_matmul
 from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
@@ -185,7 +186,7 @@ class Decomposition:
     @property
     def closure_index(self) -> int:
         """Class of the orthogonal closure of P: perp(perp(P)) on the shape maps."""
-        return perp_index(shape_catalog(self.rs), self.q_index)
+        return galois_row(shape_catalog(self.rs), self.q_index).perp_index
 
     def pq_closure_cell(self) -> str:
         if self.pq_closure_is_w:
@@ -256,7 +257,7 @@ def _normalizer_order_at(catalog, i):
     """|N_W(W_J)| = |W_J||Q||D| for shape i's representative W_J, with its
     orthogonal complement Q read off the catalog's Galois table."""
     shape = catalog[i]
-    Q = perp_of_shape(catalog, i)[0]
+    Q = galois_row(catalog, i).perp
     D = _complement_D(catalog.rs, shape.rep_subset, orthogonal_join(shape.parabolic, Q))
     return shape.order * Q.order * len(D)
 
@@ -313,14 +314,21 @@ class _Restricted:
     Proof: D normalizes P and Q and keeps their positive roots positive,
     so d maps P's positive system onto itself, and so its simple roots.
     So d's key there is its row of images of Delta, one gather of D's
-    images for both spaces, and the identity's key is Delta.  A permutation
-    of a basis fixes a subspace whose dimension is its number of cycles, so
-    d reflects there iff it moves exactly two simple roots, a transposition
-    (a_i a_j), and the line reflected is that of a_i - a_j.  No simple root
-    goes negative, so -1 is not a restriction there.  The line table holds
-    D's lines on all the spaces and the simple root lines of P and Q, read
-    off ``rs.root_lines``; lines of different spaces are orthogonal, so one
-    table names the lines of every image (see ``actions.LineTable``).
+    images for both spaces, and the identity's key is Delta.  Conversely,
+    Phi_P+ is the set of roots in the nonnegative span of Delta_P, so an
+    element permuting Delta_P normalizes P and keeps Phi_P+ positive, and
+    the same holds for Q; so permuting both is D's defining property,
+    relative length zero in the normalizer of PQ, and the gather, which
+    refuses any other element with RuntimeError, is ``decompose``'s one
+    check of D (with |D| = 1 or both spaces zero it cannot fail).  A
+    permutation of a basis fixes a subspace whose dimension is its number
+    of cycles, so d reflects there iff it moves exactly two simple roots, a
+    transposition (a_i a_j), and the line reflected is that of a_i - a_j.
+    No simple root goes negative, so -1 is not a restriction there.  The
+    line table holds D's lines on all the spaces and the simple root lines
+    of P and Q, read off ``rs.root_lines``; lines of different spaces are
+    orthogonal, so one table names the lines of every image (see
+    ``actions.LineTable``).
     """
 
     def __init__(self, rs, D, spaces):
@@ -533,6 +541,8 @@ def decompose(rs, parabolic) -> Decomposition:
         if not cands:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), min(cands, key=lambda w: w.canonical())]
+    if len(D) != len(A) * len(B) * len(C):
+        raise RuntimeError("|D| != |A||B||C|")
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
@@ -545,7 +555,7 @@ def decompose(rs, parabolic) -> Decomposition:
     a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, restricted, AB))
                               for K in (A, B, C))
 
-    dec = Decomposition(
+    return Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),
         D=D, A=A, B=B, C=C, a_name=a_name, b_name=b_name, c_name=c_name,
         pq_closure_index=row.closure_index,
@@ -554,23 +564,6 @@ def decompose(rs, parabolic) -> Decomposition:
         actions=cells,
         involution_centralizer=asterisk,
     )
-    _validate(dec)
-    return dec
-
-
-def _validate(dec: Decomposition):
-    if len(dec.D) != len(dec.A) * len(dec.B) * len(dec.C):
-        raise RuntimeError("|D| != |A||B||C|")
-    # D normalizes P and Q and preserves the positive system of PQ
-    p_roots, q_roots = dec.P.roots, dec.Q.roots
-    pq_pos = sorted(set(dec.P.pos) | set(dec.Q.pos))
-    for d in dec.D:
-        if any(int(d.img[i]) not in p_roots for i in dec.P.pos):
-            raise RuntimeError("D does not normalize P")
-        if any(int(d.img[i]) not in q_roots for i in dec.Q.pos):
-            raise RuntimeError("D does not normalize Q")
-        if relative_length(d, pq_pos):
-            raise RuntimeError("D is not relative-length-zero")
 
 
 # ---------------------------------------------------------------------------

@@ -641,8 +641,17 @@ class ShapeCatalog:
         return self[self.class_of_roots(P.roots)]
 
     def by_selector(self, text: str) -> Shape:
-        """Find a shape by index, label, type string, or partition."""
+        """Find a shape by index, label, type string, partition, or standard
+        subset: simple reflections numbered from 1, as in "s1,s3" or "s2"."""
         text = text.strip()
+        if text.startswith("s") and ("," in text or text[1:].isdigit()):
+            try:
+                subset = tuple(sorted(int(tok.strip()[1:]) - 1 for tok in text.split(",")))
+            except ValueError:
+                raise KeyError(text)
+            if any(i < 0 or i >= self.rs.n for i in subset):
+                raise KeyError(text)
+            return self[self.class_of_subset(subset)]
         if text.isdigit():
             idx = int(text)
             if 1 <= idx <= len(self.shapes):

@@ -183,11 +183,6 @@ class _Roots:
         """Roots i and j are orthogonal iff the reflection in i fixes j."""
         return bool(self.orthogonality[i % self.npos, j])
 
-    def span_signs(self, indices):
-        """Signs of all roots at a generic point of the span of the given
-        roots: the one-row case of ``stacked_span_signs``."""
-        return self.stacked_span_signs([indices])[0]
-
     def reflection(self, i) -> GroupElement:
         return GroupElement(self, self.reflection_perm(i).copy())
 

@@ -3,9 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm.actions import (LineTable, SpaceRestriction, canonical_lines,
-                             diagram_of_lines, invariant_split,
-                             stacked_restrictions)
+from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines, invariant_split
 from coxnorm.diagrams import close_roots, gram_bonds, positive_part
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
@@ -43,6 +41,11 @@ def pairs(*rows):
 
 # two roots at 120 degrees
 A2_FORM = form_pairs(((Q5(2), Q5(-1)), (Q5(-1), Q5(2))))
+
+
+def lines_alone(lines, form):
+    """The diagram of a set of lines named by a line table of its own."""
+    return LineTable(lines, form).diagram(lines)
 
 
 def test_invariant_split_extremes():
@@ -100,8 +103,8 @@ def test_restrict_trivial_cases():
 
 def test_diagram_of_lines_rank2():
     lines = set(canonical_lines(pairs((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))))
-    assert diagram_of_lines(lines, A2_FORM) == ("A2",)
-    assert diagram_of_lines({(1, 0, 0, 0)}, A2_FORM) == ("A1",)
+    assert lines_alone(lines, A2_FORM) == ("A2",)
+    assert lines_alone({(1, 0, 0, 0)}, A2_FORM) == ("A1",)
 
 
 def test_canonical_lines_are_the_primitive_rational_first_keys():
@@ -152,20 +155,20 @@ def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
         for i in positive_part(rs, roots):
             p, q = pair_mul(rs.rows([i]), rng.choice(factors))
             lines.append(tuple(np.hstack((p, q)).ravel().tolist()))
-        assert diagram_of_lines(lines, rs.form) == ReflectionSubgroup(rs, roots).components, roots
+        assert lines_alone(lines, rs.form) == ReflectionSubgroup(rs, roots).components, roots
 
 
 def test_diagram_of_lines_refuses_overflow():
     lines = [(1, 0, 0, 0), (1, 1 << 40, 0, 0)]
     with pytest.raises(RuntimeError):
-        diagram_of_lines(lines, A2_FORM)
+        lines_alone(lines, A2_FORM)
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
 def test_diagram_of_root_lines_is_the_root_system(name):
     rs = build_root_system(name)
     lines = set(canonical_lines(rs.rows(range(rs.npos))))
-    assert diagram_of_lines(lines, rs.form) == \
+    assert lines_alone(lines, rs.form) == \
         ReflectionSubgroup(rs, frozenset(range(rs.nroots))).components
 
 
@@ -273,25 +276,6 @@ def test_simple_root_rows_restrict_d_as_the_echelon_bases_do(name):
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
-def test_stacked_restriction_splits_into_the_tables_of_each_space(name):
-    # decompose restricts D once, on the bases of X n Y, X_perp and Y_perp
-    # stacked; each block must give the table of its space restricted alone
-    rs = build_root_system(name)
-    for shape in shape_catalog(rs):
-        dec = decompose(rs, shape)
-        if len(dec.D) == 1:
-            continue
-        P, Q = dec.P, dec.Q
-        bases = [rs.fixed_space(P.simples + Q.simples).pairs,
-                 rs.rows(P.simples), rs.rows(Q.simples)]
-        spaces = [SpaceRestriction(rs, basis) for basis in bases if len(basis[0])]
-        stacked = stacked_restrictions(spaces, dec.D)
-        assert len(stacked) == len(spaces)
-        for space, table in zip(spaces, stacked):
-            assert table == space.restrictions(dec.D), (name, shape.label, space.dim)
-
-
-@pytest.mark.parametrize("name", FIXTURE_GROUPS)
 def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypatch):
     # every image decompose names (the three cells, A, B and C on each space,
     # A x B on X_perp for the diamond rule) reads one line table per row; the
@@ -315,7 +299,7 @@ def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypa
     for row in rows:
         assert len({id(table) for table, _, _ in row}) <= 1, name
         for _, lines, diagram in row:
-            assert diagram_of_lines(lines, rs.form) == diagram, (name, sorted(lines))
+            assert lines_alone(lines, rs.form) == diagram, (name, sorted(lines))
     assert name.startswith("I2") or any(len(lines) > 1 for row in rows for _, lines, _ in row)
 
 

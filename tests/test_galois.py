@@ -8,8 +8,8 @@ import pytest
 from coxnorm import galois, linalg, verify
 from coxnorm.diagrams import close_roots
 from coxnorm.involutions import involution_class_representatives
-from coxnorm.galois import (galois_rows, orthogonal_closure, orthogonal_complement,
-                            parabolic_concepts, perp_index, perp_masks, pq_closure_index,
+from coxnorm.galois import (galois_row, galois_rows, orthogonal_closure,
+                            orthogonal_complement, parabolic_concepts, perp_masks,
                             shape_closure_graph)
 from coxnorm.oracle import brute_orthogonal_complement, commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
@@ -41,7 +41,7 @@ def test_a7_perp_of_a1a1_is_a3():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[221111]")
-    assert perp_index(cat, shape.index) == 7
+    assert galois_row(cat, shape.index).perp_index == 7
     assert cat[7].type_label == "A3"
 
 
@@ -50,15 +50,15 @@ def test_e6_a5_a1_concept():
     cat = shape_catalog(rs)
     a5 = next(s for s in cat if s.label == "A5")
     a1 = next(s for s in cat if s.label == "A1")
-    assert perp_index(cat, a5.index) == a1.index
-    assert perp_index(cat, a1.index) == a5.index
+    assert galois_row(cat, a5.index).perp_index == a1.index
+    assert galois_row(cat, a1.index).perp_index == a5.index
 
 
 def test_closure_of_a1cubed_in_a7_is_a5():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[22211]")
-    assert perp_index(cat, perp_index(cat, shape.index)) == 17
+    assert galois_row(cat, galois_row(cat, shape.index).perp_index).perp_index == 17
     assert cat[17].type_label == "A5"
 
 
@@ -319,12 +319,12 @@ def test_shape_maps_agree_with_root_level_recomputation(name):
         i = shape.index
         rep = ReflectionSubgroup(rs, shape.roots)
         perp = orthogonal_complement(rep)
-        assert perp_index(cat, i) == cat.class_of_roots(perp.roots), shape.label
-        assert (perp_index(cat, perp_index(cat, i))
+        assert galois_row(cat, i).perp_index == cat.class_of_roots(perp.roots), shape.label
+        assert (galois_row(cat, galois_row(cat, i).perp_index).perp_index
                 == cat.class_of_roots(orthogonal_closure(rep).roots)), shape.label
         pq = parabolic_closure(ReflectionSubgroup(rs, rep.roots | perp.roots))
-        assert pq_closure_index(cat, i) == cat.class_of_roots(pq.roots), shape.label
-        assert pq_closure_index(cat, i) == normalizer.decompose(rs, shape).pq_closure_index
+        assert galois_row(cat, i).closure_index == cat.class_of_roots(pq.roots), shape.label
+        assert galois_row(cat, i).closure_index == normalizer.decompose(rs, shape).pq_closure_index
         standard = standard_parabolic(rs, shape.rep_subset)
         assert shape.parabolic.roots == standard.roots, shape.label
         assert shape.parabolic.simples == standard.simples == rep.simples, shape.label
@@ -374,16 +374,16 @@ def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
     # and so do the walks from Fix(P perp(P)) and from the closure's roots
     rs = build_root_system(name)
     cat = shape_catalog(rs)
-    everywhere = rs.span_signs(rs.simple_roots)   # no root vanishes at it
+    everywhere = rs.stacked_span_signs([rs.simple_roots])[0]   # no root vanishes at it
     for shape in cat:
         P = shape.parabolic
         Q = orthogonal_complement(P)
-        signs = rs.span_signs(P.simples)
+        signs = rs.stacked_span_signs([P.simples])[0]
         assert frozenset(np.flatnonzero(signs == 0).tolist()) == Q.roots, shape.label
         by_span, w = standard_conjugate(rs, Q.roots, signs)
         by_fix, _ = standard_conjugate(rs, Q.roots)
         assert (cat.class_of_subset(by_span) == cat.class_of_subset(by_fix)
-                == perp_index(cat, shape.index)), shape.label
+                == galois_row(cat, shape.index).perp_index), shape.label
         assert {int(w.img[r]) for r in standard_parabolic(rs, by_span).roots} == Q.roots
         if Q.roots:
             with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
         pq_signs = rs.signs_at(fixed_space(orthogonal_join(P, Q)))
         assert (cat.class_of_subset(standard_conjugate(rs, pq.roots, pq_signs)[0])
                 == cat.class_of_subset(standard_conjugate(rs, pq.roots)[0])
-                == pq_closure_index(cat, shape.index)), shape.label
+                == galois_row(cat, shape.index).closure_index), shape.label
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
@@ -431,7 +431,7 @@ def test_stacked_descent_matches_one_row_at_a_time(name):
     rs = build_root_system(name)
     cat = shape_catalog(rs)
     sets = [s.parabolic.simples + orthogonal_complement(s.parabolic).simples for s in cat]
-    signs = np.vstack([[rs.span_signs(s.parabolic.simples) for s in cat],
+    signs = np.vstack([[rs.stacked_span_signs([s.parabolic.simples])[0] for s in cat],
                        rs.fixed_projections(sets)[1]])
     J, word = parabolic.dominant_descent(rs, signs)
     assert J.shape == (len(signs), rs.n) and word.shape[1] == len(signs)
@@ -456,8 +456,7 @@ def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
     monkeypatch.setattr(parabolic, "_catalogs", {})
     cat = shape_catalog(rs)
     for shape in cat:
-        galois.perp_of_shape(cat, shape.index)
-        pq_closure_index(cat, shape.index)
+        galois.galois_row(cat, shape.index)
     assert list(cat.galois) == [s.index for s in cat] and sorted(whole) == list(cat.galois)
     for i, row in whole.items():
         one = cat.galois[i]

@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from coxnorm.actions import SpaceRestriction, canonical_lines, diagram_of_lines
+from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines
 from coxnorm.galois import galois_row, orthogonal_complement
 from coxnorm.groups import generate, identity, relative_length
 from coxnorm.linalg import pair_matmul
@@ -13,6 +15,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalo
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import ORACLE_GROUPS
+
+normalizer_module = importlib.import_module("coxnorm.normalizer")
 
 
 def test_normalizer_extremes():
@@ -223,7 +227,7 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
             elements = generate(base.simple_reflections(), rs=rs)
             scanned = {_reflecting_line(p * d, basis)
                        for p in elements for d in dec.D} - {None}
-            assert diagram_of_lines(scanned, rs.form) == dec.actions[role].diagram, (
+            assert LineTable(scanned, rs.form).diagram(scanned) == dec.actions[role].diagram, (
                 name, shape.label, role)
 
 
@@ -268,3 +272,17 @@ def test_an_element_that_does_not_permute_the_simple_roots_is_refused():
     # s_1 sends a_2 to a_1 + a_2, a root outside Delta = {a_2}
     with pytest.raises(RuntimeError, match="permute"):
         _Restricted(rs, [identity(rs), rs.reflection(0)], {"x_perp": (1,)})
+
+
+@pytest.mark.parametrize("intruder, role", [(1, "x_perp"), (2, "y_perp")])
+def test_decompose_refuses_a_d_element_that_does_not_permute_the_simple_roots(
+        monkeypatch, intruder, role):
+    # for P = <s1> in A3, Q = <s3> and D = 1; s2 sends a_1 to a_1 + a_2, outside
+    # Delta_P, and s3 fixes a_1 but sends a_3 to -a_3, outside Delta_Q; the
+    # gather that reads D on X_perp and Y_perp is decompose's one check of D
+    rs = build_root_system("A3")
+    original = normalizer_module._complement_D
+    monkeypatch.setattr(normalizer_module, "_complement_D", lambda *args: original(*args)
+                        + [rs.reflection(intruder)])
+    with pytest.raises(RuntimeError, match=f"{role}: D does not permute"):
+        decompose(rs, standard_parabolic(rs, (0,)))

@@ -1,6 +1,13 @@
-"""The package's public names: a stale export fails here."""
+"""The package's public names: a stale export fails here, and so does a
+definition that nothing names any more."""
+
+import ast
+import re
+from pathlib import Path
 
 import coxnorm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +19,52 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from coxnorm import *", namespace)
     assert set(coxnorm.__all__) <= set(namespace)
+
+
+def _names(tree):
+    """(name, line) for every identifier the code of a module uses: names,
+    attributes, imports, keywords and the words of its non-docstring strings
+    (which is how ``getattr`` and patching by name refer to a definition)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            for word in re.findall(r"\w+", node.value):
+                yield word, node.lineno
+
+
+def test_every_definition_is_named_outside_itself():
+    # a function, class or method of the package that loses its last caller
+    # (in the package, its tests or the benchmark) fails here instead of staying
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")}
+    used = {}
+    for path, tree in modules.items():
+        for name, line in _names(tree):
+            used.setdefault(name, []).append((path, line))
+    unnamed = []
+    for path, tree in modules.items():
+        if "coxnorm" not in path.parts:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            outside = [(where, line) for where, line in used.get(node.name, ())
+                       if where != path or not node.lineno <= line <= node.end_lineno]
+            if not outside:
+                unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert unnamed == []

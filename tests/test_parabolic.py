@@ -219,6 +219,20 @@ def test_selector_lookup():
         cat.by_selector("Z9")
 
 
+def test_subset_selector_reads_simple_reflections_from_one():
+    rs = build_root_system("A5")
+    cat = shape_catalog(rs)
+    a1_squared = cat.by_selector("s1,s3")
+    assert a1_squared.index == cat.class_of_subset((0, 2))
+    assert a1_squared.type_label == "A1^2"
+    assert cat.by_selector(" s1, s3 ") is cat.by_selector("s3,s1") is a1_squared
+    assert cat.by_selector("s2") is cat.by_selector("s5") is cat[cat.class_of_subset((0,))]
+    # no such simple reflection, an empty or unnumbered token, or a bare s
+    for text in ("s9", "s0", "s1,s6", "s1,,s2", "s", "sx", "s1,sx"):
+        with pytest.raises(KeyError):
+            cat.by_selector(text)
+
+
 def test_b5_shape_index_8_closure_example():
     # P of shape index 8 (B1A1^2, [2 2]): the closure of PQ is the whole group
     rs = build_root_system("B5")

@@ -328,7 +328,7 @@ def test_span_signs_match_the_exact_inner_products(name):
     rng = random.Random(name)
     for _ in range(12):
         simples = rng.sample(rs.simple_roots, rng.randint(0, rs.n))
-        signs = rs.span_signs(simples)
+        signs = rs.stacked_span_signs([simples])[0]
         assert signs.tolist() == _lex_signs_by_dot(rs, [rs.root_vec(r) for r in simples])
         assert ((signs == 0) == (rs.signs_at(rs.span(simples)) == 0)).all(), simples
 
@@ -343,7 +343,7 @@ def test_stacked_span_signs_match_one_set_at_a_time(name):
     stacked = rs.stacked_span_signs(subsets)
     assert stacked.shape == (len(subsets), rs.nroots)
     for signs, simples in zip(stacked, subsets):
-        assert signs.tolist() == rs.span_signs(simples).tolist(), simples
+        assert signs.tolist() == rs.stacked_span_signs([simples])[0].tolist(), simples
 
 
 
