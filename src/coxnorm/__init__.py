@@ -7,8 +7,7 @@ N = (P x Q) : ((A x B) : C) of any parabolic with ``decompose(rs, shape)``.
 
 from .labels import CoxeterLabel, parse_label
 from .rootsys import build_root_system, inner_product, reflection_in_root
-from .groups import (GroupElement, generate, identity, relative_length,
-                     set_stabilizer)
+from .groups import GroupElement, generate, identity, relative_length
 from .parabolic import (ReflectionSubgroup, Shape, fixed_space,
                         parabolic_closure, pointwise_stabilizer, shape_catalog,
                         shape_of, shapes, standard_parabolic)
@@ -22,7 +21,7 @@ from .involutions import (fixed_parabolic, involution_class_representatives,
 __all__ = [
     "CoxeterLabel", "parse_label", "build_root_system", "inner_product",
     "reflection_in_root", "GroupElement", "generate", "identity",
-    "relative_length", "set_stabilizer",
+    "relative_length",
     "ReflectionSubgroup", "Shape", "fixed_space",
     "parabolic_closure", "pointwise_stabilizer", "shape_catalog", "shape_of",
     "shapes", "standard_parabolic", "orthogonal_closure",

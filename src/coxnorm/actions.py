@@ -19,7 +19,9 @@ reflection part of an action is named from its reflecting lines: their
 simple lines, the bonds among those by ``diagrams.gram_bonds``, and the type
 by ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
 ``LineTable``, the one path that names lines, does the arithmetic once for a
-set of lines, bonds included, and names any subset of them by indexing.
+set of lines, bonds included, and names any subset of them by indexing.  Its
+simple test reads signs in the lexicographic order, so no value it computes
+grows with the dimension.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagrams import components_string, diagram_of_bonds, gram_bonds
-from .linalg import canonical_rows, pair_matmul, pair_mul, pair_sign
+from .linalg import canonical_rows, lex_signs, pair_matmul, pair_mul, pair_sign
 
 
 def split_keys(keys, n):
@@ -134,22 +136,26 @@ class LineTable:
     Each line is a key of a nonzero pair row on it, and ``form`` is the root
     system's ``form``.  A subset passed to ``diagram`` must be reflection
     lines of the group they generate and hold its simple lines at every
-    functional positive on W's positive roots, such as the f used here (root
-    coordinates are nonnegative): a line that is not simple sends some simple
-    line negative.  The normalizer's action cells pass such sets by the
-    lemma in ``normalizer._action_cell``.  The tests are homogeneous in each
-    line, so the scale of the row chosen on a line changes none of them.
+    functional positive on W's positive roots (root coordinates are
+    nonnegative) and nonzero on the lines: a line that is not simple sends
+    some simple line negative.  The normalizer's action cells pass such sets
+    by the lemma in ``normalizer._action_cell``.  The functional used is
+    f_e = sum e^i x_i for a small e > 0, the lexicographic order: its sign
+    on a row is that of the row's first nonzero entry (``linalg.lex_signs``),
+    so it is nonzero on every line and none of its values is computed.  The
+    tests are homogeneous in each line, so the scale of the row chosen on a
+    line changes none of them.
 
     The simple test and the bond rule are both tests of pairs of lines, so
     one exact pass, when a subset of two lines or more is first named,
-    computes the functional, the Gram matrix, the simple test and the bonds
-    of every pair of the table's lines (one ``gram_bonds`` call); naming a
-    subset then only indexes them: the simple test picks its simple lines,
-    and the bond table their diagram.  A single set's diagram is that of a
-    table of its own lines.  Lines of mutually orthogonal spaces can share a
-    table: a subset of one space reads no row of another, which only makes
-    the functional nonzero there too.  Since the bonds run over all pairs,
-    the overflow guard of ``gram_bonds`` bounds 8 G^2 over the whole table.
+    orients the rows and computes their Gram matrix, the simple test and the
+    bonds of every pair of the table's lines (one ``gram_bonds`` call);
+    naming a subset then only indexes them: the simple test picks its simple
+    lines, and the bond table their diagram.  A single set's diagram is that
+    of a table of its own lines.  Lines of mutually orthogonal spaces can
+    share a table, since a subset of one space reads no row of another.
+    Since the bonds run over all pairs, the overflow guard of ``gram_bonds``
+    bounds 8 G^2 over the whole table.
     """
 
     def __init__(self, lines, form):
@@ -161,41 +167,20 @@ class LineTable:
         """({line: row}, Gram matrix of the positive rows, simple test of pairs,
         bonds of pairs)."""
         index = {line: i for i, line in enumerate(set(self._lines))}
-        fp, fq = self._form
-        dim = len(fp)
-        L = split_keys(list(index), dim)
+        L = split_keys(list(index), len(self._form[0]))
 
-        # generic functional nonzero on every line: f(v) = sum v_i * t^i, a
-        # nonzero polynomial of degree < dim in t on each line, so at most
-        # (dim - 1) * |lines| values of t make it vanish on one of them.  The
-        # least such t is taken; the candidates are tried four at a time,
-        # the first four in one product with the form.
-        exponents = np.arange(dim)[:, None]
-        Lform = None
-        for t in range(1, (dim - 1) * len(index) + 2, 4):
-            powers = np.arange(t, t + 4) ** exponents   # column c: (t + c)^i
-            if Lform is None:
-                p, q = pair_matmul(L, (np.hstack((fp, powers)), np.hstack((fq, 0 * powers))))
-                Lform, values = (p[:, :dim], q[:, :dim]), (p[:, dim:], q[:, dim:])
-            else:
-                values = pair_matmul(L, (powers, 0 * powers))
-            found = pair_sign(values).all(axis=0)
-            if found.any():
-                break
-        c = int(found.argmax())
-        value = (values[0][:, c:c + 1], values[1][:, c:c + 1])
-        signs = pair_sign(value)
+        # each row oriented by the sign of its first nonzero entry: positive
+        # at f_e, and its Gram matrix (of 2 gram)
+        signs = lex_signs(pair_sign(L))[:, None]
+        v = (L[0] * signs, L[1] * signs)
+        G = pair_matmul(pair_matmul(v, self._form), (v[0].T, v[1].T))
 
-        # the positive lines, their values f_i and their Gram matrix (of 2 gram)
-        f = (value[0] * signs, value[1] * signs)
-        pos_form = (Lform[0] * signs, Lform[1] * signs)
-        G = pair_matmul(pos_form, (L[0].T * signs.T, L[1].T * signs.T))
-        diag = (np.diagonal(G[0]), np.diagonal(G[1]))
-
-        # line j keeps line i positive iff f_i G_jj - 2 G_ij f_j > 0
-        lhs = pair_mul(f, diag)
-        rhs = pair_mul(pair_mul((2, 0), G), (f[0].T, f[1].T))
-        keep = pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1])) > 0
+        # line j keeps line i positive iff G_jj v_i - 2 G_ij v_j, which is
+        # G_jj r_j(v_i), is lexicographically positive; entry [i, j, :]
+        lhs = pair_mul((v[0][:, None], v[1][:, None]),
+                       (np.diagonal(G[0])[:, None], np.diagonal(G[1])[:, None]))
+        rhs = pair_mul(pair_mul((2, 0), (G[0][..., None], G[1][..., None])), v)
+        keep = lex_signs(pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1]))) > 0
         np.fill_diagonal(keep, True)
         return index, G, keep, gram_bonds(G)
 

@@ -18,7 +18,7 @@ oracle.  A standard parabolic's roots are read off the root supports
 generating set by a BFS, and ``close_root_masks`` closes a stack of root
 masks at once, as one fixpoint of gathers.  The simple systems of a stack
 of closed subsystems are one boolean product (``simple_masks``), of which
-``subsystem_simples`` is the one-row case.
+``parabolic.ReflectionSubgroup.simples`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ def simple_masks(rs, pos):
     ``rs.sends_negative`` as K, that is one boolean product: pos & ~(pos K^T).
     """
     return pos & ~(pos @ rs.sends_negative.T)
-
-
-def subsystem_simples(rs, pos):
-    """Simple system of a closed subsystem, given its positive roots: the
-    one-row case of ``simple_masks``."""
-    row = np.zeros((1, rs.npos), dtype=bool)
-    row[0, list(pos)] = True
-    return tuple(np.flatnonzero(simple_masks(rs, row)[0]).tolist())
 
 
 def bond_order(rs, i, j):

@@ -203,20 +203,3 @@ class OrbitStabilizer:
                 s = u * g * v.inverse()
                 if not s.is_identity():
                     yield s
-
-
-def set_stabilizer(rs, gens, target, group_order=None):
-    """Setwise stabilizer of a root index set, via orbit-stabilizer.
-
-    ``target`` may be closed under negation or a positive-system subset; the
-    stabilizer is of the exact set given.  Returns the pair
-    (OrbitStabilizer, stabilizer order) when the ambient order is known,
-    otherwise order is None.
-    """
-    ob = OrbitStabilizer(rs, gens, target)
-    st_order = None
-    if group_order is not None:
-        if group_order % ob.orbit_size:
-            raise RuntimeError("orbit size does not divide the group order")
-        st_order = group_order // ob.orbit_size
-    return ob, st_order

@@ -18,6 +18,7 @@ import numpy as np
 from .galois import galois_table, orthogonal_complement
 from .groups import GroupElement, generate
 from .normalizer import normalizer_order
+from .oracle import brute_normalizer
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
 
 
@@ -98,21 +99,15 @@ def centralizer_equals_normalizer(u: GroupElement, W=None) -> dict:
     rs = u.rs
     if W is None:
         W = generate(rs.simple_reflections())
-    P = fixed_parabolic(u)
-    roots = P.roots
     cent = centralizer(W, u)
+    norm = brute_normalizer(fixed_parabolic(u), W)
     report = {"ok": True, "witness": None, "centralizer_order": len(cent)}
-    for w in cent:
-        if any(int(w.img[i]) not in roots for i in P.pos):
-            report.update(ok=False, witness=("centralizer outside normalizer",
-                                             w.canonical()))
-            return report
-    norm = [w for w in W if all(int(w.img[i]) in roots for i in P.pos)]
-    cent_keys = {w.key for w in cent}
-    for w in norm:
-        if w.key not in cent_keys:
-            report.update(ok=False, witness=("normalizer outside centralizer",
-                                             w.canonical()))
+    for inner, outer, what in ((cent, norm, "centralizer outside normalizer"),
+                               (norm, cent, "normalizer outside centralizer")):
+        keys = {w.key for w in outer}
+        w = next((w for w in inner if w.key not in keys), None)
+        if w is not None:
+            report.update(ok=False, witness=(what, w.canonical()))
             return report
     return report
 

@@ -233,6 +233,16 @@ def pair_sign(x):
                     np.where(p * p > 5 * q * q, sp, sq)).astype(np.int8)
 
 
+def lex_signs(x):
+    """Signs of the first nonzero entry along the last axis of the int array x,
+    0 where there is none: the sign of x_1 + e x_2 + e^2 x_3 + ... for a small
+    e > 0.  The entry is found by an argmax, so it is exact at any width."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1], dtype=np.int8)
+    first = (x != 0).argmax(axis=-1)[..., None]
+    return np.sign(np.take_along_axis(x, first, axis=-1)[..., 0]).astype(np.int8)
+
+
 def canonical_rows(x):
     """The primitive key rows of the lines of the nonzero pair rows x, as an array.
 

@@ -421,9 +421,9 @@ def _action_cell(role, base: ReflectionSubgroup, image_order, dim, restricted):
     whose |R|/|base| = |<T>| R-chambers <T> permutes simply transitively, each
     with its <T>-chamber; so the <T>-chamber of f meets C in one R-chamber,
     whose walls, R's simple lines at f, are lines of Delta_base or of T.  So
-    R is named from Delta_base u T on the row's line table: its functional is
-    such an f, and the lines of the other spaces that the table also holds
-    only make f nonzero on them too.
+    R is named from Delta_base u T on the row's line table, whose functional
+    f_e = sum e^i x_i, for a small e > 0, is such an f: it is positive on
+    W's positive roots and nonzero on every line.
     """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:
@@ -541,8 +541,6 @@ def decompose(rs, parabolic) -> Decomposition:
         if not cands:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), min(cands, key=lambda w: w.canonical())]
-    if len(D) != len(A) * len(B) * len(C):
-        raise RuntimeError("|D| != |A||B||C|")
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
     asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagrams import (close_roots, components_order, components_string,
-                       diagram_of_bonds, positive_part, subsystem_simples)
+                       diagram_of_bonds, positive_part, simple_masks)
 from .groups import GroupElement, identity, parabolic_longest_element
 
 
@@ -53,7 +53,10 @@ class ReflectionSubgroup:
 
     @cached_property
     def simples(self):
-        return subsystem_simples(self.rs, self.pos)
+        """The simple roots: the one-row case of ``diagrams.simple_masks``."""
+        row = np.zeros((1, self.rs.npos), dtype=bool)
+        row[0, list(self.pos)] = True
+        return tuple(np.flatnonzero(simple_masks(self.rs, row)[0]).tolist())
 
     @cached_property
     def components(self):

@@ -61,8 +61,8 @@ import numpy as np
 from .diagrams import gram_bonds
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import (Subspace, canonical_rows, dot, form_pairs, from_pairs, kernel, pair_matmul,
-                     pair_sign)
+from .linalg import (Subspace, canonical_rows, dot, form_pairs, from_pairs, kernel, lex_signs,
+                     pair_matmul, pair_sign)
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -410,9 +410,8 @@ class RootSystem(_Roots):
         lexicographically generic point of their span, from the signs
         (..., npos, k) of the root forms on the rows: a root's sign on the
         first row it does not vanish on, 0 if none; one sign row per stacked
-        set of rows.  That is the sign of the sum of the k signs weighted
-        2^(k-1), ..., 2, 1, where each weight exceeds all later ones together."""
-        first = np.sign(values @ (1 << np.arange(values.shape[-1] - 1, -1, -1))).astype(np.int8)
+        set of rows, by ``linalg.lex_signs``."""
+        first = lex_signs(values)
         return np.concatenate((first, -first), axis=-1)
 
     # -- reflections and generators ------------------------------------------

@@ -18,15 +18,11 @@ from .normalizer import (compute_table, decompose, goursat_sections,
                          normalizer, normalizer_order, verify_theorem13)
 from .oracle import (commutation_table, diff_fixture, load_fixture, normalizing,
                      positive_images)
-from .parabolic import shape_catalog, standard_parabolic
-
-
-def _subset(rs, mask):
-    return tuple(i for i in range(rs.n) if mask >> i & 1)
+from .parabolic import _members, shape_catalog, standard_parabolic
 
 
 def _standard_subsets(rs):
-    return [_subset(rs, mask) for mask in range(1 << rs.n)]
+    return [_members(mask, rs.n) for mask in range(1 << rs.n)]
 
 
 def _standard_masks(rs):
@@ -48,7 +44,7 @@ def _commutation_witness(rs, u, perp):
     commuting = np.zeros_like(u)
     commuting[:, : rs.npos] = ~(u[:, : rs.npos] @ ~commutation_table(rs))
     rows = np.flatnonzero((close_root_masks(rs, commuting) != perp).any(axis=1))
-    return _subset(rs, int(rows[0])) if rows.size else None
+    return _members(int(rows[0]), rs.n) if rows.size else None
 
 
 def verify_galois(rs) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -162,6 +163,20 @@ def test_diagram_of_lines_refuses_overflow():
     lines = [(1, 0, 0, 0), (1, 1 << 40, 0, 0)]
     with pytest.raises(RuntimeError):
         lines_alone(lines, A2_FORM)
+
+
+def test_line_table_names_lines_of_any_dimension():
+    # the lines a_2i - a_2j (i < j < 20) of A40 are the roots of A19 in a
+    # 40-dimensional space: naming them needs no value that grows with the
+    # dimension
+    rs = build_root_system("A40")
+    lines = []
+    for i, j in itertools.combinations(range(0, 40, 2), 2):
+        p = [0] * 2 * rs.n
+        p[i], p[j] = 1, -1
+        lines.append(tuple(p))
+    assert len(lines) == 190
+    assert lines_alone(lines, rs.form) == ("A19",)
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])

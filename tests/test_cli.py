@@ -43,7 +43,10 @@ def run(*args, timeout=120):
 # an eliminated fixed space; the A9, A10, B8 and B9 tables, rows outside the
 # golden fixtures where D reflects on X_perp by transpositions of simple
 # roots, were recorded while D was still restricted to X_perp and Y_perp by
-# pair products and every Galois row still summed orbits
+# pair products and every Galois row still summed orbits; the A17 and B16
+# decompose records, whose line tables are 16 and 17 dimensional, were
+# recorded while each table still searched a functional sum v_i t^i, trying
+# one t at a time
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -78,6 +81,8 @@ PINNED_STDOUT = [
     ("table A10 --format json --allow-long", 0, "2e701df498cbcd25f934cc262df2c65013d5f0f9052cd68ef24c2ee3edc6f1a8"),
     ("table B8 --format json --allow-long", 0, "6a982cf49b2d571223d6a7df0539c48f46a3c5192565e3fa0cc6f73f6a59ae90"),
     ("table B9 --format json --allow-long", 0, "a028bd94e4db4e2ca63095a65cc790ba33569f32ab44411abd927761b9af2341"),
+    ("decompose A17 s1,s3", 0, "be40be1a063c00ff1b37d66d39792ec7852361ee46a6107132e8221e38d83f38"),
+    ("decompose B16 s2,s4,s6", 0, "c15ae9f8e0b62ff5b2731f41b8abc109603ae19f29c030fd6615908b087e4c48"),
 ]
 
 

@@ -5,8 +5,8 @@ import numpy as np
 
 from coxnorm.actions import invariant_split
 from coxnorm.galois import orthogonal_complement
-from coxnorm.linalg import (Subspace, dot, form_pairs, from_pairs, kernel, pair_matmul,
-                            pair_mul, pair_sign, rref, to_pairs)
+from coxnorm.linalg import (Subspace, dot, form_pairs, from_pairs, kernel, lex_signs,
+                            pair_matmul, pair_mul, pair_sign, rref, to_pairs)
 from coxnorm.parabolic import shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import ONE, Q5, ZERO
 from coxnorm.rootsys import build_root_system
@@ -169,6 +169,21 @@ def test_pair_overflow_is_refused():
         pair_sign(big)
     with pytest.raises(RuntimeError):
         pair_sign((np.zeros(1, dtype=np.int64), np.full(1, 1 << 30, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("width", [1, 8, 70])
+def test_lex_signs_are_the_signs_of_the_first_nonzero_entries(width):
+    # mostly zero rows, so the first nonzero entry is often deep, and
+    # entries up to the int64 range
+    rng = np.random.default_rng(width)
+    x = rng.integers(-(1 << 62), 1 << 62, size=(4, 50, width))
+    x[rng.random(x.shape) < 0.95] = 0
+    x[0, :2] = 0          # a row with no nonzero entry,
+    x[0, 1, -1] = -1      # and one whose first nonzero entry is its last
+    want = [[next((int(np.sign(v)) for v in row if v), 0) for row in rows] for rows in x.tolist()]
+    signs = lex_signs(x)
+    assert signs.dtype == np.int8 and signs.tolist() == want
+    assert lex_signs(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 def test_rref_refuses_a_row_that_overflows_after_normalization():

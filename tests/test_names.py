@@ -79,3 +79,12 @@ def test_names_have_the_invariants_of_their_types(name):
                 assert invariants(K) == named_invariants(label), (name, shape.label, label)
                 named += 1
     assert name.startswith("I2") or named
+
+
+@pytest.mark.parametrize("name", ["A17", "B16", "D17"])
+def test_names_past_rank_16_have_the_invariants_of_their_types(name):
+    # rows whose line tables are 16 and 17 dimensional
+    rs = build_root_system(name)
+    dec = decompose(rs, shape_catalog(rs).by_selector("s1,s3"))
+    for K, label in ((dec.A, dec.a_name), (dec.B, dec.b_name), (dec.C, dec.c_name)):
+        assert invariants(K) == named_invariants(label), (name, label)

@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm.diagrams import (close_root_masks, close_roots, positive_part, simple_masks,
-                              subsystem_simples)
+from coxnorm.diagrams import close_root_masks, close_roots, positive_part, simple_masks
 from coxnorm.groups import BRUTE_LIMIT
 from coxnorm.linalg import Subspace
 from coxnorm.oracle import commutation_table
@@ -114,7 +113,7 @@ def test_gathered_simple_systems_match_the_pairwise_reference(name):
     for roots in subsystems:
         pos = positive_part(rs, roots)
         want.append(reference_simples(rs, pos))
-        assert subsystem_simples(rs, pos) == want[-1], sorted(roots)
+        assert ReflectionSubgroup(rs, roots).simples == want[-1], sorted(roots)
     # the whole list as one stack
     stacked = simple_masks(rs, root_masks(rs, subsystems)[:, : rs.npos])
     assert [tuple(np.flatnonzero(row).tolist()) for row in stacked] == want
