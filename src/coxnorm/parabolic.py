@@ -108,11 +108,22 @@ def parabolic_closure(U: ReflectionSubgroup) -> ReflectionSubgroup:
 
 
 def standard_parabolic(rs, subset) -> ReflectionSubgroup:
-    """W_J: its roots are the roots whose support lies in J, its simple roots
-    those of J."""
-    P = ReflectionSubgroup(rs, np.flatnonzero((rs.supports & ~_mask(subset)) == 0).tolist())
-    P.simples = tuple(rs.simple_roots[i] for i in sorted(set(subset)))
-    return P
+    """W_J: the one-row case of ``standard_parabolics``."""
+    return standard_parabolics(rs, [subset])[0][0]
+
+
+def standard_parabolics(rs, subsets):
+    """(subgroups, masks): W_J of each subset J and the root masks, shape
+    (k, nroots), of them, one comparison of the root supports with the
+    subsets' bitmasks.  The roots of W_J are the roots whose support lies
+    in J, its simple roots those of J."""
+    masks = (rs.supports & ~np.array([_mask(J) for J in subsets], dtype=np.int64)[:, None]) == 0
+    subgroups = []
+    for J, row in zip(subsets, masks):
+        P = ReflectionSubgroup(rs, np.flatnonzero(row).tolist())
+        P.simples = tuple(rs.simple_roots[i] for i in sorted(set(J)))
+        subgroups.append(P)
+    return subgroups, masks
 
 
 def orthogonal_join(P: ReflectionSubgroup, Q: ReflectionSubgroup) -> ReflectionSubgroup:
@@ -282,7 +293,7 @@ class SubsetGroupoid:
         node = np.full(rs.nroots, -1)
         node[simple] = np.arange(n)
         self._neighbours = [   # per node, the mask of the nodes bonded to it
-            sum(1 << j for j in range(n) if rs.bond(simple[s], simple[j]) > 2) for s in range(n)]
+            sum(1 << j for j, m in enumerate(row) if m > 2) for row in rs.simple_bonds.tolist()]
         bonded = np.zeros(1 << n, dtype=np.int32)   # per mask, the nodes bonded to one of it
         for s, nb in enumerate(self._neighbours):
             bonded[1 << s: 2 << s] = bonded[: 1 << s] | nb
@@ -542,10 +553,8 @@ class ShapeCatalog:
 
     def __init__(self, rs):
         self.rs = rs
-        self.shapes = self._build()
+        self.shapes, self._class_cache = self._build()
         self.galois = {}        # i -> the Galois row of shape i's representative
-        self._class_cache = {mask.tobytes(): s.index for s, mask in
-                             zip(self.shapes, root_masks(rs, [s.roots for s in self.shapes]))}
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
                               for s in self.shapes}
@@ -560,11 +569,19 @@ class ShapeCatalog:
         return self.shapes[index - 1]
 
     def _build(self):
+        """The shapes in catalog order, and the class cache of their root masks.
+
+        The representatives' types are read off the simple bonds, with no
+        bond table over the other roots."""
         rs = self.rs
         groupoid = subset_groupoid(rs)
         # each class is represented by its lexicographically least subset
         reps = groupoid.representatives
-        subgroups = {rep: standard_parabolic(rs, rep) for rep in reps}
+        parabolics, masks = standard_parabolics(rs, reps)
+        bonds = rs.simple_bonds.tolist()
+        for rep, P in zip(reps, parabolics):
+            P.components = diagram_of_bonds([[bonds[i][j] for j in rep] for i in rep])
+        subgroups = dict(zip(reps, parabolics))
         # labels
         labeled = []
         if rs.label.family in ("A", "B", "D"):
@@ -596,7 +613,9 @@ class ShapeCatalog:
                     labeled.append(Shape(0, rep, subgroups[rep], type_str, type_str,
                                          None, None, dec))
         labeled.sort(key=lambda s: (s.rank, s.order, s.label))
-        return [replace(s, index=i + 1) for i, s in enumerate(labeled)]
+        shapes = [replace(s, index=i + 1) for i, s in enumerate(labeled)]
+        key = {rep: mask.tobytes() for rep, mask in zip(reps, masks)}
+        return shapes, {key[s.rep_subset]: s.index for s in shapes}
 
     # -- class lookup -------------------------------------------------------
 

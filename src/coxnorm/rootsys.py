@@ -10,33 +10,40 @@ are >= 0, and the simple roots are the unit coordinate vectors.
 The roots are stored once, as a table of integer pairs (see ``linalg``):
 coordinate k of root i is (p + q*sqrt5)/2 with (p, q) = root_pairs[.][i, k].
 The factor 1/2 covers F4's -1/2 bond and the golden ratio phi = (1 +
-sqrt5)/2.  The table is built by closing the simple roots under the simple
-reflections, which need only the Cartan entries 2<a_j, a_i>/<a_i, a_i>, so
-no Q(sqrt5) arithmetic runs per root.  Spans and fixed spaces are
-``linalg.Subspace`` values, eliminated from the pair rows of the roots and
-of their forms; ``fixed_projections`` spans a fixed space by orbit sums of
-root rows instead, with no elimination.  Q(sqrt5) values (``Q5``) appear only in the n x n Gram
-matrix and in the public ``root_vec`` and ``inner_product``.
+sqrt5)/2.  Its positive half is built by closing the simple roots under
+the simple reflections, which need only the Cartan entries
+2<a_j, a_i>/<a_i, a_i>, so no Q(sqrt5) arithmetic runs per root; s_i
+permutes the positive roots other than a_i, so the closure never expands
+s_i(a_i) = -a_i, and the negative half is the negation of the positive one.
+Spans and fixed spaces are ``linalg.Subspace`` values, eliminated from the
+pair rows of the roots and of their forms; ``fixed_projections`` spans a
+fixed space by orbit sums of root rows instead, with no elimination.
+Q(sqrt5) values (``Q5``) appear only in the n x n Gram matrix and in the
+public ``root_vec`` and ``inner_product``.
 
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
 and the negative of root i is i + npos (mod 2*npos), so sign flips are O(1).
 
 Reflections are permutations of the root indices.  The root build records
-the n simple reflections as permutations, and every other reflection is a
-conjugate of a simple one (r_{s(beta)} = s r_beta s), composed as index
-arrays.
+the n simple reflections as permutations, read off the closure on the
+positive roots and by s_i(-v) = -s_i(v) on the negative ones, and every
+other reflection is a conjugate of a simple one (r_{s(beta)} = s r_beta s),
+composed as index arrays.
 
 Orthogonality is read off the reflection permutations, the same way for
 every family: roots a and b are orthogonal iff r_a fixes b.  It is one
 boolean table per root system, built on first use from the permutations of
 the positive-root reflections: row j marks the roots r_j fixes.  Bond
-orders, the orders of the products r_a r_b, are one int8 table per root
-system too, built on first use from the Gram form of the positive roots, one
-integer-pair product, by the bond rule of ``diagrams.gram_bonds``; the order
-of a product of two reflection permutations is its oracle.  The support of
-a root, its simple roots with a nonzero coefficient, is a bitmask, and the
-roots of a standard parabolic W_J are those supported in J (Humphreys,
-Reflection Groups and Coxeter Groups, 1.10).  The signs of all roots on a
+orders, the orders of the products r_a r_b, come from the bond rule of
+``diagrams.gram_bonds``, whose oracle is the order of a product of two
+reflection permutations.  ``simple_bonds`` is the n x n table of the simple
+roots, read off the Gram matrix; set-up (the subset groupoid and the shape
+catalog) reads only it.  ``bond`` answers for every pair of roots from one
+int8 table over the positive roots, built on first use from their Gram
+form, one integer-pair product.  The support of a root, its simple roots
+with a nonzero coefficient, is a bitmask, and the roots of a standard
+parabolic W_J are those supported in J (Humphreys, Reflection Groups and
+Coxeter Groups, 1.10).  The signs of all roots on a
 subspace are one product of integer pairs: the root forms, kept from the
 build, times the subspace's rows; on the span of simple roots they are the
 root forms' columns, with no product and no elimination.
@@ -44,7 +51,8 @@ root forms' columns, with no product and no elimination.
 Type I2(m) is not embedded in coordinates.  Its roots are indexed by residues
 mod 2m (root k at angle k*pi/m), reflections act by index arithmetic, and its
 subspaces are ``I2Subspace`` values: zero, a line, or the plane; its bonds
-(with no table, as m is unbounded) and supports are index formulas.  Both
+(with no table over all roots, as m is unbounded) and supports are index
+formulas.  Both
 classes provide the geometry the layers above use (span and fixed space of
 roots, bonds, and signs of the roots at a generic point of a subspace), so
 nothing above this module branches on the family.
@@ -217,19 +225,26 @@ class RootSystem(_Roots):
     # -- construction ------------------------------------------------------
 
     def _build_roots(self):
-        """Close the simple roots under the simple reflections, on integer pairs.
+        """Close the simple roots under the simple reflections, on integer
+        pairs, over the positive roots only.
 
-        s_i changes only coordinate i of v, by the sum over j of v_j times
-        the Cartan entry 2<a_j, a_i>/<a_i, a_i>.  A root is a tuple of 2n
-        ints, its p entries then its q entries, each coordinate (p + q*sqrt5)/2.
+        s_i permutes the positive roots other than a_i and sends a_i to -a_i
+        (Humphreys 1990, 1.4), so the positive roots are the closure of the
+        simple roots that never expands -a_i, and each simple reflection
+        acts on the negative half by s_i(-v) = -s_i(v).  s_i changes only
+        coordinate i of v, by the sum over j of v_j times the Cartan entry
+        2<a_j, a_i>/<a_i, a_i>.  A root is a tuple of 2n ints, its p entries
+        then its q entries, each coordinate (p + q*sqrt5)/2.
         """
         n = self.n
         fp, fq = self.form
         diag = np.diagonal(fp)              # 2<a_i, a_i>, a rational integer
         cartan = (4 * fp // diag, 4 * fq // diag)   # column i: 2<a_j, a_i>/<a_i, a_i>, doubled
         simples = [tuple(2 * (j == i) for j in range(n)) + (0,) * n for i in range(n)]
-        seen = set(simples)
-        images = {}     # root -> its images under s_0 .. s_{n-1}
+        # -a_i = s_i(a_i) is marked seen so that it is never expanded
+        negated = {tuple(-x for x in v) for v in simples}
+        seen = set(simples) | negated
+        images = {}     # positive root -> its images under s_0 .. s_{n-1}
         parent = {}     # root w -> (v, i) with w = s_i(v) first reached from v
         frontier = simples
         while frontier:
@@ -237,24 +252,23 @@ class RootSystem(_Roots):
             # of coordinate i under s_i; halved, it is in halves like v
             F = np.array(frontier, dtype=np.int64)
             shift = pair_matmul((F[:, :n], F[:, n:]), cartan)
+            W = np.repeat(F[:, None, :], n, axis=1)    # row (v, i): s_i(v)
+            W[:, range(n), range(n)] -= shift[0] // 2
+            W[:, range(n), range(n, 2 * n)] -= shift[1] // 2
             new = []
-            for v, sp, sq in zip(frontier, (shift[0] // 2).tolist(), (shift[1] // 2).tolist()):
-                images[v] = []
-                for i in range(n):
-                    w = list(v)
-                    w[i] -= sp[i]
-                    w[n + i] -= sq[i]
-                    w = tuple(w)
-                    images[v].append(w)
+            for v, row in zip(frontier, W.tolist()):
+                images[v] = row = list(map(tuple, row))
+                for i, w in enumerate(row):
                     if w not in seen:
                         seen.add(w)
                         new.append(w)
-                        # positive roots are only ever reached from positive roots
                         parent[w] = (v, i)
             frontier = new
-        roots = list(seen)
+        roots = list(seen - negated)
         R = np.array(roots, dtype=np.int64)
-        positive = pair_sign((R[:, :n].sum(axis=1), R[:, n:].sum(axis=1))) > 0
+        if not (pair_sign((R[:, :n].sum(axis=1), R[:, n:].sum(axis=1))) > 0).all():
+            raise RuntimeError(f"{self.label}: a simple reflection sent a positive root "
+                               "other than its own simple root negative")
 
         def q5_key(v):
             # the positive roots are ordered by their coordinates written as
@@ -265,9 +279,7 @@ class RootSystem(_Roots):
                 key.append((p // g, q // g, 2 // g))
             return tuple(key)
 
-        rest = sorted((v for v, up in zip(roots, positive) if up and v not in simples),
-                      key=q5_key)
-        pos = simples + rest
+        pos = simples + sorted((v for v in roots if v not in simples), key=q5_key)
         self.npos = len(pos)
         self.nroots = 2 * self.npos
         want = self.label.n_positive_roots
@@ -277,10 +289,10 @@ class RootSystem(_Roots):
         index = {v: i for i, v in enumerate(table)}
         T = np.array(table, dtype=np.int64)
         self.root_pairs = (np.ascontiguousarray(T[:, :n]), np.ascontiguousarray(T[:, n:]))
-        self._simple_perms = [
-            np.array([index[images[v][i]] for v in table], dtype=np.int16) for i in range(n)]
-        self._parent = {index[w]: (index[v], i) for w, (v, i) in parent.items()
-                        if index[w] < self.npos}
+        on_pos = np.array([[index[w] for w in images[v]] for v in pos]).T   # (n, npos)
+        self._simple_perms = list(
+            np.hstack((on_pos, (on_pos + self.npos) % self.nroots)).astype(np.int16))
+        self._parent = {index[w]: (index[v], i) for w, (v, i) in parent.items()}
 
     # -- geometry --------------------------------------------------------------
 
@@ -310,6 +322,15 @@ class RootSystem(_Roots):
     def bond(self, i, j):
         """Order of r_i r_j, read off the bond table."""
         return int(self.bonds[i % self.npos, j % self.npos])
+
+    @cached_property
+    def simple_bonds(self):
+        """int8 table, shape (n, n): entry (i, j) is the order of s_i s_j, by
+        the bond rule on the Gram matrix, with no table over the other roots."""
+        bonds = gram_bonds(self.form)
+        if not bonds.all():
+            raise RuntimeError(f"{self.label}: unrecognized bond ratio between simple roots")
+        return bonds
 
     @cached_property
     def root_lines(self):
@@ -511,6 +532,11 @@ class I2RootSystem(_Roots):
     def bond(self, i, j):
         """Order of r_i r_j, the rotation by 2(i - j)pi/m: m / gcd(i - j, m)."""
         return self.m // gcd(i - j, self.m)
+
+    @cached_property
+    def simple_bonds(self):
+        """The bonds of the simple roots 0 and m - 1: 1 on the diagonal, m off it."""
+        return np.array([[1, self.m], [self.m, 1]])
 
     @cached_property
     def supports(self):

@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm.diagrams import close_root_masks, close_roots, positive_part, simple_masks
+from coxnorm import parabolic, rootsys
+from coxnorm.diagrams import (bond_order, close_root_masks, close_roots, diagram_of_bonds,
+                              positive_part, simple_masks)
 from coxnorm.groups import BRUTE_LIMIT
 from coxnorm.linalg import Subspace
 from coxnorm.oracle import commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                parabolic_closure, pointwise_stabilizer,
-                               root_masks, shape_catalog, standard_parabolic)
+                               root_masks, shape_catalog, standard_parabolic,
+                               subset_groupoid)
 from coxnorm.galois import orthogonal_complement
 from coxnorm.rootsys import build_root_system, inner_product
 
@@ -242,3 +245,31 @@ def test_b5_shape_index_8_closure_example():
     Q = orthogonal_complement(P)
     pq = ReflectionSubgroup(rs, P.roots | Q.roots)
     assert len(parabolic_closure(pq).roots) == rs.nroots
+
+
+@pytest.mark.parametrize("name", ["E8", "A12"])
+def test_set_up_reads_only_the_simple_bonds(name, monkeypatch):
+    # a cold root system and shape catalog build no bond table over all
+    # pairs of positive roots: the groupoid's neighbours and the shapes'
+    # types are read off the simple bonds, and must be those read through
+    # rs.bond, whose values on the simple roots are the orders of the
+    # permutation products; the class cache holds each shape's root mask
+    monkeypatch.setattr(rootsys, "_CACHE", {})
+    monkeypatch.setattr(parabolic, "_groupoids", {})
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    rs = build_root_system(name)
+    cat = shape_catalog(rs)
+    assert "bonds" not in vars(rs)
+    simple = rs.simple_roots
+    for i in simple:
+        for j in simple:
+            assert rs.bond(i, j) == bond_order(rs, i, j), (i, j)
+    assert subset_groupoid(rs)._neighbours == [
+        sum(1 << j for j in range(rs.n) if rs.bond(simple[s], simple[j]) > 2)
+        for s in range(rs.n)]
+    for shape in cat:
+        simples = shape.parabolic.simples
+        assert shape.components == diagram_of_bonds(
+            [[rs.bond(i, j) for j in simples] for i in simples]), shape.label
+    masks = root_masks(rs, [shape.roots for shape in cat])
+    assert cat._class_cache == {mask.tobytes(): shape.index for shape, mask in zip(cat, masks)}

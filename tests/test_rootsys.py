@@ -4,6 +4,7 @@ from math import gcd
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from coxnorm import parabolic
@@ -12,7 +13,7 @@ from coxnorm.diagrams import bond_order
 from coxnorm.galois import orthogonal_complement, parabolic_concepts, shape_closure_graph
 from coxnorm.groups import generate, identity
 from coxnorm.labels import parse_label
-from coxnorm.linalg import Subspace, dot, from_pairs
+from coxnorm.linalg import Subspace, dot, from_pairs, pair_matmul, pair_sign
 from coxnorm.normalizer import compute_table
 from coxnorm.parabolic import pointwise_stabilizer, shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import Q5
@@ -127,6 +128,87 @@ def test_positive_roots_have_nonnegative_coordinates():
         rs = build_root_system(name)
         for i in range(rs.npos):
             assert all(c >= Q5(0) for c in rs.root_vec(i))
+
+
+def _full_closure(label):
+    """(root_pairs, npos, simple perms, reflection perms) of the closure of
+    the simple roots under the simple reflections over all roots, positive
+    and negative, with the positive half picked out by sign afterwards.
+
+    The reference for the positive-only build: the same integer pairs, the
+    same order of the positive roots (simple roots first, then by their
+    coordinates as reduced fractions), every simple permutation read off the
+    closure's images of both halves, and each other reflection composed as
+    r_{s_i(beta)} = s_i r_beta s_i along the tree of first images.
+    """
+    rs = RootSystem(label)
+    n = rs.n
+    fp, fq = rs.form
+    diag = np.diagonal(fp)
+    cartan = (4 * fp // diag, 4 * fq // diag)
+    simples = [tuple(2 * (j == i) for j in range(n)) + (0,) * n for i in range(n)]
+    seen, images, parent = set(simples), {}, {}
+    frontier = simples
+    while frontier:
+        F = np.array(frontier, dtype=np.int64)
+        shift = pair_matmul((F[:, :n], F[:, n:]), cartan)
+        new = []
+        for v, sp, sq in zip(frontier, (shift[0] // 2).tolist(), (shift[1] // 2).tolist()):
+            images[v] = []
+            for i in range(n):
+                w = list(v)
+                w[i] -= sp[i]
+                w[n + i] -= sq[i]
+                w = tuple(w)
+                images[v].append(w)
+                if w not in seen:
+                    seen.add(w)
+                    new.append(w)
+                    parent[w] = (v, i)
+        frontier = new
+    roots = list(seen)
+    R = np.array(roots, dtype=np.int64)
+    positive = pair_sign((R[:, :n].sum(axis=1), R[:, n:].sum(axis=1))) > 0
+
+    def key(v):
+        out = []
+        for p, q in zip(v[:n], v[n:]):
+            g = gcd(p, q, 2)
+            out.append((p // g, q // g, 2 // g))
+        return tuple(out)
+
+    pos = simples + sorted((v for v, up in zip(roots, positive) if up and v not in simples),
+                           key=key)
+    table = pos + [tuple(-x for x in v) for v in pos]
+    index = {v: i for i, v in enumerate(table)}
+    T = np.array(table, dtype=np.int64)
+    simple_perms = [np.array([index[images[v][i]] for v in table]) for i in range(n)]
+    perms = dict(enumerate(simple_perms))
+
+    def perm(k):
+        if k not in perms:
+            v, i = parent[table[k]]
+            s = simple_perms[i]
+            perms[k] = s[perm(index[v])[s]]
+        return perms[k]
+
+    return (T[:, :n], T[:, n:]), len(pos), simple_perms, [perm(k) for k in range(len(pos))]
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 10)]
+                         + [f"D{n}" for n in range(4, 11)] + ["E6", "E7", "E8", "F4", "H3", "H4"])
+def test_positive_closure_matches_the_full_closure(name):
+    # the build closes only the positive roots and negates them; its table,
+    # simple permutations and reflections must be those of the closure over
+    # all roots
+    label = parse_label(name)
+    rs = RootSystem(label)
+    pairs, npos, simple_perms, perms = _full_closure(label)
+    assert rs.npos == npos and rs.nroots == 2 * npos
+    assert all(np.array_equal(a, b) for a, b in zip(rs.root_pairs, pairs))
+    assert all(np.array_equal(rs.reflection_perm(i), p) for i, p in enumerate(simple_perms))
+    for j in range(rs.nroots):
+        assert np.array_equal(rs.reflection_perm(j), perms[j % npos]), j
 
 
 def test_i2_backend():
