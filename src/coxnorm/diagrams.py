@@ -11,14 +11,12 @@ diagrams are not distinguished; the rank-2 types with bonds 4, 5, 6 print
 as B2, H2, G2.
 
 The bonds come from the Gram form (``gram_bonds``, the one bond rule,
-which the normalizer's action cells apply to reflection lines too); the
-order of a product of two reflection permutations, ``bond_order``, is its
-oracle.  A standard parabolic's roots are read off the root supports
-(``parabolic.standard_parabolic``); ``close_roots`` closes any other
-generating set by a BFS, and ``close_root_masks`` closes a stack of root
-masks at once, as one fixpoint of gathers.  The simple systems of a stack
-of closed subsystems are one boolean product (``simple_masks``), of which
-``parabolic.ReflectionSubgroup.simples`` is the one-row case.
+which the normalizer's action cells apply to reflection lines too).  A
+standard parabolic's roots are read off the root supports
+(``parabolic.standard_parabolic``); ``close_root_masks`` closes any stack
+of generating sets at once, as one fixpoint of gathers.  The simple systems
+of a stack of closed subsystems are one boolean product (``simple_masks``),
+of which ``parabolic.ReflectionSubgroup.simples`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -27,27 +25,6 @@ import numpy as np
 
 from .labels import component_order, rank2_name
 from .linalg import pair_mul
-
-
-def close_roots(rs, indices):
-    """Roots of the reflection subgroup generated by the given roots.
-
-    Every reflection of the subgroup is conjugate in it to a generator, so
-    its roots are the orbit of the given roots under the given reflections.
-    """
-    perms = [rs.reflection_perm(i) for i in indices]
-    S = set(indices) | {rs.neg(i) for i in indices}
-    frontier = list(S)
-    while frontier:
-        new = []
-        for p in perms:
-            for b in frontier:
-                c = int(p[b])
-                if c not in S:
-                    S.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(S)
 
 
 def close_root_masks(rs, masks):
@@ -89,12 +66,6 @@ def simple_masks(rs, pos):
     ``rs.sends_negative`` as K, that is one boolean product: pos & ~(pos K^T).
     """
     return pos & ~(pos @ rs.sends_negative.T)
-
-
-def bond_order(rs, i, j):
-    """Order m(i,j) of the product of the reflections in roots i and j: the
-    oracle of the bond rule."""
-    return (rs.reflection(i) * rs.reflection(j)).order()
 
 
 # 2r for the ratios r = 4cos^2(k*pi/m), gcd(k, m) = 1, of the bonds m that

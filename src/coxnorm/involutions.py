@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .galois import galois_table, orthogonal_complement
-from .groups import GroupElement, generate
+from .groups import GroupElement
 from .normalizer import normalizer_order
-from .oracle import brute_normalizer
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
 
 
@@ -84,32 +83,6 @@ def mark_involution_shapes(rs):
 def _marked(records):
     # the trivial parabolic comes from the identity involution
     return sorted({1, *(rec.shape_index for rec in records)})
-
-
-def centralizer(W, u: GroupElement):
-    return [w for w in W if (w * u).key == (u * w).key]
-
-
-def centralizer_equals_normalizer(u: GroupElement, W=None) -> dict:
-    """Assert C_W(u) = N_W(fixed parabolic of u), by double inclusion.
-
-    Requires the full group (enumerated here when not supplied); intended for
-    the brute-force tiers.
-    """
-    rs = u.rs
-    if W is None:
-        W = generate(rs.simple_reflections())
-    cent = centralizer(W, u)
-    norm = brute_normalizer(fixed_parabolic(u), W)
-    report = {"ok": True, "witness": None, "centralizer_order": len(cent)}
-    for inner, outer, what in ((cent, norm, "centralizer outside normalizer"),
-                               (norm, cent, "normalizer outside centralizer")):
-        keys = {w.key for w in outer}
-        w = next((w for w in inner if w.key not in keys), None)
-        if w is not None:
-            report.update(ok=False, witness=(what, w.canonical()))
-            return report
-    return report
 
 
 def has_central_minus_one(rs) -> bool:

@@ -11,7 +11,7 @@ reduced row echelon rows over Q(sqrt5): a ``Subspace`` holds them, and
 as numpy products of int64 pairs; every pair operation bounds its result
 first and raises RuntimeError where int64 could overflow, so a sign is
 never silently wrong.  Q(sqrt5) values (``Q5``) appear only at the public
-boundary: ``to_pairs``/``from_pairs`` convert Q5 rows, ``form_pairs`` reads
+boundary: ``from_pairs`` reads pair rows as Q5 rows, ``form_pairs`` reads
 a Gram matrix, and ``dot`` is the inner product of Q5 vectors.
 """
 
@@ -176,17 +176,6 @@ def _max_abs(a):
     if isinstance(a, int):
         return abs(a)
     return int(np.abs(a).max()) if a.size else 0
-
-
-def to_pairs(rows):
-    """Integer pairs (p, q) of Q5 rows, each row scaled by a positive integer."""
-    p, q = [], []
-    for row in rows:
-        scale = lcm(*(x.den for x in row))
-        p.append([x.a * (scale // x.den) for x in row])
-        q.append([x.b * (scale // x.den) for x in row])
-    _overflow(max((abs(x) for r in p + q for x in r), default=0))
-    return np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
 
 
 def from_pairs(x, den=1):

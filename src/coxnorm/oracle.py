@@ -1,12 +1,13 @@
-"""Independent brute-force oracles and golden-table fixtures.
+"""The brute-force pieces of the verify suites, and golden-table fixtures.
 
-The oracles recompute normalizers and orthogonal complements from first
-principles (full enumeration, literal commutation test) and are compared
-against the fast paths at small rank.  The fixtures are hand-transcribed
-golden tables stored as pipe-separated text; the diff matches fixture rows to
-computed rows by label (searching over the assignments of primed and signed
-duplicate labels, which the golden data only pins relationally) and reports
-every mismatched cell.
+``positive_images`` and ``normalizing`` pick the elements of a full
+enumeration that normalize a parabolic, and ``commutation_table`` is the
+literal commutation test of reflections; the ``verify`` suites compare
+them against the fast paths at small rank.  The fixtures are
+hand-transcribed golden tables stored as pipe-separated text; the diff
+matches fixture rows to computed rows by label (searching over the
+assignments of primed and signed duplicate labels, which the golden data
+only pins relationally) and reports every mismatched cell.
 
 Fixture format, one row per line, '#' comments allowed:
 
@@ -25,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from .groups import BRUTE_LIMIT, generate
 from .parabolic import ReflectionSubgroup
 
 
@@ -39,15 +39,6 @@ def normalizing(P: ReflectionSubgroup, images) -> np.ndarray:
     in_p = np.zeros(P.rs.nroots, dtype=bool)
     in_p[list(P.roots)] = True
     return in_p[images[:, list(P.pos)]].all(axis=1)
-
-
-def brute_normalizer(P: ReflectionSubgroup, W=None):
-    """Normalizer by filtering a full enumeration (guarded), in W's order."""
-    rs = P.rs
-    if rs.group_order > BRUTE_LIMIT:
-        raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    W = list(generate(rs.simple_reflections()) if W is None else W)
-    return [W[i] for i in np.flatnonzero(normalizing(P, positive_images(W)))]
 
 
 def commutation_table(rs, rows=None) -> np.ndarray:
@@ -71,16 +62,6 @@ def commutation_table(rs, rows=None) -> np.ndarray:
         table[k] = (R[s][at_simple] == R[:, R[s][simple]]).all(axis=1)
         table[k, s] = False
     return table
-
-
-def brute_orthogonal_complement(U: ReflectionSubgroup):
-    """Literal commutation definition: reflections commuting with all of U,
-    from the commutation table's rows of U's positive roots."""
-    rs = U.rs
-    if rs.group_order > BRUTE_LIMIT:
-        raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    rows = commutation_table(rs, list(U.pos))
-    return ReflectionSubgroup.generated_by(rs, np.flatnonzero(rows.all(axis=0)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagrams import (close_roots, components_order, components_string,
-                       diagram_of_bonds, positive_part, simple_masks)
+from .diagrams import (components_order, components_string, diagram_of_bonds, positive_part,
+                       simple_masks)
 from .groups import GroupElement, identity, parabolic_longest_element
 
 
@@ -46,10 +46,6 @@ class ReflectionSubgroup:
         self.rs = rs
         self.roots = frozenset(roots)
         self.pos = positive_part(rs, self.roots)
-
-    @classmethod
-    def generated_by(cls, rs, root_indices):
-        return cls(rs, close_roots(rs, root_indices))
 
     @cached_property
     def simples(self):
@@ -360,10 +356,6 @@ class SubsetGroupoid:
             if keep:
                 self._longest[mask] = w0
         return w0
-
-    def target(self, mask, s) -> int:
-        """The mask that edge (K, s) leads to, K u {s} - {sigma_C(s)}."""
-        return int(self._targets[mask, s])
 
     def nu(self, mask, s) -> GroupElement:
         """The element of edge (K, s), w0(C - {s}) w0(C); it maps Delta_K onto

@@ -19,7 +19,8 @@ Spans and fixed spaces are ``linalg.Subspace`` values, eliminated from the
 pair rows of the roots and of their forms; ``fixed_projections`` spans a
 fixed space by orbit sums of root rows instead, with no elimination.
 Q(sqrt5) values (``Q5``) appear only in the n x n Gram matrix and in the
-public ``root_vec`` and ``inner_product``.
+public ``root_vec`` and ``inner_product``.  The simple-root pairs are the
+only coordinates kept for a root.
 
 Indexing: positive roots come first (the n simple roots are indices 0..n-1),
 and the negative of root i is i + npos (mod 2*npos), so sign flips are O(1).
@@ -121,39 +122,6 @@ def _gram_matrix(label: CoxeterLabel):
     return tuple(tuple(row) for row in G)
 
 
-def _e_basis(label: CoxeterLabel):
-    """Simple roots in coordinate (e_i) form for the classical families.
-
-    Used to bridge between signed permutations of points and root
-    permutations.  Returns (number of points, list of simple-root e-vectors).
-    """
-    n = label.rank
-    fam = label.family
-    if fam == "A":
-        pts = n + 1
-        rows = []
-        for i in range(n):
-            v = [0] * pts
-            v[i], v[i + 1] = 1, -1
-            rows.append(tuple(v))
-        return pts, rows
-    if fam in ("B", "D"):
-        pts = n
-        rows = []
-        for i in range(n - 1):
-            v = [0] * pts
-            v[i], v[i + 1] = 1, -1
-            rows.append(tuple(v))
-        last = [0] * pts
-        if fam == "B":
-            last[n - 1] = 1
-        else:
-            last[n - 2], last[n - 1] = 1, 1
-        rows.append(tuple(last))
-        return pts, rows
-    raise ValueError("e-basis only for classical families")
-
-
 class _Roots:
     """Index arithmetic shared by both root-system classes."""
 
@@ -220,7 +188,6 @@ class RootSystem(_Roots):
         # the root forms <beta, .> of the positive roots, scaled by 4
         self._root_forms = pair_matmul(self.rows(range(self.npos)), self.form)
         self._refl_cache = {}
-        self._e_coords = None
 
     # -- construction ------------------------------------------------------
 
@@ -454,45 +421,6 @@ class RootSystem(_Roots):
                 perm = s[self.reflection_perm(beta)[s]]
             self._refl_cache[i] = perm
         return perm
-
-    # -- classical coordinates -------------------------------------------------
-
-    def e_coords(self):
-        """Map root index -> integer e-coordinate tuple (classical families)."""
-        if self._e_coords is None:
-            pts, simple_rows = _e_basis(self.label)
-            coords = self.root_pairs[0] // 2 @ np.array(simple_rows, dtype=np.int64)
-            self._e_coords = [tuple(c) for c in coords.tolist()]
-        return self._e_coords
-
-    def signed_permutation(self, images) -> GroupElement:
-        """Element from a signed permutation of the points 1..N.
-
-        ``images[v-1]`` is the signed image of point v; for family A all
-        images are positive.  Family D requires an even number of sign flips.
-        """
-        coords = self.e_coords()
-        pts = len(coords[0])
-        if len(images) != pts:
-            raise ValueError("signed permutation has wrong number of points")
-        if sorted(abs(x) for x in images) != list(range(1, pts + 1)):
-            raise ValueError("not a signed permutation")
-        if self.label.family == "A" and any(x < 0 for x in images):
-            raise ValueError("type A admits no sign flips")
-        if self.label.family == "D" and sum(1 for x in images if x < 0) % 2:
-            raise ValueError("type D requires an even number of sign flips")
-        lookup = {c: i for i, c in enumerate(coords)}
-        img = np.empty(self.nroots, dtype=np.int16)
-        for i, c in enumerate(coords[: self.npos]):
-            out = [0] * pts
-            for k, x in enumerate(c):
-                if x:
-                    t = images[k]
-                    out[abs(t) - 1] += x if t > 0 else -x
-            j = lookup[tuple(out)]
-            img[i] = j
-            img[self.neg(i)] = self.neg(j)
-        return GroupElement(self, img)
 
     def __repr__(self):
         return f"RootSystem({self.label})"

@@ -8,8 +8,6 @@ table under 30 s; concept lists and property suites are exact.
 
 import time
 
-from coxnorm.classical import classical_complement_generators
-from coxnorm.diagrams import close_roots
 from coxnorm.galois import parabolic_concepts
 from coxnorm.groups import generate, identity
 from coxnorm.involutions import negated_roots
@@ -18,6 +16,9 @@ from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import (verify_fixtures, verify_galois, verify_goursat,
                             verify_howlett, verify_oracle, verify_section8)
+
+from oracles import classical_complement_generators, close_roots
+
 
 FAST_TABLES = ["A7", "B5", "B6", "D5", "D6", "E6", "F4", "H3", "H4",
                "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(9)", "I2(10)",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines, invariant_split
-from coxnorm.diagrams import close_roots, gram_bonds, positive_part
+from coxnorm.diagrams import gram_bonds, positive_part
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import generate
 from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
@@ -16,6 +16,8 @@ from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
+from oracles import close_roots
+
 
 
 def apply_to_pairs(w, x):

@@ -1,5 +1,3 @@
-from coxnorm.classical import ClassicalGenerators, classical_complement_generators
-from coxnorm.diagrams import close_roots
 from coxnorm.groups import generate, identity
 from coxnorm.involutions import negated_roots
 from coxnorm.normalizer import decompose
@@ -7,6 +5,8 @@ from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
 
 import pytest
+
+from oracles import ClassicalGenerators, classical_complement_generators, close_roots
 
 
 def shape_by_partition(rs, parts, decoration=""):

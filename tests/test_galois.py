@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from coxnorm import galois, linalg, verify
-from coxnorm.diagrams import close_roots
 from coxnorm.involutions import involution_class_representatives
 from coxnorm.galois import (galois_row, galois_rows, orthogonal_closure,
                             orthogonal_complement, parabolic_concepts, perp_masks,
                             shape_closure_graph)
-from coxnorm.oracle import brute_orthogonal_complement, commutation_table
+from coxnorm.oracle import commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
                                parabolic_closure, shape_catalog, standard_conjugate,
                                standard_parabolic)
@@ -19,6 +18,8 @@ from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
 from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS, ORACLE_GROUPS
+from oracles import brute_orthogonal_complement, close_roots, generated_by
+
 
 normalizer = importlib.import_module("coxnorm.normalizer")
 
@@ -202,8 +203,8 @@ def test_complement_from_the_table_matches_the_reflection_loop(name):
     rng = random.Random(name)
     subgroups = [standard_parabolic(rs, tuple(i for i in range(rs.n) if mask >> i & 1))
                  for mask in range(1 << rs.n)]
-    subgroups += [ReflectionSubgroup.generated_by(
-        rs, rng.sample(range(rs.nroots), rng.randint(1, rs.n))) for _ in range(200)]
+    subgroups += [generated_by(rs, rng.sample(range(rs.nroots), rng.randint(1, rs.n)))
+                  for _ in range(200)]
     for U in subgroups:
         assert orthogonal_complement(U).roots == _perp_by_reflections(U), U
 

@@ -1,7 +1,6 @@
 from coxnorm import involutions
 from coxnorm.groups import generate, identity
-from coxnorm.involutions import (centralizer_equals_normalizer, degree,
-                                 fixed_parabolic,
+from coxnorm.involutions import (degree, fixed_parabolic,
                                  involution_class_representatives,
                                  mark_involution_shapes, negated_roots,
                                  section8_checks)
@@ -9,6 +8,8 @@ from coxnorm.parabolic import subset_groupoid
 from coxnorm.rootsys import build_root_system
 
 import pytest
+
+from oracles import centralizer_equals_normalizer
 
 
 def test_fixed_parabolic_basics():

@@ -6,12 +6,14 @@ import numpy as np
 from coxnorm.actions import invariant_split
 from coxnorm.galois import orthogonal_complement
 from coxnorm.linalg import (Subspace, dot, form_pairs, from_pairs, kernel, lex_signs,
-                            pair_matmul, pair_mul, pair_sign, rref, to_pairs)
+                            pair_matmul, pair_mul, pair_sign, rref)
 from coxnorm.parabolic import shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import ONE, Q5, ZERO
 from coxnorm.rootsys import build_root_system
 
 import pytest
+
+from oracles import to_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalo
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import ORACLE_GROUPS
+from oracles import generated_by
+
 
 normalizer_module = importlib.import_module("coxnorm.normalizer")
 
@@ -63,7 +65,7 @@ def test_howlett_complement_basic():
 def test_howlett_complement_rejects_non_normal():
     rs = build_root_system("A2")
     W = generate(rs.simple_reflections())
-    sub = ReflectionSubgroup.generated_by(rs, [0])
+    sub = generated_by(rs, [0])
     with pytest.raises(ValueError, match="not normal"):
         howlett_complement(sub, W)
 

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from coxnorm import parabolic, rootsys
-from coxnorm.diagrams import close_roots
 from coxnorm.galois import orthogonal_complement
 from coxnorm.normalizer import compute_table, normalizer
-from coxnorm.oracle import (brute_normalizer, brute_orthogonal_complement,
-                            commutation_table, diff_fixture, load_fixture,
-                            parse_fixture)
+from coxnorm.oracle import commutation_table, diff_fixture, load_fixture, parse_fixture
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
                                standard_parabolic)
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
+
+from oracles import brute_normalizer, brute_orthogonal_complement, close_roots
 
 
 def test_parse_errors_carry_line_numbers():

@@ -68,3 +68,33 @@ def test_every_definition_is_named_outside_itself():
             if not outside:
                 unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def _imported_names(tree):
+    """The dotted names a module imports, at its top or inside a function, with
+    relative imports read in the package and each name of a ``from`` import
+    appended to its module (``from . import x`` may import a module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["coxnorm" if node.level else None, node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_every_module_is_reached_from_the_package_or_the_command_line():
+    # a module that neither ``import coxnorm`` nor the CLI reaches runs only
+    # in tests, and belongs in tests/ as an oracle
+    package = ROOT / "src" / "coxnorm"
+    modules = {path.stem for path in package.glob("*.py")}
+    reached, stack = set(), ["__init__", "cli"]
+    while stack:
+        name = stack.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        stack.extend(dotted.split(".")[1] for dotted in _imported_names(tree)
+                     if dotted.startswith("coxnorm."))
+    assert sorted(modules - reached) == []
