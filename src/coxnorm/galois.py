@@ -15,24 +15,25 @@ product with the negated table; one subgroup's complement is its one-row
 case.  The commutation characterization lives in the oracle module as an
 independent cross-check that never reads the table.
 
-perp commutes with conjugation (Howlett 1980), so on classes it is a map on
-shape indices, kept with the catalog as one table: a ``GaloisRow`` per
-shape, computed for its representative P, holds perp(P) and its class, the
-simple roots projected onto Fix(P perp(P)), and the roots and class of the
-parabolic closure of P perp(P), the roots vanishing on those projections.
-``galois_rows`` computes the rows of a list of parabolics as one stack:
-one boolean product for the complements and one for their simple systems
-(``diagrams.simple_masks``), one ``classes_of`` for their classes, read at
-generic points of the spans of the Delta_P (perp(P) fixes span(Delta_P)
-pointwise; the signs of the rows the class cache misses are one gather,
-``stacked_span_signs``), and one ``fixed_projections`` for Fix(P perp(P)),
-the orbit sums of a Coxeter element of Delta_P u Delta_perp(P), with the
-closures' classes read at their lexicographic signs; no elimination runs.
-A set of n roots sums no orbit: its Fix(P perp(P)) is 0.
-The suites over the whole catalog fill every missing row with one call
-(``galois_table``); a single shape's reader fills only its row, so the
-first decomposition of a group does not pay for every shape.  The closure
-class of shape i is perp(perp(i)).
+perp commutes with conjugation (Howlett 1980), so on classes it is one map
+on shape indices per catalog (``PerpMap``): ``perp_map`` computes it for
+every shape's representative P on first read, as one stack, and keeps it
+with the catalog.  That stack is one boolean product for the complements,
+one ``classes_of`` for their classes, read at generic points of the spans
+of the Delta_P (perp(P) fixes span(Delta_P) pointwise; the signs of the rows
+the class cache misses are one gather, ``stacked_span_signs``, and one
+``dominant_descent``), and one product for their simple systems
+(``diagrams.simple_masks``).  The orthogonal closure of shape i is
+perp(perp(i)), two reads of the map; concepts, the closure graph and
+|N| read nothing else.
+
+The parabolic closure of P perp(P) is per row (``pq_closures``): the
+simple roots projected onto Fix(P perp(P)), the orbit sums of a Coxeter
+element of Delta_P u Delta_perp(P), and the roots and class of the closure,
+read at the projections' lexicographic signs; no elimination runs.  A set
+of n roots sums no orbit: its Fix(P perp(P)) is 0.  A decomposition asks
+for its own row; the section-8 suite asks for every shape, once
+(``pq_closure_classes``).
 """
 
 from __future__ import annotations
@@ -62,43 +63,64 @@ def orthogonal_closure(P: ReflectionSubgroup) -> ReflectionSubgroup:
 
 
 @dataclass(frozen=True)
-class GaloisRow:
-    """The Galois data of a standard parabolic P; callers must not mutate ``perp``."""
+class PerpMap:
+    """perp on the shapes of one catalog, for each shape i's representative P_i.
 
-    perp: ReflectionSubgroup      # perp(P), typed as its shape
-    perp_index: int               # the class of perp(P)
-    projections: object           # the simple roots' nonzero projections onto Fix(P perp(P))
-    closure_roots: np.ndarray     # the root mask of the parabolic closure of P perp(P)
-    closure_index: int            # its class
-
-
-def galois_rows(catalog, parabolics) -> list:
-    """The ``GaloisRow`` of each standard parabolic of the list, as one stack.
-
-    ``projections`` is what ``rs.fixed_projections`` gives for
-    Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
-    pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2.
-    Only the sets of fewer than n roots go to ``fixed_projections``.  A full
-    set is independent, since Delta_P and Delta_perp(P) are each independent
-    and orthogonal to each other, which one gather of ``rs.orthogonality``
-    checks in place of the dependency check; so Fix(P perp(P)) = 0, its
-    projections are empty, its sign row is zero and its closure is W.  Type
-    I2 keeps its index formula for every set.
+    ``index[i]`` is the class of perp(P_i), so the orthogonal closure of
+    shape i is ``index[index[i]]``; ``complement[i]`` is perp(P_i) itself,
+    typed as its shape (callers must not mutate it).
     """
+
+    index: dict
+    complement: dict
+
+
+def complements(catalog, parabolics):
+    """perp(P) and its class for each standard parabolic P of the list, as
+    one stack (see the module docstring): two lists, the complements, each
+    typed as its class's shape, and their classes."""
     rs = catalog.rs
     perps = perp_masks(rs, root_masks(rs, [P.roots for P in parabolics]))
-    perp_classes = catalog.classes_of(
+    classes = catalog.classes_of(
         perps, lambda miss: rs.stacked_span_signs([parabolics[r].simples for r in miss]))
     Qs = []
-    for row, simples, j in zip(perps, simple_masks(rs, perps[:, : rs.npos]), perp_classes):
+    for row, simples, j in zip(perps, simple_masks(rs, perps[:, : rs.npos]), classes):
         Q = ReflectionSubgroup(rs, np.flatnonzero(row).tolist())
         Q.simples = tuple(np.flatnonzero(simples).tolist())
         Q.components = catalog[j].components   # its shape's, not recognized again
         Qs.append(Q)
-    sets = [P.simples + Q.simples for P, Q in zip(parabolics, Qs)]
+    return Qs, classes
+
+
+def perp_map(catalog) -> PerpMap:
+    """The catalog's ``PerpMap``, computed for every shape as one stack on first read."""
+    if catalog.perp is None:   # the shapes are indexed 1, 2, ... in catalog order
+        Qs, classes = complements(catalog, [s.parabolic for s in catalog])
+        catalog.perp = PerpMap(dict(enumerate(classes, 1)), dict(enumerate(Qs, 1)))
+    return catalog.perp
+
+
+def pq_closures(catalog, parabolics, perps):
+    """The parabolic closure of P perp(P) for each standard parabolic P of
+    the list, with perp(P) from ``perps``, as one stack: the projections,
+    the closures' root masks (k, nroots) and their classes.
+
+    The projections are what ``rs.fixed_projections`` gives for
+    Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
+    pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2; the
+    closure's roots are those vanishing at their signs, and its class is read
+    there (one ``classes_of``).  Delta_P and Delta_perp(P) are each
+    independent and, as one gather of ``rs.orthogonality`` checks for every
+    set, orthogonal to each other, so their union is independent.  Only the
+    sets of fewer than n roots go to ``fixed_projections``: a full set spans
+    the space, so Fix(P perp(P)) = 0, its projections are empty, its sign
+    row is zero and its closure is W.  Type I2 keeps its index formula for
+    every set.
+    """
+    rs = catalog.rs
+    sets = [P.simples + Q.simples for P, Q in zip(parabolics, perps)]
     full = [rs.is_vector and len(s) == rs.n for s in sets]
-    pairs = [(a, b) for P, Q, f in zip(parabolics, Qs, full) if f
-             for a in P.simples for b in Q.simples]
+    pairs = [(a, b) for P, Q in zip(parabolics, perps) for a in P.simples for b in Q.simples]
     if pairs and not rs.orthogonality[tuple(np.array(pairs).T)].all():
         raise RuntimeError("a simple root of P is not orthogonal to one of perp(P)")
     projections = [(np.zeros((0, rs.n), dtype=np.int64),) * 2] * len(sets)
@@ -109,25 +131,15 @@ def galois_rows(catalog, parabolics) -> list:
         for r, x in zip(rest, found):
             projections[r] = x
     closures = signs == 0
-    return [GaloisRow(*row) for row in zip(Qs, perp_classes, projections, closures,
-                                           catalog.classes_of(closures, signs))]
+    return projections, closures, catalog.classes_of(closures, signs)
 
 
-def galois_row(catalog, i: int) -> GaloisRow:
-    """Shape i's row of the catalog's table, computed alone on first use."""
-    row = catalog.galois.get(i)
-    if row is None:
-        row = catalog.galois[i] = galois_rows(catalog, [catalog[i].parabolic])[0]
-    return row
-
-
-def galois_table(catalog) -> dict:
-    """The catalog's table, its missing rows computed as one stack."""
-    missing = [s.index for s in catalog if s.index not in catalog.galois]
-    if missing:
-        rows = galois_rows(catalog, [catalog[i].parabolic for i in missing])
-        catalog.galois.update(zip(missing, rows))
-    return catalog.galois
+def pq_closure_classes(catalog) -> dict:
+    """The class of the parabolic closure of P_i perp(P_i) for every shape i, as one stack."""
+    perp = perp_map(catalog)
+    *_, classes = pq_closures(catalog, [s.parabolic for s in catalog],
+                              [perp.complement[s.index] for s in catalog])
+    return dict(enumerate(classes, 1))
 
 
 def parabolic_concepts(rs):
@@ -137,9 +149,8 @@ def parabolic_concepts(rs):
     complements, both orthogonally closed.  Each unordered pair is listed
     once, with the smaller catalog index on the left.
     """
-    table = galois_table(shape_catalog(rs))
-    return sorted((i, row.perp_index) for i, row in table.items()
-                  if table[row.perp_index].perp_index == i and i <= row.perp_index)
+    perp = perp_map(shape_catalog(rs)).index
+    return sorted((i, j) for i, j in perp.items() if perp[j] == i and i <= j)
 
 
 def shape_closure_graph(rs):
@@ -150,7 +161,7 @@ def shape_closure_graph(rs):
     non-closed shapes.
     """
     catalog = shape_catalog(rs)
-    table = galois_table(catalog)
+    perp = perp_map(catalog).index
     groupoid = subset_groupoid(rs)
     # the class of every subset mask; below a shape, those of the subsets of its J
     classes = np.array([catalog.class_of_subset(rep) for rep in groupoid.representatives])
@@ -167,7 +178,7 @@ def shape_closure_graph(rs):
             hasse.append((s.index, j))
     closure = {}
     for s in catalog:
-        c = table[table[s.index].perp_index].perp_index
+        c = perp[perp[s.index]]
         if c != s.index:
             closure[s.index] = c
     nodes = [{"index": s.index, "label": s.label,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import galois_table, orthogonal_complement
+from .galois import orthogonal_complement, perp_map, pq_closure_classes
 from .groups import GroupElement
 from .normalizer import normalizer_order
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
@@ -90,17 +90,19 @@ def has_central_minus_one(rs) -> bool:
     return subset_groupoid(rs).longest_element(range(rs.n)).negates(range(rs.npos))
 
 
-def section8_checks(rs) -> dict:
+def section8_checks(rs, pq_classes=None) -> dict:
     """The observation suite: per-bullet pass/fail with witnesses.
 
-    Closures and complements are read off the catalog's Galois table.
+    Complements and closures are read off the catalog's map perp on shapes,
+    and the classes of the closures of P perp(P) off ``pq_classes``
+    (``galois.pq_closure_classes``, computed when not passed).
     """
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
     records = involution_class_representatives(rs)
     marked = set(_marked(records))
-    table = galois_table(catalog)   # every shape's row, as one stack
-    closure_of = {i: table[row.perp_index].perp_index for i, row in table.items()}
+    perp = perp_map(catalog).index
+    closure_of = {i: perp[j] for i, j in perp.items()}
     closed = {i for i, c in closure_of.items() if c == i}
     minus_one = has_central_minus_one(rs)
     report = {"group": str(rs.label), "minus_one_central": minus_one, "checks": {}}
@@ -125,14 +127,15 @@ def section8_checks(rs) -> dict:
         # complement of a marked shape is marked
         not_closed = sorted(marked - closed)
         record("centralizers_closed", not_closed == [], not_closed or None)
-        bad = [i for i in marked if table[i].perp_index not in marked]
+        bad = [i for i in marked if perp[i] not in marked]
         record("complement_marked", bad == [], bad or None)
         if rs.label.family == "B":
             extra = sorted(closed - marked)
             record("closed_iff_centralizer", extra == [], extra or None)
-        # w0 central and P closed implies the closure of PQ is the whole group
-        bad = next((i for i in sorted(closed)
-                    if not table[i].closure_roots.all()), None)
+        # w0 central and P closed implies the closure of PQ is W, the last class
+        if pq_classes is None:
+            pq_classes = pq_closure_classes(catalog)
+        bad = next((i for i in sorted(closed) if pq_classes[i] != len(catalog)), None)
         record("closed_implies_pq_closure_full", bad is None, bad)
 
         # fixed parabolic of -u is the orthogonal complement of that of u

@@ -1,8 +1,9 @@
 """Coxeter type labels: parsing, printing, classification bounds, group orders.
 
 Label grammar (shared by the CLI and the JSON output): ``<FAMILY><RANK>`` or
-``I2(<m>)``, case-insensitive, no whitespace.  Rank bounds follow the
-classification of irreducible finite Coxeter groups:
+``I2(<m>)``, case-insensitive, no whitespace; the rank-2 diagram names G2
+and H2 are read as I2(6) and I2(5), which is how they print.  Rank bounds
+follow the classification of irreducible finite Coxeter groups:
 
     A: n >= 1   B: n >= 2   D: n >= 4   E: n in {6,7,8}
     F: n = 4    H: n in {3,4}           I: rank 2, m >= 3
@@ -89,7 +90,8 @@ class CoxeterLabel:
 
 
 def parse_label(text: str) -> CoxeterLabel:
-    m = _LABEL_RE.match(text.strip())
+    text = text.strip()
+    m = _LABEL_RE.match(_RANK2_ALIASES.get(text.upper(), text))
     if not m:
         raise ValueError(f"cannot parse Coxeter label {text!r}; expected e.g. E7 or I2(7)")
     if m.group(3) is not None:
@@ -104,10 +106,10 @@ _RANK2_ALIASES = {"G2": "I2(6)", "H2": "I2(5)"}
 def component_order(name: str) -> int:
     """Order of the irreducible component named by a diagram label.
 
-    Diagram names are labels (A5, B3, D4, E7, F4, H3, H4, I2(m)), except the
-    rank-2 names G2 and H2 for bonds 6 and 5.
+    Diagram names are labels (A5, B3, D4, E7, F4, H3, H4, I2(m), and the
+    rank-2 names G2 and H2 for bonds 6 and 5).
     """
-    return parse_label(_RANK2_ALIASES.get(name, name)).order
+    return parse_label(name).order
 
 
 def rank2_name(m: int) -> str:

@@ -22,13 +22,13 @@ and the action cells on X_perp, X n Y and Y_perp are read off the
 restrictions of D: to X n Y by one batched product on the simple roots
 projected onto Fix(PQ), and to X_perp and Y_perp off D's images of the
 simple roots of P and of Q, which it permutes (see ``_Restricted``; that
-gather is also the one check that D is relative-length-zero).  Q,
-its class, those projections and the class of the parabolic closure of PQ
-are the shape's row of the catalog's Galois table (``galois.galois_row``),
-so no fixed space is eliminated; |N| alone reads Q there too, at the
-representative of P's class.  The reflection parts of P:D and Q:D are
-named from the simple root lines of P or Q and the lines of D, with neither
-enumerated (see ``_action_cell``).
+gather is also the one check that D is relative-length-zero).  Q and
+its class are read off the catalog's map perp on shapes (``galois.perp_map``),
+as |N| reads Q at the representative of P's class; those projections and
+the class of the parabolic closure of PQ are the row's own
+(``galois.pq_closures``), so no fixed space is eliminated.  The reflection
+parts of P:D and Q:D are named from the simple root lines of P or Q and
+the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
 classify image summaries (``_Restricted.image``) read off those tables, and
 every diagram of a row is read off one line table.  The Goursat sections of
@@ -45,7 +45,7 @@ import numpy as np
 from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
                       image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
-from .galois import galois_row, galois_rows, orthogonal_complement
+from .galois import complements, orthogonal_complement, perp_map, pq_closures
 from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
 from .linalg import pair_matmul
 from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
@@ -186,7 +186,7 @@ class Decomposition:
     @property
     def closure_index(self) -> int:
         """Class of the orthogonal closure of P: perp(perp(P)) on the shape maps."""
-        return galois_row(shape_catalog(self.rs), self.q_index).perp_index
+        return perp_map(shape_catalog(self.rs)).index[self.q_index]
 
     def pq_closure_cell(self) -> str:
         if self.pq_closure_is_w:
@@ -255,9 +255,9 @@ def _standard_form(P):
 
 def _normalizer_order_at(catalog, i):
     """|N_W(W_J)| = |W_J||Q||D| for shape i's representative W_J, with its
-    orthogonal complement Q read off the catalog's Galois table."""
+    orthogonal complement Q read off the catalog's map perp on shapes."""
     shape = catalog[i]
-    Q = galois_row(catalog, i).perp
+    Q = perp_map(catalog).complement[i]
     D = _complement_D(catalog.rs, shape.rep_subset, orthogonal_join(shape.parabolic, Q))
     return shape.order * Q.order * len(D)
 
@@ -502,10 +502,14 @@ def decompose(rs, parabolic) -> Decomposition:
         raise ValueError("decompose takes a Shape or a standard parabolic "
                          "(one generated by simple reflections)")
     shape = catalog[catalog.class_of_subset(subset)]
-    # the shape's Galois row; another standard parabolic of the class has its own
-    row = (galois_row(catalog, shape.index) if subset == shape.rep_subset
-           else galois_rows(catalog, [P])[0])
-    Q, q_index = row.perp, row.perp_index
+    # perp(P) off the catalog's map; another standard parabolic of the class
+    # has its own, and each row its own closure of PQ
+    if subset == shape.rep_subset:
+        perp = perp_map(catalog)
+        Q, q_index = perp.complement[shape.index], perp.index[shape.index]
+    else:
+        (Q,), (q_index,) = complements(catalog, [P])
+    (projections,), (closure,), (closure_index,) = pq_closures(catalog, [P], [Q])
     p_order, q_order = P.order, Q.order
     D = _complement_D(rs, subset, orthogonal_join(P, Q))
 
@@ -513,16 +517,14 @@ def decompose(rs, parabolic) -> Decomposition:
     # first (D is trivial for every dihedral shape); A, B, the action cells and
     # the names of A, B and C, all subsets of D, are read off it.  The simple
     # roots of P and of Q, as root indices, are bases of X_perp and Y_perp.
-    # Delta_P is orthogonal to Delta_Q, so together they are independent and
-    # X n Y = Fix(PQ) has the rest of the dimension; the row's nonzero
-    # projections, checked orthogonal to both when computed, span it.
-    if not rs.orthogonality[list(P.simples)][:, list(Q.simples)].all():
-        raise RuntimeError("invariant split does not fill the space")
+    # Delta_P is orthogonal to Delta_Q (checked with the closure), so together
+    # they are independent and X n Y = Fix(PQ) has the rest of the dimension;
+    # the closure's nonzero projections, checked orthogonal to both, span it.
     dims = {"x_cap_y": rs.n - len(P.simples) - len(Q.simples),
             "x_perp": len(P.simples), "y_perp": len(Q.simples)}
     spaces = {}
     if len(D) > 1:
-        bases = (("x_cap_y", row.projections), ("x_perp", P.simples), ("y_perp", Q.simples))
+        bases = (("x_cap_y", projections), ("x_perp", P.simples), ("y_perp", Q.simples))
         spaces = {role: basis for role, basis in bases if dims[role]}
     restricted = _Restricted(rs, D, spaces)
 
@@ -556,9 +558,9 @@ def decompose(rs, parabolic) -> Decomposition:
     return Decomposition(
         rs=rs, shape=shape, P=P, Q=Q, q_index=q_index, n_order=p_order * q_order * len(D),
         D=D, A=A, B=B, C=C, a_name=a_name, b_name=b_name, c_name=c_name,
-        pq_closure_index=row.closure_index,
-        pq_closure_is_pq=bool(row.closure_roots.sum() == len(P.roots) + len(Q.roots)),
-        pq_closure_is_w=bool(row.closure_roots.all()),
+        pq_closure_index=closure_index,
+        pq_closure_is_pq=bool(closure.sum() == len(P.roots) + len(Q.roots)),
+        pq_closure_is_w=bool(closure.all()),
         actions=cells,
         involution_centralizer=asterisk,
     )

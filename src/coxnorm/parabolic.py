@@ -476,12 +476,11 @@ def dominant_descent(rs, signs):
     reflections, in order, has w(Phi_J) = the roots vanishing at x_r.
     """
     k, width = len(signs), rs.nroots + 1
-    rows = np.arange(k)
-    # the rows laid end to end, row r's entry j at r * width + j, and each
-    # row's gathers for the simple reflections, then the identity
-    start = (rows * width)[:, None]
+    # the rows laid end to end, row r's entry j at r * width + j; a step
+    # gathers each row by its simple reflection, or the identity, shifted there
+    start = (np.arange(k) * width)[:, None]
     columns = start + (list(rs.simple_roots) + [rs.nroots])
-    gathers = rs.reflection_perms[list(rs.simple_roots) + [rs.npos]] + start[:, None]
+    perms = rs.reflection_perms[list(rs.simple_roots) + [rs.npos]]
     flip = np.where(signs[:, : rs.npos].sum(axis=1) < 0, -1, 1)[:, None]
     at = np.hstack((signs * flip, np.full((k, 1), -1)))
     word = []
@@ -490,7 +489,7 @@ def dominant_descent(rs, signs):
         if (step == rs.n).all():
             return at.take(columns[:, :-1]) == 0, np.array(word, dtype=np.intp).reshape(len(word), k)
         word.append(step)
-        at = at.take(gathers[rows, step])
+        at = at.take(perms[step] + start)
 
 
 def generic_signs(rs, roots):
@@ -537,16 +536,15 @@ class ShapeCatalog:
     of root masks seen, then one ``dominant_descent`` of the rest, which
     names standard parabolics W_J conjugate to them, and J's component.
 
-    The catalog also keeps the orthogonality Galois connection as one table
-    on shape indices (perp commutes with conjugation): ``galois`` maps
-    shape i to the row ``galois.galois_rows`` computes for its
-    representative, filled one shape or the whole catalog at a time.
+    The catalog also keeps perp, which commutes with conjugation, as one
+    map on shape indices: ``perp`` holds the ``galois.PerpMap`` that
+    ``galois.perp_map`` computes for every shape on first read.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.shapes, self._class_cache = self._build()
-        self.galois = {}        # i -> the Galois row of shape i's representative
+        self.perp = None        # the galois.PerpMap, filled on first read
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
                               for s in self.shapes}

@@ -125,12 +125,9 @@ def _gram_matrix(label: CoxeterLabel):
 class _Roots:
     """Index arithmetic shared by both root-system classes."""
 
-    def neg(self, i):
-        return (i + self.npos) % self.nroots
-
     @cached_property
     def negation(self):
-        """Root negation as an index array: negation[i] == neg(i)."""
+        """Root negation as an index array: negation[i] is the index of -root i."""
         return (np.arange(self.nroots) + self.npos) % self.nroots
 
     @cached_property
@@ -381,17 +378,21 @@ class RootSystem(_Roots):
 
     def stacked_span_signs(self, index_sets):
         """Signs of all roots at a generic point of the span of each set of
-        simple roots, shape (k, nroots), taken on those roots: their columns
-        of the root forms, one gather for the stack.  The sets are padded to
-        one width with the index of an appended zero column, on which every
-        root form vanishes, so no lexicographic sign changes."""
+        simple roots, shape (k, nroots), taken on those roots: the signs of
+        the root forms there, one gather of ``_form_signs`` for the stack (a
+        lexicographic sign reads only the signs of its values).  The sets are
+        padded to one width with the index of the appended zero row, on which
+        every root form vanishes, so no lexicographic sign changes."""
         index = np.full((len(index_sets), max(map(len, index_sets), default=0)), self.n)
         for row, simples in zip(index, index_sets):
             row[: len(simples)] = list(simples)
-        # the root forms' columns, then the zero column, as rows: (n + 1, npos)
-        forms = tuple(np.vstack((f.T, np.zeros((1, self.npos), f.dtype)))[index]
-                      for f in self._root_forms)
-        return self._lex_signs(pair_sign(forms).transpose(0, 2, 1))
+        return self._lex_signs(self._form_signs[index].transpose(0, 2, 1))
+
+    @cached_property
+    def _form_signs(self):
+        """The sign of each positive root's form on each simple root, then a
+        zero row, as int8 rows: (n + 1, npos)."""
+        return np.vstack((pair_sign(self._root_forms).T, np.zeros((1, self.npos), np.int8)))
 
     def _lex_signs(self, values):
         """Signs at x_1 + e x_2 + e^2 x_3 + ... for rows x_k and a small e > 0, a

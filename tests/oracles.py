@@ -2,6 +2,8 @@
 
 Each recomputes a fact of the library by a second, independent route:
 
+- ``neg`` is the index of a root's negative, one root at a time (the
+  library reads the whole ``negation`` array);
 - ``close_roots`` closes a generating set of roots by a BFS over the
   reflection permutations (the library closes stacks of root masks with
   ``diagrams.close_root_masks``); ``generated_by`` is the reflection
@@ -34,6 +36,11 @@ from coxnorm.oracle import commutation_table, normalizing, positive_images
 from coxnorm.parabolic import ReflectionSubgroup, Shape
 
 
+def neg(rs, i):
+    """The index of the negative of root i: the negatives follow the positive roots."""
+    return (i + rs.npos) % rs.nroots
+
+
 def close_roots(rs, indices):
     """Roots of the reflection subgroup generated by the given roots.
 
@@ -41,7 +48,7 @@ def close_roots(rs, indices):
     its roots are the orbit of the given roots under the given reflections.
     """
     perms = [rs.reflection_perm(i) for i in indices]
-    S = set(indices) | {rs.neg(i) for i in indices}
+    S = set(indices) | {neg(rs, i) for i in indices}
     frontier = list(S)
     while frontier:
         new = []
@@ -200,7 +207,7 @@ def signed_permutation(rs, images) -> GroupElement:
                 out[abs(t) - 1] += x if t > 0 else -x
         j = lookup[tuple(out)]
         img[i] = j
-        img[rs.neg(i)] = rs.neg(j)
+        img[neg(rs, i)] = neg(rs, j)
     return GroupElement(rs, img)
 
 

@@ -120,6 +120,14 @@ def test_shape_catalogs_keep_their_stdout_bytes(group, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize("alias, label", [("G2", "I2(6)"), ("H2", "I2(5)")])
+def test_rank2_diagram_names_are_group_labels(alias, label):
+    # G2 and H2 name the groups I2(6) and I2(5), and print as them
+    assert run("shapes", alias) == run("shapes", label)
+    code, out, err = run("decompose", alias, "1")
+    assert (code, err) == (0, "") and out.startswith(f"group            {label}\n")
+
+
 def test_shapes_and_determinism():
     code1, out1, _ = run("shapes", "H4")
     code2, out2, _ = run("shapes", "H4")

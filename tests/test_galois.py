@@ -7,9 +7,8 @@ import pytest
 
 from coxnorm import galois, linalg, verify
 from coxnorm.involutions import involution_class_representatives
-from coxnorm.galois import (galois_row, galois_rows, orthogonal_closure,
-                            orthogonal_complement, parabolic_concepts, perp_masks,
-                            shape_closure_graph)
+from coxnorm.galois import (orthogonal_closure, orthogonal_complement, parabolic_concepts,
+                            perp_map, perp_masks, pq_closures, shape_closure_graph)
 from coxnorm.oracle import commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
                                parabolic_closure, shape_catalog, standard_conjugate,
@@ -18,7 +17,7 @@ from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
 from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS, ORACLE_GROUPS
-from oracles import brute_orthogonal_complement, close_roots, generated_by
+from oracles import brute_orthogonal_complement, close_roots, generated_by, neg
 
 
 normalizer = importlib.import_module("coxnorm.normalizer")
@@ -42,7 +41,7 @@ def test_a7_perp_of_a1a1_is_a3():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[221111]")
-    assert galois_row(cat, shape.index).perp_index == 7
+    assert perp_map(cat).index[shape.index] == 7
     assert cat[7].type_label == "A3"
 
 
@@ -51,15 +50,16 @@ def test_e6_a5_a1_concept():
     cat = shape_catalog(rs)
     a5 = next(s for s in cat if s.label == "A5")
     a1 = next(s for s in cat if s.label == "A1")
-    assert galois_row(cat, a5.index).perp_index == a1.index
-    assert galois_row(cat, a1.index).perp_index == a5.index
+    assert perp_map(cat).index[a5.index] == a1.index
+    assert perp_map(cat).index[a1.index] == a5.index
 
 
 def test_closure_of_a1cubed_in_a7_is_a5():
     rs = build_root_system("A7")
     cat = shape_catalog(rs)
     shape = cat.by_selector("[22211]")
-    assert galois_row(cat, galois_row(cat, shape.index).perp_index).perp_index == 17
+    perp = perp_map(cat).index
+    assert perp[perp[shape.index]] == 17
     assert cat[17].type_label == "A5"
 
 
@@ -300,7 +300,7 @@ def test_antitone_witness_is_the_first_failing_pair_not_a_covering_one(monkeypat
 
     def add_least_missing(row):
         extra = np.flatnonzero(~row[: rs.npos])[0]
-        row[[extra, rs.neg(extra)]] = True
+        row[[extra, neg(rs, extra)]] = True
 
     _faulty_perp_masks(monkeypatch, rs, target, add_least_missing)
     want = _galois_reports_by_loops(rs)
@@ -316,16 +316,18 @@ def test_shape_maps_agree_with_root_level_recomputation(name):
     # representatives rebuilt from root sets
     rs = build_root_system(name)
     cat = shape_catalog(rs)
+    shape_perp = perp_map(cat)
     for shape in cat:
         i = shape.index
         rep = ReflectionSubgroup(rs, shape.roots)
         perp = orthogonal_complement(rep)
-        assert galois_row(cat, i).perp_index == cat.class_of_roots(perp.roots), shape.label
-        assert (galois_row(cat, galois_row(cat, i).perp_index).perp_index
+        assert shape_perp.index[i] == cat.class_of_roots(perp.roots), shape.label
+        assert (shape_perp.index[shape_perp.index[i]]
                 == cat.class_of_roots(orthogonal_closure(rep).roots)), shape.label
         pq = parabolic_closure(ReflectionSubgroup(rs, rep.roots | perp.roots))
-        assert galois_row(cat, i).closure_index == cat.class_of_roots(pq.roots), shape.label
-        assert galois_row(cat, i).closure_index == normalizer.decompose(rs, shape).pq_closure_index
+        *_, (closure,) = pq_closures(cat, [shape.parabolic], [shape_perp.complement[i]])
+        assert closure == cat.class_of_roots(pq.roots), shape.label
+        assert closure == normalizer.decompose(rs, shape).pq_closure_index
         standard = standard_parabolic(rs, shape.rep_subset)
         assert shape.parabolic.roots == standard.roots, shape.label
         assert shape.parabolic.simples == standard.simples == rep.simples, shape.label
@@ -349,23 +351,29 @@ def test_batched_complement_matches_one_subgroup_at_a_time(name):
 def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
     # on a fresh catalog every complement's class is looked up anew, at a
     # generic point of the span of the shape's simple roots, and every
-    # closure's at the projections onto Fix(P perp(P)); the section-8 suite,
-    # the centralizer orders and every decomposition read the same table
+    # closure's at the projections onto Fix(P perp(P)); concepts fill the map
+    # perp on shapes, once, and the section-8 suite, the centralizer orders
+    # and every decomposition read the same map
     monkeypatch.setattr(parabolic, "_catalogs", {})
     rs = build_root_system(name)
-    calls = []
+    calls, fills = [], []
     original = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or original(rows))
-    parabolic_concepts(rs)
-    assert verify_galois(rs)["ok"]
+    complements = galois.complements
+    monkeypatch.setattr(galois, "complements",
+                        lambda catalog, ps: fills.append(len(ps)) or complements(catalog, ps))
     catalog = shape_catalog(rs)
-    assert len(catalog.galois) == len(catalog)   # every shape's row, filled by concepts
+    assert catalog.perp is None
+    parabolic_concepts(rs)
+    assert fills == [len(catalog)]   # every shape's complement, as one stack
+    assert sorted(catalog.perp.index) == sorted(catalog.perp.complement) == [s.index for s in catalog]
+    assert verify_galois(rs)["ok"]
     assert len(catalog._class_cache) > len(catalog)   # some complements were not standard
     assert verify.verify_section8(rs)["ok"]
     assert all(rec.centralizer_order > 0 for rec in involution_class_representatives(rs))
     for shape in catalog:
         normalizer.decompose(rs, shape)
-    assert calls == []
+    assert fills == [len(catalog)] and calls == []
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
@@ -384,7 +392,7 @@ def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
         by_span, w = standard_conjugate(rs, Q.roots, signs)
         by_fix, _ = standard_conjugate(rs, Q.roots)
         assert (cat.class_of_subset(by_span) == cat.class_of_subset(by_fix)
-                == galois_row(cat, shape.index).perp_index), shape.label
+                == perp_map(cat).index[shape.index]), shape.label
         assert {int(w.img[r]) for r in standard_parabolic(rs, by_span).roots} == Q.roots
         if Q.roots:
             with pytest.raises(ValueError):
@@ -393,7 +401,7 @@ def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
         pq_signs = rs.signs_at(fixed_space(orthogonal_join(P, Q)))
         assert (cat.class_of_subset(standard_conjugate(rs, pq.roots, pq_signs)[0])
                 == cat.class_of_subset(standard_conjugate(rs, pq.roots)[0])
-                == galois_row(cat, shape.index).closure_index), shape.label
+                == pq_closures(cat, [P], [Q])[2][0]), shape.label
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
@@ -447,46 +455,82 @@ def test_stacked_descent_matches_one_row_at_a_time(name):
         assert (img == w.img).all()
 
 
-@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def _same_projections(rs, a, b):
+    if rs.is_vector:
+        return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "B8", "D9"])
 def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
-    # one stack for every shape, as the suites fill it, against a fresh
-    # catalog filled one row at a time by the single-shape readers
+    # oracle for the map perp on shapes, filled as one stack on a fresh
+    # catalog: each shape's class is that of its representative's complement
+    # looked up alone on another fresh catalog (at its fixed space, not at a
+    # span), and Q's simple system and type are that complement's own; the
+    # closures of every shape, as one stack, match those computed one row at
+    # a time on the other catalog
     rs = build_root_system(name)
     monkeypatch.setattr(parabolic, "_catalogs", {})
-    whole = galois.galois_table(shape_catalog(rs))
+    whole = shape_catalog(rs)
+    perp = perp_map(whole)
     monkeypatch.setattr(parabolic, "_catalogs", {})
     cat = shape_catalog(rs)
+    assert cat is not whole and cat.perp is None
     for shape in cat:
-        galois.galois_row(cat, shape.index)
-    assert list(cat.galois) == [s.index for s in cat] and sorted(whole) == list(cat.galois)
-    for i, row in whole.items():
-        one = cat.galois[i]
-        assert (one.perp, one.perp_index, one.closure_index) == (
-            row.perp, row.perp_index, row.closure_index), i
-        assert (one.closure_roots == row.closure_roots).all(), i
-        assert (one.perp.simples, one.perp.components) == (row.perp.simples, row.perp.components)
-        if rs.is_vector:
-            assert all((a == b).all() for a, b in zip(one.projections, row.projections)), i
-        else:
-            assert one.projections == row.projections, i
+        Q = orthogonal_complement(shape.parabolic)
+        got = perp.complement[shape.index]
+        assert perp.index[shape.index] == cat.class_of_roots(Q.roots), shape.label
+        assert (got.roots, got.simples, got.components) == (Q.roots, Q.simples, Q.components)
+    stacked = zip(*pq_closures(whole, [s.parabolic for s in whole],
+                               [perp.complement[s.index] for s in whole]))
+    for shape, (projections, roots, index) in zip(cat, stacked):
+        (one,), (one_roots,), (one_index,) = pq_closures(cat, [shape.parabolic],
+                                                         [perp.complement[shape.index]])
+        assert one_index == index and np.array_equal(one_roots, roots), shape.label
+        assert _same_projections(rs, one, projections), shape.label
+    assert cat.perp is None   # the rows one at a time never filled the map
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_full_sets_match_the_fixed_projections(name):
-    # galois_rows sends a set Delta_P u Delta_perp(P) of n roots to no orbit
+    # pq_closures sends a set Delta_P u Delta_perp(P) of n roots to no orbit
     # sum: every row must be the one fixed_projections gives for the set
     rs = build_root_system(name)
     catalog = shape_catalog(rs)
+    perp = perp_map(catalog)
     shapes = list(catalog)
+    Qs = [perp.complement[s.index] for s in shapes]
     full = 0
-    for shape, row in zip(shapes, galois_rows(catalog, [s.parabolic for s in shapes])):
-        (projections,), signs = rs.fixed_projections([shape.parabolic.simples + row.perp.simples])
-        if rs.is_vector:
-            assert all(np.array_equal(x, y) and x.dtype == y.dtype
-                       for x, y in zip(row.projections, projections)), shape.label
-            full += len(projections[0]) == 0
-        else:
-            assert row.projections == projections, shape.label
-        assert np.array_equal(row.closure_roots, signs[0] == 0), shape.label
-        assert row.closure_index == catalog.classes_of(signs == 0, signs)[0], shape.label
+    rows = zip(*pq_closures(catalog, [s.parabolic for s in shapes], Qs))
+    for shape, Q, (got, roots, index) in zip(shapes, Qs, rows):
+        (projections,), signs = rs.fixed_projections([shape.parabolic.simples + Q.simples])
+        assert _same_projections(rs, got, projections), shape.label
+        full += rs.is_vector and len(projections[0]) == 0
+        assert np.array_equal(roots, signs[0] == 0), shape.label
+        assert index == catalog.classes_of(signs == 0, signs)[0], shape.label
     assert not rs.is_vector or full
+
+
+def test_decomposing_every_shape_of_e7_looks_the_complements_up_once(monkeypatch):
+    # on a fresh catalog the perp classes of all 32 shapes are one
+    # classes_of pass, with one span-sign gather and one descent for the
+    # complements the class cache misses; each row then looks up only its
+    # own closure, one row at a time
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    rs = build_root_system("E7")
+    catalog = shape_catalog(rs)
+    lookups, gathers, descents = [], [], []
+    classes_of = parabolic.ShapeCatalog.classes_of
+    monkeypatch.setattr(parabolic.ShapeCatalog, "classes_of", lambda self, masks, signs: (
+        lookups.append((len(masks), callable(signs))) or classes_of(self, masks, signs)))
+    span_signs = rs.stacked_span_signs
+    monkeypatch.setattr(rs, "stacked_span_signs",
+                        lambda sets: gathers.append(len(sets)) or span_signs(sets))
+    descend = parabolic.dominant_descent
+    monkeypatch.setattr(parabolic, "dominant_descent",
+                        lambda rs, signs: descents.append(len(signs)) or descend(rs, signs))
+    for shape in catalog:
+        normalizer.decompose(rs, shape)
+    assert lookups == [(len(catalog), True)] + [(1, False)] * len(catalog)
+    assert len(gathers) == 1 and 0 < gathers[0] < len(catalog)
+    assert descents[0] == gathers[0] and set(descents[1:]) <= {1}

@@ -15,7 +15,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS
-from oracles import edge_target, generated_by
+from oracles import edge_target, generated_by, neg
 
 
 GROUPS = ["A7", "B6", "D6", "E6", "E7", "F4", "H4"]
@@ -100,7 +100,7 @@ def test_decompose_rejects_non_standard_parabolic():
     rs = build_root_system("A3")
     # the reflection in the highest root generates a parabolic that is not standard
     highest = max(range(rs.npos), key=lambda i: sum(c.a for c in rs.root_vec(i)))
-    P = ReflectionSubgroup(rs, frozenset({highest, rs.neg(highest)}))
+    P = ReflectionSubgroup(rs, frozenset({highest, neg(rs, highest)}))
     with pytest.raises(ValueError, match="standard parabolic"):
         decompose(rs, P)
     assert normalizer_order(P) == normalizer_order(standard_parabolic(rs, (0,)))

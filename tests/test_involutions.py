@@ -9,7 +9,7 @@ from coxnorm.rootsys import build_root_system
 
 import pytest
 
-from oracles import centralizer_equals_normalizer
+from oracles import centralizer_equals_normalizer, neg
 
 
 def test_fixed_parabolic_basics():
@@ -18,7 +18,7 @@ def test_fixed_parabolic_basics():
     w0 = subset_groupoid(rs).longest_element(range(rs.n))
     assert fixed_parabolic(w0).roots == frozenset(range(rs.nroots))
     s = rs.reflection(0)
-    assert fixed_parabolic(s).roots == frozenset({0, rs.neg(0)})
+    assert fixed_parabolic(s).roots == frozenset({0, neg(rs, 0)})
     with pytest.raises(ValueError):
         fixed_parabolic(rs.reflection(0) * rs.reflection(1))
 

@@ -25,7 +25,6 @@ from coxnorm.rootsys import build_root_system
 from fixture_groups import ORACLE_GROUPS
 
 COMPONENT = re.compile(r"([A-Z]\d+|I2\(\d+\))(?:\^(\d+))?")
-RANK2_LABELS = {"G2": "I2(6)", "H2": "I2(5)"}
 
 
 def invariants(elements):
@@ -42,7 +41,7 @@ def invariants(elements):
 
 @cache
 def component_invariants(component):
-    rs = build_root_system(RANK2_LABELS.get(component, component))
+    rs = build_root_system(component)   # G2 and H2 parse as I2(6) and I2(5)
     return invariants(generate(rs.simple_reflections(), rs=rs))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines
-from coxnorm.galois import galois_row, orthogonal_complement
+from coxnorm.galois import orthogonal_complement, perp_map
 from coxnorm.groups import generate, identity, relative_length
 from coxnorm.linalg import pair_matmul
 from coxnorm.normalizer import (_complement_D, _Restricted, decompose, descend_to_complement,
@@ -254,7 +254,7 @@ def test_root_index_tables_match_the_pair_restriction(name):
     catalog = shape_catalog(rs)
     checked = 0
     for shape in catalog:
-        P, Q = shape.parabolic, galois_row(catalog, shape.index).perp
+        P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
         D = _complement_D(rs, shape.rep_subset, orthogonal_join(P, Q))
         if len(D) == 1:
             continue

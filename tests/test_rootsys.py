@@ -21,7 +21,7 @@ from coxnorm.rootsys import (I2Subspace, RootSystem, build_root_system, inner_pr
 from coxnorm.verify import verify_galois, verify_section8
 
 from fixture_groups import FIXTURE_GROUPS
-from oracles import bond_order, signed_permutation
+from oracles import bond_order, neg, signed_permutation
 
 
 def _vectors(rs):
@@ -38,6 +38,12 @@ def test_label_round_trips():
         assert str(parse_label(text)) == text
     assert str(parse_label("e7")) == "E7"
     assert str(parse_label("i2(11)")) == "I2(11)"
+
+
+@pytest.mark.parametrize("alias, label", [("G2", "I2(6)"), ("g2", "I2(6)"), ("H2", "I2(5)"),
+                                          (" h2 ", "I2(5)")])
+def test_rank2_diagram_names_parse_as_dihedral_labels(alias, label):
+    assert parse_label(alias) == parse_label(label) and str(parse_label(alias)) == label
 
 
 @pytest.mark.parametrize("bad", ["D3", "D2", "B1", "A0", "E5", "F3", "H5",
@@ -112,7 +118,7 @@ def test_reflections_are_involutions_and_permute_roots():
         for i in range(rs.npos):
             s = reflection_in_root(rs, i)
             assert s.is_involution()
-            assert int(s.img[i]) == rs.neg(i)
+            assert int(s.img[i]) == neg(rs, i)
             assert sorted(int(x) for x in s.img) == list(range(rs.nroots))
 
 
@@ -246,9 +252,9 @@ def test_reflection_perms_match_gram_form(name):
         for v in _vectors(rs)[: rs.npos]:
             c = (dot(v, ga) * 2) / nn
             expected.append(where[tuple(x - c * y for x, y in zip(v, a))])
-        expected += [rs.neg(j) for j in expected]
+        expected += [neg(rs, j) for j in expected]
         assert rs.reflection_perm(i).tolist() == expected, i
-        assert rs.reflection_perm(rs.neg(i)).tolist() == expected, i
+        assert rs.reflection_perm(neg(rs, i)).tolist() == expected, i
 
 
 # bond order from the ratio 4cos^2 of the angle between two roots; every
@@ -359,7 +365,7 @@ def test_i2_geometry(m):
             axis_of = [k for k in range(m) if X.dim == 1 and (2 * k + m) % (2 * m) == X.t]
             expected = {identity(rs).key} | {rs.reflection(k).key for k in axis_of}
         assert {w.key for w in W if _i2_fixes_pointwise(w, X)} == expected, X
-        roots = {r for k in axis_of for r in (k, rs.neg(k))}
+        roots = {r for k in axis_of for r in (k, neg(rs, k))}
         assert pointwise_stabilizer(rs, X).roots == roots, X
 
 
