@@ -35,6 +35,9 @@ from .diagrams import components_string, diagram_of_bonds, gram_bonds
 from .linalg import canonical_rows, lex_signs, pair_matmul, pair_mul, pair_sign
 
 
+_BATCH = 4096   # elements restricted per pair product, to bound its memory
+
+
 def split_keys(keys, n):
     """Pair rows (p, q) of keys of n-entry rows, given as a sequence or array."""
     rows = np.asarray(keys, dtype=np.int64)
@@ -75,14 +78,18 @@ class SpaceRestriction:
         return np.concatenate(pair_matmul(self.basis, self.rs.image_rows(elements)), axis=2)
 
     def restrictions(self, elements):
-        """{w.key: (key of w's restriction, reflecting line or None)}.
+        """{w.key: (key of w's restriction, reflecting line or None)}, in
+        batches of _BATCH elements.
 
         Equal keys mean equal restrictions, since the rows are a basis.
         """
-        elements = list(elements)
-        images = self.images(elements)
-        cells = zip(image_keys(images), _reflecting_lines(self._twice, images))
-        return {w.key: cell for w, cell in zip(elements, cells)}
+        elements, out = list(elements), {}
+        for start in range(0, len(elements), _BATCH):
+            batch = elements[start:start + _BATCH]
+            images = self.images(batch)
+            cells = zip(image_keys(images), _reflecting_lines(self._twice, images))
+            out.update((w.key, cell) for w, cell in zip(batch, cells))
+        return out
 
     def matrix(self, w):
         """Key of the images of the basis rows under w, in ambient coordinates.

@@ -113,6 +113,34 @@ def generate(gens, rs=None) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
+def permutation_group(perms, m):
+    """The group that permutation tuples of range(m) generate, as a set, and
+    the indices of a greedy generating set: a tuple is kept when it lies
+    outside the group H of those kept before it, and H then grows by whole
+    cosets H(r*s), for r a coset representative and s a kept tuple (Dimino's
+    algorithm), so each element is made once.  Tuples compose as elements
+    do, (x*g)[i] = g[x[i]].  Refused with RuntimeError past ENUMERATION_LIMIT.
+    """
+    elements, kept = [tuple(range(m))], []
+    group = set(elements)
+    for i, g in enumerate(perms):
+        if g in group:
+            continue
+        kept.append(i)
+        H, reps = list(elements), elements[:1]
+        for r in reps:
+            for k in kept:
+                x = tuple(map(perms[k].__getitem__, r))
+                if x not in group:
+                    reps.append(x)
+                    coset = [tuple(map(x.__getitem__, h)) for h in H]
+                    group.update(coset)
+                    elements += coset
+                    if len(elements) > ENUMERATION_LIMIT:
+                        raise RuntimeError(f"group enumeration exceeded limit {ENUMERATION_LIMIT}")
+    return group, kept
+
+
 def relative_length(w: GroupElement, sub_positive) -> int:
     """Number of the given positive roots sent negative by w.
 

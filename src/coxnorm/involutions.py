@@ -17,7 +17,7 @@ import numpy as np
 
 from .galois import orthogonal_complement, perp_map, pq_closure_classes
 from .groups import GroupElement
-from .normalizer import normalizer_order
+from .normalizer import normalizer_order_at
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
 
 
@@ -32,15 +32,6 @@ def fixed_parabolic(u: GroupElement) -> ReflectionSubgroup:
     return ReflectionSubgroup(u.rs, negated_roots(u))
 
 
-def degree(u: GroupElement) -> int:
-    """Dimension of the (-1)-eigenspace of an involution.
-
-    The negated roots form a closed subsystem spanning that eigenspace, so
-    its dimension is the rank of the subsystem, its number of simple roots.
-    """
-    return len(fixed_parabolic(u).simples)
-
-
 @dataclass
 class InvolutionRecord:
     element: GroupElement
@@ -50,8 +41,8 @@ class InvolutionRecord:
 
     @cached_property
     def centralizer_order(self) -> int:
-        """|C_W(u)| = |N_W(P)|, computed on first read."""
-        return normalizer_order(self.parabolic)
+        """|C_W(u)| = |N_W(P)|, read at the record's own shape on first read."""
+        return normalizer_order_at(shape_catalog(self.element.rs), self.shape_index)
 
 
 def involution_class_representatives(rs):
@@ -60,7 +51,9 @@ def involution_class_representatives(rs):
     Every involution of a finite reflection group is the longest element of
     the parabolic it determines, so the classes correspond exactly to the
     shapes whose normalizer is an involution centralizer (the identity
-    corresponds to the trivial shape and is skipped).
+    corresponds to the trivial shape and is skipped).  A marked shape's w0(J)
+    is -1 on span Delta_J and fixes its orthogonal complement, so its
+    (-1)-space is span Delta_J and its degree is |J|.
     """
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
@@ -71,7 +64,7 @@ def involution_class_representatives(rs):
         P = shape.parabolic
         w0 = groupoid.longest_element(shape.rep_subset)
         if w0.negates(P.pos):
-            out.append(InvolutionRecord(w0, degree(w0), shape.index, P))
+            out.append(InvolutionRecord(w0, len(shape.rep_subset), shape.index, P))
     return out
 
 

@@ -13,16 +13,20 @@ closure), and C is a complement of A x B in D, of order at most 2.
 
 D comes from the subset groupoid (see ``parabolic.SubsetGroupoid``): for a
 standard P = W_J the groupoid's loops at J, with the reflections of Q,
-generate N_J, with N = P : N_J.  Since PQ is normal in N, reducing each
-loop to its relative-length-zero representative modulo PQ is a homomorphism
-onto D, so those reductions generate D, and D is closed by enumeration; the
-loops the groupoid skips are reflections of Q, which reduce to 1.  D is
-small, and it is the only group ``decompose`` enumerates: |N| = |P||Q||D|,
-and the action cells on X_perp, X n Y and Y_perp are read off the
-restrictions of D: to X n Y by one batched product on the simple roots
-projected onto Fix(PQ), and to X_perp and Y_perp off D's images of the
-simple roots of P and of Q, which it permutes (see ``_Restricted``; that
-gather is also the one check that D is relative-length-zero).  Q and
+generate N_J = Q : D, with N = P : N_J.  D permutes Delta_J, and only 1 in
+D fixes it (the pointwise stabilizer of span Delta_J is Q), so D is its
+permutation image D_pi, which the groupoid's walk on index tuples gives
+with no group element made: |N| = |P||Q||D_pi| (``normalizer_order_at``).
+``decompose`` makes only the loops of a greedy generating set of D_pi.
+Since PQ is normal in N, reducing each to its relative-length-zero
+representative modulo PQ is a homomorphism onto D, so those reductions
+generate D, which is enumerated and must have the order of D_pi.  D is
+small, and it is the only group ``decompose`` enumerates; the action cells
+on X_perp, X n Y and Y_perp are read off the restrictions of D: to X n Y
+by one batched product on the simple roots projected onto Fix(PQ), and to
+X_perp and Y_perp off D's images of the simple roots of P and of Q, which
+it permutes (see ``_Restricted``; that gather is also the one check that D
+is relative-length-zero).  Q and
 its class are read off the catalog's map perp on shapes (``galois.perp_map``),
 as |N| reads Q at the representative of P's class; those projections and
 the class of the parabolic closure of PQ are the row's own
@@ -42,11 +46,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import (ActionCell, LineTable, SpaceRestriction, canonical_lines,
+from .actions import (_BATCH, ActionCell, LineTable, SpaceRestriction, canonical_lines,
                       image_keys, invariant_split, split_keys)
 from .diagrams import components_order, components_string
 from .galois import complements, orthogonal_complement, perp_map, pq_closures
-from .groups import BRUTE_LIMIT, GroupElement, generate, identity, relative_length
+from .groups import (BRUTE_LIMIT, GroupElement, generate, identity, permutation_group,
+                     relative_length)
 from .linalg import pair_matmul
 from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
                         standard_conjugate, standard_parabolic, standard_subset,
@@ -91,8 +96,6 @@ def howlett_complement(sub: ReflectionSubgroup, ambient) -> list:
 
 # ---------------------------------------------------------------------------
 # Goursat sections
-
-_BATCH = 4096   # elements restricted per pair product, to bound its memory
 
 
 @dataclass
@@ -217,20 +220,21 @@ def normalizer(P: ReflectionSubgroup) -> list:
     """The elements of the normalizer of a parabolic, in key order.
 
     N_W(W_J) is generated by the simple reflections of J and of its
-    orthogonal complement and the groupoid loops at J (the loops the
-    groupoid skips are reflections of that complement); for a parabolic P
+    orthogonal complement and the groupoid loops at J whose permutations of
+    Delta_J generate D_pi (see ``_permutation_image``); for a parabolic P
     that is not standard, these generators are conjugated by the element
     carrying W_J onto P.  Refused with RuntimeError, before anything is
     enumerated, when |N| exceeds BRUTE_LIMIT.
     """
     rs = P.rs
     WJ, w = _standard_form(P)
-    catalog = shape_catalog(rs)
-    order = _normalizer_order_at(catalog, catalog.class_of_subset(standard_subset(WJ)))
+    Q = orthogonal_complement(WJ)
+    image, tree, edges = _permutation_image(rs, standard_subset(WJ))
+    order = WJ.order * Q.order * len(image)
     if order > BRUTE_LIMIT:
         raise RuntimeError(f"normalizer too large to enumerate ({order} > {BRUTE_LIMIT})")
-    gens = WJ.simple_reflections() + orthogonal_complement(WJ).simple_reflections()
-    gens += subset_groupoid(rs).loops(standard_subset(WJ))
+    gens = WJ.simple_reflections() + Q.simple_reflections()
+    gens += subset_groupoid(rs).loop_elements(tree, edges)
     w_inv = w.inverse()
     N = generate({g.key: w_inv * g * w for g in gens}.values(), rs=rs)
     if len(N) != order:
@@ -241,7 +245,7 @@ def normalizer(P: ReflectionSubgroup) -> list:
 def normalizer_order(P: ReflectionSubgroup) -> int:
     """|N_W(P)|, a class invariant, computed at the representative of P's class."""
     catalog = shape_catalog(P.rs)
-    return _normalizer_order_at(catalog, catalog.shape_of(P).index)
+    return normalizer_order_at(catalog, catalog.shape_of(P).index)
 
 
 def _standard_form(P):
@@ -253,27 +257,41 @@ def _standard_form(P):
     return standard_parabolic(P.rs, subset), w
 
 
-def _normalizer_order_at(catalog, i):
+def normalizer_order_at(catalog, i):
     """|N_W(W_J)| = |W_J||Q||D| for shape i's representative W_J, with its
-    orthogonal complement Q read off the catalog's map perp on shapes."""
+    orthogonal complement Q read off the catalog's map perp on shapes and
+    |D| = |D_pi|; no group element is made."""
     shape = catalog[i]
     Q = perp_map(catalog).complement[i]
-    D = _complement_D(catalog.rs, shape.rep_subset, orthogonal_join(shape.parabolic, Q))
-    return shape.order * Q.order * len(D)
+    return shape.order * Q.order * len(_permutation_image(catalog.rs, shape.rep_subset)[0])
+
+
+def _permutation_image(rs, subset):
+    """D_pi, D's permutation group on J's positions, with the groupoid walk's
+    tree and the edges (K, s) of a greedy generating set of its loops.
+
+    d -> its permutation of Delta_J is injective on D, since the pointwise
+    stabilizer of span Delta_J is Q (Steinberg) and D meets Q trivially.  A
+    loop lies in N_J = Q : D and permutes Delta_J as its part in D does.
+    """
+    tree, loops = subset_groupoid(rs).walk(subset)
+    image, kept = permutation_group([perm for perm, _, _ in loops], len(set(subset)))
+    return image, tree, [loops[k][1:] for k in kept]
 
 
 def _complement_D(rs, subset, pq_sub):
-    """The complement D of PQ in N_W(W_J), from the groupoid loops at J.
+    """The complement D of PQ in N_W(W_J), from the loops at J that generate D_pi.
 
-    Each loop descends to its representative modulo PQ; the loops the
-    groupoid skips are reflections of Q, which descend to 1.
+    Each loop descends to its representative modulo PQ, which permutes
+    Delta_J as the loop does, so the descents generate D.  D is enumerated
+    from them and must have the order of D_pi: each mechanism checks the other.
     """
-    gens = {}
-    for g in subset_groupoid(rs).loops(subset):
-        d = descend_to_complement(g, pq_sub)
-        if not d.is_identity():
-            gens.setdefault(d.key, d)
-    return generate(gens.values(), rs=rs)
+    image, tree, edges = _permutation_image(rs, subset)
+    D = generate([descend_to_complement(g, pq_sub)
+                  for g in subset_groupoid(rs).loop_elements(tree, edges)], rs=rs)
+    if len(D) != len(image):
+        raise RuntimeError("D differs from its permutation image")
+    return D
 
 
 _ROLE_SUBGROUP = {"x_perp": "PD", "x_cap_y": "D", "y_perp": "QD"}

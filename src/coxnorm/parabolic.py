@@ -11,7 +11,8 @@ by (rank, group order, label); indices are 1-based.  The classes are the
 components of the subset groupoid on the subsets of the simple reflections,
 whose edges are read off the opposition of connected subdiagrams with bit
 operations: its set-up makes one group element per connected subset, w0 of
-it, and the elements of the edges are made only when loops need them.
+it.  A walk of a component follows the simple roots on index tuples, and
+the elements of the edges are made only for the loops a caller asks for.
 
 Classical labels follow the partition transversal: type A uses partitions of
 the point count; types B and D use a sign-change block B_l / D_l plus a
@@ -280,6 +281,11 @@ class SubsetGroupoid:
     no member listed per mask.  Every other w0(J),
     the product of the commuting w0 of J's components, and every nu are
     computed on first use and kept; callers must not mutate them.
+
+    Set-up also keeps sigma_C of each connected C, so that an edge maps the
+    simple roots of its vertex as a map of nodes (``_move``): ``walk``
+    follows a component on index tuples, and ``loop_elements`` makes the
+    loops of chosen edges only.
     """
 
     def __init__(self, rs):
@@ -305,6 +311,7 @@ class SubsetGroupoid:
         self._component = comp
         # w0(C) of each connected C, climbed from w0(C minus its largest member)
         self._longest = {0: identity(rs)}
+        self._opposite = {}   # connected C -> {j: sigma_C(j)} on C's nodes
         opposite = np.zeros((1 << n, n), dtype=np.int32)   # row C: sigma_C on C's nodes
         for C in np.flatnonzero((comp == masks).any(axis=1)).tolist():
             members = _members(C, n)
@@ -312,11 +319,12 @@ class SubsetGroupoid:
                                            start=self._w0(C ^ 1 << members[-1], keep=False))
             self._longest[C] = w0
             opposite[C, members] = node[rs.negation[w0.img[[simple[i] for i in members]]]]
+            self._opposite[C] = dict(zip(members, opposite[C, members].tolist()))
         # entry (K, s): the target of edge (K, s), or K itself when s is in K
         sigma = opposite[comp, np.arange(n)]
         self._targets = np.where(grown == masks, masks, grown ^ (1 << sigma))
         self._nu = {}   # (C, s) -> nu, computed on first use
-        self._edges_at = {}   # mask -> its edges, made on first use
+        self._moves = {}   # (C, s) -> the edge's map of nodes, made on first use
         label = [-1] * (1 << n)   # component index per subset mask
         count = 0
         for mask in range(1 << n):
@@ -365,43 +373,69 @@ class SubsetGroupoid:
             self._nu[C, s] = self._w0(C ^ 1 << s) * self._longest[C]
         return self._nu[C, s]
 
-    def _edges(self, K):
-        """(s, nu, target) of each edge at mask K, in the order of the added
-        nodes s; made on first use and kept."""
-        if K not in self._edges_at:
-            targets = self._targets[K].tolist()
-            self._edges_at[K] = [(s, self.nu(K, s), targets[s])
-                                 for s in _added_nodes(K, self.rs.n)]
-        return self._edges_at[K]
+    def _move(self, C, s):
+        """Edge (K, s)'s map of K's nodes, a tuple over all n nodes: nu sends
+        a_j to a_{sigma_C(sigma_{C - {s}}(j))} for j in C - {s}, and fixes
+        the other simple roots of K.  Depends on (C, s) only, and is kept."""
+        move = self._moves.get((C, s))
+        if move is None:
+            move, outer, rest = list(range(self.rs.n)), self._opposite[C], C ^ 1 << s
+            comps = self._component[rest].tolist()
+            while rest:
+                part = comps[(rest & -rest).bit_length() - 1]
+                inner = self._opposite[part]
+                for j in inner:
+                    move[j] = outer[inner[j]]
+                rest &= ~part
+            move = self._moves[C, s] = tuple(move)
+        return move
 
-    def _spanning_tree(self, start):
-        """BFS tree of J's component: mask K -> t_K, which maps Delta_J onto Delta_K."""
-        tree = {start: identity(self.rs)}
-        order = [start]
-        for K in order:
-            for _, nu, K2 in self._edges(K):
-                if K2 not in tree:
-                    tree[K2] = tree[K] * nu
-                    order.append(K2)
-        return tree
+    def walk(self, subset):
+        """BFS of J's component on index tuples: (tree, loops).
 
-    def loops(self, subset):
-        """Generators t_K nu t_K'^-1 of N_J modulo the reflections orthogonal to J.
-
-        One loop per edge of J's component whose added node s is bonded to K,
-        skipping those that are trivial.  When s is orthogonal to K, nu = s and
-        K' = K, so that edge's loop is the reflection in t_K^-1(a_s), a root
-        orthogonal to Delta_J: it lies in the orthogonal complement of W_J, and
-        a caller needing all of N_J adds that group's reflections.
+        Each K keeps where t_K sends Delta_J, as {node: J's position}, and
+        ``tree`` maps it to the (parent, s) of its tree edge (J to None).
+        ``loops`` lists (permutation of J's positions, K, s) for each other
+        edge whose s is bonded to K and whose loop t_K nu t_K2^-1 moves
+        Delta_J.  A reverse tree edge carries nu^-1 (w0(C) conjugates
+        W_{C - {s}} onto W_{C - {sigma_C(s)}}), so it is skipped unread.
         """
-        tree = self._spanning_tree(_mask(subset))
-        inverse = {K: t.inverse() for K, t in tree.items()}
-        for K, t in tree.items():
-            for s, nu, K2 in self._edges(K):
-                if self._neighbours[s] & K:
-                    g = t * nu * inverse[K2]
-                    if not g.is_identity():
-                        yield g
+        J, n = _mask(subset), self.rs.n
+        position = {J: {j: i for i, j in enumerate(_members(J, n))}}
+        tree, loops, order = {J: None}, [], [J]
+        unmoved = tuple(range(len(position[J])))
+        for K in order:
+            at, comps, targets = position[K], self._component[K].tolist(), self._targets[K].tolist()
+            parent = tree[K] and tree[K][0]
+            for s in _added_nodes(K, n):
+                K2, move = targets[s], self._move(comps[s], s)
+                if K2 not in tree:
+                    tree[K2] = (K, s)
+                    position[K2] = {move[j]: i for j, i in at.items()}
+                    order.append(K2)
+                elif K2 != parent and self._neighbours[s] & K:
+                    where = position[K2]
+                    perm = tuple(where[move[j]] for j in at)
+                    if perm != unmoved:
+                        loops.append((perm, K, s))
+        return tree, loops
+
+    def loop_elements(self, tree, edges):
+        """The loops t_K nu t_K2^-1 at J of the given edges (K, s) of a walk's tree."""
+        t = {next(iter(tree)): identity(self.rs)}
+
+        def along(K):   # t_K, which maps Delta_J onto Delta_K
+            path = []
+            while K not in t:
+                path.append(K)
+                K = tree[K][0]
+            for K2 in reversed(path):
+                t[K2] = t[K] * self.nu(*tree[K2])
+                K = K2
+            return t[K]
+
+        return [along(K) * self.nu(K, s) * along(int(self._targets[K, s])).inverse()
+                for K, s in edges]
 
 
 def root_masks(rs, root_sets):

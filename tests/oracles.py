@@ -11,8 +11,15 @@ Each recomputes a fact of the library by a second, independent route:
 - ``bond_order`` is the order of a product of two reflection permutations,
   the oracle of the bond rule ``diagrams.gram_bonds``;
 - ``edge_target`` reads the subset groupoid's edge table at one edge;
+  ``schreier_loops`` makes the loop of every edge of a component as a group
+  element, and ``schreier_complement`` generates D from all of them (the
+  library walks index tuples and makes a generating set only);
+  ``simple_permutation`` reads an element's permutation of Delta_J off
+  its images;
 - ``to_pairs`` converts Q(sqrt5) rows to integer pairs, the inverse of
   ``linalg.from_pairs`` up to a positive scale per row;
+- ``degree`` is the rank of the roots an involution negates (the library
+  reads |J| off the marked shape);
 - ``brute_normalizer`` and ``brute_orthogonal_complement`` filter a full
   enumeration and take the literal commutation definition;
 - ``centralizer_equals_normalizer`` checks C_W(u) = N_W(fixed parabolic of
@@ -29,11 +36,12 @@ from math import lcm
 
 import numpy as np
 
-from coxnorm.groups import BRUTE_LIMIT, GroupElement, generate
+from coxnorm.groups import BRUTE_LIMIT, GroupElement, generate, identity
 from coxnorm.involutions import fixed_parabolic
 from coxnorm.linalg import _overflow
+from coxnorm.normalizer import descend_to_complement
 from coxnorm.oracle import commutation_table, normalizing, positive_images
-from coxnorm.parabolic import ReflectionSubgroup, Shape
+from coxnorm.parabolic import ReflectionSubgroup, Shape, subset_groupoid
 
 
 def neg(rs, i):
@@ -77,6 +85,35 @@ def edge_target(groupoid, mask, s) -> int:
     return int(groupoid._targets[mask, s])
 
 
+def schreier_loops(groupoid, subset):
+    """(K, s, t_K nu t_K2^-1) for every edge (K, s) of J's component, each
+    loop made as a group element: the full Schreier enumeration of the loops
+    at J, with t_K the product of the edge elements along a BFS tree.  The
+    library walks index tuples instead and makes only a generating set."""
+    rs, start = groupoid.rs, sum(1 << i for i in subset)
+    tree, order = {start: identity(rs)}, [start]
+    for K in order:
+        for s in (s for s in range(rs.n) if not K >> s & 1):
+            K2 = edge_target(groupoid, K, s)
+            if K2 not in tree:
+                tree[K2] = tree[K] * groupoid.nu(K, s)
+                order.append(K2)
+    return [(K, s, tree[K] * groupoid.nu(K, s) * tree[edge_target(groupoid, K, s)].inverse())
+            for K in order for s in range(rs.n) if not K >> s & 1]
+
+
+def schreier_complement(rs, subset, pq):
+    """D generated by the descents modulo PQ of every loop at J."""
+    return generate([descend_to_complement(g, pq)
+                     for _, _, g in schreier_loops(subset_groupoid(rs), subset)], rs=rs)
+
+
+def simple_permutation(d, subset):
+    """The permutation of J's positions by which d permutes Delta_J."""
+    simple = [d.rs.simple_roots[j] for j in subset]
+    return tuple(simple.index(int(d.img[r])) for r in simple)
+
+
 def to_pairs(rows):
     """Integer pairs (p, q) of Q5 rows, each row scaled by a positive integer."""
     p, q = [], []
@@ -90,6 +127,15 @@ def to_pairs(rows):
 
 # ---------------------------------------------------------------------------
 # Brute force
+
+
+def degree(u: GroupElement) -> int:
+    """Dimension of the (-1)-eigenspace of an involution.
+
+    The negated roots form a closed subsystem spanning that eigenspace, so
+    its dimension is the rank of the subsystem, its number of simple roots.
+    """
+    return len(fixed_parabolic(u).simples)
 
 
 def brute_normalizer(P: ReflectionSubgroup, W=None):

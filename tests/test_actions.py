@@ -1,16 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coxnorm import actions
 from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines, invariant_split
 from coxnorm.diagrams import gram_bonds, positive_part
-from coxnorm.galois import orthogonal_complement
+from coxnorm.galois import orthogonal_complement, perp_map, pq_closures
 from coxnorm.groups import generate
 from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
-from coxnorm.normalizer import decompose
-from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog,
+from coxnorm.normalizer import _complement_D, decompose
+from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
                                standard_parabolic)
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
@@ -348,3 +350,28 @@ def test_one_pass_bonds_match_the_bonds_of_each_subset(name, monkeypatch):
         assert np.array_equal(bonds[sub], gram_bonds((G[0][sub], G[1][sub]))), (name, lines)
         checked += 1
     assert name.startswith("I2") or checked
+
+
+def test_restrictions_take_the_pair_product_in_batches(monkeypatch):
+    # A13's 2^7 row restricts |D| = 5,040 elements to X n Y; with the batch
+    # cut to 512, the traced peak beyond the returned table must stay near
+    # that of one batch restricted alone, which an unbatched product of all
+    # 5,040 root-row stacks (about ten batches' worth) exceeds
+    rs = build_root_system("A13")
+    catalog = shape_catalog(rs)
+    shape = catalog.by_selector("A1^7")
+    P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
+    (projections,), _, _ = pq_closures(catalog, [P], [Q])
+    D = _complement_D(rs, shape.rep_subset, orthogonal_join(P, Q))
+    assert len(D) == 5040
+    monkeypatch.setattr(actions, "_BATCH", 512)
+
+    def transient(elements):
+        tracemalloc.start()
+        table = SpaceRestriction(rs, projections).restrictions(elements)
+        size, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(table) == len(elements)
+        return peak - size
+
+    assert transient(D) < 2 * transient(D[:512])

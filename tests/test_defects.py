@@ -73,3 +73,57 @@ def test_swapped_perp_classes_fail_the_section8_suite(capsys, fresh, group, left
     assert report["ok"] is False
     assert any(not check["ok"] and check["witness"] is not None
                for check in report["checks"].values())
+
+
+@pytest.fixture
+def fresh_groupoids(monkeypatch):
+    """Fresh subset groupoids, so a defect reaches the edge maps they keep."""
+    monkeypatch.setattr(parabolic, "_groupoids", {})
+
+
+# (group, shape): D is nontrivial, so D_pi has a generating loop to drop
+DROPPED_LOOPS = [("B3", "A2"), ("B4", "A3"), ("D5", "A3"), ("F4", "A2'"), ("H3", "H2")]
+
+
+@pytest.mark.parametrize("group, selector", DROPPED_LOOPS)
+def test_a_dropped_generating_loop_is_an_internal_error(monkeypatch, capsys, group, selector):
+    # D is generated from the loops whose permutations generate D_pi; without
+    # the last of them D is smaller than D_pi, and the explicit N than the
+    # |N| read off D_pi
+    original = parabolic.SubsetGroupoid.loop_elements
+    monkeypatch.setattr(parabolic.SubsetGroupoid, "loop_elements",
+                        lambda self, tree, edges: original(self, tree, edges)[:-1])
+    assert cli.main(["decompose", group, selector]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: D differs from its permutation image\n"
+    assert cli.main(["verify", group, "--suite", "oracle"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: normalizer enumeration incomplete\n"
+
+
+# (group, shape, C, s): swapping the images of two nodes of C - {s} in the
+# map of the edges of (C, s) enlarges D_pi at that shape
+CORRUPTED_MOVES = [("B3", "B1A1", 0b111, 1), ("B4", "A3", 0b1111, 3), ("D5", "A3", 0b1111, 3)]
+
+
+@pytest.mark.parametrize("group, selector, C, s", CORRUPTED_MOVES)
+def test_a_corrupted_edge_map_is_an_internal_error(monkeypatch, capsys, fresh_groupoids,
+                                                   group, selector, C, s):
+    original = parabolic.SubsetGroupoid._move
+
+    def corrupted(self, C2, s2):
+        move = original(self, C2, s2)
+        if (C2, s2) != (C, s):
+            return move
+        move, (a, b) = list(move), [j for j in range(self.rs.n) if C >> j & 1 and j != s][:2]
+        move[a], move[b] = move[b], move[a]
+        return tuple(move)
+
+    monkeypatch.setattr(parabolic.SubsetGroupoid, "_move", corrupted)
+    assert cli.main(["decompose", group, selector]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: D differs from its permutation image\n"
+    # |N| read off D_pi no longer matches the brute-force normalizer
+    assert cli.main(["verify", group, "--suite", "oracle"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"]["normalizer"]
+    assert check["ok"] is False and check["witness"]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coxnorm.galois import orthogonal_complement
-from coxnorm.groups import (GroupElement, OrbitStabilizer, generate, identity,
-                            parabolic_longest_element)
-from coxnorm.normalizer import (_complement_D, decompose, descend_to_complement,
+from coxnorm.groups import GroupElement, OrbitStabilizer, identity, parabolic_longest_element
+from coxnorm.involutions import involution_class_representatives
+from coxnorm.normalizer import (_complement_D, _permutation_image, decompose,
                                 normalizer_order)
 from coxnorm.oracle import load_fixture
 from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
@@ -15,7 +15,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS
-from oracles import edge_target, generated_by, neg
+from oracles import (degree, edge_target, generated_by, neg, schreier_complement,
+                     schreier_loops, simple_permutation)
 
 
 GROUPS = ["A7", "B6", "D6", "E6", "E7", "F4", "H4"]
@@ -145,35 +146,50 @@ def test_longest_element_of_a_non_standard_subsystem_climbs():
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
 def test_skipped_loops_are_reflections_of_the_orthogonal_complement(name):
-    # the groupoid skips the loop of every edge whose added node s is
-    # orthogonal to K; each such loop must be a reflection in a root of
-    # Q = perp(W_J), and D must be the same from the loops of every edge
+    # the walk skips the loop of every edge whose added node s is orthogonal
+    # to K, which must be a reflection in a root of Q = perp(W_J); every other
+    # loop must permute Delta_J as the walk's index tuples say (reverse tree
+    # edges, skipped unread, by the identity); and D must be the same from
+    # the loops of every edge
     rs = build_root_system(name)
     groupoid = subset_groupoid(rs)
     reflections = {rs.reflection(i).key: i for i in range(rs.npos)}
-    n = rs.n
     for shape in shape_catalog(rs):
         subset = shape.rep_subset
         P = standard_parabolic(rs, subset)
         Q = orthogonal_complement(P)
-        tree = groupoid._spanning_tree(sum(1 << i for i in subset))
-        kept, skipped = {}, {}
-        for K, t in tree.items():
-            added = [s for s in range(n) if not K >> s & 1]
-            for s in added:
-                g = t * groupoid.nu(K, s) * tree[edge_target(groupoid, K, s)].inverse()
-                bonded = any(rs.bond(rs.simple_roots[s], rs.simple_roots[j]) > 2
-                             for j in range(n) if K >> j & 1)
-                if not g.is_identity():
-                    (kept if bonded else skipped)[g.key] = g
-        for g in skipped.values():
-            assert reflections.get(g.key) in Q.roots, (name, shape.label)
-        assert {g.key for g in groupoid.loops(subset)} == set(kept), (name, shape.label)
+        _, loops = groupoid.walk(subset)
+        walked = {(K, s): perm for perm, K, s in loops}
+        unmoved = tuple(range(len(subset)))
+        for K, s, g in schreier_loops(groupoid, subset):
+            if any(rs.bond(rs.simple_roots[s], rs.simple_roots[j]) > 2
+                   for j in range(rs.n) if K >> j & 1):
+                assert simple_permutation(g, subset) == walked.get((K, s), unmoved), (K, s)
+            else:
+                assert (K, s) not in walked
+                assert g.is_identity() or reflections.get(g.key) in Q.roots, (name, shape.label)
         pq = orthogonal_join(P, Q)
-        every = {d.key: d for d in (descend_to_complement(g, pq)
-                                    for g in [*kept.values(), *skipped.values()])}
         assert ([d.key for d in _complement_D(rs, subset, pq)]
-                == [d.key for d in generate(every.values(), rs=rs)]), (name, shape.label)
+                == [d.key for d in schreier_complement(rs, subset, pq)]), (name, shape.label)
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A8", "B7", "D7", "D8"])
+def test_d_is_its_permutation_image_on_the_simple_roots_of_p(name):
+    # |N| and the centralizer orders read |D| as |D_pi|, the group the walk's
+    # permutations of Delta_J generate; d -> its permutation of Delta_J must
+    # be a bijection from D, enumerated from the loops of every edge, onto it
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    for shape in catalog:
+        subset = shape.rep_subset
+        P = shape.parabolic
+        D = schreier_complement(rs, subset, orthogonal_join(P, orthogonal_complement(P)))
+        image = _permutation_image(rs, subset)[0]
+        assert len(image) == len(D), (name, shape.label)
+        assert {simple_permutation(d, subset) for d in D} == image, (name, shape.label)
+    for rec in involution_class_representatives(rs):
+        assert rec.degree == degree(rec.element), (name, rec.shape_index)
+        assert rec.centralizer_order == normalizer_order(rec.parabolic), (name, rec.shape_index)
 
 
 def test_tuple_ranks_are_the_positions_in_the_order_of_sorted_tuples():

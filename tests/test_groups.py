@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from coxnorm.groups import OrbitStabilizer, generate, identity, relative_length
+from coxnorm import groups
+from coxnorm.groups import (OrbitStabilizer, generate, identity, permutation_group,
+                            relative_length)
 from coxnorm.parabolic import standard_parabolic, subset_groupoid
 from coxnorm.rootsys import build_root_system
 
@@ -118,3 +121,22 @@ def test_transversal_consistency():
     for key in ob.order[:10]:
         u = ob.transversal(key)
         assert np.sort(u.img[seed]).tobytes() == key
+
+
+def test_permutation_group_keeps_a_greedy_generating_set():
+    # the transpositions (0 1), (1 2), (0 2), (3 4) of five points: (0 2) lies in
+    # the group of the first two and is not kept; the closure is S3 x S2
+    swap = lambda i, j: tuple(j if k == i else i if k == j else k for k in range(5))
+    perms = [swap(0, 1), swap(1, 2), swap(0, 2), swap(3, 4)]
+    group, kept = permutation_group(perms, 5)
+    assert kept == [0, 1, 3] and len(group) == 12
+    assert group == {(*p, *q) for p in itertools.permutations(range(3))
+                     for q in ((3, 4), (4, 3))}
+    assert permutation_group([], 3) == ({(0, 1, 2)}, [])
+
+
+def test_permutation_group_refuses_past_the_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(groups, "ENUMERATION_LIMIT", 100)
+    cycle = (1, 2, 3, 4, 5, 0)
+    with pytest.raises(RuntimeError, match="exceeded limit 100"):
+        permutation_group([(1, 0, 2, 3, 4, 5), cycle], 6)

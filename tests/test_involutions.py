@@ -1,7 +1,6 @@
 from coxnorm import involutions
 from coxnorm.groups import generate, identity
-from coxnorm.involutions import (degree, fixed_parabolic,
-                                 involution_class_representatives,
+from coxnorm.involutions import (fixed_parabolic, involution_class_representatives,
                                  mark_involution_shapes, negated_roots,
                                  section8_checks)
 from coxnorm.parabolic import subset_groupoid
@@ -9,7 +8,7 @@ from coxnorm.rootsys import build_root_system
 
 import pytest
 
-from oracles import centralizer_equals_normalizer, neg
+from oracles import centralizer_equals_normalizer, degree, neg
 
 
 def test_fixed_parabolic_basics():
@@ -116,9 +115,9 @@ CENTRALIZER_ORDERS = {
 @pytest.mark.parametrize("name", sorted(CENTRALIZER_ORDERS))
 def test_section8_reads_no_centralizer_order(monkeypatch, name):
     calls = []
-    original = involutions.normalizer_order
-    monkeypatch.setattr(involutions, "normalizer_order",
-                        lambda P: calls.append(P) or original(P))
+    original = involutions.normalizer_order_at
+    monkeypatch.setattr(involutions, "normalizer_order_at",
+                        lambda catalog, i: calls.append(i) or original(catalog, i))
     rs = build_root_system(name)
     assert section8_checks(rs)["ok"]
     assert calls == []
