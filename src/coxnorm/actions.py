@@ -16,23 +16,24 @@ on it, measured with the root system's doubled Gram form.  Both are keys:
 tuples of ints holding each row's p entries, then its q entries.  A set of
 elements is restricted as a batch, one pair product for all of them.  The
 reflection part of an action is named from its reflecting lines: their
-simple lines, the bonds among those by ``diagrams.gram_bonds``, and the type
-by ``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  A
-``LineTable``, the one path that names lines, does the arithmetic once for a
-set of lines, bonds included, and names any subset of them by indexing.  Its
-simple test reads signs in the lexicographic order, so no value it computes
-grows with the dimension.
+simple lines, the bonds among those, and the type by
+``diagrams.diagram_of_bonds``, the classifier of every Coxeter type.  The
+one path that names lines is the root system's ``LineTable``
+(``line_table``): it tests each pair of lines once per root system, in
+exact Python ints, keeps the result, and names a set of lines from its own
+pairs.  Its simple test reads signs in the lexicographic order, so no value
+it computes grows with the dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .diagrams import components_string, diagram_of_bonds, gram_bonds
-from .linalg import canonical_rows, lex_signs, pair_matmul, pair_mul, pair_sign
+from .diagrams import components_string, diagram_of_bonds, pair_bond
+from .linalg import _overflow, canonical_rows, exact_dot, exact_mul, exact_sign, pair_matmul
 
 
 _BATCH = 4096   # elements restricted per pair product, to bound its memory
@@ -137,73 +138,106 @@ def canonical_lines(x):
     return [tuple(r) for r in canonical_rows(x).tolist()]
 
 
+_line_tables = {}
+
+
+def line_table(rs):
+    """The root system's line table, kept by its label."""
+    if rs.label not in _line_tables:
+        _line_tables[rs.label] = LineTable(rs.form)
+    return _line_tables[rs.label]
+
+
 class LineTable:
-    """Names the reflection groups generated by subsets of one set of lines.
+    """Names the reflection groups generated by sets of lines, testing each
+    pair of lines once.
 
     Each line is a key of a nonzero pair row on it, and ``form`` is the root
-    system's ``form``.  A subset passed to ``diagram`` must be reflection
+    system's ``form``.  A set passed to ``diagram`` must be reflection
     lines of the group they generate and hold its simple lines at every
     functional positive on W's positive roots (root coordinates are
     nonnegative) and nonzero on the lines: a line that is not simple sends
     some simple line negative.  The normalizer's action cells pass such sets
     by the lemma in ``normalizer._action_cell``.  The functional used is
     f_e = sum e^i x_i for a small e > 0, the lexicographic order: its sign
-    on a row is that of the row's first nonzero entry (``linalg.lex_signs``),
-    so it is nonzero on every line and none of its values is computed.  The
-    tests are homogeneous in each line, so the scale of the row chosen on a
-    line changes none of them.
+    on a row is that of the row's first nonzero entry, so it is nonzero on
+    every line and none of its values is computed.  The tests are
+    homogeneous in each line, so the scale of the row chosen on a line
+    changes none of them.
 
-    The simple test and the bond rule are both tests of pairs of lines, so
-    one exact pass, when a subset of two lines or more is first named,
-    orients the rows and computes their Gram matrix, the simple test and the
-    bonds of every pair of the table's lines (one ``gram_bonds`` call);
-    naming a subset then only indexes them: the simple test picks its simple
-    lines, and the bond table their diagram.  A single set's diagram is that
-    of a table of its own lines.  Lines of mutually orthogonal spaces can
-    share a table, since a subset of one space reads no row of another.
-    Since the bonds run over all pairs, the overflow guard of ``gram_bonds``
-    bounds 8 G^2 over the whole table.
+    The simple test and the bond rule are tests of pairs of lines.  In exact
+    Python ints, the table keeps each line's row oriented positive at f_e,
+    its image under the form and its norm, and each unordered pair's two
+    simple tests and bond (``diagrams.pair_bond``), each made on first
+    request; naming a set reads only its own pairs.  Lines of mutually
+    orthogonal spaces share the root system's table (``line_table``), since
+    a set of one space reads no pair of another.  Values past
+    ``linalg._PAIR_LIMIT`` raise RuntimeError, as in the int64 layer.
+    ``differences`` keeps the line of a_i - a_j by root-index pair i < j
+    (see ``normalizer._Restricted``).
     """
 
-    def __init__(self, lines, form):
-        self._lines = lines
-        self._form = form
+    def __init__(self, form):
+        self._form = list(zip(form[0].tolist(), form[1].tolist()))
+        self._index = {}
+        self.rows = []      # per line: its row at f_e > 0, its image, its norm
+        self.pairs = {}     # (i, j), i < j: (j keeps i, i keeps j, bond)
+        self.differences = {}
 
-    @cached_property
-    def _tests(self):
-        """({line: row}, Gram matrix of the positive rows, simple test of pairs,
-        bonds of pairs)."""
-        index = {line: i for i, line in enumerate(set(self._lines))}
-        L = split_keys(list(index), len(self._form[0]))
+    def _row(self, line):
+        """The index of a line among ``rows``, made on first request."""
+        i = self._index.get(line)
+        if i is None:
+            n = len(self._form)
+            v = line[:n], line[n:]
+            _overflow(max(map(abs, line)))
+            if exact_sign(next(x for x in zip(*v) if any(x))) < 0:
+                v = tuple(-x for x in v[0]), tuple(-x for x in v[1])
+            image = list(zip(*(exact_dot(v, row) for row in self._form)))   # the form is symmetric
+            i = self._index[line] = len(self.rows)
+            self.rows.append((v, image, exact_dot(image, v)))
+        return i
 
-        # each row oriented by the sign of its first nonzero entry: positive
-        # at f_e, and its Gram matrix (of 2 gram)
-        signs = lex_signs(pair_sign(L))[:, None]
-        v = (L[0] * signs, L[1] * signs)
-        G = pair_matmul(pair_matmul(v, self._form), (v[0].T, v[1].T))
-
-        # line j keeps line i positive iff G_jj v_i - 2 G_ij v_j, which is
-        # G_jj r_j(v_i), is lexicographically positive; entry [i, j, :]
-        lhs = pair_mul((v[0][:, None], v[1][:, None]),
-                       (np.diagonal(G[0])[:, None], np.diagonal(G[1])[:, None]))
-        rhs = pair_mul(pair_mul((2, 0), (G[0][..., None], G[1][..., None])), v)
-        keep = lex_signs(pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1]))) > 0
-        np.fill_diagonal(keep, True)
-        return index, G, keep, gram_bonds(G)
+    def _test_pair(self, i, j):
+        """(line j keeps line i positive, line i keeps line j, bond) of lines i and j."""
+        (vi, image, gii), (vj, _, gjj) = self.rows[i], self.rows[j]
+        g = exact_dot(image, vj)
+        return _keeps(vi, vj, gjj, g), _keeps(vj, vi, gii, g), pair_bond(g, gii, gjj)
 
     def diagram(self, lines):
         """Coxeter diagram of the reflection group generated by the given lines."""
-        lines = set(lines)
-        if len(lines) <= 1:
-            return ("A1",) * len(lines)
-        index, _, keep, bonds = self._tests
-        rows = np.array([index[line] for line in lines])
+        rows = sorted({self._row(line) for line in lines})
+        if len(rows) <= 1:
+            return ("A1",) * len(rows)
         # line j is simple iff its reflection keeps every other line positive
-        simples = rows[keep[np.ix_(rows, rows)].all(axis=0)]
-        bonds = bonds[np.ix_(simples, simples)]
-        if not bonds.all():
+        simple = set(rows)
+        for i, j in combinations(rows, 2):
+            tests = self.pairs.get((i, j))
+            if tests is None:
+                tests = self.pairs[i, j] = self._test_pair(i, j)
+            if not tests[0]:
+                simple.discard(j)
+            if not tests[1]:
+                simple.discard(i)
+        bonds = [[1] * len(simple) for _ in simple]
+        for (a, i), (b, j) in combinations(enumerate(sorted(simple)), 2):
+            bonds[a][b] = bonds[b][a] = self.pairs[i, j][2]
+        if not all(map(all, bonds)):
             raise ValueError("unrecognized bond ratio among the simple lines")
-        return diagram_of_bonds(bonds.tolist())
+        return diagram_of_bonds(bonds)
+
+
+def _keeps(a, b, gbb, gab):
+    """Does the reflection in line b keep line a positive: is G_bb v_a -
+    2 G_ab v_b, which is G_bb r_b(v_a) != 0, lexicographically positive?"""
+    if not any(gab):
+        return True
+    twice = (2 * gab[0], 2 * gab[1])
+    for pa, qa, pb, qb in zip(*a, *b):
+        x, y = exact_mul(gbb, (pa, qa)), exact_mul(twice, (pb, qb))
+        if x != y:
+            return exact_sign((x[0] - y[0], x[1] - y[1])) > 0
+    return False
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,18 @@ simple iff its reflection keeps the other positives of the subsystem
 positive), bond orders are read off the Gram form of the simple roots, and
 ``diagram_of_bonds`` matches the bond matrix against the classification.
 It is the one classifier: a reflection subgroup's type and the normalizer's
-action cells (``actions.LineTable``) both go through it.  B and C
-diagrams are not distinguished; the rank-2 types with bonds 4, 5, 6 print
-as B2, H2, G2.
+action cells (``actions.LineTable``, which tests each pair of lines once
+per root system, in Python ints) both go through it.  B and C diagrams are
+not distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
 
-The bonds come from the Gram form (``gram_bonds``, the one bond rule,
-which the normalizer's action cells apply to reflection lines too).  A
-standard parabolic's roots are read off the root supports
-(``parabolic.standard_parabolic``); ``close_root_masks`` closes any stack
-of generating sets at once, as one fixpoint of gathers.  The simple systems
-of a stack of closed subsystems are one boolean product (``simple_masks``),
-of which ``parabolic.ReflectionSubgroup.simples`` is the one-row case.
+The bonds come from the Gram form by one bond rule: ``gram_bonds`` applies
+it to a whole Gram matrix, and ``pair_bond`` to one pair of reflection
+lines, from the same table of ratios.  A standard parabolic's roots are
+read off the root supports (``parabolic.standard_parabolic``);
+``close_root_masks`` closes any stack of generating sets at once, as one
+fixpoint of gathers.  The simple systems of a stack of closed subsystems
+are one boolean product (``simple_masks``), of which
+``parabolic.ReflectionSubgroup.simples`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .labels import component_order, rank2_name
-from .linalg import pair_mul
+from .linalg import exact_mul, pair_mul
 
 
 def close_root_masks(rs, masks):
@@ -92,6 +93,20 @@ def gram_bonds(G):
     hits = (square[0] == rhs[0]) & (square[1] == rhs[1])   # distinct ratios: one hit at most
     return np.where(hits.any(axis=0), _BONDS[hits.argmax(axis=0)],
                     np.where((G[0] == 0) & (G[1] == 0), 2, 0)).astype(np.int8)
+
+
+_RATIOS = list(zip(_BONDS.tolist(), zip(_BOND_TWICE_RATIO[0].ravel().tolist(),
+                                        _BOND_TWICE_RATIO[1].ravel().tolist())))
+
+
+def pair_bond(g, norm_a, norm_b):
+    """``gram_bonds`` for one pair of rows, in Python ints: the order of r_a r_b
+    from G_ab and the norms G_aa and G_bb, each a pair p + q*sqrt5."""
+    if not any(g):
+        return 2
+    square = exact_mul((8 * g[0], 8 * g[1]), g)
+    norms = exact_mul(norm_a, norm_b)
+    return next((m for m, ratio in _RATIOS if exact_mul(ratio, norms) == square), 0)
 
 
 def _classify_component(nodes, adj):

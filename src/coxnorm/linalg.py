@@ -3,22 +3,26 @@
 A row of values p + q*sqrt5 is held as a pair of int arrays (p, q).  A row
 stands for its line in Q(sqrt5)^n, so zero tests, signs, ratios and spans
 are unchanged by scaling it by a positive integer (the root rows hold
-doubled halves).  The one elimination, ``rref``, is fraction-free
-Gauss-Jordan elimination in plain Python ints (every rank is at most 8).
-Its rows are canonical, the primitive positive integer multiples of the
-reduced row echelon rows over Q(sqrt5): a ``Subspace`` holds them, and
-``kernel`` reads the kernel's canonical rows off them.  Work over many roots or elements runs
-as numpy products of int64 pairs; every pair operation bounds its result
-first and raises RuntimeError where int64 could overflow, so a sign is
-never silently wrong.  Q(sqrt5) values (``Q5``) appear only at the public
-boundary: ``from_pairs`` reads pair rows as Q5 rows, ``form_pairs`` reads
-a Gram matrix, and ``dot`` is the inner product of Q5 vectors.
+doubled halves).  Small work runs in plain Python ints: the one
+elimination, ``rref``, is fraction-free Gauss-Jordan elimination (every
+rank is at most 8), and ``exact_mul``, ``exact_dot`` and ``exact_sign``
+serve ``actions.LineTable``.  ``rref``'s rows are canonical, the primitive
+positive integer multiples of the reduced row echelon rows over Q(sqrt5):
+a ``Subspace`` holds them, and ``kernel`` reads the kernel's canonical rows
+off them.  Work over many roots or elements runs as numpy products of
+int64 pairs; every pair operation bounds its result first and raises
+RuntimeError where int64 could overflow (the scalar ones at the same
+bound), so a sign is never silently wrong.  Q(sqrt5) values (``Q5``)
+appear only at the public boundary: ``from_pairs`` reads pair rows as Q5
+rows, ``form_pairs`` reads a Gram matrix, and ``dot`` is the inner product
+of Q5 vectors.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -44,6 +48,32 @@ def _primitive(v):
 def _twist(v, n):
     """sqrt5 times the row v of n p entries, then n q entries: 5q + p*sqrt5."""
     return [5 * y for y in v[n:]] + v[:n]
+
+
+def exact_mul(x, y):
+    """The product (a + b*sqrt5)(c + d*sqrt5) of two Python int pairs,
+    refused past _PAIR_LIMIT as ``pair_mul`` refuses it."""
+    (a, b), (c, d) = x, y
+    p, q = a * c + 5 * b * d, a * d + b * c
+    _overflow(max(abs(p), abs(q)))
+    return p, q
+
+
+def exact_dot(x, y):
+    """The inner product of two rows of values p + q*sqrt5, each held as its
+    p entries and its q entries in Python ints, refused as ``exact_mul`` is."""
+    (a, b), (c, d) = x, y
+    p = sum(map(mul, a, c)) + 5 * sum(map(mul, b, d))
+    q = sum(map(mul, a, d)) + sum(map(mul, b, c))
+    _overflow(max(abs(p), abs(q)))
+    return p, q
+
+
+def exact_sign(x):
+    """The sign of p + q*sqrt5 for a Python int pair, as ``pair_sign`` reads it."""
+    p, q = x
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    return sp if sp == sq or p * p > 5 * q * q else sq
 
 
 def _pack(rows, n):

@@ -35,19 +35,19 @@ parts of P:D and Q:D are named from the simple root lines of P or Q and
 the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
 classify image summaries (``_Restricted.image``) read off those tables, and
-every diagram of a row is read off one line table.  The Goursat sections of
-an explicit N restrict it in batches the same way.
+every diagram is read off the root system's line table, which tests each
+pair of lines once.  The Goursat sections of an explicit N restrict it in
+batches the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .actions import (_BATCH, ActionCell, LineTable, SpaceRestriction, canonical_lines,
-                      image_keys, invariant_split, split_keys)
+from .actions import (_BATCH, ActionCell, SpaceRestriction, canonical_lines, image_keys,
+                      invariant_split, line_table, split_keys)
 from .diagrams import components_order, components_string
 from .galois import complements, orthogonal_complement, perp_map, pq_closures
 from .groups import (BRUTE_LIMIT, GroupElement, generate, identity, permutation_group,
@@ -318,7 +318,7 @@ class _Image:
 
 
 class _Restricted:
-    """D's restriction to each nonzero space of the invariant split, and one line table.
+    """D's restriction to each nonzero space of the invariant split.
 
     ``spaces`` maps each role, X n Y first, to a basis of its space: the
     projections of the simple roots onto X n Y, as pair rows, and Delta_P
@@ -343,10 +343,11 @@ class _Restricted:
     of cycles, so d reflects there iff it moves exactly two simple roots, a
     transposition (a_i a_j), and the line reflected is that of a_i - a_j.
     No simple root goes negative, so -1 is not a restriction there.  The
-    line table holds D's lines on all the spaces and the simple root lines
-    of P and Q, read off ``rs.root_lines``; lines of different spaces are
-    orthogonal, so one table names the lines of every image (see
-    ``actions.LineTable``).
+    line of a_i - a_j is kept by root-index pair with the root system's
+    line table (``actions.line_table``), so a row whose transpositions have
+    all been seen computes none.  Each image's lines, with the simple root
+    lines of P or Q read off ``rs.root_lines``, are named on that table,
+    which tests only the pairs of lines each set holds.
     """
 
     def __init__(self, rs, D, spaces):
@@ -374,8 +375,14 @@ class _Restricted:
             moved_from.append(delta[first])
             moved_to.append(rows[role][swapped[role]][np.arange(len(first)), first])
         i, j = np.concatenate(moved_from), np.concatenate(moved_to)
-        p, q = rs.root_pairs
-        lines = iter(canonical_lines((p[i] - p[j], q[i] - q[j])) if len(i) else [])
+        known = line_table(rs).differences
+        transpositions = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        new = [t for t in dict.fromkeys(transpositions) if t not in known]
+        if new:
+            a, b = np.array(new).T
+            p, q = rs.root_pairs
+            known.update(zip(new, canonical_lines((p[a] - p[b], q[a] - q[b]))))
+        lines = iter([known[t] for t in transpositions])
         for role in roles:
             self.tables[role] = {d.key: (tuple(row), next(lines) if swap else None)
                                  for d, row, swap in zip(D, rows[role].tolist(),
@@ -400,28 +407,14 @@ class _Restricted:
         mats = {M for M, _ in cells}
         lines = {line for _, line in cells} - {None}
         if lines:
-            if base is not None and base.simples:
-                lines.update(self._base_lines[role])
-            diagram = self._line_table.diagram(lines)
+            if base is not None:
+                lines.update(self.rs.root_lines[i] for i in base.simples)
+            diagram = line_table(self.rs).diagram(lines)
         else:
             diagram = base.components if base is not None else ()
         minus = role == "x_cap_y" and any(self._mid.is_minus_identity(M) for M in mats)
         return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
                       diagram, minus)
-
-    @cached_property
-    def _base_lines(self):
-        """The simple root lines of P on X_perp and of Q on Y_perp."""
-        root_lines = self.rs.root_lines
-        return {role: [root_lines[i] for i in self.spaces[role]]
-                for role in ("x_perp", "y_perp") if role in self.spaces}
-
-    @cached_property
-    def _line_table(self):
-        lines = {line for table in self.tables.values() for _, line in table.values()} - {None}
-        for base_lines in self._base_lines.values():
-            lines.update(base_lines)
-        return LineTable(lines, self.rs.form)
 
 
 def _action_cell(role, base: ReflectionSubgroup, image_order, dim, restricted):
@@ -439,9 +432,9 @@ def _action_cell(role, base: ReflectionSubgroup, image_order, dim, restricted):
     whose |R|/|base| = |<T>| R-chambers <T> permutes simply transitively, each
     with its <T>-chamber; so the <T>-chamber of f meets C in one R-chamber,
     whose walls, R's simple lines at f, are lines of Delta_base or of T.  So
-    R is named from Delta_base u T on the row's line table, whose functional
-    f_e = sum e^i x_i, for a small e > 0, is such an f: it is positive on
-    W's positive roots and nonzero on every line.
+    R is named from Delta_base u T on the root system's line table, whose
+    functional f_e = sum e^i x_i, for a small e > 0, is such an f: it is
+    positive on W's positive roots and nonzero on every line.
     """
     subgroup = _ROLE_SUBGROUP[role]
     if dim == 0:

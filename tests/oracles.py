@@ -10,6 +10,9 @@ Each recomputes a fact of the library by a second, independent route:
   subgroup it closes;
 - ``bond_order`` is the order of a product of two reflection permutations,
   the oracle of the bond rule ``diagrams.gram_bonds``;
+- ``line_tests`` tests every pair of a set of lines at once, as stacked
+  int64 pair products (the library's line table tests each pair it is asked
+  for once per root system, in Python ints);
 - ``edge_target`` reads the subset groupoid's edge table at one edge;
   ``schreier_loops`` makes the loop of every edge of a component as a group
   element, and ``schreier_complement`` generates D from all of them (the
@@ -36,9 +39,11 @@ from math import lcm
 
 import numpy as np
 
+from coxnorm.actions import split_keys
+from coxnorm.diagrams import gram_bonds
 from coxnorm.groups import BRUTE_LIMIT, GroupElement, generate, identity
 from coxnorm.involutions import fixed_parabolic
-from coxnorm.linalg import _overflow
+from coxnorm.linalg import _overflow, lex_signs, pair_matmul, pair_mul, pair_sign
 from coxnorm.normalizer import descend_to_complement
 from coxnorm.oracle import commutation_table, normalizing, positive_images
 from coxnorm.parabolic import ReflectionSubgroup, Shape, subset_groupoid
@@ -78,6 +83,29 @@ def bond_order(rs, i, j):
     """Order m(i,j) of the product of the reflections in roots i and j: the
     oracle of the bond rule."""
     return (rs.reflection(i) * rs.reflection(j)).order()
+
+
+def line_tests(lines, form):
+    """({line: row}, Gram matrix, simple test, bonds) of every pair of the lines.
+
+    Each row is oriented by the sign of its first nonzero entry, positive at
+    f_e = sum e^i x_i for a small e > 0, and G is the Gram matrix of those
+    rows under ``form``.  Entry [i, j] of the simple test tells whether line
+    j keeps line i positive: whether G_jj v_i - 2 G_ij v_j, which is
+    G_jj r_j(v_i), is lexicographically positive.  The bonds are those of
+    ``diagrams.gram_bonds`` on G.
+    """
+    index = {line: i for i, line in enumerate(set(lines))}
+    L = split_keys(list(index), len(form[0]))
+    signs = lex_signs(pair_sign(L))[:, None]
+    v = (L[0] * signs, L[1] * signs)
+    G = pair_matmul(pair_matmul(v, form), (v[0].T, v[1].T))
+    lhs = pair_mul((v[0][:, None], v[1][:, None]),
+                   (np.diagonal(G[0])[:, None], np.diagonal(G[1])[:, None]))
+    rhs = pair_mul(pair_mul((2, 0), (G[0][..., None], G[1][..., None])), v)
+    keep = lex_signs(pair_sign((lhs[0] - rhs[0], lhs[1] - rhs[1]))) > 0
+    np.fill_diagonal(keep, True)
+    return index, G, keep, gram_bonds(G)
 
 
 def edge_target(groupoid, mask, s) -> int:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from coxnorm import actions
-from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines, invariant_split
+from coxnorm.actions import (LineTable, SpaceRestriction, canonical_lines, invariant_split,
+                             line_table)
 from coxnorm.diagrams import gram_bonds, positive_part
 from coxnorm.galois import orthogonal_complement, perp_map, pq_closures
 from coxnorm.groups import generate
@@ -18,7 +19,7 @@ from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
-from oracles import close_roots
+from oracles import close_roots, line_tests
 
 
 
@@ -50,7 +51,7 @@ A2_FORM = form_pairs(((Q5(2), Q5(-1)), (Q5(-1), Q5(2))))
 
 def lines_alone(lines, form):
     """The diagram of a set of lines named by a line table of its own."""
-    return LineTable(lines, form).diagram(lines)
+    return LineTable(form).diagram(lines)
 
 
 def test_invariant_split_extremes():
@@ -297,8 +298,9 @@ def test_simple_root_rows_restrict_d_as_the_echelon_bases_do(name):
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
 def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypatch):
     # every image decompose names (the three cells, A, B and C on each space,
-    # A x B on X_perp for the diamond rule) reads one line table per row; the
-    # diagram of its lines must be the one they give alone
+    # A x B on X_perp for the diamond rule) reads the root system's line
+    # table, one table object for every row of the group; the diagram of its
+    # lines must be the one they give alone
     named = []
     original = LineTable.diagram
 
@@ -315,18 +317,60 @@ def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypa
         rows.append(named[:])
         named.clear()
     monkeypatch.undo()
+    tables = {id(table) for row in rows for table, _, _ in row}
+    assert not tables or tables == {id(line_table(rs))}, name
     for row in rows:
-        assert len({id(table) for table, _, _ in row}) <= 1, name
         for _, lines, diagram in row:
             assert lines_alone(lines, rs.form) == diagram, (name, sorted(lines))
     assert name.startswith("I2") or any(len(lines) > 1 for row in rows for _, lines, _ in row)
 
 
+def test_decomposing_every_shape_of_e7_tests_each_pair_of_lines_once(monkeypatch,
+                                                                    fresh_line_tables):
+    # one line table serves all 32 rows: each unordered pair of lines that a
+    # named set holds is tested exactly once, and no other pair is.  Rows
+    # name the same pairs again, so a table per row tests some pair twice,
+    # and a table that tests every pair of the lines it holds tests pairs
+    # that no set names
+    requested, tested = [], []
+    diagram, test_pair = LineTable.diagram, LineTable._test_pair
+
+    def recording(self, lines):
+        requested.append(frozenset(lines))
+        return diagram(self, lines)
+
+    def counting(self, i, j):
+        keys = {row: line for line, row in self._index.items()}
+        tested.append(frozenset((keys[i], keys[j])))
+        return test_pair(self, i, j)
+
+    monkeypatch.setattr(LineTable, "diagram", recording)
+    monkeypatch.setattr(LineTable, "_test_pair", counting)
+    rs = build_root_system("E7")
+    catalog = shape_catalog(rs)
+    assert len(catalog) == 32
+    for shape in catalog:
+        decompose(rs, shape)
+    pairs = [frozenset(pair) for lines in requested for pair in itertools.combinations(lines, 2)]
+    assert len(tested) == len(set(tested)) == len(set(pairs)) < len(pairs)
+    assert set(tested) == set(pairs)
+
+
+def _memo(table, a, b):
+    """(b keeps a, a keeps b, bond) of lines a and b, read off the table's memo."""
+    i, j = table._index[a], table._index[b]
+    if i < j:
+        return table.pairs[i, j]
+    kept_b, kept_a, bond = table.pairs[j, i]
+    return kept_a, kept_b, bond
+
+
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_one_pass_bonds_match_the_bonds_of_each_subset(name, monkeypatch):
-    # a line table takes the bonds of all its pairs of lines in one pass;
-    # for every subset decompose names, the bonds it reads must be those of
-    # the bond rule on the Gram matrix of its simple lines alone
+    # the line table tests each pair of lines once and keeps the result; for
+    # every subset decompose names, the simple tests it kept must be those
+    # of the stacked oracle on the subset alone, and the bonds it kept among
+    # the subset's simple lines those of the bond rule on their Gram matrix
     named = []
     original = LineTable.diagram
 
@@ -343,11 +387,15 @@ def test_one_pass_bonds_match_the_bonds_of_each_subset(name, monkeypatch):
     for table, lines in named:
         if len(lines) <= 1:
             continue
-        index, G, keep, bonds = table._tests
-        rows = np.array([index[line] for line in lines])
-        simples = rows[keep[np.ix_(rows, rows)].all(axis=0)]
-        sub = np.ix_(simples, simples)
-        assert np.array_equal(bonds[sub], gram_bonds((G[0][sub], G[1][sub]))), (name, lines)
+        index, G, keep, _ = line_tests(lines, rs.form)
+        for a, b in itertools.permutations(lines, 2):
+            assert _memo(table, a, b)[0] == keep[index[a], index[b]], (name, a, b)
+        simples = [line for line in lines if keep[[index[a] for a in lines], index[line]].all()]
+        rows = [index[line] for line in simples]
+        sub = np.ix_(rows, rows)
+        want = gram_bonds((G[0][sub], G[1][sub]))
+        for (x, a), (y, b) in itertools.combinations(enumerate(simples), 2):
+            assert _memo(table, a, b)[2] == want[x, y], (name, a, b)
         checked += 1
     assert name.startswith("I2") or checked
 

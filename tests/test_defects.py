@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coxnorm import cli, galois, parabolic
+from coxnorm.actions import line_table
 from coxnorm.galois import orthogonal_complement, perp_map
 from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
@@ -101,14 +102,9 @@ def test_a_dropped_generating_loop_is_an_internal_error(monkeypatch, capsys, gro
     assert out == "" and err == "internal error: normalizer enumeration incomplete\n"
 
 
-# (group, shape, C, s): swapping the images of two nodes of C - {s} in the
-# map of the edges of (C, s) enlarges D_pi at that shape
-CORRUPTED_MOVES = [("B3", "B1A1", 0b111, 1), ("B4", "A3", 0b1111, 3), ("D5", "A3", 0b1111, 3)]
-
-
-@pytest.mark.parametrize("group, selector, C, s", CORRUPTED_MOVES)
-def test_a_corrupted_edge_map_is_an_internal_error(monkeypatch, capsys, fresh_groupoids,
-                                                   group, selector, C, s):
+def corrupt_move(monkeypatch, C, s):
+    """Swap the images of the first two nodes of C - {s} in the map of the
+    edges of (C, s)."""
     original = parabolic.SubsetGroupoid._move
 
     def corrupted(self, C2, s2):
@@ -120,6 +116,17 @@ def test_a_corrupted_edge_map_is_an_internal_error(monkeypatch, capsys, fresh_gr
         return tuple(move)
 
     monkeypatch.setattr(parabolic.SubsetGroupoid, "_move", corrupted)
+
+
+# (group, shape, C, s): swapping the images of two nodes of C - {s} in the
+# map of the edges of (C, s) enlarges D_pi at that shape
+CORRUPTED_MOVES = [("B3", "B1A1", 0b111, 1), ("B4", "A3", 0b1111, 3), ("D5", "A3", 0b1111, 3)]
+
+
+@pytest.mark.parametrize("group, selector, C, s", CORRUPTED_MOVES)
+def test_a_corrupted_edge_map_is_an_internal_error(monkeypatch, capsys, fresh_groupoids,
+                                                   group, selector, C, s):
+    corrupt_move(monkeypatch, C, s)
     assert cli.main(["decompose", group, selector]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == "internal error: D differs from its permutation image\n"
@@ -127,3 +134,65 @@ def test_a_corrupted_edge_map_is_an_internal_error(monkeypatch, capsys, fresh_gr
     assert cli.main(["verify", group, "--suite", "oracle"]) == 1
     check = json.loads(capsys.readouterr().out)["checks"]["normalizer"]
     assert check["ok"] is False and check["witness"]
+
+
+def test_an_edge_map_fault_that_shrinks_d_fails_the_oracle_suite(monkeypatch, capsys,
+                                                                 fresh_groupoids):
+    # swapping s1 and s3 in the map of the edges of ({s1, s2, s3}, s2) in A3
+    # leaves D_pi of the A1^2 row trivial, so D, generated from the loops D_pi
+    # keeps, shrinks with it and decompose's check |D| = |D_pi| passes: only
+    # an independent count of N sees the fault.  The oracle suite's
+    # ``normalizer`` check, |N| against the brute-force normalizer, is the
+    # check that guards it
+    corrupt_move(monkeypatch, 0b111, 1)
+    assert cli.main(["verify", "A3", "--suite", "oracle"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"]["normalizer"]
+    assert check == {"ok": False, "witness": "A1^2 [2 2]"}
+
+
+def test_a_lost_bond_among_simple_lines_is_an_internal_error(monkeypatch, capsys,
+                                                             fresh_line_tables):
+    # A3's A1^2 row names B2 on X_perp from the lines of a_1, a_3 and
+    # a_1 - a_3, whose simple lines are a_3 and a_1 - a_3; a bond of 0
+    # between them, kept in the line table, is no bond of the classification
+    rs = build_root_system("A3")
+    assert cli.main(["decompose", "A3", "s1,s3"]) == 0
+    capsys.readouterr()
+    table = line_table(rs)
+    pair = tuple(sorted(table._index[line] for line in (rs.root_lines[2],
+                                                        table.differences[0, 2])))
+    assert table.pairs[pair][2] == 4
+    monkeypatch.setitem(table.pairs, pair, table.pairs[pair][:2] + (0,))
+    assert cli.main(["decompose", "A3", "s1,s3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: unrecognized bond ratio among the simple lines\n"
+
+
+# (pair of lines of A7, the check that refuses their bond of 3 made 4): no
+# single such change in a fixture group's line table passes as a mismatch.
+# Each one read among simple lines is refused first, by the classifier or
+# by the action cell's order check.  a_1 - a_3 and a_3 - a_5 are simple
+# lines of B3, on X_perp of the A1^3 row; a_1 and a_2 are simple lines of
+# A2B2, on X_perp of the A2A1^2 row, where B2B2 has an order that does not
+# divide the image's
+LOST_THREES = [(("differences", (0, 2)), ("differences", (2, 4)),
+                "unclassifiable path with bonds [4, 4]"),
+               (("roots", 0), ("roots", 1),
+                "reflection part order does not divide the image order")]
+
+
+@pytest.mark.parametrize("a, b, message", LOST_THREES)
+def test_a_bond_of_three_made_four_fails_the_fixture_suite(monkeypatch, capsys,
+                                                           fresh_line_tables, a, b, message):
+    rs = build_root_system("A7")
+    assert cli.main(["verify", "A7", "--suite", "fixtures"]) == 0
+    capsys.readouterr()
+    table = line_table(rs)
+    lines = {"differences": table.differences, "roots": rs.root_lines}
+    pair = tuple(sorted(table._index[lines[kind][key]] for kind, key in (a, b)))
+    assert table.pairs[pair][2] == 3
+    monkeypatch.setitem(table.pairs, pair, table.pairs[pair][:2] + (4,))
+    assert cli.main(["verify", "A7", "--suite", "fixtures"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal error: {message}\n"

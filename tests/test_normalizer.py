@@ -229,7 +229,7 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
             elements = generate(base.simple_reflections(), rs=rs)
             scanned = {_reflecting_line(p * d, basis)
                        for p in elements for d in dec.D} - {None}
-            assert LineTable(scanned, rs.form).diagram(scanned) == dec.actions[role].diagram, (
+            assert LineTable(rs.form).diagram(scanned) == dec.actions[role].diagram, (
                 name, shape.label, role)
 
 
