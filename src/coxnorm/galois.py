@@ -27,13 +27,15 @@ the class cache misses are one gather, ``stacked_span_signs``, and one
 perp(perp(i)), two reads of the map; concepts, the closure graph and
 |N| read nothing else.
 
-The parabolic closure of P perp(P) is per row (``pq_closures``): the
-simple roots projected onto Fix(P perp(P)), the orbit sums of a Coxeter
-element of Delta_P u Delta_perp(P), and the roots and class of the closure,
-read at the projections' lexicographic signs; no elimination runs.  A set
-of n roots sums no orbit: its Fix(P perp(P)) is 0.  A decomposition asks
-for its own row; the section-8 suite asks for every shape, once
-(``pq_closure_classes``).
+The parabolic closure of P perp(P) is a second map per catalog
+(``PQMap``), which ``pq_map`` computes for every shape as one stack
+(``pq_closures``): the simple roots projected onto Fix(P perp(P)), the
+orbit sums of a Coxeter element of Delta_P u Delta_perp(P), and the roots
+and class of the closure, read at the projections' lexicographic signs; no
+elimination runs.  A set of n roots sums no orbit: its Fix(P perp(P)) is 0
+and its closure W.  Every decomposition and the section-8 suite read the
+map (``pq_closure``), but for a full set or a parabolic that is not its
+class's representative, which are one-row stacks.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class PerpMap:
 def complements(catalog, parabolics):
     """perp(P) and its class for each standard parabolic P of the list, as
     one stack (see the module docstring): two lists, the complements, each
-    typed as its class's shape, and their classes."""
+    typed as its class's shape, and their classes.  One gather of
+    ``rs.orthogonality`` checks every Delta_P orthogonal to Delta_perp(P)."""
     rs = catalog.rs
     perps = perp_masks(rs, root_masks(rs, [P.roots for P in parabolics]))
     classes = catalog.classes_of(
@@ -89,6 +92,9 @@ def complements(catalog, parabolics):
         Q.simples = tuple(np.flatnonzero(simples).tolist())
         Q.components = catalog[j].components   # its shape's, not recognized again
         Qs.append(Q)
+    pairs = [(a, b) for P, Q in zip(parabolics, Qs) for a in P.simples for b in Q.simples]
+    if pairs and not rs.orthogonality[tuple(np.array(pairs).T)].all():
+        raise RuntimeError("a simple root of P is not orthogonal to one of perp(P)")
     return Qs, classes
 
 
@@ -100,46 +106,67 @@ def perp_map(catalog) -> PerpMap:
     return catalog.perp
 
 
+def _full(rs, simples) -> bool:
+    """Does Delta_P u Delta_perp(P) hold n roots (the full-set rule of ``pq_closures``)?"""
+    return rs.is_vector and len(simples) == rs.n
+
+
 def pq_closures(catalog, parabolics, perps):
     """The parabolic closure of P perp(P) for each standard parabolic P of
-    the list, with perp(P) from ``perps``, as one stack: the projections,
-    the closures' root masks (k, nroots) and their classes.
+    the list, with perp(P) from ``perps`` (``complements``), as one stack:
+    the projections, the closures' root masks (k, nroots) and their classes.
 
     The projections are what ``rs.fixed_projections`` gives for
     Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
     pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2; the
     closure's roots are those vanishing at their signs, and its class is read
-    there (one ``classes_of``).  Delta_P and Delta_perp(P) are each
-    independent and, as one gather of ``rs.orthogonality`` checks for every
-    set, orthogonal to each other, so their union is independent.  Only the
-    sets of fewer than n roots go to ``fixed_projections``: a full set spans
-    the space, so Fix(P perp(P)) = 0, its projections are empty, its sign
-    row is zero and its closure is W.  Type I2 keeps its index formula for
-    every set.
+    there (one ``classes_of``).  The full-set rule: a set of n roots, two
+    orthogonal independent sets, spans the space, so Fix(P perp(P)) = 0,
+    its projections are empty and its closure is W, the last class, with no
+    orbit summed and no class looked up.  Type I2 keeps its index formula.
     """
     rs = catalog.rs
     sets = [P.simples + Q.simples for P, Q in zip(parabolics, perps)]
-    full = [rs.is_vector and len(s) == rs.n for s in sets]
-    pairs = [(a, b) for P, Q in zip(parabolics, perps) for a in P.simples for b in Q.simples]
-    if pairs and not rs.orthogonality[tuple(np.array(pairs).T)].all():
-        raise RuntimeError("a simple root of P is not orthogonal to one of perp(P)")
     projections = [(np.zeros((0, rs.n), dtype=np.int64),) * 2] * len(sets)
-    signs = np.zeros((len(sets), rs.nroots), dtype=np.int8)
-    rest = [r for r, f in enumerate(full) if not f]
+    closures = np.ones((len(sets), rs.nroots), dtype=bool)
+    classes = [len(catalog)] * len(sets)
+    rest = [r for r, s in enumerate(sets) if not _full(rs, s)]
     if rest:
-        found, signs[rest] = rs.fixed_projections([sets[r] for r in rest])
-        for r, x in zip(rest, found):
-            projections[r] = x
-    closures = signs == 0
-    return projections, closures, catalog.classes_of(closures, signs)
+        found, signs = rs.fixed_projections([sets[r] for r in rest])
+        closures[rest] = signs == 0
+        for r, x, j in zip(rest, found, catalog.classes_of(closures[rest], signs)):
+            projections[r], classes[r] = x, j
+    return projections, closures, classes
 
 
-def pq_closure_classes(catalog) -> dict:
-    """The class of the parabolic closure of P_i perp(P_i) for every shape i, as one stack."""
-    perp = perp_map(catalog)
-    *_, classes = pq_closures(catalog, [s.parabolic for s in catalog],
-                              [perp.complement[s.index] for s in catalog])
-    return dict(enumerate(classes, 1))
+@dataclass(frozen=True)
+class PQMap:
+    """The closure of P_i perp(P_i) for each shape i's representative P_i,
+    as its row of ``pq_closures`` (callers must not mutate them)."""
+
+    projections: dict
+    roots: dict
+    index: dict
+
+
+def pq_map(catalog) -> PQMap:
+    """The catalog's ``PQMap``, computed for every shape as one stack on first read."""
+    if catalog.pq is None:
+        perp = perp_map(catalog)
+        rows = pq_closures(catalog, [s.parabolic for s in catalog],
+                           [perp.complement[s.index] for s in catalog])
+        catalog.pq = PQMap(*(dict(enumerate(column, 1)) for column in rows))
+    return catalog.pq
+
+
+def pq_closure(catalog, P, Q, i=None):
+    """``pq_closures``'s row for P with perp(P) = Q: shape i's representative
+    reads the ``PQMap``; any other P, and a full set (so that a full row
+    fills no map), is the one-row stack."""
+    if i is None or _full(catalog.rs, P.simples + Q.simples):
+        return tuple(column[0] for column in pq_closures(catalog, [P], [Q]))
+    pq = pq_map(catalog)
+    return pq.projections[i], pq.roots[i], pq.index[i]
 
 
 def parabolic_concepts(rs):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .galois import orthogonal_complement, perp_map, pq_closure_classes
+from .galois import orthogonal_complement, perp_map, pq_map
 from .groups import GroupElement
 from .normalizer import normalizer_order_at
 from .parabolic import ReflectionSubgroup, shape_catalog, subset_groupoid
@@ -83,12 +83,11 @@ def has_central_minus_one(rs) -> bool:
     return subset_groupoid(rs).longest_element(range(rs.n)).negates(range(rs.npos))
 
 
-def section8_checks(rs, pq_classes=None) -> dict:
+def section8_checks(rs) -> dict:
     """The observation suite: per-bullet pass/fail with witnesses.
 
     Complements and closures are read off the catalog's map perp on shapes,
-    and the classes of the closures of P perp(P) off ``pq_classes``
-    (``galois.pq_closure_classes``, computed when not passed).
+    and the classes of the closures of P perp(P) off its ``galois.PQMap``.
     """
     catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
@@ -126,9 +125,8 @@ def section8_checks(rs, pq_classes=None) -> dict:
             extra = sorted(closed - marked)
             record("closed_iff_centralizer", extra == [], extra or None)
         # w0 central and P closed implies the closure of PQ is W, the last class
-        if pq_classes is None:
-            pq_classes = pq_closure_classes(catalog)
-        bad = next((i for i in sorted(closed) if pq_classes[i] != len(catalog)), None)
+        pq = pq_map(catalog).index
+        bad = next((i for i in sorted(closed) if pq[i] != len(catalog)), None)
         record("closed_implies_pq_closure_full", bad is None, bad)
 
         # fixed parabolic of -u is the orthogonal complement of that of u

@@ -28,9 +28,9 @@ X_perp and Y_perp off D's images of the simple roots of P and of Q, which
 it permutes (see ``_Restricted``; that gather is also the one check that D
 is relative-length-zero).  Q and
 its class are read off the catalog's map perp on shapes (``galois.perp_map``),
-as |N| reads Q at the representative of P's class; those projections and
-the class of the parabolic closure of PQ are the row's own
-(``galois.pq_closures``), so no fixed space is eliminated.  The reflection
+as |N| reads Q at the representative of P's class, and those projections and
+the class of the parabolic closure of PQ off its second map
+(``galois.pq_closure``), so no fixed space is eliminated.  The reflection
 parts of P:D and Q:D are named from the simple root lines of P or Q and
 the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
@@ -49,7 +49,7 @@ import numpy as np
 from .actions import (_BATCH, ActionCell, SpaceRestriction, canonical_lines, image_keys,
                       invariant_split, line_table, split_keys)
 from .diagrams import components_order, components_string
-from .galois import complements, orthogonal_complement, perp_map, pq_closures
+from .galois import complements, orthogonal_complement, perp_map, pq_closure
 from .groups import (BRUTE_LIMIT, GroupElement, generate, identity, permutation_group,
                      relative_length)
 from .linalg import pair_matmul
@@ -279,15 +279,17 @@ def _permutation_image(rs, subset):
     return image, tree, [loops[k][1:] for k in kept]
 
 
-def _complement_D(rs, subset, pq_sub):
+def _complement_D(rs, subset, P, Q):
     """The complement D of PQ in N_W(W_J), from the loops at J that generate D_pi.
 
-    Each loop descends to its representative modulo PQ, which permutes
-    Delta_J as the loop does, so the descents generate D.  D is enumerated
-    from them and must have the order of D_pi: each mechanism checks the other.
+    Each loop descends to its representative modulo PQ (P = W_J, Q = perp(P),
+    joined only when a loop is kept), which permutes Delta_J as the loop
+    does, so the descents generate D.  D is enumerated from them and must
+    have the order of D_pi: each mechanism checks the other.
     """
     image, tree, edges = _permutation_image(rs, subset)
-    D = generate([descend_to_complement(g, pq_sub)
+    pq = orthogonal_join(P, Q) if edges else None
+    D = generate([descend_to_complement(g, pq)
                   for g in subset_groupoid(rs).loop_elements(tree, edges)], rs=rs)
     if len(D) != len(image):
         raise RuntimeError("D differs from its permutation image")
@@ -513,22 +515,23 @@ def decompose(rs, parabolic) -> Decomposition:
         raise ValueError("decompose takes a Shape or a standard parabolic "
                          "(one generated by simple reflections)")
     shape = catalog[catalog.class_of_subset(subset)]
-    # perp(P) off the catalog's map; another standard parabolic of the class
-    # has its own, and each row its own closure of PQ
-    if subset == shape.rep_subset:
+    # perp(P) and the closure of PQ off the catalog's maps; another standard
+    # parabolic of the class computes its own
+    i = shape.index if subset == shape.rep_subset else None
+    if i:
         perp = perp_map(catalog)
-        Q, q_index = perp.complement[shape.index], perp.index[shape.index]
+        Q, q_index = perp.complement[i], perp.index[i]
     else:
         (Q,), (q_index,) = complements(catalog, [P])
-    (projections,), (closure,), (closure_index,) = pq_closures(catalog, [P], [Q])
+    projections, closure, closure_index = pq_closure(catalog, P, Q, i)
     p_order, q_order = P.order, Q.order
-    D = _complement_D(rs, subset, orthogonal_join(P, Q))
+    D = _complement_D(rs, subset, P, Q)
 
     # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
     # the names of A, B and C, all subsets of D, are read off it.  The simple
     # roots of P and of Q, as root indices, are bases of X_perp and Y_perp.
-    # Delta_P is orthogonal to Delta_Q (checked with the closure), so together
+    # Delta_P is orthogonal to Delta_Q (checked with perp(P)), so together
     # they are independent and X n Y = Fix(PQ) has the rest of the dimension;
     # the closure's nonzero projections, checked orthogonal to both, span it.
     dims = {"x_cap_y": rs.n - len(P.simples) - len(Q.simples),

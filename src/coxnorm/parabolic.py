@@ -572,13 +572,14 @@ class ShapeCatalog:
 
     The catalog also keeps perp, which commutes with conjugation, as one
     map on shape indices: ``perp`` holds the ``galois.PerpMap`` that
-    ``galois.perp_map`` computes for every shape on first read.
+    ``galois.perp_map`` computes for every shape on first read, and ``pq``
+    the ``galois.PQMap`` of the closures of P perp(P), from ``galois.pq_map``.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.shapes, self._class_cache = self._build()
-        self.perp = None        # the galois.PerpMap, filled on first read
+        self.perp = self.pq = None   # the galois maps, filled on first read
         groupoid = subset_groupoid(rs)
         self._by_component = {groupoid.component_of(s.rep_subset): s.index
                               for s in self.shapes}

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .diagrams import close_root_masks
-from .galois import perp_map, perp_masks, pq_closure_classes
+from .galois import perp_map, perp_masks, pq_map
 from .groups import BRUTE_LIMIT, generate, relative_length
 from .involutions import section8_checks
 from .normalizer import (compute_table, decompose, goursat_sections,
@@ -178,16 +178,16 @@ def verify_goursat(rs) -> dict:
 def verify_section8(rs) -> dict:
     """Observation suite plus the closure-of-PQ-closure law.
 
-    Both read the class of the parabolic closure of PQ of every shape, one
-    stack computed once, and its orthogonal closure as perp(perp(.)) on the
-    catalog's map perp on shapes; the class of W is the last one.
+    Both read the class of the parabolic closure of PQ of every shape off
+    the catalog's ``galois.PQMap``, and its orthogonal closure as
+    perp(perp(.)) on the catalog's map perp on shapes; the class of W is the
+    last one.
     """
     catalog = shape_catalog(rs)
-    pq_classes = pq_closure_classes(catalog)
-    report = section8_checks(rs, pq_classes)
-    perp = perp_map(catalog).index
+    report = section8_checks(rs)
+    perp, pq = perp_map(catalog).index, pq_map(catalog).index
     bad = next((s.label for s in catalog
-                if perp[perp[pq_classes[s.index]]] != len(catalog)), None)
+                if perp[perp[pq[s.index]]] != len(catalog)), None)
     report["checks"]["pq_closure_orthogonal_closure_is_w"] = {
         "ok": bad is None, "witness": bad}
     report["ok"] = all(c["ok"] for c in report["checks"].values())

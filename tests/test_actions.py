@@ -13,8 +13,7 @@ from coxnorm.galois import orthogonal_complement, perp_map, pq_closures
 from coxnorm.groups import generate
 from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
 from coxnorm.normalizer import _complement_D, decompose
-from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
-                               standard_parabolic)
+from coxnorm.parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
@@ -410,7 +409,7 @@ def test_restrictions_take_the_pair_product_in_batches(monkeypatch):
     shape = catalog.by_selector("A1^7")
     P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
     (projections,), _, _ = pq_closures(catalog, [P], [Q])
-    D = _complement_D(rs, shape.rep_subset, orthogonal_join(P, Q))
+    D = _complement_D(rs, shape.rep_subset, P, Q)
     assert len(D) == 5040
     monkeypatch.setattr(actions, "_BATCH", 512)
 

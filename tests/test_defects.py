@@ -9,7 +9,7 @@ import pytest
 
 from coxnorm import cli, galois, parabolic
 from coxnorm.actions import line_table
-from coxnorm.galois import orthogonal_complement, perp_map
+from coxnorm.galois import orthogonal_complement, perp_map, pq_map
 from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
 
@@ -74,6 +74,28 @@ def test_swapped_perp_classes_fail_the_section8_suite(capsys, fresh, group, left
     assert report["ok"] is False
     assert any(not check["ok"] and check["witness"] is not None
                for check in report["checks"].values())
+
+
+# (group, two shapes whose Delta_P u Delta_perp(P) hold fewer than n roots
+# and whose closures of P perp(P) lie in different classes): the
+# decompositions read those classes off the catalog's map
+SWAPPED_CLOSURES = [("E6", "A1^2", "A1^3"), ("F4", "(A2A1)'", "(A2A1)''"),
+                    ("H4", "A2A1", "A3"), ("D5", "A2 [3 1 1]", "A3 [4 1]"),
+                    ("B5", "A3 [4 1]", "A4 [5]")]
+
+
+@pytest.mark.parametrize("group, left, right", SWAPPED_CLOSURES)
+def test_swapped_closure_classes_fail_the_fixture_suite(capsys, fresh, group, left, right):
+    rs = build_root_system(group)
+    catalog = shape_catalog(rs)
+    i, j = (catalog.by_selector(label).index for label in (left, right))
+    index = pq_map(catalog).index
+    assert index[i] != index[j]
+    index[i], index[j] = index[j], index[i]
+    assert cli.main(["verify", group, "--suite", "fixtures"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["mismatches"]
+    assert {m["column"] for m in report["mismatches"]} == {"closure"}
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from coxnorm import galois, linalg, verify
 from coxnorm.involutions import involution_class_representatives
 from coxnorm.galois import (orthogonal_closure, orthogonal_complement, parabolic_concepts,
-                            perp_map, perp_masks, pq_closures, shape_closure_graph)
+                            perp_map, perp_masks, pq_closures, pq_map, shape_closure_graph)
 from coxnorm.oracle import commutation_table
 from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
                                parabolic_closure, shape_catalog, standard_conjugate,
@@ -352,28 +352,35 @@ def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
     # on a fresh catalog every complement's class is looked up anew, at a
     # generic point of the span of the shape's simple roots, and every
     # closure's at the projections onto Fix(P perp(P)); concepts fill the map
-    # perp on shapes, once, and the section-8 suite, the centralizer orders
-    # and every decomposition read the same map
+    # perp on shapes, once, and the section-8 suite the map of the closures
+    # of P perp(P), once; the centralizer orders and every decomposition read
+    # the same maps, and a full row's closure is its one-row stack
     monkeypatch.setattr(parabolic, "_catalogs", {})
     rs = build_root_system(name)
-    calls, fills = [], []
+    calls, fills, closures = [], [], []
     original = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or original(rows))
     complements = galois.complements
     monkeypatch.setattr(galois, "complements",
                         lambda catalog, ps: fills.append(len(ps)) or complements(catalog, ps))
+    pq_stack = galois.pq_closures
+    monkeypatch.setattr(galois, "pq_closures", lambda catalog, ps, qs: (
+        closures.append(len(ps)) or pq_stack(catalog, ps, qs)))
     catalog = shape_catalog(rs)
-    assert catalog.perp is None
+    assert catalog.perp is None and catalog.pq is None
     parabolic_concepts(rs)
     assert fills == [len(catalog)]   # every shape's complement, as one stack
     assert sorted(catalog.perp.index) == sorted(catalog.perp.complement) == [s.index for s in catalog]
-    assert verify_galois(rs)["ok"]
+    assert verify_galois(rs)["ok"] and closures == []
     assert len(catalog._class_cache) > len(catalog)   # some complements were not standard
     assert verify.verify_section8(rs)["ok"]
+    assert closures == [len(catalog)]   # every shape's closure, as one stack
+    assert all(sorted(rows) == [s.index for s in catalog] for rows in vars(catalog.pq).values())
     assert all(rec.centralizer_order > 0 for rec in involution_class_representatives(rs))
     for shape in catalog:
         normalizer.decompose(rs, shape)
     assert fills == [len(catalog)] and calls == []
+    assert closures[0] == len(catalog) and set(closures[1:]) <= {1}
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
@@ -466,9 +473,7 @@ def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
     # oracle for the map perp on shapes, filled as one stack on a fresh
     # catalog: each shape's class is that of its representative's complement
     # looked up alone on another fresh catalog (at its fixed space, not at a
-    # span), and Q's simple system and type are that complement's own; the
-    # closures of every shape, as one stack, match those computed one row at
-    # a time on the other catalog
+    # span), and Q's simple system and type are that complement's own
     rs = build_root_system(name)
     monkeypatch.setattr(parabolic, "_catalogs", {})
     whole = shape_catalog(rs)
@@ -481,14 +486,40 @@ def test_whole_catalog_table_matches_shape_by_shape(monkeypatch, name):
         got = perp.complement[shape.index]
         assert perp.index[shape.index] == cat.class_of_roots(Q.roots), shape.label
         assert (got.roots, got.simples, got.components) == (Q.roots, Q.simples, Q.components)
-    stacked = zip(*pq_closures(whole, [s.parabolic for s in whole],
-                               [perp.complement[s.index] for s in whole]))
-    for shape, (projections, roots, index) in zip(cat, stacked):
-        (one,), (one_roots,), (one_index,) = pq_closures(cat, [shape.parabolic],
-                                                         [perp.complement[shape.index]])
-        assert one_index == index and np.array_equal(one_roots, roots), shape.label
-        assert _same_projections(rs, one, projections), shape.label
     assert cat.perp is None   # the rows one at a time never filled the map
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "B8", "D9"])
+def test_closure_map_matches_the_one_row_closures(monkeypatch, name):
+    # the map of the closures of P perp(P), filled as one stack on a fresh
+    # catalog, row by row against the one-row stack of each representative
+    # on another fresh catalog, full rows included; every decomposition's
+    # closure columns, which read the map off the full rows, against that
+    # one-row reading.  The trivial shape's PQ is W, so its closure is PQ
+    rs = build_root_system(name)
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    whole = shape_catalog(rs)
+    pq, perp = pq_map(whole), perp_map(whole)
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    cat = shape_catalog(rs)
+    one_row = {}
+    for shape in cat:
+        P, Q = shape.parabolic, perp.complement[shape.index]
+        (one,), (roots,), (index,) = pq_closures(cat, [P], [Q])
+        assert index == pq.index[shape.index], shape.label
+        assert np.array_equal(roots, pq.roots[shape.index]), shape.label
+        assert _same_projections(rs, one, pq.projections[shape.index]), shape.label
+        one_row[shape.index] = (index, roots.sum() == len(P.roots) + len(Q.roots), roots.all())
+    assert cat.pq is None   # the rows one at a time never filled the map
+    for shape in cat:
+        try:
+            dec = normalizer.decompose(rs, shape)
+        except RuntimeError as exc:   # D_n past D8 names some A, B or C by no rule yet
+            assert name == "D9" and str(exc).startswith("no abstract type rule"), shape.label
+            continue
+        got = (dec.pq_closure_index, dec.pq_closure_is_pq, dec.pq_closure_is_w)
+        assert got == one_row[shape.index], shape.label
+    assert not cat[1].roots and one_row[1] == (len(cat), True, True)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
@@ -514,23 +545,35 @@ def test_full_sets_match_the_fixed_projections(name):
 def test_decomposing_every_shape_of_e7_looks_the_complements_up_once(monkeypatch):
     # on a fresh catalog the perp classes of all 32 shapes are one
     # classes_of pass, with one span-sign gather and one descent for the
-    # complements the class cache misses; each row then looks up only its
-    # own closure, one row at a time
+    # complements the class cache misses; the classes of the closures of
+    # P perp(P) are a second pass, one fixed_projections stack of every shape
+    # whose Delta_P u Delta_perp(P) holds fewer than n roots, made by the
+    # first such row (row 7); a full row looks no class up, and no row looks
+    # one up alone
     monkeypatch.setattr(parabolic, "_catalogs", {})
     rs = build_root_system("E7")
     catalog = shape_catalog(rs)
-    lookups, gathers, descents = [], [], []
+    lookups, gathers, descents, fixed = [], [], [], []
+    row = [None]
     classes_of = parabolic.ShapeCatalog.classes_of
     monkeypatch.setattr(parabolic.ShapeCatalog, "classes_of", lambda self, masks, signs: (
-        lookups.append((len(masks), callable(signs))) or classes_of(self, masks, signs)))
+        lookups.append((row[0], len(masks), callable(signs))) or classes_of(self, masks, signs)))
     span_signs = rs.stacked_span_signs
     monkeypatch.setattr(rs, "stacked_span_signs",
                         lambda sets: gathers.append(len(sets)) or span_signs(sets))
+    projections = rs.fixed_projections
+    monkeypatch.setattr(rs, "fixed_projections",
+                        lambda sets: fixed.append(len(sets)) or projections(sets))
     descend = parabolic.dominant_descent
     monkeypatch.setattr(parabolic, "dominant_descent",
                         lambda rs, signs: descents.append(len(signs)) or descend(rs, signs))
     for shape in catalog:
+        row[0] = shape.index
         normalizer.decompose(rs, shape)
-    assert lookups == [(len(catalog), True)] + [(1, False)] * len(catalog)
-    assert len(gathers) == 1 and 0 < gathers[0] < len(catalog)
-    assert descents[0] == gathers[0] and set(descents[1:]) <= {1}
+    perp = perp_map(catalog).complement
+    partial = [s.index for s in catalog
+               if len(s.parabolic.simples) + len(perp[s.index].simples) < rs.n]
+    assert partial[0] == 7 and 1 < len(partial) < len(catalog)
+    assert lookups == [(1, len(catalog), True), (7, len(partial), False)]
+    assert len(gathers) == 1 and 0 < gathers[0] < len(catalog) and fixed == [len(partial)]
+    assert len(descents) == 2 and descents[0] == gathers[0] and 0 < descents[1] <= len(partial)

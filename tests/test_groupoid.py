@@ -169,7 +169,7 @@ def test_skipped_loops_are_reflections_of_the_orthogonal_complement(name):
                 assert (K, s) not in walked
                 assert g.is_identity() or reflections.get(g.key) in Q.roots, (name, shape.label)
         pq = orthogonal_join(P, Q)
-        assert ([d.key for d in _complement_D(rs, subset, pq)]
+        assert ([d.key for d in _complement_D(rs, subset, P, Q)]
                 == [d.key for d in schreier_complement(rs, subset, pq)]), (name, shape.label)
 
 

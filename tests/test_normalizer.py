@@ -10,8 +10,8 @@ from coxnorm.linalg import pair_matmul
 from coxnorm.normalizer import (_complement_D, _Restricted, decompose, descend_to_complement,
                                 goursat_sections, howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
-from coxnorm.parabolic import (ReflectionSubgroup, orthogonal_join, shape_catalog,
-                               standard_parabolic, subset_groupoid)
+from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parabolic,
+                               subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import ORACLE_GROUPS
@@ -255,7 +255,7 @@ def test_root_index_tables_match_the_pair_restriction(name):
     checked = 0
     for shape in catalog:
         P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
-        D = _complement_D(rs, shape.rep_subset, orthogonal_join(P, Q))
+        D = _complement_D(rs, shape.rep_subset, P, Q)
         if len(D) == 1:
             continue
         spaces = {role: simples for role, simples in (("x_perp", P.simples),
