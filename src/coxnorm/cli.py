@@ -20,7 +20,7 @@ from .labels import parse_label
 from .parabolic import shape_catalog
 from .rootsys import build_root_system
 
-E8_ORDER = 696729600
+E8_ORDER = parse_label("E8").order
 
 
 class UserError(Exception):

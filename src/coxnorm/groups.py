@@ -12,6 +12,8 @@ canonical encoding used for hashing, ordering and JSON output.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 ENUMERATION_LIMIT = 10 ** 7
@@ -83,57 +85,49 @@ def identity(rs) -> GroupElement:
 
 
 def generate(gens, rs=None) -> list:
-    """Breadth-first closure of the generators (plus identity).
+    """The group the generators generate, by ``_dimino``, listed in key order.
 
-    The elements are listed in key order.  Refused with RuntimeError once
-    more than ENUMERATION_LIMIT elements are found.
+    ``rs`` supplies the identity when there are no generators.  Refused with
+    RuntimeError past ENUMERATION_LIMIT.
     """
     gens = list(gens)
     if gens and any(g.rs is not gens[0].rs for g in gens):
         raise ValueError("generators must share a parent root system")
-    if not gens:
-        if rs is None:
-            raise ValueError("generate([]) needs the root system to supply identity")
-        return [identity(rs)]
-    rs = gens[0].rs
-    e = identity(rs)
-    seen = {e.key: e}
-    frontier = [e]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = w * g
-                if x.key not in seen:
-                    seen[x.key] = x
-                    new.append(x)
-        frontier = new
-        if len(seen) > ENUMERATION_LIMIT:
-            raise RuntimeError(f"group enumeration exceeded limit {ENUMERATION_LIMIT}")
-    return [seen[k] for k in sorted(seen)]
+    if not gens and rs is None:
+        raise ValueError("generate([]) needs the root system to supply identity")
+    group, _ = _dimino(gens, identity(gens[0].rs if gens else rs), GroupElement.__mul__)
+    return sorted(group, key=attrgetter("key"))
 
 
 def permutation_group(perms, m):
     """The group that permutation tuples of range(m) generate, as a set, and
-    the indices of a greedy generating set: a tuple is kept when it lies
-    outside the group H of those kept before it, and H then grows by whole
-    cosets H(r*s), for r a coset representative and s a kept tuple (Dimino's
-    algorithm), so each element is made once.  Tuples compose as elements
-    do, (x*g)[i] = g[x[i]].  Refused with RuntimeError past ENUMERATION_LIMIT.
+    the indices of ``_dimino``'s greedy generating set.  Tuples compose as
+    elements do, (x*g)[i] = g[x[i]].
     """
-    elements, kept = [tuple(range(m))], []
+    return _dimino(perms, tuple(range(m)), lambda x, g: tuple(map(g.__getitem__, x)))
+
+
+def _dimino(gens, e, mul):
+    """The group the generators generate, as a set, and the indices of a
+    greedy generating set, for elements with identity ``e`` and product
+    ``mul``.  A generator is kept when it lies outside the group H of those
+    kept before it, and H then grows by whole cosets H(r*s), for r a coset
+    representative and s a kept generator (Dimino's algorithm), so each
+    element is made once.  Refused with RuntimeError past ENUMERATION_LIMIT.
+    """
+    elements, kept = [e], []
     group = set(elements)
-    for i, g in enumerate(perms):
+    for i, g in enumerate(gens):
         if g in group:
             continue
         kept.append(i)
         H, reps = list(elements), elements[:1]
         for r in reps:
             for k in kept:
-                x = tuple(map(perms[k].__getitem__, r))
+                x = mul(r, gens[k])
                 if x not in group:
                     reps.append(x)
-                    coset = [tuple(map(x.__getitem__, h)) for h in H]
+                    coset = [mul(h, x) for h in H]
                     group.update(coset)
                     elements += coset
                     if len(elements) > ENUMERATION_LIMIT:

@@ -8,6 +8,9 @@ Each recomputes a fact of the library by a second, independent route:
   reflection permutations (the library closes stacks of root masks with
   ``diagrams.close_root_masks``); ``generated_by`` is the reflection
   subgroup it closes;
+- ``bfs_generate`` closes a generating set of group elements breadth
+  first, forming |G| products per generator (the library's ``generate``
+  enumerates whole cosets by Dimino's algorithm, making each element once);
 - ``bond_order`` is the order of a product of two reflection permutations,
   the oracle of the bond rule ``diagrams.gram_bonds``;
 - ``line_tests`` tests every pair of a set of lines at once, as stacked
@@ -77,6 +80,25 @@ def close_roots(rs, indices):
 
 def generated_by(rs, root_indices):
     return ReflectionSubgroup(rs, close_roots(rs, root_indices))
+
+
+def bfs_generate(gens, rs=None):
+    """The group the generators generate (``rs`` supplies the identity when
+    there are none), by breadth-first closure, listed in key order."""
+    gens = list(gens)
+    e = identity(gens[0].rs if gens else rs)
+    seen = {e.key: e}
+    frontier = [e]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = w * g
+                if x.key not in seen:
+                    seen[x.key] = x
+                    new.append(x)
+        frontier = new
+    return [seen[k] for k in sorted(seen)]
 
 
 def bond_order(rs, i, j):

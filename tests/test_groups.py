@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -6,10 +7,12 @@ import pytest
 from coxnorm import groups
 from coxnorm.groups import (OrbitStabilizer, generate, identity, permutation_group,
                             relative_length)
-from coxnorm.parabolic import standard_parabolic, subset_groupoid
+from coxnorm.normalizer import normalizer
+from coxnorm.parabolic import (ReflectionSubgroup, parabolic_closure, shape_catalog,
+                               standard_parabolic, subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
-from oracles import neg
+from oracles import bfs_generate, generated_by, neg
 
 
 def test_compose_basics():
@@ -34,6 +37,69 @@ def test_generate_idempotent():
     W1 = generate(rs.simple_reflections())
     W2 = generate(list(W1))
     assert {w.key for w in W1} == {w.key for w in W2}
+
+
+def _assert_generates_as_bfs(gens, rs=None):
+    assert [w.key for w in generate(gens, rs=rs)] == [w.key for w in bfs_generate(gens, rs=rs)]
+
+
+@pytest.mark.parametrize("label", ["H3", "B4", "D4", "F4", "A5", "I2(7)"])
+def test_generate_lists_the_bfs_closure_of_the_simple_reflections(label):
+    _assert_generates_as_bfs(build_root_system(label).simple_reflections())
+
+
+def test_generate_lists_the_bfs_closure_of_redundant_generators():
+    rs = build_root_system("H3")
+    s = rs.simple_reflections()
+    W = generate(s)
+    _assert_generates_as_bfs(W)
+    _assert_generates_as_bfs(W[::-1])
+    _assert_generates_as_bfs([identity(rs), s[1], s[1], s[0] * s[2], identity(rs), s[0]])
+    _assert_generates_as_bfs([identity(rs)])
+    _assert_generates_as_bfs([], rs=rs)
+
+
+def test_generate_lists_the_bfs_closure_of_the_normalizer_generators(monkeypatch):
+    # every shape of B4, at its standard representative and at a conjugate,
+    # which normalizer() reaches through a conjugated generator list
+    rs = build_root_system("B4")
+    normalizer_module = importlib.import_module("coxnorm.normalizer")
+    seen = []
+
+    def recording_generate(gens, rs=None):
+        seen.append(list(gens))
+        return generate(seen[-1], rs=rs)
+
+    monkeypatch.setattr(normalizer_module, "generate", recording_generate)
+    s = rs.simple_reflections()
+    w = s[0] * s[1] * s[2] * s[3]
+    for shape in shape_catalog(rs):
+        P = shape.parabolic
+        normalizer(P)
+        normalizer(ReflectionSubgroup(rs, frozenset(int(w.img[r]) for r in P.roots)))
+    assert len(seen) == 2 * len(shape_catalog(rs))
+    for gens in seen:
+        _assert_generates_as_bfs(gens, rs=rs)
+
+
+@pytest.mark.parametrize("label", ["B4", "H3"])
+def test_generate_lists_the_bfs_closure_of_random_reflections(label):
+    # seeded triples of reflections, drawn until three of them have
+    # generated a subgroup that is not parabolic
+    rs = build_root_system(label)
+    rng = random.Random(35)
+    found = 0
+    while found < 3:
+        picked = rng.sample(range(rs.npos), 3)
+        _assert_generates_as_bfs([rs.reflection(i) for i in picked])
+        U = generated_by(rs, picked)
+        found += parabolic_closure(U).roots != U.roots
+
+
+def test_generate_refuses_past_the_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(groups, "ENUMERATION_LIMIT", 10)
+    with pytest.raises(RuntimeError, match="exceeded limit 10"):
+        generate(build_root_system("B3").simple_reflections())
 
 
 def test_relative_length():
