@@ -68,7 +68,6 @@ class SpaceRestriction:
         self.dim, self._n = basis[0].shape
         self._twice = 2 * np.hstack(basis)
         self.identity = tuple(self._twice.ravel().tolist())
-        self._minus = tuple((-self._twice).ravel().tolist())
 
     def images(self, elements):
         """The images of the basis rows under each element, shape (k, dim, 2n).
@@ -98,9 +97,6 @@ class SpaceRestriction:
         The name is kept because perfbench/tracer.py patches it.
         """
         return image_keys(self.images([w]))[0]
-
-    def is_minus_identity(self, M):
-        return M == self._minus
 
     def reflection_line(self, M):
         """The reflecting line of the restriction with key M, or None."""

@@ -21,23 +21,19 @@ with no group element made: |N| = |P||Q||D_pi| (``normalizer_order_at``).
 Since PQ is normal in N, reducing each to its relative-length-zero
 representative modulo PQ is a homomorphism onto D, so those reductions
 generate D, which is enumerated and must have the order of D_pi.  D is
-small, and it is the only group ``decompose`` enumerates; the action cells
-on X_perp, X n Y and Y_perp are read off the restrictions of D: to X n Y
-by one batched product on the simple roots projected onto Fix(PQ), and to
-X_perp and Y_perp off D's images of the simple roots of P and of Q, which
-it permutes (see ``_Restricted``; that gather is also the one check that D
-is relative-length-zero).  Q and
-its class are read off the catalog's map perp on shapes (``galois.perp_map``),
-as |N| reads Q at the representative of P's class, and those projections and
-the class of the parabolic closure of PQ off its second map
-(``galois.pq_closure``), so no fixed space is eliminated.  The reflection
-parts of P:D and Q:D are named from the simple root lines of P or Q and
-the lines of D, with neither enumerated (see ``_action_cell``).
+the only group ``decompose`` enumerates, and no pair product runs over it:
+D permutes Delta_P, Delta_Q and the labels of the roots' projections onto
+X n Y, and its restrictions to X_perp, Y_perp and X n Y, A, B and A x B
+are read off those permutations (``_Restricted``).  Q and its class are
+read off the catalog's map perp on shapes (``galois.perp_map``), and the
+projections and the class of the parabolic closure of PQ off its second
+map (``galois.pq_closure``), so no fixed space is eliminated.  The
+reflection parts of P:D and Q:D are named from the simple root lines of P
+or Q and the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
-classify image summaries (``_Restricted.image``) read off those tables, and
-every diagram is read off the root system's line table, which tests each
-pair of lines once.  The Goursat sections of an explicit N restrict it in
-batches the same way.
+classify image summaries (``_Restricted.image``), and every diagram is read
+off the root system's line table, which tests each pair of lines once.
+The Goursat sections of an explicit N restrict it by pair products.
 """
 
 from __future__ import annotations
@@ -320,103 +316,145 @@ class _Image:
 
 
 class _Restricted:
-    """D's restriction to each nonzero space of the invariant split.
+    """D's restriction to each nonzero space of the invariant split, read off
+    D's permutations of the roots, with no pair product over D.
 
-    ``spaces`` maps each role, X n Y first, to a basis of its space: the
-    projections of the simple roots onto X n Y, as pair rows, and Delta_P
-    and Delta_Q, as root indices, on X_perp and Y_perp.  ``tables`` maps it
-    to D's restriction table there, {d.key: (key of d's restriction,
-    reflecting line or None)}, and ``identities`` to the identity's key;
-    every image of a subgroup of D is read off them.
+    ``spaces`` maps each role, X n Y first, to a basis: the projections of
+    the simple roots onto X n Y (pair rows), Delta_P or Delta_Q (root
+    indices).  ``keys`` maps it to each element's restriction key, in D's
+    order, and ``reflecting`` to {key: witness} for the reflections.  D is
+    read in batches, a key being a slice of one gather's bytes.
 
-    Only X n Y is restricted by a pair product (``SpaceRestriction``).
-    Lemma: on X_perp and Y_perp, D acts by permuting Delta_P and Delta_Q.
-    Proof: D normalizes P and Q and keeps their positive roots positive,
-    so d maps P's positive system onto itself, and so its simple roots.
-    So d's key there is its row of images of Delta, one gather of D's
-    images for both spaces, and the identity's key is Delta.  Conversely,
-    Phi_P+ is the set of roots in the nonnegative span of Delta_P, so an
-    element permuting Delta_P normalizes P and keeps Phi_P+ positive, and
-    the same holds for Q; so permuting both is D's defining property,
-    relative length zero in the normalizer of PQ, and the gather, which
-    refuses any other element with RuntimeError, is ``decompose``'s one
-    check of D (with |D| = 1 or both spaces zero it cannot fail).  A
-    permutation of a basis fixes a subspace whose dimension is its number
-    of cycles, so d reflects there iff it moves exactly two simple roots, a
-    transposition (a_i a_j), and the line reflected is that of a_i - a_j.
-    No simple root goes negative, so -1 is not a restriction there.  The
-    line of a_i - a_j is kept by root-index pair with the root system's
-    line table (``actions.line_table``), so a row whose transpositions have
-    all been seen computes none.  Each image's lines, with the simple root
-    lines of P or Q read off ``rs.root_lines``, are named on that table,
-    which tests only the pairs of lines each set holds.
+    Lemma: D permutes Delta_P and Delta_Q.  Proof: it keeps the positive
+    roots of P and Q positive.  Conversely, Phi_P+ is the nonnegative span
+    of Delta_P in Phi, so permuting both is D's defining property, and the
+    refusal of any other element (RuntimeError) is ``decompose``'s one
+    check of D.  A permutation of a basis fixes one dimension per cycle, so
+    d reflects there iff it is a transposition (a_i a_j), its witness, in
+    the line of a_i - a_j (kept with the line table), and is never -1.
+
+    d commutes with the orthogonal projection pi onto X n Y, so its
+    restriction is fixed by pi(d(a_i)) = d(pi(a_i)), and d's key is the
+    labels (``_root_labels``) of d(a_1), ..., d(a_n); -1's is those of
+    -a_1, ..., -a_n.  d reflects there iff d^2's key is the identity's and
+    its trace there is dim - 2 (``_mid_traces``).  The first such element
+    of a key is its witness; lines are read only for an image of two or
+    more, by ``SpaceRestriction`` on witnesses, which must be rank one.
     """
 
     def __init__(self, rs, D, spaces):
-        self.rs = rs
-        self.D = D
-        self.spaces = spaces
-        self.tables, self.identities = {}, {}
-        if "x_cap_y" in spaces:
-            self._mid = SpaceRestriction(rs, spaces["x_cap_y"])
-            self.tables["x_cap_y"] = self._mid.restrictions(D)
-            self.identities["x_cap_y"] = self._mid.identity
-        roles = [role for role in ("x_perp", "y_perp") if role in spaces]
-        if not roles:
+        self.rs, self.D, self.spaces, self.lines = rs, D, spaces, {}
+        self.position = {d.key: i for i, d in enumerate(D)}
+        self.keys = {role: [] for role in spaces}
+        self.reflecting = {role: {} for role in spaces}
+        if not spaces:
             return
-        images = np.array([d.img for d in D])
-        rows, swapped, moved_from, moved_to = {}, {}, [], []
-        for role in roles:
-            delta = np.array(spaces[role])
-            rows[role] = images[:, delta]
-            if (np.sort(rows[role], axis=1) != np.sort(delta)).any():
-                raise RuntimeError(f"{role}: D does not permute the simple roots")
-            moved = rows[role] != delta
-            swapped[role] = moved.sum(axis=1) == 2
-            first = moved[swapped[role]].argmax(axis=1)   # a_i, moved to a_j
-            moved_from.append(delta[first])
-            moved_to.append(rows[role][swapped[role]][np.arange(len(first)), first])
-        i, j = np.concatenate(moved_from), np.concatenate(moved_to)
-        known = line_table(rs).differences
-        transpositions = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
-        new = [t for t in dict.fromkeys(transpositions) if t not in known]
-        if new:
-            a, b = np.array(new).T
-            p, q = rs.root_pairs
-            known.update(zip(new, canonical_lines((p[a] - p[b], q[a] - q[b]))))
-        lines = iter([known[t] for t in transpositions])
-        for role in roles:
-            self.tables[role] = {d.key: (tuple(row), next(lines) if swap else None)
-                                 for d, row, swap in zip(D, rows[role].tolist(),
-                                                         swapped[role].tolist())}
-            self.identities[role] = tuple(spaces[role])
+        deltas = {role: list(spaces[role]) for role in ("x_perp", "y_perp") if role in spaces}
+        if "x_cap_y" in spaces:
+            n, labels = rs.n, _root_labels(rs, spaces["x_cap_y"])
+            self.identity, self.minus = labels[:n].tobytes(), labels[rs.npos:rs.npos + n].tobytes()
+            trace = 2 * (n - sum(map(len, deltas.values())) - 2)   # twice a reflection's
+        for start in range(0, len(D), _BATCH):
+            batch = D[start:start + _BATCH]
+            images = np.array([d.img for d in batch])
+            for role, delta in deltas.items():
+                on_delta = images[:, delta]
+                if (np.sort(on_delta, axis=1) != sorted(delta)).any():
+                    raise RuntimeError(f"{role}: D does not permute the simple roots")
+                keys, w = on_delta.tobytes(), on_delta.itemsize * len(delta)
+                for i, moved in enumerate((on_delta != delta).sum(axis=1).tolist()):
+                    key = keys[i * w:(i + 1) * w]
+                    self.keys[role].append(key)
+                    if moved == 2 and key not in self.reflecting[role]:
+                        self.reflecting[role][key] = next(
+                            (a, b) for a, b in zip(delta, on_delta[i].tolist()) if a != b)
+            if "x_cap_y" in spaces:
+                first = images[:, :n]
+                square = labels[images[np.arange(len(batch))[:, None], first]].tobytes()
+                p, q = _mid_traces(rs, images, deltas)
+                keys, w = labels[first].tobytes(), labels.itemsize * n
+                traced = ((p == trace) & (q == 0)).ravel().tolist()
+                for i, d in enumerate(batch):
+                    key = keys[i * w:(i + 1) * w]
+                    self.keys["x_cap_y"].append(key)
+                    if (traced[i] and key != self.identity
+                            and square[i * w:(i + 1) * w] == self.identity):
+                        self.reflecting["x_cap_y"].setdefault(key, d)
 
-    def kernel(self, role):
-        """The elements of D that fix the space pointwise (all of D on a zero space)."""
-        if role not in self.tables:
+    def _cells(self, K, role):
+        """The key of each element of K's restriction to the space of a role."""
+        keys, position = self.keys[role], self.position
+        return keys if K is self.D else [keys[position[k.key]] for k in K]
+
+    def preimage(self, role, K):
+        """The elements of D that restrict to the space of a role as some
+        element of K does (all of D on a zero space)."""
+        if role not in self.keys:
             return self.D
-        table, identity = self.tables[role], self.identities[role]
-        return [d for d in self.D if table[d.key][0] == identity]
+        found = set(self._cells(K, role))
+        return [d for d, key in zip(self.D, self.keys[role]) if key in found]
+
+    def _lines(self, role, found):
+        """The lines of the reflecting restrictions with the given keys, each read once."""
+        lines, witness = self.lines.setdefault(role, {}), self.reflecting[role]
+        new = [key for key in found if key not in lines]
+        if new and role == "x_cap_y":
+            elements = [witness[key] for key in new]
+            table = SpaceRestriction(self.rs, self.spaces[role]).restrictions(elements)
+            lines.update((key, table[d.key][1]) for key, d in zip(new, elements))
+            if None in lines.values():
+                raise RuntimeError("x_cap_y: a witness of the trace test is not a reflection")
+        elif new:
+            known = line_table(self.rs).differences
+            transpositions = [tuple(sorted(witness[key])) for key in new]
+            unseen = [t for t in dict.fromkeys(transpositions) if t not in known]
+            if unseen:
+                a, b = np.array(unseen).T
+                p, q = self.rs.root_pairs
+                known.update(zip(unseen, canonical_lines((p[a] - p[b], q[a] - q[b]))))
+            lines.update((key, known[t]) for key, t in zip(new, transpositions))
+        return {lines[key] for key in found}
 
     def image(self, K, role, base=None) -> _Image:
         """K's image summary on the space of a role.
 
         A base group's simple root lines join the lines of K's reflecting
-        elements (see ``_action_cell``); with none, the diagram is the base's own.
-        """
-        table = self.tables[role]
-        cells = [table[k.key] for k in K]
-        mats = {M for M, _ in cells}
-        lines = {line for _, line in cells} - {None}
-        if lines:
-            if base is not None:
-                lines.update(self.rs.root_lines[i] for i in base.simples)
-            diagram = line_table(self.rs).diagram(lines)
-        else:
+        elements (see ``_action_cell``); with none, the diagram is the
+        base's own.  One line is A1, with no line read."""
+        cells = self._cells(K, role)
+        distinct = set(cells)
+        found = distinct & self.reflecting[role].keys()
+        simples = base.simples if base is not None else ()
+        if not found:
             diagram = base.components if base is not None else ()
-        minus = role == "x_cap_y" and any(self._mid.is_minus_identity(M) for M in mats)
-        return _Image(len(mats), frozenset(k.key for k, (_, line) in zip(K, cells) if line is not None),
-                      diagram, minus)
+        elif len(found) + len(simples) == 1:
+            diagram = ("A1",)
+        else:
+            lines = self._lines(role, found) | {self.rs.root_lines[i] for i in simples}
+            diagram = line_table(self.rs).diagram(lines)
+        return _Image(len(distinct), frozenset(k.key for k, c in zip(K, cells) if c in found),
+                      diagram, role == "x_cap_y" and self.minus in distinct)
+
+
+def _root_labels(rs, projections):
+    """A label per root, equal for two roots iff their inner products with
+    the projection rows are: the distinct rows of one pair product, ranked."""
+    rows = np.concatenate(pair_matmul(rs._root_forms, tuple(m.T for m in projections)), axis=1)
+    rows = np.concatenate((rows, -rows))
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    labels = np.empty(len(rows), dtype=np.int16)
+    labels[order] = np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1))).cumsum()
+    return labels
+
+
+def _mid_traces(rs, images, deltas):
+    """Twice the trace on X n Y of each element of a stack of root images, as
+    (p, q) columns: on V, read off the root table in halves, less twice the
+    fixed points of each Delta of ``deltas``, the traces on X_perp, Y_perp."""
+    first, fixed = images[:, :rs.n], [j for delta in deltas.values() for j in delta]
+    p, q = (x[first, np.arange(rs.n)].sum(axis=1, keepdims=True) for x in rs.root_pairs)
+    return p - 2 * (images[:, fixed] == fixed).sum(axis=1, keepdims=True), q
 
 
 def _action_cell(role, base: ReflectionSubgroup, image_order, dim, restricted):
@@ -472,7 +510,7 @@ def _name_and_marker(K, restricted, AB):
     """
     if len(K) <= 1:
         return "", ""
-    images = {role: restricted.image(K, role) for role in restricted.tables}
+    images = {role: restricted.image(K, role) for role in restricted.keys}
     moved = {role: im for role, im in images.items() if im.size > 1}
     full = [im for im in moved.values() if im.is_reflection_group]
     if full:
@@ -542,29 +580,33 @@ def decompose(rs, parabolic) -> Decomposition:
         spaces = {role: basis for role, basis in bases if dims[role]}
     restricted = _Restricted(rs, D, spaces)
 
-    # A and B are the kernels of D on Y_perp and on X n Y
-    A, B = restricted.kernel("y_perp"), restricted.kernel("x_cap_y")
-    AB = [a * b for a in A for b in B]
-    ab_keys = {ab.key for ab in AB}
-    if len(ab_keys) != len(AB):
+    # A and B are the kernels of D on Y_perp and on X n Y, both normal in D;
+    # AB is the set of elements that act on Y_perp as some b in B does (then
+    # b^-1 d lies in A), of order |A||B|/|A n B|
+    A, B = (restricted.preimage(role, [identity(rs)]) for role in ("y_perp", "x_cap_y"))
+    AB = restricted.preimage("y_perp", B)
+    if len(AB) != len(A) * len(B):
         raise RuntimeError("A and B do not intersect trivially")
-    if len(ab_keys) == len(D):
+    if len(AB) == len(D):
         C = [identity(rs)]
     else:
-        if len(D) != 2 * len(ab_keys):
+        if len(D) != 2 * len(AB):
             raise RuntimeError("A x B has index > 2 in D; complement search failed")
+        ab_keys = {ab.key for ab in AB}
         cands = [d for d in D if d.key not in ab_keys and d.is_involution()]
         if not cands:
             raise RuntimeError("no involution completes A x B to D")
         C = [identity(rs), min(cands, key=lambda w: w.canonical())]
 
     # asterisk: the longest element of P acts as -1 on the span of its roots
-    asterisk = subset_groupoid(rs).longest_element(subset).negates(P.pos)
+    asterisk = subset_groupoid(rs).longest_is_minus_one(subset)
 
+    trivial = ReflectionSubgroup(rs, ())   # D acts on X n Y alone
+    trivial.simples = ()
     cells = {role: _action_cell(role, base, image_order, dims[role], restricted)
              for role, base, image_order in (
                  ("x_perp", P, p_order * len(D)),
-                 ("x_cap_y", ReflectionSubgroup(rs, ()), len(D) // len(B)),
+                 ("x_cap_y", trivial, len(D) // len(B)),
                  ("y_perp", Q, q_order * len(D) // len(A)))}
     a_name, b_name, c_name = (_format_subgroup(*_name_and_marker(K, restricted, AB))
                               for K in (A, B, C))

@@ -350,6 +350,13 @@ class SubsetGroupoid:
         """The longest element w0(J) of the standard parabolic W_J."""
         return self._w0(_mask(subset))
 
+    def longest_is_minus_one(self, subset) -> bool:
+        """Does w0(J) act as -1 on span Delta_J: is sigma_C the identity on
+        each component C of J, as w0(C) sends a_j to -a_{sigma_C(j)}?"""
+        mask = _mask(subset)
+        comps = self._component[mask].tolist()   # the component of each j in J
+        return all(self._opposite[comps[j]][j] == j for j in _members(mask, self.rs.n))
+
     def _w0(self, mask, keep=True):
         """w0 of a mask: the product of its components' w0, which commute;
         kept unless ``keep`` is false."""

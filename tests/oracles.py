@@ -26,6 +26,9 @@ Each recomputes a fact of the library by a second, independent route:
   ``linalg.from_pairs`` up to a positive scale per row;
 - ``degree`` is the rank of the roots an involution negates (the library
   reads |J| off the marked shape);
+- ``classical_normalizer_order`` is |N| of a shape of A_n, B_n or D_n in
+  closed form, read off its partition and block (the library walks the
+  subset groupoid and closes D_pi);
 - ``brute_normalizer`` and ``brute_orthogonal_complement`` filter a full
   enumeration and take the literal commutation definition;
 - ``centralizer_equals_normalizer`` checks C_W(u) = N_W(fixed parabolic of
@@ -38,7 +41,8 @@ Each recomputes a fact of the library by a second, independent route:
 
 from __future__ import annotations
 
-from math import lcm
+from collections import Counter
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -186,6 +190,28 @@ def degree(u: GroupElement) -> int:
     its dimension is the rank of the subsystem, its number of simple roots.
     """
     return len(fixed_parabolic(u).simples)
+
+
+def classical_normalizer_order(shape: Shape) -> int:
+    """|N_W(W_J)| for a shape of A_n, B_n or D_n, in closed form (Howlett
+    1980, the classical types), from the shape's partition lambda, 1-parts
+    included, with m_k parts of size k, and its block of rank l.
+
+    Type A: prod_k (k!)^m_k m_k!, the permutations of the points that keep
+    the blocks.  Type B_n, block B_l, lambda of n - l: 2^l l! times prod_k
+    (k!)^m_k 2^m_k m_k!, signed permutations that keep the blocks.  Type
+    D_n, block D_l (l = 0 for none): the type-B value, halved unless l = 0
+    and every part is even.
+    """
+    family, l = shape.block
+    counts = Counter(shape.partition)
+    order = prod(factorial(k) ** m * factorial(m) for k, m in counts.items())
+    if family == "A":
+        return order
+    order *= 2 ** l * factorial(l) * 2 ** sum(counts.values())
+    if family == "D" and (l or any(k % 2 for k in counts)):
+        order //= 2
+    return order
 
 
 def brute_normalizer(P: ReflectionSubgroup, W=None):

@@ -1,12 +1,13 @@
 from coxnorm.groups import generate, identity
 from coxnorm.involutions import negated_roots
-from coxnorm.normalizer import decompose
+from coxnorm.normalizer import decompose, normalizer_order_at
 from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
 
 import pytest
 
-from oracles import ClassicalGenerators, classical_complement_generators, close_roots
+from oracles import (ClassicalGenerators, classical_complement_generators,
+                     classical_normalizer_order, close_roots)
 
 
 def shape_by_partition(rs, parts, decoration=""):
@@ -87,3 +88,22 @@ def test_d6_three_regimes():
     # and the odd-partition complement with nontrivial C
     for selector in ["(A1^3)+", "(A1^3)-", "[211]", "[3111]", "[321]", "[51]"]:
         check_shape(rs, cat.by_selector(selector))
+
+
+# every classical group up to rank 14: 3,881 shapes
+CLASSICAL_UP_TO_14 = ([f"A{n}" for n in range(1, 15)] + [f"B{n}" for n in range(2, 15)]
+                      + [f"D{n}" for n in range(4, 15)])
+
+
+def test_normalizer_orders_match_the_closed_forms_up_to_rank_14():
+    # |N| is read off D_pi, which the groupoid walk closes; the closed form
+    # lists nothing, so it checks |N| past the brute-force limit, and a walk
+    # that loses a loop of D_pi fails it at any rank
+    checked = 0
+    for name in CLASSICAL_UP_TO_14:
+        catalog = shape_catalog(build_root_system(name))
+        for shape in catalog:
+            assert normalizer_order_at(catalog, shape.index) == classical_normalizer_order(
+                shape), (name, shape.label)
+            checked += 1
+    assert checked == 3881

@@ -46,7 +46,8 @@ def run(*args, timeout=120):
 # pair products and every Galois row still summed orbits; the A17 and B16
 # decompose records, whose line tables are 16 and 17 dimensional, were
 # recorded while each table still searched a functional sum v_i t^i, trying
-# one t at a time
+# one t at a time; the A15 2^8 decompose record, |D| = 40,320, was recorded
+# while D was still restricted to X n Y by a pair product of every element
 PINNED_STDOUT = [
     ("verify F4 --suite galois", 0, "51d12af7263754ba544946bc076abb418495d1b1a7f12db31a4aa7626662a20e"),
     ("verify F4 --suite section8", 0, "3d69dad46ec034af6c322c720ca222d3d0895990a23f1e1235af40a3e61d8c8b"),
@@ -83,6 +84,8 @@ PINNED_STDOUT = [
     ("table B9 --format json --allow-long", 0, "a028bd94e4db4e2ca63095a65cc790ba33569f32ab44411abd927761b9af2341"),
     ("decompose A17 s1,s3", 0, "be40be1a063c00ff1b37d66d39792ec7852361ee46a6107132e8221e38d83f38"),
     ("decompose B16 s2,s4,s6", 0, "c15ae9f8e0b62ff5b2731f41b8abc109603ae19f29c030fd6615908b087e4c48"),
+    ("decompose A15 s1,s3,s5,s7,s9,s11,s13,s15 --format json", 0,
+     "3e3fbad50b38f6ed8fa0436eaa4ffbafd0dd91a2480f516a2563d2b002f7d26f"),
 ]
 
 

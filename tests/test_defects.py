@@ -2,6 +2,7 @@
 broken, either as a verification failure (``ok: false``, CLI exit 1) or as
 an internal error with the check's message (CLI exit 4)."""
 
+import importlib
 import json
 
 import numpy as np
@@ -10,8 +11,13 @@ import pytest
 from coxnorm import cli, galois, parabolic
 from coxnorm.actions import line_table
 from coxnorm.galois import orthogonal_complement, perp_map, pq_map
+from coxnorm.normalizer import normalizer_order_at
 from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
+
+from oracles import classical_normalizer_order
+
+normalizer = importlib.import_module("coxnorm.normalizer")
 
 
 @pytest.fixture
@@ -170,6 +176,64 @@ def test_an_edge_map_fault_that_shrinks_d_fails_the_oracle_suite(monkeypatch, ca
     assert cli.main(["verify", "A3", "--suite", "oracle"]) == 1
     check = json.loads(capsys.readouterr().out)["checks"]["normalizer"]
     assert check == {"ok": False, "witness": "A1^2 [2 2]"}
+
+
+def test_an_edge_map_fault_that_shrinks_d_fails_the_closed_form_orders(monkeypatch,
+                                                                      fresh_groupoids):
+    # the same fault, seen with no brute force: |N| read off the shrunken
+    # D_pi differs from the closed form of the A1^2 row, at any rank
+    corrupt_move(monkeypatch, 0b111, 1)
+    catalog = shape_catalog(build_root_system("A3"))
+    assert [shape.label for shape in catalog
+            if normalizer_order_at(catalog, shape.index)
+            != classical_normalizer_order(shape)] == ["A1^2 [2 2]"]
+
+
+# (group, x_cap_y rows the fixture names A1 or A2 whose reflections are missed)
+FORGOTTEN_FIXED_POINTS = [("D5", {6}), ("E6", {5})]
+
+
+@pytest.mark.parametrize("group, rows", FORGOTTEN_FIXED_POINTS)
+def test_a_trace_that_forgets_the_fixed_points_of_delta_q_fails_the_fixture_suite(
+        monkeypatch, capsys, group, rows):
+    # d reflects on X n Y iff its trace there is dim - 2: tr_V less its fixed
+    # points on Delta_P and on Delta_Q.  Forgetting Delta_Q's counts d's
+    # fixed simple roots of Q into X n Y, so elements that reflect there
+    # and fix a simple root of Q are missed.  It ends in exit 1, a fixture
+    # mismatch in the X n Y column (a missed reflection is no line, so the
+    # "not a reflection" check of the lines read is not reached)
+    original = normalizer._mid_traces
+    monkeypatch.setattr(normalizer, "_mid_traces", lambda rs, images, deltas: original(
+        rs, images, {role: delta for role, delta in deltas.items() if role != "y_perp"}))
+    assert cli.main(["verify", group, "--suite", "fixtures"]) == 1
+    mismatches = json.loads(capsys.readouterr().out)["mismatches"]
+    assert {(m["row"], m["column"]) for m in mismatches} == {(row, "x_cap_y") for row in rows}
+
+
+def test_a_trace_that_forgets_the_fixed_points_of_delta_p_is_an_internal_error(monkeypatch,
+                                                                               capsys):
+    # forgetting Delta_P's fixed points instead passes, in D6, an element that
+    # is no reflection of X n Y among two or more keys an image names; the
+    # pair product on its witness finds it is not rank one there
+    original = normalizer._mid_traces
+    monkeypatch.setattr(normalizer, "_mid_traces", lambda rs, images, deltas: original(
+        rs, images, {role: delta for role, delta in deltas.items() if role != "x_perp"}))
+    assert cli.main(["verify", "D6", "--suite", "fixtures"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: x_cap_y: a witness of the trace test is not a reflection\n"
+
+
+def test_a_non_trivial_intersection_of_a_and_b_is_an_internal_error(monkeypatch, capsys):
+    # D6's row 13 has A = A1^2; read B off Y_perp as A is, and A n B = A:
+    # the elements acting on Y_perp as some element of B number |A|, not
+    # |A||B|
+    preimage = normalizer._Restricted.preimage
+    monkeypatch.setattr(normalizer._Restricted, "preimage", lambda self, role, K: preimage(
+        self, "y_perp" if role == "x_cap_y" else role, K))
+    assert cli.main(["decompose", "D6", "13"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: A and B do not intersect trivially\n"
 
 
 def test_a_lost_bond_among_simple_lines_is_an_internal_error(monkeypatch, capsys,

@@ -14,7 +14,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
                                standard_subset, subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
-from fixture_groups import FIXTURE_GROUPS
+from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
 from oracles import (degree, edge_target, generated_by, neg, schreier_complement,
                      schreier_loops, simple_permutation)
 
@@ -190,6 +190,19 @@ def test_d_is_its_permutation_image_on_the_simple_roots_of_p(name):
     for rec in involution_class_representatives(rs):
         assert rec.degree == degree(rec.element), (name, rec.shape_index)
         assert rec.centralizer_order == normalizer_order(rec.parabolic), (name, rec.shape_index)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_longest_element_is_minus_one_as_the_opposition_table_says(name):
+    # decompose's asterisk reads w0(J) = -1 on span Delta_J off sigma_C of
+    # J's components, with no w0(J) made; the element itself must negate
+    # every positive root of W_J exactly when the table says so
+    rs = build_root_system(name)
+    groupoid = subset_groupoid(rs)
+    for shape in shape_catalog(rs):
+        J = shape.rep_subset
+        assert (groupoid.longest_is_minus_one(J)
+                == groupoid.longest_element(J).negates(shape.parabolic.pos)), (name, shape.label)
 
 
 def test_tuple_ranks_are_the_positions_in_the_order_of_sorted_tuples():

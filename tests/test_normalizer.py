@@ -14,7 +14,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parab
                                subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
-from fixture_groups import ORACLE_GROUPS
+from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
 from oracles import generated_by
 
 
@@ -233,6 +233,14 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
                 name, shape.label, role)
 
 
+def _table(restricted, role):
+    """{d.key: (key of d's restriction, reflecting line or None)} for D, read
+    off a ``_Restricted``, with the line of every reflecting key read."""
+    keys = restricted.keys[role]
+    restricted._lines(role, set(keys) & restricted.reflecting[role].keys())
+    return {d.key: (key, restricted.lines[role].get(key)) for d, key in zip(restricted.D, keys)}
+
+
 def _split(table, identity):
     """The classes of D a restriction table splits it into, its kernel, and
     the line of each element that reflects."""
@@ -263,7 +271,8 @@ def test_root_index_tables_match_the_pair_restriction(name):
         restricted = _Restricted(rs, D, spaces)
         for role, simples in spaces.items():
             pairs = SpaceRestriction(rs, rs.rows(simples))
-            assert (_split(restricted.tables[role], restricted.identities[role])
+            one = restricted.keys[role][restricted.position[identity(rs).key]]
+            assert (_split(_table(restricted, role), one)
                     == _split(pairs.restrictions(D), pairs.identity)), (name, shape.label, role)
             checked += 1
     assert name.startswith("I2") or checked
@@ -288,3 +297,77 @@ def test_decompose_refuses_a_d_element_that_does_not_permute_the_simple_roots(
                         + [rs.reflection(intruder)])
     with pytest.raises(RuntimeError, match=f"{role}: D does not permute"):
         decompose(rs, standard_parabolic(rs, (0,)))
+
+
+def _restrictions_built(monkeypatch, rs, shapes):
+    """For each shape, the ``_Restricted`` its decomposition builds and the
+    element lists the decomposition restricts by the pair product."""
+    built, restricted = [], []
+    original = SpaceRestriction.restrictions
+
+    class Recording(_Restricted):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def recording(self, elements):
+        restricted[-1].append(list(elements))
+        return original(self, elements)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(normalizer_module, "_Restricted", Recording)
+        patch.setattr(SpaceRestriction, "restrictions", recording)
+        for shape in shapes:
+            restricted.append([])
+            decompose(rs, shape)
+    return list(zip(built, restricted))
+
+
+# the oracle groups, and A13's 2^7 row (|D| = 5,040)
+X_CAP_Y_ROWS = [(name, None) for name in ORACLE_GROUPS] + [("A13", "A1^7")]
+
+
+@pytest.mark.parametrize("name, selector", X_CAP_Y_ROWS)
+def test_labels_and_the_trace_test_restrict_d_to_x_cap_y_as_the_pair_product_does(
+        monkeypatch, name, selector):
+    # decompose reads D on X n Y off the labels of its root images, and the
+    # elements that reflect there off the trace test; the pair product of
+    # every element with the projection rows, and its rank-one test, must
+    # split D into the same classes, with the same kernel, the same
+    # reflecting elements and the same line for each, and the same -1
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    shapes = [catalog.by_selector(selector)] if selector else list(catalog)
+    checked = 0
+    for restricted, _ in _restrictions_built(monkeypatch, rs, shapes):
+        if "x_cap_y" not in restricted.keys:
+            continue
+        pairs = SpaceRestriction(rs, restricted.spaces["x_cap_y"])
+        table = pairs.restrictions(restricted.D)
+        assert (_split(_table(restricted, "x_cap_y"), restricted.identity)
+                == _split(table, pairs.identity)), (name, len(restricted.D))
+        minus = tuple(-x for x in pairs.identity)
+        assert ([key == restricted.minus for key in restricted.keys["x_cap_y"]]
+                == [table[d.key][0] == minus for d in restricted.D]), (name, len(restricted.D))
+        checked += 1
+    assert name.startswith("I2") or checked
+
+
+@pytest.mark.parametrize("name, selector", [(name, None) for name in FIXTURE_GROUPS
+                                            if name != "E8"] + [("A13", "A1^7")])
+def test_decompose_restricts_one_element_per_reflecting_key_by_the_pair_product(
+        monkeypatch, name, selector):
+    # no pair product runs over D: only the witnesses of distinct reflecting
+    # restrictions to X n Y are restricted, each once, and only in a row
+    # with two or more of them, where an image may name two or more lines
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    shapes = [catalog.by_selector(selector)] if selector else list(catalog)
+    for restricted, calls in _restrictions_built(monkeypatch, rs, shapes):
+        witnesses = restricted.reflecting.get("x_cap_y", {})
+        elements = [d.key for call in calls for d in call]
+        assert len(elements) == len(set(elements)), name
+        assert set(elements) <= {d.key for d in witnesses.values()}, name
+        assert len(witnesses) > 1 or not calls, name
+    if selector:
+        assert len(restricted.D) == 5040 and 0 < len(elements) <= len(witnesses) < 100
