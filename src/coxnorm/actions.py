@@ -21,8 +21,10 @@ simple lines, the bonds among those, and the type by
 one path that names lines is the root system's ``LineTable``
 (``line_table``): it tests each pair of lines once per root system, in
 exact Python ints, keeps the result, and names a set of lines from its own
-pairs.  Its simple test reads signs in the lexicographic order, so no value
-it computes grows with the dimension.
+pairs; a line of a root or of a difference of two roots takes its row and
+its image under the form off the root rows and root forms.  Its simple test
+reads signs in the lexicographic order, so no value it computes grows with
+the dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from itertools import combinations
 import numpy as np
 
 from .diagrams import components_string, diagram_of_bonds, pair_bond
-from .linalg import _overflow, canonical_rows, exact_dot, exact_mul, exact_sign, pair_matmul
+from .linalg import (_overflow, canonical_rows, exact_canonical, exact_dot, exact_mul, exact_sign,
+                     pair_matmul)
 
 
 _BATCH = 4096   # elements restricted per pair product, to bound its memory
@@ -109,7 +112,7 @@ def _reflecting_lines(twice, images):
 
     An orthogonal map of the span is a reflection iff w - 1 has rank one
     there, so the nonzero differences b - w(b) (doubled) of the basis rows
-    must all lie on one line; that line, as a key of ``canonical_lines``, is
+    must all lie on one line; that line, as a row of ``canonical_rows``, is
     the one reflected.  One ``linalg.canonical_rows`` call takes the lines of
     every row the images move.
     """
@@ -128,19 +131,13 @@ def _reflecting_lines(twice, images):
             for line, ok in zip(lead.tolist(), rank_one.tolist())]
 
 
-def canonical_lines(x):
-    """Keys of the lines of the nonzero pair rows x (lines are unsigned): the
-    rows of ``linalg.canonical_rows``."""
-    return [tuple(r) for r in canonical_rows(x).tolist()]
-
-
 _line_tables = {}
 
 
 def line_table(rs):
     """The root system's line table, kept by its label."""
     if rs.label not in _line_tables:
-        _line_tables[rs.label] = LineTable(rs.form)
+        _line_tables[rs.label] = LineTable(rs)
     return _line_tables[rs.label]
 
 
@@ -148,7 +145,7 @@ class LineTable:
     """Names the reflection groups generated by sets of lines, testing each
     pair of lines once.
 
-    Each line is a key of a nonzero pair row on it, and ``form`` is the root
+    Each line is a key of a nonzero pair row on it, measured with the root
     system's ``form``.  A set passed to ``diagram`` must be reflection
     lines of the group they generate and hold its simple lines at every
     functional positive on W's positive roots (root coordinates are
@@ -169,30 +166,43 @@ class LineTable:
     orthogonal spaces share the root system's table (``line_table``), since
     a set of one space reads no pair of another.  Values past
     ``linalg._PAIR_LIMIT`` raise RuntimeError, as in the int64 layer.
-    ``differences`` keeps the line of a_i - a_j by root-index pair i < j
-    (see ``normalizer._Restricted``).
+    ``root_line`` keys the line of a root or of a difference of two
+    positive roots by ``linalg.exact_canonical`` of that root row, its row.
     """
 
-    def __init__(self, form):
-        self._form = list(zip(form[0].tolist(), form[1].tolist()))
+    def __init__(self, rs):
+        self._form = list(zip(rs.form[0].tolist(), rs.form[1].tolist()))
+        self._rs = rs
         self._index = {}
         self.rows = []      # per line: its row at f_e > 0, its image, its norm
         self.pairs = {}     # (i, j), i < j: (j keeps i, i keeps j, bond)
-        self.differences = {}
+        self.root_lines = {}    # (i, j): the key of a_i - a_j's line, (i, None): a_i's
 
-    def _row(self, line):
-        """The index of a line among ``rows``, made on first request."""
+    def _row(self, line, v=None, image=None):
+        """The index of a line among ``rows``, made on first request from its
+        key, or from a row v on it and its image."""
         i = self._index.get(line)
         if i is None:
-            n = len(self._form)
-            v = line[:n], line[n:]
-            _overflow(max(map(abs, line)))
+            if v is None:
+                n = len(self._form)
+                v = line[:n], line[n:]
+                _overflow(max(map(abs, line)))
+                image = list(zip(*(exact_dot(v, row) for row in self._form)))   # symmetric
             if exact_sign(next(x for x in zip(*v) if any(x))) < 0:
-                v = tuple(-x for x in v[0]), tuple(-x for x in v[1])
-            image = list(zip(*(exact_dot(v, row) for row in self._form)))   # the form is symmetric
+                v, image = ([[-x for x in y] for y in z] for z in (v, image))
             i = self._index[line] = len(self.rows)
             self.rows.append((v, image, exact_dot(image, v)))
         return i
+
+    def root_line(self, i, j=None):
+        """The key of the line of positive root i, or of a_i - a_j."""
+        line = self.root_lines.get((i, j))
+        if line is None:
+            rows = [(x[i] if j is None else x[i] - x[j]).tolist()
+                    for x in self._rs.root_pairs + self._rs._root_forms]
+            line = self.root_lines[i, j] = exact_canonical(rows[:2])
+            self._row(line, rows[:2], rows[2:])
+        return line
 
     def _test_pair(self, i, j):
         """(line j keeps line i positive, line i keeps line j, bond) of lines i and j."""

@@ -7,8 +7,9 @@ positive), bond orders are read off the Gram form of the simple roots, and
 ``diagram_of_bonds`` matches the bond matrix against the classification.
 It is the one classifier: a reflection subgroup's type and the normalizer's
 action cells (``actions.LineTable``, which tests each pair of lines once
-per root system, in Python ints) both go through it.  B and C diagrams are
-not distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
+per root system, in Python ints) both go through it, and it keeps the
+names of each bond matrix it classifies.  B and C diagrams are not
+distinguished; the rank-2 types with bonds 4, 5, 6 print as B2, H2, G2.
 
 The bonds come from the Gram form by one bond rule: ``gram_bonds`` applies
 it to a whole Gram matrix, and ``pair_bond`` to one pair of reflection
@@ -21,6 +22,8 @@ are one boolean product (``simple_masks``), of which
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -196,7 +199,12 @@ def component_nodes(adj):
 def diagram_of_bonds(bonds):
     """Component type names (sorted) of the Coxeter diagram with the given
     k x k matrix of bond orders, as nested lists of ints; an entry below 3
-    is no edge."""
+    is no edge.  A matrix is classified once, unless it raises."""
+    return _classify(tuple(map(tuple, bonds)))
+
+
+@cache
+def _classify(bonds):
     adj = {a: {b: m for b, m in enumerate(row) if m >= 3} for a, row in enumerate(bonds)}
     names = [_classify_component(c, adj) for c in component_nodes(adj)]
     return tuple(sorted(names, key=_component_sort_key))

@@ -30,7 +30,8 @@ perp(perp(i)), two reads of the map; concepts, the closure graph and
 The parabolic closure of P perp(P) is a second map per catalog
 (``PQMap``), which ``pq_map`` computes for every shape as one stack
 (``pq_closures``): the simple roots projected onto Fix(P perp(P)), the
-orbit sums of a Coxeter element of Delta_P u Delta_perp(P), and the roots
+orbit sums of a Coxeter element of Delta_P u Delta_perp(P), the positive
+roots' forms on them (a copy per shape), and the roots
 and class of the closure, read at the projections' lexicographic signs; no
 elimination runs.  A set of n roots sums no orbit: its Fix(P perp(P)) is 0
 and its closure W.  Every decomposition and the section-8 suite read the
@@ -114,29 +115,32 @@ def _full(rs, simples) -> bool:
 def pq_closures(catalog, parabolics, perps):
     """The parabolic closure of P perp(P) for each standard parabolic P of
     the list, with perp(P) from ``perps`` (``complements``), as one stack:
-    the projections, the closures' root masks (k, nroots) and their classes.
+    the projections, the root forms on them, the closures' root masks
+    (k, nroots) and their classes.
 
-    The projections are what ``rs.fixed_projections`` gives for
+    The projections and forms are what ``rs.fixed_projections`` gives for
     Delta_P u Delta_perp(P): the nonzero projections of the simple roots,
     pair rows spanning Fix(P perp(P)), or its ``I2Subspace`` in type I2; the
     closure's roots are those vanishing at their signs, and its class is read
     there (one ``classes_of``).  The full-set rule: a set of n roots, two
     orthogonal independent sets, spans the space, so Fix(P perp(P)) = 0,
-    its projections are empty and its closure is W, the last class, with no
-    orbit summed and no class looked up.  Type I2 keeps its index formula.
+    its projections and forms are empty and its closure is W, the last
+    class, with no orbit summed and no class looked up.  Type I2 keeps its
+    index formula.
     """
     rs = catalog.rs
     sets = [P.simples + Q.simples for P, Q in zip(parabolics, perps)]
     projections = [(np.zeros((0, rs.n), dtype=np.int64),) * 2] * len(sets)
+    forms = [np.zeros((rs.npos, 0), dtype=np.int64)] * len(sets)
     closures = np.ones((len(sets), rs.nroots), dtype=bool)
     classes = [len(catalog)] * len(sets)
     rest = [r for r, s in enumerate(sets) if not _full(rs, s)]
     if rest:
-        found, signs = rs.fixed_projections([sets[r] for r in rest])
+        found, on_roots, signs = rs.fixed_projections([sets[r] for r in rest])
         closures[rest] = signs == 0
-        for r, x, j in zip(rest, found, catalog.classes_of(closures[rest], signs)):
-            projections[r], classes[r] = x, j
-    return projections, closures, classes
+        for r, x, f, j in zip(rest, found, on_roots, catalog.classes_of(closures[rest], signs)):
+            projections[r], forms[r], classes[r] = x, f, j
+    return projections, forms, closures, classes
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,7 @@ class PQMap:
     as its row of ``pq_closures`` (callers must not mutate them)."""
 
     projections: dict
+    forms: dict
     roots: dict
     index: dict
 
@@ -166,7 +171,7 @@ def pq_closure(catalog, P, Q, i=None):
     if i is None or _full(catalog.rs, P.simples + Q.simples):
         return tuple(column[0] for column in pq_closures(catalog, [P], [Q]))
     pq = pq_map(catalog)
-    return pq.projections[i], pq.roots[i], pq.index[i]
+    return pq.projections[i], pq.forms[i], pq.roots[i], pq.index[i]
 
 
 def parabolic_concepts(rs):

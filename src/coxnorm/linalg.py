@@ -5,8 +5,9 @@ stands for its line in Q(sqrt5)^n, so zero tests, signs, ratios and spans
 are unchanged by scaling it by a positive integer (the root rows hold
 doubled halves).  Small work runs in plain Python ints: the one
 elimination, ``rref``, is fraction-free Gauss-Jordan elimination (every
-rank is at most 8), and ``exact_mul``, ``exact_dot`` and ``exact_sign``
-serve ``actions.LineTable``.  ``rref``'s rows are canonical, the primitive
+rank is at most 8), and ``exact_mul``, ``exact_dot``, ``exact_sign`` and
+``exact_canonical`` (one row's key of ``canonical_rows``) serve
+``actions.LineTable``.  ``rref``'s rows are canonical, the primitive
 positive integer multiples of the reduced row echelon rows over Q(sqrt5):
 a ``Subspace`` holds them, and ``kernel`` reads the kernel's canonical rows
 off them.  Work over many roots or elements runs as numpy products of
@@ -74,6 +75,18 @@ def exact_sign(x):
     p, q = x
     sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
     return sp if sp == sq or p * p > 5 * q * q else sq
+
+
+def exact_canonical(x):
+    """``canonical_rows``' key of one nonzero row, held as ``exact_dot``'s are."""
+    p, q = x
+    a, b = next((a, b) for a, b in zip(p, q) if a or b)
+    s = 1 if a * a > 5 * b * b else -1
+    row = ([s * (x * a - 5 * y * b) for x, y in zip(p, q)]
+           + [s * (y * a - x * b) for x, y in zip(p, q)])
+    _overflow(max(map(abs, row)))
+    g = gcd(*row)
+    return tuple(x // g for x in row)
 
 
 def _pack(rows, n):

@@ -26,8 +26,9 @@ D permutes Delta_P, Delta_Q and the labels of the roots' projections onto
 X n Y, and its restrictions to X_perp, Y_perp and X n Y, A, B and A x B
 are read off those permutations (``_Restricted``).  Q and its class are
 read off the catalog's map perp on shapes (``galois.perp_map``), and the
-projections and the class of the parabolic closure of PQ off its second
-map (``galois.pq_closure``), so no fixed space is eliminated.  The
+projections, the roots' forms on them (the labels) and the class of the
+parabolic closure of PQ off its second map (``galois.pq_closure``), so no
+fixed space is eliminated and no root is projected per row.  The
 reflection parts of P:D and Q:D are named from the simple root lines of P
 or Q and the lines of D, with neither enumerated (see ``_action_cell``).
 Each action cell, and the name and marker of A, B and C (subsets of D),
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import (_BATCH, ActionCell, SpaceRestriction, canonical_lines, image_keys,
-                      invariant_split, line_table, split_keys)
+from .actions import (_BATCH, ActionCell, SpaceRestriction, image_keys, invariant_split,
+                      line_table, split_keys)
 from .diagrams import components_order, components_string
 from .galois import complements, orthogonal_complement, perp_map, pq_closure
 from .groups import (BRUTE_LIMIT, GroupElement, generate, identity, permutation_group,
@@ -320,10 +321,11 @@ class _Restricted:
     D's permutations of the roots, with no pair product over D.
 
     ``spaces`` maps each role, X n Y first, to a basis: the projections of
-    the simple roots onto X n Y (pair rows), Delta_P or Delta_Q (root
-    indices).  ``keys`` maps it to each element's restriction key, in D's
-    order, and ``reflecting`` to {key: witness} for the reflections.  D is
-    read in batches, a key being a slice of one gather's bytes.
+    the simple roots onto X n Y (pair rows), with the positive roots' forms
+    on them in ``forms``, Delta_P or Delta_Q (root indices).  ``keys`` maps
+    it to each element's restriction key, in D's order, and ``reflecting``
+    to {key: witness} for the reflections.  D is read in batches, a key
+    being a slice of one gather's bytes.
 
     Lemma: D permutes Delta_P and Delta_Q.  Proof: it keeps the positive
     roots of P and Q positive.  Conversely, Phi_P+ is the nonnegative span
@@ -342,7 +344,7 @@ class _Restricted:
     more, by ``SpaceRestriction`` on witnesses, which must be rank one.
     """
 
-    def __init__(self, rs, D, spaces):
+    def __init__(self, rs, D, spaces, forms):
         self.rs, self.D, self.spaces, self.lines = rs, D, spaces, {}
         self.position = {d.key: i for i, d in enumerate(D)}
         self.keys = {role: [] for role in spaces}
@@ -351,7 +353,7 @@ class _Restricted:
             return
         deltas = {role: list(spaces[role]) for role in ("x_perp", "y_perp") if role in spaces}
         if "x_cap_y" in spaces:
-            n, labels = rs.n, _root_labels(rs, spaces["x_cap_y"])
+            n, labels = rs.n, _root_labels(forms)
             self.identity, self.minus = labels[:n].tobytes(), labels[rs.npos:rs.npos + n].tobytes()
             trace = 2 * (n - sum(map(len, deltas.values())) - 2)   # twice a reflection's
         for start in range(0, len(D), _BATCH):
@@ -405,14 +407,8 @@ class _Restricted:
             if None in lines.values():
                 raise RuntimeError("x_cap_y: a witness of the trace test is not a reflection")
         elif new:
-            known = line_table(self.rs).differences
-            transpositions = [tuple(sorted(witness[key])) for key in new]
-            unseen = [t for t in dict.fromkeys(transpositions) if t not in known]
-            if unseen:
-                a, b = np.array(unseen).T
-                p, q = self.rs.root_pairs
-                known.update(zip(unseen, canonical_lines((p[a] - p[b], q[a] - q[b]))))
-            lines.update((key, known[t]) for key, t in zip(new, transpositions))
+            table = line_table(self.rs)
+            lines.update((key, table.root_line(*sorted(witness[key]))) for key in new)
         return {lines[key] for key in found}
 
     def image(self, K, role, base=None) -> _Image:
@@ -430,17 +426,17 @@ class _Restricted:
         elif len(found) + len(simples) == 1:
             diagram = ("A1",)
         else:
-            lines = self._lines(role, found) | {self.rs.root_lines[i] for i in simples}
-            diagram = line_table(self.rs).diagram(lines)
+            table = line_table(self.rs)
+            diagram = table.diagram(self._lines(role, found) | set(map(table.root_line, simples)))
         return _Image(len(distinct), frozenset(k.key for k, c in zip(K, cells) if c in found),
                       diagram, role == "x_cap_y" and self.minus in distinct)
 
 
-def _root_labels(rs, projections):
+def _root_labels(forms):
     """A label per root, equal for two roots iff their inner products with
-    the projection rows are: the distinct rows of one pair product, ranked."""
-    rows = np.concatenate(pair_matmul(rs._root_forms, tuple(m.T for m in projections)), axis=1)
-    rows = np.concatenate((rows, -rows))
+    the projection rows are: the distinct rows of the positive roots' forms
+    on them (``galois.pq_closure``) and of their negatives, ranked."""
+    rows = np.concatenate((forms, -forms))
     order = np.lexsort(rows.T)
     ranked = rows[order]
     labels = np.empty(len(rows), dtype=np.int16)
@@ -561,7 +557,7 @@ def decompose(rs, parabolic) -> Decomposition:
         Q, q_index = perp.complement[i], perp.index[i]
     else:
         (Q,), (q_index,) = complements(catalog, [P])
-    projections, closure, closure_index = pq_closure(catalog, P, Q, i)
+    projections, forms, closure, closure_index = pq_closure(catalog, P, Q, i)
     p_order, q_order = P.order, Q.order
     D = _complement_D(rs, subset, P, Q)
 
@@ -578,7 +574,7 @@ def decompose(rs, parabolic) -> Decomposition:
     if len(D) > 1:
         bases = (("x_cap_y", projections), ("x_perp", P.simples), ("y_perp", Q.simples))
         spaces = {role: basis for role, basis in bases if dims[role]}
-    restricted = _Restricted(rs, D, spaces)
+    restricted = _Restricted(rs, D, spaces, forms)
 
     # A and B are the kernels of D on Y_perp and on X n Y, both normal in D;
     # AB is the set of elements that act on Y_perp as some b in B does (then
@@ -662,13 +658,19 @@ def verify_theorem13(dec: Decomposition) -> dict:
         report["ok"] = False
         report["witness"] = "index"
         return report
-    # PQAB is generated by P, Q and AB; conjugation by N-generators must
-    # stay inside.  N is generated by P, Q and D; P, Q, AB normalize PQAB
-    # trivially, so only D-conjugates of the AB part need checking.
-    ab = {x.key: x for x in (a * b for a in dec.A for b in dec.B)}
+    # N is generated by P, Q and the loops at J that generate D_pi, which
+    # normalize PQ, so PQAB is normal iff each loop conjugates each generator
+    # of AB (an element of A or B the ones before it do not generate) into
+    # AB modulo PQ.
+    generators, ab = [], {identity(rs).key}
+    for x in dec.A + dec.B:
+        if x.key not in ab:
+            generators.append(x)
+            ab = {g.key for g in generate(generators, rs=rs)}
     pq = orthogonal_join(dec.P, dec.Q)
-    for d in dec.D:
-        for x in list(ab.values()):
+    _, tree, edges = _permutation_image(rs, standard_subset(dec.P))
+    for d in subset_groupoid(rs).loop_elements(tree, edges):
+        for x in generators:
             dd = descend_to_complement((d.inverse() * x) * d, pq)
             if dd.key not in ab:
                 report["ok"] = False

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -130,9 +131,14 @@ def parse_fixture(text: str, group: str) -> TableFixture:
     return TableFixture(group, rows)
 
 
+@cache   # the directory is resolved on first use, once per process
+def _fixtures():
+    return resources.files("coxnorm.fixtures")
+
+
 def fixture_file(group: str):
     name = group.lower().replace("(", "_").replace(")", "")
-    return resources.files("coxnorm.fixtures").joinpath(f"{name}.txt")
+    return _fixtures().joinpath(f"{name}.txt")
 
 
 def load_fixture(group: str) -> TableFixture:

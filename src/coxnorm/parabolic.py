@@ -537,7 +537,7 @@ def generic_signs(rs, roots):
     """Signs of all roots at a generic point of the fixed space of the
     reflection subgroup with the given roots, read off its simple roots'
     projections (``fixed_projections``), with no elimination."""
-    return rs.fixed_projections([ReflectionSubgroup(rs, roots).simples])[1][0]
+    return rs.fixed_projections([ReflectionSubgroup(rs, roots).simples])[2][0]
 
 
 def standard_conjugate(rs, roots, signs=None):

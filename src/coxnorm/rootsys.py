@@ -70,8 +70,8 @@ import numpy as np
 from .diagrams import gram_bonds
 from .groups import GroupElement
 from .labels import CoxeterLabel, parse_label
-from .linalg import (Subspace, canonical_rows, dot, form_pairs, from_pairs, kernel, lex_signs,
-                     pair_matmul, pair_sign)
+from .linalg import (Subspace, dot, form_pairs, from_pairs, kernel, lex_signs, pair_matmul,
+                     pair_sign)
 from .qsqrt5 import ONE, PHI, Q5, ZERO
 
 
@@ -297,11 +297,6 @@ class RootSystem(_Roots):
         return bonds
 
     @cached_property
-    def root_lines(self):
-        """The line key (a row of ``linalg.canonical_rows``) of each positive root."""
-        return [tuple(r) for r in canonical_rows(self.rows(range(self.npos))).tolist()]
-
-    @cached_property
     def supports(self):
         """Bitmask per root of the simple roots in its support, shape (nroots,)."""
         nonzero = (self.root_pairs[0] != 0) | (self.root_pairs[1] != 0)
@@ -318,7 +313,8 @@ class RootSystem(_Roots):
             kernel((self._root_forms[0][forms], self._root_forms[1][forms])), self.n)
 
     def fixed_projections(self, index_sets):
-        """(projections, signs) of Fix(S) for a stack of linearly independent root sets S.
+        """(projections, forms, signs) of Fix(S) for a stack of linearly
+        independent root sets S.
 
         The product c of the reflections in S fixes exactly Fix(S) (Carter
         1972, Lemma 2), and c is orthogonal, so the sum of c^t(a_i) over
@@ -329,11 +325,13 @@ class RootSystem(_Roots):
         reflection permutations and its orbits walked on the root indices,
         and the orbit sums of all sets are one segmented sum of root rows.
         Each set's projections are its nonzero ones, pair rows in halves
-        like the root rows, and span Fix(S); ``signs`` (k, nroots) are their
+        like the root rows, and span Fix(S); its ``forms`` (npos, 2 * their
+        number), p columns then q, are the positive roots' forms on them, a
+        copy from one pair product; ``signs`` (k, nroots) are their
         lexicographic signs, the signs at a generic point of Fix(S), so the
         roots vanishing there are those of the parabolic closure of S.  The
-        one pair product behind the signs also checks the rows orthogonal to
-        S: a dependent S, whose c fixes more than Fix(S), raises RuntimeError.
+        product also checks the rows orthogonal to S: a dependent S, whose c
+        fixes more than Fix(S), raises RuntimeError.
         """
         k, n, npos = len(index_sets), self.n, self.npos
         member, start, in_s = [], [], ([], [])   # the orbits end to end, and where each starts
@@ -354,18 +352,21 @@ class RootSystem(_Roots):
                         break
         # row r * n + i: the orbit sum of a_i for set r
         P, Q = (np.add.reduceat(x[member], start, axis=0) for x in self.root_pairs)
-        # the signs of the root forms on the rows; a zero row, as most are, has none
+        # the root forms on the rows and their signs; a zero row, as most are, has none
         moved = (P != 0).any(axis=1) | (Q != 0).any(axis=1)
+        P, Q = P[moved], Q[moved]
+        forms = pair_matmul((P, Q), tuple(f.T for f in self._root_forms))
         values = np.zeros((k * n, npos), dtype=np.int8)
-        values[moved] = pair_sign(pair_matmul((P[moved], Q[moved]),
-                                              tuple(f.T for f in self._root_forms)))
+        values[moved] = pair_sign(forms)
         values = values.reshape(k, n, npos).transpose(0, 2, 1)   # (k, npos, n)
         if values[in_s].any():
             raise RuntimeError("a projection onto the fixed space is not orthogonal to "
                                "the roots: they are linearly dependent")
         ends = np.cumsum(moved.reshape(k, n).sum(axis=1)).tolist()
-        P, Q = P[moved], Q[moved]
-        return [(P[a:b], Q[a:b]) for a, b in zip([0] + ends, ends)], self._lex_signs(values)
+        spans = list(zip([0] + ends, ends))
+        return ([(P[a:b], Q[a:b]) for a, b in spans],
+                [np.hstack((forms[0][a:b].T, forms[1][a:b].T)) for a, b in spans],
+                self._lex_signs(values))
 
     def signs_at(self, X: Subspace):
         """Signs of all roots at a generic point of X, taken on its echelon
@@ -512,16 +513,16 @@ class I2RootSystem(_Roots):
 
     def fixed_projections(self, index_sets):
         """``RootSystem.fixed_projections`` by the index formula: each set's
-        fixed space (an ``I2Subspace``, in place of projected rows) and the
-        signs at a generic point of it.  A set with more roots than lines, or
-        than two, is dependent and raises RuntimeError."""
+        fixed space (an ``I2Subspace``, in place of projected rows), no root
+        forms (None) and the signs at a generic point of it.  A set with more
+        roots than lines, or than two, is dependent and raises RuntimeError."""
         spaces = []
         for s in index_sets:
             if len({i % self.m for i in s}) != len(s) or len(s) > 2:
                 raise RuntimeError("the roots are linearly dependent")
             spaces.append(self.fixed_space(s))
         signs = np.array([self.signs_at(X) for X in spaces], dtype=np.int8)
-        return spaces, signs.reshape(len(spaces), self.nroots)
+        return spaces, [None] * len(spaces), signs.reshape(len(spaces), self.nroots)
 
     def reflection_perm(self, i):
         i = i % self.npos

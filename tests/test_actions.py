@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from coxnorm import actions
-from coxnorm.actions import (LineTable, SpaceRestriction, canonical_lines, invariant_split,
-                             line_table)
+from coxnorm.actions import LineTable, SpaceRestriction, invariant_split, line_table
 from coxnorm.diagrams import gram_bonds, positive_part
 from coxnorm.galois import orthogonal_complement, perp_map, pq_closures
 from coxnorm.groups import generate
-from coxnorm.linalg import form_pairs, pair_matmul, pair_mul
+from coxnorm.linalg import canonical_rows, exact_canonical, pair_matmul, pair_mul
 from coxnorm.normalizer import _complement_D, decompose
 from coxnorm.parabolic import ReflectionSubgroup, shape_catalog, standard_parabolic
-from coxnorm.qsqrt5 import Q5
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
@@ -44,13 +42,18 @@ def pairs(*rows):
     return a[:, :n], a[:, n:]
 
 
-# two roots at 120 degrees
-A2_FORM = form_pairs(((Q5(2), Q5(-1)), (Q5(-1), Q5(2))))
+# two simple roots at 120 degrees
+A2 = build_root_system("A2")
 
 
-def lines_alone(lines, form):
+def line_keys(x):
+    """The line keys of the nonzero pair rows x: the rows of ``canonical_rows``."""
+    return [tuple(r) for r in canonical_rows(x).tolist()]
+
+
+def lines_alone(lines, rs):
     """The diagram of a set of lines named by a line table of its own."""
-    return LineTable(form).diagram(lines)
+    return LineTable(rs).diagram(lines)
 
 
 def test_invariant_split_extremes():
@@ -107,16 +110,19 @@ def test_restrict_trivial_cases():
 
 
 def test_diagram_of_lines_rank2():
-    lines = set(canonical_lines(pairs((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))))
-    assert lines_alone(lines, A2_FORM) == ("A2",)
-    assert lines_alone({(1, 0, 0, 0)}, A2_FORM) == ("A1",)
+    lines = set(line_keys(pairs((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))))
+    assert lines_alone(lines, A2) == ("A2",)
+    assert lines_alone({(1, 0, 0, 0)}, A2) == ("A1",)
 
 
-def test_canonical_lines_are_the_primitive_rational_first_keys():
+def test_canonical_rows_are_the_primitive_rational_first_keys():
     # (2 + 2r5, 2) times 2 - 2r5 is (-16, 4 - 4r5), whose key is (4, -1 + r5);
-    # (-1 - r5, -1) is on the same line, and (0, 3 - 3r5) on that of (0, 1)
-    assert canonical_lines(pairs((2, 2, 2, 0), (-1, -1, -1, 0), (0, 3, 0, -3))) == \
-        [(4, -1, 0, 1), (4, -1, 0, 1), (0, 1, 0, 0)]
+    # (-1 - r5, -1) is on the same line, and (0, 3 - 3r5) on that of (0, 1);
+    # the Python-int key of each row is the same
+    rows = pairs((2, 2, 2, 0), (-1, -1, -1, 0), (0, 3, 0, -3))
+    want = [(4, -1, 0, 1), (4, -1, 0, 1), (0, 1, 0, 0)]
+    assert line_keys(rows) == want
+    assert [exact_canonical(x) for x in zip(*(r.tolist() for r in rows))] == want
 
 
 def _key(x):
@@ -138,7 +144,7 @@ def test_reflection_line_is_exactly_the_reflections(name):
         assert len(table) == len(W)
         for w in W:
             beta = reflections.get(w.key)
-            want = None if beta is None else canonical_lines(rs.rows([beta]))[0]
+            want = None if beta is None else line_keys(rs.rows([beta]))[0]
             assert table[w.key] == (_key(apply_to_pairs(w, basis)), want)
             assert space.reflection_line(space.matrix(w)) == want
 
@@ -160,13 +166,13 @@ def test_diagram_of_rescaled_root_lines_is_the_subsystem(name):
         for i in positive_part(rs, roots):
             p, q = pair_mul(rs.rows([i]), rng.choice(factors))
             lines.append(tuple(np.hstack((p, q)).ravel().tolist()))
-        assert lines_alone(lines, rs.form) == ReflectionSubgroup(rs, roots).components, roots
+        assert lines_alone(lines, rs) == ReflectionSubgroup(rs, roots).components, roots
 
 
 def test_diagram_of_lines_refuses_overflow():
     lines = [(1, 0, 0, 0), (1, 1 << 40, 0, 0)]
     with pytest.raises(RuntimeError):
-        lines_alone(lines, A2_FORM)
+        lines_alone(lines, A2)
 
 
 def test_line_table_names_lines_of_any_dimension():
@@ -180,14 +186,14 @@ def test_line_table_names_lines_of_any_dimension():
         p[i], p[j] = 1, -1
         lines.append(tuple(p))
     assert len(lines) == 190
-    assert lines_alone(lines, rs.form) == ("A19",)
+    assert lines_alone(lines, rs) == ("A19",)
 
 
 @pytest.mark.parametrize("name", ["B6", "D6", "E7", "F4", "H4"])
 def test_diagram_of_root_lines_is_the_root_system(name):
     rs = build_root_system(name)
-    lines = set(canonical_lines(rs.rows(range(rs.npos))))
-    assert lines_alone(lines, rs.form) == \
+    lines = set(line_keys(rs.rows(range(rs.npos))))
+    assert lines_alone(lines, rs) == \
         ReflectionSubgroup(rs, frozenset(range(rs.nroots))).components
 
 
@@ -320,7 +326,7 @@ def test_images_named_from_the_line_table_match_their_lines_alone(name, monkeypa
     assert not tables or tables == {id(line_table(rs))}, name
     for row in rows:
         for _, lines, diagram in row:
-            assert lines_alone(lines, rs.form) == diagram, (name, sorted(lines))
+            assert lines_alone(lines, rs) == diagram, (name, sorted(lines))
     assert name.startswith("I2") or any(len(lines) > 1 for row in rows for _, lines, _ in row)
 
 
@@ -408,7 +414,7 @@ def test_restrictions_take_the_pair_product_in_batches(monkeypatch):
     catalog = shape_catalog(rs)
     shape = catalog.by_selector("A1^7")
     P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
-    (projections,), _, _ = pq_closures(catalog, [P], [Q])
+    (projections,), *_ = pq_closures(catalog, [P], [Q])
     D = _complement_D(rs, shape.rep_subset, P, Q)
     assert len(D) == 5040
     monkeypatch.setattr(actions, "_BATCH", 512)

@@ -2,15 +2,17 @@
 broken, either as a verification failure (``ok: false``, CLI exit 1) or as
 an internal error with the check's message (CLI exit 4)."""
 
+import dataclasses
 import importlib
 import json
 
 import numpy as np
 import pytest
 
-from coxnorm import cli, galois, parabolic
+from coxnorm import cli, galois, parabolic, verify
 from coxnorm.actions import line_table
 from coxnorm.galois import orthogonal_complement, perp_map, pq_map
+from coxnorm.groups import identity
 from coxnorm.normalizer import normalizer_order_at
 from coxnorm.parabolic import shape_catalog
 from coxnorm.rootsys import build_root_system
@@ -245,8 +247,8 @@ def test_a_lost_bond_among_simple_lines_is_an_internal_error(monkeypatch, capsys
     assert cli.main(["decompose", "A3", "s1,s3"]) == 0
     capsys.readouterr()
     table = line_table(rs)
-    pair = tuple(sorted(table._index[line] for line in (rs.root_lines[2],
-                                                        table.differences[0, 2])))
+    pair = tuple(sorted(table._index[line] for line in (table.root_lines[2, None],
+                                                        table.root_lines[0, 2])))
     assert table.pairs[pair][2] == 4
     monkeypatch.setitem(table.pairs, pair, table.pairs[pair][:2] + (0,))
     assert cli.main(["decompose", "A3", "s1,s3"]) == 4
@@ -262,10 +264,8 @@ def test_a_lost_bond_among_simple_lines_is_an_internal_error(monkeypatch, capsys
 # lines of B3, on X_perp of the A1^3 row; a_1 and a_2 are simple lines of
 # A2B2, on X_perp of the A2A1^2 row, where B2B2 has an order that does not
 # divide the image's
-LOST_THREES = [(("differences", (0, 2)), ("differences", (2, 4)),
-                "unclassifiable path with bonds [4, 4]"),
-               (("roots", 0), ("roots", 1),
-                "reflection part order does not divide the image order")]
+LOST_THREES = [((0, 2), (2, 4), "unclassifiable path with bonds [4, 4]"),
+               ((0, None), (1, None), "reflection part order does not divide the image order")]
 
 
 @pytest.mark.parametrize("a, b, message", LOST_THREES)
@@ -275,10 +275,56 @@ def test_a_bond_of_three_made_four_fails_the_fixture_suite(monkeypatch, capsys,
     assert cli.main(["verify", "A7", "--suite", "fixtures"]) == 0
     capsys.readouterr()
     table = line_table(rs)
-    lines = {"differences": table.differences, "roots": rs.root_lines}
-    pair = tuple(sorted(table._index[lines[kind][key]] for kind, key in (a, b)))
+    pair = tuple(sorted(table._index[table.root_lines[key]] for key in (a, b)))
     assert table.pairs[pair][2] == 3
     monkeypatch.setitem(table.pairs, pair, table.pairs[pair][:2] + (4,))
     assert cli.main(["verify", "A7", "--suite", "fixtures"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == f"internal error: {message}\n"
+
+
+# verify_theorem13's three failure branches, each reached by a fault in what
+# it reads.  A5's row 5 (A1^3) has D = A = S3 and C = 1.
+def _s3_row():
+    rs = build_root_system("A5")
+    dec = normalizer.decompose(rs, shape_catalog(rs)[5])
+    one = identity(rs)
+    t = next(d for d in dec.D if d.is_involution() and d != one)
+    return rs, dec, one, t
+
+
+def test_an_index_of_three_fails_the_goursat_suite(monkeypatch, capsys):
+    # A read as a subgroup of order 2 and C as the one of order 3 keep
+    # |A||B||C| = |D|, so the order check passes and the index is refused
+    rs, dec, one, t = _s3_row()
+    three = [d for d in dec.D if d == one or not d.is_involution()]
+    decompose = verify.decompose
+    monkeypatch.setattr(verify, "decompose", lambda rs, shape: dataclasses.replace(
+        dec, A=[one, t], C=three) if shape.index == 5 else decompose(rs, shape))
+    assert cli.main(["verify", "A5", "--suite", "goursat"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["order_product"]["ok"]
+    assert checks["pqab_normal_index2"] == {"ok": False, "witness": ["A1^3 [2 2 2]", "index"]}
+
+
+def test_a_subgroup_ab_that_is_not_normal_is_refused_with_a_generator_pair():
+    # A read as {1, t}, which the 3-cycles of S3 conjugate away: the witness
+    # is a generating loop of D and a generator of AB.  (With the order
+    # check kept, no fault of A alone reaches this branch through the suite:
+    # |A||B||C| = |D| with |C| <= 2 makes AB of index at most 2 in D.)
+    rs, dec, one, t = _s3_row()
+    report = normalizer.verify_theorem13(dataclasses.replace(dec, A=[one, t]))
+    _, tree, edges = normalizer._permutation_image(rs, dec.shape.rep_subset)
+    loops = parabolic.subset_groupoid(rs).loop_elements(tree, edges)
+    assert not report["ok"] and report["index"] == 1
+    assert report["witness"][0] in [d.canonical() for d in loops]
+    assert report["witness"][1] == t.canonical()
+
+
+def test_an_index_the_classification_does_not_expect_fails_the_goursat_suite(monkeypatch,
+                                                                              capsys):
+    monkeypatch.setattr(normalizer, "_c_nontrivial_expected", lambda rs, dec: True)
+    assert cli.main(["verify", "A5", "--suite", "goursat"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["pqab_normal_index2"] == {
+        "ok": False, "witness": ["∅ [1 1 1 1 1 1]", "index 1 but expected nontrivial=True"]}

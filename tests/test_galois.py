@@ -408,7 +408,7 @@ def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
         pq_signs = rs.signs_at(fixed_space(orthogonal_join(P, Q)))
         assert (cat.class_of_subset(standard_conjugate(rs, pq.roots, pq_signs)[0])
                 == cat.class_of_subset(standard_conjugate(rs, pq.roots)[0])
-                == pq_closures(cat, [P], [Q])[2][0]), shape.label
+                == pq_closures(cat, [P], [Q])[3][0]), shape.label
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
@@ -448,7 +448,7 @@ def test_stacked_descent_matches_one_row_at_a_time(name):
     cat = shape_catalog(rs)
     sets = [s.parabolic.simples + orthogonal_complement(s.parabolic).simples for s in cat]
     signs = np.vstack([[rs.stacked_span_signs([s.parabolic.simples])[0] for s in cat],
-                       rs.fixed_projections(sets)[1]])
+                       rs.fixed_projections(sets)[2]])
     J, word = parabolic.dominant_descent(rs, signs)
     assert J.shape == (len(signs), rs.n) and word.shape[1] == len(signs)
     for row, mask, steps in zip(signs, J, word.T):
@@ -466,6 +466,13 @@ def _same_projections(rs, a, b):
     if rs.is_vector:
         return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
     return a == b
+
+
+def _same_forms(a, b):
+    """The root forms on the projections: equal int64 arrays, or None twice (type I2)."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b) and a.dtype == b.dtype == np.int64
 
 
 @pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "B8", "D9"])
@@ -505,10 +512,11 @@ def test_closure_map_matches_the_one_row_closures(monkeypatch, name):
     one_row = {}
     for shape in cat:
         P, Q = shape.parabolic, perp.complement[shape.index]
-        (one,), (roots,), (index,) = pq_closures(cat, [P], [Q])
+        (one,), (forms,), (roots,), (index,) = pq_closures(cat, [P], [Q])
         assert index == pq.index[shape.index], shape.label
         assert np.array_equal(roots, pq.roots[shape.index]), shape.label
         assert _same_projections(rs, one, pq.projections[shape.index]), shape.label
+        assert _same_forms(forms, pq.forms[shape.index]), shape.label
         one_row[shape.index] = (index, roots.sum() == len(P.roots) + len(Q.roots), roots.all())
     assert cat.pq is None   # the rows one at a time never filled the map
     for shape in cat:
@@ -533,9 +541,11 @@ def test_full_sets_match_the_fixed_projections(name):
     Qs = [perp.complement[s.index] for s in shapes]
     full = 0
     rows = zip(*pq_closures(catalog, [s.parabolic for s in shapes], Qs))
-    for shape, Q, (got, roots, index) in zip(shapes, Qs, rows):
-        (projections,), signs = rs.fixed_projections([shape.parabolic.simples + Q.simples])
+    for shape, Q, (got, got_forms, roots, index) in zip(shapes, Qs, rows):
+        (projections,), (forms,), signs = rs.fixed_projections(
+            [shape.parabolic.simples + Q.simples])
         assert _same_projections(rs, got, projections), shape.label
+        assert _same_forms(got_forms, forms), shape.label
         full += rs.is_vector and len(projections[0]) == 0
         assert np.array_equal(roots, signs[0] == 0), shape.label
         assert index == catalog.classes_of(signs == 0, signs)[0], shape.label

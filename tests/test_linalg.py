@@ -5,14 +5,16 @@ import numpy as np
 
 from coxnorm.actions import invariant_split
 from coxnorm.galois import orthogonal_complement
-from coxnorm.linalg import (Subspace, dot, form_pairs, from_pairs, kernel, lex_signs,
-                            pair_matmul, pair_mul, pair_sign, rref)
+from coxnorm.linalg import (Subspace, canonical_rows, dot, exact_canonical, form_pairs,
+                            from_pairs, kernel, lex_signs, pair_matmul, pair_mul, pair_sign,
+                            rref)
 from coxnorm.parabolic import shape_catalog, standard_parabolic
 from coxnorm.qsqrt5 import ONE, Q5, ZERO
 from coxnorm.rootsys import build_root_system
 
 import pytest
 
+from fixture_groups import FIXTURE_GROUPS
 from oracles import to_pairs
 
 
@@ -287,3 +289,19 @@ def test_kernel_rows_are_kept_as_they_are(name):
         for X in (rs.fixed_space(indices), rs.span(indices).perp(rs.form)):
             assert_pairs_equal(X.pairs, Subspace(X.pairs, rs.n).pairs)
             assert X == Subspace(X.pairs, rs.n)
+
+
+@pytest.mark.parametrize("name", [name for name in FIXTURE_GROUPS if not name.startswith("I2")])
+def test_python_int_keys_of_root_differences_are_canonical_rows(name):
+    # the line table keys the line of a_i - a_j by the Python-int twin of
+    # canonical_rows; on every pair of distinct roots other than a and -a
+    # (55,228 differences over these eleven groups; the I2 fixture groups
+    # hold no coordinate rows) the two keys must be the same
+    rs = build_root_system(name)
+    p, q = rs.root_pairs
+    i, j = np.triu_indices(rs.nroots, 1)
+    i, j = i[j != i + rs.npos], j[j != i + rs.npos]
+    assert len(i) == 4 * rs.npos * (rs.npos - 1) // 2
+    want = canonical_rows((p[i] - p[j], q[i] - q[j])).tolist()
+    got = [exact_canonical(x) for x in zip((p[i] - p[j]).tolist(), (q[i] - q[j]).tolist())]
+    assert got == list(map(tuple, want))

@@ -1,12 +1,15 @@
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
-from coxnorm.actions import LineTable, SpaceRestriction, canonical_lines
-from coxnorm.galois import orthogonal_complement, perp_map
+import coxnorm
+from coxnorm import linalg
+from coxnorm.actions import LineTable, SpaceRestriction
+from coxnorm.galois import orthogonal_complement, perp_map, pq_map
 from coxnorm.groups import generate, identity, relative_length
-from coxnorm.linalg import pair_matmul
+from coxnorm.linalg import canonical_rows, pair_matmul
 from coxnorm.normalizer import (_complement_D, _Restricted, decompose, descend_to_complement,
                                 goursat_sections, howlett_complement, normalizer,
                                 normalizer_order, verify_theorem13)
@@ -207,7 +210,7 @@ def _reflecting_line(w, basis):
     images = pair_matmul(basis, w.rs.rows(w.img[:n]))
     moved = 2 * np.hstack(basis) - np.hstack(images)
     moved = moved[moved.any(axis=1)]
-    lines = set(canonical_lines((moved[:, :n], moved[:, n:]))) if len(moved) else set()
+    lines = {tuple(r) for r in canonical_rows((moved[:, :n], moved[:, n:])).tolist()}
     return lines.pop() if len(lines) == 1 else None
 
 
@@ -229,7 +232,7 @@ def test_reflection_lines_match_a_scan_of_every_coset(name):
             elements = generate(base.simple_reflections(), rs=rs)
             scanned = {_reflecting_line(p * d, basis)
                        for p in elements for d in dec.D} - {None}
-            assert LineTable(rs.form).diagram(scanned) == dec.actions[role].diagram, (
+            assert LineTable(rs).diagram(scanned) == dec.actions[role].diagram, (
                 name, shape.label, role)
 
 
@@ -268,7 +271,7 @@ def test_root_index_tables_match_the_pair_restriction(name):
             continue
         spaces = {role: simples for role, simples in (("x_perp", P.simples),
                                                       ("y_perp", Q.simples)) if simples}
-        restricted = _Restricted(rs, D, spaces)
+        restricted = _Restricted(rs, D, spaces, None)
         for role, simples in spaces.items():
             pairs = SpaceRestriction(rs, rs.rows(simples))
             one = restricted.keys[role][restricted.position[identity(rs).key]]
@@ -282,7 +285,7 @@ def test_an_element_that_does_not_permute_the_simple_roots_is_refused():
     rs = build_root_system("A3")
     # s_1 sends a_2 to a_1 + a_2, a root outside Delta = {a_2}
     with pytest.raises(RuntimeError, match="permute"):
-        _Restricted(rs, [identity(rs), rs.reflection(0)], {"x_perp": (1,)})
+        _Restricted(rs, [identity(rs), rs.reflection(0)], {"x_perp": (1,)}, None)
 
 
 @pytest.mark.parametrize("intruder, role", [(1, "x_perp"), (2, "y_perp")])
@@ -306,8 +309,9 @@ def _restrictions_built(monkeypatch, rs, shapes):
     original = SpaceRestriction.restrictions
 
     class Recording(_Restricted):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, rs, D, spaces, forms):
+            super().__init__(rs, D, spaces, forms)
+            self.forms = forms
             built.append(self)
 
     def recording(self, elements):
@@ -323,6 +327,19 @@ def _restrictions_built(monkeypatch, rs, shapes):
     return list(zip(built, restricted))
 
 
+def _pair_product_labels(rs, projections):
+    """A label per root, from one pair product of the root forms with the
+    projection rows: the distinct rows of the products and of their
+    negatives, ranked in the order of ``np.lexsort``."""
+    rows = np.concatenate(pair_matmul(rs._root_forms, tuple(m.T for m in projections)), axis=1)
+    rows = np.concatenate((rows, -rows))
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    labels = np.empty(len(rows), dtype=np.int16)
+    labels[order] = np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1))).cumsum()
+    return labels
+
+
 # the oracle groups, and A13's 2^7 row (|D| = 5,040)
 X_CAP_Y_ROWS = [(name, None) for name in ORACLE_GROUPS] + [("A13", "A1^7")]
 
@@ -334,7 +351,9 @@ def test_labels_and_the_trace_test_restrict_d_to_x_cap_y_as_the_pair_product_doe
     # elements that reflect there off the trace test; the pair product of
     # every element with the projection rows, and its rank-one test, must
     # split D into the same classes, with the same kernel, the same
-    # reflecting elements and the same line for each, and the same -1
+    # reflecting elements and the same line for each, and the same -1.  The
+    # labels are ranked from the root forms the catalog's PQ map keeps, and
+    # must be those ranked from a pair product of the row's own
     rs = build_root_system(name)
     catalog = shape_catalog(rs)
     shapes = [catalog.by_selector(selector)] if selector else list(catalog)
@@ -342,7 +361,10 @@ def test_labels_and_the_trace_test_restrict_d_to_x_cap_y_as_the_pair_product_doe
     for restricted, _ in _restrictions_built(monkeypatch, rs, shapes):
         if "x_cap_y" not in restricted.keys:
             continue
-        pairs = SpaceRestriction(rs, restricted.spaces["x_cap_y"])
+        projections = restricted.spaces["x_cap_y"]
+        assert np.array_equal(normalizer_module._root_labels(restricted.forms),
+                              _pair_product_labels(rs, projections)), (name, len(restricted.D))
+        pairs = SpaceRestriction(rs, projections)
         table = pairs.restrictions(restricted.D)
         assert (_split(_table(restricted, "x_cap_y"), restricted.identity)
                 == _split(table, pairs.identity)), (name, len(restricted.D))
@@ -371,3 +393,44 @@ def test_decompose_restricts_one_element_per_reflecting_key_by_the_pair_product(
         assert len(witnesses) > 1 or not calls, name
     if selector:
         assert len(restricted.D) == 5040 and 0 < len(elements) <= len(witnesses) < 100
+
+
+# restrictions of X n Y witnesses by the pair product, per group; in every
+# other fixture group but E8 no row restricts any
+WITNESS_RESTRICTIONS = {"A7": 2, "B6": 1, "D6": 2, "E6": 2, "E7": 3}
+
+
+@pytest.mark.parametrize("name", [name for name in FIXTURE_GROUPS if name != "E8"])
+def test_rows_name_their_lines_with_no_pair_product_but_the_x_cap_y_witnesses(
+        monkeypatch, name):
+    # with the catalog's maps built, decomposing every row calls
+    # canonical_rows and pair_matmul, wherever a module binds them, only
+    # inside SpaceRestriction.restrictions, once each per call: the root
+    # lines and the lines of root differences are read off the root table,
+    # and the X n Y labels off the PQ map's root forms
+    rs = build_root_system(name)
+    catalog = shape_catalog(rs)
+    perp_map(catalog)
+    pq_map(catalog)
+    calls, inside = [], []
+    originals = {fn: getattr(linalg, fn) for fn in ("canonical_rows", "pair_matmul")}
+    for module in map(importlib.import_module, (f"coxnorm.{m.name}" for m in
+                                                pkgutil.iter_modules(coxnorm.__path__))):
+        for fn, original in originals.items():
+            if getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, lambda *args, fn=fn, original=original: (
+                    calls.append((fn, bool(inside))) or original(*args)))
+    restrictions = SpaceRestriction.restrictions
+
+    def restricting(self, elements):
+        inside.append(self)
+        try:
+            return restrictions(self, elements)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SpaceRestriction, "restrictions", restricting)
+    for shape in catalog:
+        decompose(rs, shape)
+    count = WITNESS_RESTRICTIONS.get(name, 0)
+    assert sorted(calls) == [("canonical_rows", True)] * count + [("pair_matmul", True)] * count

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from coxnorm import parabolic, rootsys
+from coxnorm import diagrams, parabolic, rootsys
 from coxnorm.diagrams import close_root_masks, diagram_of_bonds, positive_part, simple_masks
 from coxnorm.groups import BRUTE_LIMIT
 from coxnorm.linalg import Subspace
@@ -14,6 +14,7 @@ from coxnorm.parabolic import (ReflectionSubgroup, fixed_space,
                                root_masks, shape_catalog, standard_parabolic,
                                subset_groupoid)
 from coxnorm.galois import orthogonal_complement
+from coxnorm.normalizer import decompose
 from coxnorm.rootsys import build_root_system, inner_product
 
 from fixture_groups import FIXTURE_GROUPS
@@ -274,3 +275,32 @@ def test_set_up_reads_only_the_simple_bonds(name, monkeypatch):
             [[rs.bond(i, j) for j in simples] for i in simples]), shape.label
     masks = root_masks(rs, [shape.roots for shape in cat])
     assert cat._class_cache == {mask.tobytes(): shape.index for shape, mask in zip(cat, masks)}
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_the_kept_diagram_of_each_bond_matrix_is_its_classification(monkeypatch, name):
+    # every bond matrix a fresh catalog and the decomposition of every row
+    # classify (the shapes' types, the action cells' and the names of A, B
+    # and C), read through the classifier's memo, against a classification
+    # of the same matrix made anew
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    seen = []
+    kept = diagrams._classify
+    monkeypatch.setattr(diagrams, "_classify", lambda bonds: seen.append(bonds) or kept(bonds))
+    rs = build_root_system(name)
+    for shape in shape_catalog(rs):
+        decompose(rs, shape)
+    assert seen
+    for bonds in set(seen):
+        assert kept(bonds) == kept.__wrapped__(bonds), bonds
+
+
+def test_an_unclassifiable_bond_matrix_raises_on_every_call():
+    # a triangle of 4-bonds is no Coxeter type; a matrix that raises is not
+    # kept, so the second call classifies it again and raises again
+    triangle = [[1, 4, 4], [4, 1, 4], [4, 4, 1]]
+    size = diagrams._classify.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a path or fork"):
+            diagram_of_bonds(triangle)
+    assert diagrams._classify.cache_info().currsize == size

@@ -458,13 +458,20 @@ def test_fixed_projections_against_the_eliminated_fixed_space(name):
     for shape in shape_catalog(rs):
         sets.append(shape.parabolic.simples + orthogonal_complement(shape.parabolic).simples)
     sets += [U.simples for U in _random_parabolics(rs, random.Random(name), 20)]
-    projections, signs = rs.fixed_projections(sets)
+    # the forms of each set are the positive roots' inner products with its
+    # projections, a copy of their own (no view of the whole stack's product)
+    projections, forms, signs = rs.fixed_projections(sets)
     assert signs.shape == (len(sets), rs.nroots)
-    for S, pi, row in zip(sets, projections, signs):
+    for S, pi, on_roots, row in zip(sets, projections, forms, signs):
         X = rs.fixed_space(S)
         assert (pi if isinstance(pi, I2Subspace) else Subspace(pi, rs.n)) == X, S
         assert ((row == 0) == (rs.signs_at(X) == 0)).all(), S
-        assert (rs.fixed_projections([S])[1][0] == row).all(), S   # one set at a time
+        assert (rs.fixed_projections([S])[2][0] == row).all(), S   # one set at a time
+        if rs.is_vector:
+            want = np.hstack(pair_matmul(rs._root_forms, tuple(m.T for m in pi)))
+            assert np.array_equal(on_roots, want) and on_roots.base is None, S
+        else:
+            assert on_roots is None
 
 
 @pytest.mark.parametrize("name", ["A2", "I2(5)"])
