@@ -3,8 +3,9 @@
 Commands: decompose, table, concepts, shapes, graph, involutions, verify.
 Global flags: --format (text|json|csv|dot), --allow-long.
 Exit codes: 0 ok, 1 verification failure, 2 user error, 3 refused
-long-running job, 4 internal error (a RuntimeError or ValueError raised by the
-library, reported in one line on stderr), 141 stdout closed by its reader, as
+long-running job, 4 internal error (any other exception raised by the
+library, reported in one line on stderr, with its type named unless it is a
+RuntimeError or ValueError), 141 stdout closed by its reader, as
 by ``| head -1`` (128 + SIGPIPE, as a shell reports it), with no message.
 """
 
@@ -233,6 +234,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:   # a broken invariant of another kind, with no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -147,16 +147,17 @@ def relative_length(w: GroupElement, sub_positive) -> int:
     return int((w.img[idx] >= w.rs.npos).sum())
 
 
-def parabolic_longest_element(rs, simples, start=None) -> GroupElement:
+def parabolic_longest_element(rs, simples, start=None, steps=None) -> GroupElement:
     """Longest element of the subgroup generated by the reflections in ``simples``.
 
     ``simples`` must be a simple system (of a standard parabolic, or of any
     reflection subgroup with its inherited positive system).  Each step
-    multiplies by the reflection in a simple root still sent positive, which
-    raises the length, until every simple root is sent negative.  The climb
-    starts at ``start`` (the identity by default), which must lie in the
-    subgroup: it then ends at the one element sending every simple root
-    negative.
+    multiplies by the reflection in the first simple root still sent positive
+    (its position in ``simples`` is appended to ``steps``, if a list is
+    given), which raises the length, until every simple root is sent
+    negative.  The climb starts at ``start`` (the identity by default), which
+    must lie in the subgroup: it then ends at the one element sending every
+    simple root negative.
     """
     idx = np.asarray(simples, dtype=np.int64)
     img = np.arange(rs.nroots, dtype=np.int16) if start is None else start.img
@@ -164,6 +165,8 @@ def parabolic_longest_element(rs, simples, start=None) -> GroupElement:
         up = np.flatnonzero(img[idx] < rs.npos)
         if not up.size:
             break
+        if steps is not None:
+            steps.append(int(up[0]))
         img = img[rs.reflection_perm(int(idx[up[0]]))]
     return GroupElement(rs, img)
 

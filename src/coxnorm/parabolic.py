@@ -11,8 +11,10 @@ by (rank, group order, label); indices are 1-based.  The classes are the
 components of the subset groupoid on the subsets of the simple reflections,
 whose edges are read off the opposition of connected subdiagrams with bit
 operations: its set-up makes one group element per connected subset, w0 of
-it.  A walk of a component follows the simple roots on index tuples, and
-the elements of the edges are made only for the loops a caller asks for.
+it, replaying steps kept per Coxeter matrix, and labels the components in
+array passes over the edge targets.  A walk of a component follows the
+simple roots on index tuples, and the elements of the edges are made only
+for the loops a caller asks for.
 
 Classical labels follow the partition transversal: type A uses partitions of
 the point count; types B and D use a sign-change block B_l / D_l plus a
@@ -26,7 +28,7 @@ order of their representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -274,11 +276,13 @@ class SubsetGroupoid:
     (Deodhar 1982; Howlett 1980; Brink-Howlett 1999).
 
     Set-up climbs w0(C) of every connected C, each from w0(C minus its
-    largest member), reads sigma_C off its images of C's simple roots, and
-    finds the components from the edge targets alone: ``component_of_mask``
+    largest member) by the steps ``_CLIMBS`` keeps for C's bond matrix,
+    searched once per matrix; sigma_C is read off the images of C's simple
+    roots, which must be negative simple roots.  It labels the components
+    from the edge targets alone, in array passes: ``component_of_mask``
     gives each mask's component and ``representatives`` each component's
-    least member, in the order of sorted index tuples (a prefix first), with
-    no member listed per mask.  Every other w0(J),
+    least member, in the order of sorted index tuples (a prefix first),
+    with no member listed per mask.  Every other w0(J),
     the product of the commuting w0 of J's components, and every nu are
     computed on first use and kept; callers must not mutate them.
 
@@ -292,8 +296,8 @@ class SubsetGroupoid:
         self.rs = rs
         n = rs.n
         simple = list(rs.simple_roots)
-        node = np.full(rs.nroots, -1)
-        node[simple] = np.arange(n)
+        flip = np.full(rs.nroots, -1)   # per root, the node of its negative, or -1
+        flip[rs.negation[simple]] = np.arange(n)
         self._neighbours = [   # per node, the mask of the nodes bonded to it
             sum(1 << j for j, m in enumerate(row) if m > 2) for row in rs.simple_bonds.tolist()]
         bonded = np.zeros(1 << n, dtype=np.int32)   # per mask, the nodes bonded to one of it
@@ -313,31 +317,43 @@ class SubsetGroupoid:
         self._longest = {0: identity(rs)}
         self._opposite = {}   # connected C -> {j: sigma_C(j)} on C's nodes
         opposite = np.zeros((1 << n, n), dtype=np.int32)   # row C: sigma_C on C's nodes
+        bonds = rs.simple_bonds.tolist()
+        reflect = [rs.reflection_perm(i) for i in simple]
         for C in np.flatnonzero((comp == masks).any(axis=1)).tolist():
             members = _members(C, n)
-            w0 = parabolic_longest_element(rs, [simple[i] for i in members],
-                                           start=self._w0(C ^ 1 << members[-1], keep=False))
+            simples = [simple[i] for i in members]
+            start = self._w0(C ^ 1 << members[-1], keep=False)
+            key = tuple(tuple(bonds[i][j] for j in members) for i in members)
+            if key not in _CLIMBS:   # a new matrix: climb by search, keeping the steps
+                parabolic_longest_element(rs, simples, start, steps := [])
+                _CLIMBS[key] = steps
+            img = start.img
+            for k in _CLIMBS[key]:
+                img = img[reflect[members[k]]]
+            w0 = GroupElement(rs, img)
+            sigma = flip[w0.img[simples]].tolist()
+            if min(sigma) < 0:
+                raise RuntimeError(f"{rs.label}: the climb to w0 of "
+                                   + ",".join(f"s{i + 1}" for i in members)
+                                   + " sends a simple root of it to no negative simple root")
+            opposite[C, members] = sigma
             self._longest[C] = w0
-            opposite[C, members] = node[rs.negation[w0.img[[simple[i] for i in members]]]]
-            self._opposite[C] = dict(zip(members, opposite[C, members].tolist()))
+            self._opposite[C] = dict(zip(members, sigma))
         # entry (K, s): the target of edge (K, s), or K itself when s is in K
         sigma = opposite[comp, np.arange(n)]
         self._targets = np.where(grown == masks, masks, grown ^ (1 << sigma))
         self._nu = {}   # (C, s) -> nu, computed on first use
         self._moves = {}   # (C, s) -> the edge's map of nodes, made on first use
-        label = [-1] * (1 << n)   # component index per subset mask
-        count = 0
-        for mask in range(1 << n):
-            if label[mask] < 0:
-                label[mask] = count
-                order = [mask]
-                for K in order:
-                    for K2 in self._targets[K].tolist():
-                        if label[K2] < 0:
-                            label[K2] = count
-                            order.append(K2)
-                count += 1
-        self.component_of_mask = np.array(label)
+        # the least mask of each mask's component: every edge has an inverse, so
+        # each label drops to its label's label and its targets' until none moves
+        least, step = None, np.arange(1 << n, dtype=np.int32)
+        while not np.array_equal(step, least):
+            least, step = step, step[step]
+            for column in self._targets.T:
+                np.minimum(step, step[column], out=step)
+        # the components numbered in the order of their least masks
+        number = np.cumsum(least == np.arange(1 << n)) - 1
+        self.component_of_mask, count = number[least], int(number[-1]) + 1
         # the least member of each component, in the order of sorted index tuples
         by_rank = np.lexsort((_tuple_ranks(n), self.component_of_mask))
         firsts = np.searchsorted(self.component_of_mask[by_rank], np.arange(count))
@@ -491,6 +507,10 @@ def _added_nodes(mask, n):
 
 
 _groupoids = {}
+# a connected C's bond matrix in member order -> the positions in C of the steps
+# that climb w0(C) from w0(C minus its largest member), which depend on the
+# matrix only: w(a_s) > 0 iff l(ws) > l(w) (Humphreys 1990, 1.6-1.8)
+_CLIMBS = {}
 
 
 def subset_groupoid(rs) -> SubsetGroupoid:
@@ -614,7 +634,7 @@ class ShapeCatalog:
         for rep, P in zip(reps, parabolics):
             P.components = diagram_of_bonds([[bonds[i][j] for j in rep] for i in rep])
         subgroups = dict(zip(reps, parabolics))
-        # labels
+        # each shape's fields but its index, which the catalog order gives
         labeled = []
         if rs.label.family in ("A", "B", "D"):
             label_of = {}   # component -> its transversal label data
@@ -630,8 +650,7 @@ class ShapeCatalog:
                     raise RuntimeError(f"class without transversal label in {rs.label}")
                 fam, l, lam, dec = label_of[component]
                 type_str, label, full = _classical_label(fam, l, lam, dec, rs.label.rank)
-                labeled.append(Shape(0, rep, subgroups[rep], label, type_str,
-                                     (fam, l), tuple(lam), dec))
+                labeled.append((rep, subgroups[rep], label, type_str, (fam, l), tuple(lam), dec))
         else:
             by_type = {}
             for rep in reps:
@@ -642,10 +661,9 @@ class ShapeCatalog:
                 for k, rep in enumerate(same):
                     dec = primes[k] if len(same) > 1 else ""
                     type_str = _decorated(components_string(comps), dec)
-                    labeled.append(Shape(0, rep, subgroups[rep], type_str, type_str,
-                                         None, None, dec))
-        labeled.sort(key=lambda s: (s.rank, s.order, s.label))
-        shapes = [replace(s, index=i + 1) for i, s in enumerate(labeled)]
+                    labeled.append((rep, subgroups[rep], type_str, type_str, None, None, dec))
+        labeled.sort(key=lambda f: (len(f[0]), f[1].order, f[2]))
+        shapes = [Shape(i, *fields) for i, fields in enumerate(labeled, 1)]
         key = {rep: mask.tobytes() for rep, mask in zip(reps, masks)}
         return shapes, {key[s.rep_subset]: s.index for s in shapes}
 

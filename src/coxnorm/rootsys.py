@@ -11,9 +11,9 @@ The roots are stored once, as a table of integer pairs (see ``linalg``):
 coordinate k of root i is (p + q*sqrt5)/2 with (p, q) = root_pairs[.][i, k].
 The factor 1/2 covers F4's -1/2 bond and the golden ratio phi = (1 +
 sqrt5)/2.  Its positive half is built by closing the simple roots under
-the simple reflections, which need only the Cartan entries
-2<a_j, a_i>/<a_i, a_i>, so no Q(sqrt5) arithmetic runs per root; s_i
-permutes the positive roots other than a_i, so the closure never expands
+the simple reflections in Python ints, reading only the nonzero Cartan
+entries 2<a_j, a_i>/<a_i, a_i>, and ordered by one lexsort; s_i permutes
+the positive roots other than a_i, so the closure never expands
 s_i(a_i) = -a_i, and the negative half is the negation of the positive one.
 Spans and fixed spaces are ``linalg.Subspace`` values, eliminated from the
 pair rows of the roots and of their forms; ``fixed_projections`` spans a
@@ -189,74 +189,74 @@ class RootSystem(_Roots):
     # -- construction ------------------------------------------------------
 
     def _build_roots(self):
-        """Close the simple roots under the simple reflections, on integer
-        pairs, over the positive roots only.
+        """Close the simple roots under the simple reflections, in Python
+        ints, over the positive roots only.
 
         s_i permutes the positive roots other than a_i and sends a_i to -a_i
         (Humphreys 1990, 1.4), so the positive roots are the closure of the
         simple roots that never expands -a_i, and each simple reflection
         acts on the negative half by s_i(-v) = -s_i(v).  s_i changes only
         coordinate i of v, by the sum over j of v_j times the Cartan entry
-        2<a_j, a_i>/<a_i, a_i>.  A root is a tuple of 2n ints, its p entries
-        then its q entries, each coordinate (p + q*sqrt5)/2.
+        2<a_j, a_i>/<a_i, a_i>, nonzero for a_i and its neighbours only.  A
+        root is a tuple of 2n ints, its p entries then its q entries, each
+        coordinate (p + q*sqrt5)/2.  The roots found breadth first are
+        ordered, simple roots first, by their coordinates written as reduced
+        fractions (a + b*sqrt5)/den, compared as (a, b, den), in one lexsort.
         """
         n = self.n
         fp, fq = self.form
         diag = np.diagonal(fp)              # 2<a_i, a_i>, a rational integer
-        cartan = (4 * fp // diag, 4 * fq // diag)   # column i: 2<a_j, a_i>/<a_i, a_i>, doubled
-        simples = [tuple(2 * (j == i) for j in range(n)) + (0,) * n for i in range(n)]
-        # -a_i = s_i(a_i) is marked seen so that it is never expanded
-        negated = {tuple(-x for x in v) for v in simples}
-        seen = set(simples) | negated
-        images = {}     # positive root -> its images under s_0 .. s_{n-1}
-        parent = {}     # root w -> (v, i) with w = s_i(v) first reached from v
-        frontier = simples
-        while frontier:
-            # v in halves times the doubled Cartan entries is 4 times the shift
-            # of coordinate i under s_i; halved, it is in halves like v
-            F = np.array(frontier, dtype=np.int64)
-            shift = pair_matmul((F[:, :n], F[:, n:]), cartan)
-            W = np.repeat(F[:, None, :], n, axis=1)    # row (v, i): s_i(v)
-            W[:, range(n), range(n)] -= shift[0] // 2
-            W[:, range(n), range(n, 2 * n)] -= shift[1] // 2
-            new = []
-            for v, row in zip(frontier, W.tolist()):
-                images[v] = row = list(map(tuple, row))
-                for i, w in enumerate(row):
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-                        parent[w] = (v, i)
-            frontier = new
-        roots = list(seen - negated)
+        cp, cq = (4 * fp // diag).tolist(), (4 * fq // diag).tolist()   # the doubled Cartan
+        columns = [[(j, cp[j][i], cq[j][i]) for j in range(n) if cp[j][i] or cq[j][i]]
+                   for i in range(n)]
+        roots = [tuple(2 * (j == i) for j in range(n)) + (0,) * n for i in range(n)]
+        # the index of each root in the order found; -a_i = s_i(a_i), never expanded, is -1 - i
+        found = {v: i for i, v in enumerate(roots)}
+        found.update({tuple(-x for x in v): -1 - i for i, v in enumerate(roots)})
+        images = []             # per root found, its images under s_0 .. s_{n-1}
+        parent = [None] * n     # per root w found, (v, i) with w = s_i(v) first reached from v
+        for k, v in enumerate(roots):   # the roots found are appended as they are read
+            row = []
+            for i, column in enumerate(columns):
+                # v in halves times the doubled Cartan entries is 4 times the
+                # shift of coordinate i; halved, it is in halves like v
+                sp = sq = 0
+                for j, p, q in column:
+                    sp += v[j] * p + 5 * v[n + j] * q
+                    sq += v[j] * q + v[n + j] * p
+                if not (sp or sq):   # s_i fixes v
+                    row.append(k)
+                    continue
+                w = (*v[:i], v[i] - sp // 2, *v[i + 1: n + i], v[n + i] - sq // 2, *v[n + i + 1:])
+                if w not in found:
+                    found[w] = len(roots)
+                    roots.append(w)
+                    parent.append((k, i))
+                row.append(found[w])
+            images.append(row)
         R = np.array(roots, dtype=np.int64)
         if not (pair_sign((R[:, :n].sum(axis=1), R[:, n:].sum(axis=1))) > 0).all():
             raise RuntimeError(f"{self.label}: a simple reflection sent a positive root "
                                "other than its own simple root negative")
-
-        def q5_key(v):
-            # the positive roots are ordered by their coordinates written as
-            # reduced fractions (a + b*sqrt5)/den, compared as (a, b, den)
-            key = []
-            for p, q in zip(v[:n], v[n:]):
-                g = gcd(p, q, 2)
-                key.append((p // g, q // g, 2 // g))
-            return tuple(key)
-
-        pos = simples + sorted((v for v in roots if v not in simples), key=q5_key)
-        self.npos = len(pos)
+        self.npos = len(roots)
         self.nroots = 2 * self.npos
         want = self.label.n_positive_roots
         if self.npos != want:
             raise RuntimeError(f"{self.label}: built {self.npos} positive roots, expected {want}")
-        table = pos + [tuple(-x for x in v) for v in pos]
-        index = {v: i for i, v in enumerate(table)}
-        T = np.array(table, dtype=np.int64)
-        self.root_pairs = (np.ascontiguousarray(T[:, :n]), np.ascontiguousarray(T[:, n:]))
-        on_pos = np.array([[index[w] for w in images[v]] for v in pos]).T   # (n, npos)
+        # coordinate (p + q*sqrt5)/2 is keyed (p/g, q/g, 2/g), g = gcd(p, q, 2);
+        # lexsort's last key, that of coordinate 0, leads
+        P, Q = R[n:, :n], R[n:, n:]
+        g = 2 - ((P | Q) & 1)
+        keys = np.stack((2 // g, Q // g, P // g), axis=2)[:, ::-1].reshape(len(P), 3 * n)
+        order = np.concatenate((np.arange(n), n + np.lexsort(keys.T)))
+        rank = np.argsort(order)
+        self.root_pairs = tuple(np.vstack((X, -X)) for X in (R[order, :n], R[order, n:]))
+        I = np.array(images)[order]
+        on_pos = np.where(I >= 0, rank[I], self.npos - 1 - I).T   # (n, npos); -a_i is i + npos
         self._simple_perms = list(
             np.hstack((on_pos, (on_pos + self.npos) % self.nroots)).astype(np.int16))
-        self._parent = {index[w]: (index[v], i) for w, (v, i) in parent.items()}
+        self._parent = {int(rank[k]): (int(rank[v]), i)
+                        for k, (v, i) in enumerate(parent[n:], n)}
 
     # -- geometry --------------------------------------------------------------
 

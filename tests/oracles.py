@@ -17,6 +17,9 @@ Each recomputes a fact of the library by a second, independent route:
   int64 pair products (the library's line table tests each pair it is asked
   for once per root system, in Python ints);
 - ``edge_target`` reads the subset groupoid's edge table at one edge;
+  ``groupoid_components`` numbers its components by a breadth-first search
+  from each mask not yet reached (the library lowers every mask's label to
+  its targets' in array passes);
   ``schreier_loops`` makes the loop of every edge of a component as a group
   element, and ``schreier_complement`` generates D from all of them (the
   library walks index tuples and makes a generating set only);
@@ -137,6 +140,23 @@ def line_tests(lines, form):
 def edge_target(groupoid, mask, s) -> int:
     """The mask that edge (K, s) leads to, K u {s} - {sigma_C(s)}."""
     return int(groupoid._targets[mask, s])
+
+
+def groupoid_components(groupoid) -> list:
+    """The component of every subset mask, numbered in the order of their
+    least masks, by a breadth-first search along the edge targets."""
+    targets = groupoid._targets.tolist()
+    label, count = [-1] * len(targets), 0
+    for mask in range(len(targets)):
+        if label[mask] < 0:
+            label[mask], order = count, [mask]
+            for K in order:
+                for K2 in targets[K]:
+                    if label[K2] < 0:
+                        label[K2] = count
+                        order.append(K2)
+            count += 1
+    return label
 
 
 def schreier_loops(groupoid, subset):

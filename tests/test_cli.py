@@ -260,6 +260,10 @@ def test_involutions_command():
 @pytest.mark.parametrize("command, module, function, error", [
     (["decompose", "B3", "1"], "coxnorm.normalizer", "decompose", RuntimeError),
     (["concepts", "B3"], "coxnorm.galois", "parabolic_concepts", ValueError),
+    # any other exception is an internal error too, named by its type, not a
+    # traceback with exit 1, the verification-failure code
+    (["involutions", "B3"], "coxnorm.involutions", "involution_class_representatives",
+     IndexError),
 ])
 def test_internal_error_exits_4_with_one_line(monkeypatch, capsys, command, module,
                                               function, error):
@@ -268,7 +272,8 @@ def test_internal_error_exits_4_with_one_line(monkeypatch, capsys, command, modu
     monkeypatch.setattr(importlib.import_module(module), function, broken)
     assert cli.main(command) == 4
     out, err = capsys.readouterr()
-    assert out == "" and err == "internal error: broken invariant\n"
+    named = "" if error in (RuntimeError, ValueError) else f"{error.__name__}: "
+    assert out == "" and err == f"internal error: {named}broken invariant\n"
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

@@ -191,6 +191,25 @@ def test_an_edge_map_fault_that_shrinks_d_fails_the_closed_form_orders(monkeypat
             != classical_normalizer_order(shape)] == ["A1^2 [2 2]"]
 
 
+@pytest.mark.parametrize("group", ["A5", "E6"])
+def test_a_kept_climb_short_of_its_last_step_is_an_internal_error(monkeypatch, capsys,
+                                                                  fresh_groupoids, group):
+    # set-up replays the steps kept for a bond matrix; without the last step
+    # of the whole diagram's, the element still sends a simple root positive,
+    # which set-up's check of sigma_C must catch before any shape is listed
+    monkeypatch.setattr(parabolic, "_catalogs", {})
+    monkeypatch.setattr(parabolic, "_CLIMBS", {})
+    rs = build_root_system(group)
+    parabolic.SubsetGroupoid(rs)
+    whole = tuple(map(tuple, rs.simple_bonds.tolist()))
+    parabolic._CLIMBS[whole] = parabolic._CLIMBS[whole][:-1]
+    assert cli.main(["shapes", group]) == 4
+    out, err = capsys.readouterr()
+    nodes = ",".join(f"s{i + 1}" for i in range(rs.n))
+    assert out == "" and err == (f"internal error: {group}: the climb to w0 of {nodes} sends "
+                                 "a simple root of it to no negative simple root\n")
+
+
 # (group, x_cap_y rows the fixture names A1 or A2 whose reflections are missed)
 FORGOTTEN_FIXED_POINTS = [("D5", {6}), ("E6", {5})]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coxnorm import parabolic, rootsys
 from coxnorm.galois import orthogonal_complement
 from coxnorm.groups import GroupElement, OrbitStabilizer, identity, parabolic_longest_element
 from coxnorm.involutions import involution_class_representatives
@@ -15,8 +16,8 @@ from coxnorm.parabolic import (ReflectionSubgroup, SubsetGroupoid, _tuple_ranks,
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
-from oracles import (degree, edge_target, generated_by, neg, schreier_complement,
-                     schreier_loops, simple_permutation)
+from oracles import (degree, edge_target, generated_by, groupoid_components, neg,
+                     schreier_complement, schreier_loops, simple_permutation)
 
 
 GROUPS = ["A7", "B6", "D6", "E6", "E7", "F4", "H4"]
@@ -222,3 +223,64 @@ def test_representatives_are_the_least_members_of_their_components(name):
         members = tuple(i for i in range(rs.n) if mask >> i & 1)
         least[c] = min(least.get(c, members), members)
     assert groupoid.representatives == [least[c] for c in range(len(least))]
+
+
+@pytest.mark.parametrize("name", ["A12", "D9"])
+def test_component_labels_match_a_breadth_first_search(name):
+    # set-up labels each mask by the least mask of its component in array
+    # passes over the edge targets, not by a search from each mask
+    groupoid = SubsetGroupoid(build_root_system(name))
+    assert groupoid.component_of_mask.tolist() == groupoid_components(groupoid)
+
+
+def _climb_counter(monkeypatch):
+    """A fresh table of kept climbs, and the list of the searched climbs."""
+    monkeypatch.setattr(parabolic, "_CLIMBS", {})
+    searches, climb = [], parabolic.parabolic_longest_element
+    monkeypatch.setattr(parabolic, "parabolic_longest_element",
+                        lambda *args: searches.append(args[1]) or climb(*args))
+    return searches
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "D9", "D11"])
+def test_a_groupoid_on_kept_climbs_equals_one_built_by_search(monkeypatch, name):
+    # set-up searches the climb to w0(C) only for a bond matrix met first,
+    # and replays its kept steps for every later C with that matrix; built
+    # after every other fixture group, a groupoid must equal one built with
+    # no climbs kept
+    rs = build_root_system(name)
+    searches = _climb_counter(monkeypatch)
+    cold = SubsetGroupoid(rs)
+    cold_searches = len(searches)
+    monkeypatch.setattr(parabolic, "_CLIMBS", {})
+    for other in FIXTURE_GROUPS:
+        if other != name:
+            SubsetGroupoid(build_root_system(other))
+    del searches[:]
+    warm = SubsetGroupoid(rs)
+    assert len(searches) < cold_searches
+    assert cold._longest.keys() == warm._longest.keys()
+    assert all(np.array_equal(cold._longest[C].img, warm._longest[C].img) for C in cold._longest)
+    assert cold._opposite == warm._opposite
+    assert np.array_equal(cold._targets, warm._targets)
+    assert np.array_equal(cold.component_of_mask, warm.component_of_mask)
+    assert cold.representatives == warm.representatives
+
+
+def test_set_up_of_the_table_groups_searches_one_climb_per_bond_matrix(monkeypatch):
+    # the 214 connected subsets of the groups with a golden table, E8 aside,
+    # have 36 bond matrices in member order: set-up searches one climb for
+    # each; and the root build closes the roots in Python ints, so the one
+    # pair product per root system is that of the root forms
+    searches = _climb_counter(monkeypatch)
+    products, product = [], rootsys.pair_matmul
+    monkeypatch.setattr(rootsys, "pair_matmul", lambda *args: products.append(1) or product(*args))
+    monkeypatch.setattr(rootsys, "_CACHE", {})
+    groups = [g for g in FIXTURE_GROUPS if g != "E8"]
+    connected = 0
+    for name in groups:
+        rs = build_root_system(name)
+        connected += len(SubsetGroupoid(rs)._longest) - 1   # w0 of each connected C, and 1
+    assert len(groups) == 18 and connected == 214
+    assert len(searches) == len(parabolic._CLIMBS) == 36
+    assert len(products) == sum(build_root_system(g).is_vector for g in groups) == 10
