@@ -50,11 +50,6 @@ class GroupElement:
     def is_identity(self):
         return bool((self.img[: self.rs.npos] == np.arange(self.rs.npos)).all())
 
-    def negates(self, roots):
-        """Does the element send each of the given roots to its negative?"""
-        idx = list(roots)
-        return bool((self.img[idx] == self.rs.negation[idx]).all())
-
     def is_involution(self):
         return bool((self.img[self.img] == np.arange(len(self.img))).all())
 

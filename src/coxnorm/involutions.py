@@ -5,7 +5,11 @@ generated by the reflections in those roots is the pointwise stabilizer of
 Fix(u), and the centralizer of u coincides with the normalizer of that
 parabolic.  The involution classes of W correspond to the shapes marked with
 an asterisk in the decomposition tables: those whose representative's longest
-element acts as -1 on the span of its roots.
+element acts as -1 on the span of its roots (Richardson 1982).  That is read
+off the opposition sigma_C of the representative's components
+(``SubsetGroupoid.longest_is_minus_one``), as ``decompose`` reads its
+asterisk, and so is whether -1 lies in W; a longest element is made only
+for a record's involution.
 """
 
 from __future__ import annotations
@@ -51,21 +55,16 @@ def involution_class_representatives(rs):
     Every involution of a finite reflection group is the longest element of
     the parabolic it determines, so the classes correspond exactly to the
     shapes whose normalizer is an involution centralizer (the identity
-    corresponds to the trivial shape and is skipped).  A marked shape's w0(J)
-    is -1 on span Delta_J and fixes its orthogonal complement, so its
-    (-1)-space is span Delta_J and its degree is |J|.
+    corresponds to the trivial shape and is skipped).  A shape is marked when
+    sigma_C is the identity on each component C of J; its w0(J) is then -1
+    on span Delta_J and fixes its orthogonal complement, so its (-1)-space
+    is span Delta_J and its degree is |J|.
     """
-    catalog = shape_catalog(rs)
     groupoid = subset_groupoid(rs)
-    out = []
-    for shape in catalog:
-        if shape.index == 1 and not shape.roots:
-            continue
-        P = shape.parabolic
-        w0 = groupoid.longest_element(shape.rep_subset)
-        if w0.negates(P.pos):
-            out.append(InvolutionRecord(w0, len(shape.rep_subset), shape.index, P))
-    return out
+    return [InvolutionRecord(groupoid.longest_element(shape.rep_subset), len(shape.rep_subset),
+                             shape.index, shape.parabolic)
+            for shape in shape_catalog(rs)
+            if shape.roots and groupoid.longest_is_minus_one(shape.rep_subset)]
 
 
 def mark_involution_shapes(rs):
@@ -79,8 +78,8 @@ def _marked(records):
 
 
 def has_central_minus_one(rs) -> bool:
-    """Does -1 lie in W (equivalently, does w0 negate every root)?"""
-    return subset_groupoid(rs).longest_element(range(rs.n)).negates(range(rs.npos))
+    """Does -1 lie in W: is w0 of W -1 on the span of all simple roots?"""
+    return subset_groupoid(rs).longest_is_minus_one(range(rs.n))
 
 
 def section8_checks(rs) -> dict:

@@ -18,10 +18,11 @@ D fixes it (the pointwise stabilizer of span Delta_J is Q), so D is its
 permutation image D_pi, which the groupoid's walk on index tuples gives
 with no group element made: |N| = |P||Q||D_pi| (``normalizer_order_at``).
 ``decompose`` makes only the loops of a greedy generating set of D_pi.
-Since PQ is normal in N, reducing each to its relative-length-zero
-representative modulo PQ is a homomorphism onto D, so those reductions
-generate D, which is enumerated and must have the order of D_pi.  D is
-the only group ``decompose`` enumerates, and no pair product runs over it:
+Each loop lies in N_J, so its relative-length-zero representative modulo
+Q is its part in D; reducing modulo Q is a homomorphism from N_J onto D,
+so those reductions generate D, which is enumerated and must have the
+order of D_pi.  D is the only group ``decompose`` enumerates, and no pair
+product runs over it:
 D permutes Delta_P, Delta_Q and the labels of the roots' projections onto
 X n Y, and its restrictions to X_perp, Y_perp and X n Y, A, B and A x B
 are read off those permutations (``_Restricted``).  Q and its class are
@@ -47,12 +48,11 @@ from .actions import (_BATCH, ActionCell, SpaceRestriction, image_keys, invarian
                       line_table, split_keys)
 from .diagrams import components_order, components_string
 from .galois import complements, orthogonal_complement, perp_map, pq_closure
-from .groups import (BRUTE_LIMIT, GroupElement, generate, identity, permutation_group,
-                     relative_length)
+from .groups import (BRUTE_LIMIT, GroupElement, _dimino, generate, identity,
+                     permutation_group, relative_length)
 from .linalg import pair_matmul
-from .parabolic import (ReflectionSubgroup, Shape, orthogonal_join, shape_catalog,
-                        standard_conjugate, standard_parabolic, standard_subset,
-                        subset_groupoid)
+from .parabolic import (ReflectionSubgroup, Shape, shape_catalog, standard_conjugate,
+                        standard_parabolic, standard_subset, subset_groupoid)
 
 MARKER_TOKENS = {"heart": "HEART", "diamond": "DIAMOND", "club": "CLUB", "spade": "SPADE"}
 
@@ -276,17 +276,17 @@ def _permutation_image(rs, subset):
     return image, tree, [loops[k][1:] for k in kept]
 
 
-def _complement_D(rs, subset, P, Q):
+def _complement_D(rs, subset, Q):
     """The complement D of PQ in N_W(W_J), from the loops at J that generate D_pi.
 
-    Each loop descends to its representative modulo PQ (P = W_J, Q = perp(P),
-    joined only when a loop is kept), which permutes Delta_J as the loop
-    does, so the descents generate D.  D is enumerated from them and must
-    have the order of D_pi: each mechanism checks the other.
+    Each loop lies in N_J = Q : D (Q = perp(W_J)), so it sends no simple root
+    of W_J negative and descends modulo Q alone to its part in D, which
+    permutes Delta_J as the loop does; the descents generate D.  D is
+    enumerated from them and must have the order of D_pi: each mechanism
+    checks the other.
     """
     image, tree, edges = _permutation_image(rs, subset)
-    pq = orthogonal_join(P, Q) if edges else None
-    D = generate([descend_to_complement(g, pq)
+    D = generate([descend_to_complement(g, Q)
                   for g in subset_groupoid(rs).loop_elements(tree, edges)], rs=rs)
     if len(D) != len(image):
         raise RuntimeError("D differs from its permutation image")
@@ -559,7 +559,7 @@ def decompose(rs, parabolic) -> Decomposition:
         (Q,), (q_index,) = complements(catalog, [P])
     projections, forms, closure, closure_index = pq_closure(catalog, P, Q, i)
     p_order, q_order = P.order, Q.order
-    D = _complement_D(rs, subset, P, Q)
+    D = _complement_D(rs, subset, Q)
 
     # D's restriction to each nonzero space of the invariant split, X n Y
     # first (D is trivial for every dihedral shape); A, B, the action cells and
@@ -660,18 +660,16 @@ def verify_theorem13(dec: Decomposition) -> dict:
         return report
     # N is generated by P, Q and the loops at J that generate D_pi, which
     # normalize PQ, so PQAB is normal iff each loop conjugates each generator
-    # of AB (an element of A or B the ones before it do not generate) into
-    # AB modulo PQ.
-    generators, ab = [], {identity(rs).key}
-    for x in dec.A + dec.B:
-        if x.key not in ab:
-            generators.append(x)
-            ab = {g.key for g in generate(generators, rs=rs)}
-    pq = orthogonal_join(dec.P, dec.Q)
+    # of AB (an element of A or B the ones before it do not generate, as
+    # Dimino keeps them) into AB modulo PQ.  A loop and AB lie in N_J, so
+    # the conjugate keeps Delta_J, and its descent modulo Q is that modulo PQ.
+    candidates = dec.A + dec.B
+    group, kept = _dimino(candidates, identity(rs), GroupElement.__mul__)
+    generators, ab = [candidates[k] for k in kept], {g.key for g in group}
     _, tree, edges = _permutation_image(rs, standard_subset(dec.P))
     for d in subset_groupoid(rs).loop_elements(tree, edges):
         for x in generators:
-            dd = descend_to_complement((d.inverse() * x) * d, pq)
+            dd = descend_to_complement((d.inverse() * x) * d, dec.Q)
             if dd.key not in ab:
                 report["ok"] = False
                 report["witness"] = (d.canonical(), x.canonical())

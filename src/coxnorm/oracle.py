@@ -42,26 +42,24 @@ def normalizing(P: ReflectionSubgroup, images) -> np.ndarray:
     return in_p[images[:, list(P.pos)]].all(axis=1)
 
 
-def commutation_table(rs, rows=None) -> np.ndarray:
-    """C[k, t]: the reflections in the positive roots rows[k] and t != rows[k] commute.
+def commutation_table(rs) -> np.ndarray:
+    """C[s, t]: the reflections in the positive roots s and t != s commute.
 
-    ``rows`` defaults to every positive root.  With R the stacked reflection
-    permutations, r_s r_t = r_t r_s iff perm_s[R[t]] == R[t][perm_s] on the
-    simple roots, since an element is fixed by its images of them; one row
-    is compared at a time, so memory stays (npos, n).  The root system's
-    orthogonality table is not read.  The ``galois`` and ``oracle`` suites
-    read the commuting sets of all standard parabolics off the whole table
-    in one product and close them together with
-    ``diagrams.close_root_masks``.
+    With R the stacked reflection permutations, r_s r_t = r_t r_s iff
+    perm_s[R[t]] == R[t][perm_s] on the simple roots, since an element is
+    fixed by its images of them; one row is compared at a time, so memory
+    stays (npos, n).  The root system's orthogonality table is not read.
+    The ``galois`` and ``oracle`` suites read the commuting sets of all
+    standard parabolics off the whole table in one product and close them
+    together with ``diagrams.close_root_masks``.
     """
     R = np.array([rs.reflection_perm(t) for t in range(rs.npos)])
     simple = list(rs.simple_roots)
     at_simple = R[:, simple]
-    rows = range(rs.npos) if rows is None else rows
-    table = np.empty((len(rows), rs.npos), dtype=bool)
-    for k, s in enumerate(rows):
-        table[k] = (R[s][at_simple] == R[:, R[s][simple]]).all(axis=1)
-        table[k, s] = False
+    table = np.empty((rs.npos, rs.npos), dtype=bool)
+    for s in range(rs.npos):
+        table[s] = (R[s][at_simple] == R[:, R[s][simple]]).all(axis=1)
+        table[s, s] = False
     return table
 
 

@@ -125,17 +125,6 @@ def standard_parabolics(rs, subsets):
     return subgroups, masks
 
 
-def orthogonal_join(P: ReflectionSubgroup, Q: ReflectionSubgroup) -> ReflectionSubgroup:
-    """PQ for orthogonal reflection subgroups P and Q.
-
-    Each reflection of one fixes every root of the other, so the roots of PQ
-    are P's together with Q's, and so are its simple roots.
-    """
-    PQ = ReflectionSubgroup(P.rs, P.roots | Q.roots)
-    PQ.simples = tuple(sorted(P.simples + Q.simples))
-    return PQ
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 
@@ -287,9 +276,11 @@ class SubsetGroupoid:
     computed on first use and kept; callers must not mutate them.
 
     Set-up also keeps sigma_C of each connected C, so that an edge maps the
-    simple roots of its vertex as a map of nodes (``_move``): ``walk``
-    follows a component on index tuples, and ``loop_elements`` makes the
-    loops of chosen edges only.
+    simple roots of its vertex as a map of nodes (``_move``) and
+    ``longest_is_minus_one`` answers whether w0(J) is -1 on span Delta_J
+    with no w0(J) made; the edge targets gather it from one row per
+    connected C.  ``walk`` follows a component on index tuples, and
+    ``loop_elements`` makes the loops of chosen edges only.
     """
 
     def __init__(self, rs):
@@ -316,10 +307,11 @@ class SubsetGroupoid:
         # w0(C) of each connected C, climbed from w0(C minus its largest member)
         self._longest = {0: identity(rs)}
         self._opposite = {}   # connected C -> {j: sigma_C(j)} on C's nodes
-        opposite = np.zeros((1 << n, n), dtype=np.int32)   # row C: sigma_C on C's nodes
+        connected = np.flatnonzero((comp == masks).any(axis=1))
+        opposite = np.zeros((len(connected), n), dtype=np.int32)   # row r: the r-th C's sigma
         bonds = rs.simple_bonds.tolist()
         reflect = [rs.reflection_perm(i) for i in simple]
-        for C in np.flatnonzero((comp == masks).any(axis=1)).tolist():
+        for r, C in enumerate(connected.tolist()):
             members = _members(C, n)
             simples = [simple[i] for i in members]
             start = self._w0(C ^ 1 << members[-1], keep=False)
@@ -336,11 +328,13 @@ class SubsetGroupoid:
                 raise RuntimeError(f"{rs.label}: the climb to w0 of "
                                    + ",".join(f"s{i + 1}" for i in members)
                                    + " sends a simple root of it to no negative simple root")
-            opposite[C, members] = sigma
+            opposite[r, members] = sigma
             self._longest[C] = w0
             self._opposite[C] = dict(zip(members, sigma))
         # entry (K, s): the target of edge (K, s), or K itself when s is in K
-        sigma = opposite[comp, np.arange(n)]
+        rows = np.zeros(1 << n, dtype=np.int32)   # per connected C, its row of opposite
+        rows[connected] = np.arange(len(connected))
+        sigma = opposite[rows[comp], np.arange(n)]
         self._targets = np.where(grown == masks, masks, grown ^ (1 << sigma))
         self._nu = {}   # (C, s) -> nu, computed on first use
         self._moves = {}   # (C, s) -> the edge's map of nodes, made on first use
@@ -560,18 +554,16 @@ def generic_signs(rs, roots):
     return rs.fixed_projections([ReflectionSubgroup(rs, roots).simples])[2][0]
 
 
-def standard_conjugate(rs, roots, signs=None):
+def standard_conjugate(rs, roots):
     """(J, w): the standard W_J conjugate to a parabolic, and w with w(Phi_J) = roots.
 
-    The signs of all roots at a generic point of a subspace whose pointwise
-    stabilizer it is (its fixed space, at ``generic_signs``, unless
-    ``signs`` are passed) are carried into the dominant chamber: this is
-    the one-row case of ``dominant_descent``.  Raises ValueError when the
-    roots are not those vanishing at the point (not those of a parabolic
+    The signs of all roots at a generic point of its fixed space
+    (``generic_signs``) are carried into the dominant chamber: this is the
+    one-row case of ``dominant_descent``.  Raises ValueError when the roots
+    are not those vanishing at the point (not those of a parabolic
     subgroup).
     """
-    if signs is None:
-        signs = generic_signs(rs, roots)
+    signs = generic_signs(rs, roots)
     if set(np.flatnonzero(signs == 0).tolist()) != set(roots):
         raise ValueError("root set is not that of a parabolic subgroup")
     J, word = dominant_descent(rs, signs[None])

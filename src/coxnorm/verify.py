@@ -146,9 +146,7 @@ def verify_goursat(rs) -> dict:
         if not rs.is_vector:  # the sections compare coordinate restriction matrices
             continue
         N = normalizer(dec.P)
-        xperp, mid, yperp = dec.spaces
-        X = dec.P.witness
-        sec = goursat_sections(N, xperp, X, complement=dec.D)
+        sec = goursat_sections(N, rs.span(dec.P.simples), dec.P.witness, complement=dec.D)
         g2 = {w.key for w in sec.kernels[0]}
         h2 = {w.key for w in sec.kernels[1]}
         p_keys = {w.key for w in generate(dec.P.simple_reflections(), rs=rs)}

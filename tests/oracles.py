@@ -21,10 +21,16 @@ Each recomputes a fact of the library by a second, independent route:
   from each mask not yet reached (the library lowers every mask's label to
   its targets' in array passes);
   ``schreier_loops`` makes the loop of every edge of a component as a group
-  element, and ``schreier_complement`` generates D from all of them (the
-  library walks index tuples and makes a generating set only);
+  element, and ``schreier_complement`` generates D from the descents of
+  all of them modulo ``orthogonal_join(P, Q)`` (the library walks index
+  tuples, makes a generating set only and descends modulo Q);
   ``simple_permutation`` reads an element's permutation of Delta_J off
   its images;
+- ``negates`` compares an element's images of some roots with their
+  negatives (the library reads whether w0(J) is -1 on span Delta_J off the
+  opposition sigma_C, with no w0(J) made);
+- ``regrown_generators`` keeps a greedy generating set by regenerating the
+  group after each new generator (the library keeps Dimino's);
 - ``to_pairs`` converts Q(sqrt5) rows to integer pairs, the inverse of
   ``linalg.from_pairs`` up to a positive scale per row;
 - ``degree`` is the rank of the roots an involution negates (the library
@@ -54,9 +60,9 @@ from coxnorm.diagrams import gram_bonds
 from coxnorm.groups import BRUTE_LIMIT, GroupElement, generate, identity
 from coxnorm.involutions import fixed_parabolic
 from coxnorm.linalg import _overflow, lex_signs, pair_matmul, pair_mul, pair_sign
-from coxnorm.normalizer import descend_to_complement
+from coxnorm.normalizer import _c_nontrivial_expected, _permutation_image, descend_to_complement
 from coxnorm.oracle import commutation_table, normalizing, positive_images
-from coxnorm.parabolic import ReflectionSubgroup, Shape, subset_groupoid
+from coxnorm.parabolic import ReflectionSubgroup, Shape, standard_subset, subset_groupoid
 
 
 def neg(rs, i):
@@ -176,10 +182,59 @@ def schreier_loops(groupoid, subset):
             for K in order for s in range(rs.n) if not K >> s & 1]
 
 
+def orthogonal_join(P: ReflectionSubgroup, Q: ReflectionSubgroup) -> ReflectionSubgroup:
+    """PQ for orthogonal reflection subgroups P and Q.
+
+    Each reflection of one fixes every root of the other, so the roots of PQ
+    are P's together with Q's, and so are its simple roots.
+    """
+    PQ = ReflectionSubgroup(P.rs, P.roots | Q.roots)
+    PQ.simples = tuple(sorted(P.simples + Q.simples))
+    return PQ
+
+
 def schreier_complement(rs, subset, pq):
     """D generated by the descents modulo PQ of every loop at J."""
     return generate([descend_to_complement(g, pq)
                      for _, _, g in schreier_loops(subset_groupoid(rs), subset)], rs=rs)
+
+
+def negates(w: GroupElement, roots) -> bool:
+    """Does w send each of the given roots to its negative?"""
+    idx = list(roots)
+    return bool((w.img[idx] == w.rs.negation[idx]).all())
+
+
+def regrown_generators(elements, rs):
+    """(generators, keys of the group): each element the ones kept before it
+    do not generate is kept, and the group is regenerated from all kept."""
+    generators, keys = [], {identity(rs).key}
+    for x in elements:
+        if x.key not in keys:
+            generators.append(x)
+            keys = {g.key for g in generate(generators, rs=rs)}
+    return generators, keys
+
+
+def regrown_theorem13(dec) -> dict:
+    """``verify_theorem13``'s report, with the generators of AB regrown and
+    each conjugate descended modulo PQ."""
+    rs, idx = dec.rs, len(dec.C)
+    report = {"shape": dec.shape.label, "group": str(rs.label),
+              "index": idx, "ok": True, "witness": None}
+    if idx not in (1, 2):
+        return {**report, "ok": False, "witness": "index"}
+    generators, ab = regrown_generators(dec.A + dec.B, rs)
+    pq = orthogonal_join(dec.P, dec.Q)
+    _, tree, edges = _permutation_image(rs, standard_subset(dec.P))
+    for d in subset_groupoid(rs).loop_elements(tree, edges):
+        for x in generators:
+            if descend_to_complement((d.inverse() * x) * d, pq).key not in ab:
+                return {**report, "ok": False, "witness": (d.canonical(), x.canonical())}
+    expected = _c_nontrivial_expected(rs, dec)
+    if (idx == 2) != expected:
+        return {**report, "ok": False, "witness": f"index {idx} but expected nontrivial={expected}"}
+    return report
 
 
 def simple_permutation(d, subset):
@@ -249,7 +304,7 @@ def brute_orthogonal_complement(U: ReflectionSubgroup):
     rs = U.rs
     if rs.group_order > BRUTE_LIMIT:
         raise RuntimeError(f"group too large for the brute oracle ({rs.group_order})")
-    rows = commutation_table(rs, list(U.pos))
+    rows = commutation_table(rs)[list(U.pos)]
     return generated_by(rs, np.flatnonzero(rows.all(axis=0)).tolist())
 
 

@@ -415,7 +415,7 @@ def test_restrictions_take_the_pair_product_in_batches(monkeypatch):
     shape = catalog.by_selector("A1^7")
     P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
     (projections,), *_ = pq_closures(catalog, [P], [Q])
-    D = _complement_D(rs, shape.rep_subset, P, Q)
+    D = _complement_D(rs, shape.rep_subset, Q)
     assert len(D) == 5040
     monkeypatch.setattr(actions, "_BATCH", 512)
 

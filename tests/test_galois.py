@@ -10,14 +10,14 @@ from coxnorm.involutions import involution_class_representatives
 from coxnorm.galois import (orthogonal_closure, orthogonal_complement, parabolic_concepts,
                             perp_map, perp_masks, pq_closures, pq_map, shape_closure_graph)
 from coxnorm.oracle import commutation_table
-from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, orthogonal_join,
-                               parabolic_closure, shape_catalog, standard_conjugate,
-                               standard_parabolic)
+from coxnorm.parabolic import (ReflectionSubgroup, fixed_space, parabolic_closure,
+                               shape_catalog, standard_conjugate, standard_parabolic)
 from coxnorm.rootsys import build_root_system
 from coxnorm.verify import verify_galois, verify_oracle
 
 from fixture_groups import FIXTURE_GROUPS, I2_FIXTURE_GROUPS, ORACLE_GROUPS
-from oracles import brute_orthogonal_complement, close_roots, generated_by, neg
+from oracles import (brute_orthogonal_complement, close_roots, generated_by, neg,
+                     orthogonal_join)
 
 
 normalizer = importlib.import_module("coxnorm.normalizer")
@@ -387,26 +387,27 @@ def test_concepts_and_galois_suite_eliminate_nothing(monkeypatch, name):
 def test_class_signs_read_on_the_span_agree_with_the_fixed_space(name):
     # perp(W_J) vanishes exactly on the span of J's simple roots; the walk
     # from its signs there and the walk from its fixed space name one class,
-    # and so do the walks from Fix(P perp(P)) and from the closure's roots
+    # and so do the walks from Fix(P perp(P)) and from the closure's roots;
+    # the roots of P perp(P), when they are not its closure's, are refused
     rs = build_root_system(name)
     cat = shape_catalog(rs)
-    everywhere = rs.stacked_span_signs([rs.simple_roots])[0]   # no root vanishes at it
     for shape in cat:
         P = shape.parabolic
         Q = orthogonal_complement(P)
         signs = rs.stacked_span_signs([P.simples])[0]
         assert frozenset(np.flatnonzero(signs == 0).tolist()) == Q.roots, shape.label
-        by_span, w = standard_conjugate(rs, Q.roots, signs)
+        by_span, w = _conjugate_at(rs, signs)
         by_fix, _ = standard_conjugate(rs, Q.roots)
         assert (cat.class_of_subset(by_span) == cat.class_of_subset(by_fix)
                 == perp_map(cat).index[shape.index]), shape.label
-        assert {int(w.img[r]) for r in standard_parabolic(rs, by_span).roots} == Q.roots
-        if Q.roots:
+        assert {int(w[r]) for r in standard_parabolic(rs, by_span).roots} == Q.roots
+        PQ = orthogonal_join(P, Q)
+        pq = parabolic_closure(PQ)
+        if pq.roots != PQ.roots:
             with pytest.raises(ValueError):
-                standard_conjugate(rs, Q.roots, everywhere)
-        pq = parabolic_closure(orthogonal_join(P, Q))
-        pq_signs = rs.signs_at(fixed_space(orthogonal_join(P, Q)))
-        assert (cat.class_of_subset(standard_conjugate(rs, pq.roots, pq_signs)[0])
+                standard_conjugate(rs, PQ.roots)
+        pq_signs = rs.signs_at(fixed_space(PQ))
+        assert (cat.class_of_subset(_conjugate_at(rs, pq_signs)[0])
                 == cat.class_of_subset(standard_conjugate(rs, pq.roots)[0])
                 == pq_closures(cat, [P], [Q])[3][0]), shape.label
 
@@ -443,7 +444,7 @@ def _descend_one_row(rs, signs):
 @pytest.mark.parametrize("name", FIXTURE_GROUPS)
 def test_stacked_descent_matches_one_row_at_a_time(name):
     # the complement signs and the closure signs of every shape, descended as
-    # one stack, against standard_conjugate and the loop, row by row
+    # one stack, against each row descended alone and the loop
     rs = build_root_system(name)
     cat = shape_catalog(rs)
     sets = [s.parabolic.simples + orthogonal_complement(s.parabolic).simples for s in cat]
@@ -452,14 +453,27 @@ def test_stacked_descent_matches_one_row_at_a_time(name):
     J, word = parabolic.dominant_descent(rs, signs)
     assert J.shape == (len(signs), rs.n) and word.shape[1] == len(signs)
     for row, mask, steps in zip(signs, J, word.T):
-        subset, w = standard_conjugate(rs, np.flatnonzero(row == 0).tolist(), row)
+        subset, w = _conjugate_at(rs, row)
         assert tuple(np.flatnonzero(mask).tolist()) == subset
         want_subset, want_img = _descend_one_row(rs, row)
-        assert subset == want_subset and (w.img == want_img).all()
-        img = np.arange(rs.nroots, dtype=np.int16)
-        for s in steps[steps < rs.n].tolist():   # a finished row steps by the identity, n
-            img = img[rs.reflection_perm(rs.simple_roots[s])]
-        assert (img == w.img).all()
+        assert subset == want_subset and (w == want_img).all()
+        assert (_replay(rs, steps) == w).all()
+
+
+def _replay(rs, steps):
+    """The image of the product of the simple reflections of a word, in
+    order; a finished row steps by the identity, n."""
+    img = np.arange(rs.nroots, dtype=np.int16)
+    for s in steps[steps < rs.n].tolist():
+        img = img[rs.reflection_perm(rs.simple_roots[s])]
+    return img
+
+
+def _conjugate_at(rs, signs):
+    """(J, w's image) for one sign row: its one-row ``dominant_descent``,
+    the word replayed."""
+    J, word = parabolic.dominant_descent(rs, signs[None])
+    return tuple(np.flatnonzero(J[0]).tolist()), _replay(rs, word[:, 0])
 
 
 def _same_projections(rs, a, b):

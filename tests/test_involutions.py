@@ -1,14 +1,15 @@
 from coxnorm import involutions
-from coxnorm.groups import generate, identity
-from coxnorm.involutions import (fixed_parabolic, involution_class_representatives,
-                                 mark_involution_shapes, negated_roots,
-                                 section8_checks)
-from coxnorm.parabolic import subset_groupoid
+from coxnorm.groups import generate, identity, parabolic_longest_element
+from coxnorm.involutions import (fixed_parabolic, has_central_minus_one,
+                                 involution_class_representatives, mark_involution_shapes,
+                                 negated_roots, section8_checks)
+from coxnorm.parabolic import shape_catalog, subset_groupoid
 from coxnorm.rootsys import build_root_system
 
 import pytest
 
-from oracles import centralizer_equals_normalizer, degree, neg
+from fixture_groups import FIXTURE_GROUPS
+from oracles import centralizer_equals_normalizer, degree, neg, negates
 
 
 def test_fixed_parabolic_basics():
@@ -124,3 +125,19 @@ def test_section8_reads_no_centralizer_order(monkeypatch, name):
     records = involution_class_representatives(rs)
     assert [(r.shape_index, r.centralizer_order) for r in records] == CENTRALIZER_ORDERS[name]
     assert len(calls) == len(records)
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS + ["A9", "D9", "D11", "I2(5)", "I2(6)", "I2(7)"])
+def test_marks_and_central_minus_one_match_the_negation_of_a_climbed_w0(name):
+    # the marks and -1 in W are read off sigma_C with no w0 made; w0(J),
+    # climbed here by search, must negate every positive root of W_J exactly
+    # for the marked shapes, and w0 of W every positive root iff -1 lies in W
+    # (I2(m) has -1 for even m only)
+    rs = build_root_system(name)
+    marked = [1] + [shape.index for shape in shape_catalog(rs) if shape.roots and negates(
+        parabolic_longest_element(rs, shape.parabolic.simples), shape.parabolic.pos)]
+    assert mark_involution_shapes(rs) == marked
+    minus_one = negates(parabolic_longest_element(rs, rs.simple_roots), range(rs.npos))
+    assert has_central_minus_one(rs) == minus_one
+    if name.startswith("I2"):
+        assert minus_one == (int(name[3:-1]) % 2 == 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -8,17 +9,18 @@ import coxnorm
 from coxnorm import linalg
 from coxnorm.actions import LineTable, SpaceRestriction
 from coxnorm.galois import orthogonal_complement, perp_map, pq_map
-from coxnorm.groups import generate, identity, relative_length
+from coxnorm.groups import GroupElement, _dimino, generate, identity, relative_length
 from coxnorm.linalg import canonical_rows, pair_matmul
-from coxnorm.normalizer import (_complement_D, _Restricted, decompose, descend_to_complement,
-                                goursat_sections, howlett_complement, normalizer,
-                                normalizer_order, verify_theorem13)
+from coxnorm.normalizer import (_complement_D, _permutation_image, _Restricted, decompose,
+                                descend_to_complement, goursat_sections, howlett_complement,
+                                normalizer, normalizer_order, verify_theorem13)
 from coxnorm.parabolic import (ReflectionSubgroup, shape_catalog, standard_parabolic,
                                subset_groupoid)
 from coxnorm.rootsys import build_root_system
 
 from fixture_groups import FIXTURE_GROUPS, ORACLE_GROUPS
-from oracles import generated_by
+from oracles import (generated_by, orthogonal_join, regrown_generators, regrown_theorem13,
+                     schreier_loops)
 
 
 normalizer_module = importlib.import_module("coxnorm.normalizer")
@@ -180,6 +182,59 @@ def test_theorem13_reports():
     assert rep2["ok"] and rep2["index"] == 1
 
 
+def _theorem13_rows():
+    """Every decomposition of the oracle groups, and A13's 2^7 row (|A| = 5,040)."""
+    for name in ORACLE_GROUPS:
+        rs = build_root_system(name)
+        for shape in shape_catalog(rs):
+            yield decompose(rs, shape)
+    rs = build_root_system("A13")
+    yield decompose(rs, shape_catalog(rs).by_selector("A1^7"))
+
+
+def test_theorem13_keeps_the_generators_and_reports_of_the_regrowth_loop():
+    # verify_theorem13 keeps Dimino's greedy generators of AB and descends
+    # each conjugate modulo Q; the reference regrows the group after each new
+    # generator and descends modulo PQ.  Both must keep the same generators
+    # of the same group and give the same report, also on a fault (A read
+    # as {1, t} for an involution t of D) that may make AB not normal
+    failed = 0
+    for dec in _theorem13_rows():
+        rs = dec.rs
+        candidates = dec.A + dec.B
+        group, kept = _dimino(candidates, identity(rs), GroupElement.__mul__)
+        generators, keys = regrown_generators(candidates, rs)
+        assert [candidates[k].key for k in kept] == [g.key for g in generators], dec.shape.label
+        assert {g.key for g in group} == keys, dec.shape.label
+        assert verify_theorem13(dec) == regrown_theorem13(dec), (str(rs.label), dec.shape.label)
+        t = next((d for d in dec.D if d.is_involution() and not d.is_identity()), None)
+        if t is not None:
+            fault = dataclasses.replace(dec, A=[identity(rs), t])
+            report = verify_theorem13(fault)
+            assert report == regrown_theorem13(fault), (str(rs.label), dec.shape.label)
+            failed += not report["ok"]
+    assert failed > 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_GROUPS)
+def test_descent_modulo_q_equals_descent_modulo_pq(name):
+    # every loop at J, and every conjugate verify_theorem13 descends, keeps
+    # Delta_J, so it descends modulo Q by the same steps as modulo PQ
+    rs = build_root_system(name)
+    groupoid = subset_groupoid(rs)
+    for shape in shape_catalog(rs):
+        dec = decompose(rs, shape)
+        pq = orthogonal_join(dec.P, dec.Q)
+        loops = [g for _, _, g in schreier_loops(groupoid, shape.rep_subset)]
+        _, kept = _dimino(dec.A + dec.B, identity(rs), GroupElement.__mul__)
+        _, tree, edges = _permutation_image(rs, shape.rep_subset)
+        conjugates = [(d.inverse() * (dec.A + dec.B)[k]) * d
+                      for d in groupoid.loop_elements(tree, edges) for k in kept]
+        for w in loops + conjugates:
+            assert np.array_equal(descend_to_complement(w, dec.Q).img,
+                                  descend_to_complement(w, pq).img), shape.label
+
+
 def test_c_trivial_for_types_a_and_b():
     for name in ["A4", "A5", "B4", "B5"]:
         rs = build_root_system(name)
@@ -266,7 +321,7 @@ def test_root_index_tables_match_the_pair_restriction(name):
     checked = 0
     for shape in catalog:
         P, Q = shape.parabolic, perp_map(catalog).complement[shape.index]
-        D = _complement_D(rs, shape.rep_subset, P, Q)
+        D = _complement_D(rs, shape.rep_subset, Q)
         if len(D) == 1:
             continue
         spaces = {role: simples for role, simples in (("x_perp", P.simples),

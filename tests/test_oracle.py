@@ -95,8 +95,6 @@ def test_commutation_table_matches_the_full_image_comparison(name):
     full = np.array([(R[s][R] == R[:, R[s]]).all(axis=1) for s in range(rs.npos)])
     np.fill_diagonal(full, False)
     assert np.array_equal(commutation_table(rs), full)
-    rows = list(range(0, rs.npos, 3))
-    assert np.array_equal(commutation_table(rs, rows), full[rows])
 
 
 def test_commutation_oracle_ignores_the_orthogonality_table(monkeypatch):

@@ -81,6 +81,53 @@ def test_every_definition_is_named_outside_itself():
     assert unnamed == []
 
 
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position) of every parameter with a default of
+    a module's functions: a method's position leaves out self, and a
+    constructor's callee is its class; keyword-only parameters have none."""
+    owner = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        method = isinstance(cls, ast.ClassDef) and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        name = cls.name if method and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for k, arg in enumerate(positional[first:], first - method):
+            yield name, arg.arg, k
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed_arguments(tree):
+    """(callee name, position or keyword) of every argument a module's calls
+    pass, by the called name or attribute; star-args pass "*"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            yield from ((name, k) for k in range(len(node.args)))
+            yield from ((name, k.arg or "*") for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                yield name, "*"
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a parameter with a default that no call in the package or the benchmark
+    # passes (by position, keyword or star-args) serves only the tests, and
+    # goes; the command line's main(argv) is its entry point
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")}
+    passed = {arg for tree in trees.values() for arg in _passed_arguments(tree)}
+    unpassed = [f"{path.relative_to(ROOT)} {name}.{arg}"
+                for path, tree in trees.items() if "coxnorm" in path.parts
+                for name, arg, k in _defaulted_parameters(tree)
+                if not {(name, arg), (name, k), (name, "*")} & passed]
+    assert unpassed == ["src/coxnorm/cli.py main.argv"]
+
+
 def _imported_names(tree):
     """The dotted names a module imports, at its top or inside a function, with
     relative imports read in the package and each name of a ``from`` import
